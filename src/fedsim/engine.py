@@ -13,6 +13,7 @@ sums in ascending party id order.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,8 +23,18 @@ import numpy as np
 from . import rng
 from .compensated import combine_updates
 from .datasets import LabeledDataset
-from .errors import ConfigError, NumericError, ProtocolError
-from .nn import Batch, MlpArch, ParamVector, backward, init_mlp, predict_accuracy, sgd_momentum_step, zeros_like
+from .errors import ConfigError, NumericError, ProtocolError, ShapeError
+from .nn import (
+    MlpArch,
+    ParamVector,
+    _loss_grad,
+    check_labels,
+    init_mlp,
+    layer_slices,
+    momentum_update,
+    predict_accuracy,
+    zeros_like,
+)
 from .partition import PartitionSpec, PartyView, build_views
 
 ALGORITHMS = ("fedavg", "fedprox", "scaffold", "fednova")
@@ -79,23 +90,24 @@ class FedRunConfig:
 
 @dataclass(frozen=True)
 class GlobalState:
-    """Server state: round counter, global model, control variate (scaffold)."""
+    """Server state: round counter, global model, control variate (scaffold).
+
+    diverged marks a round whose aggregate went non-finite; such a round
+    keeps the previous model and controls.
+    """
 
     round: int
     params: ParamVector
     control: ParamVector | None = None
+    diverged: bool = False
 
 
 @dataclass(frozen=True)
 class LocalUpdate:
-    """What a party reports back after local training.
-
-    delta is global-minus-final (w_t - w_final); final_params rides along so
-    the server can aggregate without re-deriving it from the rounded delta.
-    """
+    """What a party reports back after local training: its final model,
+    local step count and sample count; scaffold adds its control change."""
 
     party_id: int
-    delta: ParamVector
     tau: int
     n_samples: int
     train_loss: float
@@ -130,19 +142,25 @@ class MlpObjective:
 
     Any object with the same four methods can drive the engine, which is how
     tests exercise the update rules on hand-checkable scalar objectives.
+    init_params returns a ParamVector and accuracy takes one; loss_grad and
+    full_grad work on raw float64 arrays (flat parameters, feature rows,
+    label ids) and return (loss, gradient array) and a gradient array. They
+    run once per local step, so they validate nothing: run_experiment checks
+    the training data against the architecture once, and the local loop
+    checks the loss and the new parameters for finiteness.
     """
 
     def __init__(self, arch: MlpArch):
         self.arch = arch
+        self.layers = layer_slices(arch)
 
     def init_params(self, seed: int) -> ParamVector:
         return init_mlp(self.arch, seed)
 
     def loss_grad(self, params, features, labels, prox_mu=0.0, prox_anchor=None):
-        batch = Batch(features, labels)
-        return backward(params, self.arch, batch, prox_mu, prox_anchor)
+        return _loss_grad(self.layers, params, features, labels, prox_mu, prox_anchor)
 
-    def full_grad(self, params, features, labels) -> ParamVector:
+    def full_grad(self, params, features, labels) -> np.ndarray:
         return self.loss_grad(params, features, labels)[1]
 
     def accuracy(self, params, dataset) -> float:
@@ -169,44 +187,48 @@ def _epoch_batches(generator, n_samples: int, batch_size: int):
         yield perm[start : start + batch_size]
 
 
-def _local_loop(w_start, view, cfg, round_idx, objective, prox_mu=0.0, grad_hook=None):
-    """Shared minibatch loop. grad_hook maps each raw gradient before the
-    momentum step (scaffold's control correction); returns the last finite
-    model if a step goes non-finite."""
+def _local_loop(w_start, view, cfg, round_idx, objective, prox_mu=0.0, correction=None):
+    """Shared minibatch loop on raw float64 arrays.
+
+    w_start is the round's global model as a flat array; it is never written
+    to, and neither are the view's arrays. correction, when given, is added
+    to every raw gradient before the momentum step (scaffold's c - c_i).
+    Returns (final array, tau, mean loss, diverged); a step whose loss or new
+    parameters are non-finite, or whose objective raises NumericError, is
+    dropped and the last finite model is returned with diverged set. A
+    non-finite gradient always reaches the new parameters (lr > 0, finite
+    momentum), so checking those two catches every non-finite step.
+    """
     generator = rng.stream(cfg.master_seed, rng.TAG_LOCAL, round_idx, view.party_id)
+    loss_grad = objective.loss_grad
+    features, labels = view.features, view.labels
+    lr, momentum = cfg.local_lr, cfg.momentum
     params = w_start
-    velocity = zeros_like(w_start)
+    velocity = np.zeros_like(w_start)
     anchor = w_start if prox_mu > 0 else None
-    tau = 0
     losses = []
     diverged = False
     for _ in range(cfg.local_epochs):
         for batch_idx in _epoch_batches(generator, view.n_samples, cfg.batch_size):
             try:
-                loss, grad = objective.loss_grad(
-                    params,
-                    view.features[batch_idx],
-                    view.labels[batch_idx],
-                    prox_mu,
-                    anchor,
-                )
-                if not np.isfinite(loss):
-                    raise NumericError("non-finite loss")
-                if grad_hook is not None:
-                    grad = grad_hook(grad)
-                params, velocity = sgd_momentum_step(
-                    params, grad, velocity, cfg.local_lr, cfg.momentum
+                loss, grad = loss_grad(
+                    params, features[batch_idx], labels[batch_idx], prox_mu, anchor
                 )
             except NumericError:
-                # Abort with the last finite model; the caller flags the record.
                 diverged = True
                 break
+            if correction is not None:
+                grad = grad + correction
+            new_params, new_velocity = momentum_update(params, grad, velocity, lr, momentum)
+            if not (math.isfinite(loss) and np.isfinite(new_params).all()):
+                diverged = True
+                break
+            params, velocity = new_params, new_velocity
             losses.append(loss)
-            tau += 1
         if diverged:
             break
     mean_loss = float(np.mean(losses)) if losses else float("nan")
-    return params, max(tau, 1), mean_loss, diverged
+    return params, max(len(losses), 1), mean_loss, diverged
 
 
 def local_train_sgd(
@@ -224,15 +246,14 @@ def local_train_sgd(
     to plain training.
     """
     final, tau, mean_loss, diverged = _local_loop(
-        w_t, view, cfg, round_idx, objective, prox_mu=prox_mu
+        w_t.values, view, cfg, round_idx, objective, prox_mu=prox_mu
     )
     return LocalUpdate(
         party_id=view.party_id,
-        delta=ParamVector(w_t.values - final.values, w_t.shapes),
         tau=tau,
         n_samples=view.n_samples,
         train_loss=mean_loss,
-        final_params=final,
+        final_params=w_t.with_values(final),
         diverged=diverged,
     )
 
@@ -262,29 +283,25 @@ def local_train_scaffold(
     # Round-constant correction; computing the difference once keeps the
     # zero-control case exactly equal to plain SGD.
     correction = server_control.values - c_i.values
-
-    def corrected(grad: ParamVector) -> ParamVector:
-        return ParamVector(grad.values + correction, grad.shapes)
-
     final, tau, mean_loss, diverged = _local_loop(
-        w_t, view, cfg, round_idx, objective, grad_hook=corrected
+        w_t.values, view, cfg, round_idx, objective, correction=correction
     )
     if cfg.scaffold_c_option == "i":
-        new_control = objective.full_grad(w_t, view.features, view.labels)
+        new_control = w_t.with_values(
+            objective.full_grad(w_t.values, view.features, view.labels)
+        )
     else:
         step_scale = 1.0 / (tau * cfg.local_lr)
-        new_control = ParamVector(
-            c_i.values - server_control.values + step_scale * (w_t.values - final.values),
-            w_t.shapes,
+        new_control = w_t.with_values(
+            c_i.values - server_control.values + step_scale * (w_t.values - final)
         )
     update = LocalUpdate(
         party_id=view.party_id,
-        delta=ParamVector(w_t.values - final.values, w_t.shapes),
         tau=tau,
         n_samples=view.n_samples,
         train_loss=mean_loss,
-        final_params=final,
-        delta_control=ParamVector(new_control.values - c_i.values, w_t.shapes),
+        final_params=w_t.with_values(final),
+        delta_control=w_t.with_values(new_control.values - c_i.values),
         diverged=diverged,
     )
     return update, new_control
@@ -381,7 +398,10 @@ def run_round(
 
     Local trainings are independent and may run on the given executor; the
     result is bit-identical either way because each party draws from its own
-    (seed, round, party) stream and aggregation order is fixed.
+    (seed, round, party) stream and aggregation order is fixed. If the
+    aggregate goes non-finite, the round keeps the global model, the server
+    control and every client control, and returns a state marked diverged;
+    its traffic still counts.
     """
     selected = sample_parties(
         cfg.n_parties, cfg.sample_fraction, round_idx, cfg.master_seed
@@ -405,27 +425,38 @@ def run_round(
     else:
         results = [train(party_id) for party_id in selected]
 
-    if cfg.algorithm == "scaffold":
-        updates = [update for update, _ in results]
-        new_state = aggregate_scaffold(state, updates, cfg.n_parties, cfg.server_lr)
-        # Client control swap happens after aggregation, on the caller's thread.
-        for (update, new_control), party_id in zip(results, selected):
-            clients[party_id].control = new_control
-    else:
-        updates = results
-        if cfg.algorithm == "fednova":
-            new_params = aggregate_fednova(state.params, updates, cfg.server_lr)
+    n_bytes = round_bytes(len(selected), len(state.params), cfg.algorithm)
+    updates = [update for update, _ in results] if cfg.algorithm == "scaffold" else results
+    try:
+        if cfg.algorithm == "scaffold":
+            new_state = aggregate_scaffold(state, updates, cfg.n_parties, cfg.server_lr)
+        elif cfg.algorithm == "fednova":
+            new_state = GlobalState(
+                state.round + 1, aggregate_fednova(state.params, updates, cfg.server_lr)
+            )
         else:
-            new_params = aggregate_weighted(state.params, updates, cfg.server_lr)
-        new_state = GlobalState(state.round + 1, new_params, None)
-
-    return new_state, updates, round_bytes(len(selected), len(state.params), cfg.algorithm)
+            new_state = GlobalState(
+                state.round + 1, aggregate_weighted(state.params, updates, cfg.server_lr)
+            )
+    except NumericError:
+        kept = GlobalState(state.round + 1, state.params, state.control, diverged=True)
+        return kept, updates, n_bytes
+    if cfg.algorithm == "scaffold":
+        # Client control swap happens after aggregation, on the caller's thread.
+        for (_, new_control), party_id in zip(results, selected):
+            clients[party_id].control = new_control
+    return new_state, updates, n_bytes
 
 
 def _weighted_mean_loss(updates) -> float:
     weights = np.array([u.n_samples for u in updates], dtype=np.float64)
     losses = np.array([u.train_loss for u in updates])
     return float((weights * losses).sum() / weights.sum())
+
+
+def partition_seed(run_seed: int) -> int:
+    """Seed of the partition a run with this master seed trains on."""
+    return rng.derive_seed(run_seed, rng.TAG_PARTITION)
 
 
 def run_experiment(
@@ -441,15 +472,21 @@ def run_experiment(
 
     Returns T + 1 records; record 0 is the untrained model (no traffic, no
     training loss). A party whose training goes non-finite contributes its
-    last finite model and flags the round, but the run continues.
+    last finite model and flags the round, and so does a non-finite server
+    aggregate, which keeps the previous model; the run continues either way.
     """
+    # Local training validates nothing per step; every party's rows come
+    # from ds_train, so its width and labels are checked here, once.
+    if ds_train.n_features != arch.in_dim:
+        raise ShapeError(
+            f"training features have width {ds_train.n_features}, "
+            f"architecture input is {arch.in_dim}"
+        )
+    check_labels(ds_train.labels, arch.out_dim)
     if objective is None:
         objective = MlpObjective(arch)
     _, views = build_views(
-        ds_train,
-        partition_spec,
-        cfg.n_parties,
-        rng.derive_seed(cfg.master_seed, rng.TAG_PARTITION),
+        ds_train, partition_spec, cfg.n_parties, partition_seed(cfg.master_seed)
     )
     params = objective.init_params(rng.derive_seed(cfg.master_seed, rng.TAG_INIT))
     control = zeros_like(params) if cfg.algorithm == "scaffold" else None
@@ -478,30 +515,10 @@ def run_experiment(
                     mean_train_loss=_weighted_mean_loss(updates),
                     bytes=n_bytes,
                     wall_ms=wall_ms,
-                    diverged=any(u.diverged for u in updates),
+                    diverged=state.diverged or any(u.diverged for u in updates),
                 )
             )
     finally:
         if executor is not None:
             executor.shutdown()
     return records
-
-
-def make_update(
-    w_t: ParamVector,
-    party_id: int,
-    delta: ParamVector,
-    tau: int,
-    n_samples: int,
-    delta_control: ParamVector | None = None,
-) -> LocalUpdate:
-    """Build a consistent LocalUpdate from a delta (final = w_t - delta)."""
-    return LocalUpdate(
-        party_id=party_id,
-        delta=delta,
-        tau=tau,
-        n_samples=n_samples,
-        train_loss=0.0,
-        final_params=ParamVector(w_t.values - delta.values, w_t.shapes),
-        delta_control=delta_control,
-    )

@@ -28,10 +28,10 @@ from .datasets import (
     read_libsvm,
     split_train_test,
 )
-from .engine import run_experiment
+from .engine import partition_seed, run_experiment
 from .errors import ConfigError, ReportError
 from .nn import Batch, MlpArch, backward, finite_diff_grad, init_mlp
-from .partition import build_partition, export_partition, export_stats_csv, partition_stats
+from .partition import build_views, export_partition, export_stats_csv, partition_stats
 
 RESULTS_FILE = "results.jsonl"
 SUMMARY_FILE = "summary.csv"
@@ -122,15 +122,23 @@ def enumerate_settings(config: ExperimentConfig) -> list[Setting]:
     return settings
 
 
+def _trial_seed(master_seed: int, trial: int) -> int:
+    """Master seed of one trial's runs; partition and run both derive from it."""
+    return rng.derive_seed(master_seed, rng.TAG_TRIAL, trial)
+
+
 def cmd_partition(config: ExperimentConfig, out_dir) -> dict:
-    """Write the partition index file and its class-count CSV; print a summary."""
+    """Write the partition index file and its class-count CSV; print a summary.
+
+    The partition is the one trial 0 of `cmd_run` trains on.
+    """
     os.makedirs(out_dir, exist_ok=True)
     train, _ = build_dataset(config)
-    pmap = build_partition(
+    pmap, _ = build_views(
         train,
         config.partition,
         config.fed.n_parties,
-        rng.derive_seed(config.fed.master_seed, rng.TAG_PARTITION, 0),
+        partition_seed(_trial_seed(config.fed.master_seed, 0)),
     )
     stats = partition_stats(pmap, train)
     partition_path = os.path.join(out_dir, "partition.txt")
@@ -143,10 +151,6 @@ def cmd_partition(config: ExperimentConfig, out_dir) -> dict:
         f"label_tv={stats.mean_label_tv:.4f}"
     )
     return {"partition": partition_path, "stats": stats_path}
-
-
-def _trial_seed(master_seed: int, trial: int) -> int:
-    return rng.derive_seed(master_seed, rng.TAG_TRIAL, trial)
 
 
 def _json_float(value) -> float | None:

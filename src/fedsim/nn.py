@@ -5,6 +5,12 @@ variates and gradient checks can treat a network as ordinary linear algebra.
 Hidden layers use ReLU, the output layer is linear (logits), and the loss is
 softmax cross-entropy. All functions here are pure: inputs are never mutated
 and identical inputs give bit-identical outputs.
+
+The public functions take ParamVector/Batch values and validate them on
+every call. Local training instead runs the unchecked array forms they
+delegate to (`_loss_grad`, `momentum_update`), so there is a single chain
+rule and a single momentum rule; its callers validate data and models once,
+at round boundaries.
 """
 
 from __future__ import annotations
@@ -166,6 +172,15 @@ def _check_model_inputs(params: ParamVector, arch: MlpArch, features: np.ndarray
         )
 
 
+def check_labels(labels: np.ndarray, n_classes: int):
+    """Raise DataError unless every label is a class id in [0, n_classes)."""
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        raise DataError(
+            f"label out of range [0, {n_classes}): "
+            f"min={labels.min()}, max={labels.max()}"
+        )
+
+
 def forward(params: ParamVector, arch: MlpArch, batch: Batch) -> np.ndarray:
     """Logits (m, out) for a batch; ReLU hidden layers, linear output."""
     _check_model_inputs(params, arch, batch.features)
@@ -193,14 +208,74 @@ def cross_entropy_loss(logits: np.ndarray, labels) -> float:
         raise ShapeError(
             f"logits shape {logits.shape} incompatible with {labels.shape[0]} labels"
         )
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise DataError(
-            f"label out of range [0, {logits.shape[1]}): "
-            f"min={labels.min()}, max={labels.max()}"
-        )
+    check_labels(labels, logits.shape[1])
     shifted, log_norm = _log_softmax_terms(logits)
     picked = shifted[np.arange(labels.shape[0]), labels]
     return float(np.mean(log_norm - picked))
+
+
+def layer_slices(arch: MlpArch) -> tuple:
+    """Per layer, (weight start, weight stop, (fan_in, fan_out), bias stop)
+    offsets into the flat parameter vector; the bias follows its weight."""
+    out, offset = [], 0
+    for fan_in, fan_out in zip(arch.layer_dims[:-1], arch.layer_dims[1:]):
+        stop = offset + fan_in * fan_out
+        out.append((offset, stop, (fan_in, fan_out), stop + fan_out))
+        offset = stop + fan_out
+    return tuple(out)
+
+
+def _loss_grad(layers, w, features, labels, prox_mu, anchor):
+    """Array kernel behind backward: mean loss and flat gradient.
+
+    layers comes from layer_slices; w (and anchor when prox_mu > 0) are flat
+    float64 arrays, features an (m, in) float array and labels int class ids
+    already checked to lie in range. Nothing is validated or copied here, so
+    callers check their inputs once, not on every step. Inputs are never
+    written to. The numpy operations are backward's own, in its order, so
+    results are bit-identical; reductions call their ufuncs directly to skip
+    the Python wrappers of ndarray.sum/max and np.mean.
+    """
+    # Every array written below is a fresh temporary of this call, so the
+    # in-place forms only save allocations; each value is computed exactly as
+    # the out-of-place expression would.
+    activations = [features]
+    a = features
+    last = len(layers) - 1
+    for layer, (start, stop, shape, bias_stop) in enumerate(layers):
+        a = a @ w[start:stop].reshape(shape)
+        a += w[stop:bias_stop]
+        if layer < last:
+            # max(z, 0) > 0 exactly where z > 0, so the activations double
+            # as the ReLU masks of the backward pass.
+            np.maximum(a, 0.0, out=a)
+            activations.append(a)
+
+    # Log-softmax of the logits a, computed once for the loss and its gradient.
+    a -= np.maximum.reduce(a, axis=1, keepdims=True)
+    log_norm = np.log(np.add.reduce(np.exp(a), axis=1))
+    m = labels.shape[0]
+    rows = np.arange(m)
+    loss = float(np.add.reduce(log_norm - a[rows, labels]) / m)
+    a -= log_norm[:, None]
+    delta = np.exp(a, out=a)
+    delta[rows, labels] -= 1.0
+    delta /= m
+
+    flat = np.empty(w.shape[0])
+    for layer in range(last, -1, -1):
+        start, stop, shape, bias_stop = layers[layer]
+        np.matmul(activations[layer].T, delta, out=flat[start:stop].reshape(shape))
+        np.add.reduce(delta, axis=0, out=flat[stop:bias_stop])
+        if layer > 0:
+            delta = delta @ w[start:stop].reshape(shape).T
+            delta *= activations[layer] > 0.0
+
+    if prox_mu > 0:
+        diff = w - anchor
+        loss += 0.5 * prox_mu * float(diff @ diff)
+        flat += prox_mu * diff
+    return loss, flat
 
 
 def backward(
@@ -215,6 +290,8 @@ def backward(
     With prox_mu > 0 the objective gains (mu/2) * ||w - anchor||^2, whose
     gradient contribution is mu * (w - anchor). prox_mu == 0 takes a branch
     that never touches the anchor, so it is bit-identical to the plain loss.
+    Validates its inputs, then runs the same array kernel local training
+    uses; a non-finite gradient raises NumericError.
     """
     if prox_mu < 0:
         raise ConfigError(f"prox_mu must be >= 0, got {prox_mu}")
@@ -224,41 +301,18 @@ def backward(
         if prox_anchor.shapes != params.shapes:
             raise ShapeError("proximal anchor shapes do not match parameters")
     _check_model_inputs(params, arch, batch.features)
-
-    layers = params.split()
-    m = batch.size
-    activations = [batch.features]
-    pre_acts = []
-    a = batch.features
-    for layer in range(arch.n_layers):
-        weight, bias = layers[2 * layer], layers[2 * layer + 1]
-        z = a @ weight + bias
-        pre_acts.append(z)
-        a = np.maximum(z, 0.0) if layer < arch.n_layers - 1 else z
-        activations.append(a)
-
-    logits = activations[-1]
-    loss = cross_entropy_loss(logits, batch.labels)
-
-    shifted, log_norm = _log_softmax_terms(logits)
-    delta = np.exp(shifted - log_norm[:, None])
-    delta[np.arange(m), batch.labels] -= 1.0
-    delta /= m
-
-    grads: list[np.ndarray] = [np.empty(0)] * (2 * arch.n_layers)
-    for layer in reversed(range(arch.n_layers)):
-        weight = layers[2 * layer]
-        grads[2 * layer] = (activations[layer].T @ delta).reshape(-1)
-        grads[2 * layer + 1] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ weight.T) * (pre_acts[layer - 1] > 0.0)
-
-    flat = np.concatenate(grads)
-    if prox_mu > 0:
-        diff = params.values - prox_anchor.values
-        loss += 0.5 * prox_mu * float(diff @ diff)
-        flat = flat + prox_mu * diff
+    check_labels(batch.labels, arch.out_dim)
+    loss, flat = _loss_grad(
+        layer_slices(arch), params.values, batch.features, batch.labels, prox_mu,
+        prox_anchor.values if prox_mu > 0 else None,
+    )
     return loss, ParamVector(flat, params.shapes)
+
+
+def momentum_update(w, grad, velocity, lr: float, momentum: float):
+    """Unchecked array form of sgd_momentum_step: returns (w', v')."""
+    new_velocity = momentum * velocity + grad
+    return w - lr * new_velocity, new_velocity
 
 
 def sgd_momentum_step(
@@ -277,8 +331,9 @@ def sgd_momentum_step(
         raise NumericError("non-finite learning rate or momentum")
     if grad.shapes != params.shapes or velocity.shapes != params.shapes:
         raise ShapeError("gradient/velocity shapes do not match parameters")
-    new_velocity = momentum * velocity.values + grad.values
-    new_params = params.values - lr * new_velocity
+    new_params, new_velocity = momentum_update(
+        params.values, grad.values, velocity.values, lr, momentum
+    )
     return ParamVector(new_params, params.shapes), ParamVector(new_velocity, params.shapes)
 
 

@@ -11,8 +11,7 @@ parties. Strategies cover the usual heterogeneity axes:
 - fcube_pairs: antipodal octant pairs of cube data to 4 parties.
 
 A Gaussian feature-noise overlay with per-party variance sigma * i / N can be
-applied after any split, and any strategy composes with it through
-compose_mixed / build_views.
+applied after any split; build_views composes any strategy with it.
 """
 
 from __future__ import annotations
@@ -309,23 +308,6 @@ def apply_feature_noise(
             features = features + rng.normal(0.0, np.sqrt(variance), size=features.shape)
         views.append(PartyView(party, indices, features, ds.labels[indices]))
     return views
-
-
-def compose_mixed(
-    ds: LabeledDataset,
-    base: PartitionSpec,
-    noise_sigma: float,
-    n_parties: int,
-    seed: int,
-) -> list[PartyView]:
-    """Base split first, then the feature-noise overlay on the local copies."""
-    if base.kind not in ("iid", "label_dirichlet", "quantity_dirichlet"):
-        raise ConfigError(
-            f"mixed composition supports iid/label_dirichlet/quantity_dirichlet, "
-            f"got {base.kind!r}"
-        )
-    pmap = build_partition(ds, base, n_parties, seed)
-    return apply_feature_noise(pmap, ds, noise_sigma, derive_seed(seed, 1))
 
 
 def build_partition(

@@ -18,7 +18,6 @@ from fedsim.engine import (
     aggregate_weighted,
     local_train_scaffold,
     local_train_sgd,
-    make_update,
     round_bytes,
     run_experiment,
     run_round,
@@ -32,6 +31,7 @@ from fedsim.partition import (
     check_partition,
     label_distribution_tv,
 )
+from helpers import make_update
 
 
 def report(criterion, ok, detail):
@@ -117,7 +117,8 @@ def test_criterion_2_algorithm_identities():
                 state_f.params, clients_f[party].view, cfg_f, 0.0, round_idx, objective
             )
             scaffold_identical &= (
-                update_s.delta.values.tobytes() == update_f.delta.values.tobytes()
+                update_s.final_params.values.tobytes()
+                == update_f.final_params.values.tobytes()
             )
         state_f, _, _ = run_round(state_f, clients_f, cfg_f, round_idx, objective)
 

@@ -12,16 +12,16 @@ from fedsim.engine import (
     aggregate_weighted,
     local_train_scaffold,
     local_train_sgd,
-    make_update,
     round_bytes,
     run_experiment,
     run_round,
     sample_parties,
 )
-from fedsim.errors import ConfigError, ProtocolError
+from fedsim.errors import ConfigError, DataError, NumericError, ProtocolError, ShapeError
 from fedsim.nn import Batch, MlpArch, ParamVector, backward, sgd_momentum_step, zeros_like
 from fedsim.partition import PartitionSpec, PartyView, build_views
 from fedsim import rng
+from helpers import make_update
 
 
 def scalar_pv(*values):
@@ -29,21 +29,24 @@ def scalar_pv(*values):
 
 
 class QuadraticObjective:
-    """Loss (w - target)^2 / 2 on a single scalar parameter; data is ignored."""
+    """Loss (w - target)^2 / 2 on a single scalar parameter; data is ignored.
+
+    Like the engine's MlpObjective, loss_grad and full_grad take and return
+    flat float64 arrays.
+    """
 
     def __init__(self, target):
         self.target = target
 
     def loss_grad(self, params, features, labels, prox_mu=0.0, prox_anchor=None):
-        w = params.values[0]
+        w = params[0]
         loss = 0.5 * (w - self.target) ** 2
         grad = np.array([w - self.target])
         if prox_mu > 0:
-            loss += 0.5 * prox_mu * float(
-                (params.values - prox_anchor.values) @ (params.values - prox_anchor.values)
-            )
-            grad = grad + prox_mu * (params.values - prox_anchor.values)
-        return loss, ParamVector(grad, params.shapes)
+            diff = params - prox_anchor
+            loss += 0.5 * prox_mu * float(diff @ diff)
+            grad = grad + prox_mu * diff
+        return loss, grad
 
     def full_grad(self, params, features, labels):
         return self.loss_grad(params, features, labels)[1]
@@ -96,15 +99,17 @@ class TestLocalTrainSgd:
         update = local_train_sgd(w_t, view, cfg, 0.0, round_idx=0, objective=objective)
         _, grad = backward(w_t, arch, Batch(features, labels))
         assert update.tau == 1
-        assert update.delta.values == pytest.approx(cfg.local_lr * grad.values, rel=1e-12)
+        assert w_t.values - update.final_params.values == pytest.approx(
+            cfg.local_lr * grad.values, rel=1e-12
+        )
 
     def test_scalar_quadratic_hand_value(self):
         # loss (w-3)^2/2 from w=0: gradient -3, one step of lr 0.1 moves to
-        # 0.3, so delta = -0.3.
+        # 0.3.
         update = local_train_sgd(
             scalar_pv(0.0), one_sample_view(), self._cfg(), 0.0, 0, QuadraticObjective(3.0)
         )
-        assert update.delta.values[0] == pytest.approx(-0.3, abs=1e-12)
+        assert update.final_params.values[0] == pytest.approx(0.3, abs=1e-12)
         assert update.tau == 1
 
     def test_tau_counts_epochs_times_batches(self):
@@ -126,7 +131,7 @@ class TestLocalTrainSgd:
         cfg = self._cfg(local_epochs=2, momentum=0.9)
         a = local_train_sgd(w_t, view, cfg, 0.0, 0, objective)
         b = local_train_sgd(w_t, view, cfg, 0.0, 0, objective)
-        assert a.delta.values.tobytes() == b.delta.values.tobytes()
+        assert a.final_params.values.tobytes() == b.final_params.values.tobytes()
 
     def test_divergence_flag_and_last_finite_model(self):
         class ExplodingObjective(QuadraticObjective):
@@ -137,7 +142,7 @@ class TestLocalTrainSgd:
             def loss_grad(self, params, features, labels, prox_mu=0.0, prox_anchor=None):
                 self.calls += 1
                 if self.calls >= 3:
-                    return float("inf"), ParamVector(np.array([0.0]), params.shapes)
+                    return float("inf"), np.array([0.0])
                 return super().loss_grad(params, features, labels, prox_mu, prox_anchor)
 
         cfg = self._cfg(local_epochs=5)
@@ -147,6 +152,95 @@ class TestLocalTrainSgd:
         assert update.diverged
         assert update.tau == 2
         assert np.all(np.isfinite(update.final_params.values))
+
+    def test_overflow_on_last_minibatch_keeps_previous_model(self):
+        # Two one-row batches, lr 0.1, momentum 0.9, gradient 1e308 with a
+        # finite loss: step 1 lands on -1e307; step 2's velocity 1.9e308
+        # overflows, so that last step is dropped and w_1 is returned.
+        class HugeGradient(QuadraticObjective):
+            def loss_grad(self, params, features, labels, prox_mu=0.0, prox_anchor=None):
+                return 0.0, np.array([1e308])
+
+        view = PartyView(0, np.arange(2), np.zeros((2, 1)), np.zeros(2, dtype=int))
+        cfg = self._cfg(batch_size=1, momentum=0.9)
+        with np.errstate(over="ignore"):
+            update = local_train_sgd(scalar_pv(0.0), view, cfg, 0.0, 0, HugeGradient(0.0))
+        assert update.diverged
+        assert update.tau == 1
+        assert update.final_params.values[0] == 0.0 - 0.1 * 1e308
+
+    def test_finite_loss_nonfinite_gradient_flags_divergence(self):
+        class NanGradient(QuadraticObjective):
+            def __init__(self):
+                super().__init__(3.0)
+                self.calls = 0
+
+            def loss_grad(self, params, features, labels, prox_mu=0.0, prox_anchor=None):
+                self.calls += 1
+                if self.calls >= 3:
+                    return 1.0, np.array([np.nan])
+                return super().loss_grad(params, features, labels, prox_mu, prox_anchor)
+
+        cfg = self._cfg(local_epochs=5)
+        update = local_train_sgd(scalar_pv(0.0), one_sample_view(), cfg, 0.0, 0, NanGradient())
+        assert update.diverged
+        assert update.tau == 2  # only the two finite steps count
+        # Two plain steps on (w-3)^2/2 from 0 with lr 0.1: 0.3, then 0.57.
+        assert update.final_params.values[0] == pytest.approx(0.57, abs=1e-12)
+        assert update.train_loss == pytest.approx((4.5 + 0.5 * 2.7**2) / 2, abs=1e-12)
+
+    def test_objective_raising_numeric_error_flags_divergence(self):
+        class Raising(QuadraticObjective):
+            def __init__(self):
+                super().__init__(3.0)
+                self.calls = 0
+
+            def loss_grad(self, params, features, labels, prox_mu=0.0, prox_anchor=None):
+                self.calls += 1
+                if self.calls >= 2:
+                    raise NumericError("objective went non-finite")
+                return super().loss_grad(params, features, labels, prox_mu, prox_anchor)
+
+        cfg = self._cfg(local_epochs=4)
+        update = local_train_sgd(scalar_pv(0.0), one_sample_view(), cfg, 0.0, 0, Raising())
+        assert update.diverged
+        assert update.tau == 1
+        assert update.final_params.values[0] == pytest.approx(0.3, abs=1e-12)
+
+    def test_never_writes_global_model_or_view(self):
+        arch = MlpArch((3, 4, 2))
+        objective = MlpObjective(arch)
+        w_t = objective.init_params(8)
+        rng_ = np.random.default_rng(8)
+        features = rng_.normal(size=(12, 3))
+        labels = rng_.integers(0, 2, 12)
+        view = PartyView(0, np.arange(12), features.copy(), labels.copy())
+        before = w_t.values.copy()
+        local_train_sgd(w_t, view, self._cfg(local_epochs=2, momentum=0.9), 0.01, 0, objective)
+        assert w_t.values.tobytes() == before.tobytes()
+        assert view.features.tobytes() == features.tobytes()
+        assert view.labels.tobytes() == labels.tobytes()
+
+
+class TestMlpObjective:
+    def test_array_protocol_matches_backward_bitwise(self):
+        arch = MlpArch((3, 5, 4, 2))
+        objective = MlpObjective(arch)
+        w = objective.init_params(9)
+        anchor = ParamVector(w.values + 0.01, w.shapes)
+        rng_ = np.random.default_rng(9)
+        batch = Batch(rng_.normal(size=(7, 3)), rng_.integers(0, 2, 7))
+        for mu, prox in ((0.0, None), (0.1, anchor)):
+            loss, grad = objective.loss_grad(
+                w.values, batch.features, batch.labels, mu,
+                None if prox is None else prox.values,
+            )
+            ref_loss, ref_grad = backward(w, arch, batch, mu, prox)
+            assert isinstance(grad, np.ndarray)
+            assert loss == ref_loss
+            assert grad.tobytes() == ref_grad.values.tobytes()
+        full = objective.full_grad(w.values, batch.features, batch.labels)
+        assert full.tobytes() == backward(w, arch, batch)[1].values.tobytes()
 
 
 class TestLocalTrainScaffold:
@@ -168,7 +262,6 @@ class TestLocalTrainScaffold:
         client = ClientState(0, view, zeros_like(w_t))
         update, _ = local_train_scaffold(w_t, zeros_like(w_t), client, cfg, 0, objective)
         plain = local_train_sgd(w_t, view, cfg, 0.0, 0, objective)
-        assert update.delta.values.tobytes() == plain.delta.values.tobytes()
         assert update.final_params.values.tobytes() == plain.final_params.values.tobytes()
 
     def test_option_ii_single_step_recovers_gradient_at_global(self):
@@ -193,13 +286,13 @@ class TestLocalTrainScaffold:
 
     def test_scalar_hand_values(self):
         # Quadratic (w-3)^2/2 at w_t=0 with c=1, c_i=0: corrected gradient is
-        # -3 + 1 = -2, one lr=0.1 step lands at 0.2, delta = -0.2, and
-        # option ii gives c* = 0 - 1 + (0 - 0.2)/0.1 = -3.
+        # -3 + 1 = -2, one lr=0.1 step lands at 0.2, and option ii gives
+        # c* = 0 - 1 + (0 - 0.2)/0.1 = -3.
         client = ClientState(0, one_sample_view(), scalar_pv(0.0))
         update, new_control = local_train_scaffold(
             scalar_pv(0.0), scalar_pv(1.0), client, self._cfg(), 0, QuadraticObjective(3.0)
         )
-        assert update.delta.values[0] == pytest.approx(-0.2, abs=1e-12)
+        assert update.final_params.values[0] == pytest.approx(0.2, abs=1e-12)
         assert new_control.values[0] == pytest.approx(-3.0, abs=1e-12)
         assert update.delta_control.values[0] == pytest.approx(-3.0, abs=1e-12)
 
@@ -508,7 +601,7 @@ class TestRunExperiment:
                 super().__init__(0.0)
 
             def loss_grad(self, params, features, labels, prox_mu=0.0, prox_anchor=None):
-                return 0.5, ParamVector(np.zeros(len(params)), params.shapes)
+                return 0.5, np.zeros(len(params))
 
             def init_params(self, seed):
                 return scalar_pv(1.25)
@@ -532,7 +625,7 @@ class TestRunExperiment:
                 super().__init__(0.0)
 
             def loss_grad(self, params, features, labels, prox_mu=0.0, prox_anchor=None):
-                return float("nan"), ParamVector(np.zeros(len(params)), params.shapes)
+                return float("nan"), np.zeros(len(params))
 
             def init_params(self, seed):
                 return scalar_pv(2.0)
@@ -547,6 +640,52 @@ class TestRunExperiment:
         )
         assert len(records) == 3
         assert all(r.diverged for r in records[1:])
+
+
+class TestRunExperimentChecks:
+    def _cfg(self):
+        return FedRunConfig(algorithm="fedavg", rounds=1, n_parties=2, local_epochs=1,
+                            batch_size=16, master_seed=0)
+
+    def test_feature_width_checked_once_with_shape_error(self):
+        train, test, _ = fcube_generate(FcubeSpec(n_train=64, n_test=16, seed=1))
+        with pytest.raises(ShapeError, match="architecture input"):
+            run_experiment(train, test, PartitionSpec("iid"), MlpArch((4, 2)), self._cfg())
+
+    def test_label_range_checked_with_data_error(self):
+        train, test, _ = fcube_generate(FcubeSpec(n_train=64, n_test=16, seed=1))
+        # fcube has two classes; a one-output net cannot hold label 1.
+        with pytest.raises(DataError, match="label out of range"):
+            run_experiment(train, test, PartitionSpec("iid"), MlpArch((3, 1)), self._cfg())
+
+
+class TestServerOverflow:
+    def test_non_finite_aggregate_keeps_model_and_flags_round(self):
+        train, test, _ = fcube_generate(FcubeSpec(n_train=128, n_test=32, seed=4))
+        arch = MlpArch((3, 4, 2))
+        for algorithm in ("fedavg", "fednova", "scaffold"):
+            cfg = FedRunConfig(
+                algorithm=algorithm, rounds=2, n_parties=2, local_epochs=1,
+                batch_size=32, server_lr=1.7e308, master_seed=4,
+            )
+            objective = MlpObjective(arch)
+            _, views = build_views(train, PartitionSpec("iid"), 2, 4)
+            params = objective.init_params(4)
+            control = zeros_like(params) if algorithm == "scaffold" else None
+            clients = [ClientState(v.party_id, v, control) for v in views]
+            state = GlobalState(0, params, control)
+            with np.errstate(over="ignore", invalid="ignore"):
+                new, updates, n_bytes = run_round(state, clients, cfg, 0, objective)
+            assert new.diverged and new.round == 1
+            assert new.params is params and new.control is control
+            assert all(client.control is control for client in clients)
+            assert n_bytes == round_bytes(2, len(params), algorithm)
+            assert not any(u.diverged for u in updates)
+            with np.errstate(over="ignore", invalid="ignore"):
+                records = run_experiment(train, test, PartitionSpec("iid"), arch, cfg)
+            assert len(records) == 3
+            assert all(r.diverged for r in records[1:])
+            assert records[1].test_accuracy == records[0].test_accuracy
 
 
 class TestConfigValidation:

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from fedsim import engine
 from fedsim.cli import main
 from fedsim.config import load_config, parse_config
 from fedsim.errors import ConfigError, ReportError
@@ -16,6 +17,7 @@ from fedsim.harness import (
     enumerate_settings,
     gradient_check,
 )
+from fedsim.partition import build_views, export_partition
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -214,6 +216,27 @@ class TestCmdPartition:
         train, _ = build_dataset(config)
         assert np.array_equal(body.sum(axis=0), np.bincount(train.labels, minlength=3))
 
+    def test_partition_is_the_one_run_trains_on(self, tmp_path, monkeypatch):
+        config = parse_config(
+            small_run_config(partition={"type": "label_dirichlet", "beta": 0.5})
+        )
+        cmd_partition(config, tmp_path / "part")
+        trained = []
+
+        def recording_build_views(*args):
+            pmap, views = build_views(*args)
+            trained.append(pmap)
+            return pmap, views
+
+        monkeypatch.setattr(engine, "build_views", recording_build_views)
+        cmd_run(config, tmp_path / "run")
+        train, _ = build_dataset(config)
+        export_partition(trained[0], train.n, tmp_path / "trial0.txt")
+        assert len(trained) == config.trials
+        assert (tmp_path / "part" / "partition.txt").read_bytes() == (
+            tmp_path / "trial0.txt"
+        ).read_bytes()
+
     def test_rerun_byte_identical(self, tmp_path):
         config = parse_config(small_run_config())
         cmd_partition(config, tmp_path / "a")
@@ -275,6 +298,27 @@ class TestCmdRun:
         assert first["round"] == 0
         assert first["mean_train_loss"] is None
         assert first["bytes"] == 0
+
+
+class TestServerOverflow:
+    def test_sweep_completes_and_flags_rounds(self, tmp_path):
+        config = parse_config(
+            small_run_config(
+                fed={"algorithms": ["fedavg", "scaffold"], "rounds": 2, "parties": 3,
+                     "local_epochs": 1, "batch_size": 16, "server_lr": 1.7e308,
+                     "seed": 5},
+            )
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            cmd_run(config, tmp_path / "out")
+        records = read_jsonl(tmp_path / "out" / "results.jsonl")
+        assert len(records) == 2 * 3
+        assert [r["diverged"] for r in records] == [False, True, True] * 2
+        # A rejected aggregate keeps the previous model.
+        assert len({r["test_accuracy"] for r in records[:3]}) == 1
+        assert all(r["bytes"] > 0 for r in records if r["round"] > 0)
+        lines = (tmp_path / "out" / "summary.csv").read_text().strip().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["fedavg", "scaffold"]
 
 
 def mask_wall(text):

@@ -10,7 +10,6 @@ from fedsim.partition import (
     build_partition,
     build_views,
     check_partition,
-    compose_mixed,
     export_partition,
     export_stats_csv,
     label_distribution_tv,
@@ -249,29 +248,6 @@ class TestFeatureNoise:
         pmap = partition_iid(ds, 3, seed=1)
         for view, assignment in zip(apply_feature_noise(pmap, ds, 0.5, seed=2), pmap.assignments):
             assert np.array_equal(view.labels, ds.labels[assignment])
-
-
-class TestComposeMixed:
-    def test_iid_no_noise_is_identity_overlay(self):
-        ds = synthetic_labels(90, 3)
-        views = compose_mixed(ds, PartitionSpec("iid"), 0.0, 3, seed=5)
-        rebuilt = build_partition(ds, PartitionSpec("iid"), 3, seed=5)
-        for view, assignment in zip(views, rebuilt.assignments):
-            assert np.array_equal(view.indices, assignment)
-            assert view.features.tobytes() == ds.features[assignment].tobytes()
-
-    def test_underlying_map_still_partitions(self):
-        ds = synthetic_labels(300, 5)
-        views = compose_mixed(
-            ds, PartitionSpec("label_dirichlet", beta=0.5), 0.1, 5, seed=8
-        )
-        pmap = PartitionMap(tuple(v.indices for v in views), 5)
-        check_partition(pmap, ds.n)
-
-    def test_rejects_group_base(self):
-        ds = synthetic_labels(50, 5)
-        with pytest.raises(ConfigError):
-            compose_mixed(ds, PartitionSpec("by_group"), 0.1, 5, seed=0)
 
 
 class TestStats:
