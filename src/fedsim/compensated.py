@@ -9,6 +9,13 @@ vectors produce bitwise-equal aggregates.
 
 All helpers are vectorized over numpy arrays and assume round-to-nearest
 float64 (no FMA is required).
+
+combine_updates runs over fixed blocks of BLOCK coordinates so that its
+dozen or so temporaries stay in cache instead of streaming model-sized
+arrays through memory once per operation. Blocking cannot change a bit:
+every operation is elementwise, so each coordinate sees the same float
+operations, on the same operands and in the same order, whichever block it
+falls in; the coefficients and scale are the same scalars in every block.
 """
 
 from __future__ import annotations
@@ -16,6 +23,15 @@ from __future__ import annotations
 import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker's splitting constant
+
+# Coordinates per combine_updates block. A block keeps about 12 float64
+# temporaries live (inputs, accumulators, error terms and the transforms'
+# intermediates): 12 * 64 KiB = 768 KiB at 8192, inside a 2 MiB per-core L2
+# with room left for the rest of the process. Measured at 10 parties x
+# 159,010 coordinates (one 784-200-10 model) on a 2-core Xeon: unblocked
+# 70 ms; blocks of 4096 take 42 ms, 8192 through 32768 a flat 34-35 ms, so
+# 8192 is the smallest block on that plateau.
+BLOCK = 8192
 
 
 def two_sum(a, b):
@@ -56,7 +72,19 @@ def combine_updates(base, coeffs, residual_targets, scale):
     per-term float64 vectors. The sum runs in list order; each residual
     base - target is expanded exactly, products and the final subtraction
     are tracked with error terms, and the result is rounded once at the end.
+    Runs block by block (see BLOCK) into one new output vector; the inputs
+    are never written to.
     """
+    out = np.empty_like(base)
+    for start in range(0, base.shape[0], BLOCK):
+        stop = start + BLOCK
+        out[start:stop] = _combine_block(
+            base[start:stop], coeffs, [t[start:stop] for t in residual_targets], scale
+        )
+    return out
+
+
+def _combine_block(base, coeffs, residual_targets, scale):
     acc_hi = np.zeros_like(base)
     acc_lo = np.zeros_like(base)
     for coeff, target in zip(coeffs, residual_targets):

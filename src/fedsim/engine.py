@@ -187,46 +187,70 @@ def _epoch_batches(generator, n_samples: int, batch_size: int):
         yield perm[start : start + batch_size]
 
 
+def _flagged_numerics():
+    """Silence numpy's overflow and invalid-value warnings.
+
+    The blocks run under it already detect non-finite values and flag the
+    party or round as diverged; numpy's warnings would only repeat that,
+    pointing at library lines and naming no cell, round or party.
+    """
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _local_loop(w_start, view, cfg, round_idx, objective, prox_mu=0.0, correction=None):
     """Shared minibatch loop on raw float64 arrays.
 
     w_start is the round's global model as a flat array; it is never written
-    to, and neither are the view's arrays. correction, when given, is added
-    to every raw gradient before the momentum step (scaffold's c - c_i).
-    Returns (final array, tau, mean loss, diverged); a step whose loss or new
-    parameters are non-finite, or whose objective raises NumericError, is
-    dropped and the last finite model is returned with diverged set. A
-    non-finite gradient always reaches the new parameters (lr > 0, finite
-    momentum), so checking those two catches every non-finite step.
+    to, and neither are the view's arrays nor the gradients the objective
+    returns. correction, when given, is added to every raw gradient before
+    the momentum step (scaffold's c - c_i). Returns (final array, tau, mean
+    loss, diverged); a step whose loss or new parameters are non-finite, or
+    whose objective raises NumericError, is dropped and the last finite
+    model is returned with diverged set. A non-finite gradient always
+    reaches the new parameters (lr > 0, finite momentum), so checking those
+    two catches every non-finite step.
+
+    The loop owns its model-sized buffers, allocated per call so concurrent
+    calls share nothing: the velocity, updated in place; a spare parameter
+    buffer that each step writes and that is swapped in only once the step
+    is found finite; the finiteness mask; and scaffold's corrected gradient.
     """
     generator = rng.stream(cfg.master_seed, rng.TAG_LOCAL, round_idx, view.party_id)
     loss_grad = objective.loss_grad
     features, labels = view.features, view.labels
     lr, momentum = cfg.local_lr, cfg.momentum
     params = w_start
+    spare = np.empty_like(w_start)
     velocity = np.zeros_like(w_start)
+    finite = np.empty(w_start.shape, dtype=bool)
+    corrected = np.empty_like(w_start) if correction is not None else None
     anchor = w_start if prox_mu > 0 else None
     losses = []
     diverged = False
-    for _ in range(cfg.local_epochs):
-        for batch_idx in _epoch_batches(generator, view.n_samples, cfg.batch_size):
-            try:
-                loss, grad = loss_grad(
-                    params, features[batch_idx], labels[batch_idx], prox_mu, anchor
+    with _flagged_numerics():
+        for _ in range(cfg.local_epochs):
+            for batch_idx in _epoch_batches(generator, view.n_samples, cfg.batch_size):
+                try:
+                    loss, grad = loss_grad(
+                        params, features[batch_idx], labels[batch_idx], prox_mu, anchor
+                    )
+                except NumericError:
+                    diverged = True
+                    break
+                if correction is not None:
+                    grad = np.add(grad, correction, out=corrected)
+                momentum_update(params, grad, velocity, lr, momentum, spare)
+                if not (math.isfinite(loss) and np.isfinite(spare, out=finite).all()):
+                    diverged = True
+                    break
+                # w_start is never written, so the first swap takes a fresh
+                # buffer in its place; later swaps recycle the old parameters.
+                params, spare = spare, (
+                    np.empty_like(w_start) if params is w_start else params
                 )
-            except NumericError:
-                diverged = True
+                losses.append(loss)
+            if diverged:
                 break
-            if correction is not None:
-                grad = grad + correction
-            new_params, new_velocity = momentum_update(params, grad, velocity, lr, momentum)
-            if not (math.isfinite(loss) and np.isfinite(new_params).all()):
-                diverged = True
-                break
-            params, velocity = new_params, new_velocity
-            losses.append(loss)
-        if diverged:
-            break
     mean_loss = float(np.mean(losses)) if losses else float("nan")
     return params, max(len(losses), 1), mean_loss, diverged
 
@@ -272,7 +296,9 @@ def local_train_scaffold(
     step. The refreshed client control c* is either the full local-data
     gradient at the incoming global model (option "i") or the cheap reuse
     c_i - c + (w_t - w_final) / (tau * lr) (option "ii"). Returns the update
-    (carrying delta_control = c* - c_i) and the new c_i.
+    (carrying delta_control = c* - c_i) and the new c_i. If c* or c* - c_i
+    is non-finite, the party is flagged diverged, keeps its c_i and reports
+    a zero delta_control.
     """
     c_i = client.control
     if c_i is None or server_control is None:
@@ -280,28 +306,35 @@ def local_train_scaffold(
     if c_i.shapes != w_t.shapes or server_control.shapes != w_t.shapes:
         raise ProtocolError("control variate shapes do not match the model")
     view = client.view
-    # Round-constant correction; computing the difference once keeps the
-    # zero-control case exactly equal to plain SGD.
-    correction = server_control.values - c_i.values
-    final, tau, mean_loss, diverged = _local_loop(
-        w_t.values, view, cfg, round_idx, objective, correction=correction
-    )
-    if cfg.scaffold_c_option == "i":
-        new_control = w_t.with_values(
-            objective.full_grad(w_t.values, view.features, view.labels)
+    with _flagged_numerics():
+        # Round-constant correction; computing the difference once keeps the
+        # zero-control case exactly equal to plain SGD.
+        correction = server_control.values - c_i.values
+        final, tau, mean_loss, diverged = _local_loop(
+            w_t.values, view, cfg, round_idx, objective, correction=correction
         )
+        if cfg.scaffold_c_option == "i":
+            refreshed = objective.full_grad(w_t.values, view.features, view.labels)
+        else:
+            step_scale = 1.0 / (tau * cfg.local_lr)
+            refreshed = (
+                c_i.values - server_control.values + step_scale * (w_t.values - final)
+            )
+        delta_control = refreshed - c_i.values
+    if np.isfinite(refreshed).all() and np.isfinite(delta_control).all():
+        new_control = w_t.with_values(refreshed)
+        delta_control = w_t.with_values(delta_control)
     else:
-        step_scale = 1.0 / (tau * cfg.local_lr)
-        new_control = w_t.with_values(
-            c_i.values - server_control.values + step_scale * (w_t.values - final)
-        )
+        diverged = True
+        new_control = c_i
+        delta_control = zeros_like(c_i)
     update = LocalUpdate(
         party_id=view.party_id,
         tau=tau,
         n_samples=view.n_samples,
         train_loss=mean_loss,
         final_params=w_t.with_values(final),
-        delta_control=w_t.with_values(new_control.values - c_i.values),
+        delta_control=delta_control,
         diverged=diverged,
     )
     return update, new_control
@@ -371,7 +404,7 @@ def aggregate_scaffold(
     new_params = aggregate_weighted(state.params, ordered, server_lr)
     control_sum = np.zeros_like(state.control.values)
     for update in ordered:
-        control_sum = control_sum + update.delta_control.values
+        control_sum += update.delta_control.values
     new_control = ParamVector(
         state.control.values + control_sum / n_parties, state.control.shapes
     )
@@ -428,16 +461,19 @@ def run_round(
     n_bytes = round_bytes(len(selected), len(state.params), cfg.algorithm)
     updates = [update for update, _ in results] if cfg.algorithm == "scaffold" else results
     try:
-        if cfg.algorithm == "scaffold":
-            new_state = aggregate_scaffold(state, updates, cfg.n_parties, cfg.server_lr)
-        elif cfg.algorithm == "fednova":
-            new_state = GlobalState(
-                state.round + 1, aggregate_fednova(state.params, updates, cfg.server_lr)
-            )
-        else:
-            new_state = GlobalState(
-                state.round + 1, aggregate_weighted(state.params, updates, cfg.server_lr)
-            )
+        with _flagged_numerics():
+            if cfg.algorithm == "scaffold":
+                new_state = aggregate_scaffold(
+                    state, updates, cfg.n_parties, cfg.server_lr
+                )
+            elif cfg.algorithm == "fednova":
+                new_state = GlobalState(
+                    state.round + 1, aggregate_fednova(state.params, updates, cfg.server_lr)
+                )
+            else:
+                new_state = GlobalState(
+                    state.round + 1, aggregate_weighted(state.params, updates, cfg.server_lr)
+                )
     except NumericError:
         kept = GlobalState(state.round + 1, state.params, state.control, diverged=True)
         return kept, updates, n_bytes
@@ -506,13 +542,17 @@ def run_experiment(
             state, updates, n_bytes = run_round(
                 state, clients, cfg, round_idx, objective, executor
             )
-            accuracy = objective.accuracy(state.params, ds_test)
+            # Diverging parties can leave a huge but finite model whose
+            # logits overflow; argmax still yields an accuracy.
+            with _flagged_numerics():
+                accuracy = objective.accuracy(state.params, ds_test)
+                mean_train_loss = _weighted_mean_loss(updates)
             wall_ms = int((time.perf_counter() - started) * 1000)
             records.append(
                 RoundRecord(
                     round=round_idx + 1,
                     test_accuracy=accuracy,
-                    mean_train_loss=_weighted_mean_loss(updates),
+                    mean_train_loss=mean_train_loss,
                     bytes=n_bytes,
                     wall_ms=wall_ms,
                     diverged=state.diverged or any(u.diverged for u in updates),

@@ -3,14 +3,16 @@
 Models are plain float64 vectors plus shape metadata, so aggregation, control
 variates and gradient checks can treat a network as ordinary linear algebra.
 Hidden layers use ReLU, the output layer is linear (logits), and the loss is
-softmax cross-entropy. All functions here are pure: inputs are never mutated
-and identical inputs give bit-identical outputs.
+softmax cross-entropy. Identical inputs give bit-identical outputs, and every
+function here except momentum_update is pure: inputs are never mutated.
 
 The public functions take ParamVector/Batch values and validate them on
 every call. Local training instead runs the unchecked array forms they
 delegate to (`_loss_grad`, `momentum_update`), so there is a single chain
 rule and a single momentum rule; its callers validate data and models once,
-at round boundaries.
+at round boundaries. momentum_update works in place on buffers its caller
+owns, so a local step streams each model-sized vector through memory once
+per operation instead of allocating a fresh temporary for each.
 """
 
 from __future__ import annotations
@@ -274,7 +276,8 @@ def _loss_grad(layers, w, features, labels, prox_mu, anchor):
     if prox_mu > 0:
         diff = w - anchor
         loss += 0.5 * prox_mu * float(diff @ diff)
-        flat += prox_mu * diff
+        diff *= prox_mu
+        flat += diff
     return loss, flat
 
 
@@ -309,10 +312,19 @@ def backward(
     return loss, ParamVector(flat, params.shapes)
 
 
-def momentum_update(w, grad, velocity, lr: float, momentum: float):
-    """Unchecked array form of sgd_momentum_step: returns (w', v')."""
-    new_velocity = momentum * velocity + grad
-    return w - lr * new_velocity, new_velocity
+def momentum_update(w, grad, velocity, lr: float, momentum: float, out) -> None:
+    """Unchecked, in-place array form of sgd_momentum_step.
+
+    Overwrites velocity with v' = momentum*v + g and writes w' = w - lr*v'
+    into out; w and grad are only read. out must be a separate buffer that
+    aliases none of w, grad and velocity: it holds lr*v' before w is read.
+    The ufuncs and their order are those of the out-of-place expressions,
+    so results are bit-identical to them.
+    """
+    np.multiply(momentum, velocity, out=velocity)
+    np.add(velocity, grad, out=velocity)
+    np.multiply(lr, velocity, out=out)
+    np.subtract(w, out, out=out)
 
 
 def sgd_momentum_step(
@@ -331,9 +343,9 @@ def sgd_momentum_step(
         raise NumericError("non-finite learning rate or momentum")
     if grad.shapes != params.shapes or velocity.shapes != params.shapes:
         raise ShapeError("gradient/velocity shapes do not match parameters")
-    new_params, new_velocity = momentum_update(
-        params.values, grad.values, velocity.values, lr, momentum
-    )
+    new_params = np.empty_like(params.values)
+    new_velocity = velocity.values.copy()
+    momentum_update(params.values, grad.values, new_velocity, lr, momentum, new_params)
     return ParamVector(new_params, params.shapes), ParamVector(new_velocity, params.shapes)
 
 

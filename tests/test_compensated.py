@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from fedsim.compensated import combine_updates, two_diff, two_prod, two_sum
+from fedsim.compensated import BLOCK, combine_updates, two_diff, two_prod, two_sum
+from helpers import combine_updates_unblocked
 
 
 def exact(x):
@@ -86,3 +88,42 @@ class TestCombineUpdates:
         w2 = rng.normal(size=32)
         out = combine_updates(base, [0.5, 0.5], [w1, w2], 1.0)
         assert np.array_equal(out, (w1 + w2) / 2.0)
+
+
+def bits(x):
+    return x.view(np.int64)
+
+
+class TestBlocking:
+    def _inputs(self, size, seed, n_terms=4):
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=size)
+        magnitudes = 10.0 ** rng.integers(-12, 3, size=(n_terms, size))
+        targets = [base + m * rng.normal(size=size) for m in magnitudes]
+        coeffs = list(rng.dirichlet(np.ones(n_terms)))
+        return base, coeffs, targets
+
+    @pytest.mark.parametrize("scale", [1.0, 0.7])
+    @pytest.mark.parametrize("size", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_matches_unblocked_bitwise(self, size, scale):
+        base, coeffs, targets = self._inputs(size, seed=size)
+        copies = [base.copy()] + [t.copy() for t in targets]
+        out = combine_updates(base, coeffs, targets, scale)
+        ref = combine_updates_unblocked(base, coeffs, targets, scale)
+        assert out.shape == (size,)
+        assert np.array_equal(bits(out), bits(ref))
+        for before, after in zip(copies, [base] + targets):
+            assert np.array_equal(bits(before), bits(after))
+
+    def test_non_finite_target_matches_unblocked_bitwise(self):
+        # A non-finite party model spreads inf/NaN through the error terms;
+        # blocking must reproduce those values (and NaN bit patterns) too.
+        base, coeffs, targets = self._inputs(2 * BLOCK + 3, seed=5)
+        targets[1][BLOCK - 1] = np.inf
+        targets[2][BLOCK] = -np.inf
+        targets[3][2 * BLOCK + 2] = np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = combine_updates(base, coeffs, targets, 0.7)
+            ref = combine_updates_unblocked(base, coeffs, targets, 0.7)
+        assert not np.isfinite(out[[BLOCK - 1, BLOCK, 2 * BLOCK + 2]]).any()
+        assert np.array_equal(bits(out), bits(ref))

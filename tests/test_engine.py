@@ -21,7 +21,7 @@ from fedsim.errors import ConfigError, DataError, NumericError, ProtocolError, S
 from fedsim.nn import Batch, MlpArch, ParamVector, backward, sgd_momentum_step, zeros_like
 from fedsim.partition import PartitionSpec, PartyView, build_views
 from fedsim import rng
-from helpers import make_update
+from helpers import make_update, reference_local_loop
 
 
 def scalar_pv(*values):
@@ -163,8 +163,7 @@ class TestLocalTrainSgd:
 
         view = PartyView(0, np.arange(2), np.zeros((2, 1)), np.zeros(2, dtype=int))
         cfg = self._cfg(batch_size=1, momentum=0.9)
-        with np.errstate(over="ignore"):
-            update = local_train_sgd(scalar_pv(0.0), view, cfg, 0.0, 0, HugeGradient(0.0))
+        update = local_train_sgd(scalar_pv(0.0), view, cfg, 0.0, 0, HugeGradient(0.0))
         assert update.diverged
         assert update.tau == 1
         assert update.final_params.values[0] == 0.0 - 0.1 * 1e308
@@ -241,6 +240,180 @@ class TestMlpObjective:
             assert grad.tobytes() == ref_grad.values.tobytes()
         full = objective.full_grad(w.values, batch.features, batch.labels)
         assert full.tobytes() == backward(w, arch, batch)[1].values.tobytes()
+
+
+class RecordingObjective(MlpObjective):
+    """MlpObjective that keeps every gradient it returns with a copy."""
+
+    def __init__(self, arch):
+        super().__init__(arch)
+        self.returned = []
+
+    def loss_grad(self, params, features, labels, prox_mu=0.0, prox_anchor=None):
+        loss, grad = super().loss_grad(params, features, labels, prox_mu, prox_anchor)
+        self.returned.append((grad, grad.copy()))
+        return loss, grad
+
+
+class TestLocalLoopBuffers:
+    """The buffer-owning loop against the out-of-place reference, on a
+    784-200-10 model (159,010 coordinates, many combine_updates blocks)."""
+
+    ARCH = MlpArch((784, 200, 10))
+
+    def _party(self, algorithm, **kw):
+        rng_ = np.random.default_rng(41)
+        features = rng_.uniform(0.0, 1.0, size=(40, 784))
+        labels = rng_.integers(0, 10, 40)
+        view = PartyView(3, np.arange(40), features, labels)
+        base = dict(
+            algorithm=algorithm, rounds=1, n_parties=4, local_epochs=2,
+            batch_size=16, local_lr=0.05, momentum=0.9, prox_mu=0.01, master_seed=41,
+        )
+        base.update(kw)
+        w_t = MlpObjective(self.ARCH).init_params(41)
+        return w_t, view, FedRunConfig(**base)
+
+    def _check_inputs_untouched(self, w_t, w_before, view, features, labels, objective):
+        assert w_t.values.tobytes() == w_before.tobytes()
+        assert view.features.tobytes() == features.tobytes()
+        assert view.labels.tobytes() == labels.tobytes()
+        assert len(objective.returned) == 6  # 2 epochs x ceil(40 / 16) batches
+        for grad, copy in objective.returned:
+            assert grad.tobytes() == copy.tobytes()
+
+    @pytest.mark.parametrize("algorithm", ["fedavg", "fedprox"])
+    def test_sgd_matches_out_of_place_reference_bitwise(self, algorithm):
+        w_t, view, cfg = self._party(algorithm)
+        prox_mu = cfg.prox_mu if algorithm == "fedprox" else 0.0
+        w_before = w_t.values.copy()
+        features, labels = view.features.copy(), view.labels.copy()
+        objective = RecordingObjective(self.ARCH)
+        update = local_train_sgd(w_t, view, cfg, prox_mu, 2, objective)
+        final, tau, mean_loss = reference_local_loop(
+            w_t.values, view, cfg, 2, MlpObjective(self.ARCH), prox_mu=prox_mu
+        )
+        assert not update.diverged
+        assert (update.tau, update.train_loss) == (tau, mean_loss)
+        assert update.final_params.values.tobytes() == final.tobytes()
+        self._check_inputs_untouched(w_t, w_before, view, features, labels, objective)
+
+    def test_scaffold_matches_out_of_place_reference_bitwise(self):
+        w_t, view, cfg = self._party("scaffold")
+        rng_ = np.random.default_rng(42)
+        c = ParamVector(0.01 * rng_.standard_normal(len(w_t)), w_t.shapes)
+        c_i = ParamVector(0.01 * rng_.standard_normal(len(w_t)), w_t.shapes)
+        w_before = w_t.values.copy()
+        features, labels = view.features.copy(), view.labels.copy()
+        objective = RecordingObjective(self.ARCH)
+        update, new_control = local_train_scaffold(
+            w_t, c, ClientState(3, view, c_i), cfg, 2, objective
+        )
+        correction = c.values - c_i.values
+        final, tau, mean_loss = reference_local_loop(
+            w_t.values, view, cfg, 2, MlpObjective(self.ARCH), correction=correction
+        )
+        refreshed = c_i.values - c.values + (1.0 / (tau * cfg.local_lr)) * (w_t.values - final)
+        assert not update.diverged
+        assert (update.tau, update.train_loss) == (tau, mean_loss)
+        assert update.final_params.values.tobytes() == final.tobytes()
+        assert new_control.values.tobytes() == refreshed.tobytes()
+        assert update.delta_control.values.tobytes() == (refreshed - c_i.values).tobytes()
+        self._check_inputs_untouched(w_t, w_before, view, features, labels, objective)
+
+
+class InfiniteFullGrad(QuadraticObjective):
+    """Quadratic objective whose full-data gradient (scaffold option i's
+    refreshed control) overflows."""
+
+    def __init__(self):
+        super().__init__(3.0)
+
+    def full_grad(self, params, features, labels):
+        return np.array([np.inf])
+
+    def init_params(self, seed):
+        return scalar_pv(0.0)
+
+
+class TestScaffoldControlOverflow:
+    def _cfg(self, **kw):
+        base = dict(
+            algorithm="scaffold", rounds=2, n_parties=3, local_epochs=1,
+            batch_size=4, local_lr=0.1, momentum=0.0, master_seed=0,
+            scaffold_c_option="i",
+        )
+        base.update(kw)
+        return FedRunConfig(**base)
+
+    def test_party_flagged_keeps_control_and_reports_zero_delta(self):
+        c_i = scalar_pv(0.25)
+        client = ClientState(0, one_sample_view(), c_i)
+        update, new_control = local_train_scaffold(
+            scalar_pv(0.0), scalar_pv(1.0), client, self._cfg(), 0, InfiniteFullGrad()
+        )
+        assert update.diverged
+        assert new_control is c_i
+        assert update.delta_control.values.tolist() == [0.0]
+        # The local steps themselves were finite: one step of lr 0.1 on the
+        # corrected gradient -3 + (1 - 0.25) lands at 0.225.
+        assert update.tau == 1
+        assert update.final_params.values[0] == pytest.approx(0.225, abs=1e-12)
+
+    def test_overflowing_control_difference_is_flagged(self):
+        # c - c_i = -1e308 - 1e308 overflows: the first corrected step is
+        # non-finite, and so is option ii's c* = c_i - c + ...
+        c_i = scalar_pv(1e308)
+        client = ClientState(0, one_sample_view(), c_i)
+        update, new_control = local_train_scaffold(
+            scalar_pv(0.0), scalar_pv(-1e308), client,
+            self._cfg(scaffold_c_option="ii"), 0, QuadraticObjective(0.0),
+        )
+        assert update.diverged
+        assert new_control is c_i
+        assert update.delta_control.values.tolist() == [0.0]
+        assert update.final_params.values.tolist() == [0.0]
+
+    def test_finite_control_with_overflowing_delta_is_flagged(self):
+        # c = c_i = -1e308 (zero correction); one finite step with gradient
+        # 1e308 lands at -1e307, so option ii gives c* = 0 + 10 * 1e307 =
+        # 1e308, finite, but delta_control = c* - c_i overflows.
+        class HugeGradient(QuadraticObjective):
+            def loss_grad(self, params, features, labels, prox_mu=0.0, prox_anchor=None):
+                return 0.0, np.array([1e308])
+
+        c_i = scalar_pv(-1e308)
+        client = ClientState(0, one_sample_view(), c_i)
+        update, new_control = local_train_scaffold(
+            scalar_pv(0.0), scalar_pv(-1e308), client,
+            self._cfg(scaffold_c_option="ii"), 0, HugeGradient(0.0),
+        )
+        assert update.diverged
+        assert new_control is c_i
+        assert update.delta_control.values.tolist() == [0.0]
+        assert update.final_params.values.tolist() == [0.0 - 0.1 * 1e308]
+
+    def test_round_completes_and_keeps_client_controls(self):
+        cfg = self._cfg()
+        controls = [scalar_pv(0.0) for _ in range(3)]
+        clients = [ClientState(p, one_sample_view(p), controls[p]) for p in range(3)]
+        state = GlobalState(0, scalar_pv(0.0), scalar_pv(0.5))
+        new, updates, _ = run_round(state, clients, cfg, 0, InfiniteFullGrad())
+        assert not new.diverged
+        assert all(u.diverged for u in updates)
+        assert all(client.control is controls[p] for p, client in enumerate(clients))
+        # Zero control deltas leave the server control where it was.
+        assert new.control.values.tolist() == [0.5]
+        assert np.isfinite(new.params.values).all()
+
+    def test_run_continues_and_flags_rounds(self):
+        train, test, _ = fcube_generate(FcubeSpec(n_train=64, n_test=16, seed=2))
+        records = run_experiment(
+            train, test, PartitionSpec("iid"), MlpArch((3, 2)), self._cfg(),
+            objective=InfiniteFullGrad(),
+        )
+        assert len(records) == 3
+        assert [r.diverged for r in records] == [False, True, True]
 
 
 class TestLocalTrainScaffold:
@@ -674,15 +847,13 @@ class TestServerOverflow:
             control = zeros_like(params) if algorithm == "scaffold" else None
             clients = [ClientState(v.party_id, v, control) for v in views]
             state = GlobalState(0, params, control)
-            with np.errstate(over="ignore", invalid="ignore"):
-                new, updates, n_bytes = run_round(state, clients, cfg, 0, objective)
+            new, updates, n_bytes = run_round(state, clients, cfg, 0, objective)
             assert new.diverged and new.round == 1
             assert new.params is params and new.control is control
             assert all(client.control is control for client in clients)
             assert n_bytes == round_bytes(2, len(params), algorithm)
             assert not any(u.diverged for u in updates)
-            with np.errstate(over="ignore", invalid="ignore"):
-                records = run_experiment(train, test, PartitionSpec("iid"), arch, cfg)
+            records = run_experiment(train, test, PartitionSpec("iid"), arch, cfg)
             assert len(records) == 3
             assert all(r.diverged for r in records[1:])
             assert records[1].test_accuracy == records[0].test_accuracy

@@ -10,8 +10,6 @@ import hashlib
 import json
 import re
 
-import pytest
-
 from fedsim.config import parse_config
 from fedsim.harness import cmd_run
 
@@ -47,7 +45,6 @@ def test_fcube_fedprox_golden(tmp_path):
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == GOLDEN["fcube_fedprox"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the divergence overflows
 def test_blobs_scaffold_diverges_and_matches_golden(tmp_path):
     text = masked_results(BLOBS_SCAFFOLD, tmp_path)
     flags = [json.loads(line)["diverged"] for line in text.splitlines()]

@@ -309,8 +309,7 @@ class TestServerOverflow:
                      "seed": 5},
             )
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            cmd_run(config, tmp_path / "out")
+        cmd_run(config, tmp_path / "out")
         records = read_jsonl(tmp_path / "out" / "results.jsonl")
         assert len(records) == 2 * 3
         assert [r["diverged"] for r in records] == [False, True, True] * 2

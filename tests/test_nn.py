@@ -13,6 +13,7 @@ from fedsim.nn import (
     finite_diff_grad,
     forward,
     init_mlp,
+    momentum_update,
     predict_accuracy,
     sgd_momentum_step,
     zeros_like,
@@ -247,6 +248,45 @@ class TestSgdMomentum:
             sgd_momentum_step(params, params, params, -0.1, 0.0)
         with pytest.raises(ConfigError):
             sgd_momentum_step(params, params, params, 0.1, 1.0)
+
+    def test_step_matches_out_of_place_formula_bitwise(self):
+        rng = np.random.default_rng(31)
+        params, grad, velocity = (
+            ParamVector(rng.normal(size=50), ((5, 10),)) for _ in range(3)
+        )
+        new_params, new_velocity = sgd_momentum_step(params, grad, velocity, 0.05, 0.9)
+        expected_velocity = 0.9 * velocity.values + grad.values
+        assert new_velocity.values.tobytes() == expected_velocity.tobytes()
+        assert new_params.values.tobytes() == (
+            params.values - 0.05 * expected_velocity
+        ).tobytes()
+
+
+class TestMomentumUpdate:
+    def test_in_place_contract_matches_out_of_place_formula_bitwise(self):
+        rng = np.random.default_rng(32)
+        w, grad, velocity = (rng.normal(size=1000) * 10.0 ** rng.integers(-6, 6, 1000)
+                             for _ in range(3))
+        w_before, grad_before, velocity_before = w.copy(), grad.copy(), velocity.copy()
+        out = np.full(1000, np.nan)
+        assert momentum_update(w, grad, velocity, 0.05, 0.9, out) is None
+        expected_velocity = 0.9 * velocity_before + grad_before
+        expected_w = w_before - 0.05 * expected_velocity
+        assert velocity.view(np.int64).tolist() == expected_velocity.view(np.int64).tolist()
+        assert out.view(np.int64).tolist() == expected_w.view(np.int64).tolist()
+        assert w.tobytes() == w_before.tobytes()
+        assert grad.tobytes() == grad_before.tobytes()
+
+    def test_repeated_steps_track_the_recurrence(self):
+        # The buffers carry state from step to step: w0=1, g=1, lr=0.1,
+        # momentum=0.9 gives w1 = 0.9, w2 = 0.71 (as sgd_momentum_step).
+        w, velocity, out = np.array([1.0]), np.zeros(1), np.empty(1)
+        grad = np.array([1.0])
+        momentum_update(w, grad, velocity, 0.1, 0.9, out)
+        w, out = out, w
+        momentum_update(w, grad, velocity, 0.1, 0.9, out)
+        assert out[0] == pytest.approx(0.71, abs=1e-15)
+        assert velocity[0] == pytest.approx(1.9, abs=1e-15)
 
 
 class _TinySet:
