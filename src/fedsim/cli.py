@@ -35,9 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the configured experiments")
     _add_config_args(p_run)
-    p_run.add_argument(
-        "--threads", type=int, default=1, help="parallel local trainings per round"
-    )
 
     p_report = sub.add_parser("report", help="summarize saved results")
     p_report.add_argument(
@@ -70,7 +67,7 @@ def main(argv=None) -> int:
             cmd_partition(config, out_dir)
             return 0
         if args.command == "run":
-            cmd_run(config, out_dir, n_threads=max(1, args.threads))
+            cmd_run(config, out_dir)
             return 0
         raise AssertionError(f"unhandled command {args.command}")
     except FedsimError as exc:

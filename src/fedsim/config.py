@@ -27,7 +27,21 @@ DEFAULT_PARTIES_FCUBE = 4
 # Datasets whose conventional learning rate differs from the default.
 LR_BY_DATASET_NAME = {"rcv1": 0.1}
 
-DATASET_KINDS = ("fcube", "blobs", "idx", "libsvm", "container")
+# Each dataset kind's options besides "type" and "name", with their types.
+DATASET_OPTIONS = {
+    "fcube": {"n_train": int, "n_test": int, "seed": int},
+    "blobs": {
+        "n_classes": int, "n_per_class": int, "dim": int, "spread": float,
+        "seed": int, "test_fraction": float,
+    },
+    "idx": dict.fromkeys(("train_images", "train_labels", "test_images", "test_labels"), str),
+    "libsvm": {
+        "train_path": str, "test_path": str, "n_features": int, "n_classes": int,
+        "label_map": dict, "test_fraction": float,
+    },
+    "container": {"train_path": str, "test_path": str},
+}
+DATASET_KINDS = tuple(DATASET_OPTIONS)
 
 
 @dataclass(frozen=True)
@@ -90,26 +104,13 @@ def _parse_dataset(obj, path: str) -> DatasetSpec:
     kind = _get(obj, "type", str, None, path)
     if kind not in DATASET_KINDS:
         raise ConfigError(f"{path}.type: expected one of {DATASET_KINDS}, got {kind!r}")
-    allowed = {
-        "fcube": {"type", "name", "n_train", "n_test", "seed"},
-        "blobs": {
-            "type", "name", "n_classes", "n_per_class", "dim", "spread",
-            "seed", "test_fraction",
-        },
-        "idx": {"type", "name", "train_images", "train_labels", "test_images", "test_labels"},
-        "libsvm": {
-            "type", "name", "train_path", "test_path", "n_features",
-            "n_classes", "label_map", "test_fraction",
-        },
-        "container": {"type", "name", "train_path", "test_path"},
-    }[kind]
-    _reject_unknown(obj, allowed, path)
+    types = DATASET_OPTIONS[kind]
+    _reject_unknown(obj, {"type", "name", *types}, path)
     name = _get(obj, "name", str, kind, path)
-    options = {k: v for k, v in obj.items() if k not in ("type", "name")}
-    if kind == "libsvm" and "label_map" in options:
-        raw = _require_mapping(options["label_map"], f"{path}.label_map")
+    options = {key: _get(obj, key, types[key], None, path) for key in obj if key in types}
+    if "label_map" in options:
         try:
-            options["label_map"] = {int(k): int(v) for k, v in raw.items()}
+            options["label_map"] = {int(k): int(v) for k, v in options["label_map"].items()}
         except (TypeError, ValueError):
             raise ConfigError(f"{path}.label_map: keys and values must be integers") from None
     return DatasetSpec(kind, name, options)

@@ -177,6 +177,18 @@ def blobs_generate(
     return LabeledDataset(features[perm], labels[perm], n_classes)
 
 
+def read_input(path, text: bool = False):
+    """An input file's bytes, or its lines if text (ASCII); FormatError
+    naming the path if it cannot be read or decoded."""
+    try:
+        with open(path, "r" if text else "rb", encoding="ascii" if text else None) as fh:
+            return fh.readlines() if text else fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not ASCII text (byte {exc.start})") from None
+
+
 def _read_exact(data: bytes, offset: int, count: int, path: str) -> bytes:
     if len(data) < offset + count:
         raise FormatError(
@@ -192,8 +204,7 @@ def read_idx(images_path, labels_path) -> LabeledDataset:
     Pixels are scaled to [0, 1] by dividing by 255 and flattened row-major;
     n_classes is fixed at 10 (digit data).
     """
-    with open(images_path, "rb") as fh:
-        image_data = fh.read()
+    image_data = read_input(images_path)
     magic, n_images, rows, cols = struct.unpack(
         ">IIII", _read_exact(image_data, 0, 16, str(images_path))
     )
@@ -210,8 +221,7 @@ def read_idx(images_path, labels_path) -> LabeledDataset:
             f"header promises {expected}"
         )
 
-    with open(labels_path, "rb") as fh:
-        label_data = fh.read()
+    label_data = read_input(labels_path)
     magic, n_labels = struct.unpack(">II", _read_exact(label_data, 0, 8, str(labels_path)))
     if magic != IDX_LABELS_MAGIC:
         raise FormatError(
@@ -260,38 +270,37 @@ def read_libsvm(path, n_features: int, n_classes: int, label_map: dict) -> Label
     """
     rows = []
     labels = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            tokens = line.split()
+    for lineno, raw in enumerate(read_input(path, text=True), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        try:
+            raw_label = float(tokens[0])
+        except ValueError:
+            raise FormatError(
+                f"{path}: line {lineno}: bad label token {tokens[0]!r}"
+            ) from None
+        if not raw_label.is_integer() or int(raw_label) not in label_map:
+            raise FormatError(f"{path}: line {lineno}: unmapped label {tokens[0]!r}")
+        labels.append(label_map[int(raw_label)])
+
+        row = np.zeros(n_features)
+        for token in tokens[1:]:
+            index_str, _, value_str = token.partition(":")
             try:
-                raw_label = float(tokens[0])
+                index = int(index_str)
+                value = float(value_str)
             except ValueError:
                 raise FormatError(
-                    f"{path}: line {lineno}: bad label token {tokens[0]!r}"
+                    f"{path}: line {lineno}: malformed pair {token!r}"
                 ) from None
-            if not raw_label.is_integer() or int(raw_label) not in label_map:
-                raise FormatError(f"{path}: line {lineno}: unmapped label {tokens[0]!r}")
-            labels.append(label_map[int(raw_label)])
-
-            row = np.zeros(n_features)
-            for token in tokens[1:]:
-                index_str, _, value_str = token.partition(":")
-                try:
-                    index = int(index_str)
-                    value = float(value_str)
-                except ValueError:
-                    raise FormatError(
-                        f"{path}: line {lineno}: malformed pair {token!r}"
-                    ) from None
-                if not 1 <= index <= n_features:
-                    raise FormatError(
-                        f"{path}: line {lineno}: index {index} out of range 1..{n_features}"
-                    )
-                row[index - 1] = value
-            rows.append(row)
+            if not 1 <= index <= n_features:
+                raise FormatError(
+                    f"{path}: line {lineno}: index {index} out of range 1..{n_features}"
+                )
+            row[index - 1] = value
+        rows.append(row)
     if not rows:
         raise FormatError(f"{path}: no data lines")
     return LabeledDataset(np.vstack(rows), np.array(labels), n_classes)
@@ -322,8 +331,7 @@ def save_container(ds: LabeledDataset, path):
 
 
 def load_container(path) -> LabeledDataset:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_input(path)
     n, d, n_classes = struct.unpack("<QQQ", _read_exact(data, 0, 24, str(path)))
     feat_bytes = 8 * n * d
     expected = 24 + feat_bytes + 4 * n

@@ -6,16 +6,15 @@ corrects each gradient with server/client control variates, and fednova
 only changes the server-side combination (local-step-count normalization).
 
 Determinism: every random choice is drawn from a stream addressed by
-(master_seed, purpose, round, party), so local trainings may run on any
-thread schedule and still produce bit-identical results. Aggregation always
-sums in ascending party id order.
+(master_seed, purpose, round, party), so each party's result depends only on
+its own stream and the round's global state, never on which parties trained
+before it. Aggregation always sums in ascending party id order.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,8 +209,8 @@ def _local_loop(w_start, view, cfg, round_idx, objective, prox_mu=0.0, correctio
     reaches the new parameters (lr > 0, finite momentum), so checking those
     two catches every non-finite step.
 
-    The loop owns its model-sized buffers, allocated per call so concurrent
-    calls share nothing: the velocity, updated in place; a spare parameter
+    The loop owns its model-sized buffers, allocated per call so no two
+    parties share state: the velocity, updated in place; a spare parameter
     buffer that each step writes and that is swapped in only once the step
     is found finite; the finiteness mask; and scaffold's corrected gradient.
     """
@@ -425,62 +424,47 @@ def run_round(
     cfg: FedRunConfig,
     round_idx: int,
     objective,
-    executor: ThreadPoolExecutor | None = None,
 ) -> tuple[GlobalState, list[LocalUpdate], int]:
     """One full round: sample, train the sampled parties, aggregate.
 
-    Local trainings are independent and may run on the given executor; the
-    result is bit-identical either way because each party draws from its own
-    (seed, round, party) stream and aggregation order is fixed. If the
-    aggregate goes non-finite, the round keeps the global model, the server
-    control and every client control, and returns a state marked diverged;
-    its traffic still counts.
+    Parties train one after another in ascending id; each draws from its own
+    (seed, round, party) stream, so its update does not depend on that order.
+    If the aggregate goes non-finite, the round keeps the global model, the
+    server control and every client control, and returns a state marked
+    diverged; its traffic still counts.
     """
     selected = sample_parties(
         cfg.n_parties, cfg.sample_fraction, round_idx, cfg.master_seed
     )
-
-    if cfg.algorithm == "scaffold":
-        def train(party_id):
-            return local_train_scaffold(
+    n_bytes = round_bytes(len(selected), len(state.params), cfg.algorithm)
+    prox_mu = cfg.prox_mu if cfg.algorithm == "fedprox" else 0.0
+    updates, new_controls = [], []
+    for party_id in selected:
+        if cfg.algorithm == "scaffold":
+            update, new_control = local_train_scaffold(
                 state.params, state.control, clients[party_id], cfg, round_idx, objective
             )
-    else:
-        prox_mu = cfg.prox_mu if cfg.algorithm == "fedprox" else 0.0
-
-        def train(party_id):
-            return local_train_sgd(
+            new_controls.append(new_control)
+        else:
+            update = local_train_sgd(
                 state.params, clients[party_id].view, cfg, prox_mu, round_idx, objective
             )
-
-    if executor is not None:
-        results = list(executor.map(train, selected))
-    else:
-        results = [train(party_id) for party_id in selected]
-
-    n_bytes = round_bytes(len(selected), len(state.params), cfg.algorithm)
-    updates = [update for update, _ in results] if cfg.algorithm == "scaffold" else results
+        updates.append(update)
     try:
         with _flagged_numerics():
             if cfg.algorithm == "scaffold":
-                new_state = aggregate_scaffold(
-                    state, updates, cfg.n_parties, cfg.server_lr
-                )
-            elif cfg.algorithm == "fednova":
-                new_state = GlobalState(
-                    state.round + 1, aggregate_fednova(state.params, updates, cfg.server_lr)
-                )
+                new_state = aggregate_scaffold(state, updates, cfg.n_parties, cfg.server_lr)
             else:
+                combine = aggregate_fednova if cfg.algorithm == "fednova" else aggregate_weighted
                 new_state = GlobalState(
-                    state.round + 1, aggregate_weighted(state.params, updates, cfg.server_lr)
+                    state.round + 1, combine(state.params, updates, cfg.server_lr)
                 )
     except NumericError:
         kept = GlobalState(state.round + 1, state.params, state.control, diverged=True)
         return kept, updates, n_bytes
-    if cfg.algorithm == "scaffold":
-        # Client control swap happens after aggregation, on the caller's thread.
-        for (_, new_control), party_id in zip(results, selected):
-            clients[party_id].control = new_control
+    # Client controls change only once the aggregate is known to be finite.
+    for party_id, new_control in zip(selected, new_controls):
+        clients[party_id].control = new_control
     return new_state, updates, n_bytes
 
 
@@ -501,7 +485,6 @@ def run_experiment(
     partition_spec: PartitionSpec,
     arch: MlpArch,
     cfg: FedRunConfig,
-    n_threads: int = 1,
     objective=None,
 ) -> list[RoundRecord]:
     """Partition, initialize, run T rounds, evaluate after every round.
@@ -535,30 +518,23 @@ def run_experiment(
     records = [
         RoundRecord(0, objective.accuracy(state.params, ds_test), None, 0, 0, False)
     ]
-    executor = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
-    try:
-        for round_idx in range(cfg.rounds):
-            started = time.perf_counter()
-            state, updates, n_bytes = run_round(
-                state, clients, cfg, round_idx, objective, executor
+    for round_idx in range(cfg.rounds):
+        started = time.perf_counter()
+        state, updates, n_bytes = run_round(state, clients, cfg, round_idx, objective)
+        # Diverging parties can leave a huge but finite model whose
+        # logits overflow; argmax still yields an accuracy.
+        with _flagged_numerics():
+            accuracy = objective.accuracy(state.params, ds_test)
+            mean_train_loss = _weighted_mean_loss(updates)
+        wall_ms = int((time.perf_counter() - started) * 1000)
+        records.append(
+            RoundRecord(
+                round=round_idx + 1,
+                test_accuracy=accuracy,
+                mean_train_loss=mean_train_loss,
+                bytes=n_bytes,
+                wall_ms=wall_ms,
+                diverged=state.diverged or any(u.diverged for u in updates),
             )
-            # Diverging parties can leave a huge but finite model whose
-            # logits overflow; argmax still yields an accuracy.
-            with _flagged_numerics():
-                accuracy = objective.accuracy(state.params, ds_test)
-                mean_train_loss = _weighted_mean_loss(updates)
-            wall_ms = int((time.perf_counter() - started) * 1000)
-            records.append(
-                RoundRecord(
-                    round=round_idx + 1,
-                    test_accuracy=accuracy,
-                    mean_train_loss=mean_train_loss,
-                    bytes=n_bytes,
-                    wall_ms=wall_ms,
-                    diverged=state.diverged or any(u.diverged for u in updates),
-                )
-            )
-    finally:
-        if executor is not None:
-            executor.shutdown()
+        )
     return records

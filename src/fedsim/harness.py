@@ -159,7 +159,7 @@ def _json_float(value) -> float | None:
     return float(value)
 
 
-def cmd_run(config: ExperimentConfig, out_dir, n_threads: int = 1) -> dict:
+def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     """Run the sweep grid x trials; write JSONL records and a summary CSV.
 
     Per (setting, trial) the run seed derives only from (master seed, trial),
@@ -183,9 +183,7 @@ def cmd_run(config: ExperimentConfig, out_dir, n_threads: int = 1) -> dict:
                     prox_mu=setting.mu if setting.mu is not None else config.fed.prox_mu,
                     master_seed=_trial_seed(config.fed.master_seed, trial),
                 )
-                records = run_experiment(
-                    train, test, config.partition, arch, cfg, n_threads=n_threads
-                )
+                records = run_experiment(train, test, config.partition, arch, cfg)
                 finals[setting].append(records[-1].test_accuracy)
                 for record in records:
                     line = {

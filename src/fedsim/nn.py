@@ -72,8 +72,9 @@ class ParamVector:
 
     ``shapes`` holds (rows, cols) tuples for weight matrices and plain ints
     for bias lengths. The backing array is copied on construction and frozen
-    read-only, so vectors can be shared freely across threads. Construction
-    rejects non-finite entries.
+    read-only, so one global model can be handed to every party of a round
+    without any party's training changing what the next one sees.
+    Construction rejects non-finite entries.
     """
 
     values: np.ndarray

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import LabeledDataset
-from .errors import ConfigError, PartitionError
+from .datasets import LabeledDataset, read_input
+from .errors import ConfigError, FormatError, PartitionError
 from .rng import derive_seed
 
 PARTITION_KINDS = (
@@ -109,15 +109,15 @@ class PartyView:
 
 def check_partition(pmap: PartitionMap, n_samples: int):
     """Raise unless the map is disjoint, exhaustive and has no empty party."""
-    counts = np.zeros(n_samples, dtype=np.int64)
     for party, assignment in enumerate(pmap.assignments):
         if assignment.shape[0] == 0:
             raise PartitionError(f"party {party} received no samples")
-        if assignment.size and (assignment.min() < 0 or assignment.max() >= n_samples):
+        if assignment.min() < 0 or assignment.max() >= n_samples:
             raise PartitionError(f"party {party} holds an out-of-range index")
-        counts[assignment] += 1
+    indices = np.concatenate(pmap.assignments or (np.empty(0, dtype=np.int64),))
+    counts = np.bincount(indices, minlength=n_samples)
     if np.any(counts > 1):
-        raise PartitionError("partition assigns some sample to multiple parties")
+        raise PartitionError("partition assigns some sample more than once")
     if np.any(counts == 0):
         raise PartitionError("partition drops some samples")
 
@@ -145,7 +145,8 @@ def partition_label_quantity(
     parties, which guarantees every label at least one owner, then each
     party's remaining slots are filled with random labels it does not own
     yet. Each label's samples are then shuffled and divided near-equally
-    among its owners, so no sample is dropped.
+    among its owners, so no sample is dropped; a label with fewer samples
+    than owners cannot give each owner one and is refused.
     """
     k = labels_per_party
     n_classes = ds.n_classes
@@ -175,6 +176,8 @@ def partition_label_quantity(
     for label in range(n_classes):
         label_indices = rng.permutation(np.flatnonzero(ds.labels == label))
         label_owners = np.array(owners[label])
+        if len(label_indices) < len(label_owners):
+            raise PartitionError(f"label {label} has fewer samples than parties owning it")
         rng.shuffle(label_owners)
         for owner, chunk in zip(label_owners, np.array_split(label_indices, len(label_owners))):
             assignments[owner].append(chunk)
@@ -381,14 +384,28 @@ def export_partition(pmap: PartitionMap, n_samples: int, path):
 
 
 def load_partition(path) -> PartitionMap:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        n_parties = int(header[0])
-        assignments = [
-            np.array([int(tok) for tok in fh.readline().split()], dtype=np.int64)
-            for _ in range(n_parties)
-        ]
-    return PartitionMap(tuple(assignments), n_parties)
+    """Read an export_partition file; FormatError naming the path unless it
+    splits the header's n_samples into exactly n_parties index lines."""
+    try:
+        rows = [[int(tok) for tok in line.split()] for line in read_input(path, text=True)]
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    if not rows or len(rows[0]) != 2 or min(rows[0]) < 1:
+        raise FormatError(f"{path}: header must be 'n_parties n_samples', both positive")
+    (n_parties, n_samples), body = rows[0], rows[1:]
+    if len(body) < n_parties or any(body[n_parties:]):
+        raise FormatError(
+            f"{path}: header promises {n_parties} party lines, found {len(body)}"
+        )
+    n_indices = sum(map(len, body))
+    if n_indices != n_samples:
+        raise FormatError(f"{path}: {n_indices} indices, header promises {n_samples}")
+    try:
+        pmap = PartitionMap(tuple(body[:n_parties]), n_parties)
+        check_partition(pmap, n_samples)
+    except (OverflowError, PartitionError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return pmap
 
 
 def export_stats_csv(stats: PartitionStats, path):

@@ -3,8 +3,9 @@
 Every source of randomness in a run is a stream addressed by a tuple of
 non-negative integers (master seed, purpose tag, round, party, ...). Streams
 with different addresses are statistically independent, and the same address
-always yields the same stream, which is what makes runs reproducible and
-thread-schedule independent.
+always yields the same stream, which is what makes runs reproducible: each
+party's result depends only on its (seed, round, party) stream, not on which
+parties or cells ran before it.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with -s to see them) and enforcing its runtime budget."""
 
+import json
 import re
 import time
 
@@ -309,32 +310,36 @@ def _mask_wall(text):
 
 def test_criterion_7_run_determinism(tmp_path):
     started = time.perf_counter()
-    config = parse_config(
-        {
-            "dataset": {"type": "blobs", "n_classes": 5, "n_per_class": 80,
-                        "dim": 8, "spread": 0.3, "seed": 4, "test_fraction": 0.25},
-            "partition": {"type": "label_dirichlet", "beta": 0.5},
-            "arch": {"hidden": [16, 8]},
-            "fed": {"algorithms": ["fedavg", "scaffold"], "rounds": 3, "parties": 5,
-                    "local_epochs": 2, "batch_size": 32, "lr": 0.05, "seed": 13},
-            "trials": 2,
-        }
-    )
-    cmd_run(config, tmp_path / "a", n_threads=1)
-    cmd_run(config, tmp_path / "b", n_threads=1)
-    cmd_run(config, tmp_path / "c", n_threads=8)
+    raw = {
+        "dataset": {"type": "blobs", "n_classes": 5, "n_per_class": 80,
+                    "dim": 8, "spread": 0.3, "seed": 4, "test_fraction": 0.25},
+        "partition": {"type": "label_dirichlet", "beta": 0.5},
+        "arch": {"hidden": [16, 8]},
+        "fed": {"algorithms": ["fedavg", "scaffold"], "rounds": 3, "parties": 5,
+                "local_epochs": 2, "batch_size": 32, "lr": 0.05, "seed": 13},
+        "trials": 2,
+    }
+    config = parse_config(raw)
+    # The same grid without fedavg: scaffold's cells must not depend on
+    # which cells ran before them.
+    alone = parse_config({**raw, "fed": {**raw["fed"], "algorithms": ["scaffold"]}})
+    cmd_run(config, tmp_path / "a")
+    cmd_run(config, tmp_path / "b")
+    cmd_run(alone, tmp_path / "c")
     a = _mask_wall((tmp_path / "a" / "results.jsonl").read_text())
     b = _mask_wall((tmp_path / "b" / "results.jsonl").read_text())
     c = _mask_wall((tmp_path / "c" / "results.jsonl").read_text())
     elapsed = time.perf_counter() - started
-    lines = len(a.splitlines())
+    lines = a.splitlines()
+    scaffold_lines = [line for line in lines if json.loads(line)["algorithm"] == "scaffold"]
     # trials x settings x (rounds + 1) = 2 x 2 x 4
-    ok = a == b == c and lines == 2 * 2 * 4 and elapsed < 300.0
+    cell_independent = scaffold_lines == c.splitlines() and len(scaffold_lines) == 2 * 4
+    ok = a == b and cell_independent and len(lines) == 2 * 2 * 4 and elapsed < 300.0
     report(
         7,
         ok,
-        f"rerun identical={a == b}, threads 1 vs 8 identical={a == c}, "
-        f"{lines} records, {elapsed:.0f}s (< 300s)",
+        f"rerun identical={a == b}, cell independent={cell_independent}, "
+        f"{len(lines)} records, {elapsed:.0f}s (< 300s)",
     )
 
 

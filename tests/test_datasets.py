@@ -191,6 +191,12 @@ class TestIdx:
         with pytest.raises(FormatError, match="mismatch"):
             read_idx(images_path, labels_path)
 
+    def test_missing_file_names_path(self, tmp_path):
+        images_path, _ = _write_idx_pair(tmp_path, np.zeros((1, 2, 2), np.uint8), [0])
+        missing = tmp_path / "absent-labels.idx"
+        with pytest.raises(FormatError, match="cannot read .*absent-labels.idx"):
+            read_idx(images_path, missing)
+
     def test_round_trip_within_quantization(self, tmp_path):
         rng = np.random.default_rng(0)
         ds = LabeledDataset(rng.uniform(0, 1, size=(20, 12)), rng.integers(0, 10, 20), 10)
@@ -239,6 +245,16 @@ class TestLibsvm:
         path = tmp_path / "data.svm"
         path.write_text("+1 1:1.0\n2 1:1.0\n")
         with pytest.raises(FormatError, match="line 2.*unmapped"):
+            read_libsvm(path, 3, 2, {1: 1, -1: 0})
+
+    def test_missing_file_names_path(self, tmp_path):
+        with pytest.raises(FormatError, match="cannot read .*absent.svm"):
+            read_libsvm(tmp_path / "absent.svm", 3, 2, {1: 1, -1: 0})
+
+    def test_non_ascii_names_path(self, tmp_path):
+        path = tmp_path / "data.svm"
+        path.write_bytes(b"+1 1:1.0\n-1 2:\xff\n")
+        with pytest.raises(FormatError, match="data.svm: not ASCII"):
             read_libsvm(path, 3, 2, {1: 1, -1: 0})
 
 
@@ -293,3 +309,7 @@ class TestContainer:
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(FormatError):
             load_container(path)
+
+    def test_missing_file_names_path(self, tmp_path):
+        with pytest.raises(FormatError, match="cannot read .*absent.bin"):
+            load_container(tmp_path / "absent.bin")

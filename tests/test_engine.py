@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fedsim.datasets import FcubeSpec, fcube_generate
 from fedsim.engine import (
+    ALGORITHMS,
     ClientState,
     FedRunConfig,
     GlobalState,
@@ -658,6 +661,67 @@ class TestRunRound:
         assert scaffold_bytes == 2 * plain_bytes
         assert plain_bytes == 2 * 4 * 8 * len(state.params)
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_party_order_independence(self, algorithm):
+        # Each party's update depends only on its (seed, round, party) stream
+        # and the round's global state, and aggregation sums in ascending
+        # party id: training the sampled parties in reverse changes no bit.
+        state, clients, cfg, objective = self._setup(algorithm, n_parties=5)
+        cfg = replace(
+            cfg, rounds=2, sample_fraction=0.6,
+            prox_mu=0.1 if algorithm == "fedprox" else 0.0,
+        )
+        # A first round leaves scaffold with nonzero server and client controls.
+        state, _, _ = run_round(state, clients, cfg, 0, objective)
+        controls = [client.control for client in clients]
+        in_order, updates, _ = run_round(state, clients, cfg, 1, objective)
+        for client, control in zip(clients, controls):
+            client.control = control
+
+        reversed_updates = []
+        for party_id in reversed(sample_parties(5, 0.6, 1, cfg.master_seed)):
+            if algorithm == "scaffold":
+                update, _ = local_train_scaffold(
+                    state.params, state.control, clients[party_id], cfg, 1, objective
+                )
+            else:
+                update = local_train_sgd(
+                    state.params, clients[party_id].view, cfg, cfg.prox_mu, 1, objective
+                )
+            reversed_updates.append(update)
+
+        assert len(updates) == 3
+        for ours, theirs in zip(updates, reversed(reversed_updates)):
+            assert ours.party_id == theirs.party_id
+            assert np.array_equal(
+                ours.final_params.values.view(np.int64),
+                theirs.final_params.values.view(np.int64),
+            )
+            assert ours.tau == theirs.tau
+            assert np.float64(ours.train_loss).view(np.int64) == np.float64(
+                theirs.train_loss
+            ).view(np.int64)
+            if algorithm == "scaffold":
+                assert np.array_equal(
+                    ours.delta_control.values.view(np.int64),
+                    theirs.delta_control.values.view(np.int64),
+                )
+
+        if algorithm == "scaffold":
+            out_of_order = aggregate_scaffold(state, reversed_updates, 5, cfg.server_lr)
+            assert np.array_equal(
+                in_order.control.values.view(np.int64),
+                out_of_order.control.values.view(np.int64),
+            )
+            out_of_order = out_of_order.params
+        elif algorithm == "fednova":
+            out_of_order = aggregate_fednova(state.params, reversed_updates, cfg.server_lr)
+        else:
+            out_of_order = aggregate_weighted(state.params, reversed_updates, cfg.server_lr)
+        assert np.array_equal(
+            in_order.params.values.view(np.int64), out_of_order.values.view(np.int64)
+        )
+
     def test_full_participation_update_count(self):
         state, clients, cfg, objective = self._setup("fedavg", n_parties=5)
         _, updates, _ = run_round(state, clients, cfg, 0, objective)
@@ -714,22 +778,6 @@ class TestRunExperiment:
         )
         assert [r.test_accuracy for r in a] == [r.test_accuracy for r in b]
         assert [r.mean_train_loss for r in a[1:]] == [r.mean_train_loss for r in b[1:]]
-
-    def test_thread_schedule_independence(self):
-        train, test, _ = self._fcube()
-        arch = MlpArch((3, 8, 2))
-        for algorithm in ("fedavg", "scaffold"):
-            serial = run_experiment(
-                train, test, PartitionSpec("iid"), arch, self._cfg(algorithm=algorithm)
-            )
-            threaded = run_experiment(
-                train, test, PartitionSpec("iid"), arch, self._cfg(algorithm=algorithm),
-                n_threads=4,
-            )
-            assert [r.test_accuracy for r in serial] == [r.test_accuracy for r in threaded]
-            assert [r.mean_train_loss for r in serial[1:]] == [
-                r.mean_train_loss for r in threaded[1:]
-            ]
 
     def test_single_party_equals_centralized_sgd_bitwise(self):
         # N=1 with server_lr 1: T rounds must reproduce T*E epochs of plain

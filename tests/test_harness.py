@@ -112,6 +112,29 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="dataset"):
             parse_config({})
 
+    @pytest.mark.parametrize(
+        "dataset, key",
+        [
+            ({**BLOBS_SMALL, "n_per_class": "ten"}, "n_per_class"),
+            ({**BLOBS_SMALL, "n_classes": 2.5}, "n_classes"),
+            ({**BLOBS_SMALL, "dim": True}, "dim"),
+            ({**BLOBS_SMALL, "seed": None}, "seed"),
+            ({**BLOBS_SMALL, "spread": "wide"}, "spread"),
+            ({**BLOBS_SMALL, "test_fraction": [0.2]}, "test_fraction"),
+            ({"type": "fcube", "n_train": "256"}, "n_train"),
+            ({"type": "idx", "train_images": 7}, "train_images"),
+            ({"type": "libsvm", "n_features": 4.0}, "n_features"),
+            ({"type": "container", "test_path": ["a"]}, "test_path"),
+        ],
+    )
+    def test_dataset_option_type_rejected_with_path(self, dataset, key):
+        with pytest.raises(ConfigError, match=rf"config\.dataset\.{key}: expected"):
+            parse_config({"dataset": dataset})
+
+    def test_dataset_float_option_accepts_integer(self):
+        config = parse_config({"dataset": {**BLOBS_SMALL, "spread": 1}})
+        assert config.dataset.options["spread"] == 1.0
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
@@ -325,15 +348,15 @@ def mask_wall(text):
 
 
 class TestDeterminism:
-    def test_rerun_and_thread_count_byte_identical(self, tmp_path):
+    def test_rerun_byte_identical(self, tmp_path):
         config = parse_config(
             small_run_config(
                 fed={"algorithms": ["fedavg", "scaffold"], "rounds": 2, "parties": 3,
                      "local_epochs": 1, "batch_size": 16, "seed": 5},
             )
         )
-        cmd_run(config, tmp_path / "a", n_threads=1)
-        cmd_run(config, tmp_path / "b", n_threads=4)
+        cmd_run(config, tmp_path / "a")
+        cmd_run(config, tmp_path / "b")
         a = mask_wall((tmp_path / "a" / "results.jsonl").read_text())
         b = mask_wall((tmp_path / "b" / "results.jsonl").read_text())
         assert a == b
@@ -451,6 +474,15 @@ class TestCli:
     def test_gradcheck_exit_code(self, capsys):
         assert main(["gradcheck", "--cases", "5"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_missing_dataset_file_exit_code(self, tmp_path, capsys):
+        missing = tmp_path / "absent-images.idx"
+        dataset = {"type": "idx", "train_images": str(missing), "train_labels": str(missing),
+                   "test_images": str(missing), "test_labels": str(missing)}
+        config_path = write_config(tmp_path, small_run_config(dataset=dataset))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and "absent-images.idx" in err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         config_path = write_config(tmp_path, {"dataset": {"type": "fcube"}, "bogus": 1})

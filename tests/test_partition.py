@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedsim.datasets import FcubeSpec, LabeledDataset, fcube_generate
-from fedsim.errors import ConfigError, PartitionError
+from fedsim.errors import ConfigError, FormatError, PartitionError
 from fedsim.partition import (
     PartitionMap,
     PartitionSpec,
@@ -106,6 +106,14 @@ class TestLabelQuantity:
         ds = synthetic_labels(n_classes=10)
         with pytest.raises(PartitionError):
             partition_label_quantity(ds, 3, 3, seed=0)
+
+    def test_label_with_fewer_samples_than_owners_rejected(self):
+        # Two labels per party over three labels: at seed 0 every party owns
+        # label 0, which has one sample to give.
+        labels = np.array([0] + [1] * 10 + [2] * 10)
+        ds = LabeledDataset(np.zeros((21, 1)), labels, 3)
+        with pytest.raises(PartitionError, match="label 0 has fewer samples than parties owning it"):
+            partition_label_quantity(ds, 3, 2, seed=0)
 
     def test_k_out_of_range(self):
         ds = synthetic_labels(n_classes=4)
@@ -313,6 +321,11 @@ class TestInvariants:
         b = build_partition(ds, spec, 7, seed=99)
         assert all(np.array_equal(x, y) for x, y in zip(a.assignments, b.assignments))
 
+    def test_repeat_within_one_party_rejected(self):
+        # Every sample is covered, but party 0 lists sample 0 twice.
+        with pytest.raises(PartitionError, match="more than once"):
+            check_partition(PartitionMap(([0, 0], [1]), 2), 2)
+
     def test_beta_monotone_skew(self):
         # Average total-variation distance to the global label mix must be
         # strictly larger at beta=0.1 than at beta=5, averaged over 50 seeds.
@@ -339,6 +352,25 @@ class TestExport:
         assert all(
             np.array_equal(a, b) for a, b in zip(back.assignments, pmap.assignments)
         )
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("2 5\n0 1\n", "header promises 2 party lines, found 1"),
+            ("2 5\n0 1\n2 x 4\n", "invalid literal for int.*'x'"),
+            ("2 5\n0 1 1\n2 3 4\n", "6 indices, header promises 5"),
+            ("2 5\n0 1 1\n2 3\n", "more than once"),
+            ("2 five\n0 1\n2 3 4\n", "invalid literal for int.*'five'"),
+            ("2\n0 1\n", "header"),
+        ],
+        ids=["truncated", "non-integer", "extra-index", "duplicate", "bad-header",
+             "short-header"],
+    )
+    def test_malformed_file_rejected_with_path(self, tmp_path, text, match):
+        path = tmp_path / "partition.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=rf"partition\.txt: .*{match}"):
+            load_partition(path)
 
     def test_stats_csv_layout(self, tmp_path):
         ds = synthetic_labels(60, 3)
