@@ -213,11 +213,11 @@ def read_idx(images_path, labels_path) -> LabeledDataset:
             f"{images_path}: bad image magic 0x{magic:08x} at byte offset 0, "
             f"expected 0x{IDX_IMAGES_MAGIC:08x}"
         )
-    payload = image_data[16:]
     expected = n_images * rows * cols
-    if len(payload) != expected:
+    payload_bytes = len(image_data) - 16
+    if payload_bytes != expected:
         raise FormatError(
-            f"{images_path}: image payload is {len(payload)} bytes at offset 16, "
+            f"{images_path}: image payload is {payload_bytes} bytes at offset 16, "
             f"header promises {expected}"
         )
 
@@ -228,10 +228,10 @@ def read_idx(images_path, labels_path) -> LabeledDataset:
             f"{labels_path}: bad label magic 0x{magic:08x} at byte offset 0, "
             f"expected 0x{IDX_LABELS_MAGIC:08x}"
         )
-    label_payload = label_data[8:]
-    if len(label_payload) != n_labels:
+    label_bytes = len(label_data) - 8
+    if label_bytes != n_labels:
         raise FormatError(
-            f"{labels_path}: label payload is {len(label_payload)} bytes at offset 8, "
+            f"{labels_path}: label payload is {label_bytes} bytes at offset 8, "
             f"header promises {n_labels}"
         )
     if n_images != n_labels:
@@ -240,9 +240,13 @@ def read_idx(images_path, labels_path) -> LabeledDataset:
             f"{labels_path} has {n_labels} labels"
         )
 
-    features = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    features = features.reshape(n_images, rows * cols)
-    labels = np.frombuffer(label_payload, dtype=np.uint8).astype(np.int64)
+    # frombuffer views the file's bytes, where slicing them first would copy
+    # the whole payload; the one float64 matrix is then scaled in place.
+    pixels = np.frombuffer(image_data, dtype=np.uint8, offset=16, count=expected)
+    features = pixels.astype(np.float64).reshape(n_images, rows * cols)
+    features /= 255.0
+    labels = np.frombuffer(label_data, dtype=np.uint8, offset=8, count=n_labels)
+    labels = labels.astype(np.int64)
     return LabeledDataset(features, labels, 10)
 
 

@@ -180,10 +180,17 @@ def sample_parties(
     return sorted(int(p) for p in generator.choice(n_parties, size=size, replace=False))
 
 
-def _epoch_batches(generator, n_samples: int, batch_size: int):
-    perm = generator.permutation(n_samples)
-    for start in range(0, n_samples, batch_size):
-        yield perm[start : start + batch_size]
+def _epoch_batches(generator, rows: np.ndarray, batch_size: int):
+    """One epoch's minibatches as (positions in the view, source rows).
+
+    The epoch's permutation is mapped to source rows once, so each batch
+    costs two gathers: its feature rows and its labels.
+    """
+    perm = generator.permutation(rows.shape[0])
+    order = rows[perm]
+    for start in range(0, perm.shape[0], batch_size):
+        stop = start + batch_size
+        yield perm[start:stop], order[start:stop]
 
 
 def _flagged_numerics():
@@ -216,7 +223,7 @@ def _local_loop(w_start, view, cfg, round_idx, objective, prox_mu=0.0, correctio
     """
     generator = rng.stream(cfg.master_seed, rng.TAG_LOCAL, round_idx, view.party_id)
     loss_grad = objective.loss_grad
-    features, labels = view.features, view.labels
+    source, rows, labels = view.source, view.rows, view.labels
     lr, momentum = cfg.local_lr, cfg.momentum
     params = w_start
     spare = np.empty_like(w_start)
@@ -228,10 +235,10 @@ def _local_loop(w_start, view, cfg, round_idx, objective, prox_mu=0.0, correctio
     diverged = False
     with _flagged_numerics():
         for _ in range(cfg.local_epochs):
-            for batch_idx in _epoch_batches(generator, view.n_samples, cfg.batch_size):
+            for batch_pos, batch_rows in _epoch_batches(generator, rows, cfg.batch_size):
                 try:
                     loss, grad = loss_grad(
-                        params, features[batch_idx], labels[batch_idx], prox_mu, anchor
+                        params, source[batch_rows], labels[batch_pos], prox_mu, anchor
                     )
                 except NumericError:
                     diverged = True
@@ -526,6 +533,10 @@ def run_experiment(
         with _flagged_numerics():
             accuracy = objective.accuracy(state.params, ds_test)
             mean_train_loss = _weighted_mean_loss(updates)
+        diverged = state.diverged or any(u.diverged for u in updates)
+        # Release this round's party models before the next round trains its
+        # own, so only one round of them is alive at a time.
+        del updates
         wall_ms = int((time.perf_counter() - started) * 1000)
         records.append(
             RoundRecord(
@@ -534,7 +545,7 @@ def run_experiment(
                 mean_train_loss=mean_train_loss,
                 bytes=n_bytes,
                 wall_ms=wall_ms,
-                diverged=state.diverged or any(u.diverged for u in updates),
+                diverged=diverged,
             )
         )
     return records

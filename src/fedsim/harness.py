@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -159,12 +161,27 @@ def _json_float(value) -> float | None:
     return float(value)
 
 
+def _print_progress(cell, n_cells, setting, trial, records, started) -> None:
+    """One stderr line per finished (setting, trial) cell; not part of any output file."""
+    diverged = sum(record.diverged for record in records)
+    mu_txt = "-" if setting.mu is None else repr(setting.mu)
+    print(
+        f"cell {cell}/{n_cells}: {setting.algorithm} mu={mu_txt} "
+        f"E={setting.local_epochs} trial={trial} "
+        f"final_accuracy={records[-1].test_accuracy:.4f} "
+        f"diverged_rounds={diverged} {time.perf_counter() - started:.2f}s",
+        file=sys.stderr,
+        flush=True,
+    )
+
+
 def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     """Run the sweep grid x trials; write JSONL records and a summary CSV.
 
     Per (setting, trial) the run seed derives only from (master seed, trial),
     so algorithms see identical partitions, initial models and batch orders.
-    Diverged runs are flagged in their records, never fatal.
+    Diverged runs are flagged in their records, never fatal. Each finished
+    cell prints one progress line to stderr.
     """
     os.makedirs(out_dir, exist_ok=True)
     train, test = build_dataset(config)
@@ -173,9 +190,13 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
 
     results_path = os.path.join(out_dir, RESULTS_FILE)
     finals: dict[Setting, list[float]] = {s: [] for s in settings}
+    n_cells = len(settings) * config.trials
+    cell = 0
     with open(results_path, "w", encoding="ascii") as fh:
         for setting in settings:
             for trial in range(config.trials):
+                cell += 1
+                started = time.perf_counter()
                 cfg = replace(
                     config.fed,
                     algorithm=setting.algorithm,
@@ -185,6 +206,7 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
                 )
                 records = run_experiment(train, test, config.partition, arch, cfg)
                 finals[setting].append(records[-1].test_accuracy)
+                _print_progress(cell, n_cells, setting, trial, records, started)
                 for record in records:
                     line = {
                         "trial": trial,

@@ -89,22 +89,41 @@ class PartitionSpec:
 
 @dataclass(frozen=True)
 class PartyView:
-    """One party's materialized local data (features possibly noise-shifted)."""
+    """One party's local data: rows `rows` of the feature matrix `source`.
+
+    indices are the party's sample ids in the training set and labels their
+    labels, in the same order as rows. Without feature noise, source is the
+    shared training matrix and rows equal indices, so no feature is copied;
+    a noise-shifted view owns its rows, and rows is 0..n-1, the default.
+    Neither source nor rows is ever written.
+    """
 
     party_id: int
     indices: np.ndarray
-    features: np.ndarray
+    source: np.ndarray
     labels: np.ndarray
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
         indices = np.asarray(self.indices, dtype=np.int64).reshape(-1)
-        if self.features.shape[0] != indices.shape[0]:
+        n_source = self.source.shape[0]
+        rows = np.arange(n_source) if self.rows is None else self.rows
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        if rows.shape[0] != indices.shape[0]:
             raise PartitionError("view row count does not match its index list")
+        if rows.size and (rows.min() < 0 or rows.max() >= n_source):
+            raise PartitionError("view rows lie outside its feature matrix")
         object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n_samples(self) -> int:
-        return self.features.shape[0]
+        return self.rows.shape[0]
+
+    @property
+    def features(self) -> np.ndarray:
+        """The party's feature rows, gathered into a new array on each access."""
+        return self.source[self.rows]
 
 
 def check_partition(pmap: PartitionMap, n_samples: int):
@@ -293,23 +312,27 @@ def partition_fcube_pairs(ds: LabeledDataset) -> PartitionMap:
 def apply_feature_noise(
     pmap: PartitionMap, ds: LabeledDataset, sigma: float, seed: int
 ) -> list[PartyView]:
-    """Materialize party views, adding Gaussian noise of variance sigma*i/N.
+    """Party views, with Gaussian noise of variance sigma*i/N added to features.
 
     Parties are 1-indexed for the variance schedule, so the last party gets
-    variance exactly sigma. Labels are untouched. sigma == 0 returns plain
-    copies of the raw slices.
+    variance exactly sigma. Labels are untouched. sigma == 0 copies no
+    features: every view indexes the shared ds.features; otherwise each
+    view owns its noise-shifted rows.
     """
     if sigma < 0:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
     views = []
     n_parties = pmap.n_parties
     for party, indices in enumerate(pmap.assignments):
-        features = ds.features[indices]
-        if sigma > 0:
-            variance = sigma * (party + 1) / n_parties
-            rng = np.random.default_rng(np.random.SeedSequence([seed, party]))
-            features = features + rng.normal(0.0, np.sqrt(variance), size=features.shape)
-        views.append(PartyView(party, indices, features, ds.labels[indices]))
+        labels = ds.labels[indices]
+        if sigma == 0:
+            views.append(PartyView(party, indices, ds.features, labels, indices))
+            continue
+        noisy = ds.features[indices]
+        variance = sigma * (party + 1) / n_parties
+        rng = np.random.default_rng(np.random.SeedSequence([seed, party]))
+        noisy += rng.normal(0.0, np.sqrt(variance), size=noisy.shape)
+        views.append(PartyView(party, indices, noisy, labels))
     return views
 
 
@@ -337,7 +360,7 @@ def build_partition(
 def build_views(
     ds: LabeledDataset, spec: PartitionSpec, n_parties: int, seed: int
 ) -> tuple[PartitionMap, list[PartyView]]:
-    """Partition and materialize party views, applying the spec's noise overlay."""
+    """Partition and build party views, applying the spec's noise overlay."""
     pmap = build_partition(ds, spec, n_parties, derive_seed(seed, 0))
     views = apply_feature_noise(pmap, ds, spec.noise_sigma, derive_seed(seed, 1))
     return pmap, views

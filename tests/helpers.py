@@ -45,6 +45,7 @@ def reference_local_loop(w_start, view, cfg, round_idx, objective, prox_mu=0.0,
     every step builds new velocity and parameter arrays. Returns (final
     array, tau, mean loss)."""
     generator = rng.stream(cfg.master_seed, rng.TAG_LOCAL, round_idx, view.party_id)
+    features = view.features
     params = w_start
     velocity = np.zeros_like(w_start)
     losses = []
@@ -53,7 +54,7 @@ def reference_local_loop(w_start, view, cfg, round_idx, objective, prox_mu=0.0,
         for start in range(0, view.n_samples, cfg.batch_size):
             batch_idx = perm[start : start + cfg.batch_size]
             loss, grad = objective.loss_grad(
-                params, view.features[batch_idx], view.labels[batch_idx], prox_mu,
+                params, features[batch_idx], view.labels[batch_idx], prox_mu,
                 w_start if prox_mu > 0 else None,
             )
             if correction is not None:

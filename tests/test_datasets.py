@@ -1,4 +1,6 @@
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +185,37 @@ class TestIdx:
         images_path.write_bytes(data[:-3])
         with pytest.raises(FormatError, match="offset 16"):
             read_idx(images_path, labels_path)
+
+    @pytest.mark.parametrize(
+        "which, cut, message",
+        [
+            ("images", 3, "image payload is 5 bytes at offset 16, header promises 8"),
+            ("images", -2, "image payload is 10 bytes at offset 16, header promises 8"),
+            ("labels", 1, "label payload is 1 bytes at offset 8, header promises 2"),
+        ],
+    )
+    def test_payload_length_message(self, tmp_path, which, cut, message):
+        paths = dict(zip(("images", "labels"), _write_idx_pair(
+            tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1]
+        )))
+        data = paths[which].read_bytes()
+        paths[which].write_bytes(data[:-cut] if cut > 0 else data + bytes(-cut))
+        with pytest.raises(FormatError, match=re.escape(f"{paths[which]}: {message}")):
+            read_idx(paths["images"], paths["labels"])
+
+    def test_payload_not_copied(self, tmp_path):
+        # Besides the file's bytes and the float64 matrix, loading allocates
+        # about one pixel-sized temporary (the dataset's finiteness mask); a
+        # sliced copy of the payload would be a second one.
+        images = np.random.default_rng(0).integers(0, 256, (500, 28, 28), dtype=np.uint8)
+        paths = _write_idx_pair(tmp_path, images, [0] * 500)
+        tracemalloc.start()
+        try:
+            ds = read_idx(*paths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.features.nbytes + 2.5 * images.nbytes
 
     def test_count_mismatch(self, tmp_path):
         images_path, labels_path = _write_idx_pair(

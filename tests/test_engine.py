@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +25,7 @@ from fedsim.engine import (
 from fedsim.errors import ConfigError, DataError, NumericError, ProtocolError, ShapeError
 from fedsim.nn import Batch, MlpArch, ParamVector, backward, sgd_momentum_step, zeros_like
 from fedsim.partition import PartitionSpec, PartyView, build_views
-from fedsim import rng
+from fedsim import engine, rng
 from helpers import make_update, reference_local_loop
 
 
@@ -323,6 +325,55 @@ class TestLocalLoopBuffers:
         assert new_control.values.tobytes() == refreshed.tobytes()
         assert update.delta_control.values.tobytes() == (refreshed - c_i.values).tobytes()
         self._check_inputs_untouched(w_t, w_before, view, features, labels, objective)
+
+
+class TestIndexedView:
+    """A party whose rows are a shuffled, non-contiguous subset of a larger
+    matrix trains exactly like the same party built from its copied rows."""
+
+    ARCH = MlpArch((784, 32, 10))
+
+    def _views(self):
+        rng_ = np.random.default_rng(43)
+        source = rng_.uniform(0.0, 1.0, size=(120, 784))
+        source.setflags(write=False)
+        all_labels = rng_.integers(0, 10, 120)
+        rows = rng_.permutation(120)[:45]
+        indexed = PartyView(2, rows, source, all_labels[rows], rows)
+        copied = PartyView(2, rows, source[rows].copy(), all_labels[rows])
+        return indexed, copied
+
+    @pytest.mark.parametrize(
+        "algorithm, c_option",
+        [("fedavg", "ii"), ("fedprox", "ii"), ("scaffold", "i"), ("scaffold", "ii")],
+    )
+    def test_matches_copied_rows_bitwise(self, algorithm, c_option):
+        cfg = FedRunConfig(
+            algorithm=algorithm, rounds=1, n_parties=4, local_epochs=3, batch_size=16,
+            local_lr=0.05, momentum=0.9, prox_mu=0.01, scaffold_c_option=c_option,
+            master_seed=43,
+        )
+        objective = MlpObjective(self.ARCH)
+        w_t = objective.init_params(43)
+        rng_ = np.random.default_rng(44)
+        c = ParamVector(0.01 * rng_.standard_normal(len(w_t)), w_t.shapes)
+        c_i = ParamVector(0.01 * rng_.standard_normal(len(w_t)), w_t.shapes)
+        prox_mu = cfg.prox_mu if algorithm == "fedprox" else 0.0
+        results = []
+        for view in self._views():
+            if algorithm == "scaffold":
+                update, control = local_train_scaffold(
+                    w_t, c, ClientState(2, view, c_i), cfg, 1, objective
+                )
+                extra = (control.values.tobytes(), update.delta_control.values.tobytes())
+            else:
+                update = local_train_sgd(w_t, view, cfg, prox_mu, 1, objective)
+                extra = ()
+            assert not update.diverged
+            results.append(
+                (update.final_params.values.tobytes(), update.tau, update.train_loss, *extra)
+            )
+        assert results[0] == results[1]
 
 
 class InfiniteFullGrad(QuadraticObjective):
@@ -756,6 +807,34 @@ class TestRunExperiment:
         assert records[0].round == 0
         assert records[0].bytes == 0
         assert records[0].mean_train_loss is None
+
+    @pytest.mark.parametrize("algorithm", ["fedavg", "scaffold"])
+    def test_previous_round_updates_released(self, monkeypatch, algorithm):
+        # Only one round of party models may be alive: when a round starts,
+        # nothing may still hold the models the previous round returned.
+        train, test, _ = self._fcube()
+        alive, rounds = [], []
+        real_run_round = engine.run_round
+
+        def tracking_run_round(state, clients, cfg, round_idx, objective):
+            gc.collect()
+            assert not [ref for ref in alive if ref() is not None]
+            new_state, updates, n_bytes = real_run_round(
+                state, clients, cfg, round_idx, objective
+            )
+            for update in updates:
+                alive.append(weakref.ref(update.final_params))
+                alive.append(weakref.ref(update.final_params.values))
+            rounds.append(round_idx)
+            return new_state, updates, n_bytes
+
+        monkeypatch.setattr(engine, "run_round", tracking_run_round)
+        run_experiment(
+            train, test, PartitionSpec("iid"), MlpArch((3, 4, 2)),
+            self._cfg(algorithm=algorithm),
+        )
+        assert rounds == [0, 1, 2]
+        assert len(alive) == 3 * 2 * 4
 
     def test_record_count_and_fields(self):
         train, test, _ = self._fcube()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -324,7 +325,7 @@ class TestCmdRun:
 
 
 class TestServerOverflow:
-    def test_sweep_completes_and_flags_rounds(self, tmp_path):
+    def test_sweep_completes_and_flags_rounds(self, tmp_path, capsys):
         config = parse_config(
             small_run_config(
                 fed={"algorithms": ["fedavg", "scaffold"], "rounds": 2, "parties": 3,
@@ -341,6 +342,9 @@ class TestServerOverflow:
         assert all(r["bytes"] > 0 for r in records if r["round"] > 0)
         lines = (tmp_path / "out" / "summary.csv").read_text().strip().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["fedavg", "scaffold"]
+        progress = capsys.readouterr().err.splitlines()
+        assert len(progress) == 2
+        assert all(" diverged_rounds=2 " in line for line in progress)
 
 
 def mask_wall(text):
@@ -363,6 +367,43 @@ class TestDeterminism:
         assert (tmp_path / "a" / "summary.csv").read_bytes() == (
             tmp_path / "b" / "summary.csv"
         ).read_bytes()
+
+
+class TestProgress:
+    # SHA-256 of the masked results.jsonl, recorded from the code before
+    # cmd_run printed progress: the progress lines must not reach the file.
+    RESULTS_SHA256 = "155f399292126176e51d06780c3e7d20615321a3870c1238f3598ed6698f05de"
+
+    def test_one_stderr_line_per_cell(self, tmp_path, capsys):
+        config = parse_config(
+            small_run_config(
+                partition={"type": "iid", "noise_sigma": 0.1},
+                fed={"algorithms": ["fedavg", "fedprox"], "rounds": 2, "parties": 3,
+                     "local_epochs": 1, "batch_size": 16, "lr": 0.05, "seed": 5},
+                sweeps={"mu": [0.01, 0.1]},
+                trials=2,
+            )
+        )
+        cmd_run(config, tmp_path / "out")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        cells = [
+            (algorithm, mu, trial)
+            for algorithm, mu in (("fedavg", "-"), ("fedprox", "0.01"), ("fedprox", "0.1"))
+            for trial in (0, 1)
+        ]
+        assert len(lines) == len(cells)
+        records = read_jsonl(tmp_path / "out" / "results.jsonl")
+        finals = [r["test_accuracy"] for r in records if r["round"] == 2]
+        for i, (line, (algorithm, mu, trial), final) in enumerate(zip(lines, cells, finals)):
+            assert re.fullmatch(
+                rf"cell {i + 1}/6: {algorithm} mu={re.escape(mu)} E=1 trial={trial} "
+                rf"final_accuracy={final:.4f} diverged_rounds=0 \d+\.\d\ds",
+                line,
+            ), line
+        masked = mask_wall((tmp_path / "out" / "results.jsonl").read_text())
+        assert hashlib.sha256(masked.encode("ascii")).hexdigest() == self.RESULTS_SHA256
 
 
 class TestCmdReport:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from fedsim.errors import ConfigError, FormatError, PartitionError
 from fedsim.partition import (
     PartitionMap,
     PartitionSpec,
+    PartyView,
     apply_feature_noise,
     build_partition,
     build_views,
@@ -257,6 +260,31 @@ class TestFeatureNoise:
         for view, assignment in zip(apply_feature_noise(pmap, ds, 0.5, seed=2), pmap.assignments):
             assert np.array_equal(view.labels, ds.labels[assignment])
 
+    def test_sigma_zero_views_index_the_training_matrix(self):
+        ds = synthetic_labels(100, 4)
+        pmap = partition_iid(ds, 4, seed=0)
+        for view, assignment in zip(apply_feature_noise(pmap, ds, 0.0, seed=1), pmap.assignments):
+            assert np.shares_memory(view.source, ds.features)
+            assert np.array_equal(view.rows, assignment)
+
+    def test_noisy_views_own_their_rows(self):
+        ds = synthetic_labels(100, 4)
+        pmap = partition_iid(ds, 4, seed=0)
+        for view in apply_feature_noise(pmap, ds, 0.5, seed=1):
+            assert not np.shares_memory(view.source, ds.features)
+            assert np.array_equal(view.rows, np.arange(view.n_samples))
+
+    def test_build_views_copies_no_features(self):
+        rng = np.random.default_rng(0)
+        ds = LabeledDataset(rng.uniform(size=(2000, 784)), rng.integers(0, 10, 2000), 10)
+        tracemalloc.start()
+        try:
+            build_views(ds, PartitionSpec("label_dirichlet", beta=0.5), 10, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.features.nbytes / 4
+
 
 class TestStats:
     def test_fixture_counts(self):
@@ -390,6 +418,12 @@ class TestBuildViews:
         for view, assignment in zip(views, pmap.assignments):
             assert np.array_equal(view.indices, assignment)
             assert view.n_samples == assignment.shape[0]
+
+    def test_view_rows_must_fit_source(self):
+        with pytest.raises(PartitionError, match="row count"):
+            PartyView(0, np.arange(3), np.zeros((5, 2)), np.zeros(3, dtype=int), np.arange(2))
+        with pytest.raises(PartitionError, match="outside"):
+            PartyView(0, np.arange(2), np.zeros((5, 2)), np.zeros(2, dtype=int), [1, 5])
 
     def test_fcube_pairs_requires_four_parties(self):
         train, _, _ = fcube_generate(FcubeSpec(seed=0))
