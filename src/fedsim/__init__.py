@@ -9,13 +9,12 @@ reproducible runs.
 from .datasets import FcubeSpec, LabeledDataset, blobs_generate, fcube_generate
 from .engine import FedRunConfig, GlobalState, LocalUpdate, MlpObjective, run_experiment
 from .errors import FedsimError
-from .nn import Batch, MlpArch, ParamVector, init_mlp
+from .nn import MlpArch, init_mlp
 from .partition import PartitionMap, PartitionSpec, PartyView, build_views
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Batch",
     "FcubeSpec",
     "FedRunConfig",
     "FedsimError",
@@ -24,7 +23,6 @@ __all__ = [
     "LocalUpdate",
     "MlpArch",
     "MlpObjective",
-    "ParamVector",
     "PartitionMap",
     "PartitionSpec",
     "PartyView",

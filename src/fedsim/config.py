@@ -88,7 +88,7 @@ def _get(obj: dict, key: str, kinds, default, path: str):
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
         value = float(value) if ok else value
     elif kinds is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
+        ok = _is_int(value)
     else:
         ok = isinstance(value, kinds)
     if not ok:
@@ -97,6 +97,16 @@ def _get(obj: dict, key: str, kinds, default, path: str):
             f"got {type(value).__name__}"
         )
     return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _reject_duplicates(values, path: str):
+    """A sweep list names each setting once; a repeat would run it twice."""
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{path}: duplicate entries in {list(values)}")
 
 
 def _parse_dataset(obj, path: str) -> DatasetSpec:
@@ -157,7 +167,7 @@ def parse_config(raw: dict, source: str = "config") -> ExperimentConfig:
     arch_obj = _require_mapping(raw.get("arch", {}), f"{source}.arch")
     _reject_unknown(arch_obj, {"hidden"}, f"{source}.arch")
     hidden = _get(arch_obj, "hidden", list, [32, 16, 8], f"{source}.arch")
-    if not all(isinstance(h, int) and h >= 1 for h in hidden):
+    if not all(_is_int(h) and h >= 1 for h in hidden):
         raise ConfigError(f"{source}.arch.hidden: entries must be integers >= 1")
 
     fed_obj = _require_mapping(raw.get("fed", {}), f"{source}.fed")
@@ -178,6 +188,7 @@ def parse_config(raw: dict, source: str = "config") -> ExperimentConfig:
             raise ConfigError(
                 f"{source}.fed.algorithms: unknown algorithm {algorithm!r}"
             )
+    _reject_duplicates(algorithms, f"{source}.fed.algorithms")
     default_parties = (
         DEFAULT_PARTIES_FCUBE if dataset.kind == "fcube" else DEFAULT_PARTIES
     )
@@ -210,13 +221,16 @@ def parse_config(raw: dict, source: str = "config") -> ExperimentConfig:
         for m in mu_sweep
     ):
         raise ConfigError(f"{source}.sweeps.mu: must be a non-empty list of values >= 0")
+    mu_sweep = [float(m) for m in mu_sweep]
+    _reject_duplicates(mu_sweep, f"{source}.sweeps.mu")
     epoch_sweep = _get(
         sweeps_obj, "local_epochs", list, [fed.local_epochs], f"{source}.sweeps"
     )
-    if not epoch_sweep or not all(isinstance(e, int) and e >= 1 for e in epoch_sweep):
+    if not epoch_sweep or not all(_is_int(e) and e >= 1 for e in epoch_sweep):
         raise ConfigError(
             f"{source}.sweeps.local_epochs: must be a non-empty list of integers >= 1"
         )
+    _reject_duplicates(epoch_sweep, f"{source}.sweeps.local_epochs")
 
     trials = _get(raw, "trials", int, 1, source)
     if trials < 1:
@@ -229,7 +243,7 @@ def parse_config(raw: dict, source: str = "config") -> ExperimentConfig:
         hidden=tuple(hidden),
         algorithms=tuple(algorithms),
         fed=fed,
-        mu_sweep=tuple(float(m) for m in mu_sweep),
+        mu_sweep=tuple(mu_sweep),
         epoch_sweep=tuple(epoch_sweep),
         trials=trials,
         out_dir=out_dir,

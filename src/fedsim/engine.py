@@ -9,6 +9,10 @@ Determinism: every random choice is drawn from a stream addressed by
 (master_seed, purpose, round, party), so each party's result depends only on
 its own stream and the round's global state, never on which parties trained
 before it. Aggregation always sums in ascending party id order.
+
+Models and control variates are flat float64 arrays (see fedsim.nn). Every
+one the engine hands out is read-only, so it can be shared without a copy
+and no party can change what the next one sees.
 """
 
 from __future__ import annotations
@@ -25,14 +29,12 @@ from .datasets import LabeledDataset
 from .errors import ConfigError, NumericError, ProtocolError, ShapeError
 from .nn import (
     MlpArch,
-    ParamVector,
     _loss_grad,
     check_labels,
     init_mlp,
     layer_slices,
     momentum_update,
     predict_accuracy,
-    zeros_like,
 )
 from .partition import PartitionSpec, PartyView, build_views
 
@@ -96,8 +98,8 @@ class GlobalState:
     """
 
     round: int
-    params: ParamVector
-    control: ParamVector | None = None
+    params: np.ndarray
+    control: np.ndarray | None = None
     diverged: bool = False
 
 
@@ -110,8 +112,8 @@ class LocalUpdate:
     tau: int
     n_samples: int
     train_loss: float
-    final_params: ParamVector
-    delta_control: ParamVector | None = None
+    final_params: np.ndarray
+    delta_control: np.ndarray | None = None
     diverged: bool = False
 
 
@@ -121,7 +123,7 @@ class ClientState:
 
     party_id: int
     view: PartyView
-    control: ParamVector | None = None
+    control: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -141,19 +143,20 @@ class MlpObjective:
 
     Any object with the same four methods can drive the engine, which is how
     tests exercise the update rules on hand-checkable scalar objectives.
-    init_params returns a ParamVector and accuracy takes one; loss_grad and
-    full_grad work on raw float64 arrays (flat parameters, feature rows,
-    label ids) and return (loss, gradient array) and a gradient array. They
-    run once per local step, so they validate nothing: run_experiment checks
-    the training data against the architecture once, and the local loop
-    checks the loss and the new parameters for finiteness.
+    All four work on flat float64 arrays: init_params returns the initial
+    model and accuracy scores one; loss_grad and full_grad take parameters,
+    feature rows and label ids and return (loss, gradient) and a new
+    gradient. They run once per local step, so they validate nothing:
+    run_experiment checks the training data against the architecture once,
+    and the local loop checks the loss and the new parameters for
+    finiteness.
     """
 
     def __init__(self, arch: MlpArch):
         self.arch = arch
         self.layers = layer_slices(arch)
 
-    def init_params(self, seed: int) -> ParamVector:
+    def init_params(self, seed: int) -> np.ndarray:
         return init_mlp(self.arch, seed)
 
     def loss_grad(self, params, features, labels, prox_mu=0.0, prox_anchor=None):
@@ -193,6 +196,12 @@ def _epoch_batches(generator, rows: np.ndarray, batch_size: int):
         yield perm[start:stop], order[start:stop]
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array, marked read-only in place and returned."""
+    array.setflags(write=False)
+    return array
+
+
 def _flagged_numerics():
     """Silence numpy's overflow and invalid-value warnings.
 
@@ -210,7 +219,9 @@ def _local_loop(w_start, view, cfg, round_idx, objective, prox_mu=0.0, correctio
     to, and neither are the view's arrays nor the gradients the objective
     returns. correction, when given, is added to every raw gradient before
     the momentum step (scaffold's c - c_i). Returns (final array, tau, mean
-    loss, diverged); a step whose loss or new parameters are non-finite, or
+    loss, diverged); the final array is w_start itself if no step was taken,
+    else the loop's own buffer, marked read-only. A step whose loss or new
+    parameters are non-finite, or
     whose objective raises NumericError, is dropped and the last finite
     model is returned with diverged set. A non-finite gradient always
     reaches the new parameters (lr > 0, finite momentum), so checking those
@@ -258,11 +269,13 @@ def _local_loop(w_start, view, cfg, round_idx, objective, prox_mu=0.0, correctio
             if diverged:
                 break
     mean_loss = float(np.mean(losses)) if losses else float("nan")
+    if params is not w_start:
+        _read_only(params)
     return params, max(len(losses), 1), mean_loss, diverged
 
 
 def local_train_sgd(
-    w_t: ParamVector,
+    w_t: np.ndarray,
     view: PartyView,
     cfg: FedRunConfig,
     prox_mu: float,
@@ -276,71 +289,68 @@ def local_train_sgd(
     to plain training.
     """
     final, tau, mean_loss, diverged = _local_loop(
-        w_t.values, view, cfg, round_idx, objective, prox_mu=prox_mu
+        w_t, view, cfg, round_idx, objective, prox_mu=prox_mu
     )
     return LocalUpdate(
         party_id=view.party_id,
         tau=tau,
         n_samples=view.n_samples,
         train_loss=mean_loss,
-        final_params=w_t.with_values(final),
+        final_params=final,
         diverged=diverged,
     )
 
 
 def local_train_scaffold(
-    w_t: ParamVector,
-    server_control: ParamVector,
+    w_t: np.ndarray,
+    server_control: np.ndarray,
     client: ClientState,
     cfg: FedRunConfig,
     round_idx: int,
     objective,
-) -> tuple[LocalUpdate, ParamVector]:
+) -> tuple[LocalUpdate, np.ndarray]:
     """Control-variate-corrected local training.
 
     Every minibatch gradient is shifted by (c - c_i) before the momentum
     step. The refreshed client control c* is either the full local-data
     gradient at the incoming global model (option "i") or the cheap reuse
     c_i - c + (w_t - w_final) / (tau * lr) (option "ii"). Returns the update
-    (carrying delta_control = c* - c_i) and the new c_i. If c* or c* - c_i
-    is non-finite, the party is flagged diverged, keeps its c_i and reports
-    a zero delta_control.
+    (carrying delta_control = c* - c_i) and the new c_i, both read-only. If
+    c* or c* - c_i is non-finite, the party is flagged diverged, keeps its
+    c_i and reports a zero delta_control.
     """
     c_i = client.control
     if c_i is None or server_control is None:
         raise ProtocolError("scaffold training requires both control variates")
-    if c_i.shapes != w_t.shapes or server_control.shapes != w_t.shapes:
+    if c_i.shape != w_t.shape or server_control.shape != w_t.shape:
         raise ProtocolError("control variate shapes do not match the model")
     view = client.view
     with _flagged_numerics():
         # Round-constant correction; computing the difference once keeps the
         # zero-control case exactly equal to plain SGD.
-        correction = server_control.values - c_i.values
+        correction = server_control - c_i
         final, tau, mean_loss, diverged = _local_loop(
-            w_t.values, view, cfg, round_idx, objective, correction=correction
+            w_t, view, cfg, round_idx, objective, correction=correction
         )
         if cfg.scaffold_c_option == "i":
-            refreshed = objective.full_grad(w_t.values, view.features, view.labels)
+            refreshed = objective.full_grad(w_t, view.features, view.labels)
         else:
             step_scale = 1.0 / (tau * cfg.local_lr)
-            refreshed = (
-                c_i.values - server_control.values + step_scale * (w_t.values - final)
-            )
-        delta_control = refreshed - c_i.values
+            refreshed = c_i - server_control + step_scale * (w_t - final)
+        delta_control = refreshed - c_i
     if np.isfinite(refreshed).all() and np.isfinite(delta_control).all():
-        new_control = w_t.with_values(refreshed)
-        delta_control = w_t.with_values(delta_control)
+        new_control = _read_only(refreshed)
     else:
         diverged = True
         new_control = c_i
-        delta_control = zeros_like(c_i)
+        delta_control = np.zeros_like(c_i)
     update = LocalUpdate(
         party_id=view.party_id,
         tau=tau,
         n_samples=view.n_samples,
         train_loss=mean_loss,
-        final_params=w_t.with_values(final),
-        delta_control=delta_control,
+        final_params=final,
+        delta_control=_read_only(delta_control),
         diverged=diverged,
     )
     return update, new_control
@@ -352,26 +362,21 @@ def _sorted_updates(updates) -> list[LocalUpdate]:
     return sorted(updates, key=lambda u: u.party_id)
 
 
-def aggregate_weighted(
-    w_t: ParamVector, updates, server_lr: float
-) -> ParamVector:
+def aggregate_weighted(w_t: np.ndarray, updates, server_lr: float) -> np.ndarray:
     """w' = w - server_lr * sum_i (n_i / n) * delta_i, ascending party order.
 
     Evaluated with compensated arithmetic so that zero deltas leave w intact
     and a single unit-weight party hands back exactly its final model.
+    Returns a new read-only array, which may be non-finite.
     """
     ordered = _sorted_updates(updates)
     total = sum(u.n_samples for u in ordered)
     coeffs = [u.n_samples / total for u in ordered]
-    finals = [u.final_params.values for u in ordered]
-    return ParamVector(
-        combine_updates(w_t.values, coeffs, finals, server_lr), w_t.shapes
-    )
+    finals = [u.final_params for u in ordered]
+    return _read_only(combine_updates(w_t, coeffs, finals, server_lr))
 
 
-def aggregate_fednova(
-    w_t: ParamVector, updates, server_lr: float
-) -> ParamVector:
+def aggregate_fednova(w_t: np.ndarray, updates, server_lr: float) -> np.ndarray:
     """Normalized averaging: local deltas are rescaled by step counts.
 
     Party i's effective coefficient is
@@ -388,10 +393,8 @@ def aggregate_fednova(
     total = sum(u.n_samples for u in ordered)
     step_mass = sum(u.n_samples * u.tau for u in ordered)
     coeffs = [step_mass * u.n_samples / (total * total * u.tau) for u in ordered]
-    finals = [u.final_params.values for u in ordered]
-    return ParamVector(
-        combine_updates(w_t.values, coeffs, finals, server_lr), w_t.shapes
-    )
+    finals = [u.final_params for u in ordered]
+    return _read_only(combine_updates(w_t, coeffs, finals, server_lr))
 
 
 def aggregate_scaffold(
@@ -400,7 +403,7 @@ def aggregate_scaffold(
     """Weighted parameter aggregate plus c' = c + (1/N) * sum of delta_c.
 
     The control sum runs over the sampled parties but is divided by the
-    total party count.
+    total party count. Both new arrays are read-only and may be non-finite.
     """
     ordered = _sorted_updates(updates)
     if state.control is None:
@@ -408,12 +411,10 @@ def aggregate_scaffold(
     if any(u.delta_control is None for u in ordered):
         raise ProtocolError("scaffold aggregation requires delta_control on every update")
     new_params = aggregate_weighted(state.params, ordered, server_lr)
-    control_sum = np.zeros_like(state.control.values)
+    control_sum = np.zeros_like(state.control)
     for update in ordered:
-        control_sum += update.delta_control.values
-    new_control = ParamVector(
-        state.control.values + control_sum / n_parties, state.control.shapes
-    )
+        control_sum += update.delta_control
+    new_control = _read_only(state.control + control_sum / n_parties)
     return GlobalState(state.round + 1, new_params, new_control)
 
 
@@ -436,9 +437,9 @@ def run_round(
 
     Parties train one after another in ascending id; each draws from its own
     (seed, round, party) stream, so its update does not depend on that order.
-    If the aggregate goes non-finite, the round keeps the global model, the
-    server control and every client control, and returns a state marked
-    diverged; its traffic still counts.
+    If the new model or the new server control has a non-finite entry, the
+    round keeps the global model, the server control and every client
+    control, and returns a state marked diverged; its traffic still counts.
     """
     selected = sample_parties(
         cfg.n_parties, cfg.sample_fraction, round_idx, cfg.master_seed
@@ -457,16 +458,18 @@ def run_round(
                 state.params, clients[party_id].view, cfg, prox_mu, round_idx, objective
             )
         updates.append(update)
-    try:
-        with _flagged_numerics():
-            if cfg.algorithm == "scaffold":
-                new_state = aggregate_scaffold(state, updates, cfg.n_parties, cfg.server_lr)
-            else:
-                combine = aggregate_fednova if cfg.algorithm == "fednova" else aggregate_weighted
-                new_state = GlobalState(
-                    state.round + 1, combine(state.params, updates, cfg.server_lr)
-                )
-    except NumericError:
+    with _flagged_numerics():
+        if cfg.algorithm == "scaffold":
+            new_state = aggregate_scaffold(state, updates, cfg.n_parties, cfg.server_lr)
+        else:
+            combine = aggregate_fednova if cfg.algorithm == "fednova" else aggregate_weighted
+            new_state = GlobalState(
+                state.round + 1, combine(state.params, updates, cfg.server_lr)
+            )
+    if not (
+        np.isfinite(new_state.params).all()
+        and (new_state.control is None or np.isfinite(new_state.control).all())
+    ):
         kept = GlobalState(state.round + 1, state.params, state.control, diverged=True)
         return kept, updates, n_bytes
     # Client controls change only once the aggregate is known to be finite.
@@ -515,12 +518,10 @@ def run_experiment(
         ds_train, partition_spec, cfg.n_parties, partition_seed(cfg.master_seed)
     )
     params = objective.init_params(rng.derive_seed(cfg.master_seed, rng.TAG_INIT))
-    control = zeros_like(params) if cfg.algorithm == "scaffold" else None
+    # Controls are read-only, so one zero array can start all of them.
+    control = _read_only(np.zeros_like(params)) if cfg.algorithm == "scaffold" else None
     state = GlobalState(0, params, control)
-    clients = [
-        ClientState(view.party_id, view, zeros_like(params) if control is not None else None)
-        for view in views
-    ]
+    clients = [ClientState(view.party_id, view, control) for view in views]
 
     records = [
         RoundRecord(0, objective.accuracy(state.params, ds_test), None, 0, 0, False)

@@ -32,7 +32,7 @@ from .datasets import (
 )
 from .engine import partition_seed, run_experiment
 from .errors import ConfigError, ReportError
-from .nn import Batch, MlpArch, backward, finite_diff_grad, init_mlp
+from .nn import MlpArch, backward, finite_diff_grad, init_mlp, layer_slices
 from .partition import build_views, export_partition, export_stats_csv, partition_stats
 
 RESULTS_FILE = "results.jsonl"
@@ -40,6 +40,12 @@ SUMMARY_FILE = "summary.csv"
 REPORT_FILE = "report.csv"
 WINS_FILE = "wins.csv"
 CURVES_DIR = "curves"
+
+# Keys cmd_report reads from every results record.
+RECORD_KEYS = (
+    "trial", "round", "algorithm", "mu", "local_epochs", "test_accuracy",
+    "mean_train_loss", "bytes",
+)
 
 GRADCHECK_CASES = 100
 GRADCHECK_TOLERANCE = 1e-4
@@ -236,6 +242,33 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     return {"results": results_path, "summary": summary_path}
 
 
+def _read_records(path) -> list[dict]:
+    """The records of one results file. ReportError names the file, and the
+    line of a record that is not ASCII, not a JSON object or lacks a key."""
+    records = []
+    try:
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                where = f"{path}, line {lineno}"
+                try:
+                    record = json.loads(line.decode("ascii"))
+                except UnicodeDecodeError:
+                    raise ReportError(f"{where}: non-ASCII bytes") from None
+                except json.JSONDecodeError as exc:
+                    raise ReportError(f"{where}: not valid JSON ({exc.msg})") from None
+                if not isinstance(record, dict):
+                    raise ReportError(f"{where}: expected a JSON object")
+                missing = [key for key in RECORD_KEYS if key not in record]
+                if missing:
+                    raise ReportError(f"{where}: record lacks {', '.join(missing)}")
+                records.append(record)
+    except OSError as exc:
+        raise ReportError(f"cannot read {path}: {exc}") from None
+    return records
+
+
 def _load_results(results_dir) -> list[tuple[str, dict]]:
     try:
         names = sorted(
@@ -245,10 +278,8 @@ def _load_results(results_dir) -> list[tuple[str, dict]]:
         raise ReportError(f"cannot list {results_dir}: {exc}") from None
     rows = []
     for name in names:
-        with open(os.path.join(results_dir, name), "r", encoding="ascii") as fh:
-            for line in fh:
-                if line.strip():
-                    rows.append((name[: -len(".jsonl")], json.loads(line)))
+        records = _read_records(os.path.join(results_dir, name))
+        rows.extend((name[: -len(".jsonl")], record) for record in records)
     if not rows:
         raise ReportError(f"no .jsonl results under {results_dir}")
     return rows
@@ -354,6 +385,8 @@ def gradient_check(
     sign_flip_layer negates one layer's weight gradient before comparison;
     it exists so tests can prove the check catches a broken gradient.
     """
+    if n_cases < 1:
+        raise ConfigError(f"gradcheck needs at least 1 case, got {n_cases}")
     worst = 0.0
     for case in range(n_cases):
         generator = np.random.default_rng(np.random.SeedSequence([seed, case]))
@@ -362,25 +395,17 @@ def gradient_check(
         dims.append(int(generator.integers(2, 5)))
         arch = MlpArch(tuple(dims))
         params = init_mlp(arch, rng.derive_seed(seed, case, 1))
-        params = params.with_values(
-            params.values + 0.1 * generator.standard_normal(len(params))
-        )
+        params = params + 0.1 * generator.standard_normal(arch.n_params())
         m = int(generator.integers(1, 6))
-        batch = Batch(
-            generator.standard_normal((m, arch.in_dim)),
-            generator.integers(0, arch.out_dim, size=m),
-        )
-        _, analytic = backward(params, arch, batch)
-        numeric = finite_diff_grad(params, arch, batch, GRADCHECK_STEP)
-        analytic_values = analytic.values
+        features = generator.standard_normal((m, arch.in_dim))
+        labels = generator.integers(0, arch.out_dim, size=m)
+        _, analytic = backward(params, arch, features, labels)
+        numeric = finite_diff_grad(params, arch, features, labels, GRADCHECK_STEP)
         if sign_flip_layer is not None:
-            parts = [p.copy() for p in analytic.split()]
-            parts[2 * sign_flip_layer] *= -1.0
-            analytic_values = np.concatenate([p.reshape(-1) for p in parts])
-        gap = np.abs(analytic_values - numeric.values)
-        scale = np.maximum(
-            1.0, np.maximum(np.abs(analytic_values), np.abs(numeric.values))
-        )
+            start, stop, _, _ = layer_slices(arch)[sign_flip_layer]
+            analytic[start:stop] *= -1.0
+        gap = np.abs(analytic - numeric)
+        scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
         worst = max(worst, float((gap / scale).max()))
     return worst
 

@@ -1,18 +1,22 @@
 """Dense MLP core: flat parameter vectors, forward/backward, SGD with momentum.
 
-Models are plain float64 vectors plus shape metadata, so aggregation, control
-variates and gradient checks can treat a network as ordinary linear algebra.
-Hidden layers use ReLU, the output layer is linear (logits), and the loss is
-softmax cross-entropy. Identical inputs give bit-identical outputs, and every
-function here except momentum_update is pure: inputs are never mutated.
+A model, a gradient and a control variate are the same thing: a 1-d float64
+array of arch.n_params() entries, laid out as layer_slices(arch) describes
+(per layer a row-major weight matrix followed by its bias). Aggregation,
+control variates and gradient checks therefore treat a network as ordinary
+linear algebra. Hidden layers use ReLU, the output layer is linear (logits),
+and the loss is softmax cross-entropy. Identical inputs give bit-identical
+outputs, and every function here except momentum_update is pure: inputs are
+never mutated.
 
-The public functions take ParamVector/Batch values and validate them on
-every call. Local training instead runs the unchecked array forms they
-delegate to (`_loss_grad`, `momentum_update`), so there is a single chain
-rule and a single momentum rule; its callers validate data and models once,
-at round boundaries. momentum_update works in place on buffers its caller
-owns, so a local step streams each model-sized vector through memory once
-per operation instead of allocating a fresh temporary for each.
+The public functions (forward, backward, predict_accuracy,
+finite_diff_grad) validate their inputs on every call. Local training
+instead runs the unchecked kernels they delegate to (`_loss_grad`,
+`momentum_update`), so there is a single chain rule and a single momentum
+rule; its callers validate data and models once, at round boundaries.
+momentum_update works in place on buffers its caller owns, so a local step
+streams each model-sized vector through memory once per operation instead
+of allocating a fresh temporary for each.
 """
 
 from __future__ import annotations
@@ -22,10 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
-
-
-def _shape_size(shape) -> int:
-    return shape[0] * shape[1] if isinstance(shape, tuple) else int(shape)
 
 
 @dataclass(frozen=True)
@@ -50,112 +50,15 @@ class MlpArch:
     def out_dim(self) -> int:
         return self.layer_dims[-1]
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_dims) - 1
-
-    def param_shapes(self) -> tuple:
-        """Interleaved (rows, cols) weight shapes and int bias lengths."""
-        shapes = []
-        for fan_in, fan_out in zip(self.layer_dims[:-1], self.layer_dims[1:]):
-            shapes.append((fan_in, fan_out))
-            shapes.append(fan_out)
-        return tuple(shapes)
-
     def n_params(self) -> int:
-        return sum(_shape_size(s) for s in self.param_shapes())
+        return layer_slices(self)[-1][3]  # the output bias ends the vector
 
 
-@dataclass(frozen=True)
-class ParamVector:
-    """Flat float64 parameter vector plus the layer shapes packed into it.
-
-    ``shapes`` holds (rows, cols) tuples for weight matrices and plain ints
-    for bias lengths. The backing array is copied on construction and frozen
-    read-only, so one global model can be handed to every party of a round
-    without any party's training changing what the next one sees.
-    Construction rejects non-finite entries.
-    """
-
-    values: np.ndarray
-    shapes: tuple
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64, copy=True).reshape(-1)
-        shapes = tuple(
-            (int(s[0]), int(s[1])) if isinstance(s, (tuple, list)) else int(s)
-            for s in self.shapes
-        )
-        expected = sum(_shape_size(s) for s in shapes)
-        if values.size != expected:
-            raise ShapeError(
-                f"flat length {values.size} does not match shapes total {expected}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise NumericError("parameter vector contains non-finite entries")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "shapes", shapes)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def split(self) -> list[np.ndarray]:
-        """Read-only views of the flat vector, reshaped per layer."""
-        out, offset = [], 0
-        for shape in self.shapes:
-            size = _shape_size(shape)
-            chunk = self.values[offset : offset + size]
-            out.append(chunk.reshape(shape) if isinstance(shape, tuple) else chunk)
-            offset += size
-        return out
-
-    def with_values(self, values: np.ndarray) -> "ParamVector":
-        return ParamVector(values, self.shapes)
-
-    @staticmethod
-    def zeros(shapes) -> "ParamVector":
-        total = sum(_shape_size(s) for s in shapes)
-        return ParamVector(np.zeros(total), shapes)
-
-
-def zeros_like(params: ParamVector) -> ParamVector:
-    return ParamVector.zeros(params.shapes)
-
-
-@dataclass(frozen=True)
-class Batch:
-    """A minibatch: (m, d) feature matrix and m integer class labels."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
-        if features.ndim != 2:
-            raise ShapeError(f"batch features must be 2-d, got shape {features.shape}")
-        if features.shape[0] != labels.shape[0]:
-            raise ShapeError(
-                f"{features.shape[0]} feature rows vs {labels.shape[0]} labels"
-            )
-        if features.shape[0] < 1:
-            raise DataError("batch must contain at least one sample")
-        if labels.size and labels.min() < 0:
-            raise DataError("labels must be non-negative class ids")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
-
-
-def init_mlp(arch: MlpArch, seed: int) -> ParamVector:
+def init_mlp(arch: MlpArch, seed: int) -> np.ndarray:
     """Initialize weights uniformly in the Glorot range, biases at zero.
 
     Per layer the range is +-sqrt(6 / (fan_in + fan_out)). Deterministic for
-    a given seed.
+    a given seed. The returned array is read-only.
     """
     rng = np.random.default_rng(seed)
     parts = []
@@ -163,16 +66,36 @@ def init_mlp(arch: MlpArch, seed: int) -> ParamVector:
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         parts.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).reshape(-1))
         parts.append(np.zeros(fan_out))
-    return ParamVector(np.concatenate(parts), arch.param_shapes())
+    w = np.concatenate(parts)
+    w.setflags(write=False)
+    return w
 
 
-def _check_model_inputs(params: ParamVector, arch: MlpArch, features: np.ndarray):
-    if params.shapes != arch.param_shapes():
-        raise ShapeError("parameter shapes do not match the architecture")
-    if features.shape[1] != arch.in_dim:
-        raise ShapeError(
-            f"feature width {features.shape[1]} != architecture input {arch.in_dim}"
-        )
+def _check_params(w, arch: MlpArch) -> np.ndarray:
+    """w as a finite 1-d float64 array of arch.n_params() entries."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (arch.n_params(),):
+        raise ShapeError(f"parameters of shape {w.shape}, expected ({arch.n_params()},)")
+    if not np.isfinite(w).all():
+        raise NumericError("parameters contain non-finite entries")
+    return w
+
+
+def _check_data(features, labels, arch: MlpArch):
+    """features as float64 (m, in) rows, m >= 1, and labels (unless None) as
+    m non-negative int64 class ids."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != arch.in_dim:
+        raise ShapeError(f"features of shape {features.shape}, input width {arch.in_dim}")
+    if features.shape[0] < 1:
+        raise DataError("need at least one sample")
+    if labels is not None:
+        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+        if labels.shape[0] != features.shape[0]:
+            raise ShapeError(f"{features.shape[0]} feature rows vs {labels.shape[0]} labels")
+        if labels.min() < 0:
+            raise DataError("labels must be non-negative class ids")
+    return features, labels
 
 
 def check_labels(labels: np.ndarray, n_classes: int):
@@ -184,23 +107,21 @@ def check_labels(labels: np.ndarray, n_classes: int):
         )
 
 
-def forward(params: ParamVector, arch: MlpArch, batch: Batch) -> np.ndarray:
-    """Logits (m, out) for a batch; ReLU hidden layers, linear output."""
-    _check_model_inputs(params, arch, batch.features)
-    layers = params.split()
-    a = batch.features
-    for layer in range(arch.n_layers):
-        weight, bias = layers[2 * layer], layers[2 * layer + 1]
-        z = a @ weight + bias
-        a = np.maximum(z, 0.0) if layer < arch.n_layers - 1 else z
+def _logits(layers, w, features):
+    """Unchecked forward pass of float64 feature rows through flat w."""
+    a = features
+    last = len(layers) - 1
+    for layer, (start, stop, shape, bias_stop) in enumerate(layers):
+        z = a @ w[start:stop].reshape(shape) + w[stop:bias_stop]
+        a = np.maximum(z, 0.0) if layer < last else z
     return a
 
 
-def _log_softmax_terms(logits: np.ndarray):
-    # Row max is subtracted before exponentiation so huge logits cannot overflow.
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    return shifted, log_norm
+def forward(w, arch: MlpArch, features) -> np.ndarray:
+    """Logits (m, out) for m feature rows; ReLU hidden layers, linear output."""
+    w = _check_params(w, arch)
+    features, _ = _check_data(features, None, arch)
+    return _logits(layer_slices(arch), w, features)
 
 
 def cross_entropy_loss(logits: np.ndarray, labels) -> float:
@@ -212,7 +133,9 @@ def cross_entropy_loss(logits: np.ndarray, labels) -> float:
             f"logits shape {logits.shape} incompatible with {labels.shape[0]} labels"
         )
     check_labels(labels, logits.shape[1])
-    shifted, log_norm = _log_softmax_terms(logits)
+    # Row max is subtracted before exponentiation so huge logits cannot overflow.
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
     picked = shifted[np.arange(labels.shape[0]), labels]
     return float(np.mean(log_norm - picked))
 
@@ -283,13 +206,9 @@ def _loss_grad(layers, w, features, labels, prox_mu, anchor):
 
 
 def backward(
-    params: ParamVector,
-    arch: MlpArch,
-    batch: Batch,
-    prox_mu: float = 0.0,
-    prox_anchor: ParamVector | None = None,
-) -> tuple[float, ParamVector]:
-    """Mean loss and its gradient, optionally with a proximal penalty.
+    w, arch: MlpArch, features, labels, prox_mu: float = 0.0, anchor=None
+) -> tuple[float, np.ndarray]:
+    """Mean loss and its flat gradient, optionally with a proximal penalty.
 
     With prox_mu > 0 the objective gains (mu/2) * ||w - anchor||^2, whose
     gradient contribution is mu * (w - anchor). prox_mu == 0 takes a branch
@@ -299,22 +218,21 @@ def backward(
     """
     if prox_mu < 0:
         raise ConfigError(f"prox_mu must be >= 0, got {prox_mu}")
+    w = _check_params(w, arch)
     if prox_mu > 0:
-        if prox_anchor is None:
+        if anchor is None:
             raise ShapeError("prox_mu > 0 requires a proximal anchor")
-        if prox_anchor.shapes != params.shapes:
-            raise ShapeError("proximal anchor shapes do not match parameters")
-    _check_model_inputs(params, arch, batch.features)
-    check_labels(batch.labels, arch.out_dim)
-    loss, flat = _loss_grad(
-        layer_slices(arch), params.values, batch.features, batch.labels, prox_mu,
-        prox_anchor.values if prox_mu > 0 else None,
-    )
-    return loss, ParamVector(flat, params.shapes)
+        anchor = _check_params(anchor, arch)
+    features, labels = _check_data(features, labels, arch)
+    check_labels(labels, arch.out_dim)
+    loss, grad = _loss_grad(layer_slices(arch), w, features, labels, prox_mu, anchor)
+    if not np.isfinite(grad).all():
+        raise NumericError("gradient contains non-finite entries")
+    return loss, grad
 
 
 def momentum_update(w, grad, velocity, lr: float, momentum: float, out) -> None:
-    """Unchecked, in-place array form of sgd_momentum_step.
+    """Unchecked, in-place SGD-with-momentum step on flat arrays.
 
     Overwrites velocity with v' = momentum*v + g and writes w' = w - lr*v'
     into out; w and grad are only read. out must be a separate buffer that
@@ -328,66 +246,41 @@ def momentum_update(w, grad, velocity, lr: float, momentum: float, out) -> None:
     np.subtract(w, out, out=out)
 
 
-def sgd_momentum_step(
-    params: ParamVector,
-    grad: ParamVector,
-    velocity: ParamVector,
-    lr: float,
-    momentum: float,
-) -> tuple[ParamVector, ParamVector]:
-    """One step of v' = momentum*v + g; w' = w - lr*v'."""
-    if not lr > 0:
-        raise ConfigError(f"learning rate must be > 0, got {lr}")
-    if not 0.0 <= momentum < 1.0:
-        raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
-    if not (np.isfinite(lr) and np.isfinite(momentum)):
-        raise NumericError("non-finite learning rate or momentum")
-    if grad.shapes != params.shapes or velocity.shapes != params.shapes:
-        raise ShapeError("gradient/velocity shapes do not match parameters")
-    new_params = np.empty_like(params.values)
-    new_velocity = velocity.values.copy()
-    momentum_update(params.values, grad.values, new_velocity, lr, momentum, new_params)
-    return ParamVector(new_params, params.shapes), ParamVector(new_velocity, params.shapes)
+def predict_accuracy(w, arch: MlpArch, dataset) -> float:
+    """Top-1 accuracy on a dataset; argmax ties go to the lowest class id.
 
-
-def predict_accuracy(params: ParamVector, arch: MlpArch, dataset) -> float:
-    """Top-1 accuracy on a dataset; argmax ties go to the lowest class id."""
-    features = np.asarray(dataset.features, dtype=np.float64)
-    labels = np.asarray(dataset.labels, dtype=np.int64)
-    if features.shape[0] == 0:
-        raise DataError("cannot evaluate accuracy on an empty dataset")
+    The model and the dataset are validated once, then scored in chunks.
+    """
+    w = _check_params(w, arch)
+    features, labels = _check_data(dataset.features, dataset.labels, arch)
+    layers = layer_slices(arch)
     hits = 0
     chunk = 4096
     for start in range(0, features.shape[0], chunk):
         stop = min(start + chunk, features.shape[0])
-        logits = forward(params, arch, Batch(features[start:stop], labels[start:stop]))
+        logits = _logits(layers, w, features[start:stop])
         # np.argmax returns the first maximum, i.e. the lowest class index.
         hits += int(np.sum(np.argmax(logits, axis=1) == labels[start:stop]))
     return hits / features.shape[0]
 
 
-def finite_diff_grad(
-    params: ParamVector, arch: MlpArch, batch: Batch, h: float
-) -> ParamVector:
+def finite_diff_grad(w, arch: MlpArch, features, labels, h: float) -> np.ndarray:
     """Central-difference gradient of the plain cross-entropy loss.
 
-    Test oracle only: it evaluates the loss 2*len(params) times and never
-    shares code with backward's chain rule.
+    Test oracle only: it evaluates the loss 2*len(w) times and never shares
+    code with backward's chain rule.
     """
     if not h > 0:
         raise ConfigError(f"finite-difference step must be > 0, got {h}")
-    base = params.values
+    base = _check_params(w, arch)
+    features, labels = _check_data(features, labels, arch)
     grad = np.empty(base.size)
     for i in range(base.size):
         plus = base.copy()
         plus[i] += h
         minus = base.copy()
         minus[i] -= h
-        loss_plus = cross_entropy_loss(
-            forward(ParamVector(plus, params.shapes), arch, batch), batch.labels
-        )
-        loss_minus = cross_entropy_loss(
-            forward(ParamVector(minus, params.shapes), arch, batch), batch.labels
-        )
+        loss_plus = cross_entropy_loss(forward(plus, arch, features), labels)
+        loss_minus = cross_entropy_loss(forward(minus, arch, features), labels)
         grad[i] = (loss_plus - loss_minus) / (2.0 * h)
-    return ParamVector(grad, params.shapes)
+    return grad

@@ -5,17 +5,16 @@ import numpy as np
 from fedsim import rng
 from fedsim.compensated import two_diff, two_prod, two_sum
 from fedsim.engine import LocalUpdate
-from fedsim.nn import ParamVector
 
 
 def make_update(w_t, party_id, delta, tau, n_samples, delta_control=None):
-    """A LocalUpdate whose final model is w_t - delta."""
+    """A LocalUpdate whose final model is w_t - delta (flat float64 arrays)."""
     return LocalUpdate(
         party_id=party_id,
         tau=tau,
         n_samples=n_samples,
         train_loss=0.0,
-        final_params=ParamVector(w_t.values - delta.values, w_t.shapes),
+        final_params=w_t - delta,
         delta_control=delta_control,
     )
 

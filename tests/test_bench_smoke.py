@@ -17,7 +17,7 @@ WIDE = MlpArch((784, 200, 10)).n_params()  # 159,010 coordinates
 def test_loss_grad_on_fcube_batch(benchmark):
     train, _, _ = fcube_generate(FcubeSpec(n_train=256, n_test=16, seed=0))
     objective = MlpObjective(MlpArch((3, 32, 16, 8, 2)))
-    w = objective.init_params(0).values
+    w = objective.init_params(0)
     features, labels = train.features[:64], train.labels[:64]
     loss, grad = benchmark.pedantic(
         objective.loss_grad, args=(w, features, labels, 0.01, w),

@@ -23,14 +23,14 @@ from fedsim.engine import (
     sample_parties,
 )
 from fedsim.errors import ConfigError, DataError, NumericError, ProtocolError, ShapeError
-from fedsim.nn import Batch, MlpArch, ParamVector, backward, sgd_momentum_step, zeros_like
+from fedsim.nn import MlpArch, backward
 from fedsim.partition import PartitionSpec, PartyView, build_views
 from fedsim import engine, rng
 from helpers import make_update, reference_local_loop
 
 
-def scalar_pv(*values):
-    return ParamVector(np.array(values, dtype=float), (len(values),))
+def flat(*values):
+    return np.array(values, dtype=float)
 
 
 class QuadraticObjective:
@@ -102,19 +102,19 @@ class TestLocalTrainSgd:
         view = PartyView(0, np.arange(4), features, labels)
         cfg = self._cfg(momentum=0.9)
         update = local_train_sgd(w_t, view, cfg, 0.0, round_idx=0, objective=objective)
-        _, grad = backward(w_t, arch, Batch(features, labels))
+        _, grad = backward(w_t, arch, features, labels)
         assert update.tau == 1
-        assert w_t.values - update.final_params.values == pytest.approx(
-            cfg.local_lr * grad.values, rel=1e-12
+        assert w_t - update.final_params == pytest.approx(
+            cfg.local_lr * grad, rel=1e-12
         )
 
     def test_scalar_quadratic_hand_value(self):
         # loss (w-3)^2/2 from w=0: gradient -3, one step of lr 0.1 moves to
         # 0.3.
         update = local_train_sgd(
-            scalar_pv(0.0), one_sample_view(), self._cfg(), 0.0, 0, QuadraticObjective(3.0)
+            flat(0.0), one_sample_view(), self._cfg(), 0.0, 0, QuadraticObjective(3.0)
         )
-        assert update.final_params.values[0] == pytest.approx(0.3, abs=1e-12)
+        assert update.final_params[0] == pytest.approx(0.3, abs=1e-12)
         assert update.tau == 1
 
     def test_tau_counts_epochs_times_batches(self):
@@ -136,7 +136,7 @@ class TestLocalTrainSgd:
         cfg = self._cfg(local_epochs=2, momentum=0.9)
         a = local_train_sgd(w_t, view, cfg, 0.0, 0, objective)
         b = local_train_sgd(w_t, view, cfg, 0.0, 0, objective)
-        assert a.final_params.values.tobytes() == b.final_params.values.tobytes()
+        assert a.final_params.tobytes() == b.final_params.tobytes()
 
     def test_divergence_flag_and_last_finite_model(self):
         class ExplodingObjective(QuadraticObjective):
@@ -152,11 +152,11 @@ class TestLocalTrainSgd:
 
         cfg = self._cfg(local_epochs=5)
         update = local_train_sgd(
-            scalar_pv(1.0), one_sample_view(), cfg, 0.0, 0, ExplodingObjective()
+            flat(1.0), one_sample_view(), cfg, 0.0, 0, ExplodingObjective()
         )
         assert update.diverged
         assert update.tau == 2
-        assert np.all(np.isfinite(update.final_params.values))
+        assert np.all(np.isfinite(update.final_params))
 
     def test_overflow_on_last_minibatch_keeps_previous_model(self):
         # Two one-row batches, lr 0.1, momentum 0.9, gradient 1e308 with a
@@ -168,10 +168,10 @@ class TestLocalTrainSgd:
 
         view = PartyView(0, np.arange(2), np.zeros((2, 1)), np.zeros(2, dtype=int))
         cfg = self._cfg(batch_size=1, momentum=0.9)
-        update = local_train_sgd(scalar_pv(0.0), view, cfg, 0.0, 0, HugeGradient(0.0))
+        update = local_train_sgd(flat(0.0), view, cfg, 0.0, 0, HugeGradient(0.0))
         assert update.diverged
         assert update.tau == 1
-        assert update.final_params.values[0] == 0.0 - 0.1 * 1e308
+        assert update.final_params[0] == 0.0 - 0.1 * 1e308
 
     def test_finite_loss_nonfinite_gradient_flags_divergence(self):
         class NanGradient(QuadraticObjective):
@@ -186,11 +186,11 @@ class TestLocalTrainSgd:
                 return super().loss_grad(params, features, labels, prox_mu, prox_anchor)
 
         cfg = self._cfg(local_epochs=5)
-        update = local_train_sgd(scalar_pv(0.0), one_sample_view(), cfg, 0.0, 0, NanGradient())
+        update = local_train_sgd(flat(0.0), one_sample_view(), cfg, 0.0, 0, NanGradient())
         assert update.diverged
         assert update.tau == 2  # only the two finite steps count
         # Two plain steps on (w-3)^2/2 from 0 with lr 0.1: 0.3, then 0.57.
-        assert update.final_params.values[0] == pytest.approx(0.57, abs=1e-12)
+        assert update.final_params[0] == pytest.approx(0.57, abs=1e-12)
         assert update.train_loss == pytest.approx((4.5 + 0.5 * 2.7**2) / 2, abs=1e-12)
 
     def test_objective_raising_numeric_error_flags_divergence(self):
@@ -206,10 +206,10 @@ class TestLocalTrainSgd:
                 return super().loss_grad(params, features, labels, prox_mu, prox_anchor)
 
         cfg = self._cfg(local_epochs=4)
-        update = local_train_sgd(scalar_pv(0.0), one_sample_view(), cfg, 0.0, 0, Raising())
+        update = local_train_sgd(flat(0.0), one_sample_view(), cfg, 0.0, 0, Raising())
         assert update.diverged
         assert update.tau == 1
-        assert update.final_params.values[0] == pytest.approx(0.3, abs=1e-12)
+        assert update.final_params[0] == pytest.approx(0.3, abs=1e-12)
 
     def test_never_writes_global_model_or_view(self):
         arch = MlpArch((3, 4, 2))
@@ -219,9 +219,9 @@ class TestLocalTrainSgd:
         features = rng_.normal(size=(12, 3))
         labels = rng_.integers(0, 2, 12)
         view = PartyView(0, np.arange(12), features.copy(), labels.copy())
-        before = w_t.values.copy()
+        before = w_t.copy()
         local_train_sgd(w_t, view, self._cfg(local_epochs=2, momentum=0.9), 0.01, 0, objective)
-        assert w_t.values.tobytes() == before.tobytes()
+        assert w_t.tobytes() == before.tobytes()
         assert view.features.tobytes() == features.tobytes()
         assert view.labels.tobytes() == labels.tobytes()
 
@@ -231,20 +231,17 @@ class TestMlpObjective:
         arch = MlpArch((3, 5, 4, 2))
         objective = MlpObjective(arch)
         w = objective.init_params(9)
-        anchor = ParamVector(w.values + 0.01, w.shapes)
+        anchor = w + 0.01
         rng_ = np.random.default_rng(9)
-        batch = Batch(rng_.normal(size=(7, 3)), rng_.integers(0, 2, 7))
+        features, labels = rng_.normal(size=(7, 3)), rng_.integers(0, 2, 7)
         for mu, prox in ((0.0, None), (0.1, anchor)):
-            loss, grad = objective.loss_grad(
-                w.values, batch.features, batch.labels, mu,
-                None if prox is None else prox.values,
-            )
-            ref_loss, ref_grad = backward(w, arch, batch, mu, prox)
+            loss, grad = objective.loss_grad(w, features, labels, mu, prox)
+            ref_loss, ref_grad = backward(w, arch, features, labels, mu, prox)
             assert isinstance(grad, np.ndarray)
             assert loss == ref_loss
-            assert grad.tobytes() == ref_grad.values.tobytes()
-        full = objective.full_grad(w.values, batch.features, batch.labels)
-        assert full.tobytes() == backward(w, arch, batch)[1].values.tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
+        full = objective.full_grad(w, features, labels)
+        assert full.tobytes() == backward(w, arch, features, labels)[1].tobytes()
 
 
 class RecordingObjective(MlpObjective):
@@ -280,7 +277,7 @@ class TestLocalLoopBuffers:
         return w_t, view, FedRunConfig(**base)
 
     def _check_inputs_untouched(self, w_t, w_before, view, features, labels, objective):
-        assert w_t.values.tobytes() == w_before.tobytes()
+        assert w_t.tobytes() == w_before.tobytes()
         assert view.features.tobytes() == features.tobytes()
         assert view.labels.tobytes() == labels.tobytes()
         assert len(objective.returned) == 6  # 2 epochs x ceil(40 / 16) batches
@@ -291,39 +288,39 @@ class TestLocalLoopBuffers:
     def test_sgd_matches_out_of_place_reference_bitwise(self, algorithm):
         w_t, view, cfg = self._party(algorithm)
         prox_mu = cfg.prox_mu if algorithm == "fedprox" else 0.0
-        w_before = w_t.values.copy()
+        w_before = w_t.copy()
         features, labels = view.features.copy(), view.labels.copy()
         objective = RecordingObjective(self.ARCH)
         update = local_train_sgd(w_t, view, cfg, prox_mu, 2, objective)
         final, tau, mean_loss = reference_local_loop(
-            w_t.values, view, cfg, 2, MlpObjective(self.ARCH), prox_mu=prox_mu
+            w_t, view, cfg, 2, MlpObjective(self.ARCH), prox_mu=prox_mu
         )
         assert not update.diverged
         assert (update.tau, update.train_loss) == (tau, mean_loss)
-        assert update.final_params.values.tobytes() == final.tobytes()
+        assert update.final_params.tobytes() == final.tobytes()
         self._check_inputs_untouched(w_t, w_before, view, features, labels, objective)
 
     def test_scaffold_matches_out_of_place_reference_bitwise(self):
         w_t, view, cfg = self._party("scaffold")
         rng_ = np.random.default_rng(42)
-        c = ParamVector(0.01 * rng_.standard_normal(len(w_t)), w_t.shapes)
-        c_i = ParamVector(0.01 * rng_.standard_normal(len(w_t)), w_t.shapes)
-        w_before = w_t.values.copy()
+        c = 0.01 * rng_.standard_normal(len(w_t))
+        c_i = 0.01 * rng_.standard_normal(len(w_t))
+        w_before = w_t.copy()
         features, labels = view.features.copy(), view.labels.copy()
         objective = RecordingObjective(self.ARCH)
         update, new_control = local_train_scaffold(
             w_t, c, ClientState(3, view, c_i), cfg, 2, objective
         )
-        correction = c.values - c_i.values
+        correction = c - c_i
         final, tau, mean_loss = reference_local_loop(
-            w_t.values, view, cfg, 2, MlpObjective(self.ARCH), correction=correction
+            w_t, view, cfg, 2, MlpObjective(self.ARCH), correction=correction
         )
-        refreshed = c_i.values - c.values + (1.0 / (tau * cfg.local_lr)) * (w_t.values - final)
+        refreshed = c_i - c + (1.0 / (tau * cfg.local_lr)) * (w_t - final)
         assert not update.diverged
         assert (update.tau, update.train_loss) == (tau, mean_loss)
-        assert update.final_params.values.tobytes() == final.tobytes()
-        assert new_control.values.tobytes() == refreshed.tobytes()
-        assert update.delta_control.values.tobytes() == (refreshed - c_i.values).tobytes()
+        assert update.final_params.tobytes() == final.tobytes()
+        assert new_control.tobytes() == refreshed.tobytes()
+        assert update.delta_control.tobytes() == (refreshed - c_i).tobytes()
         self._check_inputs_untouched(w_t, w_before, view, features, labels, objective)
 
 
@@ -356,8 +353,8 @@ class TestIndexedView:
         objective = MlpObjective(self.ARCH)
         w_t = objective.init_params(43)
         rng_ = np.random.default_rng(44)
-        c = ParamVector(0.01 * rng_.standard_normal(len(w_t)), w_t.shapes)
-        c_i = ParamVector(0.01 * rng_.standard_normal(len(w_t)), w_t.shapes)
+        c = 0.01 * rng_.standard_normal(len(w_t))
+        c_i = 0.01 * rng_.standard_normal(len(w_t))
         prox_mu = cfg.prox_mu if algorithm == "fedprox" else 0.0
         results = []
         for view in self._views():
@@ -365,13 +362,13 @@ class TestIndexedView:
                 update, control = local_train_scaffold(
                     w_t, c, ClientState(2, view, c_i), cfg, 1, objective
                 )
-                extra = (control.values.tobytes(), update.delta_control.values.tobytes())
+                extra = (control.tobytes(), update.delta_control.tobytes())
             else:
                 update = local_train_sgd(w_t, view, cfg, prox_mu, 1, objective)
                 extra = ()
             assert not update.diverged
             results.append(
-                (update.final_params.values.tobytes(), update.tau, update.train_loss, *extra)
+                (update.final_params.tobytes(), update.tau, update.train_loss, *extra)
             )
         assert results[0] == results[1]
 
@@ -387,7 +384,7 @@ class InfiniteFullGrad(QuadraticObjective):
         return np.array([np.inf])
 
     def init_params(self, seed):
-        return scalar_pv(0.0)
+        return flat(0.0)
 
 
 class TestScaffoldControlOverflow:
@@ -401,32 +398,32 @@ class TestScaffoldControlOverflow:
         return FedRunConfig(**base)
 
     def test_party_flagged_keeps_control_and_reports_zero_delta(self):
-        c_i = scalar_pv(0.25)
+        c_i = flat(0.25)
         client = ClientState(0, one_sample_view(), c_i)
         update, new_control = local_train_scaffold(
-            scalar_pv(0.0), scalar_pv(1.0), client, self._cfg(), 0, InfiniteFullGrad()
+            flat(0.0), flat(1.0), client, self._cfg(), 0, InfiniteFullGrad()
         )
         assert update.diverged
         assert new_control is c_i
-        assert update.delta_control.values.tolist() == [0.0]
+        assert update.delta_control.tolist() == [0.0]
         # The local steps themselves were finite: one step of lr 0.1 on the
         # corrected gradient -3 + (1 - 0.25) lands at 0.225.
         assert update.tau == 1
-        assert update.final_params.values[0] == pytest.approx(0.225, abs=1e-12)
+        assert update.final_params[0] == pytest.approx(0.225, abs=1e-12)
 
     def test_overflowing_control_difference_is_flagged(self):
         # c - c_i = -1e308 - 1e308 overflows: the first corrected step is
         # non-finite, and so is option ii's c* = c_i - c + ...
-        c_i = scalar_pv(1e308)
+        c_i = flat(1e308)
         client = ClientState(0, one_sample_view(), c_i)
         update, new_control = local_train_scaffold(
-            scalar_pv(0.0), scalar_pv(-1e308), client,
+            flat(0.0), flat(-1e308), client,
             self._cfg(scaffold_c_option="ii"), 0, QuadraticObjective(0.0),
         )
         assert update.diverged
         assert new_control is c_i
-        assert update.delta_control.values.tolist() == [0.0]
-        assert update.final_params.values.tolist() == [0.0]
+        assert update.delta_control.tolist() == [0.0]
+        assert update.final_params.tolist() == [0.0]
 
     def test_finite_control_with_overflowing_delta_is_flagged(self):
         # c = c_i = -1e308 (zero correction); one finite step with gradient
@@ -436,29 +433,29 @@ class TestScaffoldControlOverflow:
             def loss_grad(self, params, features, labels, prox_mu=0.0, prox_anchor=None):
                 return 0.0, np.array([1e308])
 
-        c_i = scalar_pv(-1e308)
+        c_i = flat(-1e308)
         client = ClientState(0, one_sample_view(), c_i)
         update, new_control = local_train_scaffold(
-            scalar_pv(0.0), scalar_pv(-1e308), client,
+            flat(0.0), flat(-1e308), client,
             self._cfg(scaffold_c_option="ii"), 0, HugeGradient(0.0),
         )
         assert update.diverged
         assert new_control is c_i
-        assert update.delta_control.values.tolist() == [0.0]
-        assert update.final_params.values.tolist() == [0.0 - 0.1 * 1e308]
+        assert update.delta_control.tolist() == [0.0]
+        assert update.final_params.tolist() == [0.0 - 0.1 * 1e308]
 
     def test_round_completes_and_keeps_client_controls(self):
         cfg = self._cfg()
-        controls = [scalar_pv(0.0) for _ in range(3)]
+        controls = [flat(0.0) for _ in range(3)]
         clients = [ClientState(p, one_sample_view(p), controls[p]) for p in range(3)]
-        state = GlobalState(0, scalar_pv(0.0), scalar_pv(0.5))
+        state = GlobalState(0, flat(0.0), flat(0.5))
         new, updates, _ = run_round(state, clients, cfg, 0, InfiniteFullGrad())
         assert not new.diverged
         assert all(u.diverged for u in updates)
         assert all(client.control is controls[p] for p, client in enumerate(clients))
         # Zero control deltas leave the server control where it was.
-        assert new.control.values.tolist() == [0.5]
-        assert np.isfinite(new.params.values).all()
+        assert new.control.tolist() == [0.5]
+        assert np.isfinite(new.params).all()
 
     def test_run_continues_and_flags_rounds(self):
         train, test, _ = fcube_generate(FcubeSpec(n_train=64, n_test=16, seed=2))
@@ -486,10 +483,10 @@ class TestLocalTrainScaffold:
         rng_ = np.random.default_rng(3)
         view = PartyView(0, np.arange(16), rng_.normal(size=(16, 3)), rng_.integers(0, 2, 16))
         cfg = self._cfg(local_epochs=3, momentum=0.9)
-        client = ClientState(0, view, zeros_like(w_t))
-        update, _ = local_train_scaffold(w_t, zeros_like(w_t), client, cfg, 0, objective)
+        client = ClientState(0, view, np.zeros_like(w_t))
+        update, _ = local_train_scaffold(w_t, np.zeros_like(w_t), client, cfg, 0, objective)
         plain = local_train_sgd(w_t, view, cfg, 0.0, 0, objective)
-        assert update.final_params.values.tobytes() == plain.final_params.values.tobytes()
+        assert update.final_params.tobytes() == plain.final_params.tobytes()
 
     def test_option_ii_single_step_recovers_gradient_at_global(self):
         # With tau=1 and momentum 0: (w_t - w_1) / lr is exactly the corrected
@@ -501,27 +498,27 @@ class TestLocalTrainScaffold:
         features = rng_.normal(size=(4, 2))
         labels = rng_.integers(0, 2, 4)
         view = PartyView(0, np.arange(4), features, labels)
-        c = ParamVector(0.05 * rng_.standard_normal(len(w_t)), w_t.shapes)
-        c_i = ParamVector(0.05 * rng_.standard_normal(len(w_t)), w_t.shapes)
+        c = 0.05 * rng_.standard_normal(len(w_t))
+        c_i = 0.05 * rng_.standard_normal(len(w_t))
         client = ClientState(0, view, c_i)
         update, new_control = local_train_scaffold(
             w_t, c, client, self._cfg(), 0, objective
         )
-        _, grad = backward(w_t, arch, Batch(features, labels))
+        _, grad = backward(w_t, arch, features, labels)
         assert update.tau == 1
-        assert new_control.values == pytest.approx(grad.values, rel=1e-9, abs=1e-12)
+        assert new_control == pytest.approx(grad, rel=1e-9, abs=1e-12)
 
     def test_scalar_hand_values(self):
         # Quadratic (w-3)^2/2 at w_t=0 with c=1, c_i=0: corrected gradient is
         # -3 + 1 = -2, one lr=0.1 step lands at 0.2, and option ii gives
         # c* = 0 - 1 + (0 - 0.2)/0.1 = -3.
-        client = ClientState(0, one_sample_view(), scalar_pv(0.0))
+        client = ClientState(0, one_sample_view(), flat(0.0))
         update, new_control = local_train_scaffold(
-            scalar_pv(0.0), scalar_pv(1.0), client, self._cfg(), 0, QuadraticObjective(3.0)
+            flat(0.0), flat(1.0), client, self._cfg(), 0, QuadraticObjective(3.0)
         )
-        assert update.final_params.values[0] == pytest.approx(0.2, abs=1e-12)
-        assert new_control.values[0] == pytest.approx(-3.0, abs=1e-12)
-        assert update.delta_control.values[0] == pytest.approx(-3.0, abs=1e-12)
+        assert update.final_params[0] == pytest.approx(0.2, abs=1e-12)
+        assert new_control[0] == pytest.approx(-3.0, abs=1e-12)
+        assert update.delta_control[0] == pytest.approx(-3.0, abs=1e-12)
 
     def test_option_i_uses_full_batch_gradient_at_global(self):
         arch = MlpArch((2, 3, 2))
@@ -531,116 +528,116 @@ class TestLocalTrainScaffold:
         features = rng_.normal(size=(6, 2))
         labels = rng_.integers(0, 2, 6)
         view = PartyView(0, np.arange(6), features, labels)
-        client = ClientState(0, view, zeros_like(w_t))
+        client = ClientState(0, view, np.zeros_like(w_t))
         cfg = self._cfg(local_epochs=2, scaffold_c_option="i")
-        _, new_control = local_train_scaffold(w_t, zeros_like(w_t), client, cfg, 0, objective)
-        _, grad = backward(w_t, arch, Batch(features, labels))
-        assert new_control.values.tobytes() == grad.values.tobytes()
+        _, new_control = local_train_scaffold(w_t, np.zeros_like(w_t), client, cfg, 0, objective)
+        _, grad = backward(w_t, arch, features, labels)
+        assert new_control.tobytes() == grad.tobytes()
 
     def test_requires_controls(self):
         client = ClientState(0, one_sample_view(), None)
         with pytest.raises(ProtocolError):
             local_train_scaffold(
-                scalar_pv(0.0), scalar_pv(0.0), client, self._cfg(), 0, QuadraticObjective(1.0)
+                flat(0.0), flat(0.0), client, self._cfg(), 0, QuadraticObjective(1.0)
             )
 
 
 class TestAggregateWeighted:
     def test_single_party_telescopes_to_final_model(self):
         rng_ = np.random.default_rng(7)
-        w_t = ParamVector(rng_.normal(size=20), (20,))
-        final = ParamVector(rng_.normal(size=20) * 1e-6, (20,))
-        update = make_update(w_t, 0, ParamVector(w_t.values - final.values, (20,)), 1, 10)
+        w_t = rng_.normal(size=20)
+        final = rng_.normal(size=20) * 1e-6
+        update = make_update(w_t, 0, w_t - final, 1, 10)
         out = aggregate_weighted(w_t, [update], server_lr=1.0)
-        assert out.values.tobytes() == update.final_params.values.tobytes()
+        assert out.tobytes() == update.final_params.tobytes()
 
     def test_equal_sizes_plain_average(self):
         rng_ = np.random.default_rng(8)
-        w_t = ParamVector(rng_.normal(size=16), (16,))
-        d1 = ParamVector(rng_.normal(size=16), (16,))
-        d2 = ParamVector(rng_.normal(size=16), (16,))
+        w_t = rng_.normal(size=16)
+        d1 = rng_.normal(size=16)
+        d2 = rng_.normal(size=16)
         u1 = make_update(w_t, 0, d1, 1, 25)
         u2 = make_update(w_t, 1, d2, 1, 25)
         out = aggregate_weighted(w_t, [u1, u2], 1.0)
-        expected = (u1.final_params.values + u2.final_params.values) / 2.0
-        assert np.array_equal(out.values, expected)
+        expected = (u1.final_params + u2.final_params) / 2.0
+        assert np.array_equal(out, expected)
 
     def test_hand_weighted_case(self):
         # sizes (1, 3), scalar deltas (4, 0), w_t = 10: 10 - (1/4)*4 = 9.
-        w_t = scalar_pv(10.0)
-        u1 = make_update(w_t, 0, scalar_pv(4.0), 1, 1)
-        u2 = make_update(w_t, 1, scalar_pv(0.0), 1, 3)
+        w_t = flat(10.0)
+        u1 = make_update(w_t, 0, flat(4.0), 1, 1)
+        u2 = make_update(w_t, 1, flat(0.0), 1, 3)
         out = aggregate_weighted(w_t, [u1, u2], 1.0)
-        assert out.values[0] == 9.0
+        assert out[0] == 9.0
 
     def test_zero_deltas_leave_model_unchanged(self):
         rng_ = np.random.default_rng(9)
-        w_t = ParamVector(rng_.normal(size=30), (30,))
+        w_t = rng_.normal(size=30)
         updates = [
-            make_update(w_t, i, ParamVector(np.zeros(30), (30,)), 1, size)
+            make_update(w_t, i, np.zeros(30), 1, size)
             for i, size in enumerate([1, 2, 4])
         ]
         out = aggregate_weighted(w_t, updates, 1.0)
-        assert np.array_equal(out.values, w_t.values)
+        assert np.array_equal(out, w_t)
 
     def test_empty_updates_rejected(self):
         with pytest.raises(ProtocolError):
-            aggregate_weighted(scalar_pv(1.0), [], 1.0)
+            aggregate_weighted(flat(1.0), [], 1.0)
 
     def test_order_independence_of_input_list(self):
         rng_ = np.random.default_rng(10)
-        w_t = ParamVector(rng_.normal(size=8), (8,))
+        w_t = rng_.normal(size=8)
         updates = [
-            make_update(w_t, i, ParamVector(rng_.normal(size=8), (8,)), 1, i + 1)
+            make_update(w_t, i, rng_.normal(size=8), 1, i + 1)
             for i in range(3)
         ]
         a = aggregate_weighted(w_t, updates, 1.0)
         b = aggregate_weighted(w_t, list(reversed(updates)), 1.0)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
 
 
 class TestAggregateFednova:
     def test_equal_tau_bitwise_matches_weighted(self):
         rng_ = np.random.default_rng(11)
-        w_t = ParamVector(rng_.normal(size=40), (40,))
+        w_t = rng_.normal(size=40)
         updates = [
-            make_update(w_t, i, ParamVector(rng_.normal(size=40), (40,)), 7, size)
+            make_update(w_t, i, rng_.normal(size=40), 7, size)
             for i, size in enumerate([3, 5, 11])
         ]
         nova = aggregate_fednova(w_t, updates, 1.0)
         weighted = aggregate_weighted(w_t, updates, 1.0)
-        assert nova.values.tobytes() == weighted.values.tobytes()
+        assert nova.tobytes() == weighted.tobytes()
 
     def test_single_party_telescopes(self):
         rng_ = np.random.default_rng(12)
-        w_t = ParamVector(rng_.normal(size=10), (10,))
-        update = make_update(w_t, 0, ParamVector(rng_.normal(size=10), (10,)), 9, 4)
+        w_t = rng_.normal(size=10)
+        update = make_update(w_t, 0, rng_.normal(size=10), 9, 4)
         out = aggregate_fednova(w_t, [update], 1.0)
-        assert out.values.tobytes() == update.final_params.values.tobytes()
+        assert out.tobytes() == update.final_params.tobytes()
 
     def test_hand_two_party_case(self):
         # sizes (1, 1), tau (1, 2), deltas (1, 2), w_t = 10:
         # coeff = (1*1 + 1*2)/2 = 1.5; sum = 1/(2*1)*1 + 1/(2*2)*2 = 1.0
         # w' = 10 - 1.5*1.0 = 8.5, i.e. coefficients 0.75 and 0.375.
-        w_t = scalar_pv(10.0)
-        u1 = make_update(w_t, 0, scalar_pv(1.0), 1, 1)
-        u2 = make_update(w_t, 1, scalar_pv(2.0), 2, 1)
+        w_t = flat(10.0)
+        u1 = make_update(w_t, 0, flat(1.0), 1, 1)
+        u2 = make_update(w_t, 1, flat(2.0), 2, 1)
         out = aggregate_fednova(w_t, [u1, u2], 1.0)
-        assert out.values[0] == pytest.approx(10.0 - (0.75 * 1.0 + 0.375 * 2.0), abs=1e-12)
+        assert out[0] == pytest.approx(10.0 - (0.75 * 1.0 + 0.375 * 2.0), abs=1e-12)
 
     def test_zero_deltas_conservative(self):
         rng_ = np.random.default_rng(13)
-        w_t = ParamVector(rng_.normal(size=12), (12,))
+        w_t = rng_.normal(size=12)
         updates = [
-            make_update(w_t, i, ParamVector(np.zeros(12), (12,)), tau, 5)
+            make_update(w_t, i, np.zeros(12), tau, 5)
             for i, tau in enumerate([2, 9])
         ]
         out = aggregate_fednova(w_t, updates, 1.0)
-        assert np.array_equal(out.values, w_t.values)
+        assert np.array_equal(out, w_t)
 
     def test_rejects_zero_tau(self):
-        w_t = scalar_pv(1.0)
-        update = make_update(w_t, 0, scalar_pv(0.0), 1, 1)
+        w_t = flat(1.0)
+        update = make_update(w_t, 0, flat(0.0), 1, 1)
         object.__setattr__(update, "tau", 0)
         with pytest.raises(ProtocolError):
             aggregate_fednova(w_t, [update], 1.0)
@@ -651,38 +648,36 @@ class TestAggregateScaffold:
         return GlobalState(0, w, c)
 
     def test_zero_delta_controls_keep_c(self):
-        w = scalar_pv(1.0)
-        state = self._state(w, scalar_pv(0.25))
-        update = make_update(w, 0, scalar_pv(0.0), 1, 1, delta_control=scalar_pv(0.0))
+        w = flat(1.0)
+        state = self._state(w, flat(0.25))
+        update = make_update(w, 0, flat(0.0), 1, 1, delta_control=flat(0.0))
         new = aggregate_scaffold(state, [update], n_parties=4, server_lr=1.0)
-        assert new.control.values[0] == 0.25
+        assert new.control[0] == 0.25
         assert new.round == 1
 
     def test_opposite_controls_cancel(self):
-        w = ParamVector(np.zeros(3), (3,))
-        c = ParamVector(np.array([0.5, -0.5, 0.0]), (3,))
+        w = np.zeros(3)
+        c = np.array([0.5, -0.5, 0.0])
         u = np.array([0.1, -0.2, 0.3])
         updates = [
-            make_update(w, 0, ParamVector(np.zeros(3), (3,)), 1, 1,
-                        delta_control=ParamVector(u, (3,))),
-            make_update(w, 1, ParamVector(np.zeros(3), (3,)), 1, 1,
-                        delta_control=ParamVector(-u, (3,))),
+            make_update(w, 0, np.zeros(3), 1, 1, delta_control=u),
+            make_update(w, 1, np.zeros(3), 1, 1, delta_control=-u),
         ]
         new = aggregate_scaffold(self._state(w, c), updates, n_parties=2, server_lr=1.0)
-        assert np.array_equal(new.control.values, c.values)
+        assert np.array_equal(new.control, c)
 
     def test_single_sampled_party_over_total_count(self):
         # One of N=10 parties reports delta_c = 5: c moves by 5/10.
-        w = scalar_pv(0.0)
-        update = make_update(w, 3, scalar_pv(0.0), 1, 1, delta_control=scalar_pv(5.0))
-        new = aggregate_scaffold(self._state(w, scalar_pv(1.0)), [update], 10, 1.0)
-        assert new.control.values[0] == pytest.approx(1.5, abs=1e-15)
+        w = flat(0.0)
+        update = make_update(w, 3, flat(0.0), 1, 1, delta_control=flat(5.0))
+        new = aggregate_scaffold(self._state(w, flat(1.0)), [update], 10, 1.0)
+        assert new.control[0] == pytest.approx(1.5, abs=1e-15)
 
     def test_missing_delta_control_rejected(self):
-        w = scalar_pv(0.0)
-        update = make_update(w, 0, scalar_pv(0.0), 1, 1)
+        w = flat(0.0)
+        update = make_update(w, 0, flat(0.0), 1, 1)
         with pytest.raises(ProtocolError):
-            aggregate_scaffold(self._state(w, scalar_pv(0.0)), [update], 2, 1.0)
+            aggregate_scaffold(self._state(w, flat(0.0)), [update], 2, 1.0)
 
 
 class TestRunRound:
@@ -696,10 +691,10 @@ class TestRunRound:
         )
         _, views = build_views(train, PartitionSpec("iid"), n_parties, seed)
         params = objective.init_params(seed)
-        control = zeros_like(params) if algorithm == "scaffold" else None
+        control = np.zeros_like(params) if algorithm == "scaffold" else None
         state = GlobalState(0, params, control)
         clients = [
-            ClientState(v.party_id, v, zeros_like(params) if control is not None else None)
+            ClientState(v.party_id, v, np.zeros_like(params) if control is not None else None)
             for v in views
         ]
         return state, clients, cfg, objective
@@ -745,8 +740,8 @@ class TestRunRound:
         for ours, theirs in zip(updates, reversed(reversed_updates)):
             assert ours.party_id == theirs.party_id
             assert np.array_equal(
-                ours.final_params.values.view(np.int64),
-                theirs.final_params.values.view(np.int64),
+                ours.final_params.view(np.int64),
+                theirs.final_params.view(np.int64),
             )
             assert ours.tau == theirs.tau
             assert np.float64(ours.train_loss).view(np.int64) == np.float64(
@@ -754,15 +749,15 @@ class TestRunRound:
             ).view(np.int64)
             if algorithm == "scaffold":
                 assert np.array_equal(
-                    ours.delta_control.values.view(np.int64),
-                    theirs.delta_control.values.view(np.int64),
+                    ours.delta_control.view(np.int64),
+                    theirs.delta_control.view(np.int64),
                 )
 
         if algorithm == "scaffold":
             out_of_order = aggregate_scaffold(state, reversed_updates, 5, cfg.server_lr)
             assert np.array_equal(
-                in_order.control.values.view(np.int64),
-                out_of_order.control.values.view(np.int64),
+                in_order.control.view(np.int64),
+                out_of_order.control.view(np.int64),
             )
             out_of_order = out_of_order.params
         elif algorithm == "fednova":
@@ -770,8 +765,23 @@ class TestRunRound:
         else:
             out_of_order = aggregate_weighted(state.params, reversed_updates, cfg.server_lr)
         assert np.array_equal(
-            in_order.params.values.view(np.int64), out_of_order.values.view(np.int64)
+            in_order.params.view(np.int64), out_of_order.view(np.int64)
         )
+
+    def test_scaffold_round_arrays_are_read_only(self):
+        # The engine shares models and controls instead of copying them, so
+        # none it hands out may be writable.
+        state, clients, cfg, objective = self._setup("scaffold")
+        new, updates, _ = run_round(state, clients, cfg, 0, objective)
+        assert not new.diverged
+        handed_out = [new.params, new.control]
+        handed_out += [u.final_params for u in updates]
+        handed_out += [u.delta_control for u in updates]
+        handed_out += [client.control for client in clients]
+        assert len(handed_out) == 2 + 3 * 4
+        for array in handed_out:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
     def test_full_participation_update_count(self):
         state, clients, cfg, objective = self._setup("fedavg", n_parties=5)
@@ -783,7 +793,7 @@ class TestRunRound:
         new_a, _, _ = run_round(state, clients, cfg, 0, objective)
         state_b, clients_b, cfg_b, objective_b = self._setup("fednova")
         new_b, _, _ = run_round(state_b, clients_b, cfg_b, 0, objective_b)
-        assert new_a.params.values.tobytes() == new_b.params.values.tobytes()
+        assert new_a.params.tobytes() == new_b.params.tobytes()
 
 
 class TestRunExperiment:
@@ -824,7 +834,6 @@ class TestRunExperiment:
             )
             for update in updates:
                 alive.append(weakref.ref(update.final_params))
-                alive.append(weakref.ref(update.final_params.values))
             rounds.append(round_idx)
             return new_state, updates, n_bytes
 
@@ -834,7 +843,7 @@ class TestRunExperiment:
             self._cfg(algorithm=algorithm),
         )
         assert rounds == [0, 1, 2]
-        assert len(alive) == 3 * 2 * 4
+        assert len(alive) == 3 * 4
 
     def test_record_count_and_fields(self):
         train, test, _ = self._fcube()
@@ -876,18 +885,16 @@ class TestRunExperiment:
             view = views[0]
             for round_idx in range(cfg.rounds):
                 generator = rng.stream(cfg.master_seed, rng.TAG_LOCAL, round_idx, 0)
-                velocity = zeros_like(params)
+                velocity = np.zeros_like(params)
                 for _ in range(cfg.local_epochs):
                     perm = generator.permutation(view.n_samples)
                     for start in range(0, view.n_samples, cfg.batch_size):
                         batch_idx = perm[start : start + cfg.batch_size]
                         _, grad = backward(
-                            params, arch,
-                            Batch(view.features[batch_idx], view.labels[batch_idx]),
+                            params, arch, view.features[batch_idx], view.labels[batch_idx]
                         )
-                        params, velocity = sgd_momentum_step(
-                            params, grad, velocity, cfg.local_lr, cfg.momentum
-                        )
+                        velocity = cfg.momentum * velocity + grad
+                        params = params - cfg.local_lr * velocity
             centralized_accuracy = objective.accuracy(params, test)
             assert records[-1].test_accuracy == centralized_accuracy
 
@@ -904,10 +911,10 @@ class TestRunExperiment:
                 return 0.5, np.zeros(len(params))
 
             def init_params(self, seed):
-                return scalar_pv(1.25)
+                return flat(1.25)
 
             def accuracy(self, params, dataset):
-                return float(params.values[0])
+                return float(params[0])
 
         for algorithm in ("fedavg", "fedprox", "scaffold", "fednova"):
             cfg = self._cfg(algorithm=algorithm, rounds=2, n_parties=4)
@@ -928,7 +935,7 @@ class TestRunExperiment:
                 return float("nan"), np.zeros(len(params))
 
             def init_params(self, seed):
-                return scalar_pv(2.0)
+                return flat(2.0)
 
             def accuracy(self, params, dataset):
                 return 0.5
@@ -971,7 +978,7 @@ class TestServerOverflow:
             objective = MlpObjective(arch)
             _, views = build_views(train, PartitionSpec("iid"), 2, 4)
             params = objective.init_params(4)
-            control = zeros_like(params) if algorithm == "scaffold" else None
+            control = np.zeros_like(params) if algorithm == "scaffold" else None
             clients = [ClientState(v.party_id, v, control) for v in views]
             state = GlobalState(0, params, control)
             new, updates, n_bytes = run_round(state, clients, cfg, 0, objective)
@@ -986,6 +993,42 @@ class TestServerOverflow:
             assert records[1].test_accuracy == records[0].test_accuracy
 
 
+class OverflowingControl(QuadraticObjective):
+    """Zero gradients, so every party returns the global model, but a
+    full-data gradient of 1e308: two parties' control deltas sum to inf."""
+
+    def __init__(self):
+        super().__init__(0.0)
+
+    def loss_grad(self, params, features, labels, prox_mu=0.0, prox_anchor=None):
+        return 0.0, np.zeros_like(params)
+
+    def full_grad(self, params, features, labels):
+        return np.full_like(params, 1e308)
+
+
+class TestServerControlOverflow:
+    def test_round_keeps_model_and_controls_and_flags_divergence(self):
+        train, _, _ = fcube_generate(FcubeSpec(n_train=64, n_test=16, seed=6))
+        _, views = build_views(train, PartitionSpec("iid"), 2, 6)
+        cfg = FedRunConfig(
+            algorithm="scaffold", rounds=1, n_parties=2, local_epochs=1, batch_size=16,
+            scaffold_c_option="i", master_seed=6,
+        )
+        params, control = flat(0.5, -0.25), np.zeros(2)
+        client_controls = [np.zeros(2), np.zeros(2)]
+        clients = [ClientState(v.party_id, v, c) for v, c in zip(views, client_controls)]
+        state = GlobalState(0, params, control)
+        new, updates, _ = run_round(state, clients, cfg, 0, OverflowingControl())
+        # The parties and the parameter aggregate are finite; only the
+        # server control c + (1e308 + 1e308) / 2 overflows.
+        assert not any(u.diverged for u in updates)
+        assert all(u.delta_control.tolist() == [1e308, 1e308] for u in updates)
+        assert new.diverged and new.round == 1
+        assert new.params is params and new.control is control
+        assert all(c.control is kept for c, kept in zip(clients, client_controls))
+
+
 class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigError):
@@ -994,6 +1037,8 @@ class TestConfigValidation:
             FedRunConfig(algorithm="fedavg", rounds=-1)
         with pytest.raises(ConfigError):
             FedRunConfig(algorithm="fedavg", momentum=1.0)
+        with pytest.raises(ConfigError):
+            FedRunConfig(algorithm="fedavg", local_lr=0.0)
         with pytest.raises(ConfigError):
             FedRunConfig(algorithm="fedavg", sample_fraction=0.0)
         with pytest.raises(ConfigError):

@@ -114,6 +114,22 @@ class TestLoadConfig:
             parse_config({})
 
     @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"fed": {"algorithms": ["fedavg", "fedavg"]}}, r"fed\.algorithms"),
+            ({"sweeps": {"mu": [1, 0.5, 1.0]}}, r"sweeps\.mu"),
+            ({"sweeps": {"local_epochs": [2, 3, 2]}}, r"sweeps\.local_epochs"),
+            ({"sweeps": {"local_epochs": [True]}}, r"sweeps\.local_epochs"),
+            ({"arch": {"hidden": [True]}}, r"arch\.hidden"),
+        ],
+    )
+    def test_sweep_that_would_misreport_rejected(self, overrides, path):
+        # A repeated entry would run its cells twice and a boolean would be
+        # recorded as `true`: either way the output files misdescribe the run.
+        with pytest.raises(ConfigError, match=rf"config\.{path}"):
+            parse_config(small_run_config(**overrides))
+
+    @pytest.mark.parametrize(
         "dataset, key",
         [
             ({**BLOBS_SMALL, "n_per_class": "ten"}, "n_per_class"),
@@ -466,6 +482,41 @@ class TestCmdReport:
         assert report[0] == "source,local_epochs,fedprox,best"
         assert report[1].split(",")[2] == repr(0.8)
 
+    RECORD = {
+        "trial": 0, "round": 1, "algorithm": "fedavg", "mu": None, "local_epochs": 1,
+        "test_accuracy": 0.5, "mean_train_loss": 1.0, "bytes": 8, "wall_ms": 0,
+        "diverged": False,
+    }
+
+    @pytest.mark.parametrize(
+        "bad_line, cause",
+        [
+            (b'{"trial": 0,', "line 2: not valid JSON"),
+            (
+                json.dumps({k: v for k, v in RECORD.items() if k != "local_epochs"}).encode(),
+                "line 2: record lacks local_epochs",
+            ),
+            (
+                json.dumps({**RECORD, "algorithm": "f\u00e9davg"}, ensure_ascii=False).encode(),
+                "line 2: non-ASCII bytes",
+            ),
+            (None, "cannot read"),
+        ],
+    )
+    def test_unusable_results_file_named(self, tmp_path, capsys, bad_line, cause):
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "runs.jsonl"
+        if bad_line is None:
+            path.mkdir()  # listed as a results file, but cannot be opened as one
+        else:
+            path.write_bytes(json.dumps(self.RECORD).encode() + b"\n" + bad_line + b"\n")
+        with pytest.raises(ReportError, match=cause) as raised:
+            cmd_report(out)
+        assert str(path) in str(raised.value)
+        assert main(["report", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {raised.value}\n"
+
     def test_empty_results_rejected(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
@@ -515,6 +566,13 @@ class TestCli:
     def test_gradcheck_exit_code(self, capsys):
         assert main(["gradcheck", "--cases", "5"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_gradcheck_refuses_fewer_than_one_case(self, capsys, cases):
+        assert main(["gradcheck", "--cases", cases]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: gradcheck needs at least 1 case, got {cases}\n"
 
     def test_missing_dataset_file_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "absent-images.idx"
