@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import harness
 from .config import load_config, override_seed
 from .errors import FedsimError
-from .harness import cmd_gradcheck, cmd_partition, cmd_report, cmd_run
 
 
 def _add_config_args(parser: argparse.ArgumentParser):
@@ -42,8 +42,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_gradcheck = sub.add_parser("gradcheck", help="gradient self-test")
-    p_gradcheck.add_argument("--seed", type=int, default=None, help="override the case seed")
-    p_gradcheck.add_argument("--cases", type=int, default=100, help="number of random nets")
+    p_gradcheck.add_argument("--seed", type=int, default=harness.GRADCHECK_SEED, help="case seed")
+    p_gradcheck.add_argument(
+        "--cases", type=int, default=harness.GRADCHECK_CASES, help="number of random nets"
+    )
 
     return parser
 
@@ -52,22 +54,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "gradcheck":
-            kwargs = {"n_cases": args.cases}
-            if args.seed is not None:
-                kwargs["seed"] = args.seed
-            return cmd_gradcheck(**kwargs)
+            return harness.cmd_gradcheck(n_cases=args.cases, seed=args.seed)
         if args.command == "report":
-            cmd_report(args.out)
+            harness.cmd_report(args.out)
             return 0
         config = load_config(args.config)
         if args.seed is not None:
             config = override_seed(config, args.seed)
         out_dir = args.out if args.out is not None else config.out_dir
         if args.command == "partition":
-            cmd_partition(config, out_dir)
+            harness.cmd_partition(config, out_dir)
             return 0
         if args.command == "run":
-            cmd_run(config, out_dir)
+            harness.cmd_run(config, out_dir)
             return 0
         raise AssertionError(f"unhandled command {args.command}")
     except FedsimError as exc:

@@ -2,55 +2,82 @@
 
 A config file selects a dataset, a partition strategy, a model architecture
 and the federation hyperparameters, plus optional sweep lists and a trial
-count. Unknown keys, type mismatches and invariant violations are rejected
-with the offending key path in the message.
+count. Unknown keys, type mismatches, non-finite numbers and invariant
+violations are rejected with the offending key path in the message.
+
+Each default is declared once: FedRunConfig's and PartitionSpec's field
+defaults, DATASET_OPTIONS and the two dataset-derived tables below, and the
+rest where parse_config reads them. The parsed config is fully resolved.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
+from .datasets import FcubeSpec
 from .engine import ALGORITHMS, FedRunConfig
 from .errors import ConfigError
 from .partition import PartitionSpec
 
-DEFAULT_ROUNDS = 50
-DEFAULT_LOCAL_EPOCHS = 10
-DEFAULT_BATCH_SIZE = 64
-DEFAULT_MOMENTUM = 0.9
-DEFAULT_LR = 0.01
-DEFAULT_PROX_MU = 0.01
-DEFAULT_PARTIES = 10
-DEFAULT_PARTIES_FCUBE = 4
+# Each "fed" key besides "algorithms": the FedRunConfig field it sets and its
+# type. An absent key leaves the field's own default.
+FED_FIELDS = {
+    "rounds": ("rounds", int), "parties": ("n_parties", int),
+    "sample_fraction": ("sample_fraction", float), "local_epochs": ("local_epochs", int),
+    "batch_size": ("batch_size", int), "lr": ("local_lr", float),
+    "momentum": ("momentum", float), "server_lr": ("server_lr", float),
+    "prox_mu": ("prox_mu", float), "scaffold_c_option": ("scaffold_c_option", str),
+    "seed": ("master_seed", int),
+}
 
-# Datasets whose conventional learning rate differs from the default.
+# Datasets whose conventional party count or learning rate replaces
+# FedRunConfig's default.
+PARTIES_BY_DATASET_KIND = {"fcube": 4}
 LR_BY_DATASET_NAME = {"rcv1": 0.1}
 
-# Each dataset kind's options besides "type" and "name", with their types.
+# Each "partition" key besides "type", with its type. Keys are PartitionSpec
+# field names; an absent key leaves the field's own default.
+PARTITION_OPTIONS = {
+    "labels_per_party": int, "beta": float, "min_size": int, "noise_sigma": float,
+}
+
+REQUIRED = object()  # marks a dataset option that has no default
+_TEST_FRACTION = 0.2
+
+# Each dataset kind's options besides "type" and "name": (type, default or
+# REQUIRED). A "seed" of None follows fed.seed (ExperimentConfig.dataset_seed);
+# a libsvm "test_path" of None splits test_fraction off the training file.
 DATASET_OPTIONS = {
-    "fcube": {"n_train": int, "n_test": int, "seed": int},
+    "fcube": {
+        "n_train": (int, FcubeSpec.n_train), "n_test": (int, FcubeSpec.n_test),
+        "seed": (int, None),
+    },
     "blobs": {
-        "n_classes": int, "n_per_class": int, "dim": int, "spread": float,
-        "seed": int, "test_fraction": float,
+        "n_classes": (int, 10), "n_per_class": (int, 500), "dim": (int, 32),
+        "spread": (float, 0.3), "seed": (int, None), "test_fraction": (float, _TEST_FRACTION),
     },
-    "idx": dict.fromkeys(("train_images", "train_labels", "test_images", "test_labels"), str),
+    "idx": dict.fromkeys(
+        ("train_images", "train_labels", "test_images", "test_labels"), (str, REQUIRED)
+    ),
     "libsvm": {
-        "train_path": str, "test_path": str, "n_features": int, "n_classes": int,
-        "label_map": dict, "test_fraction": float,
+        "train_path": (str, REQUIRED), "test_path": (str, None), "n_features": (int, REQUIRED),
+        "n_classes": (int, REQUIRED), "label_map": (dict, REQUIRED),
+        "test_fraction": (float, _TEST_FRACTION),
     },
-    "container": {"train_path": str, "test_path": str},
+    "container": {"train_path": (str, REQUIRED), "test_path": (str, REQUIRED)},
 }
 DATASET_KINDS = tuple(DATASET_OPTIONS)
 
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Dataset selector: a kind plus its kind-specific options."""
+    """Dataset selector: a kind plus every one of its options, defaults filled."""
 
     kind: str
     name: str
-    options: dict = field(default_factory=dict)
+    options: dict
 
 
 @dataclass(frozen=True)
@@ -65,6 +92,12 @@ class ExperimentConfig:
     trials: int
     out_dir: str
 
+    @property
+    def dataset_seed(self) -> int:
+        """The dataset's own "seed" option, or fed.seed where it sets none."""
+        seed = self.dataset.options.get("seed")
+        return self.fed.master_seed if seed is None else seed
+
 
 def _require_mapping(obj, path: str) -> dict:
     if not isinstance(obj, dict):
@@ -72,35 +105,47 @@ def _require_mapping(obj, path: str) -> dict:
     return obj
 
 
-def _reject_unknown(obj: dict, allowed, path: str):
-    for key in obj:
-        if key not in allowed:
+def _section(obj, types: dict, path: str) -> dict:
+    """The keys the object obj sets, each checked against its type in types;
+    a key types does not list is refused."""
+    for key in _require_mapping(obj, path):
+        if key not in types:
             raise ConfigError(f"{path}.{key}: unknown key")
+    return {key: _check(value, types[key], f"{path}.{key}") for key, value in obj.items()}
 
 
-def _get(obj: dict, key: str, kinds, default, path: str):
-    if key not in obj:
-        return default
-    value = obj[key]
-    if kinds is bool:
-        ok = isinstance(value, bool)
-    elif kinds is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        value = float(value) if ok else value
+def _check(value, kinds, path: str):
+    """value, if JSON gave it type kinds; a float may be written as an integer."""
+    if kinds is float:
+        ok = _is_number(value)
+        value = _finite(value, path) if ok else value
     elif kinds is int:
         ok = _is_int(value)
     else:
         ok = isinstance(value, kinds)
     if not ok:
-        raise ConfigError(
-            f"{path}.{key}: expected {getattr(kinds, '__name__', kinds)}, "
-            f"got {type(value).__name__}"
-        )
+        raise ConfigError(f"{path}: expected {kinds.__name__}, got {type(value).__name__}")
     return value
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(value, path: str) -> float:
+    """A JSON number as a float. json accepts NaN and Infinity, and an integer
+    literal may lie beyond float range; all of these are refused."""
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value}")
+    return value
 
 
 def _reject_duplicates(values, path: str):
@@ -110,132 +155,97 @@ def _reject_duplicates(values, path: str):
 
 
 def _parse_dataset(obj, path: str) -> DatasetSpec:
-    obj = _require_mapping(obj, path)
-    kind = _get(obj, "type", str, None, path)
+    kind = _require_mapping(obj, path).get("type")
     if kind not in DATASET_KINDS:
         raise ConfigError(f"{path}.type: expected one of {DATASET_KINDS}, got {kind!r}")
-    types = DATASET_OPTIONS[kind]
-    _reject_unknown(obj, {"type", "name", *types}, path)
-    name = _get(obj, "name", str, kind, path)
-    options = {key: _get(obj, key, types[key], None, path) for key in obj if key in types}
-    if "label_map" in options:
+    table = DATASET_OPTIONS[kind]
+    types = {key: kinds for key, (kinds, _) in table.items()}
+    options = _section(obj, {"type": str, "name": str, **types}, path)
+    del options["type"]
+    name = options.pop("name", kind)
+    for key, (_, default) in table.items():
+        if default is REQUIRED and key not in options:
+            raise ConfigError(f"{path}.{key}: required for {kind} datasets")
+        options.setdefault(key, default)
+    if kind == "libsvm":
         try:
             options["label_map"] = {int(k): int(v) for k, v in options["label_map"].items()}
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{path}.label_map: keys and values must be integers") from None
     return DatasetSpec(kind, name, options)
 
 
 def _parse_partition(obj, path: str) -> PartitionSpec:
-    obj = _require_mapping(obj, path)
-    _reject_unknown(
-        obj, {"type", "labels_per_party", "beta", "min_size", "noise_sigma"}, path
-    )
-    kind = _get(obj, "type", str, "iid", path)
-    beta = _get(obj, "beta", float, None, path)
-    if beta is not None and beta <= 0:
-        raise ConfigError(f"{path}.beta: must be > 0, got {beta}")
-    labels_per_party = _get(obj, "labels_per_party", int, None, path)
-    min_size = _get(obj, "min_size", int, 1, path)
-    noise_sigma = _get(obj, "noise_sigma", float, 0.0, path)
-    if noise_sigma < 0:
-        raise ConfigError(f"{path}.noise_sigma: must be >= 0, got {noise_sigma}")
+    options = _section(obj, {"type": str, **PARTITION_OPTIONS}, path)
+    kind = options.pop("type", "iid")
+    if "beta" in options and options["beta"] <= 0:
+        raise ConfigError(f"{path}.beta: must be > 0, got {options['beta']}")
+    if "noise_sigma" in options and options["noise_sigma"] < 0:
+        raise ConfigError(f"{path}.noise_sigma: must be >= 0, got {options['noise_sigma']}")
     try:
-        return PartitionSpec(
-            kind=kind,
-            labels_per_party=labels_per_party,
-            beta=beta,
-            min_size=min_size,
-            noise_sigma=noise_sigma,
-        )
+        return PartitionSpec(kind, **options)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _parse_fed(obj, dataset: DatasetSpec, path: str) -> tuple[list, FedRunConfig]:
+    types = {key: kinds for key, (_, kinds) in FED_FIELDS.items()}
+    given = _section(obj, {"algorithms": list, **types}, path)
+    algorithms = given.pop("algorithms", ["fedavg"])
+    if not algorithms:
+        raise ConfigError(f"{path}.algorithms: must not be empty")
+    for algorithm in algorithms:
+        if algorithm not in ALGORITHMS:
+            raise ConfigError(f"{path}.algorithms: unknown algorithm {algorithm!r}")
+    _reject_duplicates(algorithms, f"{path}.algorithms")
+    fields = {}
+    if dataset.kind in PARTIES_BY_DATASET_KIND:
+        fields["n_parties"] = PARTIES_BY_DATASET_KIND[dataset.kind]
+    if dataset.name in LR_BY_DATASET_NAME:
+        fields["local_lr"] = LR_BY_DATASET_NAME[dataset.name]
+    for key, value in given.items():
+        fields[FED_FIELDS[key][0]] = value
+    try:
+        return algorithms, FedRunConfig(algorithm=algorithms[0], **fields)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
 def parse_config(raw: dict, source: str = "config") -> ExperimentConfig:
-    raw = _require_mapping(raw, source)
-    _reject_unknown(
-        raw,
-        {"dataset", "partition", "arch", "fed", "sweeps", "trials", "out_dir"},
-        source,
-    )
-    if "dataset" not in raw:
+    sections = dict.fromkeys(("dataset", "partition", "arch", "fed", "sweeps"), object)
+    top = _section(raw, {**sections, "trials": int, "out_dir": str}, source)
+    if "dataset" not in top:
         raise ConfigError(f"{source}.dataset: required")
-    dataset = _parse_dataset(raw["dataset"], f"{source}.dataset")
-    partition = _parse_partition(raw.get("partition", {}), f"{source}.partition")
+    dataset = _parse_dataset(top["dataset"], f"{source}.dataset")
+    partition = _parse_partition(top.get("partition", {}), f"{source}.partition")
 
-    arch_obj = _require_mapping(raw.get("arch", {}), f"{source}.arch")
-    _reject_unknown(arch_obj, {"hidden"}, f"{source}.arch")
-    hidden = _get(arch_obj, "hidden", list, [32, 16, 8], f"{source}.arch")
+    arch = _section(top.get("arch", {}), {"hidden": list}, f"{source}.arch")
+    hidden = arch.get("hidden", [32, 16, 8])
     if not all(_is_int(h) and h >= 1 for h in hidden):
         raise ConfigError(f"{source}.arch.hidden: entries must be integers >= 1")
 
-    fed_obj = _require_mapping(raw.get("fed", {}), f"{source}.fed")
-    _reject_unknown(
-        fed_obj,
-        {
-            "algorithms", "rounds", "parties", "sample_fraction", "local_epochs",
-            "batch_size", "lr", "momentum", "server_lr", "prox_mu",
-            "scaffold_c_option", "seed",
-        },
-        f"{source}.fed",
-    )
-    algorithms = _get(fed_obj, "algorithms", list, ["fedavg"], f"{source}.fed")
-    if not algorithms:
-        raise ConfigError(f"{source}.fed.algorithms: must not be empty")
-    for algorithm in algorithms:
-        if algorithm not in ALGORITHMS:
-            raise ConfigError(
-                f"{source}.fed.algorithms: unknown algorithm {algorithm!r}"
-            )
-    _reject_duplicates(algorithms, f"{source}.fed.algorithms")
-    default_parties = (
-        DEFAULT_PARTIES_FCUBE if dataset.kind == "fcube" else DEFAULT_PARTIES
-    )
-    default_lr = LR_BY_DATASET_NAME.get(dataset.name, DEFAULT_LR)
-    try:
-        fed = FedRunConfig(
-            algorithm=algorithms[0],
-            rounds=_get(fed_obj, "rounds", int, DEFAULT_ROUNDS, f"{source}.fed"),
-            n_parties=_get(fed_obj, "parties", int, default_parties, f"{source}.fed"),
-            sample_fraction=_get(fed_obj, "sample_fraction", float, 1.0, f"{source}.fed"),
-            local_epochs=_get(
-                fed_obj, "local_epochs", int, DEFAULT_LOCAL_EPOCHS, f"{source}.fed"
-            ),
-            batch_size=_get(fed_obj, "batch_size", int, DEFAULT_BATCH_SIZE, f"{source}.fed"),
-            local_lr=_get(fed_obj, "lr", float, default_lr, f"{source}.fed"),
-            momentum=_get(fed_obj, "momentum", float, DEFAULT_MOMENTUM, f"{source}.fed"),
-            server_lr=_get(fed_obj, "server_lr", float, 1.0, f"{source}.fed"),
-            prox_mu=_get(fed_obj, "prox_mu", float, DEFAULT_PROX_MU, f"{source}.fed"),
-            scaffold_c_option=_get(fed_obj, "scaffold_c_option", str, "ii", f"{source}.fed"),
-            master_seed=_get(fed_obj, "seed", int, 0, f"{source}.fed"),
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"{source}.fed: {exc}") from None
+    algorithms, fed = _parse_fed(top.get("fed", {}), dataset, f"{source}.fed")
 
-    sweeps_obj = _require_mapping(raw.get("sweeps", {}), f"{source}.sweeps")
-    _reject_unknown(sweeps_obj, {"mu", "local_epochs"}, f"{source}.sweeps")
-    mu_sweep = _get(sweeps_obj, "mu", list, [fed.prox_mu], f"{source}.sweeps")
+    sweeps = _section(
+        top.get("sweeps", {}), {"mu": list, "local_epochs": list}, f"{source}.sweeps"
+    )
+    mu_sweep = sweeps.get("mu", [fed.prox_mu])
     if not mu_sweep or not all(
-        isinstance(m, (int, float)) and not isinstance(m, bool) and m >= 0
-        for m in mu_sweep
+        _is_number(m) and _finite(m, f"{source}.sweeps.mu") >= 0 for m in mu_sweep
     ):
         raise ConfigError(f"{source}.sweeps.mu: must be a non-empty list of values >= 0")
     mu_sweep = [float(m) for m in mu_sweep]
     _reject_duplicates(mu_sweep, f"{source}.sweeps.mu")
-    epoch_sweep = _get(
-        sweeps_obj, "local_epochs", list, [fed.local_epochs], f"{source}.sweeps"
-    )
+    epoch_sweep = sweeps.get("local_epochs", [fed.local_epochs])
     if not epoch_sweep or not all(_is_int(e) and e >= 1 for e in epoch_sweep):
         raise ConfigError(
             f"{source}.sweeps.local_epochs: must be a non-empty list of integers >= 1"
         )
     _reject_duplicates(epoch_sweep, f"{source}.sweeps.local_epochs")
 
-    trials = _get(raw, "trials", int, 1, source)
+    trials = top.get("trials", 1)
     if trials < 1:
         raise ConfigError(f"{source}.trials: must be >= 1, got {trials}")
-    out_dir = _get(raw, "out_dir", str, "results", source)
 
     return ExperimentConfig(
         dataset=dataset,
@@ -246,7 +256,7 @@ def parse_config(raw: dict, source: str = "config") -> ExperimentConfig:
         mu_sweep=tuple(mu_sweep),
         epoch_sweep=tuple(epoch_sweep),
         trials=trials,
-        out_dir=out_dir,
+        out_dir=top.get("out_dir", "results"),
     )
 
 

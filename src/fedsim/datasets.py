@@ -158,7 +158,7 @@ def blobs_generate(
     """
     if n_classes < 1 or n_per_class < 1 or dim < 1:
         raise ConfigError("n_classes, n_per_class and dim must all be >= 1")
-    if spread < 0:
+    if not spread >= 0:
         raise ConfigError(f"spread must be >= 0, got {spread}")
     rng = np.random.default_rng(seed)
     feature_blocks = []

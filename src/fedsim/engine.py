@@ -56,7 +56,7 @@ class FedRunConfig:
     local_lr: float = 0.01
     momentum: float = 0.9
     server_lr: float = 1.0
-    prox_mu: float = 0.0
+    prox_mu: float = 0.01
     scaffold_c_option: str = "ii"
     master_seed: int = 0
 
@@ -73,7 +73,7 @@ class FedRunConfig:
             raise ConfigError("learning rates must be > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.prox_mu < 0:
+        if not self.prox_mu >= 0:
             raise ConfigError(f"prox_mu must be >= 0, got {self.prox_mu}")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ConfigError(

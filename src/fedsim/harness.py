@@ -41,11 +41,13 @@ REPORT_FILE = "report.csv"
 WINS_FILE = "wins.csv"
 CURVES_DIR = "curves"
 
-# Keys cmd_report reads from every results record.
-RECORD_KEYS = (
-    "trial", "round", "algorithm", "mu", "local_epochs", "test_accuracy",
-    "mean_train_loss", "bytes",
-)
+# Keys cmd_report reads from every results record, with the JSON types each
+# may hold (a bool is never taken for a number).
+RECORD_KEYS = {
+    "trial": (int,), "round": (int,), "algorithm": (str,), "mu": (int, float, type(None)),
+    "local_epochs": (int,), "test_accuracy": (int, float),
+    "mean_train_loss": (int, float, type(None)), "bytes": (int,),
+}
 
 GRADCHECK_CASES = 100
 GRADCHECK_TOLERANCE = 1e-4
@@ -54,58 +56,35 @@ GRADCHECK_SEED = 7
 
 
 def build_dataset(config: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
-    """Materialize (train, test) from the config's dataset selector."""
-    spec = config.dataset
-    options = spec.options
-    seed = options.get("seed", config.fed.master_seed)
-    if spec.kind == "fcube":
+    """Materialize (train, test) from the config's resolved dataset options."""
+    kind, options, seed = config.dataset.kind, config.dataset.options, config.dataset_seed
+    if kind == "fcube":
         train, test, _ = fcube_generate(
-            FcubeSpec(
-                n_train=options.get("n_train", 4000),
-                n_test=options.get("n_test", 1000),
-                seed=seed,
-            )
+            FcubeSpec(n_train=options["n_train"], n_test=options["n_test"], seed=seed)
         )
         return train, test
-    if spec.kind == "blobs":
+    if kind == "blobs":
         ds = blobs_generate(
-            n_classes=options.get("n_classes", 10),
-            n_per_class=options.get("n_per_class", 500),
-            dim=options.get("dim", 32),
-            spread=options.get("spread", 0.3),
+            n_classes=options["n_classes"],
+            n_per_class=options["n_per_class"],
+            dim=options["dim"],
+            spread=options["spread"],
             seed=seed,
         )
-        return split_train_test(ds, options.get("test_fraction", 0.2), rng.derive_seed(seed, 1))
-    if spec.kind == "idx":
-        for key in ("train_images", "train_labels", "test_images", "test_labels"):
-            if key not in options:
-                raise ConfigError(f"config.dataset.{key}: required for idx datasets")
+        return split_train_test(ds, options["test_fraction"], rng.derive_seed(seed, 1))
+    if kind == "idx":
         train = read_idx(options["train_images"], options["train_labels"])
         test = read_idx(options["test_images"], options["test_labels"])
         return train, test
-    if spec.kind == "libsvm":
-        for key in ("train_path", "n_features", "n_classes", "label_map"):
-            if key not in options:
-                raise ConfigError(f"config.dataset.{key}: required for libsvm datasets")
-        full = read_libsvm(
-            options["train_path"], options["n_features"], options["n_classes"],
-            options["label_map"],
-        )
-        if "test_path" in options:
-            test = read_libsvm(
-                options["test_path"], options["n_features"], options["n_classes"],
-                options["label_map"],
-            )
-            return full, test
-        return split_train_test(
-            full, options.get("test_fraction", 0.2), rng.derive_seed(seed, 1)
-        )
-    if spec.kind == "container":
-        for key in ("train_path", "test_path"):
-            if key not in options:
-                raise ConfigError(f"config.dataset.{key}: required for container datasets")
+    if kind == "libsvm":
+        shape = (options["n_features"], options["n_classes"], options["label_map"])
+        full = read_libsvm(options["train_path"], *shape)
+        if options["test_path"] is not None:
+            return full, read_libsvm(options["test_path"], *shape)
+        return split_train_test(full, options["test_fraction"], rng.derive_seed(seed, 1))
+    if kind == "container":
         return load_container(options["train_path"]), load_container(options["test_path"])
-    raise ConfigError(f"unknown dataset kind {spec.kind!r}")
+    raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -244,7 +223,8 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
 
 def _read_records(path) -> list[dict]:
     """The records of one results file. ReportError names the file, and the
-    line of a record that is not ASCII, not a JSON object or lacks a key."""
+    line of a record that is not ASCII, not a JSON object, lacks a key or
+    holds a value of the wrong type (and then names the key)."""
     records = []
     try:
         with open(path, "rb") as fh:
@@ -263,6 +243,10 @@ def _read_records(path) -> list[dict]:
                 missing = [key for key in RECORD_KEYS if key not in record]
                 if missing:
                     raise ReportError(f"{where}: record lacks {', '.join(missing)}")
+                for key, kinds in RECORD_KEYS.items():
+                    value = record[key]
+                    if isinstance(value, bool) or not isinstance(value, kinds):
+                        raise ReportError(f"{where}: {key} cannot be {json.dumps(value)}")
                 records.append(record)
     except OSError as exc:
         raise ReportError(f"cannot read {path}: {exc}") from None

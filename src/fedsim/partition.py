@@ -83,7 +83,7 @@ class PartitionSpec:
                 raise ConfigError(f"{self.kind} needs beta > 0, got {self.beta}")
         if self.min_size < 1:
             raise ConfigError(f"min_size must be >= 1, got {self.min_size}")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
@@ -220,6 +220,28 @@ def _split_by_proportions(indices: np.ndarray, proportions: np.ndarray) -> list:
     return np.split(indices, boundaries)
 
 
+def _dirichlet_retry(draw, beta: float, min_size: int, seed: int) -> list:
+    """The first draw(rng) -> party index arrays, over streams (seed, attempt),
+    whose every party holds at least min_size samples. A draw that raises
+    PartitionError (a degenerate Dirichlet sample) is retried too."""
+    if not beta > 0:
+        raise ConfigError(f"beta must be > 0, got {beta}")
+    if min_size < 1:
+        raise ConfigError(f"min_size must be >= 1, got {min_size}")
+    for attempt in range(_MAX_DIRICHLET_RETRIES):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
+        try:
+            parts = draw(rng)
+        except PartitionError:
+            continue
+        if min(part.shape[0] for part in parts) >= min_size:
+            return parts
+    raise PartitionError(
+        f"no Dirichlet(beta={beta}) draw satisfied min_size={min_size} "
+        f"within {_MAX_DIRICHLET_RETRIES} retries"
+    )
+
+
 def partition_label_dirichlet(
     ds: LabeledDataset, n_parties: int, beta: float, min_size: int, seed: int
 ) -> PartitionMap:
@@ -228,55 +250,32 @@ def partition_label_dirichlet(
     Smaller beta concentrates each class on fewer parties. If any party ends
     up below min_size the whole draw is retried with the next derived seed.
     """
-    if not beta > 0:
-        raise ConfigError(f"beta must be > 0, got {beta}")
-    if min_size < 1:
-        raise ConfigError(f"min_size must be >= 1, got {min_size}")
-    for attempt in range(_MAX_DIRICHLET_RETRIES):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
-        try:
-            assignments = [[] for _ in range(n_parties)]
-            for label in range(ds.n_classes):
-                label_indices = rng.permutation(np.flatnonzero(ds.labels == label))
-                proportions = _dirichlet_proportions(rng, beta, n_parties)
-                for party, chunk in enumerate(_split_by_proportions(label_indices, proportions)):
-                    assignments[party].append(chunk)
-            merged = [
-                np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-                for parts in assignments
-            ]
-        except PartitionError:
-            continue
-        if min(part.shape[0] for part in merged) >= min_size:
-            return _finish(merged, n_parties, ds.n)
-    raise PartitionError(
-        f"no Dirichlet(beta={beta}) draw satisfied min_size={min_size} "
-        f"within {_MAX_DIRICHLET_RETRIES} retries"
-    )
+
+    def draw(rng):
+        assignments = [[] for _ in range(n_parties)]
+        for label in range(ds.n_classes):
+            label_indices = rng.permutation(np.flatnonzero(ds.labels == label))
+            proportions = _dirichlet_proportions(rng, beta, n_parties)
+            for party, chunk in enumerate(_split_by_proportions(label_indices, proportions)):
+                assignments[party].append(chunk)
+        return [
+            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+            for parts in assignments
+        ]
+
+    return _finish(_dirichlet_retry(draw, beta, min_size, seed), n_parties, ds.n)
 
 
 def partition_quantity_dirichlet(
     ds: LabeledDataset, n_parties: int, beta: float, min_size: int, seed: int
 ) -> PartitionMap:
     """Dirichlet(beta) over party sizes only; class mix follows a global shuffle."""
-    if not beta > 0:
-        raise ConfigError(f"beta must be > 0, got {beta}")
-    if min_size < 1:
-        raise ConfigError(f"min_size must be >= 1, got {min_size}")
-    for attempt in range(_MAX_DIRICHLET_RETRIES):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
-        try:
-            perm = rng.permutation(ds.n)
-            proportions = _dirichlet_proportions(rng, beta, n_parties)
-        except PartitionError:
-            continue
-        parts = _split_by_proportions(perm, proportions)
-        if min(part.shape[0] for part in parts) >= min_size:
-            return _finish(parts, n_parties, ds.n)
-    raise PartitionError(
-        f"no Dirichlet(beta={beta}) draw satisfied min_size={min_size} "
-        f"within {_MAX_DIRICHLET_RETRIES} retries"
-    )
+
+    def draw(rng):
+        perm = rng.permutation(ds.n)
+        return _split_by_proportions(perm, _dirichlet_proportions(rng, beta, n_parties))
+
+    return _finish(_dirichlet_retry(draw, beta, min_size, seed), n_parties, ds.n)
 
 
 def partition_by_group(ds: LabeledDataset, n_parties: int, seed: int) -> PartitionMap:
@@ -319,7 +318,7 @@ def apply_feature_noise(
     features: every view indexes the shared ds.features; otherwise each
     view owns its noise-shifted rows.
     """
-    if sigma < 0:
+    if not sigma >= 0:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
     views = []
     n_parties = pmap.n_parties

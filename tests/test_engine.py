@@ -1045,6 +1045,8 @@ class TestConfigValidation:
             FedRunConfig(algorithm="fedavg", n_parties=20, sample_fraction=0.01)
         with pytest.raises(ConfigError):
             FedRunConfig(algorithm="scaffold", scaffold_c_option="iii")
+        with pytest.raises(ConfigError, match="prox_mu"):
+            FedRunConfig(algorithm="fedprox", prox_mu=float("nan"))
 
     def test_round_bytes_formula(self):
         assert round_bytes(3, 100, "fedavg") == 3 * 2 * 8 * 100

@@ -1,13 +1,23 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedsim import engine
 from fedsim.cli import main
-from fedsim.config import load_config, parse_config
+from fedsim.config import (
+    DATASET_OPTIONS,
+    FED_FIELDS,
+    PARTITION_OPTIONS,
+    load_config,
+    override_seed,
+    parse_config,
+)
+from fedsim.datasets import FcubeSpec
+from fedsim.engine import FedRunConfig
 from fedsim.errors import ConfigError, ReportError
 from fedsim.harness import (
     GRADCHECK_TOLERANCE,
@@ -18,7 +28,7 @@ from fedsim.harness import (
     enumerate_settings,
     gradient_check,
 )
-from fedsim.partition import build_views, export_partition
+from fedsim.partition import PartitionSpec, build_views, export_partition
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -31,6 +41,17 @@ BLOBS_SMALL = {
     "type": "blobs", "n_classes": 3, "n_per_class": 40, "dim": 4,
     "spread": 0.2, "seed": 9, "test_fraction": 0.25,
 }
+
+
+IDX_OPTIONS = {
+    "type": "idx", "train_images": "a.idx3", "train_labels": "a.idx1",
+    "test_images": "b.idx3", "test_labels": "b.idx1",
+}
+LIBSVM_OPTIONS = {
+    "type": "libsvm", "train_path": "x.svm", "n_features": 4, "n_classes": 2,
+    "label_map": {"-1": 0, "1": 1},
+}
+CONTAINER_OPTIONS = {"type": "container", "train_path": "a.bin", "test_path": "b.bin"}
 
 
 def small_run_config(**overrides):
@@ -151,6 +172,87 @@ class TestLoadConfig:
     def test_dataset_float_option_accepts_integer(self):
         config = parse_config({"dataset": {**BLOBS_SMALL, "spread": 1}})
         assert config.dataset.options["spread"] == 1.0
+
+    @pytest.mark.parametrize(
+        "dataset, overrides",
+        [
+            ({"type": "fcube"}, {"n_parties": 4}),
+            ({"type": "blobs"}, {}),
+            (IDX_OPTIONS, {}),
+            (LIBSVM_OPTIONS, {}),
+            ({**LIBSVM_OPTIONS, "name": "rcv1"}, {"local_lr": 0.1}),
+            (CONTAINER_OPTIONS, {}),
+        ],
+    )
+    def test_bare_config_takes_library_defaults(self, dataset, overrides):
+        # The fed and partition sections take FedRunConfig's and
+        # PartitionSpec's own defaults; only two come from the dataset.
+        config = parse_config({"dataset": dataset})
+        assert config.fed == FedRunConfig(algorithm="fedavg", **overrides)
+        assert config.partition == PartitionSpec("iid")
+        assert config.mu_sweep == (FedRunConfig.prox_mu,)
+        assert config.epoch_sweep == (FedRunConfig.local_epochs,)
+
+    def test_dataset_defaults_filled(self):
+        config = parse_config({"dataset": {"type": "fcube"}})
+        assert config.dataset.options == {
+            "n_train": FcubeSpec.n_train, "n_test": FcubeSpec.n_test, "seed": None,
+        }
+        assert config.dataset_seed == config.fed.master_seed == 0
+        assert override_seed(config, 6).dataset_seed == 6
+        seeded = parse_config({"dataset": {"type": "fcube", "seed": 3}, "fed": {"seed": 4}})
+        assert override_seed(seeded, 6).dataset_seed == 3
+        libsvm = parse_config({"dataset": LIBSVM_OPTIONS}).dataset.options
+        assert (libsvm["test_path"], libsvm["test_fraction"]) == (None, 0.2)
+
+    @pytest.mark.parametrize(
+        "dataset, key",
+        [(IDX_OPTIONS, key) for key in IDX_OPTIONS if key != "type"]
+        + [(LIBSVM_OPTIONS, key) for key in LIBSVM_OPTIONS if key != "type"]
+        + [(CONTAINER_OPTIONS, key) for key in CONTAINER_OPTIONS if key != "type"],
+    )
+    def test_missing_required_option_rejected(self, dataset, key):
+        bare = {k: v for k, v in dataset.items() if k != key}
+        with pytest.raises(
+            ConfigError, match=rf"^config\.dataset\.{key}: required for {dataset['type']} datasets$"
+        ):
+            parse_config({"dataset": bare})
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ('{"partition": {"noise_sigma": NaN}}', r"partition\.noise_sigma"),
+            ('{"partition": {"type": "label_dirichlet", "beta": NaN}}', r"partition\.beta"),
+            ('{"fed": {"server_lr": Infinity}}', r"fed\.server_lr"),
+            ('{"fed": {"prox_mu": NaN}}', r"fed\.prox_mu"),
+            ('{"fed": {"lr": -Infinity}}', r"fed\.lr"),
+            ('{"fed": {"sample_fraction": NaN}}', r"fed\.sample_fraction"),
+            ('{"sweeps": {"mu": [0.1, Infinity]}}', r"sweeps\.mu"),
+            ('{"sweeps": {"mu": [NaN]}}', r"sweeps\.mu"),
+            ('{"dataset": {"type": "blobs", "spread": Infinity}}', r"dataset\.spread"),
+            ('{"dataset": {"type": "blobs", "spread": 1' + "0" * 400 + "}}", r"dataset\.spread"),
+        ],
+    )
+    def test_non_finite_number_rejected_with_path(self, text, path):
+        raw = {"dataset": {"type": "fcube"}, **json.loads(text)}
+        with pytest.raises(ConfigError, match=rf"^config\.{path}: expected a finite number"):
+            parse_config(raw)
+
+    def test_readme_config_example_parses(self):
+        # The README documents the config schema by example and by a table of
+        # every key; both must follow the schema parse_config accepts.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        examples = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        assert examples
+        for example in examples:
+            parse_config(json.loads(example))
+        config_section = readme.split("## Config", 1)[1].split("\n## ", 1)[0]
+        keys = {f"fed.{key}" for key in (*FED_FIELDS, "algorithms")}
+        keys.update(f"partition.{key}" for key in (*PARTITION_OPTIONS, "type"))
+        for kind, options in DATASET_OPTIONS.items():
+            keys.update((kind, *options))
+        for key in sorted(keys):
+            assert f"`{key}`" in config_section, key
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -501,6 +603,15 @@ class TestCmdReport:
                 "line 2: non-ASCII bytes",
             ),
             (None, "cannot read"),
+            (json.dumps({**RECORD, "test_accuracy": "high"}).encode(),
+             'line 2: test_accuracy cannot be "high"'),
+            (json.dumps({**RECORD, "test_accuracy": None}).encode(),
+             "line 2: test_accuracy cannot be null"),
+            (json.dumps({**RECORD, "local_epochs": [1]}).encode(),
+             r"line 2: local_epochs cannot be \[1\]"),
+            (json.dumps({**RECORD, "algorithm": 3}).encode(), "line 2: algorithm cannot be 3"),
+            (json.dumps({**RECORD, "round": "1"}).encode(), 'line 2: round cannot be "1"'),
+            (json.dumps({**RECORD, "trial": True}).encode(), "line 2: trial cannot be true"),
         ],
     )
     def test_unusable_results_file_named(self, tmp_path, capsys, bad_line, cause):

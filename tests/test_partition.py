@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -184,6 +185,35 @@ class TestQuantityDirichlet:
         assert np.median(cvs) > 0.5
 
 
+def _map_digest(pmap):
+    digest = hashlib.sha256()
+    for assignment in pmap.assignments:
+        digest.update(np.asarray(assignment, dtype="<i8").tobytes() + b"|")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "strategy, beta, min_size, seed, expected",
+    [
+        (partition_label_dirichlet, 0.5, 1, 3,
+         "823f7e726681a7580a9b71c360b77aef14914ce056bfa910bb2d09fbd9d6b316"),
+        # Draws 0-12 leave some party below 12 samples; draw 13 is kept.
+        (partition_label_dirichlet, 0.5, 12, 7,
+         "8a1db702d962c63a7583f307ccc34647359d7ed5bdcbfda8aa3233b4c1f21167"),
+        (partition_quantity_dirichlet, 0.5, 1, 3,
+         "cd2c31bdf1e6f2b26be0e9639972858f39de73dfce3c716b9f82564c66ee2833"),
+        # Draw 0 leaves some party below 8 samples; draw 1 is kept.
+        (partition_quantity_dirichlet, 2.0, 8, 5,
+         "3486609fac5a1f1c206edacd08950574e8da8b1df8e97dc7d6e89523abe6b875"),
+    ],
+)
+def test_dirichlet_maps_pinned(strategy, beta, min_size, seed, expected):
+    # Recorded before the two strategies shared one retry loop: each retry
+    # must still draw from stream (seed, attempt) in the same order.
+    ds = synthetic_labels(200, 5, seed=123)
+    assert _map_digest(strategy(ds, 8, beta, min_size, seed)) == expected
+
+
 class TestByGroup:
     def _grouped(self, n_groups, per_group=4):
         n = n_groups * per_group
@@ -253,6 +283,14 @@ class TestFeatureNoise:
             assert float(noise.var()) == pytest.approx(target, rel=0.05)
         # Last party's variance parameter is exactly sigma.
         assert sigma * n_parties / n_parties == sigma
+
+    @pytest.mark.parametrize("sigma", [-0.5, float("nan")])
+    def test_bad_sigma_rejected(self, sigma):
+        ds = synthetic_labels(60, 3)
+        with pytest.raises(ConfigError, match="noise_sigma must be >= 0"):
+            PartitionSpec("iid", noise_sigma=sigma)
+        with pytest.raises(ConfigError, match="sigma must be >= 0"):
+            apply_feature_noise(partition_iid(ds, 3, seed=1), ds, sigma, seed=2)
 
     def test_labels_untouched(self):
         ds = synthetic_labels(60, 3)
