@@ -2,8 +2,9 @@
 
 A config file selects a dataset, a partition strategy, a model architecture
 and the federation hyperparameters, plus optional sweep lists and a trial
-count. Unknown keys, type mismatches, non-finite numbers and invariant
-violations are rejected with the offending key path in the message.
+count; the sweep lists resolve to one FedRunConfig per cell. Unknown keys,
+type mismatches, non-finite numbers and invariant violations are rejected
+with the offending key path in the message.
 
 Each default is declared once: FedRunConfig's and PartitionSpec's field
 defaults, DATASET_OPTIONS and the two dataset-derived tables below, and the
@@ -85,12 +86,15 @@ class ExperimentConfig:
     dataset: DatasetSpec
     partition: PartitionSpec
     hidden: tuple[int, ...]
-    algorithms: tuple[str, ...]
-    fed: FedRunConfig  # base settings; algorithm/epochs/mu vary per sweep setting
-    mu_sweep: tuple[float, ...]
-    epoch_sweep: tuple[int, ...]
+    cells: tuple[FedRunConfig, ...]  # the sweep grid, in run order
     trials: int
     out_dir: str
+
+    @property
+    def fed(self) -> FedRunConfig:
+        """The first cell. Cells differ only in algorithm, local_epochs and
+        prox_mu, so this carries every setting they share, the seed too."""
+        return self.cells[0]
 
     @property
     def dataset_seed(self) -> int:
@@ -154,6 +158,15 @@ def _reject_duplicates(values, path: str):
         raise ConfigError(f"{path}: duplicate entries in {list(values)}")
 
 
+def _sweep(values, kinds, minimum, path: str) -> list:
+    """A sweep list: non-empty, each entry of type kinds and >= minimum, none twice."""
+    values = [_check(value, kinds, path) for value in values]
+    if not values or min(values) < minimum:
+        raise ConfigError(f"{path}: must be a non-empty list of values >= {minimum}")
+    _reject_duplicates(values, path)
+    return values
+
+
 def _parse_dataset(obj, path: str) -> DatasetSpec:
     kind = _require_mapping(obj, path).get("type")
     if kind not in DATASET_KINDS:
@@ -168,11 +181,26 @@ def _parse_dataset(obj, path: str) -> DatasetSpec:
             raise ConfigError(f"{path}.{key}: required for {kind} datasets")
         options.setdefault(key, default)
     if kind == "libsvm":
-        try:
-            options["label_map"] = {int(k): int(v) for k, v in options["label_map"].items()}
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{path}.label_map: keys and values must be integers") from None
+        options["label_map"] = _parse_label_map(
+            options["label_map"], options["n_classes"], f"{path}.label_map"
+        )
     return DatasetSpec(kind, name, options)
+
+
+def _parse_label_map(obj: dict, n_classes: int, path: str) -> dict[int, int]:
+    """A libsvm file's label -> class id map; JSON writes each label as a string."""
+    label_map = {}
+    for key, value in obj.items():
+        try:
+            label = int(key)
+        except ValueError:
+            raise ConfigError(f"{path}: label {key!r} is not an integer") from None
+        if label in label_map:
+            raise ConfigError(f"{path}: label {key!r} repeats label {label}")
+        label_map[label] = _check(value, int, f"{path}.{key}")
+        if not 0 <= value < n_classes:
+            raise ConfigError(f"{path}.{key}: class id must be in [0, {n_classes}), got {value}")
+    return label_map
 
 
 def _parse_partition(obj, path: str) -> PartitionSpec:
@@ -229,19 +257,18 @@ def parse_config(raw: dict, source: str = "config") -> ExperimentConfig:
     sweeps = _section(
         top.get("sweeps", {}), {"mu": list, "local_epochs": list}, f"{source}.sweeps"
     )
-    mu_sweep = sweeps.get("mu", [fed.prox_mu])
-    if not mu_sweep or not all(
-        _is_number(m) and _finite(m, f"{source}.sweeps.mu") >= 0 for m in mu_sweep
-    ):
-        raise ConfigError(f"{source}.sweeps.mu: must be a non-empty list of values >= 0")
-    mu_sweep = [float(m) for m in mu_sweep]
-    _reject_duplicates(mu_sweep, f"{source}.sweeps.mu")
-    epoch_sweep = sweeps.get("local_epochs", [fed.local_epochs])
-    if not epoch_sweep or not all(_is_int(e) and e >= 1 for e in epoch_sweep):
-        raise ConfigError(
-            f"{source}.sweeps.local_epochs: must be a non-empty list of integers >= 1"
-        )
-    _reject_duplicates(epoch_sweep, f"{source}.sweeps.local_epochs")
+    mu_sweep = _sweep(sweeps.get("mu", [fed.prox_mu]), float, 0, f"{source}.sweeps.mu")
+    epoch_sweep = _sweep(
+        sweeps.get("local_epochs", [fed.local_epochs]), int, 1, f"{source}.sweeps.local_epochs"
+    )
+    # Cell order: algorithm, then local epochs, then mu where a cell trains
+    # with one.
+    cells = []
+    for algorithm in algorithms:
+        for epochs in epoch_sweep:
+            cell = replace(fed, algorithm=algorithm, local_epochs=epochs)
+            mus = mu_sweep if cell.mu is not None else [cell.prox_mu]
+            cells.extend(replace(cell, prox_mu=mu) for mu in mus)
 
     trials = top.get("trials", 1)
     if trials < 1:
@@ -251,10 +278,7 @@ def parse_config(raw: dict, source: str = "config") -> ExperimentConfig:
         dataset=dataset,
         partition=partition,
         hidden=tuple(hidden),
-        algorithms=tuple(algorithms),
-        fed=fed,
-        mu_sweep=tuple(mu_sweep),
-        epoch_sweep=tuple(epoch_sweep),
+        cells=tuple(cells),
         trials=trials,
         out_dir=top.get("out_dir", "results"),
     )
@@ -273,4 +297,4 @@ def load_config(path) -> ExperimentConfig:
 
 
 def override_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
-    return replace(config, fed=replace(config.fed, master_seed=seed))
+    return replace(config, cells=tuple(replace(c, master_seed=seed) for c in config.cells))

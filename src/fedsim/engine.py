@@ -88,16 +88,21 @@ class FedRunConfig:
         if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
 
+    @property
+    def mu(self) -> float | None:
+        """The proximal mu this run trains with; None for an algorithm
+        without a proximal term, whose prox_mu goes unused."""
+        return self.prox_mu if self.algorithm == "fedprox" else None
+
 
 @dataclass(frozen=True)
 class GlobalState:
-    """Server state: round counter, global model, control variate (scaffold).
+    """Server state: global model, control variate (scaffold).
 
     diverged marks a round whose aggregate went non-finite; such a round
     keeps the previous model and controls.
     """
 
-    round: int
     params: np.ndarray
     control: np.ndarray | None = None
     diverged: bool = False
@@ -121,7 +126,6 @@ class LocalUpdate:
 class ClientState:
     """Per-party persistent state; control is scaffold's c_i, zero at start."""
 
-    party_id: int
     view: PartyView
     control: np.ndarray | None = None
 
@@ -212,12 +216,13 @@ def _flagged_numerics():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _local_loop(w_start, view, cfg, round_idx, objective, prox_mu=0.0, correction=None):
+def _local_loop(w_start, view, cfg, round_idx, objective, correction=None):
     """Shared minibatch loop on raw float64 arrays.
 
     w_start is the round's global model as a flat array; it is never written
     to, and neither are the view's arrays nor the gradients the objective
-    returns. correction, when given, is added to every raw gradient before
+    returns. A cfg that trains with a mu adds the proximal pull toward
+    w_start. correction, when given, is added to every raw gradient before
     the momentum step (scaffold's c - c_i). Returns (final array, tau, mean
     loss, diverged); the final array is w_start itself if no step was taken,
     else the loop's own buffer, marked read-only. A step whose loss or new
@@ -236,6 +241,7 @@ def _local_loop(w_start, view, cfg, round_idx, objective, prox_mu=0.0, correctio
     loss_grad = objective.loss_grad
     source, rows, labels = view.source, view.rows, view.labels
     lr, momentum = cfg.local_lr, cfg.momentum
+    prox_mu = cfg.mu or 0.0
     params = w_start
     spare = np.empty_like(w_start)
     velocity = np.zeros_like(w_start)
@@ -278,19 +284,16 @@ def local_train_sgd(
     w_t: np.ndarray,
     view: PartyView,
     cfg: FedRunConfig,
-    prox_mu: float,
     round_idx: int,
     objective,
 ) -> LocalUpdate:
     """Local epochs of minibatch SGD with momentum; velocity starts at zero.
 
-    prox_mu > 0 adds the proximal pull toward this round's global model
-    (the anchor stays w_t for the whole round); prox_mu == 0 is bit-identical
-    to plain training.
+    A cfg.mu > 0 adds the proximal pull toward this round's global model
+    (the anchor stays w_t for the whole round); a mu of 0 or None is
+    bit-identical to plain training.
     """
-    final, tau, mean_loss, diverged = _local_loop(
-        w_t, view, cfg, round_idx, objective, prox_mu=prox_mu
-    )
+    final, tau, mean_loss, diverged = _local_loop(w_t, view, cfg, round_idx, objective)
     return LocalUpdate(
         party_id=view.party_id,
         tau=tau,
@@ -415,7 +418,7 @@ def aggregate_scaffold(
     for update in ordered:
         control_sum += update.delta_control
     new_control = _read_only(state.control + control_sum / n_parties)
-    return GlobalState(state.round + 1, new_params, new_control)
+    return GlobalState(new_params, new_control)
 
 
 def round_bytes(n_selected: int, n_coords: int, algorithm: str) -> int:
@@ -445,7 +448,6 @@ def run_round(
         cfg.n_parties, cfg.sample_fraction, round_idx, cfg.master_seed
     )
     n_bytes = round_bytes(len(selected), len(state.params), cfg.algorithm)
-    prox_mu = cfg.prox_mu if cfg.algorithm == "fedprox" else 0.0
     updates, new_controls = [], []
     for party_id in selected:
         if cfg.algorithm == "scaffold":
@@ -455,7 +457,7 @@ def run_round(
             new_controls.append(new_control)
         else:
             update = local_train_sgd(
-                state.params, clients[party_id].view, cfg, prox_mu, round_idx, objective
+                state.params, clients[party_id].view, cfg, round_idx, objective
             )
         updates.append(update)
     with _flagged_numerics():
@@ -463,14 +465,12 @@ def run_round(
             new_state = aggregate_scaffold(state, updates, cfg.n_parties, cfg.server_lr)
         else:
             combine = aggregate_fednova if cfg.algorithm == "fednova" else aggregate_weighted
-            new_state = GlobalState(
-                state.round + 1, combine(state.params, updates, cfg.server_lr)
-            )
+            new_state = GlobalState(combine(state.params, updates, cfg.server_lr))
     if not (
         np.isfinite(new_state.params).all()
         and (new_state.control is None or np.isfinite(new_state.control).all())
     ):
-        kept = GlobalState(state.round + 1, state.params, state.control, diverged=True)
+        kept = GlobalState(state.params, state.control, diverged=True)
         return kept, updates, n_bytes
     # Client controls change only once the aggregate is known to be finite.
     for party_id, new_control in zip(selected, new_controls):
@@ -520,8 +520,8 @@ def run_experiment(
     params = objective.init_params(rng.derive_seed(cfg.master_seed, rng.TAG_INIT))
     # Controls are read-only, so one zero array can start all of them.
     control = _read_only(np.zeros_like(params)) if cfg.algorithm == "scaffold" else None
-    state = GlobalState(0, params, control)
-    clients = [ClientState(view.party_id, view, control) for view in views]
+    state = GlobalState(params, control)
+    clients = [ClientState(view, control) for view in views]
 
     records = [
         RoundRecord(0, objective.accuracy(state.params, ds_test), None, 0, 0, False)

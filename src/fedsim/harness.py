@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -87,28 +87,6 @@ def build_dataset(config: ExperimentConfig) -> tuple[LabeledDataset, LabeledData
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class Setting:
-    """One (algorithm, local epochs, prox mu) cell of the sweep grid."""
-
-    algorithm: str
-    local_epochs: int
-    mu: float | None
-
-
-def enumerate_settings(config: ExperimentConfig) -> list[Setting]:
-    settings = []
-    for algorithm in config.algorithms:
-        for epochs in config.epoch_sweep:
-            if algorithm == "fedprox":
-                settings.extend(
-                    Setting(algorithm, epochs, mu) for mu in config.mu_sweep
-                )
-            else:
-                settings.append(Setting(algorithm, epochs, None))
-    return settings
-
-
 def _trial_seed(master_seed: int, trial: int) -> int:
     """Master seed of one trial's runs; partition and run both derive from it."""
     return rng.derive_seed(master_seed, rng.TAG_TRIAL, trial)
@@ -146,13 +124,13 @@ def _json_float(value) -> float | None:
     return float(value)
 
 
-def _print_progress(cell, n_cells, setting, trial, records, started) -> None:
-    """One stderr line per finished (setting, trial) cell; not part of any output file."""
+def _print_progress(done, n_runs, cell, trial, records, started) -> None:
+    """One stderr line per finished (cell, trial) run; not part of any output file."""
     diverged = sum(record.diverged for record in records)
-    mu_txt = "-" if setting.mu is None else repr(setting.mu)
+    mu_txt = "-" if cell.mu is None else repr(cell.mu)
     print(
-        f"cell {cell}/{n_cells}: {setting.algorithm} mu={mu_txt} "
-        f"E={setting.local_epochs} trial={trial} "
+        f"cell {done}/{n_runs}: {cell.algorithm} mu={mu_txt} "
+        f"E={cell.local_epochs} trial={trial} "
         f"final_accuracy={records[-1].test_accuracy:.4f} "
         f"diverged_rounds={diverged} {time.perf_counter() - started:.2f}s",
         file=sys.stderr,
@@ -161,61 +139,51 @@ def _print_progress(cell, n_cells, setting, trial, records, started) -> None:
 
 
 def cmd_run(config: ExperimentConfig, out_dir) -> dict:
-    """Run the sweep grid x trials; write JSONL records and a summary CSV.
+    """Run the config's cells x trials; write JSONL records and a summary CSV.
 
-    Per (setting, trial) the run seed derives only from (master seed, trial),
+    Per (cell, trial) the run seed derives only from (master seed, trial),
     so algorithms see identical partitions, initial models and batch orders.
     Diverged runs are flagged in their records, never fatal. Each finished
-    cell prints one progress line to stderr.
+    run prints one progress line to stderr.
     """
     os.makedirs(out_dir, exist_ok=True)
     train, test = build_dataset(config)
     arch = MlpArch((train.n_features, *config.hidden, train.n_classes))
-    settings = enumerate_settings(config)
 
     results_path = os.path.join(out_dir, RESULTS_FILE)
-    finals: dict[Setting, list[float]] = {s: [] for s in settings}
-    n_cells = len(settings) * config.trials
-    cell = 0
+    finals = {cell: [] for cell in config.cells}
+    runs = [(cell, trial) for cell in config.cells for trial in range(config.trials)]
     with open(results_path, "w", encoding="ascii") as fh:
-        for setting in settings:
-            for trial in range(config.trials):
-                cell += 1
-                started = time.perf_counter()
-                cfg = replace(
-                    config.fed,
-                    algorithm=setting.algorithm,
-                    local_epochs=setting.local_epochs,
-                    prox_mu=setting.mu if setting.mu is not None else config.fed.prox_mu,
-                    master_seed=_trial_seed(config.fed.master_seed, trial),
-                )
-                records = run_experiment(train, test, config.partition, arch, cfg)
-                finals[setting].append(records[-1].test_accuracy)
-                _print_progress(cell, n_cells, setting, trial, records, started)
-                for record in records:
-                    line = {
-                        "trial": trial,
-                        "round": record.round,
-                        "algorithm": setting.algorithm,
-                        "mu": setting.mu,
-                        "local_epochs": setting.local_epochs,
-                        "test_accuracy": record.test_accuracy,
-                        "mean_train_loss": _json_float(record.mean_train_loss),
-                        "bytes": record.bytes,
-                        "wall_ms": record.wall_ms,
-                        "diverged": record.diverged,
-                    }
-                    fh.write(json.dumps(line) + "\n")
+        for done, (cell, trial) in enumerate(runs, start=1):
+            started = time.perf_counter()
+            cfg = replace(cell, master_seed=_trial_seed(cell.master_seed, trial))
+            records = run_experiment(train, test, config.partition, arch, cfg)
+            finals[cell].append(records[-1].test_accuracy)
+            _print_progress(done, len(runs), cell, trial, records, started)
+            for record in records:
+                line = {
+                    "trial": trial,
+                    "round": record.round,
+                    "algorithm": cell.algorithm,
+                    "mu": cell.mu,
+                    "local_epochs": cell.local_epochs,
+                    "test_accuracy": record.test_accuracy,
+                    "mean_train_loss": _json_float(record.mean_train_loss),
+                    "bytes": record.bytes,
+                    "wall_ms": record.wall_ms,
+                    "diverged": record.diverged,
+                }
+                fh.write(json.dumps(line) + "\n")
 
     summary_path = os.path.join(out_dir, SUMMARY_FILE)
     with open(summary_path, "w", encoding="ascii") as fh:
         fh.write("algorithm,mu,local_epochs,trials,final_accuracy_mean,final_accuracy_std\n")
-        for setting in settings:
-            values = np.array(finals[setting])
+        for cell, accuracies in finals.items():
+            values = np.array(accuracies)
             std = float(values.std(ddof=1)) if values.size > 1 else 0.0
-            mu_txt = "" if setting.mu is None else repr(setting.mu)
+            mu_txt = "" if cell.mu is None else repr(cell.mu)
             fh.write(
-                f"{setting.algorithm},{mu_txt},{setting.local_epochs},"
+                f"{cell.algorithm},{mu_txt},{cell.local_epochs},"
                 f"{values.size},{float(values.mean())!r},{std!r}\n"
             )
     return {"results": results_path, "summary": summary_path}
@@ -371,6 +339,8 @@ def gradient_check(
     """
     if n_cases < 1:
         raise ConfigError(f"gradcheck needs at least 1 case, got {n_cases}")
+    if seed < 0:
+        raise ConfigError(f"gradcheck seed must be >= 0, got {seed}")
     worst = 0.0
     for case in range(n_cases):
         generator = np.random.default_rng(np.random.SeedSequence([seed, case]))

@@ -65,9 +65,9 @@ def _fcube_setup(algorithm, n_parties=4, rounds=10, prox_mu=0.0, seed=31):
     )
     params = objective.init_params(rng.derive_seed(cfg.master_seed, rng.TAG_INIT))
     control = np.zeros_like(params) if algorithm == "scaffold" else None
-    state = GlobalState(0, params, control)
+    state = GlobalState(params, control)
     clients = [
-        ClientState(v.party_id, v, np.zeros_like(params) if control is not None else None)
+        ClientState(v, np.zeros_like(params) if control is not None else None)
         for v in views
     ]
     return state, clients, cfg, objective, test
@@ -109,13 +109,13 @@ def test_criterion_2_algorithm_identities():
     for round_idx in range(3):
         for client in clients_s:
             client.control = zero  # freeze: ignore the engine's c updates
-        frozen = GlobalState(state_f.round, state_f.params, zero)
+        frozen = GlobalState(state_f.params, zero)
         for party in range(cfg_s.n_parties):
             update_s, _ = local_train_scaffold(
                 frozen.params, zero, clients_s[party], cfg_s, round_idx, objective
             )
             update_f = local_train_sgd(
-                state_f.params, clients_f[party].view, cfg_f, 0.0, round_idx, objective
+                state_f.params, clients_f[party].view, cfg_f, round_idx, objective
             )
             scaffold_identical &= (
                 update_s.final_params.tobytes()
@@ -140,9 +140,9 @@ def test_criterion_2_algorithm_identities():
         )
         view = views[0]
         state = GlobalState(
-            0, objective_c.init_params(rng.derive_seed(cfg.master_seed, rng.TAG_INIT)), None
+            objective_c.init_params(rng.derive_seed(cfg.master_seed, rng.TAG_INIT)), None
         )
-        clients = [ClientState(0, view, None)]
+        clients = [ClientState(view, None)]
         params = state.params
         for round_idx in range(cfg.rounds):
             state, _, _ = run_round(state, clients, cfg, round_idx, objective_c)

@@ -101,7 +101,7 @@ class TestLocalTrainSgd:
         labels = np.array([0, 1, 0, 1])
         view = PartyView(0, np.arange(4), features, labels)
         cfg = self._cfg(momentum=0.9)
-        update = local_train_sgd(w_t, view, cfg, 0.0, round_idx=0, objective=objective)
+        update = local_train_sgd(w_t, view, cfg, round_idx=0, objective=objective)
         _, grad = backward(w_t, arch, features, labels)
         assert update.tau == 1
         assert w_t - update.final_params == pytest.approx(
@@ -112,7 +112,7 @@ class TestLocalTrainSgd:
         # loss (w-3)^2/2 from w=0: gradient -3, one step of lr 0.1 moves to
         # 0.3.
         update = local_train_sgd(
-            flat(0.0), one_sample_view(), self._cfg(), 0.0, 0, QuadraticObjective(3.0)
+            flat(0.0), one_sample_view(), self._cfg(), 0, QuadraticObjective(3.0)
         )
         assert update.final_params[0] == pytest.approx(0.3, abs=1e-12)
         assert update.tau == 1
@@ -124,7 +124,7 @@ class TestLocalTrainSgd:
         rng_ = np.random.default_rng(1)
         view = PartyView(0, np.arange(10), rng_.normal(size=(10, 2)), rng_.integers(0, 2, 10))
         cfg = self._cfg(local_epochs=3, batch_size=4)
-        update = local_train_sgd(w_t, view, cfg, 0.0, 0, objective)
+        update = local_train_sgd(w_t, view, cfg, 0, objective)
         assert update.tau == 3 * 3  # ceil(10/4) = 3 batches per epoch
 
     def test_prox_zero_bit_identical(self):
@@ -134,8 +134,10 @@ class TestLocalTrainSgd:
         rng_ = np.random.default_rng(2)
         view = PartyView(0, np.arange(12), rng_.normal(size=(12, 3)), rng_.integers(0, 2, 12))
         cfg = self._cfg(local_epochs=2, momentum=0.9)
-        a = local_train_sgd(w_t, view, cfg, 0.0, 0, objective)
-        b = local_train_sgd(w_t, view, cfg, 0.0, 0, objective)
+        a = local_train_sgd(w_t, view, cfg, 0, objective)
+        b = local_train_sgd(
+            w_t, view, replace(cfg, algorithm="fedprox", prox_mu=0.0), 0, objective
+        )
         assert a.final_params.tobytes() == b.final_params.tobytes()
 
     def test_divergence_flag_and_last_finite_model(self):
@@ -152,7 +154,7 @@ class TestLocalTrainSgd:
 
         cfg = self._cfg(local_epochs=5)
         update = local_train_sgd(
-            flat(1.0), one_sample_view(), cfg, 0.0, 0, ExplodingObjective()
+            flat(1.0), one_sample_view(), cfg, 0, ExplodingObjective()
         )
         assert update.diverged
         assert update.tau == 2
@@ -168,7 +170,7 @@ class TestLocalTrainSgd:
 
         view = PartyView(0, np.arange(2), np.zeros((2, 1)), np.zeros(2, dtype=int))
         cfg = self._cfg(batch_size=1, momentum=0.9)
-        update = local_train_sgd(flat(0.0), view, cfg, 0.0, 0, HugeGradient(0.0))
+        update = local_train_sgd(flat(0.0), view, cfg, 0, HugeGradient(0.0))
         assert update.diverged
         assert update.tau == 1
         assert update.final_params[0] == 0.0 - 0.1 * 1e308
@@ -186,7 +188,7 @@ class TestLocalTrainSgd:
                 return super().loss_grad(params, features, labels, prox_mu, prox_anchor)
 
         cfg = self._cfg(local_epochs=5)
-        update = local_train_sgd(flat(0.0), one_sample_view(), cfg, 0.0, 0, NanGradient())
+        update = local_train_sgd(flat(0.0), one_sample_view(), cfg, 0, NanGradient())
         assert update.diverged
         assert update.tau == 2  # only the two finite steps count
         # Two plain steps on (w-3)^2/2 from 0 with lr 0.1: 0.3, then 0.57.
@@ -206,7 +208,7 @@ class TestLocalTrainSgd:
                 return super().loss_grad(params, features, labels, prox_mu, prox_anchor)
 
         cfg = self._cfg(local_epochs=4)
-        update = local_train_sgd(flat(0.0), one_sample_view(), cfg, 0.0, 0, Raising())
+        update = local_train_sgd(flat(0.0), one_sample_view(), cfg, 0, Raising())
         assert update.diverged
         assert update.tau == 1
         assert update.final_params[0] == pytest.approx(0.3, abs=1e-12)
@@ -220,7 +222,8 @@ class TestLocalTrainSgd:
         labels = rng_.integers(0, 2, 12)
         view = PartyView(0, np.arange(12), features.copy(), labels.copy())
         before = w_t.copy()
-        local_train_sgd(w_t, view, self._cfg(local_epochs=2, momentum=0.9), 0.01, 0, objective)
+        cfg = self._cfg(algorithm="fedprox", prox_mu=0.01, local_epochs=2, momentum=0.9)
+        local_train_sgd(w_t, view, cfg, 0, objective)
         assert w_t.tobytes() == before.tobytes()
         assert view.features.tobytes() == features.tobytes()
         assert view.labels.tobytes() == labels.tobytes()
@@ -291,7 +294,7 @@ class TestLocalLoopBuffers:
         w_before = w_t.copy()
         features, labels = view.features.copy(), view.labels.copy()
         objective = RecordingObjective(self.ARCH)
-        update = local_train_sgd(w_t, view, cfg, prox_mu, 2, objective)
+        update = local_train_sgd(w_t, view, cfg, 2, objective)
         final, tau, mean_loss = reference_local_loop(
             w_t, view, cfg, 2, MlpObjective(self.ARCH), prox_mu=prox_mu
         )
@@ -309,7 +312,7 @@ class TestLocalLoopBuffers:
         features, labels = view.features.copy(), view.labels.copy()
         objective = RecordingObjective(self.ARCH)
         update, new_control = local_train_scaffold(
-            w_t, c, ClientState(3, view, c_i), cfg, 2, objective
+            w_t, c, ClientState(view, c_i), cfg, 2, objective
         )
         correction = c - c_i
         final, tau, mean_loss = reference_local_loop(
@@ -355,16 +358,15 @@ class TestIndexedView:
         rng_ = np.random.default_rng(44)
         c = 0.01 * rng_.standard_normal(len(w_t))
         c_i = 0.01 * rng_.standard_normal(len(w_t))
-        prox_mu = cfg.prox_mu if algorithm == "fedprox" else 0.0
         results = []
         for view in self._views():
             if algorithm == "scaffold":
                 update, control = local_train_scaffold(
-                    w_t, c, ClientState(2, view, c_i), cfg, 1, objective
+                    w_t, c, ClientState(view, c_i), cfg, 1, objective
                 )
                 extra = (control.tobytes(), update.delta_control.tobytes())
             else:
-                update = local_train_sgd(w_t, view, cfg, prox_mu, 1, objective)
+                update = local_train_sgd(w_t, view, cfg, 1, objective)
                 extra = ()
             assert not update.diverged
             results.append(
@@ -399,7 +401,7 @@ class TestScaffoldControlOverflow:
 
     def test_party_flagged_keeps_control_and_reports_zero_delta(self):
         c_i = flat(0.25)
-        client = ClientState(0, one_sample_view(), c_i)
+        client = ClientState(one_sample_view(), c_i)
         update, new_control = local_train_scaffold(
             flat(0.0), flat(1.0), client, self._cfg(), 0, InfiniteFullGrad()
         )
@@ -415,7 +417,7 @@ class TestScaffoldControlOverflow:
         # c - c_i = -1e308 - 1e308 overflows: the first corrected step is
         # non-finite, and so is option ii's c* = c_i - c + ...
         c_i = flat(1e308)
-        client = ClientState(0, one_sample_view(), c_i)
+        client = ClientState(one_sample_view(), c_i)
         update, new_control = local_train_scaffold(
             flat(0.0), flat(-1e308), client,
             self._cfg(scaffold_c_option="ii"), 0, QuadraticObjective(0.0),
@@ -434,7 +436,7 @@ class TestScaffoldControlOverflow:
                 return 0.0, np.array([1e308])
 
         c_i = flat(-1e308)
-        client = ClientState(0, one_sample_view(), c_i)
+        client = ClientState(one_sample_view(), c_i)
         update, new_control = local_train_scaffold(
             flat(0.0), flat(-1e308), client,
             self._cfg(scaffold_c_option="ii"), 0, HugeGradient(0.0),
@@ -447,8 +449,8 @@ class TestScaffoldControlOverflow:
     def test_round_completes_and_keeps_client_controls(self):
         cfg = self._cfg()
         controls = [flat(0.0) for _ in range(3)]
-        clients = [ClientState(p, one_sample_view(p), controls[p]) for p in range(3)]
-        state = GlobalState(0, flat(0.0), flat(0.5))
+        clients = [ClientState(one_sample_view(p), controls[p]) for p in range(3)]
+        state = GlobalState(flat(0.0), flat(0.5))
         new, updates, _ = run_round(state, clients, cfg, 0, InfiniteFullGrad())
         assert not new.diverged
         assert all(u.diverged for u in updates)
@@ -483,9 +485,9 @@ class TestLocalTrainScaffold:
         rng_ = np.random.default_rng(3)
         view = PartyView(0, np.arange(16), rng_.normal(size=(16, 3)), rng_.integers(0, 2, 16))
         cfg = self._cfg(local_epochs=3, momentum=0.9)
-        client = ClientState(0, view, np.zeros_like(w_t))
+        client = ClientState(view, np.zeros_like(w_t))
         update, _ = local_train_scaffold(w_t, np.zeros_like(w_t), client, cfg, 0, objective)
-        plain = local_train_sgd(w_t, view, cfg, 0.0, 0, objective)
+        plain = local_train_sgd(w_t, view, cfg, 0, objective)
         assert update.final_params.tobytes() == plain.final_params.tobytes()
 
     def test_option_ii_single_step_recovers_gradient_at_global(self):
@@ -500,7 +502,7 @@ class TestLocalTrainScaffold:
         view = PartyView(0, np.arange(4), features, labels)
         c = 0.05 * rng_.standard_normal(len(w_t))
         c_i = 0.05 * rng_.standard_normal(len(w_t))
-        client = ClientState(0, view, c_i)
+        client = ClientState(view, c_i)
         update, new_control = local_train_scaffold(
             w_t, c, client, self._cfg(), 0, objective
         )
@@ -512,7 +514,7 @@ class TestLocalTrainScaffold:
         # Quadratic (w-3)^2/2 at w_t=0 with c=1, c_i=0: corrected gradient is
         # -3 + 1 = -2, one lr=0.1 step lands at 0.2, and option ii gives
         # c* = 0 - 1 + (0 - 0.2)/0.1 = -3.
-        client = ClientState(0, one_sample_view(), flat(0.0))
+        client = ClientState(one_sample_view(), flat(0.0))
         update, new_control = local_train_scaffold(
             flat(0.0), flat(1.0), client, self._cfg(), 0, QuadraticObjective(3.0)
         )
@@ -528,14 +530,14 @@ class TestLocalTrainScaffold:
         features = rng_.normal(size=(6, 2))
         labels = rng_.integers(0, 2, 6)
         view = PartyView(0, np.arange(6), features, labels)
-        client = ClientState(0, view, np.zeros_like(w_t))
+        client = ClientState(view, np.zeros_like(w_t))
         cfg = self._cfg(local_epochs=2, scaffold_c_option="i")
         _, new_control = local_train_scaffold(w_t, np.zeros_like(w_t), client, cfg, 0, objective)
         _, grad = backward(w_t, arch, features, labels)
         assert new_control.tobytes() == grad.tobytes()
 
     def test_requires_controls(self):
-        client = ClientState(0, one_sample_view(), None)
+        client = ClientState(one_sample_view(), None)
         with pytest.raises(ProtocolError):
             local_train_scaffold(
                 flat(0.0), flat(0.0), client, self._cfg(), 0, QuadraticObjective(1.0)
@@ -645,7 +647,7 @@ class TestAggregateFednova:
 
 class TestAggregateScaffold:
     def _state(self, w, c):
-        return GlobalState(0, w, c)
+        return GlobalState(w, c)
 
     def test_zero_delta_controls_keep_c(self):
         w = flat(1.0)
@@ -653,7 +655,6 @@ class TestAggregateScaffold:
         update = make_update(w, 0, flat(0.0), 1, 1, delta_control=flat(0.0))
         new = aggregate_scaffold(state, [update], n_parties=4, server_lr=1.0)
         assert new.control[0] == 0.25
-        assert new.round == 1
 
     def test_opposite_controls_cancel(self):
         w = np.zeros(3)
@@ -692,9 +693,9 @@ class TestRunRound:
         _, views = build_views(train, PartitionSpec("iid"), n_parties, seed)
         params = objective.init_params(seed)
         control = np.zeros_like(params) if algorithm == "scaffold" else None
-        state = GlobalState(0, params, control)
+        state = GlobalState(params, control)
         clients = [
-            ClientState(v.party_id, v, np.zeros_like(params) if control is not None else None)
+            ClientState(v, np.zeros_like(params) if control is not None else None)
             for v in views
         ]
         return state, clients, cfg, objective
@@ -732,7 +733,7 @@ class TestRunRound:
                 )
             else:
                 update = local_train_sgd(
-                    state.params, clients[party_id].view, cfg, cfg.prox_mu, 1, objective
+                    state.params, clients[party_id].view, cfg, 1, objective
                 )
             reversed_updates.append(update)
 
@@ -979,10 +980,10 @@ class TestServerOverflow:
             _, views = build_views(train, PartitionSpec("iid"), 2, 4)
             params = objective.init_params(4)
             control = np.zeros_like(params) if algorithm == "scaffold" else None
-            clients = [ClientState(v.party_id, v, control) for v in views]
-            state = GlobalState(0, params, control)
+            clients = [ClientState(v, control) for v in views]
+            state = GlobalState(params, control)
             new, updates, n_bytes = run_round(state, clients, cfg, 0, objective)
-            assert new.diverged and new.round == 1
+            assert new.diverged
             assert new.params is params and new.control is control
             assert all(client.control is control for client in clients)
             assert n_bytes == round_bytes(2, len(params), algorithm)
@@ -1017,14 +1018,14 @@ class TestServerControlOverflow:
         )
         params, control = flat(0.5, -0.25), np.zeros(2)
         client_controls = [np.zeros(2), np.zeros(2)]
-        clients = [ClientState(v.party_id, v, c) for v, c in zip(views, client_controls)]
-        state = GlobalState(0, params, control)
+        clients = [ClientState(v, c) for v, c in zip(views, client_controls)]
+        state = GlobalState(params, control)
         new, updates, _ = run_round(state, clients, cfg, 0, OverflowingControl())
         # The parties and the parameter aggregate are finite; only the
         # server control c + (1e308 + 1e308) / 2 overflows.
         assert not any(u.diverged for u in updates)
         assert all(u.delta_control.tolist() == [1e308, 1e308] for u in updates)
-        assert new.diverged and new.round == 1
+        assert new.diverged
         assert new.params is params and new.control is control
         assert all(c.control is kept for c, kept in zip(clients, client_controls))
 

@@ -1,9 +1,12 @@
-"""Golden outputs: two small runs whose results.jsonl must not change.
+"""Golden outputs: small runs whose results.jsonl must not change.
 
-The SHA-256 values were recorded from the code before the local-training
-loop moved onto raw arrays. Any change to the numbers a run writes (losses,
-accuracies, bytes, divergence flags) changes a hash; only `wall_ms` is
-masked. The scaffold run diverges in its last rounds and still finishes.
+The SHA-256 values of the first two were recorded from the code before the
+local-training loop moved onto raw arrays. Any change to the numbers a run
+writes (losses, accuracies, bytes, divergence flags) changes a hash; only
+`wall_ms` is masked. The scaffold run diverges in its last rounds and still
+finishes. The sweep's results and summary hashes were recorded before the
+sweep grid became a tuple of per-cell FedRunConfigs; they pin the cell order
+and each cell's mu.
 """
 
 import hashlib
@@ -28,9 +31,22 @@ BLOBS_SCAFFOLD = {
     "fed": {"algorithms": ["scaffold"], "rounds": 12, "parties": 5, "local_epochs": 5,
             "batch_size": 64, "seed": 11},
 }
+# Three algorithms x two epoch counts, fedprox also x two mus, two trials.
+BLOBS_SWEEP = {
+    "dataset": {"type": "blobs", "n_classes": 4, "n_per_class": 40, "dim": 8,
+                "spread": 0.3, "seed": 5},
+    "partition": {"type": "label_dirichlet", "beta": 0.5},
+    "arch": {"hidden": [8]},
+    "fed": {"algorithms": ["fedavg", "fedprox", "scaffold"], "rounds": 3, "parties": 3,
+            "lr": 0.1, "batch_size": 16, "seed": 13},
+    "sweeps": {"mu": [0.01, 0.1], "local_epochs": [1, 2]},
+    "trials": 2,
+}
 GOLDEN = {
     "fcube_fedprox": "91b918e67003feba26af7fad8e03458c6e0b95f272204dec1e5fdd00c452a161",
     "blobs_scaffold": "37399a744f6d81b5725e0e63a0db9e64a39c36ff25dd21960d8cb849219eb663",
+    "blobs_sweep": "86bf9f9da52379db556bc231048302ba3f30e372c523633ab852d40460a9429a",
+    "blobs_sweep_summary": "113d93709cbea7eefa3faa0c329075d4edbc5993935041769695fb381962b055",
 }
 
 
@@ -50,3 +66,17 @@ def test_blobs_scaffold_diverges_and_matches_golden(tmp_path):
     flags = [json.loads(line)["diverged"] for line in text.splitlines()]
     assert len(flags) == 13 and flags[-2:] == [True, True] and not any(flags[:-2])
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == GOLDEN["blobs_scaffold"]
+
+
+def test_blobs_sweep_cells_golden(tmp_path):
+    text = masked_results(BLOBS_SWEEP, tmp_path)
+    summary = (tmp_path / "summary.csv").read_text(encoding="ascii")
+    cells = [line.split(",")[:3] for line in summary.splitlines()[1:]]
+    assert cells == [
+        ["fedavg", "", "1"], ["fedavg", "", "2"],
+        ["fedprox", "0.01", "1"], ["fedprox", "0.1", "1"],
+        ["fedprox", "0.01", "2"], ["fedprox", "0.1", "2"],
+        ["scaffold", "", "1"], ["scaffold", "", "2"],
+    ]
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == GOLDEN["blobs_sweep"]
+    assert hashlib.sha256(summary.encode("ascii")).hexdigest() == GOLDEN["blobs_sweep_summary"]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ from fedsim.harness import (
     cmd_partition,
     cmd_report,
     cmd_run,
-    enumerate_settings,
     gradient_check,
 )
 from fedsim.partition import PartitionSpec, build_views, export_partition
@@ -82,7 +82,7 @@ class TestLoadConfig:
         assert config.fed.server_lr == 1.0
         assert config.hidden == (32, 16, 8)
         assert config.partition.kind == "iid"
-        assert config.algorithms == ("fedavg",)
+        assert [cell.algorithm for cell in config.cells] == ["fedavg"]
         assert config.trials == 1
 
     def test_default_parties_ten_elsewhere(self):
@@ -102,15 +102,17 @@ class TestLoadConfig:
 
     def test_mu_sweep_accepted_verbatim(self):
         config = parse_config(
-            small_run_config(sweeps={"mu": [0.001, 0.01, 0.1, 1]})
+            small_run_config(
+                fed={"algorithms": ["fedprox"]}, sweeps={"mu": [0.001, 0.01, 0.1, 1]}
+            )
         )
-        assert config.mu_sweep == (0.001, 0.01, 0.1, 1.0)
+        assert [cell.prox_mu for cell in config.cells] == [0.001, 0.01, 0.1, 1.0]
 
     def test_epoch_sweep_accepted(self):
         config = parse_config(
             small_run_config(sweeps={"local_epochs": [10, 20, 40, 80]})
         )
-        assert config.epoch_sweep == (10, 20, 40, 80)
+        assert [cell.local_epochs for cell in config.cells] == [10, 20, 40, 80]
 
     def test_negative_beta_rejected_with_key_path(self):
         with pytest.raises(ConfigError, match=r"partition\.beta"):
@@ -169,6 +171,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=rf"config\.dataset\.{key}: expected"):
             parse_config({"dataset": dataset})
 
+    @pytest.mark.parametrize(
+        "label_map, cause",
+        [
+            ({"-1": 0, "1": 0.7}, r"\.1: expected int, got float"),
+            ({"-1": 0, "1": True}, r"\.1: expected int, got bool"),
+            ({"-1": 0, "1": "1"}, r"\.1: expected int, got str"),
+            ({"-1": 0, "1": 2}, r"\.1: class id must be in \[0, 2\), got 2"),
+            ({"-1": -1, "1": 1}, r"\.-1: class id must be in \[0, 2\), got -1"),
+            ({"1.5": 0}, r": label '1\.5' is not an integer"),
+            ({"1": 0, "01": 1}, r": label '01' repeats label 1"),
+        ],
+    )
+    def test_label_map_must_map_integers_to_class_ids(self, label_map, cause):
+        # int() used to truncate 0.7 and True to a class id without a word.
+        dataset = {**LIBSVM_OPTIONS, "label_map": label_map}
+        with pytest.raises(ConfigError, match=rf"^config\.dataset\.label_map{cause}$"):
+            parse_config({"dataset": dataset})
+
     def test_dataset_float_option_accepts_integer(self):
         config = parse_config({"dataset": {**BLOBS_SMALL, "spread": 1}})
         assert config.dataset.options["spread"] == 1.0
@@ -190,8 +210,7 @@ class TestLoadConfig:
         config = parse_config({"dataset": dataset})
         assert config.fed == FedRunConfig(algorithm="fedavg", **overrides)
         assert config.partition == PartitionSpec("iid")
-        assert config.mu_sweep == (FedRunConfig.prox_mu,)
-        assert config.epoch_sweep == (FedRunConfig.local_epochs,)
+        assert config.cells == (config.fed,)
 
     def test_dataset_defaults_filled(self):
         config = parse_config({"dataset": {"type": "fcube"}})
@@ -315,13 +334,14 @@ class TestSettings:
     def test_mu_sweep_only_applies_to_fedprox(self):
         config = parse_config(
             small_run_config(
-                fed={"algorithms": ["fedavg", "fedprox"]},
+                fed={"algorithms": ["fedavg", "fedprox"], "prox_mu": 0.5},
                 sweeps={"mu": [0.01, 0.1]},
             )
         )
-        settings = enumerate_settings(config)
-        labels = [(s.algorithm, s.mu) for s in settings]
-        assert labels == [("fedavg", None), ("fedprox", 0.01), ("fedprox", 0.1)]
+        labels = [(c.algorithm, c.mu, c.prox_mu) for c in config.cells]
+        assert labels == [
+            ("fedavg", None, 0.5), ("fedprox", 0.01, 0.01), ("fedprox", 0.1, 0.1),
+        ]
 
     def test_epoch_sweep_applies_to_all(self):
         config = parse_config(
@@ -330,10 +350,32 @@ class TestSettings:
                 sweeps={"local_epochs": [1, 2]},
             )
         )
-        settings = enumerate_settings(config)
-        assert [(s.algorithm, s.local_epochs) for s in settings] == [
+        assert [(c.algorithm, c.local_epochs) for c in config.cells] == [
             ("fedavg", 1), ("fedavg", 2), ("fednova", 1), ("fednova", 2),
         ]
+
+    def test_cells_share_every_other_setting(self):
+        # Cells run in order algorithm, local epochs, mu; each is the base
+        # fed section with only those three changed, and --seed reaches all.
+        config = parse_config(
+            small_run_config(
+                fed={"algorithms": ["scaffold", "fedprox"], "rounds": 4, "seed": 3},
+                sweeps={"mu": [0.2, 0.1], "local_epochs": [2, 1]},
+            )
+        )
+        assert [(c.algorithm, c.local_epochs, c.mu) for c in config.cells] == [
+            ("scaffold", 2, None), ("scaffold", 1, None),
+            ("fedprox", 2, 0.2), ("fedprox", 2, 0.1),
+            ("fedprox", 1, 0.2), ("fedprox", 1, 0.1),
+        ]
+        base = FedRunConfig(algorithm="scaffold", rounds=4, master_seed=3)
+        for cell in config.cells:
+            assert cell == replace(
+                base, algorithm=cell.algorithm, local_epochs=cell.local_epochs,
+                prox_mu=cell.prox_mu,
+            )
+        reseeded = override_seed(config, 9).cells
+        assert reseeded == tuple(replace(c, master_seed=9) for c in config.cells)
 
 
 class TestCmdPartition:
@@ -674,16 +716,41 @@ class TestCli:
         b = read_jsonl(tmp_path / "s6" / "results.jsonl")
         assert [r["test_accuracy"] for r in a] != [r["test_accuracy"] for r in b]
 
+        # On a sweep, --seed reaches every cell: the run equals the same
+        # config with that seed written in.
+        fed = {"algorithms": ["fedavg", "fedprox", "scaffold"], "rounds": 2, "parties": 3,
+               "local_epochs": 1, "batch_size": 16, "lr": 0.05}
+        sweeps = {"mu": [0.01, 0.1], "local_epochs": [1, 2]}
+        outputs = []
+        for name, seed, argv in [("flag", 1, ["--seed", "5"]), ("written", 5, [])]:
+            raw = small_run_config(fed={**fed, "seed": seed}, sweeps=sweeps, trials=2)
+            path = write_config(tmp_path, raw, name=f"{name}.json")
+            out = tmp_path / name
+            assert main(["run", "--config", str(path), "--out", str(out), *argv]) == 0
+            results = mask_wall((out / "results.jsonl").read_text())
+            outputs.append((results, (out / "summary.csv").read_text()))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0].splitlines()) == 8 * 2 * 3  # cells x trials x records
+
     def test_gradcheck_exit_code(self, capsys):
         assert main(["gradcheck", "--cases", "5"]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("cases", ["0", "-3"])
-    def test_gradcheck_refuses_fewer_than_one_case(self, capsys, cases):
-        assert main(["gradcheck", "--cases", cases]) == 2
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["--cases", "0"], "needs at least 1 case, got 0", id="0"),
+            pytest.param(["--cases", "-3"], "needs at least 1 case, got -3", id="-3"),
+            pytest.param(["--seed", "-1"], "seed must be >= 0, got -1", id="seed=-1"),
+        ],
+    )
+    def test_gradcheck_refuses_fewer_than_one_case(self, capsys, argv, message):
+        # Also a negative seed, which numpy's SeedSequence would refuse with
+        # a traceback.
+        assert main(["gradcheck", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: gradcheck needs at least 1 case, got {cases}\n"
+        assert captured.err == f"error: gradcheck {message}\n"
 
     def test_missing_dataset_file_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "absent-images.idx"
