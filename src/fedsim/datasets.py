@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
+from .rng import stream
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -143,7 +144,7 @@ def fcube_generate(spec: FcubeSpec) -> tuple[LabeledDataset, LabeledDataset, np.
 
 def blob_center(class_id: int, dim: int) -> np.ndarray:
     """Fixed unit-norm center for a class, independent of the dataset seed."""
-    rng = np.random.default_rng(np.random.SeedSequence([_CENTER_SALT, class_id, dim]))
+    rng = stream(_CENTER_SALT, class_id, dim)
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 
@@ -246,8 +247,10 @@ def read_idx(images_path, labels_path) -> LabeledDataset:
     features = pixels.astype(np.float64).reshape(n_images, rows * cols)
     features /= 255.0
     labels = np.frombuffer(label_data, dtype=np.uint8, offset=8, count=n_labels)
-    labels = labels.astype(np.int64)
-    return LabeledDataset(features, labels, 10)
+    try:
+        return LabeledDataset(features, labels.astype(np.int64), 10)
+    except DataError as exc:  # a label byte of 10 or more
+        raise FormatError(f"{labels_path}: {exc}") from None
 
 
 def write_idx(ds: LabeledDataset, images_path, labels_path, rows: int, cols: int):
@@ -303,6 +306,8 @@ def read_libsvm(path, n_features: int, n_classes: int, label_map: dict) -> Label
                 raise FormatError(
                     f"{path}: line {lineno}: index {index} out of range 1..{n_features}"
                 )
+            if not np.isfinite(value):
+                raise FormatError(f"{path}: line {lineno}: non-finite value in {token!r}")
             row[index - 1] = value
         rows.append(row)
     if not rows:
@@ -345,4 +350,7 @@ def load_container(path) -> LabeledDataset:
         )
     features = np.frombuffer(data, dtype="<f8", count=n * d, offset=24).reshape(n, d)
     labels = np.frombuffer(data, dtype="<u4", count=n, offset=24 + feat_bytes)
-    return LabeledDataset(features, labels.astype(np.int64), int(n_classes))
+    try:
+        return LabeledDataset(features, labels.astype(np.int64), int(n_classes))
+    except DataError as exc:  # non-finite features, labels or n_classes out of range
+        raise FormatError(f"{path}: {exc}") from None

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,7 +97,8 @@ class FedRunConfig:
 
 @dataclass(frozen=True)
 class GlobalState:
-    """Server state: global model, control variate (scaffold).
+    """Federation state: global model; scaffold adds the server control c and
+    client_controls, every party's c_i indexed by party id.
 
     diverged marks a round whose aggregate went non-finite; such a round
     keeps the previous model and controls.
@@ -105,6 +106,7 @@ class GlobalState:
 
     params: np.ndarray
     control: np.ndarray | None = None
+    client_controls: tuple | None = None
     diverged: bool = False
 
 
@@ -120,14 +122,6 @@ class LocalUpdate:
     final_params: np.ndarray
     delta_control: np.ndarray | None = None
     diverged: bool = False
-
-
-@dataclass
-class ClientState:
-    """Per-party persistent state; control is scaffold's c_i, zero at start."""
-
-    view: PartyView
-    control: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -188,16 +182,14 @@ def sample_parties(
 
 
 def _epoch_batches(generator, rows: np.ndarray, batch_size: int):
-    """One epoch's minibatches as (positions in the view, source rows).
+    """One epoch's minibatches as source rows.
 
     The epoch's permutation is mapped to source rows once, so each batch
     costs two gathers: its feature rows and its labels.
     """
-    perm = generator.permutation(rows.shape[0])
-    order = rows[perm]
-    for start in range(0, perm.shape[0], batch_size):
-        stop = start + batch_size
-        yield perm[start:stop], order[start:stop]
+    order = rows[generator.permutation(rows.shape[0])]
+    for start in range(0, order.shape[0], batch_size):
+        yield order[start : start + batch_size]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -239,7 +231,7 @@ def _local_loop(w_start, view, cfg, round_idx, objective, correction=None):
     """
     generator = rng.stream(cfg.master_seed, rng.TAG_LOCAL, round_idx, view.party_id)
     loss_grad = objective.loss_grad
-    source, rows, labels = view.source, view.rows, view.labels
+    source, rows, labels = view.source, view.rows, view.source_labels
     lr, momentum = cfg.local_lr, cfg.momentum
     prox_mu = cfg.mu or 0.0
     params = w_start
@@ -252,10 +244,10 @@ def _local_loop(w_start, view, cfg, round_idx, objective, correction=None):
     diverged = False
     with _flagged_numerics():
         for _ in range(cfg.local_epochs):
-            for batch_pos, batch_rows in _epoch_batches(generator, rows, cfg.batch_size):
+            for batch in _epoch_batches(generator, rows, cfg.batch_size):
                 try:
                     loss, grad = loss_grad(
-                        params, source[batch_rows], labels[batch_pos], prox_mu, anchor
+                        params, source[batch], labels[batch], prox_mu, anchor
                     )
                 except NumericError:
                     diverged = True
@@ -307,7 +299,8 @@ def local_train_sgd(
 def local_train_scaffold(
     w_t: np.ndarray,
     server_control: np.ndarray,
-    client: ClientState,
+    c_i: np.ndarray,
+    view: PartyView,
     cfg: FedRunConfig,
     round_idx: int,
     objective,
@@ -322,12 +315,10 @@ def local_train_scaffold(
     c* or c* - c_i is non-finite, the party is flagged diverged, keeps its
     c_i and reports a zero delta_control.
     """
-    c_i = client.control
     if c_i is None or server_control is None:
         raise ProtocolError("scaffold training requires both control variates")
     if c_i.shape != w_t.shape or server_control.shape != w_t.shape:
         raise ProtocolError("control variate shapes do not match the model")
-    view = client.view
     with _flagged_numerics():
         # Round-constant correction; computing the difference once keeps the
         # zero-control case exactly equal to plain SGD.
@@ -431,7 +422,7 @@ def round_bytes(n_selected: int, n_coords: int, algorithm: str) -> int:
 
 def run_round(
     state: GlobalState,
-    clients: list[ClientState],
+    views: list[PartyView],
     cfg: FedRunConfig,
     round_idx: int,
     objective,
@@ -440,29 +431,31 @@ def run_round(
 
     Parties train one after another in ascending id; each draws from its own
     (seed, round, party) stream, so its update does not depend on that order.
+    Returns a new state and writes to none of its arguments: a sampled scaffold
+    party's new control replaces its entry in the new state's client_controls.
     If the new model or the new server control has a non-finite entry, the
-    round keeps the global model, the server control and every client
-    control, and returns a state marked diverged; its traffic still counts.
+    round returns the given state marked diverged; its traffic still counts.
     """
     selected = sample_parties(
         cfg.n_parties, cfg.sample_fraction, round_idx, cfg.master_seed
     )
     n_bytes = round_bytes(len(selected), len(state.params), cfg.algorithm)
-    updates, new_controls = [], []
+    updates, client_controls = [], list(state.client_controls or [None] * cfg.n_parties)
     for party_id in selected:
         if cfg.algorithm == "scaffold":
-            update, new_control = local_train_scaffold(
-                state.params, state.control, clients[party_id], cfg, round_idx, objective
+            update, client_controls[party_id] = local_train_scaffold(
+                state.params, state.control, client_controls[party_id],
+                views[party_id], cfg, round_idx, objective,
             )
-            new_controls.append(new_control)
         else:
             update = local_train_sgd(
-                state.params, clients[party_id].view, cfg, round_idx, objective
+                state.params, views[party_id], cfg, round_idx, objective
             )
         updates.append(update)
     with _flagged_numerics():
         if cfg.algorithm == "scaffold":
-            new_state = aggregate_scaffold(state, updates, cfg.n_parties, cfg.server_lr)
+            server = aggregate_scaffold(state, updates, cfg.n_parties, cfg.server_lr)
+            new_state = GlobalState(server.params, server.control, tuple(client_controls))
         else:
             combine = aggregate_fednova if cfg.algorithm == "fednova" else aggregate_weighted
             new_state = GlobalState(combine(state.params, updates, cfg.server_lr))
@@ -470,11 +463,7 @@ def run_round(
         np.isfinite(new_state.params).all()
         and (new_state.control is None or np.isfinite(new_state.control).all())
     ):
-        kept = GlobalState(state.params, state.control, diverged=True)
-        return kept, updates, n_bytes
-    # Client controls change only once the aggregate is known to be finite.
-    for party_id, new_control in zip(selected, new_controls):
-        clients[party_id].control = new_control
+        return replace(state, diverged=True), updates, n_bytes
     return new_state, updates, n_bytes
 
 
@@ -520,15 +509,15 @@ def run_experiment(
     params = objective.init_params(rng.derive_seed(cfg.master_seed, rng.TAG_INIT))
     # Controls are read-only, so one zero array can start all of them.
     control = _read_only(np.zeros_like(params)) if cfg.algorithm == "scaffold" else None
-    state = GlobalState(params, control)
-    clients = [ClientState(view, control) for view in views]
+    client_controls = None if control is None else (control,) * cfg.n_parties
+    state = GlobalState(params, control, client_controls)
 
     records = [
         RoundRecord(0, objective.accuracy(state.params, ds_test), None, 0, 0, False)
     ]
     for round_idx in range(cfg.rounds):
         started = time.perf_counter()
-        state, updates, n_bytes = run_round(state, clients, cfg, round_idx, objective)
+        state, updates, n_bytes = run_round(state, views, cfg, round_idx, objective)
         # Diverging parties can leave a huge but finite model whose
         # logits overflow; argmax still yields an accuracy.
         with _flagged_numerics():

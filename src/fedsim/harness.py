@@ -343,7 +343,7 @@ def gradient_check(
         raise ConfigError(f"gradcheck seed must be >= 0, got {seed}")
     worst = 0.0
     for case in range(n_cases):
-        generator = np.random.default_rng(np.random.SeedSequence([seed, case]))
+        generator = rng.stream(seed, case)
         depth = int(generator.integers(1, 4))
         dims = [int(generator.integers(2, 7)) for _ in range(depth + 1)]
         dims.append(int(generator.integers(2, 5)))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .datasets import LabeledDataset, read_input
 from .errors import ConfigError, FormatError, PartitionError
-from .rng import derive_seed
+from .rng import derive_seed, stream
 
 PARTITION_KINDS = (
     "iid",
@@ -89,31 +89,24 @@ class PartitionSpec:
 
 @dataclass(frozen=True)
 class PartyView:
-    """One party's local data: rows `rows` of the feature matrix `source`.
-
-    indices are the party's sample ids in the training set and labels their
-    labels, in the same order as rows. Without feature noise, source is the
-    shared training matrix and rows equal indices, so no feature is copied;
-    a noise-shifted view owns its rows, and rows is 0..n-1, the default.
-    Neither source nor rows is ever written.
+    """One party's local data: rows `rows` of the run's one training pair,
+    features `source` and labels `source_labels`, which every view of the
+    run shares. source is the training matrix or, under feature noise, one
+    noise-shifted copy of it. Neither source nor rows is ever written.
     """
 
     party_id: int
-    indices: np.ndarray
+    rows: np.ndarray
     source: np.ndarray
-    labels: np.ndarray
-    rows: np.ndarray | None = None
+    source_labels: np.ndarray
 
     def __post_init__(self):
-        indices = np.asarray(self.indices, dtype=np.int64).reshape(-1)
+        rows = np.asarray(self.rows, dtype=np.int64).reshape(-1)
         n_source = self.source.shape[0]
-        rows = np.arange(n_source) if self.rows is None else self.rows
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        if rows.shape[0] != indices.shape[0]:
-            raise PartitionError("view row count does not match its index list")
+        if self.source_labels.shape[0] != n_source:
+            raise PartitionError("view labels do not match its feature matrix")
         if rows.size and (rows.min() < 0 or rows.max() >= n_source):
             raise PartitionError("view rows lie outside its feature matrix")
-        object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -124,6 +117,11 @@ class PartyView:
     def features(self) -> np.ndarray:
         """The party's feature rows, gathered into a new array on each access."""
         return self.source[self.rows]
+
+    @property
+    def labels(self) -> np.ndarray:
+        """The party's labels, gathered into a new array on each access."""
+        return self.source_labels[self.rows]
 
 
 def check_partition(pmap: PartitionMap, n_samples: int):
@@ -229,7 +227,7 @@ def _dirichlet_retry(draw, beta: float, min_size: int, seed: int) -> list:
     if min_size < 1:
         raise ConfigError(f"min_size must be >= 1, got {min_size}")
     for attempt in range(_MAX_DIRICHLET_RETRIES):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
+        rng = stream(seed, attempt)
         try:
             parts = draw(rng)
         except PartitionError:
@@ -314,25 +312,26 @@ def apply_feature_noise(
     """Party views, with Gaussian noise of variance sigma*i/N added to features.
 
     Parties are 1-indexed for the variance schedule, so the last party gets
-    variance exactly sigma. Labels are untouched. sigma == 0 copies no
-    features: every view indexes the shared ds.features; otherwise each
-    view owns its noise-shifted rows.
+    variance exactly sigma; 0-based party p draws from stream (seed, p).
+    Labels are untouched. sigma == 0 copies no features: every view indexes
+    ds.features; otherwise every view indexes one noise-shifted copy of it.
     """
     if not sigma >= 0:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
-    views = []
-    n_parties = pmap.n_parties
-    for party, indices in enumerate(pmap.assignments):
-        labels = ds.labels[indices]
-        if sigma == 0:
-            views.append(PartyView(party, indices, ds.features, labels, indices))
-            continue
-        noisy = ds.features[indices]
-        variance = sigma * (party + 1) / n_parties
-        rng = np.random.default_rng(np.random.SeedSequence([seed, party]))
-        noisy += rng.normal(0.0, np.sqrt(variance), size=noisy.shape)
-        views.append(PartyView(party, indices, noisy, labels))
-    return views
+    source = ds.features
+    if sigma > 0:
+        source = ds.features.copy()
+        for party, rows in enumerate(pmap.assignments):
+            variance = sigma * (party + 1) / pmap.n_parties
+            noise = stream(seed, party).normal(
+                0.0, np.sqrt(variance), size=(rows.shape[0], ds.n_features)
+            )
+            source[rows] += noise
+        source.setflags(write=False)
+    return [
+        PartyView(party, rows, source, ds.labels)
+        for party, rows in enumerate(pmap.assignments)
+    ]
 
 
 def build_partition(
@@ -370,7 +369,6 @@ class PartitionStats:
     """Class-count matrix plus scalar imbalance summaries."""
 
     class_counts: np.ndarray  # (n_parties, n_classes)
-    party_sizes: np.ndarray  # (n_parties,)
     size_cv: float  # std/mean of party sizes
     mean_label_tv: float  # mean total-variation gap to the global label mix
 
@@ -394,7 +392,7 @@ def partition_stats(pmap: PartitionMap, ds: LabeledDataset) -> PartitionStats:
     sizes = pmap.sizes()
     size_cv = float(sizes.std() / sizes.mean()) if sizes.mean() > 0 else 0.0
     mean_tv = float(label_distribution_tv(pmap, ds).mean())
-    return PartitionStats(counts, sizes, size_cv, mean_tv)
+    return PartitionStats(counts, size_cv, mean_tv)
 
 
 def export_partition(pmap: PartitionMap, n_samples: int, path):

@@ -11,7 +11,6 @@ from fedsim import rng
 from fedsim.config import parse_config
 from fedsim.datasets import FcubeSpec, LabeledDataset, blobs_generate, fcube_generate, split_train_test
 from fedsim.engine import (
-    ClientState,
     FedRunConfig,
     GlobalState,
     MlpObjective,
@@ -66,23 +65,19 @@ def _fcube_setup(algorithm, n_parties=4, rounds=10, prox_mu=0.0, seed=31):
     params = objective.init_params(rng.derive_seed(cfg.master_seed, rng.TAG_INIT))
     control = np.zeros_like(params) if algorithm == "scaffold" else None
     state = GlobalState(params, control)
-    clients = [
-        ClientState(v, np.zeros_like(params) if control is not None else None)
-        for v in views
-    ]
-    return state, clients, cfg, objective, test
+    return state, views, cfg, objective, test
 
 
 def test_criterion_2_algorithm_identities():
     started = time.perf_counter()
 
     # (a) fedprox with mu = 0 walks bit-identically to fedavg for 10 rounds.
-    state_a, clients_a, cfg_a, objective, _ = _fcube_setup("fedavg")
-    state_p, clients_p, cfg_p, _, _ = _fcube_setup("fedprox", prox_mu=0.0)
+    state_a, views_a, cfg_a, objective, _ = _fcube_setup("fedavg")
+    state_p, views_p, cfg_p, _, _ = _fcube_setup("fedprox", prox_mu=0.0)
     prox_identical = True
     for round_idx in range(10):
-        state_a, _, _ = run_round(state_a, clients_a, cfg_a, round_idx, objective)
-        state_p, _, _ = run_round(state_p, clients_p, cfg_p, round_idx, objective)
+        state_a, _, _ = run_round(state_a, views_a, cfg_a, round_idx, objective)
+        state_p, _, _ = run_round(state_p, views_p, cfg_p, round_idx, objective)
         prox_identical &= (
             state_a.params.tobytes() == state_p.params.tobytes()
         )
@@ -102,26 +97,23 @@ def test_criterion_2_algorithm_identities():
 
     # (c) scaffold with controls frozen at zero produces fedavg's local
     # trajectories bit for bit, round after round.
-    state_s, clients_s, cfg_s, _, _ = _fcube_setup("scaffold")
-    state_f, clients_f, cfg_f, _, _ = _fcube_setup("fedavg")
+    state_s, views_s, cfg_s, _, _ = _fcube_setup("scaffold")
+    state_f, views_f, cfg_f, _, _ = _fcube_setup("fedavg")
     zero = np.zeros_like(state_s.params)
     scaffold_identical = True
     for round_idx in range(3):
-        for client in clients_s:
-            client.control = zero  # freeze: ignore the engine's c updates
-        frozen = GlobalState(state_f.params, zero)
         for party in range(cfg_s.n_parties):
             update_s, _ = local_train_scaffold(
-                frozen.params, zero, clients_s[party], cfg_s, round_idx, objective
+                state_f.params, zero, zero, views_s[party], cfg_s, round_idx, objective
             )
             update_f = local_train_sgd(
-                state_f.params, clients_f[party].view, cfg_f, round_idx, objective
+                state_f.params, views_f[party], cfg_f, round_idx, objective
             )
             scaffold_identical &= (
                 update_s.final_params.tobytes()
                 == update_f.final_params.tobytes()
             )
-        state_f, _, _ = run_round(state_f, clients_f, cfg_f, round_idx, objective)
+        state_f, _, _ = run_round(state_f, views_f, cfg_f, round_idx, objective)
 
     # (d) a single-party federation reproduces centralized SGD with the
     # velocity reset at round boundaries, bit for bit, for every
@@ -142,10 +134,9 @@ def test_criterion_2_algorithm_identities():
         state = GlobalState(
             objective_c.init_params(rng.derive_seed(cfg.master_seed, rng.TAG_INIT)), None
         )
-        clients = [ClientState(view, None)]
         params = state.params
         for round_idx in range(cfg.rounds):
-            state, _, _ = run_round(state, clients, cfg, round_idx, objective_c)
+            state, _, _ = run_round(state, views, cfg, round_idx, objective_c)
             generator = rng.stream(cfg.master_seed, rng.TAG_LOCAL, round_idx, 0)
             velocity = np.zeros_like(params)
             for _ in range(cfg.local_epochs):

@@ -230,6 +230,13 @@ class TestIdx:
         with pytest.raises(FormatError, match="cannot read .*absent-labels.idx"):
             read_idx(images_path, missing)
 
+    @pytest.mark.parametrize("label", [10, 12, 255])
+    def test_out_of_range_label_names_file(self, tmp_path, label):
+        paths = _write_idx_pair(tmp_path, np.zeros((3, 2, 2), np.uint8), [0, label, 3])
+        message = f"{paths[1]}: labels must lie in [0, 10), found min=0, max={label}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read_idx(*paths)
+
     def test_round_trip_within_quantization(self, tmp_path):
         rng = np.random.default_rng(0)
         ds = LabeledDataset(rng.uniform(0, 1, size=(20, 12)), rng.integers(0, 10, 20), 10)
@@ -272,6 +279,14 @@ class TestLibsvm:
         path = tmp_path / "data.svm"
         path.write_text("+1 5:1.0\n")
         with pytest.raises(FormatError, match="line 1.*out of range"):
+            read_libsvm(path, 3, 2, {1: 1, -1: 0})
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "data.svm"
+        path.write_text(f"+1 1:1.0\n-1 1:0.5 3:{value}\n")
+        message = f"{path}: line 2: non-finite value in '3:{value}'"
+        with pytest.raises(FormatError, match=re.escape(message)):
             read_libsvm(path, 3, 2, {1: 1, -1: 0})
 
     def test_unmapped_label(self, tmp_path):
@@ -341,6 +356,24 @@ class TestContainer:
         save_container(ds, path)
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(FormatError):
+            load_container(path)
+
+    @pytest.mark.parametrize(
+        "offset, packed, message",
+        [
+            (24, struct.pack("<d", float("nan")), "features contain non-finite values"),
+            (32, struct.pack("<d", float("-inf")), "features contain non-finite values"),
+            (24 + 8 * 6 + 4, struct.pack("<I", 2), "labels must lie in [0, 2)"),
+            (16, struct.pack("<Q", 0), "n_classes must be >= 1"),
+        ],
+    )
+    def test_bad_content_names_path(self, tmp_path, offset, packed, message):
+        path = tmp_path / "data.bin"
+        save_container(LabeledDataset(np.zeros((2, 3)), [0, 1], 2), path)
+        data = bytearray(path.read_bytes())
+        data[offset : offset + len(packed)] = packed
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
             load_container(path)
 
     def test_missing_file_names_path(self, tmp_path):

@@ -8,7 +8,6 @@ import pytest
 from fedsim.datasets import FcubeSpec, fcube_generate
 from fedsim.engine import (
     ALGORITHMS,
-    ClientState,
     FedRunConfig,
     GlobalState,
     MlpObjective,
@@ -311,9 +310,7 @@ class TestLocalLoopBuffers:
         w_before = w_t.copy()
         features, labels = view.features.copy(), view.labels.copy()
         objective = RecordingObjective(self.ARCH)
-        update, new_control = local_train_scaffold(
-            w_t, c, ClientState(view, c_i), cfg, 2, objective
-        )
+        update, new_control = local_train_scaffold(w_t, c, c_i, view, cfg, 2, objective)
         correction = c - c_i
         final, tau, mean_loss = reference_local_loop(
             w_t, view, cfg, 2, MlpObjective(self.ARCH), correction=correction
@@ -339,8 +336,8 @@ class TestIndexedView:
         source.setflags(write=False)
         all_labels = rng_.integers(0, 10, 120)
         rows = rng_.permutation(120)[:45]
-        indexed = PartyView(2, rows, source, all_labels[rows], rows)
-        copied = PartyView(2, rows, source[rows].copy(), all_labels[rows])
+        indexed = PartyView(2, rows, source, all_labels)
+        copied = PartyView(2, np.arange(45), source[rows].copy(), all_labels[rows])
         return indexed, copied
 
     @pytest.mark.parametrize(
@@ -361,9 +358,7 @@ class TestIndexedView:
         results = []
         for view in self._views():
             if algorithm == "scaffold":
-                update, control = local_train_scaffold(
-                    w_t, c, ClientState(view, c_i), cfg, 1, objective
-                )
+                update, control = local_train_scaffold(w_t, c, c_i, view, cfg, 1, objective)
                 extra = (control.tobytes(), update.delta_control.tobytes())
             else:
                 update = local_train_sgd(w_t, view, cfg, 1, objective)
@@ -401,9 +396,8 @@ class TestScaffoldControlOverflow:
 
     def test_party_flagged_keeps_control_and_reports_zero_delta(self):
         c_i = flat(0.25)
-        client = ClientState(one_sample_view(), c_i)
         update, new_control = local_train_scaffold(
-            flat(0.0), flat(1.0), client, self._cfg(), 0, InfiniteFullGrad()
+            flat(0.0), flat(1.0), c_i, one_sample_view(), self._cfg(), 0, InfiniteFullGrad()
         )
         assert update.diverged
         assert new_control is c_i
@@ -417,9 +411,8 @@ class TestScaffoldControlOverflow:
         # c - c_i = -1e308 - 1e308 overflows: the first corrected step is
         # non-finite, and so is option ii's c* = c_i - c + ...
         c_i = flat(1e308)
-        client = ClientState(one_sample_view(), c_i)
         update, new_control = local_train_scaffold(
-            flat(0.0), flat(-1e308), client,
+            flat(0.0), flat(-1e308), c_i, one_sample_view(),
             self._cfg(scaffold_c_option="ii"), 0, QuadraticObjective(0.0),
         )
         assert update.diverged
@@ -436,9 +429,8 @@ class TestScaffoldControlOverflow:
                 return 0.0, np.array([1e308])
 
         c_i = flat(-1e308)
-        client = ClientState(one_sample_view(), c_i)
         update, new_control = local_train_scaffold(
-            flat(0.0), flat(-1e308), client,
+            flat(0.0), flat(-1e308), c_i, one_sample_view(),
             self._cfg(scaffold_c_option="ii"), 0, HugeGradient(0.0),
         )
         assert update.diverged
@@ -448,13 +440,13 @@ class TestScaffoldControlOverflow:
 
     def test_round_completes_and_keeps_client_controls(self):
         cfg = self._cfg()
-        controls = [flat(0.0) for _ in range(3)]
-        clients = [ClientState(one_sample_view(p), controls[p]) for p in range(3)]
-        state = GlobalState(flat(0.0), flat(0.5))
-        new, updates, _ = run_round(state, clients, cfg, 0, InfiniteFullGrad())
+        controls = tuple(flat(0.0) for _ in range(3))
+        views = [one_sample_view(p) for p in range(3)]
+        state = GlobalState(flat(0.0), flat(0.5), controls)
+        new, updates, _ = run_round(state, views, cfg, 0, InfiniteFullGrad())
         assert not new.diverged
         assert all(u.diverged for u in updates)
-        assert all(client.control is controls[p] for p, client in enumerate(clients))
+        assert all(new.client_controls[p] is controls[p] for p in range(3))
         # Zero control deltas leave the server control where it was.
         assert new.control.tolist() == [0.5]
         assert np.isfinite(new.params).all()
@@ -485,8 +477,9 @@ class TestLocalTrainScaffold:
         rng_ = np.random.default_rng(3)
         view = PartyView(0, np.arange(16), rng_.normal(size=(16, 3)), rng_.integers(0, 2, 16))
         cfg = self._cfg(local_epochs=3, momentum=0.9)
-        client = ClientState(view, np.zeros_like(w_t))
-        update, _ = local_train_scaffold(w_t, np.zeros_like(w_t), client, cfg, 0, objective)
+        update, _ = local_train_scaffold(
+            w_t, np.zeros_like(w_t), np.zeros_like(w_t), view, cfg, 0, objective
+        )
         plain = local_train_sgd(w_t, view, cfg, 0, objective)
         assert update.final_params.tobytes() == plain.final_params.tobytes()
 
@@ -502,9 +495,8 @@ class TestLocalTrainScaffold:
         view = PartyView(0, np.arange(4), features, labels)
         c = 0.05 * rng_.standard_normal(len(w_t))
         c_i = 0.05 * rng_.standard_normal(len(w_t))
-        client = ClientState(view, c_i)
         update, new_control = local_train_scaffold(
-            w_t, c, client, self._cfg(), 0, objective
+            w_t, c, c_i, view, self._cfg(), 0, objective
         )
         _, grad = backward(w_t, arch, features, labels)
         assert update.tau == 1
@@ -514,9 +506,9 @@ class TestLocalTrainScaffold:
         # Quadratic (w-3)^2/2 at w_t=0 with c=1, c_i=0: corrected gradient is
         # -3 + 1 = -2, one lr=0.1 step lands at 0.2, and option ii gives
         # c* = 0 - 1 + (0 - 0.2)/0.1 = -3.
-        client = ClientState(one_sample_view(), flat(0.0))
         update, new_control = local_train_scaffold(
-            flat(0.0), flat(1.0), client, self._cfg(), 0, QuadraticObjective(3.0)
+            flat(0.0), flat(1.0), flat(0.0), one_sample_view(), self._cfg(), 0,
+            QuadraticObjective(3.0),
         )
         assert update.final_params[0] == pytest.approx(0.2, abs=1e-12)
         assert new_control[0] == pytest.approx(-3.0, abs=1e-12)
@@ -530,17 +522,18 @@ class TestLocalTrainScaffold:
         features = rng_.normal(size=(6, 2))
         labels = rng_.integers(0, 2, 6)
         view = PartyView(0, np.arange(6), features, labels)
-        client = ClientState(view, np.zeros_like(w_t))
         cfg = self._cfg(local_epochs=2, scaffold_c_option="i")
-        _, new_control = local_train_scaffold(w_t, np.zeros_like(w_t), client, cfg, 0, objective)
+        _, new_control = local_train_scaffold(
+            w_t, np.zeros_like(w_t), np.zeros_like(w_t), view, cfg, 0, objective
+        )
         _, grad = backward(w_t, arch, features, labels)
         assert new_control.tobytes() == grad.tobytes()
 
     def test_requires_controls(self):
-        client = ClientState(one_sample_view(), None)
         with pytest.raises(ProtocolError):
             local_train_scaffold(
-                flat(0.0), flat(0.0), client, self._cfg(), 0, QuadraticObjective(1.0)
+                flat(0.0), flat(0.0), None, one_sample_view(), self._cfg(), 0,
+                QuadraticObjective(1.0),
             )
 
 
@@ -692,19 +685,19 @@ class TestRunRound:
         )
         _, views = build_views(train, PartitionSpec("iid"), n_parties, seed)
         params = objective.init_params(seed)
-        control = np.zeros_like(params) if algorithm == "scaffold" else None
-        state = GlobalState(params, control)
-        clients = [
-            ClientState(v, np.zeros_like(params) if control is not None else None)
-            for v in views
-        ]
-        return state, clients, cfg, objective
+        if algorithm == "scaffold":
+            state = GlobalState(
+                params, np.zeros_like(params), tuple(np.zeros_like(params) for _ in views)
+            )
+        else:
+            state = GlobalState(params)
+        return state, views, cfg, objective
 
     def test_scaffold_bytes_exactly_double(self):
-        state, clients, cfg, objective = self._setup("fedavg")
-        _, _, plain_bytes = run_round(state, clients, cfg, 0, objective)
-        state2, clients2, cfg2, objective2 = self._setup("scaffold")
-        _, _, scaffold_bytes = run_round(state2, clients2, cfg2, 0, objective2)
+        state, views, cfg, objective = self._setup("fedavg")
+        _, _, plain_bytes = run_round(state, views, cfg, 0, objective)
+        state2, views2, cfg2, objective2 = self._setup("scaffold")
+        _, _, scaffold_bytes = run_round(state2, views2, cfg2, 0, objective2)
         assert scaffold_bytes == 2 * plain_bytes
         assert plain_bytes == 2 * 4 * 8 * len(state.params)
 
@@ -713,28 +706,24 @@ class TestRunRound:
         # Each party's update depends only on its (seed, round, party) stream
         # and the round's global state, and aggregation sums in ascending
         # party id: training the sampled parties in reverse changes no bit.
-        state, clients, cfg, objective = self._setup(algorithm, n_parties=5)
+        state, views, cfg, objective = self._setup(algorithm, n_parties=5)
         cfg = replace(
             cfg, rounds=2, sample_fraction=0.6,
             prox_mu=0.1 if algorithm == "fedprox" else 0.0,
         )
         # A first round leaves scaffold with nonzero server and client controls.
-        state, _, _ = run_round(state, clients, cfg, 0, objective)
-        controls = [client.control for client in clients]
-        in_order, updates, _ = run_round(state, clients, cfg, 1, objective)
-        for client, control in zip(clients, controls):
-            client.control = control
+        state, _, _ = run_round(state, views, cfg, 0, objective)
+        in_order, updates, _ = run_round(state, views, cfg, 1, objective)
 
         reversed_updates = []
         for party_id in reversed(sample_parties(5, 0.6, 1, cfg.master_seed)):
             if algorithm == "scaffold":
                 update, _ = local_train_scaffold(
-                    state.params, state.control, clients[party_id], cfg, 1, objective
+                    state.params, state.control, state.client_controls[party_id],
+                    views[party_id], cfg, 1, objective,
                 )
             else:
-                update = local_train_sgd(
-                    state.params, clients[party_id].view, cfg, 1, objective
-                )
+                update = local_train_sgd(state.params, views[party_id], cfg, 1, objective)
             reversed_updates.append(update)
 
         assert len(updates) == 3
@@ -769,31 +758,61 @@ class TestRunRound:
             in_order.params.view(np.int64), out_of_order.view(np.int64)
         )
 
+    def test_round_writes_to_none_of_its_arguments(self):
+        # Two calls from one state give the same bits; the state keeps its
+        # arrays, unchanged; an unsampled party keeps its control by identity.
+        state, views, cfg, objective = self._setup("scaffold", n_parties=5)
+        cfg = replace(cfg, rounds=2, sample_fraction=0.6)
+        # A first round leaves nonzero server and client controls.
+        state, _, _ = run_round(state, views, cfg, 0, objective)
+        params, control, client_controls = state.params, state.control, state.client_controls
+        given = [params, control, *client_controls]
+        before = [array.tobytes() for array in given]
+        first, _, _ = run_round(state, views, cfg, 1, objective)
+        second, _, _ = run_round(state, views, cfg, 1, objective)
+        assert not first.diverged and not second.diverged
+        ours = [first.params, first.control, *first.client_controls]
+        theirs = [second.params, second.control, *second.client_controls]
+        assert [a.tobytes() for a in ours] == [b.tobytes() for b in theirs]
+        assert state.params is params and state.control is control
+        assert state.client_controls is client_controls
+        assert [array.tobytes() for array in given] == before
+        selected = sample_parties(5, 0.6, 1, cfg.master_seed)
+        assert len(selected) == 3
+        for party in range(5):
+            kept = first.client_controls[party] is client_controls[party]
+            assert kept == (party not in selected)
+
+    def test_scaffold_round_requires_client_controls(self):
+        state, views, cfg, objective = self._setup("scaffold")
+        with pytest.raises(ProtocolError, match="control variates"):
+            run_round(replace(state, client_controls=None), views, cfg, 0, objective)
+
     def test_scaffold_round_arrays_are_read_only(self):
         # The engine shares models and controls instead of copying them, so
         # none it hands out may be writable.
-        state, clients, cfg, objective = self._setup("scaffold")
-        new, updates, _ = run_round(state, clients, cfg, 0, objective)
+        state, views, cfg, objective = self._setup("scaffold")
+        new, updates, _ = run_round(state, views, cfg, 0, objective)
         assert not new.diverged
         handed_out = [new.params, new.control]
         handed_out += [u.final_params for u in updates]
         handed_out += [u.delta_control for u in updates]
-        handed_out += [client.control for client in clients]
+        handed_out += list(new.client_controls)
         assert len(handed_out) == 2 + 3 * 4
         for array in handed_out:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
     def test_full_participation_update_count(self):
-        state, clients, cfg, objective = self._setup("fedavg", n_parties=5)
-        _, updates, _ = run_round(state, clients, cfg, 0, objective)
+        state, views, cfg, objective = self._setup("fedavg", n_parties=5)
+        _, updates, _ = run_round(state, views, cfg, 0, objective)
         assert [u.party_id for u in updates] == list(range(5))
 
     def test_round_is_reproducible(self):
-        state, clients, cfg, objective = self._setup("fednova")
-        new_a, _, _ = run_round(state, clients, cfg, 0, objective)
-        state_b, clients_b, cfg_b, objective_b = self._setup("fednova")
-        new_b, _, _ = run_round(state_b, clients_b, cfg_b, 0, objective_b)
+        state, views, cfg, objective = self._setup("fednova")
+        new_a, _, _ = run_round(state, views, cfg, 0, objective)
+        state_b, views_b, cfg_b, objective_b = self._setup("fednova")
+        new_b, _, _ = run_round(state_b, views_b, cfg_b, 0, objective_b)
         assert new_a.params.tobytes() == new_b.params.tobytes()
 
 
@@ -827,11 +846,11 @@ class TestRunExperiment:
         alive, rounds = [], []
         real_run_round = engine.run_round
 
-        def tracking_run_round(state, clients, cfg, round_idx, objective):
+        def tracking_run_round(state, views, cfg, round_idx, objective):
             gc.collect()
             assert not [ref for ref in alive if ref() is not None]
             new_state, updates, n_bytes = real_run_round(
-                state, clients, cfg, round_idx, objective
+                state, views, cfg, round_idx, objective
             )
             for update in updates:
                 alive.append(weakref.ref(update.final_params))
@@ -980,12 +999,12 @@ class TestServerOverflow:
             _, views = build_views(train, PartitionSpec("iid"), 2, 4)
             params = objective.init_params(4)
             control = np.zeros_like(params) if algorithm == "scaffold" else None
-            clients = [ClientState(v, control) for v in views]
-            state = GlobalState(params, control)
-            new, updates, n_bytes = run_round(state, clients, cfg, 0, objective)
+            client_controls = None if control is None else (control, control)
+            state = GlobalState(params, control, client_controls)
+            new, updates, n_bytes = run_round(state, views, cfg, 0, objective)
             assert new.diverged
             assert new.params is params and new.control is control
-            assert all(client.control is control for client in clients)
+            assert new.client_controls is client_controls
             assert n_bytes == round_bytes(2, len(params), algorithm)
             assert not any(u.diverged for u in updates)
             records = run_experiment(train, test, PartitionSpec("iid"), arch, cfg)
@@ -1017,17 +1036,16 @@ class TestServerControlOverflow:
             scaffold_c_option="i", master_seed=6,
         )
         params, control = flat(0.5, -0.25), np.zeros(2)
-        client_controls = [np.zeros(2), np.zeros(2)]
-        clients = [ClientState(v, c) for v, c in zip(views, client_controls)]
-        state = GlobalState(params, control)
-        new, updates, _ = run_round(state, clients, cfg, 0, OverflowingControl())
+        client_controls = (np.zeros(2), np.zeros(2))
+        state = GlobalState(params, control, client_controls)
+        new, updates, _ = run_round(state, views, cfg, 0, OverflowingControl())
         # The parties and the parameter aggregate are finite; only the
         # server control c + (1e308 + 1e308) / 2 overflows.
         assert not any(u.diverged for u in updates)
         assert all(u.delta_control.tolist() == [1e308, 1e308] for u in updates)
         assert new.diverged
         assert new.params is params and new.control is control
-        assert all(c.control is kept for c, kept in zip(clients, client_controls))
+        assert all(c is kept for c, kept in zip(new.client_controls, client_controls))
 
 
 class TestConfigValidation:

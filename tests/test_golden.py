@@ -6,7 +6,10 @@ writes (losses, accuracies, bytes, divergence flags) changes a hash; only
 `wall_ms` is masked. The scaffold run diverges in its last rounds and still
 finishes. The sweep's results and summary hashes were recorded before the
 sweep grid became a tuple of per-cell FedRunConfigs; they pin the cell order
-and each cell's mu.
+and each cell's mu. The noisy run's hashes were recorded before party views
+came to share one noise-shifted matrix and SCAFFOLD's client controls moved
+into GlobalState; it is the one input with feature noise, partial
+participation, fednova and SCAFFOLD's option "i".
 """
 
 import hashlib
@@ -42,11 +45,24 @@ BLOBS_SWEEP = {
     "sweeps": {"mu": [0.01, 0.1], "local_epochs": [1, 2]},
     "trials": 2,
 }
+# Noise overlay, 3 of 5 parties per round, fednova and scaffold option "i".
+BLOBS_NOISY = {
+    "dataset": {"type": "blobs", "n_classes": 4, "n_per_class": 30, "dim": 6,
+                "spread": 0.3, "seed": 17},
+    "partition": {"type": "quantity_dirichlet", "beta": 0.5, "noise_sigma": 0.2},
+    "arch": {"hidden": [8]},
+    "fed": {"algorithms": ["fednova", "scaffold"], "rounds": 4, "parties": 5,
+            "sample_fraction": 0.6, "local_epochs": 2, "lr": 0.1, "batch_size": 8,
+            "scaffold_c_option": "i", "seed": 19},
+    "trials": 2,
+}
 GOLDEN = {
     "fcube_fedprox": "91b918e67003feba26af7fad8e03458c6e0b95f272204dec1e5fdd00c452a161",
     "blobs_scaffold": "37399a744f6d81b5725e0e63a0db9e64a39c36ff25dd21960d8cb849219eb663",
     "blobs_sweep": "86bf9f9da52379db556bc231048302ba3f30e372c523633ab852d40460a9429a",
     "blobs_sweep_summary": "113d93709cbea7eefa3faa0c329075d4edbc5993935041769695fb381962b055",
+    "blobs_noisy": "9093c9e3580cf68bff6c6014d80b9d58439311d2996d0cac3c29574e998df586",
+    "blobs_noisy_summary": "d60d2e64808099671920c39170acf25c7cb05f9ecee2cacebea55a74db4a4a76",
 }
 
 
@@ -80,3 +96,11 @@ def test_blobs_sweep_cells_golden(tmp_path):
     ]
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == GOLDEN["blobs_sweep"]
     assert hashlib.sha256(summary.encode("ascii")).hexdigest() == GOLDEN["blobs_sweep_summary"]
+
+
+def test_blobs_noisy_partial_participation_golden(tmp_path):
+    text = masked_results(BLOBS_NOISY, tmp_path)
+    summary = (tmp_path / "summary.csv").read_text(encoding="ascii")
+    assert [line.split(",")[0] for line in summary.splitlines()[1:]] == ["fednova", "scaffold"]
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == GOLDEN["blobs_noisy"]
+    assert hashlib.sha256(summary.encode("ascii")).hexdigest() == GOLDEN["blobs_noisy_summary"]

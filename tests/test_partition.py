@@ -305,12 +305,15 @@ class TestFeatureNoise:
             assert np.shares_memory(view.source, ds.features)
             assert np.array_equal(view.rows, assignment)
 
-    def test_noisy_views_own_their_rows(self):
+    def test_noisy_views_share_one_noisy_copy(self):
         ds = synthetic_labels(100, 4)
         pmap = partition_iid(ds, 4, seed=0)
-        for view in apply_feature_noise(pmap, ds, 0.5, seed=1):
+        views = apply_feature_noise(pmap, ds, 0.5, seed=1)
+        for view, assignment in zip(views, pmap.assignments):
+            assert view.source is views[0].source
             assert not np.shares_memory(view.source, ds.features)
-            assert np.array_equal(view.rows, np.arange(view.n_samples))
+            assert not view.source.flags.writeable
+            assert np.array_equal(view.rows, assignment)
 
     def test_build_views_copies_no_features(self):
         rng = np.random.default_rng(0)
@@ -454,14 +457,14 @@ class TestBuildViews:
         ds = synthetic_labels(200, 5)
         pmap, views = build_views(ds, PartitionSpec("iid", noise_sigma=0.0), 4, seed=3)
         for view, assignment in zip(views, pmap.assignments):
-            assert np.array_equal(view.indices, assignment)
+            assert np.array_equal(view.rows, assignment)
             assert view.n_samples == assignment.shape[0]
 
     def test_view_rows_must_fit_source(self):
-        with pytest.raises(PartitionError, match="row count"):
-            PartyView(0, np.arange(3), np.zeros((5, 2)), np.zeros(3, dtype=int), np.arange(2))
+        with pytest.raises(PartitionError, match="labels do not match"):
+            PartyView(0, np.arange(3), np.zeros((5, 2)), np.zeros(3, dtype=int))
         with pytest.raises(PartitionError, match="outside"):
-            PartyView(0, np.arange(2), np.zeros((5, 2)), np.zeros(2, dtype=int), [1, 5])
+            PartyView(0, [1, 5], np.zeros((5, 2)), np.zeros(5, dtype=int))
 
     def test_fcube_pairs_requires_four_parties(self):
         train, _, _ = fcube_generate(FcubeSpec(seed=0))
