@@ -6,7 +6,7 @@ and quantity skew, and a config-driven experiment harness with deterministic,
 reproducible runs.
 """
 
-from .datasets import FcubeSpec, LabeledDataset, blobs_generate, fcube_generate
+from .datasets import LabeledDataset, blobs_generate, fcube_generate
 from .engine import FedRunConfig, GlobalState, LocalUpdate, MlpObjective, run_experiment
 from .errors import FedsimError
 from .nn import MlpArch, init_mlp
@@ -15,7 +15,6 @@ from .partition import PartitionMap, PartitionSpec, PartyView, build_views
 __version__ = "0.1.0"
 
 __all__ = [
-    "FcubeSpec",
     "FedRunConfig",
     "FedsimError",
     "GlobalState",

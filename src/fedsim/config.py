@@ -17,7 +17,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .datasets import FcubeSpec
 from .engine import ALGORITHMS, FedRunConfig
 from .errors import ConfigError
 from .partition import PartitionSpec
@@ -51,10 +50,7 @@ _TEST_FRACTION = 0.2
 # REQUIRED). A "seed" of None follows fed.seed (ExperimentConfig.dataset_seed);
 # a libsvm "test_path" of None splits test_fraction off the training file.
 DATASET_OPTIONS = {
-    "fcube": {
-        "n_train": (int, FcubeSpec.n_train), "n_test": (int, FcubeSpec.n_test),
-        "seed": (int, None),
-    },
+    "fcube": {"n_train": (int, 4000), "n_test": (int, 1000), "seed": (int, None)},
     "blobs": {
         "n_classes": (int, 10), "n_per_class": (int, 500), "dim": (int, 32),
         "spread": (float, 0.3), "seed": (int, None), "test_fraction": (float, _TEST_FRACTION),

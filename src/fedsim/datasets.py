@@ -7,6 +7,7 @@ files, LIBSVM sparse text, and a simple binary container for generated data).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -88,21 +89,6 @@ class LabeledDataset:
         )
 
 
-@dataclass(frozen=True)
-class FcubeSpec:
-    """Sizes and seed for the synthetic cube dataset."""
-
-    n_train: int = 4000
-    n_test: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_train < 8 or self.n_test < 8:
-            raise ConfigError(
-                f"fcube needs n_train and n_test >= 8, got {self.n_train}/{self.n_test}"
-            )
-
-
 def octant_codes(points: np.ndarray) -> np.ndarray:
     """3-bit sign pattern per point: bit 2 = x1 > 0, bit 1 = x2 > 0, bit 0 = x3 > 0."""
     points = np.asarray(points, dtype=np.float64)
@@ -124,22 +110,26 @@ def _sample_cube_points(rng: np.random.Generator, n: int) -> np.ndarray:
     return points
 
 
-def fcube_generate(spec: FcubeSpec) -> tuple[LabeledDataset, LabeledDataset, np.ndarray]:
+def fcube_generate(
+    n_train: int, n_test: int, seed: int
+) -> tuple[LabeledDataset, LabeledDataset]:
     """Uniform points in [-1, 1]^3 labeled by the sign of the first axis.
 
-    Label 0 for x1 > 0, label 1 for x1 < 0. Returns (train, test, octants)
-    where octants are the train points' 3-bit sign codes; train.group_ids
-    carries the same codes so partitioners can use them directly.
+    Label 0 for x1 > 0, label 1 for x1 < 0. Returns (train, test);
+    train.group_ids holds the train points' 3-bit octant codes so
+    partitioners can use them directly.
     """
-    rng = np.random.default_rng(spec.seed)
-    train_points = _sample_cube_points(rng, spec.n_train)
-    test_points = _sample_cube_points(rng, spec.n_test)
+    if n_train < 8 or n_test < 8:
+        raise ConfigError(f"fcube needs n_train and n_test >= 8, got {n_train}/{n_test}")
+    rng = np.random.default_rng(seed)
+    train_points = _sample_cube_points(rng, n_train)
+    test_points = _sample_cube_points(rng, n_test)
     train_labels = (train_points[:, 0] <= 0).astype(np.int64)
     test_labels = (test_points[:, 0] <= 0).astype(np.int64)
     octants = octant_codes(train_points)
     train = LabeledDataset(train_points, train_labels, 2, group_ids=octants)
     test = LabeledDataset(test_points, test_labels, 2)
-    return train, test, octants
+    return train, test
 
 
 def blob_center(class_id: int, dim: int) -> np.ndarray:
@@ -199,54 +189,48 @@ def _read_exact(data: bytes, offset: int, count: int, path: str) -> bytes:
     return data[offset : offset + count]
 
 
+def _read_idx_file(path, magic: int, noun: str) -> tuple[tuple[int, ...], np.ndarray]:
+    """An IDX file's header dims and its uint8 payload.
+
+    The magic's low byte is the number of big-endian u32 dims that follow it.
+    The payload views the file's bytes, where slicing them would copy it.
+    FormatError names the path if the header is truncated, the magic is not
+    the expected one or the payload size is not the product of the dims.
+    """
+    data = read_input(path)
+    n_dims = magic & 0xFF
+    header = 4 * (1 + n_dims)
+    found, *dims = struct.unpack(f">I{n_dims}I", _read_exact(data, 0, header, str(path)))
+    if found != magic:
+        raise FormatError(
+            f"{path}: bad {noun} magic 0x{found:08x} at byte offset 0, "
+            f"expected 0x{magic:08x}"
+        )
+    expected = math.prod(dims)  # Python ints: a huge header cannot wrap
+    payload_bytes = len(data) - header
+    if payload_bytes != expected:
+        raise FormatError(
+            f"{path}: {noun} payload is {payload_bytes} bytes at offset {header}, "
+            f"header promises {expected}"
+        )
+    return tuple(dims), np.frombuffer(data, dtype=np.uint8, offset=header)
+
+
 def read_idx(images_path, labels_path) -> LabeledDataset:
     """Read a big-endian IDX image/label file pair.
 
     Pixels are scaled to [0, 1] by dividing by 255 and flattened row-major;
     n_classes is fixed at 10 (digit data).
     """
-    image_data = read_input(images_path)
-    magic, n_images, rows, cols = struct.unpack(
-        ">IIII", _read_exact(image_data, 0, 16, str(images_path))
-    )
-    if magic != IDX_IMAGES_MAGIC:
-        raise FormatError(
-            f"{images_path}: bad image magic 0x{magic:08x} at byte offset 0, "
-            f"expected 0x{IDX_IMAGES_MAGIC:08x}"
-        )
-    expected = n_images * rows * cols
-    payload_bytes = len(image_data) - 16
-    if payload_bytes != expected:
-        raise FormatError(
-            f"{images_path}: image payload is {payload_bytes} bytes at offset 16, "
-            f"header promises {expected}"
-        )
-
-    label_data = read_input(labels_path)
-    magic, n_labels = struct.unpack(">II", _read_exact(label_data, 0, 8, str(labels_path)))
-    if magic != IDX_LABELS_MAGIC:
-        raise FormatError(
-            f"{labels_path}: bad label magic 0x{magic:08x} at byte offset 0, "
-            f"expected 0x{IDX_LABELS_MAGIC:08x}"
-        )
-    label_bytes = len(label_data) - 8
-    if label_bytes != n_labels:
-        raise FormatError(
-            f"{labels_path}: label payload is {label_bytes} bytes at offset 8, "
-            f"header promises {n_labels}"
-        )
+    (n_images, rows, cols), pixels = _read_idx_file(images_path, IDX_IMAGES_MAGIC, "image")
+    (n_labels,), labels = _read_idx_file(labels_path, IDX_LABELS_MAGIC, "label")
     if n_images != n_labels:
         raise FormatError(
             f"count mismatch: {images_path} has {n_images} images but "
             f"{labels_path} has {n_labels} labels"
         )
-
-    # frombuffer views the file's bytes, where slicing them first would copy
-    # the whole payload; the one float64 matrix is then scaled in place.
-    pixels = np.frombuffer(image_data, dtype=np.uint8, offset=16, count=expected)
     features = pixels.astype(np.float64).reshape(n_images, rows * cols)
     features /= 255.0
-    labels = np.frombuffer(label_data, dtype=np.uint8, offset=8, count=n_labels)
     try:
         return LabeledDataset(features, labels.astype(np.int64), 10)
     except DataError as exc:  # a label byte of 10 or more
@@ -271,9 +255,10 @@ def write_idx(ds: LabeledDataset, images_path, labels_path, rows: int, cols: int
 def read_libsvm(path, n_features: int, n_classes: int, label_map: dict) -> LabeledDataset:
     """Read LIBSVM text lines ("label idx:val idx:val ...") into a dense matrix.
 
-    Indices are 1-based and must not exceed n_features; absent indices stay
-    zero. Raw labels are remapped to class ids through label_map (keys are
-    the integer label values as written, e.g. {-1: 0, 1: 1}).
+    Indices are 1-based, must not exceed n_features and may appear once per
+    line; absent indices stay zero. Raw labels are remapped to class ids
+    through label_map (keys are the integer label values as written, e.g.
+    {-1: 0, 1: 1}).
     """
     rows = []
     labels = []
@@ -293,6 +278,7 @@ def read_libsvm(path, n_features: int, n_classes: int, label_map: dict) -> Label
         labels.append(label_map[int(raw_label)])
 
         row = np.zeros(n_features)
+        seen = set()
         for token in tokens[1:]:
             index_str, _, value_str = token.partition(":")
             try:
@@ -306,8 +292,11 @@ def read_libsvm(path, n_features: int, n_classes: int, label_map: dict) -> Label
                 raise FormatError(
                     f"{path}: line {lineno}: index {index} out of range 1..{n_features}"
                 )
+            if index in seen:
+                raise FormatError(f"{path}: line {lineno}: index {index} repeated")
             if not np.isfinite(value):
                 raise FormatError(f"{path}: line {lineno}: non-finite value in {token!r}")
+            seen.add(index)
             row[index - 1] = value
         rows.append(row)
     if not rows:

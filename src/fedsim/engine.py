@@ -26,7 +26,7 @@ import numpy as np
 from . import rng
 from .compensated import combine_updates
 from .datasets import LabeledDataset
-from .errors import ConfigError, NumericError, ProtocolError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ProtocolError, ShapeError
 from .nn import (
     MlpArch,
     _loss_grad,
@@ -216,25 +216,25 @@ def _local_loop(w_start, view, cfg, round_idx, objective, correction=None):
     returns. A cfg that trains with a mu adds the proximal pull toward
     w_start. correction, when given, is added to every raw gradient before
     the momentum step (scaffold's c - c_i). Returns (final array, tau, mean
-    loss, diverged); the final array is w_start itself if no step was taken,
-    else the loop's own buffer, marked read-only. A step whose loss or new
-    parameters are non-finite, or
+    loss, diverged); the final array is the loop's own buffer, marked
+    read-only. A step whose loss or new parameters are non-finite, or
     whose objective raises NumericError, is dropped and the last finite
     model is returned with diverged set. A non-finite gradient always
     reaches the new parameters (lr > 0, finite momentum), so checking those
     two catches every non-finite step.
 
     The loop owns its model-sized buffers, allocated per call so no two
-    parties share state: the velocity, updated in place; a spare parameter
-    buffer that each step writes and that is swapped in only once the step
-    is found finite; the finiteness mask; and scaffold's corrected gradient.
+    parties share state: the parameters, starting as a copy of w_start; the
+    velocity, updated in place; a spare parameter buffer that each step
+    writes and that is swapped in only once the step is found finite; the
+    finiteness mask; and scaffold's corrected gradient.
     """
     generator = rng.stream(cfg.master_seed, rng.TAG_LOCAL, round_idx, view.party_id)
     loss_grad = objective.loss_grad
     source, rows, labels = view.source, view.rows, view.source_labels
     lr, momentum = cfg.local_lr, cfg.momentum
     prox_mu = cfg.mu or 0.0
-    params = w_start
+    params = w_start.copy()
     spare = np.empty_like(w_start)
     velocity = np.zeros_like(w_start)
     finite = np.empty(w_start.shape, dtype=bool)
@@ -258,18 +258,12 @@ def _local_loop(w_start, view, cfg, round_idx, objective, correction=None):
                 if not (math.isfinite(loss) and np.isfinite(spare, out=finite).all()):
                     diverged = True
                     break
-                # w_start is never written, so the first swap takes a fresh
-                # buffer in its place; later swaps recycle the old parameters.
-                params, spare = spare, (
-                    np.empty_like(w_start) if params is w_start else params
-                )
+                params, spare = spare, params
                 losses.append(loss)
             if diverged:
                 break
     mean_loss = float(np.mean(losses)) if losses else float("nan")
-    if params is not w_start:
-        _read_only(params)
-    return params, max(len(losses), 1), mean_loss, diverged
+    return _read_only(params), max(len(losses), 1), mean_loss, diverged
 
 
 def local_train_sgd(
@@ -493,14 +487,19 @@ def run_experiment(
     last finite model and flags the round, and so does a non-finite server
     aggregate, which keeps the previous model; the run continues either way.
     """
-    # Local training validates nothing per step; every party's rows come
-    # from ds_train, so its width and labels are checked here, once.
-    if ds_train.n_features != arch.in_dim:
-        raise ShapeError(
-            f"training features have width {ds_train.n_features}, "
-            f"architecture input is {arch.in_dim}"
-        )
-    check_labels(ds_train.labels, arch.out_dim)
+    # Local training validates nothing per step, and evaluation does not bound
+    # labels by the model's outputs, so both sets' widths and labels are
+    # checked against arch here, once, before partitioning.
+    for name, ds in (("training", ds_train), ("test", ds_test)):
+        if ds.n_features != arch.in_dim:
+            raise ShapeError(
+                f"{name} features have width {ds.n_features}, "
+                f"architecture input is {arch.in_dim}"
+            )
+        try:
+            check_labels(ds.labels, arch.out_dim)
+        except DataError as exc:
+            raise DataError(f"{name} set: {exc}") from None
     if objective is None:
         objective = MlpObjective(arch)
     _, views = build_views(

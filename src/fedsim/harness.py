@@ -21,7 +21,6 @@ import numpy as np
 from . import rng
 from .config import ExperimentConfig
 from .datasets import (
-    FcubeSpec,
     LabeledDataset,
     blobs_generate,
     fcube_generate,
@@ -59,10 +58,7 @@ def build_dataset(config: ExperimentConfig) -> tuple[LabeledDataset, LabeledData
     """Materialize (train, test) from the config's resolved dataset options."""
     kind, options, seed = config.dataset.kind, config.dataset.options, config.dataset_seed
     if kind == "fcube":
-        train, test, _ = fcube_generate(
-            FcubeSpec(n_train=options["n_train"], n_test=options["n_test"], seed=seed)
-        )
-        return train, test
+        return fcube_generate(options["n_train"], options["n_test"], seed)
     if kind == "blobs":
         ds = blobs_generate(
             n_classes=options["n_classes"],

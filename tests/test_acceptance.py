@@ -9,7 +9,7 @@ import numpy as np
 
 from fedsim import rng
 from fedsim.config import parse_config
-from fedsim.datasets import FcubeSpec, LabeledDataset, blobs_generate, fcube_generate, split_train_test
+from fedsim.datasets import LabeledDataset, blobs_generate, fcube_generate, split_train_test
 from fedsim.engine import (
     FedRunConfig,
     GlobalState,
@@ -51,7 +51,7 @@ def test_criterion_1_gradient_oracle():
 
 
 def _fcube_setup(algorithm, n_parties=4, rounds=10, prox_mu=0.0, seed=31):
-    train, test, _ = fcube_generate(FcubeSpec(seed=3))
+    train, test = fcube_generate(4000, 1000, seed=3)
     arch = MlpArch((3, 16, 8, 2))
     objective = MlpObjective(arch)
     cfg = FedRunConfig(
@@ -118,7 +118,7 @@ def test_criterion_2_algorithm_identities():
     # (d) a single-party federation reproduces centralized SGD with the
     # velocity reset at round boundaries, bit for bit, for every
     # fedavg-family algorithm.
-    train, test, _ = fcube_generate(FcubeSpec(seed=5))
+    train, test = fcube_generate(4000, 1000, seed=5)
     arch = MlpArch((3, 16, 8, 2))
     objective_c = MlpObjective(arch)
     central_identical = True
@@ -221,7 +221,7 @@ def test_criterion_3_partition_property_suite():
 
 def test_criterion_4_fcube_reproduction():
     started = time.perf_counter()
-    train, test, _ = fcube_generate(FcubeSpec(seed=11))
+    train, test = fcube_generate(4000, 1000, seed=11)
     arch = MlpArch((3, 32, 16, 8, 2))
     finals = {}
     for algorithm, mu in (("fedavg", 0.0), ("fedprox", 0.01)):
@@ -272,7 +272,7 @@ def test_criterion_5_label_skew_dominates_quantity_skew():
 
 
 def test_criterion_6_communication_accounting():
-    train, test, _ = fcube_generate(FcubeSpec(n_train=256, n_test=64, seed=2))
+    train, test = fcube_generate(256, 64, seed=2)
     arch = MlpArch((3, 8, 2))
     per_round = {}
     for algorithm in ("fedavg", "fedprox", "fednova", "scaffold"):

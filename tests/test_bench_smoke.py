@@ -7,7 +7,7 @@ They assert no timing. Run `pytest tests/test_bench_smoke.py
 import numpy as np
 
 from fedsim.compensated import combine_updates
-from fedsim.datasets import FcubeSpec, fcube_generate
+from fedsim.datasets import fcube_generate
 from fedsim.engine import MlpObjective
 from fedsim.nn import MlpArch, momentum_update
 
@@ -15,7 +15,7 @@ WIDE = MlpArch((784, 200, 10)).n_params()  # 159,010 coordinates
 
 
 def test_loss_grad_on_fcube_batch(benchmark):
-    train, _, _ = fcube_generate(FcubeSpec(n_train=256, n_test=16, seed=0))
+    train, _ = fcube_generate(256, 16, seed=0)
     objective = MlpObjective(MlpArch((3, 32, 16, 8, 2)))
     w = objective.init_params(0)
     features, labels = train.features[:64], train.labels[:64]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fedsim.datasets import (
-    FcubeSpec,
     LabeledDataset,
     blob_center,
     blobs_generate,
@@ -52,31 +51,30 @@ class TestFcube:
         assert np.array_equal(octant_codes(-points), 7 - octant_codes(points))
 
     def test_labels_follow_sign_of_first_axis(self):
-        train, test, octants = fcube_generate(FcubeSpec(seed=4))
+        train, test = fcube_generate(4000, 1000, seed=4)
         for ds in (train, test):
             assert np.array_equal(ds.labels, (ds.features[:, 0] <= 0).astype(int))
-        assert np.array_equal(octants, octant_codes(train.features))
-        assert np.array_equal(train.group_ids, octants)
+        assert np.array_equal(train.group_ids, octant_codes(train.features))
 
     def test_class_counts_near_balanced(self):
         # Binomial(4000, 0.5): 3 sigma is about 95 samples.
-        train, _, _ = fcube_generate(FcubeSpec(n_train=4000, n_test=1000, seed=8))
+        train, _ = fcube_generate(4000, 1000, seed=8)
         ones = int(train.labels.sum())
         assert abs(ones - 2000) <= 95
 
     def test_no_points_on_separating_plane(self):
-        train, test, _ = fcube_generate(FcubeSpec(seed=1))
+        train, test = fcube_generate(4000, 1000, seed=1)
         assert np.abs(train.features[:, 0]).min() >= 1e-9
         assert np.abs(test.features[:, 0]).min() >= 1e-9
 
     def test_sizes_and_ranges(self):
-        train, test, _ = fcube_generate(FcubeSpec(n_train=128, n_test=32, seed=2))
+        train, test = fcube_generate(128, 32, seed=2)
         assert train.n == 128 and test.n == 32
         assert train.features.min() >= -1.0 and train.features.max() <= 1.0
 
     def test_rejects_tiny_sizes(self):
         with pytest.raises(ConfigError):
-            FcubeSpec(n_train=4)
+            fcube_generate(4, 1000, seed=0)
 
 
 class TestBlobs:
@@ -203,6 +201,36 @@ class TestIdx:
         with pytest.raises(FormatError, match=re.escape(f"{paths[which]}: {message}")):
             read_idx(paths["images"], paths["labels"])
 
+    @pytest.mark.parametrize(
+        "which, magics, keep, message",
+        [
+            ("images", (0x804, 0x801), None,
+             "bad image magic 0x00000804 at byte offset 0, expected 0x00000803"),
+            ("labels", (0x803, 0x800), None,
+             "bad label magic 0x00000800 at byte offset 0, expected 0x00000801"),
+            ("images", (0x803, 0x801), 10, "truncated at byte offset 10, need 16 bytes"),
+            ("labels", (0x803, 0x801), 5, "truncated at byte offset 5, need 8 bytes"),
+        ],
+    )
+    def test_header_message(self, tmp_path, which, magics, keep, message):
+        paths = dict(zip(("images", "labels"), _write_idx_pair(
+            tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1],
+            image_magic=magics[0], label_magic=magics[1],
+        )))
+        if keep is not None:
+            paths[which].write_bytes(paths[which].read_bytes()[:keep])
+        with pytest.raises(FormatError, match=re.escape(f"{paths[which]}: {message}")):
+            read_idx(paths["images"], paths["labels"])
+
+    def test_huge_header_dims_not_wrapped(self, tmp_path):
+        # 2 * (2**32 - 1)**2 overflows int64; the promised size must not wrap.
+        side = 2**32 - 1
+        paths = _write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1],
+                                rows=side, cols=side)
+        message = f"image payload is 8 bytes at offset 16, header promises {2 * side * side}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read_idx(*paths)
+
     def test_payload_not_copied(self, tmp_path):
         # Besides the file's bytes and the float64 matrix, loading allocates
         # about one pixel-sized temporary (the dataset's finiteness mask); a
@@ -273,6 +301,12 @@ class TestLibsvm:
         path = tmp_path / "data.svm"
         path.write_text("+1 1:1.0\n+1 2:oops\n")
         with pytest.raises(FormatError, match="line 2"):
+            read_libsvm(path, 3, 2, {1: 1, -1: 0})
+
+    def test_repeated_index_reports_line(self, tmp_path):
+        path = tmp_path / "data.svm"
+        path.write_text("-1 2:1.0\n1 1:0.5 1:0.7 3:1\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: line 2: index 1 repeated")):
             read_libsvm(path, 3, 2, {1: 1, -1: 0})
 
     def test_index_out_of_range_reports_line(self, tmp_path):

@@ -1,11 +1,12 @@
 import gc
+import re
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fedsim.datasets import FcubeSpec, fcube_generate
+from fedsim.datasets import LabeledDataset, fcube_generate
 from fedsim.engine import (
     ALGORITHMS,
     FedRunConfig,
@@ -452,7 +453,7 @@ class TestScaffoldControlOverflow:
         assert np.isfinite(new.params).all()
 
     def test_run_continues_and_flags_rounds(self):
-        train, test, _ = fcube_generate(FcubeSpec(n_train=64, n_test=16, seed=2))
+        train, test = fcube_generate(64, 16, seed=2)
         records = run_experiment(
             train, test, PartitionSpec("iid"), MlpArch((3, 2)), self._cfg(),
             objective=InfiniteFullGrad(),
@@ -676,7 +677,7 @@ class TestAggregateScaffold:
 
 class TestRunRound:
     def _setup(self, algorithm, n_parties=4, seed=0):
-        train, _, _ = fcube_generate(FcubeSpec(n_train=256, n_test=64, seed=seed))
+        train, _ = fcube_generate(256, 64, seed=seed)
         arch = MlpArch((3, 4, 2))
         objective = MlpObjective(arch)
         cfg = FedRunConfig(
@@ -818,7 +819,7 @@ class TestRunRound:
 
 class TestRunExperiment:
     def _fcube(self, n=400):
-        return fcube_generate(FcubeSpec(n_train=n, n_test=100, seed=21))
+        return fcube_generate(n, 100, seed=21)
 
     def _cfg(self, **kw):
         base = dict(
@@ -829,7 +830,7 @@ class TestRunExperiment:
         return FedRunConfig(**base)
 
     def test_zero_rounds_single_record(self):
-        train, test, _ = self._fcube()
+        train, test = self._fcube()
         records = run_experiment(
             train, test, PartitionSpec("iid"), MlpArch((3, 4, 2)), self._cfg(rounds=0)
         )
@@ -842,7 +843,7 @@ class TestRunExperiment:
     def test_previous_round_updates_released(self, monkeypatch, algorithm):
         # Only one round of party models may be alive: when a round starts,
         # nothing may still hold the models the previous round returned.
-        train, test, _ = self._fcube()
+        train, test = self._fcube()
         alive, rounds = [], []
         real_run_round = engine.run_round
 
@@ -866,7 +867,7 @@ class TestRunExperiment:
         assert len(alive) == 3 * 4
 
     def test_record_count_and_fields(self):
-        train, test, _ = self._fcube()
+        train, test = self._fcube()
         records = run_experiment(
             train, test, PartitionSpec("iid"), MlpArch((3, 4, 2)), self._cfg()
         )
@@ -877,7 +878,7 @@ class TestRunExperiment:
             assert np.isfinite(r.mean_train_loss)
 
     def test_fedprox_mu_zero_equals_fedavg_bitwise_accuracy(self):
-        train, test, _ = self._fcube()
+        train, test = self._fcube()
         arch = MlpArch((3, 8, 2))
         a = run_experiment(train, test, PartitionSpec("iid"), arch, self._cfg())
         b = run_experiment(
@@ -890,7 +891,7 @@ class TestRunExperiment:
     def test_single_party_equals_centralized_sgd_bitwise(self):
         # N=1 with server_lr 1: T rounds must reproduce T*E epochs of plain
         # minibatch SGD with the velocity reset at each round boundary.
-        train, test, _ = self._fcube()
+        train, test = self._fcube()
         arch = MlpArch((3, 6, 2))
         objective = MlpObjective(arch)
         for algorithm in ("fedavg", "fedprox", "fednova"):
@@ -921,7 +922,7 @@ class TestRunExperiment:
     def test_zero_gradient_objective_keeps_model_fixed(self):
         # If every local delta is zero the global model must not move, for
         # any algorithm.
-        train, test, _ = self._fcube(n=64)
+        train, test = self._fcube(n=64)
 
         class FrozenObjective(QuadraticObjective):
             def __init__(self):
@@ -945,7 +946,7 @@ class TestRunExperiment:
             assert [r.test_accuracy for r in records] == [1.25, 1.25, 1.25]
 
     def test_divergence_is_flagged_not_fatal(self):
-        train, test, _ = self._fcube(n=64)
+        train, test = self._fcube(n=64)
 
         class BlowUpObjective(QuadraticObjective):
             def __init__(self):
@@ -975,20 +976,35 @@ class TestRunExperimentChecks:
                             batch_size=16, master_seed=0)
 
     def test_feature_width_checked_once_with_shape_error(self):
-        train, test, _ = fcube_generate(FcubeSpec(n_train=64, n_test=16, seed=1))
+        train, test = fcube_generate(64, 16, seed=1)
         with pytest.raises(ShapeError, match="architecture input"):
             run_experiment(train, test, PartitionSpec("iid"), MlpArch((4, 2)), self._cfg())
 
     def test_label_range_checked_with_data_error(self):
-        train, test, _ = fcube_generate(FcubeSpec(n_train=64, n_test=16, seed=1))
+        train, test = fcube_generate(64, 16, seed=1)
         # fcube has two classes; a one-output net cannot hold label 1.
         with pytest.raises(DataError, match="label out of range"):
             run_experiment(train, test, PartitionSpec("iid"), MlpArch((3, 1)), self._cfg())
 
+    @pytest.mark.parametrize(
+        "test_set, error, message",
+        [
+            (LabeledDataset(np.zeros((4, 4)), [0, 1, 0, 1], 2), ShapeError,
+             "test features have width 4, architecture input is 3"),
+            (LabeledDataset(np.zeros((4, 3)), [0, 4, 3, 1], 5), DataError,
+             "test set: label out of range [0, 2): min=0, max=4"),
+        ],
+    )
+    def test_test_set_checked_before_partitioning(self, test_set, error, message, monkeypatch):
+        train, _ = fcube_generate(64, 16, seed=1)
+        monkeypatch.setattr(engine, "build_views", None)  # any call would raise
+        with pytest.raises(error, match=re.escape(message)):
+            run_experiment(train, test_set, PartitionSpec("iid"), MlpArch((3, 2)), self._cfg())
+
 
 class TestServerOverflow:
     def test_non_finite_aggregate_keeps_model_and_flags_round(self):
-        train, test, _ = fcube_generate(FcubeSpec(n_train=128, n_test=32, seed=4))
+        train, test = fcube_generate(128, 32, seed=4)
         arch = MlpArch((3, 4, 2))
         for algorithm in ("fedavg", "fednova", "scaffold"):
             cfg = FedRunConfig(
@@ -1029,7 +1045,7 @@ class OverflowingControl(QuadraticObjective):
 
 class TestServerControlOverflow:
     def test_round_keeps_model_and_controls_and_flags_divergence(self):
-        train, _, _ = fcube_generate(FcubeSpec(n_train=64, n_test=16, seed=6))
+        train, _ = fcube_generate(64, 16, seed=6)
         _, views = build_views(train, PartitionSpec("iid"), 2, 6)
         cfg = FedRunConfig(
             algorithm="scaffold", rounds=1, n_parties=2, local_epochs=1, batch_size=16,

@@ -10,14 +10,23 @@ and each cell's mu. The noisy run's hashes were recorded before party views
 came to share one noise-shifted matrix and SCAFFOLD's client controls moved
 into GlobalState; it is the one input with feature noise, partial
 participation, fednova and SCAFFOLD's option "i".
+
+The dataset pins hash what `build_dataset` returns for each dataset kind
+(features, labels, class count and group ids of train and test); they were
+recorded before fcube_generate lost its spec object and read_idx came to
+check both headers through one reader.
 """
 
 import hashlib
 import json
 import re
 
+import numpy as np
+import pytest
+
 from fedsim.config import parse_config
-from fedsim.harness import cmd_run
+from fedsim.datasets import LabeledDataset, save_container, write_idx
+from fedsim.harness import build_dataset, cmd_run
 
 FCUBE_FEDPROX = {
     "dataset": {"type": "fcube", "n_train": 400, "n_test": 100, "seed": 3},
@@ -64,6 +73,13 @@ GOLDEN = {
     "blobs_noisy": "9093c9e3580cf68bff6c6014d80b9d58439311d2996d0cac3c29574e998df586",
     "blobs_noisy_summary": "d60d2e64808099671920c39170acf25c7cb05f9ecee2cacebea55a74db4a4a76",
 }
+DATASET_PINS = {
+    "fcube": "b7321bfa03737835abb16f3180fd6502d516f2add3f08eae0de0c9531196d3ad",
+    "blobs": "937c8a21f58f59f9c41532b11adfc875808242ec03c88a948196bc755e00e98e",
+    "idx": "5512f699a85a54f3c0efbf929858ebeb45b72e3d30d773b24ed5cc8654219dbc",
+    "libsvm": "d5304fa3f5de1f4cfc2d36bd97f56963b7306ceaef197f97f0f40a5ef4a85f73",
+    "container": "565dd1f0e21367c132e31bca872f3085ad62560841e2d095d4aa84afd2d3acd1",
+}
 
 
 def masked_results(raw, out_dir):
@@ -104,3 +120,47 @@ def test_blobs_noisy_partial_participation_golden(tmp_path):
     assert [line.split(",")[0] for line in summary.splitlines()[1:]] == ["fednova", "scaffold"]
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == GOLDEN["blobs_noisy"]
     assert hashlib.sha256(summary.encode("ascii")).hexdigest() == GOLDEN["blobs_noisy_summary"]
+
+
+def _dataset_config(kind, tmp_path):
+    """A small dataset section of each kind; the file kinds get their files
+    written under tmp_path from fixed data."""
+    if kind == "fcube":
+        return {"type": "fcube", "n_train": 40, "n_test": 12, "seed": 5}
+    if kind == "blobs":
+        return {"type": "blobs", "n_classes": 3, "n_per_class": 7, "dim": 4, "seed": 5}
+    generator = np.random.default_rng(29)
+    if kind == "idx":
+        features = generator.uniform(0, 1, (30, 6))
+        ds = LabeledDataset(features, generator.integers(0, 10, 30), 10)
+        options = {"type": "idx"}
+        for side, rows in (("train", range(20)), ("test", range(20, 30))):
+            images, labels = tmp_path / f"{side}-images.idx", tmp_path / f"{side}-labels.idx"
+            write_idx(ds.take(list(rows)), images, labels, rows=2, cols=3)
+            options.update({f"{side}_images": str(images), f"{side}_labels": str(labels)})
+        return options
+    if kind == "libsvm":
+        path = tmp_path / "data.svm"
+        path.write_text("".join(
+            f"{(-1, 1)[i % 2]:+d} {1 + i % 3}:{i / 8} 4:{-i / 4}\n" for i in range(12)
+        ))
+        return {"type": "libsvm", "train_path": str(path), "n_features": 4,
+                "n_classes": 2, "label_map": {"-1": 0, "1": 1}}
+    options = {"type": "container"}
+    for side, n in (("train", 15), ("test", 6)):
+        path = tmp_path / f"{side}.bin"
+        features = generator.normal(size=(n, 5))
+        save_container(LabeledDataset(features, generator.integers(0, 3, n), 3), path)
+        options[f"{side}_path"] = str(path)
+    return options
+
+
+@pytest.mark.parametrize("kind", sorted(DATASET_PINS))
+def test_build_dataset_pinned(tmp_path, kind):
+    config = parse_config({"dataset": _dataset_config(kind, tmp_path), "fed": {"seed": 9}})
+    digest = hashlib.sha256()
+    for ds in build_dataset(config):
+        digest.update(f"{ds.n_classes}|".encode("ascii"))
+        for array in (ds.features, ds.labels, ds.group_ids):
+            digest.update(b"-" if array is None else array.tobytes())
+    assert digest.hexdigest() == DATASET_PINS[kind]

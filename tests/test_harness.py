@@ -17,7 +17,7 @@ from fedsim.config import (
     override_seed,
     parse_config,
 )
-from fedsim.datasets import FcubeSpec
+from fedsim.datasets import LabeledDataset, save_container
 from fedsim.engine import FedRunConfig
 from fedsim.errors import ConfigError, ReportError
 from fedsim.harness import (
@@ -215,7 +215,7 @@ class TestLoadConfig:
     def test_dataset_defaults_filled(self):
         config = parse_config({"dataset": {"type": "fcube"}})
         assert config.dataset.options == {
-            "n_train": FcubeSpec.n_train, "n_test": FcubeSpec.n_test, "seed": None,
+            "n_train": 4000, "n_test": 1000, "seed": None,
         }
         assert config.dataset_seed == config.fed.master_seed == 0
         assert override_seed(config, 6).dataset_seed == 6
@@ -256,6 +256,14 @@ class TestLoadConfig:
         raw = {"dataset": {"type": "fcube"}, **json.loads(text)}
         with pytest.raises(ConfigError, match=rf"^config\.{path}: expected a finite number"):
             parse_config(raw)
+
+    def test_readme_library_example_runs(self, capsys):
+        # The README's "Library use" block must run as written.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Library use", 1)[1]
+        example = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
+        exec(compile(example, "README.md", "exec"), {})
+        assert 0.0 <= float(capsys.readouterr().out) <= 1.0
 
     def test_readme_config_example_parses(self):
         # The README documents the config schema by example and by a table of
@@ -760,6 +768,22 @@ class TestCli:
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read ") and "absent-images.idx" in err
+
+    def test_test_set_label_range_exit_code(self, tmp_path, capsys):
+        # Test labels 3 and 4 have no output of a 3-class model; scoring them
+        # as misses would report a wrong accuracy.
+        rng = np.random.default_rng(4)
+        dataset = {"type": "container"}
+        for side, n_classes in (("train", 3), ("test", 5)):
+            labels = np.arange(20) % n_classes
+            path = tmp_path / f"{side}.bin"
+            save_container(LabeledDataset(rng.normal(size=(20, 4)), labels, n_classes), path)
+            dataset[f"{side}_path"] = str(path)
+        config_path = write_config(tmp_path, small_run_config(dataset=dataset))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: test set: label out of range [0, 3): min=0, max=4\n"
+        )
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         config_path = write_config(tmp_path, {"dataset": {"type": "fcube"}, "bogus": 1})

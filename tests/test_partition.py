@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedsim.datasets import FcubeSpec, LabeledDataset, fcube_generate
+from fedsim.datasets import LabeledDataset, fcube_generate
 from fedsim.errors import ConfigError, FormatError, PartitionError
 from fedsim.partition import (
     PartitionMap,
@@ -251,10 +251,10 @@ class TestByGroup:
 
 class TestFcubePairs:
     def test_four_antipodal_pairs(self):
-        train, _, octants = fcube_generate(FcubeSpec(seed=9))
+        train, _ = fcube_generate(4000, 1000, seed=9)
         pmap = partition_fcube_pairs(train)
         for party, assignment in enumerate(pmap.assignments):
-            held = set(int(o) for o in np.unique(octants[assignment]))
+            held = set(int(o) for o in np.unique(train.group_ids[assignment]))
             assert held == {party, 7 - party}
         check_partition(pmap, train.n)
 
@@ -467,6 +467,6 @@ class TestBuildViews:
             PartyView(0, [1, 5], np.zeros((5, 2)), np.zeros(5, dtype=int))
 
     def test_fcube_pairs_requires_four_parties(self):
-        train, _, _ = fcube_generate(FcubeSpec(seed=0))
+        train, _ = fcube_generate(4000, 1000, seed=0)
         with pytest.raises(ConfigError):
             build_views(train, PartitionSpec("fcube_pairs"), 5, seed=0)
