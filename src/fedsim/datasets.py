@@ -237,21 +237,6 @@ def read_idx(images_path, labels_path) -> LabeledDataset:
         raise FormatError(f"{labels_path}: {exc}") from None
 
 
-def write_idx(ds: LabeledDataset, images_path, labels_path, rows: int, cols: int):
-    """Write a dataset with features in [0, 1] as an IDX image/label pair."""
-    if rows * cols != ds.n_features:
-        raise ConfigError(
-            f"rows*cols = {rows * cols} does not match feature width {ds.n_features}"
-        )
-    pixels = np.clip(np.rint(ds.features * 255.0), 0, 255).astype(np.uint8)
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, ds.n, rows, cols))
-        fh.write(pixels.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, ds.n))
-        fh.write(ds.labels.astype(np.uint8).tobytes())
-
-
 def read_libsvm(path, n_features: int, n_classes: int, label_map: dict) -> LabeledDataset:
     """Read LIBSVM text lines ("label idx:val idx:val ...") into a dense matrix.
 

@@ -17,6 +17,13 @@ rule; its callers validate data and models once, at round boundaries.
 momentum_update works in place on buffers its caller owns, so a local step
 streams each model-sized vector through memory once per operation instead
 of allocating a fresh temporary for each.
+
+One `_loss_grad` serves one model's (n,) parameters and a (P, n) stack of P
+models alike, the stack with (P, m, in) features, and row p of a stacked
+call is bit for bit the call on row p alone. That lets the engine train
+several small parties with one call per step (see fedsim.engine) without a
+second copy of backprop. momentum_update is elementwise, so it takes either
+shape too.
 """
 
 from __future__ import annotations
@@ -152,25 +159,41 @@ def layer_slices(arch: MlpArch) -> tuple:
 
 
 def _loss_grad(layers, w, features, labels, prox_mu, anchor):
-    """Array kernel behind backward: mean loss and flat gradient.
+    """Array kernel behind backward: mean loss and flat gradient, for one
+    model or for a stack of P models at once.
 
-    layers comes from layer_slices; w (and anchor when prox_mu > 0) are flat
-    float64 arrays, features an (m, in) float array and labels int class ids
-    already checked to lie in range. Nothing is validated or copied here, so
-    callers check their inputs once, not on every step. Inputs are never
-    written to. The numpy operations are backward's own, in its order, so
-    results are bit-identical; reductions call their ufuncs directly to skip
-    the Python wrappers of ndarray.sum/max and np.mean.
+    layers comes from layer_slices. w is one model's flat float64 array and
+    features an (m, in) float array with m int labels; or w is a (P, n)
+    stack of models, features (P, m, in) and labels (P, m), row p of each
+    belonging to model p. anchor, when prox_mu > 0, is one flat model that
+    every row is pulled toward. Returns (float loss, (n,) gradient) or
+    ((P,) losses, (P, n) gradients). Labels must already lie in range, and
+    nothing is validated or copied here, so callers check their inputs
+    once, not on every step. Inputs are never written to. The numpy
+    operations are backward's own, in its order; reductions call their
+    ufuncs directly to skip the Python wrappers of ndarray.sum/max and
+    np.mean.
+
+    A stack computes each row exactly as a call on that row alone would:
+    matmul runs its 2-d kernel once per stacked matrix, every reduction
+    runs along the same axis of the same row-major rows, and the proximal
+    dot is taken one row at a time. So row p of a stacked call is bit for
+    bit the call on (w[p], features[p], labels[p]). numpy does not promise
+    the matmul part; a property test in tests/test_properties.py checks it.
     """
+    lead = w.shape[:-1]  # () for one model, (P,) for a stack
+    flip = (*range(len(lead)), len(lead) + 1, len(lead))  # swaps the last two axes
     # Every array written below is a fresh temporary of this call, so the
     # in-place forms only save allocations; each value is computed exactly as
     # the out-of-place expression would.
     activations = [features]
+    weights = []
     a = features
     last = len(layers) - 1
     for layer, (start, stop, shape, bias_stop) in enumerate(layers):
-        a = a @ w[start:stop].reshape(shape)
-        a += w[stop:bias_stop]
+        weights.append(w[..., start:stop].reshape(lead + shape))
+        a = a @ weights[layer]
+        a += w[..., None, stop:bias_stop]
         if layer < last:
             # max(z, 0) > 0 exactly where z > 0, so the activations double
             # as the ReLU masks of the backward pass.
@@ -178,31 +201,39 @@ def _loss_grad(layers, w, features, labels, prox_mu, anchor):
             activations.append(a)
 
     # Log-softmax of the logits a, computed once for the loss and its gradient.
-    a -= np.maximum.reduce(a, axis=1, keepdims=True)
-    log_norm = np.log(np.add.reduce(np.exp(a), axis=1))
-    m = labels.shape[0]
-    rows = np.arange(m)
-    loss = float(np.add.reduce(log_norm - a[rows, labels]) / m)
-    a -= log_norm[:, None]
+    a -= np.maximum.reduce(a, axis=-1, keepdims=True)
+    log_norm = np.log(np.add.reduce(np.exp(a), axis=-1))
+    m = labels.shape[-1]
+    # The logits as (sample, class) rows, so one gather picks, and one
+    # scatter marks, every sample's label whatever the stack depth.
+    rows = np.arange(labels.size)
+    labels = labels.reshape(-1)
+    picked = a.reshape(rows.shape[0], -1)[rows, labels].reshape(log_norm.shape)
+    loss = np.add.reduce(log_norm - picked, axis=-1) / m
+    a -= log_norm[..., None]
     delta = np.exp(a, out=a)
-    delta[rows, labels] -= 1.0
+    delta.reshape(rows.shape[0], -1)[rows, labels] -= 1.0
     delta /= m
 
-    flat = np.empty(w.shape[0])
+    flat = np.empty(w.shape)
     for layer in range(last, -1, -1):
         start, stop, shape, bias_stop = layers[layer]
-        np.matmul(activations[layer].T, delta, out=flat[start:stop].reshape(shape))
-        np.add.reduce(delta, axis=0, out=flat[stop:bias_stop])
+        np.matmul(
+            activations[layer].transpose(flip), delta,
+            out=flat[..., start:stop].reshape(lead + shape),
+        )
+        np.add.reduce(delta, axis=-2, out=flat[..., stop:bias_stop])
         if layer > 0:
-            delta = delta @ w[start:stop].reshape(shape).T
+            delta = delta @ weights[layer].transpose(flip)
             delta *= activations[layer] > 0.0
 
     if prox_mu > 0:
         diff = w - anchor
-        loss += 0.5 * prox_mu * float(diff @ diff)
+        squares = np.array([row @ row for row in diff]) if lead else diff @ diff
+        loss += 0.5 * prox_mu * squares
         diff *= prox_mu
         flat += diff
-    return loss, flat
+    return (loss if lead else float(loss)), flat
 
 
 def backward(

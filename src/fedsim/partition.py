@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import LabeledDataset, read_input
-from .errors import ConfigError, FormatError, PartitionError
+from .datasets import LabeledDataset
+from .errors import ConfigError, PartitionError
 from .rng import derive_seed, stream
 
 PARTITION_KINDS = (
@@ -401,31 +401,6 @@ def export_partition(pmap: PartitionMap, n_samples: int, path):
         fh.write(f"{pmap.n_parties} {n_samples}\n")
         for assignment in pmap.assignments:
             fh.write(" ".join(str(int(i)) for i in assignment) + "\n")
-
-
-def load_partition(path) -> PartitionMap:
-    """Read an export_partition file; FormatError naming the path unless it
-    splits the header's n_samples into exactly n_parties index lines."""
-    try:
-        rows = [[int(tok) for tok in line.split()] for line in read_input(path, text=True)]
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-    if not rows or len(rows[0]) != 2 or min(rows[0]) < 1:
-        raise FormatError(f"{path}: header must be 'n_parties n_samples', both positive")
-    (n_parties, n_samples), body = rows[0], rows[1:]
-    if len(body) < n_parties or any(body[n_parties:]):
-        raise FormatError(
-            f"{path}: header promises {n_parties} party lines, found {len(body)}"
-        )
-    n_indices = sum(map(len, body))
-    if n_indices != n_samples:
-        raise FormatError(f"{path}: {n_indices} indices, header promises {n_samples}")
-    try:
-        pmap = PartitionMap(tuple(body[:n_parties]), n_parties)
-        check_partition(pmap, n_samples)
-    except (OverflowError, PartitionError) as exc:
-        raise FormatError(f"{path}: {exc}") from None
-    return pmap
 
 
 def export_stats_csv(stats: PartitionStats, path):

@@ -1,10 +1,26 @@
-"""Shared builders and out-of-place reference forms for the tests."""
+"""Shared builders, writers and out-of-place reference forms for the tests."""
+
+import struct
 
 import numpy as np
 
 from fedsim import rng
 from fedsim.compensated import two_diff, two_prod, two_sum
+from fedsim.datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from fedsim.engine import LocalUpdate
+
+
+def write_idx(ds, images_path, labels_path, rows: int, cols: int):
+    """Write a dataset with features in [0, 1] as an IDX image/label pair of
+    rows x cols images, pixels rounded to 8 bits."""
+    assert rows * cols == ds.n_features
+    pixels = np.clip(np.rint(ds.features * 255.0), 0, 255).astype(np.uint8)
+    with open(images_path, "wb") as fh:
+        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, ds.n, rows, cols))
+        fh.write(pixels.tobytes())
+    with open(labels_path, "wb") as fh:
+        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, ds.n))
+        fh.write(ds.labels.astype(np.uint8).tobytes())
 
 
 def make_update(w_t, party_id, delta, tau, n_samples, delta_control=None):
@@ -40,25 +56,33 @@ def combine_updates_unblocked(base, coeffs, residual_targets, scale):
 
 def reference_local_loop(w_start, view, cfg, round_idx, objective, prox_mu=0.0,
                          correction=None):
-    """The engine's local SGD loop written out of place, for finite runs:
-    every step builds new velocity and parameter arrays. Returns (final
-    array, tau, mean loss)."""
+    """The engine's local SGD loop written out of place: every step builds
+    new velocity and parameter arrays. A step whose loss or new parameters
+    are non-finite ends the loop and is dropped. Returns (final array, tau,
+    mean loss, diverged): the last finite model, the number of kept steps
+    (at least 1), their mean loss (nan if none) and whether a step was
+    dropped."""
     generator = rng.stream(cfg.master_seed, rng.TAG_LOCAL, round_idx, view.party_id)
     features = view.features
     params = w_start
     velocity = np.zeros_like(w_start)
     losses = []
-    for _ in range(cfg.local_epochs):
-        perm = generator.permutation(view.n_samples)
-        for start in range(0, view.n_samples, cfg.batch_size):
-            batch_idx = perm[start : start + cfg.batch_size]
-            loss, grad = objective.loss_grad(
-                params, features[batch_idx], view.labels[batch_idx], prox_mu,
-                w_start if prox_mu > 0 else None,
-            )
-            if correction is not None:
-                grad = grad + correction
-            velocity = cfg.momentum * velocity + grad
-            params = params - cfg.local_lr * velocity
-            losses.append(loss)
-    return params, len(losses), float(np.mean(losses))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.local_epochs):
+            perm = generator.permutation(view.n_samples)
+            for start in range(0, view.n_samples, cfg.batch_size):
+                batch_idx = perm[start : start + cfg.batch_size]
+                loss, grad = objective.loss_grad(
+                    params, features[batch_idx], view.labels[batch_idx], prox_mu,
+                    w_start if prox_mu > 0 else None,
+                )
+                if correction is not None:
+                    grad = grad + correction
+                velocity = cfg.momentum * velocity + grad
+                stepped = params - cfg.local_lr * velocity
+                if not (np.isfinite(loss) and np.isfinite(stepped).all()):
+                    mean = float(np.mean(losses)) if losses else float("nan")
+                    return params, max(len(losses), 1), mean, True
+                params = stepped
+                losses.append(loss)
+    return params, len(losses), float(np.mean(losses)), False

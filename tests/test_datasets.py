@@ -16,9 +16,10 @@ from fedsim.datasets import (
     read_libsvm,
     save_container,
     split_train_test,
-    write_idx,
 )
 from fedsim.errors import ConfigError, DataError, FormatError
+
+from helpers import write_idx
 
 
 class TestLabeledDataset:

@@ -295,7 +295,7 @@ class TestLocalLoopBuffers:
         features, labels = view.features.copy(), view.labels.copy()
         objective = RecordingObjective(self.ARCH)
         update = local_train_sgd(w_t, view, cfg, 2, objective)
-        final, tau, mean_loss = reference_local_loop(
+        final, tau, mean_loss, _ = reference_local_loop(
             w_t, view, cfg, 2, MlpObjective(self.ARCH), prox_mu=prox_mu
         )
         assert not update.diverged
@@ -313,7 +313,7 @@ class TestLocalLoopBuffers:
         objective = RecordingObjective(self.ARCH)
         update, new_control = local_train_scaffold(w_t, c, c_i, view, cfg, 2, objective)
         correction = c - c_i
-        final, tau, mean_loss = reference_local_loop(
+        final, tau, mean_loss, _ = reference_local_loop(
             w_t, view, cfg, 2, MlpObjective(self.ARCH), correction=correction
         )
         refreshed = c_i - c + (1.0 / (tau * cfg.local_lr)) * (w_t - final)
@@ -817,6 +817,117 @@ class TestRunRound:
         assert new_a.params.tobytes() == new_b.params.tobytes()
 
 
+class TestLockstep:
+    """Which objectives train in lockstep cohorts, and what a traced run
+    that swaps in a loss_grad-overriding objective still sees."""
+
+    def _round(self, algorithm, objective, arch=MlpArch((3, 8, 4, 2))):
+        # Four parties of ragged sizes on one shared training matrix, so
+        # batch-size groups split and parties finish at different steps.
+        rng_ = np.random.default_rng(5)
+        source = rng_.standard_normal((200, arch.in_dim))
+        labels = rng_.integers(0, arch.out_dim, 200)
+        order = rng_.permutation(200)
+        bounds = [0, 23, 63, 80, 111]
+        views = [
+            PartyView(p, order[lo:hi], source, labels)
+            for p, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        ]
+        cfg = FedRunConfig(
+            algorithm=algorithm, rounds=2, n_parties=4, local_epochs=2, batch_size=16,
+            local_lr=0.05, momentum=0.9, prox_mu=0.1, master_seed=3,
+        )
+        params = MlpObjective(arch).init_params(3)
+        controls = None
+        if algorithm == "scaffold":
+            controls = tuple(_read_only_copy(0.01 * rng_.standard_normal(len(params)))
+                             for _ in views)
+        state = GlobalState(params, _read_only_copy(np.zeros_like(params))
+                            if controls else None, controls)
+        return run_round(state, views, cfg, 1, objective)
+
+    def test_stacks_only_with_mlp_objectives_own_loss_grad(self, monkeypatch):
+        arch = MlpArch((3, 4, 2))
+
+        class Subclass(MlpObjective):
+            pass
+
+        patched = MlpObjective(arch)
+        # A wrapper set on the instance may do anything per call.
+        patched.loss_grad = lambda *args: MlpObjective.loss_grad(patched, *args)
+        assert engine._stacks(MlpObjective(arch))
+        assert engine._stacks(Subclass(arch))
+        assert not engine._stacks(RecordingObjective(arch))
+        assert not engine._stacks(QuadraticObjective(0.0))
+        assert not engine._stacks(patched)
+        # The traced benchmark replaces the module attribute MlpObjective;
+        # the check does not look it up.
+        monkeypatch.setattr(engine, "MlpObjective", RecordingObjective)
+        assert engine._stacks(MlpObjective(arch))
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_overriding_subclass_sees_every_step_and_same_updates(self, algorithm):
+        arch = MlpArch((3, 8, 4, 2))
+        recording = RecordingObjective(arch)
+        new_r, updates_r, bytes_r = self._round(algorithm, recording, arch)
+        new_m, updates_m, bytes_m = self._round(algorithm, MlpObjective(arch), arch)
+        assert not any(u.diverged for u in updates_m)
+        assert len(recording.returned) == sum(u.tau for u in updates_r)
+        assert sum(u.tau for u in updates_r) == 2 * (2 + 3 + 2 + 2)
+        assert bytes_r == bytes_m
+        for ours, theirs in zip(updates_r, updates_m):
+            assert (ours.party_id, ours.tau, ours.n_samples) == (
+                theirs.party_id, theirs.tau, theirs.n_samples)
+            assert np.float64(ours.train_loss).tobytes() == np.float64(
+                theirs.train_loss).tobytes()
+            assert ours.final_params.tobytes() == theirs.final_params.tobytes()
+            if algorithm == "scaffold":
+                assert ours.delta_control.tobytes() == theirs.delta_control.tobytes()
+        assert new_r.params.tobytes() == new_m.params.tobytes()
+        if algorithm == "scaffold":
+            assert new_r.control.tobytes() == new_m.control.tobytes()
+            for ours, theirs in zip(new_r.client_controls, new_m.client_controls):
+                assert ours.tobytes() == theirs.tobytes()
+
+    def test_wide_model_trains_in_cohorts_of_one(self, monkeypatch):
+        # A 784-200-10 model is 1.2 MiB, so even two of them exceed the cap:
+        # wide runs keep one party's buffers at a time.
+        wide = MlpArch((784, 200, 10)).n_params()
+        assert 2 * wide * 8 > engine.COHORT_BYTES
+        source, labels = np.zeros((10, 784)), np.zeros(10, dtype=int)
+        views = [PartyView(p, [p], source, labels) for p in range(10)]
+        assert engine._cohorts(range(10), views, wide, True) == [[p] for p in range(10)]
+
+        def no_lockstep(*args, **kwargs):
+            raise AssertionError("a wide model was stacked")
+
+        monkeypatch.setattr(engine, "_lockstep_loop", no_lockstep)
+        arch = MlpArch((784, 200, 10))
+        wide_views = [PartyView(p, [2 * p, 2 * p + 1], source, labels) for p in range(3)]
+        cfg = FedRunConfig(algorithm="fedavg", rounds=1, n_parties=3, local_epochs=1,
+                           batch_size=2, master_seed=0)
+        objective = MlpObjective(arch)
+        _, updates, _ = run_round(
+            GlobalState(objective.init_params(0)), wide_views, cfg, 0, objective
+        )
+        assert [u.tau for u in updates] == [1, 1, 1]
+
+    def test_cohorts_split_at_cap_and_at_another_source(self):
+        source, labels = np.zeros((8, 3)), np.zeros(8, dtype=int)
+        other = source.copy()
+        views = [PartyView(p, [p], other if p == 5 else source, labels) for p in range(8)]
+        per_party = engine.COHORT_BYTES // 8 // 3  # three parties fit
+        assert engine._cohorts(range(8), views, per_party, True) == [
+            [0, 1, 2], [3, 4], [5], [6, 7]]
+        assert engine._cohorts([1, 4, 6], views, per_party, False) == [[1], [4], [6]]
+
+
+def _read_only_copy(array):
+    array = np.array(array)
+    array.setflags(write=False)
+    return array
+
+
 class TestRunExperiment:
     def _fcube(self, n=400):
         return fcube_generate(n, 100, seed=21)
@@ -1000,6 +1111,13 @@ class TestRunExperimentChecks:
         monkeypatch.setattr(engine, "build_views", None)  # any call would raise
         with pytest.raises(error, match=re.escape(message)):
             run_experiment(train, test_set, PartitionSpec("iid"), MlpArch((3, 2)), self._cfg())
+
+    def test_empty_test_set_refused_before_partitioning(self, monkeypatch):
+        train, _ = fcube_generate(64, 16, seed=1)
+        empty = LabeledDataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2)
+        monkeypatch.setattr(engine, "build_views", None)  # any call would raise
+        with pytest.raises(DataError, match="^test set is empty"):
+            run_experiment(train, empty, PartitionSpec("iid"), MlpArch((3, 2)), self._cfg())
 
 
 class TestServerOverflow:

@@ -25,8 +25,10 @@ import numpy as np
 import pytest
 
 from fedsim.config import parse_config
-from fedsim.datasets import LabeledDataset, save_container, write_idx
+from fedsim.datasets import LabeledDataset, save_container
 from fedsim.harness import build_dataset, cmd_run
+
+from helpers import write_idx
 
 FCUBE_FEDPROX = {
     "dataset": {"type": "fcube", "n_train": 400, "n_test": 100, "seed": 3},

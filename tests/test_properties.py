@@ -14,17 +14,21 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st  # noqa: E402
 
+from fedsim import engine, rng  # noqa: E402
 from fedsim.compensated import combine_updates  # noqa: E402
 from fedsim.datasets import LabeledDataset  # noqa: E402
+from fedsim.engine import FedRunConfig, GlobalState, MlpObjective, run_round  # noqa: E402
+from fedsim.nn import MlpArch  # noqa: E402
 from fedsim.errors import PartitionError  # noqa: E402
 from fedsim.partition import (  # noqa: E402
     PARTITION_KINDS,
     PartitionSpec,
+    PartyView,
     build_partition,
     check_partition,
-    export_partition,
-    load_partition,
 )
+
+from helpers import reference_local_loop  # noqa: E402
 
 # Magnitudes stay well inside the normal range, where the error-free
 # transforms are exact; the engine's models live there too.
@@ -144,14 +148,96 @@ class TestPartitionInvariants:
         again = build_partition(ds, spec, n_parties, seed)
         assert all(np.array_equal(a, b) for a, b in zip(pmap.assignments, again.assignments))
 
-    @given(partition_cases())
-    def test_export_load_round_trip(self, tmp_path_factory, case):
-        ds, spec, n_parties, seed = case
-        pmap = _build(ds, spec, n_parties, seed)
-        if pmap is None:
-            return
-        path = tmp_path_factory.mktemp("export") / "partition.txt"
-        export_partition(pmap, ds.n, path)
-        back = load_partition(path)
-        assert back.n_parties == pmap.n_parties
-        assert all(np.array_equal(a, b) for a, b in zip(back.assignments, pmap.assignments))
+
+@st.composite
+def lockstep_cases(draw):
+    """A round of 1-6 parties with ragged sizes on one shared training
+    matrix: random layer widths, batch size, epochs, momentum and algorithm.
+    Optionally one party's data holds an infinite feature in a batch after
+    its first, so that party diverges mid-epoch."""
+    widths = [draw(st.integers(1, 5))]
+    widths += draw(st.lists(st.integers(1, 8), max_size=2))
+    widths.append(draw(st.integers(2, 4)))
+    sizes = draw(st.lists(st.integers(1, 20), min_size=1, max_size=6))
+    algorithm, c_option = draw(st.sampled_from([
+        ("fedavg", "ii"), ("fedprox", "ii"), ("fednova", "ii"),
+        ("scaffold", "i"), ("scaffold", "ii"),
+    ]))
+    cfg = FedRunConfig(
+        algorithm=algorithm, rounds=1, n_parties=len(sizes),
+        local_epochs=draw(st.integers(1, 3)), batch_size=draw(st.integers(1, 8)),
+        local_lr=0.05, momentum=draw(st.sampled_from([0.0, 0.9])), prox_mu=0.1,
+        scaffold_c_option=c_option, master_seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    diverging = draw(st.one_of(st.none(), st.integers(0, len(sizes) - 1)))
+    return MlpArch(tuple(widths)), sizes, cfg, diverging, draw(st.integers(0, 2**31 - 1))
+
+
+def _scaffold_reference(w_t, c, c_i, view, cfg, objective, final, tau):
+    """local_train_scaffold's control refresh, out of place: (delta_control,
+    new c_i, flagged)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.scaffold_c_option == "i":
+            refreshed = objective.full_grad(w_t, view.features, view.labels)
+        else:
+            refreshed = c_i - c + (1.0 / (tau * cfg.local_lr)) * (w_t - final)
+        delta = refreshed - c_i
+    if np.isfinite(refreshed).all() and np.isfinite(delta).all():
+        return delta, refreshed, False
+    return np.zeros_like(c_i), c_i, True
+
+
+class TestLockstepTraining:
+    @given(lockstep_cases())
+    def test_round_matches_per_party_reference_bitwise(self, case):
+        arch, sizes, cfg, diverging, seed = case
+        generator = np.random.default_rng(seed)
+        source = generator.standard_normal((sum(sizes), arch.in_dim))
+        labels = generator.integers(0, arch.out_dim, sum(sizes))
+        bounds = np.cumsum([0, *sizes])
+        order = generator.permutation(sum(sizes))
+        rows = [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        if diverging is not None and sizes[diverging] > cfg.batch_size:
+            # The first row of the party's second batch in its first epoch.
+            perm = rng.stream(cfg.master_seed, rng.TAG_LOCAL, 0, diverging).permutation(
+                sizes[diverging])
+            source[rows[diverging][perm[cfg.batch_size]], 0] = np.inf
+        else:
+            diverging = None
+        source.setflags(write=False)
+        views = [PartyView(p, r, source, labels) for p, r in enumerate(rows)]
+        objective = MlpObjective(arch)
+        n_coords = arch.n_params()
+        assert len(engine._cohorts(range(len(sizes)), views, n_coords, True)) == 1
+
+        w_t = objective.init_params(seed)
+        controls = c = None
+        if cfg.algorithm == "scaffold":
+            c = 0.01 * generator.standard_normal(n_coords)
+            controls = tuple(0.01 * generator.standard_normal(n_coords) for _ in sizes)
+        new_state, updates, _ = run_round(
+            GlobalState(w_t, c, controls), views, cfg, 0, objective
+        )
+
+        assert [u.party_id for u in updates] == list(range(len(sizes)))
+        for update, view in zip(updates, views):
+            correction = None if c is None else c - controls[view.party_id]
+            final, tau, mean_loss, diverged = reference_local_loop(
+                w_t, view, cfg, 0, objective, prox_mu=cfg.mu or 0.0,
+                correction=correction,
+            )
+            assert diverged == (view.party_id == diverging)
+            assert (update.tau, update.n_samples) == (tau, view.n_samples)
+            assert np.float64(update.train_loss).tobytes() == np.float64(mean_loss).tobytes()
+            assert update.final_params.tobytes() == final.tobytes()
+            if c is None:
+                assert update.diverged == diverged
+                continue
+            delta, refreshed, flagged = _scaffold_reference(
+                w_t, c, controls[view.party_id], view, cfg, objective, final, tau)
+            assert update.diverged == (diverged or flagged)
+            assert update.delta_control.tobytes() == delta.tobytes()
+            if not new_state.diverged:
+                assert new_state.client_controls[view.party_id].tobytes() == (
+                    refreshed.tobytes())
+
