@@ -63,7 +63,6 @@ DATASET_OPTIONS = {
         "n_classes": (int, REQUIRED), "label_map": (dict, REQUIRED),
         "test_fraction": (float, _TEST_FRACTION),
     },
-    "container": {"train_path": (str, REQUIRED), "test_path": (str, REQUIRED)},
 }
 DATASET_KINDS = tuple(DATASET_OPTIONS)
 

@@ -2,7 +2,7 @@
 
 Produces LabeledDataset instances from synthetic generators (cube-corner
 binary data, Gaussian blobs) and from on-disk formats (big-endian IDX image
-files, LIBSVM sparse text, and a simple binary container for generated data).
+files and LIBSVM sparse text).
 """
 
 from __future__ import annotations
@@ -180,15 +180,6 @@ def read_input(path, text: bool = False):
         raise FormatError(f"{path}: not ASCII text (byte {exc.start})") from None
 
 
-def _read_exact(data: bytes, offset: int, count: int, path: str) -> bytes:
-    if len(data) < offset + count:
-        raise FormatError(
-            f"{path}: truncated at byte offset {len(data)}, "
-            f"need {offset + count} bytes"
-        )
-    return data[offset : offset + count]
-
-
 def _read_idx_file(path, magic: int, noun: str) -> tuple[tuple[int, ...], np.ndarray]:
     """An IDX file's header dims and its uint8 payload.
 
@@ -200,7 +191,9 @@ def _read_idx_file(path, magic: int, noun: str) -> tuple[tuple[int, ...], np.nda
     data = read_input(path)
     n_dims = magic & 0xFF
     header = 4 * (1 + n_dims)
-    found, *dims = struct.unpack(f">I{n_dims}I", _read_exact(data, 0, header, str(path)))
+    if len(data) < header:
+        raise FormatError(f"{path}: truncated at byte offset {len(data)}, need {header} bytes")
+    found, *dims = struct.unpack_from(f">I{n_dims}I", data)
     if found != magic:
         raise FormatError(
             f"{path}: bad {noun} magic 0x{found:08x} at byte offset 0, "
@@ -302,29 +295,3 @@ def split_train_test(
         )
     perm = np.random.default_rng(seed).permutation(ds.n)
     return ds.take(perm[n_test:]), ds.take(perm[:n_test])
-
-
-def save_container(ds: LabeledDataset, path):
-    """Self-describing binary dump: u64 LE header (n, d, n_classes), float64
-    row-major features, u32 labels."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<QQQ", ds.n, ds.n_features, ds.n_classes))
-        fh.write(ds.features.astype("<f8").tobytes())
-        fh.write(ds.labels.astype("<u4").tobytes())
-
-
-def load_container(path) -> LabeledDataset:
-    data = read_input(path)
-    n, d, n_classes = struct.unpack("<QQQ", _read_exact(data, 0, 24, str(path)))
-    feat_bytes = 8 * n * d
-    expected = 24 + feat_bytes + 4 * n
-    if len(data) != expected:
-        raise FormatError(
-            f"{path}: container is {len(data)} bytes, header promises {expected}"
-        )
-    features = np.frombuffer(data, dtype="<f8", count=n * d, offset=24).reshape(n, d)
-    labels = np.frombuffer(data, dtype="<u4", count=n, offset=24 + feat_bytes)
-    try:
-        return LabeledDataset(features, labels.astype(np.int64), int(n_classes))
-    except DataError as exc:  # non-finite features, labels or n_classes out of range
-        raise FormatError(f"{path}: {exc}") from None

@@ -14,18 +14,20 @@ Models and control variates are flat float64 arrays (see fedsim.nn). Every
 one the engine hands out is read-only, so it can be shared without a copy
 and no party can change what the next one sees.
 
-Lockstep training: a round's sampled parties train in cohorts, runs of
-consecutive ids in ascending order whose (P, n) float64 model stack fits in
-COHORT_BYTES. Inside a cohort every party steps through its own batch
-stream in lockstep; at each step the parties whose next batches have the
-same size form a group, and a group takes one stacked loss_grad call and
-one momentum update over its rows. Each row computes exactly what the
-party's own loop would, so no output depends on the cohorts. This holds
-only for MlpObjective's own loss_grad: an objective whose loss_grad is
-anything else (a duck-typed object, a subclass that overrides it, or a
-wrapper set on the instance) trains each party alone through
-local_train_sgd / local_train_scaffold, with one loss_grad call per local
-step. A tracer that overrides loss_grad therefore sees every step.
+Lockstep training: one loop trains every party. A round's sampled
+parties train in cohorts of 1 to P parties, runs of consecutive ids in
+ascending order whose (P, n) float64 model stack fits in COHORT_BYTES.
+Inside a cohort every party steps through its own batch stream in
+lockstep; at each step the parties whose next batches have the same size
+form a group, and a group takes one loss_grad call and one momentum
+update over its rows. Each row computes exactly what the party would
+alone, so no output depends on the cohorts. Only MlpObjective's own
+loss_grad stacks models. An objective whose loss_grad is anything else (a
+duck-typed object, a subclass that overrides it, or a wrapper set on the
+instance) trains every party in a cohort of one, through local_train_sgd
+/ local_train_scaffold, with one 1-d loss_grad call per local step, so a
+tracer that overrides loss_grad sees every step. A model too wide for two
+copies to fit in COHORT_BYTES trains in cohorts of one as well.
 """
 
 from __future__ import annotations
@@ -154,15 +156,18 @@ class MlpObjective:
 
     Any object with the same four methods can drive the engine, which is how
     tests exercise the update rules on hand-checkable scalar objectives.
-    Only this class's own loss_grad trains parties in lockstep; override it
-    and each party trains alone, one loss_grad call per step.
     All four work on flat float64 arrays: init_params returns the initial
     model and accuracy scores one; loss_grad and full_grad take parameters,
     feature rows and label ids and return (loss, gradient) and a new
-    gradient. They run once per local step, so they validate nothing:
-    run_experiment checks the training data against the architecture once,
-    and the local loop checks the loss and the new parameters for
-    finiteness.
+    gradient. This class's own loss_grad also takes a (P, n) stack of
+    models with (P, m, in) features and (P, m) labels and returns (P,)
+    losses and (P, n) gradients, which is what lets the local loop train a
+    cohort of parties with one call per step. Override it and each party
+    trains in a cohort of one, so the override only ever sees one model
+    and is called once per local step. loss_grad runs once per step, so
+    it validates nothing: run_experiment checks the training data against
+    the architecture once, and the local loop checks the loss and the new
+    parameters for finiteness.
     """
 
     def __init__(self, arch: MlpArch):
@@ -215,17 +220,6 @@ def sample_parties(
     return sorted(int(p) for p in generator.choice(n_parties, size=size, replace=False))
 
 
-def _epoch_batches(generator, rows: np.ndarray, batch_size: int):
-    """One epoch's minibatches as source rows.
-
-    The epoch's permutation is mapped to source rows once, so each batch
-    costs two gathers: its feature rows and its labels.
-    """
-    order = rows[generator.permutation(rows.shape[0])]
-    for start in range(0, order.shape[0], batch_size):
-        yield order[start : start + batch_size]
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     """array, marked read-only in place and returned."""
     array.setflags(write=False)
@@ -242,90 +236,46 @@ def _flagged_numerics():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _local_loop(w_start, view, cfg, round_idx, objective, correction=None):
-    """Shared minibatch loop on raw float64 arrays.
-
-    w_start is the round's global model as a flat array; it is never written
-    to, and neither are the view's arrays nor the gradients the objective
-    returns. A cfg that trains with a mu adds the proximal pull toward
-    w_start. correction, when given, is added to every raw gradient before
-    the momentum step (scaffold's c - c_i). Returns (final array, tau, mean
-    loss, diverged); the final array is the loop's own buffer, marked
-    read-only. A step whose loss or new parameters are non-finite, or
-    whose objective raises NumericError, is dropped and the last finite
-    model is returned with diverged set. A non-finite gradient always
-    reaches the new parameters (lr > 0, finite momentum), so checking those
-    two catches every non-finite step.
-
-    The loop owns its model-sized buffers, allocated per call so no two
-    parties share state: the parameters, starting as a copy of w_start; the
-    velocity, updated in place; a spare parameter buffer that each step
-    writes and that is swapped in only once the step is found finite; the
-    finiteness mask; and scaffold's corrected gradient.
-    """
-    generator = rng.stream(cfg.master_seed, rng.TAG_LOCAL, round_idx, view.party_id)
-    loss_grad = objective.loss_grad
-    source, rows, labels = view.source, view.rows, view.source_labels
-    lr, momentum = cfg.local_lr, cfg.momentum
-    prox_mu = cfg.mu or 0.0
-    params = w_start.copy()
-    spare = np.empty_like(w_start)
-    velocity = np.zeros_like(w_start)
-    finite = np.empty(w_start.shape, dtype=bool)
-    corrected = np.empty_like(w_start) if correction is not None else None
-    anchor = w_start if prox_mu > 0 else None
-    losses = []
-    diverged = False
-    with _flagged_numerics():
-        for _ in range(cfg.local_epochs):
-            for batch in _epoch_batches(generator, rows, cfg.batch_size):
-                try:
-                    loss, grad = loss_grad(
-                        params, source[batch], labels[batch], prox_mu, anchor
-                    )
-                except NumericError:
-                    diverged = True
-                    break
-                if correction is not None:
-                    grad = np.add(grad, correction, out=corrected)
-                momentum_update(params, grad, velocity, lr, momentum, spare)
-                if not (math.isfinite(loss) and np.isfinite(spare, out=finite).all()):
-                    diverged = True
-                    break
-                params, spare = spare, params
-                losses.append(loss)
-            if diverged:
-                break
-    return _read_only(params), max(len(losses), 1), _mean_loss(losses), diverged
-
-
 def _mean_loss(losses) -> float:
     return float(np.mean(losses)) if losses else float("nan")
 
 
-def _lockstep_loop(w_start, views, cfg, round_idx, layers, corrections=None):
-    """_local_loop for a cohort of parties at once, on MlpObjective's kernel.
+def _lockstep_loop(w_start, views, cfg, round_idx, objective, corrections=None):
+    """Local epochs of minibatch SGD with momentum for a cohort of parties.
 
     Row p of each (P, n) buffer is views[p]'s model; all views share one
     training matrix. Each lockstep iteration moves every active party one
     step along its own (seed, round, party) stream. The active parties are
     grouped by the size of their next batch, and each group takes one
-    stacked _loss_grad call, one momentum_update and one row-wise
-    finiteness check; a group that is not a contiguous run of rows works on
-    gathered copies and scatters them back, and a group of one takes
-    _local_loop's own step on its row's views. Every row thus sees exactly the
-    floats _local_loop would give its party. A party whose loss or new
-    parameters are non-finite keeps its last finite row and leaves the
-    active set, and so does a party that has run its local epochs.
-    corrections, when given, is scaffold's (P, n) stack of c - c_i.
-    Returns _local_loop's (final array, tau, mean loss, diverged) per party,
-    in cohort order.
+    objective.loss_grad call, one momentum_update and one row-wise
+    finiteness check. A group of one calls loss_grad on its row's 1-d
+    views, so an objective that cannot stack, which _cohorts keeps in
+    cohorts of one, only ever sees one model. A larger group calls it on a
+    (k, n) stack; a group that is not a contiguous run of rows works on
+    gathered copies and scatters them back. Each row computes exactly what
+    its party would alone.
 
-    As in _local_loop, every step writes the spare stack and only finite
-    rows are kept: all active rows step in every iteration, so the stacks
-    swap whole, and a row is copied out once, when its party leaves.
+    w_start is the round's global model; it is never written to, and
+    neither are the views' arrays nor the gradients the objective returns.
+    A cfg that trains with a mu adds the proximal pull toward w_start.
+    corrections, when given, is scaffold's (P, n) stack of c - c_i, added
+    to every raw gradient, into a buffer the loop owns, before the momentum
+    step. Returns (final array, tau, mean loss, diverged) per party, in
+    cohort order; each final array is a read-only copy. A step whose loss
+    or new parameters are non-finite, or whose objective raises
+    NumericError, is dropped, and its party leaves with its last finite
+    model and diverged set; a party that has run its local epochs leaves
+    too. A non-finite gradient always reaches the new parameters (lr > 0,
+    finite momentum), so checking those two catches every non-finite step.
+
+    The loop owns its buffers, allocated per call so no two cohorts share
+    state: the parameters, starting as copies of w_start; the velocity,
+    updated in place; a spare parameter stack that every step writes; and
+    scaffold's corrected gradients. All active rows step in every
+    iteration and only finite rows are kept, so the stacks swap whole.
     """
     n_rows = len(views)
+    loss_grad = objective.loss_grad
     source, labels = views[0].source, views[0].source_labels
     lr, momentum, batch_size = cfg.local_lr, cfg.momentum, cfg.batch_size
     prox_mu = cfg.mu or 0.0
@@ -333,6 +283,7 @@ def _lockstep_loop(w_start, views, cfg, round_idx, layers, corrections=None):
     params = np.tile(w_start, (n_rows, 1))
     spare = np.empty_like(params)
     velocity = np.zeros_like(params)
+    corrected = None if corrections is None else np.empty_like(params)
     streams = [
         rng.stream(cfg.master_seed, rng.TAG_LOCAL, round_idx, view.party_id)
         for view in views
@@ -361,8 +312,7 @@ def _lockstep_loop(w_start, views, cfg, round_idx, layers, corrections=None):
             groups = {}
             for row in active:
                 order, start = orders[row], starts[row]
-                if start == order.shape[0]:
-                    # A new epoch: the same permutation _epoch_batches draws.
+                if start == order.shape[0]:  # a new epoch: a fresh permutation
                     view = views[row]
                     order = orders[row] = view.rows[streams[row].permutation(view.n_samples)]
                     start = 0
@@ -372,7 +322,7 @@ def _lockstep_loop(w_start, views, cfg, round_idx, layers, corrections=None):
             kept = []
             for members in groups.values():
                 single = len(members) == 1
-                if single:  # _local_loop's own step, on row views
+                if single:  # one model: the row's 1-d views
                     rows = members[0]
                     picked = batches[rows]
                 else:
@@ -381,11 +331,14 @@ def _lockstep_loop(w_start, views, cfg, round_idx, layers, corrections=None):
                     picked = np.concatenate([batches[row] for row in members])
                     picked = picked.reshape(len(members), -1)
                 w, v, out = params[rows], velocity[rows], spare[rows]
-                loss, grad = _loss_grad(
-                    layers, w, source[picked], labels[picked], prox_mu, anchor
-                )
+                try:
+                    loss, grad = loss_grad(w, source[picked], labels[picked], prox_mu, anchor)
+                except NumericError:
+                    for row in members:
+                        leave(row, params[row], True)
+                    continue
                 if corrections is not None:
-                    grad += corrections[rows]
+                    grad = np.add(grad, corrections[rows], out=corrected[rows])
                 momentum_update(w, grad, v, lr, momentum, out)
                 if rows is members:  # gathered copies: write them back
                     velocity[rows], spare[rows] = v, out
@@ -438,14 +391,7 @@ def local_train_sgd(
     (the anchor stays w_t for the whole round); a mu of 0 or None is
     bit-identical to plain training.
     """
-    return _update(view, _local_loop(w_t, view, cfg, round_idx, objective))
-
-
-def _check_controls(w_t, server_control, c_i):
-    if c_i is None or server_control is None:
-        raise ProtocolError("scaffold training requires both control variates")
-    if c_i.shape != w_t.shape or server_control.shape != w_t.shape:
-        raise ProtocolError("control variate shapes do not match the model")
+    return _update(view, _lockstep_loop(w_t, [view], cfg, round_idx, objective)[0])
 
 
 def _scaffold_update(w_t, server_control, c_i, view, cfg, objective, loop_result):
@@ -484,13 +430,29 @@ def local_train_scaffold(
     c* or c* - c_i is non-finite, the party is flagged diverged, keeps its
     c_i and reports a zero delta_control.
     """
-    _check_controls(w_t, server_control, c_i)
+    return _train_scaffold(
+        w_t, server_control, [c_i], [view], cfg, round_idx, objective
+    )[0]
+
+
+def _train_scaffold(w_t, server_control, c_is, views, cfg, round_idx, objective):
+    """local_train_scaffold for a cohort: each party's update and new c_i, in
+    cohort order, with party p's client control c_is[p]."""
+    for c_i in c_is:
+        if c_i is None or server_control is None:
+            raise ProtocolError("scaffold training requires both control variates")
+        if c_i.shape != w_t.shape or server_control.shape != w_t.shape:
+            raise ProtocolError("control variate shapes do not match the model")
     with _flagged_numerics():
-        # Round-constant correction; computing the difference once keeps the
-        # zero-control case exactly equal to plain SGD.
-        correction = server_control - c_i
-    loop_result = _local_loop(w_t, view, cfg, round_idx, objective, correction)
-    return _scaffold_update(w_t, server_control, c_i, view, cfg, objective, loop_result)
+        # Round-constant corrections; computing each difference once keeps
+        # the zero-control case exactly equal to plain SGD. Row p is
+        # exactly c - c_is[p].
+        corrections = server_control - np.stack(c_is)
+    results = _lockstep_loop(w_t, views, cfg, round_idx, objective, corrections)
+    return [
+        _scaffold_update(w_t, server_control, c_i, view, cfg, objective, result)
+        for c_i, view, result in zip(c_is, views, results)
+    ]
 
 
 def _sorted_updates(updates) -> list[LocalUpdate]:
@@ -590,30 +552,23 @@ def _cohorts(party_ids, views, n_coords: int, stacks: bool) -> list[list[int]]:
 
 def _train_cohort(state, views, cfg, round_idx, objective, controls):
     """Train one cohort; returns, in cohort order, each party's update and
-    its new c_i (None unless scaffold). A cohort of one goes through
-    local_train_sgd or local_train_scaffold, a larger one through the
-    lockstep loop."""
+    its new c_i (None unless scaffold). A cohort of one goes through the
+    module attributes local_train_sgd or local_train_scaffold, so a wrapper
+    set on them sees every party that trains alone."""
     w_t, c = state.params, state.control
+    scaffold = cfg.algorithm == "scaffold"
     if len(views) == 1:
         view = views[0]
-        if cfg.algorithm == "scaffold":
+        if scaffold:
             return [local_train_scaffold(
                 w_t, c, controls[view.party_id], view, cfg, round_idx, objective
             )]
         return [(local_train_sgd(w_t, view, cfg, round_idx, objective), None)]
-    if cfg.algorithm != "scaffold":
-        results = _lockstep_loop(w_t, views, cfg, round_idx, objective.layers)
-        return [(_update(view, result), None) for view, result in zip(views, results)]
-    c_is = [controls[view.party_id] for view in views]
-    for c_i in c_is:
-        _check_controls(w_t, c, c_i)
-    with _flagged_numerics():
-        corrections = c - np.stack(c_is)  # row p is exactly c - c_is[p]
-    results = _lockstep_loop(w_t, views, cfg, round_idx, objective.layers, corrections)
-    return [
-        _scaffold_update(w_t, c, c_i, view, cfg, objective, result)
-        for c_i, view, result in zip(c_is, views, results)
-    ]
+    if scaffold:
+        c_is = [controls[view.party_id] for view in views]
+        return _train_scaffold(w_t, c, c_is, views, cfg, round_idx, objective)
+    results = _lockstep_loop(w_t, views, cfg, round_idx, objective)
+    return [(_update(view, result), None) for view, result in zip(views, results)]
 
 
 def run_round(

@@ -22,7 +22,7 @@ class NumericError(FedsimError):
 
 
 class FormatError(FedsimError):
-    """Malformed input file (IDX, LIBSVM text, binary container)."""
+    """Malformed input file (IDX or LIBSVM text)."""
 
 
 class PartitionError(FedsimError):

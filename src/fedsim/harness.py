@@ -24,7 +24,6 @@ from .datasets import (
     LabeledDataset,
     blobs_generate,
     fcube_generate,
-    load_container,
     read_idx,
     read_libsvm,
     split_train_test,
@@ -78,8 +77,6 @@ def build_dataset(config: ExperimentConfig) -> tuple[LabeledDataset, LabeledData
         if options["test_path"] is not None:
             return full, read_libsvm(options["test_path"], *shape)
         return split_train_test(full, options["test_fraction"], rng.derive_seed(seed, 1))
-    if kind == "container":
-        return load_container(options["train_path"]), load_container(options["test_path"])
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 

@@ -10,11 +10,9 @@ from fedsim.datasets import (
     blob_center,
     blobs_generate,
     fcube_generate,
-    load_container,
     octant_codes,
     read_idx,
     read_libsvm,
-    save_container,
     split_train_test,
 )
 from fedsim.errors import ConfigError, DataError, FormatError
@@ -366,51 +364,3 @@ class TestSplit:
         with pytest.raises(ConfigError):
             split_train_test(self._ds(3), 1.5, seed=0)
 
-
-class TestContainer:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(3)
-        ds = LabeledDataset(rng.normal(size=(9, 5)), rng.integers(0, 4, 9), 4)
-        path = tmp_path / "data.bin"
-        save_container(ds, path)
-        back = load_container(path)
-        assert back.features.tobytes() == ds.features.tobytes()
-        assert np.array_equal(back.labels, ds.labels)
-        assert back.n_classes == 4
-
-    def test_header_layout(self, tmp_path):
-        ds = LabeledDataset(np.zeros((2, 3)), [0, 1], 2)
-        path = tmp_path / "data.bin"
-        save_container(ds, path)
-        n, d, k = struct.unpack("<QQQ", path.read_bytes()[:24])
-        assert (n, d, k) == (2, 3, 2)
-
-    def test_truncation_detected(self, tmp_path):
-        ds = LabeledDataset(np.zeros((2, 3)), [0, 1], 2)
-        path = tmp_path / "data.bin"
-        save_container(ds, path)
-        path.write_bytes(path.read_bytes()[:-2])
-        with pytest.raises(FormatError):
-            load_container(path)
-
-    @pytest.mark.parametrize(
-        "offset, packed, message",
-        [
-            (24, struct.pack("<d", float("nan")), "features contain non-finite values"),
-            (32, struct.pack("<d", float("-inf")), "features contain non-finite values"),
-            (24 + 8 * 6 + 4, struct.pack("<I", 2), "labels must lie in [0, 2)"),
-            (16, struct.pack("<Q", 0), "n_classes must be >= 1"),
-        ],
-    )
-    def test_bad_content_names_path(self, tmp_path, offset, packed, message):
-        path = tmp_path / "data.bin"
-        save_container(LabeledDataset(np.zeros((2, 3)), [0, 1], 2), path)
-        data = bytearray(path.read_bytes())
-        data[offset : offset + len(packed)] = packed
-        path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
-            load_container(path)
-
-    def test_missing_file_names_path(self, tmp_path):
-        with pytest.raises(FormatError, match="cannot read .*absent.bin"):
-            load_container(tmp_path / "absent.bin")

@@ -898,10 +898,15 @@ class TestLockstep:
         views = [PartyView(p, [p], source, labels) for p in range(10)]
         assert engine._cohorts(range(10), views, wide, True) == [[p] for p in range(10)]
 
-        def no_lockstep(*args, **kwargs):
-            raise AssertionError("a wide model was stacked")
+        # Each party trains alone through the module attribute the traced
+        # benchmark wraps to time its engine.local_train spans.
+        trained = []
 
-        monkeypatch.setattr(engine, "_lockstep_loop", no_lockstep)
+        def counting(w_t, view, *args):
+            trained.append(view.party_id)
+            return local_train_sgd(w_t, view, *args)
+
+        monkeypatch.setattr(engine, "local_train_sgd", counting)
         arch = MlpArch((784, 200, 10))
         wide_views = [PartyView(p, [2 * p, 2 * p + 1], source, labels) for p in range(3)]
         cfg = FedRunConfig(algorithm="fedavg", rounds=1, n_parties=3, local_epochs=1,
@@ -910,6 +915,7 @@ class TestLockstep:
         _, updates, _ = run_round(
             GlobalState(objective.init_params(0)), wide_views, cfg, 0, objective
         )
+        assert trained == [0, 1, 2]
         assert [u.tau for u in updates] == [1, 1, 1]
 
     def test_cohorts_split_at_cap_and_at_another_source(self):

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from fedsim.config import parse_config
-from fedsim.datasets import LabeledDataset, save_container
+from fedsim.datasets import LabeledDataset
 from fedsim.harness import build_dataset, cmd_run
 
 from helpers import write_idx
@@ -80,7 +80,6 @@ DATASET_PINS = {
     "blobs": "937c8a21f58f59f9c41532b11adfc875808242ec03c88a948196bc755e00e98e",
     "idx": "5512f699a85a54f3c0efbf929858ebeb45b72e3d30d773b24ed5cc8654219dbc",
     "libsvm": "d5304fa3f5de1f4cfc2d36bd97f56963b7306ceaef197f97f0f40a5ef4a85f73",
-    "container": "565dd1f0e21367c132e31bca872f3085ad62560841e2d095d4aa84afd2d3acd1",
 }
 
 
@@ -141,20 +140,12 @@ def _dataset_config(kind, tmp_path):
             write_idx(ds.take(list(rows)), images, labels, rows=2, cols=3)
             options.update({f"{side}_images": str(images), f"{side}_labels": str(labels)})
         return options
-    if kind == "libsvm":
-        path = tmp_path / "data.svm"
-        path.write_text("".join(
-            f"{(-1, 1)[i % 2]:+d} {1 + i % 3}:{i / 8} 4:{-i / 4}\n" for i in range(12)
-        ))
-        return {"type": "libsvm", "train_path": str(path), "n_features": 4,
-                "n_classes": 2, "label_map": {"-1": 0, "1": 1}}
-    options = {"type": "container"}
-    for side, n in (("train", 15), ("test", 6)):
-        path = tmp_path / f"{side}.bin"
-        features = generator.normal(size=(n, 5))
-        save_container(LabeledDataset(features, generator.integers(0, 3, n), 3), path)
-        options[f"{side}_path"] = str(path)
-    return options
+    path = tmp_path / "data.svm"
+    path.write_text("".join(
+        f"{(-1, 1)[i % 2]:+d} {1 + i % 3}:{i / 8} 4:{-i / 4}\n" for i in range(12)
+    ))
+    return {"type": "libsvm", "train_path": str(path), "n_features": 4,
+            "n_classes": 2, "label_map": {"-1": 0, "1": 1}}
 
 
 @pytest.mark.parametrize("kind", sorted(DATASET_PINS))

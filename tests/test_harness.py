@@ -17,7 +17,7 @@ from fedsim.config import (
     override_seed,
     parse_config,
 )
-from fedsim.datasets import LabeledDataset, save_container
+from fedsim.datasets import LabeledDataset
 from fedsim.engine import FedRunConfig
 from fedsim.errors import ConfigError, ReportError
 from fedsim.harness import (
@@ -29,6 +29,8 @@ from fedsim.harness import (
     gradient_check,
 )
 from fedsim.partition import PartitionSpec, build_views, export_partition
+
+from helpers import write_idx
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -51,7 +53,6 @@ LIBSVM_OPTIONS = {
     "type": "libsvm", "train_path": "x.svm", "n_features": 4, "n_classes": 2,
     "label_map": {"-1": 0, "1": 1},
 }
-CONTAINER_OPTIONS = {"type": "container", "train_path": "a.bin", "test_path": "b.bin"}
 
 
 def small_run_config(**overrides):
@@ -164,7 +165,7 @@ class TestLoadConfig:
             ({"type": "fcube", "n_train": "256"}, "n_train"),
             ({"type": "idx", "train_images": 7}, "train_images"),
             ({"type": "libsvm", "n_features": 4.0}, "n_features"),
-            ({"type": "container", "test_path": ["a"]}, "test_path"),
+            ({"type": "libsvm", "test_path": ["a"]}, "test_path"),
         ],
     )
     def test_dataset_option_type_rejected_with_path(self, dataset, key):
@@ -201,7 +202,6 @@ class TestLoadConfig:
             (IDX_OPTIONS, {}),
             (LIBSVM_OPTIONS, {}),
             ({**LIBSVM_OPTIONS, "name": "rcv1"}, {"local_lr": 0.1}),
-            (CONTAINER_OPTIONS, {}),
         ],
     )
     def test_bare_config_takes_library_defaults(self, dataset, overrides):
@@ -227,8 +227,7 @@ class TestLoadConfig:
     @pytest.mark.parametrize(
         "dataset, key",
         [(IDX_OPTIONS, key) for key in IDX_OPTIONS if key != "type"]
-        + [(LIBSVM_OPTIONS, key) for key in LIBSVM_OPTIONS if key != "type"]
-        + [(CONTAINER_OPTIONS, key) for key in CONTAINER_OPTIONS if key != "type"],
+        + [(LIBSVM_OPTIONS, key) for key in LIBSVM_OPTIONS if key != "type"],
     )
     def test_missing_required_option_rejected(self, dataset, key):
         bare = {k: v for k, v in dataset.items() if k != key}
@@ -300,27 +299,6 @@ class TestBuildDataset:
         train, test = build_dataset(config)
         assert train.n + test.n == 120
         assert test.n == 30
-
-    def test_container_round_trip(self, tmp_path):
-        from fedsim.datasets import LabeledDataset, save_container
-
-        rng = np.random.default_rng(0)
-        train = LabeledDataset(rng.normal(size=(30, 4)), rng.integers(0, 3, 30), 3)
-        test = LabeledDataset(rng.normal(size=(10, 4)), rng.integers(0, 3, 10), 3)
-        save_container(train, tmp_path / "train.bin")
-        save_container(test, tmp_path / "test.bin")
-        config = parse_config(
-            {
-                "dataset": {
-                    "type": "container",
-                    "train_path": str(tmp_path / "train.bin"),
-                    "test_path": str(tmp_path / "test.bin"),
-                }
-            }
-        )
-        loaded_train, loaded_test = build_dataset(config)
-        assert loaded_train.features.tobytes() == train.features.tobytes()
-        assert loaded_test.n == 10
 
     def test_libsvm_with_split(self, tmp_path):
         path = tmp_path / "data.svm"
@@ -769,20 +747,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read ") and "absent-images.idx" in err
 
-    def test_test_set_label_range_exit_code(self, tmp_path, capsys):
-        # Test labels 3 and 4 have no output of a 3-class model; scoring them
-        # as misses would report a wrong accuracy.
+    def test_test_set_width_exit_code(self, tmp_path, capsys):
+        # 2x2 training images size the model's input at 4; 2x3 test images
+        # do not fit it, so no accuracy could be scored on them.
         rng = np.random.default_rng(4)
-        dataset = {"type": "container"}
-        for side, n_classes in (("train", 3), ("test", 5)):
-            labels = np.arange(20) % n_classes
-            path = tmp_path / f"{side}.bin"
-            save_container(LabeledDataset(rng.normal(size=(20, 4)), labels, n_classes), path)
-            dataset[f"{side}_path"] = str(path)
+        dataset = {"type": "idx"}
+        for side, (rows, cols) in (("train", (2, 2)), ("test", (2, 3))):
+            features = rng.uniform(size=(20, rows * cols))
+            images, labels = tmp_path / f"{side}.idx3", tmp_path / f"{side}.idx1"
+            write_idx(LabeledDataset(features, np.arange(20) % 10, 10), images, labels,
+                      rows, cols)
+            dataset.update({f"{side}_images": str(images), f"{side}_labels": str(labels)})
         config_path = write_config(tmp_path, small_run_config(dataset=dataset))
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
-            "error: test set: label out of range [0, 3): min=0, max=4\n"
+            "error: test features have width 6, architecture input is 4\n"
         )
 
     def test_config_error_exit_code(self, tmp_path, capsys):

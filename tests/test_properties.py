@@ -187,6 +187,13 @@ def _scaffold_reference(w_t, c, c_i, view, cfg, objective, final, tau):
     return np.zeros_like(c_i), c_i, True
 
 
+class Alone(MlpObjective):
+    """MlpObjective with loss_grad overridden, so each party trains alone."""
+
+    def loss_grad(self, params, features, labels, prox_mu=0.0, prox_anchor=None):
+        return super().loss_grad(params, features, labels, prox_mu, prox_anchor)
+
+
 class TestLockstepTraining:
     @given(lockstep_cases())
     def test_round_matches_per_party_reference_bitwise(self, case):
@@ -208,36 +215,44 @@ class TestLockstepTraining:
         views = [PartyView(p, r, source, labels) for p, r in enumerate(rows)]
         objective = MlpObjective(arch)
         n_coords = arch.n_params()
-        assert len(engine._cohorts(range(len(sizes)), views, n_coords, True)) == 1
-
         w_t = objective.init_params(seed)
         controls = c = None
         if cfg.algorithm == "scaffold":
             c = 0.01 * generator.standard_normal(n_coords)
             controls = tuple(0.01 * generator.standard_normal(n_coords) for _ in sizes)
-        new_state, updates, _ = run_round(
-            GlobalState(w_t, c, controls), views, cfg, 0, objective
-        )
-
-        assert [u.party_id for u in updates] == list(range(len(sizes)))
-        for update, view in zip(updates, views):
-            correction = None if c is None else c - controls[view.party_id]
-            final, tau, mean_loss, diverged = reference_local_loop(
+        references = [
+            reference_local_loop(
                 w_t, view, cfg, 0, objective, prox_mu=cfg.mu or 0.0,
-                correction=correction,
+                correction=None if c is None else c - controls[view.party_id],
             )
-            assert diverged == (view.party_id == diverging)
-            assert (update.tau, update.n_samples) == (tau, view.n_samples)
-            assert np.float64(update.train_loss).tobytes() == np.float64(mean_loss).tobytes()
-            assert update.final_params.tobytes() == final.tobytes()
-            if c is None:
-                assert update.diverged == diverged
-                continue
-            delta, refreshed, flagged = _scaffold_reference(
-                w_t, c, controls[view.party_id], view, cfg, objective, final, tau)
-            assert update.diverged == (diverged or flagged)
-            assert update.delta_control.tobytes() == delta.tobytes()
-            if not new_state.diverged:
-                assert new_state.client_controls[view.party_id].tobytes() == (
-                    refreshed.tobytes())
+            for view in views
+        ]
+
+        # The whole round stacks in one cohort; an objective that overrides
+        # loss_grad trains every party in a cohort of one.
+        for trainer, n_cohorts in ((objective, 1), (Alone(arch), len(sizes))):
+            cohorts = engine._cohorts(
+                range(len(sizes)), views, n_coords, engine._stacks(trainer))
+            assert len(cohorts) == n_cohorts
+            new_state, updates, _ = run_round(
+                GlobalState(w_t, c, controls), views, cfg, 0, trainer
+            )
+            assert [u.party_id for u in updates] == list(range(len(sizes)))
+            for update, view, reference in zip(updates, views, references):
+                final, tau, mean_loss, diverged = reference
+                assert diverged == (view.party_id == diverging)
+                assert (update.tau, update.n_samples) == (tau, view.n_samples)
+                assert np.float64(update.train_loss).tobytes() == (
+                    np.float64(mean_loss).tobytes())
+                assert update.final_params.tobytes() == final.tobytes()
+                if c is None:
+                    assert update.diverged == diverged
+                    continue
+                delta, refreshed, flagged = _scaffold_reference(
+                    w_t, c, controls[view.party_id], view, cfg, objective, final, tau)
+                assert update.diverged == (diverged or flagged)
+                assert update.delta_control.tobytes() == delta.tobytes()
+                if not new_state.diverged:
+                    assert new_state.client_controls[view.party_id].tobytes() == (
+                        refreshed.tobytes())
 
