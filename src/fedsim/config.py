@@ -175,6 +175,8 @@ def _parse_dataset(obj, path: str) -> DatasetSpec:
         if default is REQUIRED and key not in options:
             raise ConfigError(f"{path}.{key}: required for {kind} datasets")
         options.setdefault(key, default)
+    if options.get("seed") is not None and options["seed"] < 0:
+        raise ConfigError(f"{path}.seed: must be >= 0, got {options['seed']}")
     if kind == "libsvm":
         options["label_map"] = _parse_label_map(
             options["label_map"], options["n_classes"], f"{path}.label_map"
@@ -264,6 +266,10 @@ def parse_config(raw: dict, source: str = "config") -> ExperimentConfig:
             cell = replace(fed, algorithm=algorithm, local_epochs=epochs)
             mus = mu_sweep if cell.mu is not None else [cell.prox_mu]
             cells.extend(replace(cell, prox_mu=mu) for mu in mus)
+    if "mu" in sweeps and all(cell.mu is None for cell in cells):
+        raise ConfigError(
+            f"{source}.sweeps.mu: no algorithm in fed.algorithms trains with a mu"
+        )
 
     trials = top.get("trials", 1)
     if trials < 1:

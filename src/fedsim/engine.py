@@ -14,20 +14,24 @@ Models and control variates are flat float64 arrays (see fedsim.nn). Every
 one the engine hands out is read-only, so it can be shared without a copy
 and no party can change what the next one sees.
 
-Lockstep training: one loop trains every party. A round's sampled
-parties train in cohorts of 1 to P parties, runs of consecutive ids in
-ascending order whose (P, n) float64 model stack fits in COHORT_BYTES.
-Inside a cohort every party steps through its own batch stream in
-lockstep; at each step the parties whose next batches have the same size
-form a group, and a group takes one loss_grad call and one momentum
-update over its rows. Each row computes exactly what the party would
-alone, so no output depends on the cohorts. Only MlpObjective's own
-loss_grad stacks models. An objective whose loss_grad is anything else (a
-duck-typed object, a subclass that overrides it, or a wrapper set on the
-instance) trains every party in a cohort of one, through local_train_sgd
-/ local_train_scaffold, with one 1-d loss_grad call per local step, so a
-tracer that overrides loss_grad sees every step. A model too wide for two
-copies to fit in COHORT_BYTES trains in cohorts of one as well.
+Lockstep training: one loop, _cohort_sgd, trains every party and hands
+back its LocalUpdate (and, for scaffold, its refreshed c_i). A round's
+sampled parties train in cohorts of 1 to P parties, runs of consecutive
+ids in ascending order whose (P, n) float64 model stack fits in
+COHORT_BYTES. Each party's minibatches come from one generator,
+_batches, that draws each epoch's permutation from the party's stream;
+a party leaves its cohort when the generator runs out or a step goes
+non-finite. At each lockstep iteration the parties whose next batches
+have the same size form a group, and a group takes one loss_grad call
+and one momentum update over its rows. Each row computes exactly what
+the party would alone, so no output depends on the cohorts. Only
+MlpObjective's own loss_grad stacks models. An objective whose loss_grad
+is anything else (a duck-typed object, a subclass that overrides it, or
+a wrapper set on the instance) trains every party in a cohort of one,
+through local_train_sgd / local_train_scaffold, with one 1-d loss_grad
+call per local step, so a tracer that overrides loss_grad sees every
+step. A model too wide for two copies to fit in COHORT_BYTES trains in
+cohorts of one as well.
 """
 
 from __future__ import annotations
@@ -236,89 +240,115 @@ def _flagged_numerics():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _mean_loss(losses) -> float:
-    return float(np.mean(losses)) if losses else float("nan")
+def _batches(view, cfg, round_idx):
+    """The party's minibatches for the round, as row ids into view.source:
+    cfg.local_epochs epochs, each a permutation of its rows drawn from the
+    party's (seed, round, party) stream when the epoch starts, cut into
+    batches of cfg.batch_size (an epoch's last batch may be smaller)."""
+    stream = rng.stream(cfg.master_seed, rng.TAG_LOCAL, round_idx, view.party_id)
+    n_samples, batch_size = view.n_samples, cfg.batch_size
+    for _ in range(cfg.local_epochs):
+        order = view.rows[stream.permutation(n_samples)]
+        for start in range(0, n_samples, batch_size):
+            yield order[start : start + batch_size]
 
 
-def _lockstep_loop(w_start, views, cfg, round_idx, objective, corrections=None):
+def _scaffold_refresh(update, w_t, server_control, c_i, view, cfg, objective):
+    """The update with its control change, and the party's new c_i; see
+    local_train_scaffold."""
+    with _flagged_numerics():
+        if cfg.scaffold_c_option == "i":
+            refreshed = objective.full_grad(w_t, view.features, view.labels)
+        else:
+            step_scale = 1.0 / (update.tau * cfg.local_lr)
+            refreshed = c_i - server_control + step_scale * (w_t - update.final_params)
+        delta_control = refreshed - c_i
+    if np.isfinite(refreshed).all() and np.isfinite(delta_control).all():
+        return replace(update, delta_control=_read_only(delta_control)), _read_only(refreshed)
+    zero = _read_only(np.zeros_like(c_i))
+    return replace(update, delta_control=zero, diverged=True), c_i
+
+
+def _cohort_sgd(w_t, views, cfg, round_idx, objective, server_control=None, c_is=None):
     """Local epochs of minibatch SGD with momentum for a cohort of parties.
 
     Row p of each (P, n) buffer is views[p]'s model; all views share one
-    training matrix. Each lockstep iteration moves every active party one
-    step along its own (seed, round, party) stream. The active parties are
-    grouped by the size of their next batch, and each group takes one
-    objective.loss_grad call, one momentum_update and one row-wise
-    finiteness check. A group of one calls loss_grad on its row's 1-d
-    views, so an objective that cannot stack, which _cohorts keeps in
-    cohorts of one, only ever sees one model. A larger group calls it on a
-    (k, n) stack; a group that is not a contiguous run of rows works on
-    gathered copies and scatters them back. Each row computes exactly what
-    its party would alone.
+    training matrix. Each iteration moves every active party to the next
+    batch of its _batches generator. A group of one calls loss_grad on its
+    row's 1-d views, so an objective that cannot stack only ever sees one
+    model; a larger group calls it on a (k, n) stack, and a group that is
+    not a contiguous run of rows works on gathered copies and scatters them
+    back.
 
-    w_start is the round's global model; it is never written to, and
-    neither are the views' arrays nor the gradients the objective returns.
-    A cfg that trains with a mu adds the proximal pull toward w_start.
-    corrections, when given, is scaffold's (P, n) stack of c - c_i, added
-    to every raw gradient, into a buffer the loop owns, before the momentum
-    step. Returns (final array, tau, mean loss, diverged) per party, in
-    cohort order; each final array is a read-only copy. A step whose loss
-    or new parameters are non-finite, or whose objective raises
-    NumericError, is dropped, and its party leaves with its last finite
-    model and diverged set; a party that has run its local epochs leaves
-    too. A non-finite gradient always reaches the new parameters (lr > 0,
-    finite momentum), so checking those two catches every non-finite step.
+    w_t is the round's global model; it is never written to, and neither
+    are the views' arrays nor the gradients the objective returns. A cfg
+    that trains with a mu adds the proximal pull toward w_t. Given c_is,
+    the parties train as scaffold: c - c_is[p] is added to row p's raw
+    gradients, into a buffer the loop owns, before the momentum step.
 
-    The loop owns its buffers, allocated per call so no two cohorts share
-    state: the parameters, starting as copies of w_start; the velocity,
-    updated in place; a spare parameter stack that every step writes; and
-    scaffold's corrected gradients. All active rows step in every
-    iteration and only finite rows are kept, so the stacks swap whole.
+    Returns (LocalUpdate, new c_i or None) per party, in cohort order, each
+    final model a read-only copy. A step whose loss or new parameters are
+    non-finite, or whose objective raises NumericError, is dropped, and its
+    party leaves with its last finite model and diverged set. A non-finite
+    gradient always reaches the new parameters (lr > 0, finite momentum),
+    so checking those two catches every non-finite step. A party with no
+    rows takes no step and hands back w_t with tau 1.
+
+    The buffers are allocated per call, so no two cohorts share state: the
+    parameters, the velocity (updated in place), a spare parameter stack
+    that every step writes, and scaffold's corrected gradients. Only finite
+    rows are kept, so the parameter and spare stacks swap whole.
     """
+    corrections = corrected = None
+    if c_is is not None:
+        for c_i in c_is:
+            if c_i is None or server_control is None:
+                raise ProtocolError("scaffold training requires both control variates")
+            if c_i.shape != w_t.shape or server_control.shape != w_t.shape:
+                raise ProtocolError("control variate shapes do not match the model")
+        with _flagged_numerics():
+            # Round-constant corrections; computing each difference once keeps
+            # the zero-control case exactly equal to plain SGD. Row p is
+            # exactly c - c_is[p].
+            corrections = server_control - np.stack(c_is)
+        corrected = np.empty_like(corrections)
     n_rows = len(views)
-    loss_grad = objective.loss_grad
-    source, labels = views[0].source, views[0].source_labels
-    lr, momentum, batch_size = cfg.local_lr, cfg.momentum, cfg.batch_size
-    prox_mu = cfg.mu or 0.0
-    anchor = w_start if prox_mu > 0 else None
-    params = np.tile(w_start, (n_rows, 1))
+    params = np.tile(w_t, (n_rows, 1))
     spare = np.empty_like(params)
     velocity = np.zeros_like(params)
-    corrected = None if corrections is None else np.empty_like(params)
-    streams = [
-        rng.stream(cfg.master_seed, rng.TAG_LOCAL, round_idx, view.party_id)
-        for view in views
-    ]
-    steps_left = [
-        cfg.local_epochs * -(-view.n_samples // batch_size) for view in views
-    ]
-    orders = [view.rows[:0] for view in views]  # empty: the first step draws one
-    starts = [0] * n_rows
+    loss_grad = objective.loss_grad
+    source, labels = views[0].source, views[0].source_labels
+    lr, momentum = cfg.local_lr, cfg.momentum
+    prox_mu = cfg.mu or 0.0
+    anchor = w_t if prox_mu > 0 else None
+    streams = [_batches(view, cfg, round_idx) for view in views]
     batches = [None] * n_rows
     losses = [[] for _ in views]
     results = [None] * n_rows
 
-    def leave(row, final, diverged):
-        tau = max(len(losses[row]), 1)
-        results[row] = (_read_only(final.copy()), tau, _mean_loss(losses[row]), diverged)
+    def leave(row, diverged):
+        view, row_losses = views[row], losses[row]
+        update = LocalUpdate(
+            party_id=view.party_id,
+            tau=max(len(row_losses), 1),
+            n_samples=view.n_samples,
+            train_loss=float(np.mean(row_losses)) if row_losses else float("nan"),
+            final_params=_read_only(params[row].copy()),
+            diverged=diverged,
+        )
+        results[row] = (update, None) if c_is is None else _scaffold_refresh(
+            update, w_t, server_control, c_is[row], view, cfg, objective)
 
-    active = []
-    for row, steps in enumerate(steps_left):
-        if steps:
-            active.append(row)
-        else:  # no samples: the model comes back untrained
-            leave(row, w_start, False)
+    active = list(range(n_rows))
     with _flagged_numerics():
         while active:
             groups = {}
             for row in active:
-                order, start = orders[row], starts[row]
-                if start == order.shape[0]:  # a new epoch: a fresh permutation
-                    view = views[row]
-                    order = orders[row] = view.rows[streams[row].permutation(view.n_samples)]
-                    start = 0
-                batch = batches[row] = order[start : start + batch_size]
-                starts[row] = start + batch.shape[0]
-                groups.setdefault(batch.shape[0], []).append(row)
+                batch = batches[row] = next(streams[row], None)
+                if batch is None:
+                    leave(row, False)
+                else:
+                    groups.setdefault(batch.shape[0], []).append(row)
             kept = []
             for members in groups.values():
                 single = len(members) == 1
@@ -335,7 +365,7 @@ def _lockstep_loop(w_start, views, cfg, round_idx, objective, corrections=None):
                     loss, grad = loss_grad(w, source[picked], labels[picked], prox_mu, anchor)
                 except NumericError:
                     for row in members:
-                        leave(row, params[row], True)
+                        leave(row, True)
                     continue
                 if corrections is not None:
                     grad = np.add(grad, corrections[rows], out=corrected[rows])
@@ -353,29 +383,10 @@ def _lockstep_loop(w_start, views, cfg, round_idx, objective, corrections=None):
                         losses[row].append(row_loss)
                         kept.append(row)
                     else:
-                        leave(row, params[row], True)
+                        leave(row, True)
             params, spare = spare, params
-            active = []
-            for row in sorted(kept):
-                steps_left[row] -= 1
-                if steps_left[row]:
-                    active.append(row)
-                else:
-                    leave(row, params[row], False)
+            active = sorted(kept)
     return results
-
-
-def _update(view, loop_result, delta_control=None, diverged=False) -> LocalUpdate:
-    final, tau, mean_loss, loop_diverged = loop_result
-    return LocalUpdate(
-        party_id=view.party_id,
-        tau=tau,
-        n_samples=view.n_samples,
-        train_loss=mean_loss,
-        final_params=final,
-        delta_control=delta_control,
-        diverged=loop_diverged or diverged,
-    )
 
 
 def local_train_sgd(
@@ -391,24 +402,7 @@ def local_train_sgd(
     (the anchor stays w_t for the whole round); a mu of 0 or None is
     bit-identical to plain training.
     """
-    return _update(view, _lockstep_loop(w_t, [view], cfg, round_idx, objective)[0])
-
-
-def _scaffold_update(w_t, server_control, c_i, view, cfg, objective, loop_result):
-    """The update and new c_i of a scaffold party whose local loop gave
-    loop_result; see local_train_scaffold."""
-    final, tau = loop_result[:2]
-    with _flagged_numerics():
-        if cfg.scaffold_c_option == "i":
-            refreshed = objective.full_grad(w_t, view.features, view.labels)
-        else:
-            step_scale = 1.0 / (tau * cfg.local_lr)
-            refreshed = c_i - server_control + step_scale * (w_t - final)
-        delta_control = refreshed - c_i
-    if np.isfinite(refreshed).all() and np.isfinite(delta_control).all():
-        return _update(view, loop_result, _read_only(delta_control)), _read_only(refreshed)
-    update = _update(view, loop_result, _read_only(np.zeros_like(c_i)), diverged=True)
-    return update, c_i
+    return _cohort_sgd(w_t, [view], cfg, round_idx, objective)[0][0]
 
 
 def local_train_scaffold(
@@ -430,29 +424,7 @@ def local_train_scaffold(
     c* or c* - c_i is non-finite, the party is flagged diverged, keeps its
     c_i and reports a zero delta_control.
     """
-    return _train_scaffold(
-        w_t, server_control, [c_i], [view], cfg, round_idx, objective
-    )[0]
-
-
-def _train_scaffold(w_t, server_control, c_is, views, cfg, round_idx, objective):
-    """local_train_scaffold for a cohort: each party's update and new c_i, in
-    cohort order, with party p's client control c_is[p]."""
-    for c_i in c_is:
-        if c_i is None or server_control is None:
-            raise ProtocolError("scaffold training requires both control variates")
-        if c_i.shape != w_t.shape or server_control.shape != w_t.shape:
-            raise ProtocolError("control variate shapes do not match the model")
-    with _flagged_numerics():
-        # Round-constant corrections; computing each difference once keeps
-        # the zero-control case exactly equal to plain SGD. Row p is
-        # exactly c - c_is[p].
-        corrections = server_control - np.stack(c_is)
-    results = _lockstep_loop(w_t, views, cfg, round_idx, objective, corrections)
-    return [
-        _scaffold_update(w_t, server_control, c_i, view, cfg, objective, result)
-        for c_i, view, result in zip(c_is, views, results)
-    ]
+    return _cohort_sgd(w_t, [view], cfg, round_idx, objective, server_control, [c_i])[0]
 
 
 def _sorted_updates(updates) -> list[LocalUpdate]:
@@ -564,11 +536,8 @@ def _train_cohort(state, views, cfg, round_idx, objective, controls):
                 w_t, c, controls[view.party_id], view, cfg, round_idx, objective
             )]
         return [(local_train_sgd(w_t, view, cfg, round_idx, objective), None)]
-    if scaffold:
-        c_is = [controls[view.party_id] for view in views]
-        return _train_scaffold(w_t, c, c_is, views, cfg, round_idx, objective)
-    results = _lockstep_loop(w_t, views, cfg, round_idx, objective)
-    return [(_update(view, result), None) for view, result in zip(views, results)]
+    c_is = [controls[view.party_id] for view in views] if scaffold else None
+    return _cohort_sgd(w_t, views, cfg, round_idx, objective, c, c_is)
 
 
 def run_round(

@@ -28,7 +28,7 @@ from .datasets import (
     read_libsvm,
     split_train_test,
 )
-from .engine import partition_seed, run_experiment
+from .engine import ALGORITHMS, partition_seed, run_experiment
 from .errors import ConfigError, ReportError
 from .nn import MlpArch, backward, finite_diff_grad, init_mlp, layer_slices
 from .partition import build_views, export_partition, export_stats_csv, partition_stats
@@ -40,7 +40,8 @@ WINS_FILE = "wins.csv"
 CURVES_DIR = "curves"
 
 # Keys cmd_report reads from every results record, with the JSON types each
-# may hold (a bool is never taken for a number).
+# may hold (a bool is never taken for a number, and a float must be finite).
+# An algorithm must also be one of engine.ALGORITHMS.
 RECORD_KEYS = {
     "trial": (int,), "round": (int,), "algorithm": (str,), "mu": (int, float, type(None)),
     "local_epochs": (int,), "test_accuracy": (int, float),
@@ -182,10 +183,18 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     return {"results": results_path, "summary": summary_path}
 
 
+def _record_value_ok(key: str, value, kinds) -> bool:
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        return False
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return key != "algorithm" or value in ALGORITHMS
+
+
 def _read_records(path) -> list[dict]:
     """The records of one results file. ReportError names the file, and the
     line of a record that is not ASCII, not a JSON object, lacks a key or
-    holds a value of the wrong type (and then names the key)."""
+    holds a value that RECORD_KEYS refuses (and then names the key)."""
     records = []
     try:
         with open(path, "rb") as fh:
@@ -206,7 +215,7 @@ def _read_records(path) -> list[dict]:
                     raise ReportError(f"{where}: record lacks {', '.join(missing)}")
                 for key, kinds in RECORD_KEYS.items():
                     value = record[key]
-                    if isinstance(value, bool) or not isinstance(value, kinds):
+                    if not _record_value_ok(key, value, kinds):
                         raise ReportError(f"{where}: {key} cannot be {json.dumps(value)}")
                 records.append(record)
     except OSError as exc:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .errors import ConfigError, PartitionError
+from .errors import ConfigError, DataError, PartitionError
 from .rng import derive_seed, stream
 
 PARTITION_KINDS = (
@@ -358,7 +358,10 @@ def build_partition(
 def build_views(
     ds: LabeledDataset, spec: PartitionSpec, n_parties: int, seed: int
 ) -> tuple[PartitionMap, list[PartyView]]:
-    """Partition and build party views, applying the spec's noise overlay."""
+    """Partition and build party views, applying the spec's noise overlay.
+    An empty training set is refused before any strategy runs."""
+    if ds.n == 0:
+        raise DataError("training set is empty: there are no samples to partition")
     pmap = build_partition(ds, spec, n_parties, derive_seed(seed, 0))
     views = apply_feature_noise(pmap, ds, spec.noise_sigma, derive_seed(seed, 1))
     return pmap, views

@@ -928,6 +928,60 @@ class TestLockstep:
         assert engine._cohorts([1, 4, 6], views, per_party, False) == [[1], [4], [6]]
 
 
+class TestZeroRowParty:
+    """A party that holds no rows takes no step, alone or in a stacked
+    cohort: it hands back the global model bit for bit, with tau 1, a nan
+    loss and no divergence flag."""
+
+    ARCH = MlpArch((3, 4, 2))
+
+    def _setup(self, algorithm):
+        rng_ = np.random.default_rng(13)
+        source = rng_.standard_normal((9, self.ARCH.in_dim))
+        labels = rng_.integers(0, self.ARCH.out_dim, 9)
+        rows = [np.arange(5), np.arange(0), np.arange(5, 9)]
+        views = [PartyView(p, r, source, labels) for p, r in enumerate(rows)]
+        cfg = FedRunConfig(
+            algorithm=algorithm, rounds=1, n_parties=3, local_epochs=2, batch_size=2,
+            local_lr=0.05, momentum=0.9, prox_mu=0.1, master_seed=13,
+        )
+        w_t = _read_only_copy(MlpObjective(self.ARCH).init_params(13))
+        c = _read_only_copy(0.01 * rng_.standard_normal(len(w_t)))
+        c_is = tuple(_read_only_copy(0.01 * rng_.standard_normal(len(w_t))) for _ in views)
+        return views, cfg, w_t, c, c_is
+
+    def _check(self, update, w_t):
+        assert update.final_params.tobytes() == w_t.tobytes()
+        assert (update.tau, update.n_samples) == (1, 0)
+        assert np.isnan(update.train_loss)
+        assert not update.diverged
+
+    def test_alone(self):
+        views, cfg, w_t, c, c_is = self._setup("fedprox")
+        objective = MlpObjective(self.ARCH)
+        self._check(local_train_sgd(w_t, views[1], cfg, 0, objective), w_t)
+        cfg = replace(cfg, algorithm="scaffold")
+        update, new_control = local_train_scaffold(
+            w_t, c, c_is[1], views[1], cfg, 0, objective)
+        self._check(update, w_t)
+        refreshed = c_is[1] - c + (1.0 / cfg.local_lr) * (w_t - w_t)
+        assert new_control.tobytes() == refreshed.tobytes()
+        assert update.delta_control.tobytes() == (refreshed - c_is[1]).tobytes()
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_in_stacked_cohort(self, algorithm):
+        views, cfg, w_t, c, c_is = self._setup(algorithm)
+        objective = MlpObjective(self.ARCH)
+        assert engine._cohorts(range(3), views, len(w_t), True) == [[0, 1, 2]]
+        state = GlobalState(w_t, c, c_is) if algorithm == "scaffold" else GlobalState(w_t)
+        _, updates, _ = run_round(state, views, cfg, 0, objective)
+        self._check(updates[1], w_t)
+        assert [u.tau for u in updates] == [6, 1, 4]
+        if algorithm == "scaffold":
+            refreshed = c_is[1] - c + (1.0 / cfg.local_lr) * (w_t - w_t)
+            assert updates[1].delta_control.tobytes() == (refreshed - c_is[1]).tobytes()
+
+
 def _read_only_copy(array):
     array = np.array(array)
     array.setflags(write=False)

@@ -145,6 +145,8 @@ class TestLoadConfig:
             ({"sweeps": {"local_epochs": [2, 3, 2]}}, r"sweeps\.local_epochs"),
             ({"sweeps": {"local_epochs": [True]}}, r"sweeps\.local_epochs"),
             ({"arch": {"hidden": [True]}}, r"arch\.hidden"),
+            ({"fed": {"algorithms": ["fedavg", "scaffold"]}, "sweeps": {"mu": [0.1, 1.0]}},
+             r"sweeps\.mu: no algorithm in fed\.algorithms trains with a mu"),
         ],
     )
     def test_sweep_that_would_misreport_rejected(self, overrides, path):
@@ -171,6 +173,13 @@ class TestLoadConfig:
     def test_dataset_option_type_rejected_with_path(self, dataset, key):
         with pytest.raises(ConfigError, match=rf"config\.dataset\.{key}: expected"):
             parse_config({"dataset": dataset})
+
+    @pytest.mark.parametrize("dataset", [{"type": "fcube"}, BLOBS_SMALL])
+    def test_negative_dataset_seed_rejected_with_path(self, dataset):
+        with pytest.raises(
+            ConfigError, match=r"^config\.dataset\.seed: must be >= 0, got -3$"
+        ):
+            parse_config({"dataset": {**dataset, "seed": -3}})
 
     @pytest.mark.parametrize(
         "label_map, cause",
@@ -564,9 +573,9 @@ class TestCmdReport:
         out = tmp_path / "out"
         out.mkdir()
         rows = []
-        # two sources; alpha wins the first, beta the second and third rows
-        for source, winner in (("s1", "alpha"), ("s2", "beta")):
-            for algorithm in ("alpha", "beta"):
+        # two sources; fedavg wins the first, fednova the second
+        for source, winner in (("s1", "fedavg"), ("s2", "fednova")):
+            for algorithm in ("fedavg", "fednova"):
                 for round_idx, acc in ((0, 0.1), (1, 0.9 if algorithm == winner else 0.5)):
                     rows.append(
                         (source, {
@@ -586,7 +595,7 @@ class TestCmdReport:
             line.split(",") for line in
             (out / "wins.csv").read_text().strip().splitlines()[1:]
         )
-        assert wins == {"alpha": "1", "beta": "1"}
+        assert wins == {"fedavg": "1", "fednova": "1"}
 
     def test_curves_have_t_plus_one_rows(self, tmp_path):
         config = parse_config(small_run_config())
@@ -640,6 +649,18 @@ class TestCmdReport:
             (json.dumps({**RECORD, "algorithm": 3}).encode(), "line 2: algorithm cannot be 3"),
             (json.dumps({**RECORD, "round": "1"}).encode(), 'line 2: round cannot be "1"'),
             (json.dumps({**RECORD, "trial": True}).encode(), "line 2: trial cannot be true"),
+            # An unknown algorithm name would add a report column ("a,b") or
+            # a curve file outside curves/ ("../../evil").
+            (json.dumps({**RECORD, "algorithm": "a,b"}).encode(),
+             'line 2: algorithm cannot be "a,b"'),
+            (json.dumps({**RECORD, "algorithm": "../../evil"}).encode(),
+             r'line 2: algorithm cannot be "\.\./\.\./evil"'),
+            (json.dumps({**RECORD, "test_accuracy": float("nan")}).encode(),
+             "line 2: test_accuracy cannot be NaN"),
+            (json.dumps({**RECORD, "test_accuracy": float("-inf")}).encode(),
+             "line 2: test_accuracy cannot be -Infinity"),
+            (json.dumps({**RECORD, "mean_train_loss": float("inf")}).encode(),
+             "line 2: mean_train_loss cannot be Infinity"),
         ],
     )
     def test_unusable_results_file_named(self, tmp_path, capsys, bad_line, cause):
@@ -762,6 +783,32 @@ class TestCli:
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
             "error: test features have width 6, architecture input is 4\n"
+        )
+
+    @pytest.mark.parametrize("command", ["run", "partition"])
+    def test_empty_training_set_exit_code(self, tmp_path, capsys, command):
+        # A 0-image training file used to be reported as a party count bound
+        # of 0 by the iid strategy.
+        dataset = {"type": "idx"}
+        for side, n in (("train", 0), ("test", 20)):
+            features = np.random.default_rng(4).uniform(size=(n, 4))
+            images, labels = tmp_path / f"{side}.idx3", tmp_path / f"{side}.idx1"
+            write_idx(LabeledDataset(features, np.arange(n) % 10, 10), images, labels, 2, 2)
+            dataset.update({f"{side}_images": str(images), f"{side}_labels": str(labels)})
+        config_path = write_config(tmp_path, small_run_config(dataset=dataset))
+        assert main([command, "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: training set is empty: there are no samples to partition\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["fcube", "blobs"])
+    @pytest.mark.parametrize("command", ["run", "partition"])
+    def test_negative_dataset_seed_exit_code(self, tmp_path, capsys, kind, command):
+        # numpy used to refuse the seed with a raw ValueError and a traceback.
+        config_path = write_config(tmp_path, {"dataset": {"type": kind, "seed": -1}})
+        assert main([command, "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: config.dataset.seed: must be >= 0, got -1\n"
         )
 
     def test_config_error_exit_code(self, tmp_path, capsys):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from fedsim.datasets import LabeledDataset, fcube_generate
-from fedsim.errors import ConfigError, PartitionError
+from fedsim.errors import ConfigError, DataError, PartitionError
 from fedsim.partition import (
+    PARTITION_KINDS,
     PartitionMap,
     PartitionSpec,
     PartyView,
@@ -444,6 +445,20 @@ class TestBuildViews:
             PartyView(0, np.arange(3), np.zeros((5, 2)), np.zeros(3, dtype=int))
         with pytest.raises(PartitionError, match="outside"):
             PartyView(0, [1, 5], np.zeros((5, 2)), np.zeros(5, dtype=int))
+
+    @pytest.mark.parametrize("kind", PARTITION_KINDS)
+    def test_empty_training_set_refused_before_any_strategy(self, kind):
+        # Each strategy used to fail its own way: a party count bound of 0,
+        # 100 spent Dirichlet retries, or a label with too few samples.
+        empty = LabeledDataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2,
+                               group_ids=np.zeros(0, dtype=int))
+        options = {"label_quantity": {"labels_per_party": 1}}.get(kind, {})
+        if "dirichlet" in kind:
+            options = {"beta": 0.5}
+        spec = PartitionSpec(kind, **options)
+        n_parties = 4 if kind == "fcube_pairs" else 2
+        with pytest.raises(DataError, match="^training set is empty"):
+            build_views(empty, spec, n_parties, seed=0)
 
     def test_fcube_pairs_requires_four_parties(self):
         train, _ = fcube_generate(4000, 1000, seed=0)
