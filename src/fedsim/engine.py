@@ -25,7 +25,10 @@ non-finite. At each lockstep iteration the parties whose next batches
 have the same size form a group, and a group takes one loss_grad call
 and one momentum update over its rows. Each row computes exactly what
 the party would alone, so no output depends on the cohorts. Only
-MlpObjective's own loss_grad stacks models. An objective whose loss_grad
+MlpObjective's own loss_grad stacks models. For it the loop calls the
+kernel behind it, nn._loss_grad, with a plan of the cohort's nn.Workspace
+(even for a cohort of one), so a step neither re-slices the models nor
+allocates its buffers again. An objective whose loss_grad
 is anything else (a duck-typed object, a subclass that overrides it, or
 a wrapper set on the instance) trains every party in a cohort of one,
 through local_train_sgd / local_train_scaffold, with one 1-d loss_grad
@@ -48,6 +51,7 @@ from .datasets import LabeledDataset
 from .errors import ConfigError, DataError, NumericError, ProtocolError, ShapeError
 from .nn import (
     MlpArch,
+    Workspace,
     _loss_grad,
     check_labels,
     init_mlp,
@@ -198,15 +202,17 @@ _MLP_LOSS_GRAD = MlpObjective.loss_grad
 
 # Largest (P, n) float64 model stack one cohort may hold, in bytes. A cohort
 # keeps three such stacks (parameters, spare, velocity; scaffold adds its
-# corrections) and (P, B, width) activations; a stack saves about 45 numpy
-# calls per party-step and costs memory traffic that grows with its size.
-# Measured as run_round time per party-step, lockstep against one party at a
-# time (fedprox, B = 64, 2-core Xeon, BLAS at one thread): 3-32-16-8-2 x 4
-# (25 KiB) 1.8x faster, 32-32-16-8-10 x 10 (141 KiB) 1.8-2.05x, 60-60-10 x 4
-# (133 KiB) 1.16x; but 100-100-10 x 2 (174 KiB) 0.92-0.96x, 200-100-10 x 2
-# (330 KiB) 0.93-0.95x, 784-32-10 x 2 (398 KiB) 0.81-0.88x and 784-200-10 x 2
-# (2.4 MiB) 0.89x. The cap sits between the largest stack that won and the
-# smallest that lost, so a 784-200-10 party always trains alone.
+# corrections), and its workspace two more (gradient, proximal difference)
+# and (P, B, width) activations and deltas; a stack saves one step's numpy
+# calls per party beyond the first and costs memory traffic that grows with
+# its size. Measured before the workspace existed, as run_round time per
+# party-step, lockstep against one party at a time (fedprox, B = 64, 2-core
+# Xeon, BLAS at one thread): 3-32-16-8-2 x 4 (25 KiB) 1.8x faster,
+# 32-32-16-8-10 x 10 (141 KiB) 1.8-2.05x, 60-60-10 x 4 (133 KiB) 1.16x; but
+# 100-100-10 x 2 (174 KiB) 0.92-0.96x, 200-100-10 x 2 (330 KiB) 0.93-0.95x,
+# 784-32-10 x 2 (398 KiB) 0.81-0.88x and 784-200-10 x 2 (2.4 MiB) 0.89x. The
+# cap sits between the largest stack that won and the smallest that lost, so
+# a 784-200-10 party always trains alone.
 COHORT_BYTES = 160 * 1024
 
 
@@ -297,7 +303,11 @@ def _cohort_sgd(w_t, views, cfg, round_idx, objective, server_control=None, c_is
     The buffers are allocated per call, so no two cohorts share state: the
     parameters, the velocity (updated in place), a spare parameter stack
     that every step writes, and scaffold's corrected gradients. Only finite
-    rows are kept, so the parameter and spare stacks swap whole.
+    rows are kept, so the parameter and spare stacks swap whole. When the
+    objective stacks, the call also owns an nn.Workspace and calls
+    nn._loss_grad, which is what MlpObjective.loss_grad runs, with a plan
+    of it: the views of a run of rows, per parameter stack and batch size,
+    are made the first time that group steps and kept for the round.
     """
     corrections = corrected = None
     if c_is is not None:
@@ -317,6 +327,7 @@ def _cohort_sgd(w_t, views, cfg, round_idx, objective, server_control=None, c_is
     spare = np.empty_like(params)
     velocity = np.zeros_like(params)
     loss_grad = objective.loss_grad
+    work = Workspace(objective.layers, n_rows, cfg.batch_size) if _stacks(objective) else None
     source, labels = views[0].source, views[0].source_labels
     lr, momentum = cfg.local_lr, cfg.momentum
     prox_mu = cfg.mu or 0.0
@@ -325,6 +336,10 @@ def _cohort_sgd(w_t, views, cfg, round_idx, objective, server_control=None, c_is
     batches = [None] * n_rows
     losses = [[] for _ in views]
     results = [None] * n_rows
+    # Per (parity, rows, batch size): the group's views of the buffers and
+    # its loss_grad plan. parity flips when params and spare swap.
+    steps = {}
+    parity = 0
 
     def leave(row, diverged):
         view, row_losses = views[row], losses[row]
@@ -339,6 +354,15 @@ def _cohort_sgd(w_t, views, cfg, round_idx, objective, server_control=None, c_is
         results[row] = (update, None) if c_is is None else _scaffold_refresh(
             update, w_t, server_control, c_is[row], view, cfg, objective)
 
+    def group_views(rows, m):
+        w = params[rows]
+        return (
+            w, velocity[rows], spare[rows],
+            None if work is None else work.plan(w, m),
+            None if corrections is None else corrections[rows],
+            None if corrected is None else corrected[rows],
+        )
+
     active = list(range(n_rows))
     with _flagged_numerics():
         while active:
@@ -350,27 +374,39 @@ def _cohort_sgd(w_t, views, cfg, round_idx, objective, server_control=None, c_is
                 else:
                     groups.setdefault(batch.shape[0], []).append(row)
             kept = []
-            for members in groups.values():
+            for m, members in groups.items():
                 single = len(members) == 1
                 if single:  # one model: the row's 1-d views
-                    rows = members[0]
+                    rows = key = members[0]
                     picked = batches[rows]
                 else:
                     lo, hi = members[0], members[-1] + 1
-                    rows = slice(lo, hi) if hi - lo == len(members) else members
+                    contiguous = hi - lo == len(members)
+                    rows = slice(lo, hi) if contiguous else members
+                    key = (lo, hi) if contiguous else None
                     picked = np.concatenate([batches[row] for row in members])
                     picked = picked.reshape(len(members), -1)
-                w, v, out = params[rows], velocity[rows], spare[rows]
+                if key is None:  # gathered copies, written back below
+                    step = group_views(rows, m)
+                else:
+                    step = steps.get((parity, key, m))
+                    if step is None:
+                        step = steps[parity, key, m] = group_views(rows, m)
+                w, v, out, plan, correction, corrected_rows = step
                 try:
-                    loss, grad = loss_grad(w, source[picked], labels[picked], prox_mu, anchor)
+                    if plan is None:
+                        loss, grad = loss_grad(w, source[picked], labels[picked], prox_mu, anchor)
+                    else:
+                        loss, grad = _loss_grad(objective.layers, w, source[picked],
+                                                labels[picked], prox_mu, anchor, plan)
                 except NumericError:
                     for row in members:
                         leave(row, True)
                     continue
-                if corrections is not None:
-                    grad = np.add(grad, corrections[rows], out=corrected[rows])
+                if correction is not None:
+                    grad = np.add(grad, correction, out=corrected_rows)
                 momentum_update(w, grad, v, lr, momentum, out)
-                if rows is members:  # gathered copies: write them back
+                if key is None:
                     velocity[rows], spare[rows] = v, out
                 if single:
                     ok = math.isfinite(loss) and np.isfinite(out).all()
@@ -385,6 +421,7 @@ def _cohort_sgd(w_t, views, cfg, round_idx, objective, server_control=None, c_is
                     else:
                         leave(row, True)
             params, spare = spare, params
+            parity ^= 1
             active = sorted(kept)
     return results
 

@@ -6,8 +6,10 @@ array of arch.n_params() entries, laid out as layer_slices(arch) describes
 control variates and gradient checks therefore treat a network as ordinary
 linear algebra. Hidden layers use ReLU, the output layer is linear (logits),
 and the loss is softmax cross-entropy. Identical inputs give bit-identical
-outputs, and every function here except momentum_update is pure: inputs are
-never mutated.
+outputs, and no function here writes to its inputs except momentum_update,
+which updates its caller's buffers, and `_loss_grad` given a Workspace plan,
+which computes in the workspace's buffers and returns its gradient there.
+Every other function is pure.
 
 The public functions (forward, backward, predict_accuracy,
 finite_diff_grad) validate their inputs on every call. Local training
@@ -24,10 +26,18 @@ call is bit for bit the call on row p alone. That lets the engine train
 several small parties with one call per step (see fedsim.engine) without a
 second copy of backprop. momentum_update is elementwise, so it takes either
 shape too.
+
+At these model sizes a call's cost is numpy's per-call overhead, not the
+arithmetic. So a training cohort keeps a Workspace, whose plans hold every
+view and buffer a call shape needs: on the fcube net (3-32-16-8-2, fedprox)
+a planned call makes 53 numpy calls, and a call without a plan first lays
+out about 43 views and arrays. Short class rows are reduced as column
+folds, and the labels are picked through one flat index.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,7 +168,128 @@ def layer_slices(arch: MlpArch) -> tuple:
     return tuple(out)
 
 
-def _loss_grad(layers, w, features, labels, prox_mu, anchor):
+# Below this many classes a row max or row sum over the classes is taken as
+# a left fold of the class columns: one ufunc call per class over all rows,
+# instead of a reduction that loops over many very short rows. A max is
+# exact in any order, and on numpy 2.4 add.reduce over 2-7 elements adds
+# them left to right too; from 8 on it sums pairwise and the fold differs.
+# tests/test_properties.py pins both folds to the reductions on 1-12 classes.
+_FOLD_BELOW = 8
+
+
+class Workspace:
+    """Buffers that the _loss_grad calls of one training cohort reuse.
+
+    Sized for up to `rows` models and batches of up to `batch` samples.
+    plan(w, m) views them for one call on w; the buffer views of each call
+    shape are laid out once and kept. Calls that share a workspace run one
+    at a time, and each call's gradient is overwritten by the next call's.
+    """
+
+    def __init__(self, layers, rows: int, batch: int):
+        widths = [shape[1] for _, _, shape, _ in layers]
+        cells, n = rows * batch, layers[-1][3]
+        self.layers = layers
+        self.outputs = [np.empty(cells * width) for width in widths]
+        self.deltas = [np.empty(cells * width) for width in widths[:-1]]
+        self.exp = np.empty(cells * widths[-1])
+        self.samples = np.empty((2, cells))  # row max, log norm
+        self.index = np.empty(cells, dtype=np.int64)
+        self.grad = np.empty(rows * n)
+        self.diff = np.empty(rows * n)
+        self.layouts = {}
+
+    def plan(self, w, m: int) -> _Plan:
+        """The views of a _loss_grad call on w with m samples per model."""
+        layout = self.layouts.get((w.shape, m))
+        if layout is None:
+            layout = self.layouts[w.shape, m] = _Layout(self.layers, w.shape, m, self)
+        return _Plan(self.layers, w, layout)
+
+
+class _Layout:
+    """The arrays of a _loss_grad call shape: one model (n,) or a (k, n)
+    stack, on batches of m samples.
+
+    It holds the gradient and its per-layer views, the layer outputs and
+    their transposes, the class columns the short-row folds read, and the
+    flat label index base arange(0, k*m*C, C). Taken from a workspace, it
+    also holds delta, per-sample, label index and proximal-difference
+    buffers; every array is a leading part of the workspace's, so it is
+    contiguous and laid out as a fresh array would be. Without one, the
+    outputs and the gradient are fresh arrays and the other buffers are
+    None, so the call makes temporaries for them.
+    """
+
+    __slots__ = (
+        "flip", "grad", "grad_weights", "grad_biases", "outputs", "inputs_t", "logits",
+        "exp", "logit_columns", "exp_columns", "deltas", "row_max", "norm",
+        "index", "index_base", "diff",
+    )
+
+    def __init__(self, layers, shape, m: int, work: Workspace | None = None):
+        lead = shape[:-1]  # () for one model, (k,) for a stack
+        self.flip = (*range(len(lead)), len(lead) + 1, len(lead))  # swaps the last two axes
+        rows = lead + (m,)
+        cells = m * (shape[0] if lead else 1)
+        widths = [fan_out for _, _, (_, fan_out), _ in layers]
+        if work is None:
+            self.grad = np.empty(shape)
+            self.outputs = [np.empty(rows + (width,)) for width in widths]
+            self.exp = np.empty(rows + (widths[-1],))
+            self.deltas = (None,) * len(layers)
+            self.row_max = self.norm = self.index = self.diff = None
+        else:
+            def part(buffer, *width):
+                return buffer[: cells * math.prod(width)].reshape(rows + width)
+
+            self.grad = work.grad[: math.prod(shape)].reshape(shape)
+            self.outputs = [part(buf, width) for buf, width in zip(work.outputs, widths)]
+            self.exp = part(work.exp, widths[-1])
+            self.deltas = [part(buf, width) for buf, width in zip(work.deltas, widths)]
+            self.row_max, self.norm = (part(buf) for buf in work.samples)
+            self.index = part(work.index)
+            self.diff = work.diff[: self.grad.size].reshape(shape)
+        grad = self.grad
+        self.grad_weights = [grad[..., a:b].reshape(lead + s) for a, b, s, _ in layers]
+        self.grad_biases = [grad[..., b:c] for _, b, _, c in layers]
+        # Layer l's input is layer l-1's output; the features come per call.
+        self.inputs_t = [None] + [out.transpose(self.flip) for out in self.outputs[:-1]]
+        classes = widths[-1]
+        self.logits = self.outputs[-1].reshape(-1)
+        fold = 1 < classes < _FOLD_BELOW
+        self.logit_columns = [self.outputs[-1][..., j] for j in range(classes)] if fold else None
+        self.exp_columns = [self.exp[..., j] for j in range(classes)] if fold else None
+        self.index_base = np.arange(0, cells * classes, classes).reshape(rows)
+
+
+class _Plan:
+    """A _Layout together with the layer weight and bias views of the one
+    model array w that a _loss_grad call trains."""
+
+    __slots__ = ("w", "weights", "weights_t", "biases", "layout")
+
+    def __init__(self, layers, w, layout: _Layout):
+        lead, flip = w.shape[:-1], layout.flip
+        self.w, self.layout = w, layout
+        self.weights = [w[..., a:b].reshape(lead + s) for a, b, s, _ in layers]
+        # The first layer passes no delta back, so its transpose is never read.
+        self.weights_t = [None] + [weight.transpose(flip) for weight in self.weights[1:]]
+        self.biases = [w[..., None, b:c] for _, b, _, c in layers]
+
+
+def _row_reduce(ufunc, rows, columns, out):
+    """ufunc.reduce over the last axis of rows, into out unless it is None;
+    a left fold of the class columns when the plan holds them."""
+    if columns is None:
+        return ufunc.reduce(rows, axis=-1, out=out)
+    out = ufunc(columns[0], columns[1], out=out)
+    for column in columns[2:]:
+        ufunc(out, column, out=out)
+    return out
+
+
+def _loss_grad(layers, w, features, labels, prox_mu, anchor, plan=None):
     """Array kernel behind backward: mean loss and flat gradient, for one
     model or for a stack of P models at once.
 
@@ -169,71 +300,69 @@ def _loss_grad(layers, w, features, labels, prox_mu, anchor):
     every row is pulled toward. Returns (float loss, (n,) gradient) or
     ((P,) losses, (P, n) gradients). Labels must already lie in range, and
     nothing is validated or copied here, so callers check their inputs
-    once, not on every step. Inputs are never written to. The numpy
-    operations are backward's own, in its order; reductions call their
-    ufuncs directly to skip the Python wrappers of ndarray.sum/max and
-    np.mean.
+    once, not on every step. Inputs are never written to.
+
+    plan, when given, is Workspace.plan(w, m) for this very array w: the
+    call then builds no view and allocates almost nothing, and the gradient
+    it returns is the workspace's, overwritten by the next call. Without a
+    plan the call lays out its own over fresh arrays.
 
     A stack computes each row exactly as a call on that row alone would:
-    matmul runs its 2-d kernel once per stacked matrix, every reduction
-    runs along the same axis of the same row-major rows, and the proximal
-    dot is taken one row at a time. So row p of a stacked call is bit for
-    bit the call on (w[p], features[p], labels[p]). numpy does not promise
-    the matmul part; a property test in tests/test_properties.py checks it.
+    matmul runs its 2-d kernel once per stacked matrix, every reduction and
+    fold runs along the same axis of the same row-major rows, and the
+    proximal term takes one dot product per row. So row p of a stacked call
+    is bit for bit the call on (w[p], features[p], labels[p]). numpy does
+    not promise the matmul part; a property test in tests/test_properties.py
+    checks it, and another pins the kernel to an out-of-place reference.
     """
-    lead = w.shape[:-1]  # () for one model, (P,) for a stack
-    flip = (*range(len(lead)), len(lead) + 1, len(lead))  # swaps the last two axes
-    # Every array written below is a fresh temporary of this call, so the
-    # in-place forms only save allocations; each value is computed exactly as
-    # the out-of-place expression would.
-    activations = [features]
-    weights = []
+    m = labels.shape[-1]
+    if plan is None:
+        plan = _Plan(layers, w, _Layout(layers, w.shape, m))
+    elif plan.w is not w:
+        raise ShapeError("a _loss_grad plan serves only the array it was made for")
+    work = plan.layout
+    # Each value below is computed exactly as the out-of-place expression
+    # would; the buffers only save allocations.
     a = features
     last = len(layers) - 1
-    for layer, (start, stop, shape, bias_stop) in enumerate(layers):
-        weights.append(w[..., start:stop].reshape(lead + shape))
-        a = a @ weights[layer]
-        a += w[..., None, stop:bias_stop]
+    for layer in range(last + 1):
+        a = np.matmul(a, plan.weights[layer], out=work.outputs[layer])
+        a += plan.biases[layer]
         if layer < last:
-            # max(z, 0) > 0 exactly where z > 0, so the activations double
+            # max(z, 0) > 0 exactly where z > 0, so the layer outputs double
             # as the ReLU masks of the backward pass.
             np.maximum(a, 0.0, out=a)
-            activations.append(a)
 
     # Log-softmax of the logits a, computed once for the loss and its gradient.
-    a -= np.maximum.reduce(a, axis=-1, keepdims=True)
-    log_norm = np.log(np.add.reduce(np.exp(a), axis=-1))
-    m = labels.shape[-1]
-    # The logits as (sample, class) rows, so one gather picks, and one
-    # scatter marks, every sample's label whatever the stack depth.
-    rows = np.arange(labels.size)
-    labels = labels.reshape(-1)
-    picked = a.reshape(rows.shape[0], -1)[rows, labels].reshape(log_norm.shape)
-    loss = np.add.reduce(log_norm - picked, axis=-1) / m
+    a -= _row_reduce(np.maximum, a, work.logit_columns, work.row_max)[..., None]
+    exp = np.exp(a, out=work.exp)
+    log_norm = _row_reduce(np.add, exp, work.exp_columns, work.norm)
+    np.log(log_norm, out=log_norm)
+    # Every sample's label as one index into the flat logits, so one gather
+    # picks, and one scatter marks, the labels whatever the stack depth.
+    index = np.add(work.index_base, labels, out=work.index)
+    picked = work.logits[index]
+    loss = np.add.reduce(np.subtract(log_norm, picked, out=picked), axis=-1) / m
     a -= log_norm[..., None]
     delta = np.exp(a, out=a)
-    delta.reshape(rows.shape[0], -1)[rows, labels] -= 1.0
+    work.logits[index] -= 1.0
     delta /= m
 
-    flat = np.empty(w.shape)
     for layer in range(last, -1, -1):
-        start, stop, shape, bias_stop = layers[layer]
-        np.matmul(
-            activations[layer].transpose(flip), delta,
-            out=flat[..., start:stop].reshape(lead + shape),
-        )
-        np.add.reduce(delta, axis=-2, out=flat[..., stop:bias_stop])
+        inputs_t = work.inputs_t[layer] if layer else features.transpose(work.flip)
+        np.matmul(inputs_t, delta, out=work.grad_weights[layer])
+        np.add.reduce(delta, axis=-2, out=work.grad_biases[layer])
         if layer > 0:
-            delta = delta @ weights[layer].transpose(flip)
-            delta *= activations[layer] > 0.0
+            delta = np.matmul(delta, plan.weights_t[layer], out=work.deltas[layer - 1])
+            delta *= work.outputs[layer - 1] > 0.0
 
+    grad = work.grad
     if prox_mu > 0:
-        diff = w - anchor
-        squares = np.array([row @ row for row in diff]) if lead else diff @ diff
-        loss += 0.5 * prox_mu * squares
+        diff = np.subtract(w, anchor, out=work.diff)
+        loss += 0.5 * prox_mu * np.vecdot(diff, diff)
         diff *= prox_mu
-        flat += diff
-    return (loss if lead else float(loss)), flat
+        grad += diff
+    return (loss if w.ndim > 1 else float(loss)), grad
 
 
 def backward(

@@ -86,3 +86,49 @@ def reference_local_loop(w_start, view, cfg, round_idx, objective, prox_mu=0.0,
                 params = stepped
                 losses.append(loss)
     return params, len(losses), float(np.mean(losses)), False
+
+
+def reference_loss_grad(layers, w, features, labels, prox_mu, anchor):
+    """nn._loss_grad as it was written before its buffers and folds, out of
+    place: row max and row sum over the classes through np.maximum.reduce
+    and np.add.reduce, the labels picked and marked with 2-d fancy
+    indexing, and the proximal norm as one dot product per row. Only the
+    gradient is assembled in place, each layer's part written into its
+    slice of one flat array. The kernel must match it bit for bit, stacked
+    or not, with or without a workspace plan."""
+    lead = w.shape[:-1]
+    flip = (*range(len(lead)), len(lead) + 1, len(lead))
+    weights, activations = [], [features]
+    a = features
+    last = len(layers) - 1
+    for layer, (start, stop, shape, bias_stop) in enumerate(layers):
+        weights.append(w[..., start:stop].reshape(lead + shape))
+        z = a @ weights[layer] + w[..., None, stop:bias_stop]
+        a = np.maximum(z, 0.0) if layer < last else z
+        activations.append(a)
+
+    shifted = a - np.maximum.reduce(a, axis=-1, keepdims=True)
+    log_norm = np.log(np.add.reduce(np.exp(shifted), axis=-1))
+    m = labels.shape[-1]
+    rows, flat_labels = np.arange(labels.size), labels.reshape(-1)
+    picked = shifted.reshape(rows.size, -1)[rows, flat_labels].reshape(log_norm.shape)
+    loss = np.add.reduce(log_norm - picked, axis=-1) / m
+    marks = np.zeros(shifted.shape)
+    marks.reshape(rows.size, -1)[rows, flat_labels] = 1.0
+    delta = (np.exp(shifted - log_norm[..., None]) - marks) / m
+
+    grad = np.empty(w.shape)
+    for layer in range(last, -1, -1):
+        start, stop, shape, bias_stop = layers[layer]
+        np.matmul(activations[layer].transpose(flip), delta,
+                  out=grad[..., start:stop].reshape(lead + shape))
+        np.add.reduce(delta, axis=-2, out=grad[..., stop:bias_stop])
+        if layer > 0:
+            delta = (delta @ weights[layer].transpose(flip)) * (activations[layer] > 0.0)
+
+    if prox_mu > 0:
+        diff = w - anchor
+        squares = np.array([row @ row for row in diff]) if lead else diff @ diff
+        loss = loss + 0.5 * prox_mu * squares
+        grad = grad + diff * prox_mu
+    return (loss if lead else float(loss)), grad

@@ -17,17 +17,20 @@ from pathlib import Path
 
 from fedsim import engine, harness
 from fedsim.config import parse_config
+from fedsim.nn import MlpArch
 
 INSTRUMENT_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "instrument.py"
 
-# Two fedavg cells (local epochs 1 and 2), one trial, uneven party sizes; no
-# round diverges.
-FEDAVG = {
+# A fedavg and a fedprox cell at local epochs 1 and 2, one trial, uneven
+# party sizes; no round diverges. The traced run trains each party alone with
+# one loss_grad call per step, the untraced run stacks all three parties on
+# a workspace plan, so the two are compared through the proximal term too.
+CONFIG = {
     "dataset": {"type": "blobs", "n_classes": 3, "n_per_class": 40, "dim": 4,
                 "spread": 0.2, "seed": 9},
     "partition": {"type": "quantity_dirichlet", "beta": 1.0},
     "arch": {"hidden": [8]},
-    "fed": {"algorithms": ["fedavg"], "rounds": 3, "parties": 3, "batch_size": 16,
+    "fed": {"algorithms": ["fedavg", "fedprox"], "rounds": 3, "parties": 3, "batch_size": 16,
             "lr": 0.05, "seed": 5},
     "sweeps": {"local_epochs": [1, 2]},
 }
@@ -66,7 +69,7 @@ def test_every_wrapped_attribute_exists():
 
 def test_traced_run_matches_untraced_and_counts_its_work(tmp_path):
     instrument = load_instrument()
-    config = parse_config(FEDAVG)
+    config = parse_config(CONFIG)
     harness.cmd_run(config, tmp_path / "plain")
     spans = instrument.Spans()
     with instrument.instrumented(spans):
@@ -74,15 +77,19 @@ def test_traced_run_matches_untraced_and_counts_its_work(tmp_path):
     plain = run_outputs(tmp_path / "plain")
     assert run_outputs(tmp_path / "traced") == plain
 
+    # The untraced run holds all three parties' models in one cohort.
+    n_coords = MlpArch((4, *config.hidden, 3)).n_params()
+    assert engine.COHORT_BYTES // (engine.BYTES_PER_COORD * n_coords) >= 3
+
     records = [json.loads(line) for line in plain[0].splitlines()]
     assert not any(record["diverged"] for record in records)
     runs = {(r["algorithm"], r["mu"], r["local_epochs"], r["trial"]) for r in records}
-    assert spans.counts["harness.cells"] == len(runs) == 2
+    assert spans.counts["harness.cells"] == len(runs) == 4
     assert spans.counts["engine.bytes"] == sum(record["bytes"] for record in records)
     for name in SPANS:
         assert spans.seconds[name], name
 
-    # Both cells train on trial 0's partition, the one cmd_partition writes.
+    # Every cell trains on trial 0's partition, the one cmd_partition writes.
     harness.cmd_partition(config, tmp_path / "partition")
     with open(tmp_path / "partition" / "partition_stats.csv", encoding="ascii") as fh:
         sizes = [sum(int(count) for count in row[1:]) for row in list(csv.reader(fh))[1:]]

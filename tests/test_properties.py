@@ -1,5 +1,7 @@
 """Property tests: the compensated aggregate against exact rational
-arithmetic, and the partitioners' invariants over random datasets and specs.
+arithmetic, the partitioners' invariants over random datasets and specs, the
+loss-gradient kernel against its out-of-place reference, and lockstep
+training against per-party training.
 
 Examples are derandomized (see conftest.py), so a failure reproduces on
 every run.
@@ -18,8 +20,8 @@ from fedsim import engine, rng  # noqa: E402
 from fedsim.compensated import combine_updates  # noqa: E402
 from fedsim.datasets import LabeledDataset  # noqa: E402
 from fedsim.engine import FedRunConfig, GlobalState, MlpObjective, run_round  # noqa: E402
-from fedsim.nn import MlpArch  # noqa: E402
-from fedsim.errors import PartitionError  # noqa: E402
+from fedsim.nn import MlpArch, Workspace, _loss_grad, layer_slices  # noqa: E402
+from fedsim.errors import PartitionError, ShapeError  # noqa: E402
 from fedsim.partition import (  # noqa: E402
     PARTITION_KINDS,
     PartitionSpec,
@@ -28,7 +30,7 @@ from fedsim.partition import (  # noqa: E402
     check_partition,
 )
 
-from helpers import reference_local_loop  # noqa: E402
+from helpers import reference_local_loop, reference_loss_grad  # noqa: E402
 
 # Magnitudes stay well inside the normal range, where the error-free
 # transforms are exact; the engine's models live there too.
@@ -150,6 +152,48 @@ class TestPartitionInvariants:
 
 
 @st.composite
+def kernel_cases(draw):
+    """Random layer widths (hidden widths include 1, classes 1-12, on both
+    sides of the class-fold threshold), no stack or a stack of 1-7 models,
+    1-64 samples per model and a proximal mu of 0 or 0.1."""
+    widths = [draw(st.integers(1, 5))]
+    widths += draw(st.lists(st.integers(1, 8), max_size=2))
+    widths.append(draw(st.integers(1, 12)))
+    return (MlpArch(tuple(widths)), draw(st.integers(0, 7)), draw(st.integers(1, 64)),
+            draw(st.sampled_from([0.0, 0.1])), draw(st.integers(0, 2**31 - 1)))
+
+
+class TestLossGradKernel:
+    @given(kernel_cases())
+    def test_matches_out_of_place_reference_bitwise(self, case):
+        arch, stack, m, mu, seed = case
+        generator = np.random.default_rng(seed)
+        layers, n_coords = layer_slices(arch), arch.n_params()
+        lead = (stack,) if stack else ()
+        anchor = generator.standard_normal(n_coords)
+        # A workspace larger than the calls, so plans use leading parts of it.
+        plan_of = Workspace(layers, max(stack, 1) + 1, m + 3).plan
+        for _ in range(2):  # the second call reuses the first call's buffers
+            w = anchor + generator.standard_normal(lead + (n_coords,))
+            features = 2.0 * generator.standard_normal(lead + (m, arch.in_dim))
+            labels = generator.integers(0, arch.out_dim, lead + (m,))
+            loss, grad = reference_loss_grad(layers, w, features, labels, mu, anchor)
+            for plan in (None, plan_of(w, m)):
+                got_loss, got_grad = _loss_grad(layers, w, features, labels, mu, anchor, plan)
+                assert np.asarray(got_loss).tobytes() == np.asarray(loss).tobytes()
+                assert type(got_loss) is type(loss)
+                assert got_grad.tobytes() == grad.tobytes()
+
+    def test_plan_serves_only_its_own_array(self):
+        arch = MlpArch((2, 3, 2))
+        layers, w = layer_slices(arch), np.zeros((2, arch.n_params()))
+        plan = Workspace(layers, 2, 4).plan(w, 4)
+        features, labels = np.zeros((2, 4, 2)), np.zeros((2, 4), dtype=np.int64)
+        with pytest.raises(ShapeError, match="plan"):
+            _loss_grad(layers, w.copy(), features, labels, 0.0, None, plan)
+
+
+@st.composite
 def lockstep_cases(draw):
     """A round of 1-6 parties with ragged sizes on one shared training
     matrix: random layer widths, batch size, epochs, momentum and algorithm.
@@ -157,7 +201,7 @@ def lockstep_cases(draw):
     its first, so that party diverges mid-epoch."""
     widths = [draw(st.integers(1, 5))]
     widths += draw(st.lists(st.integers(1, 8), max_size=2))
-    widths.append(draw(st.integers(2, 4)))
+    widths.append(draw(st.integers(1, 12)))
     sizes = draw(st.lists(st.integers(1, 20), min_size=1, max_size=6))
     algorithm, c_option = draw(st.sampled_from([
         ("fedavg", "ii"), ("fedprox", "ii"), ("fednova", "ii"),
