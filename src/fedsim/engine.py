@@ -26,14 +26,18 @@ have the same size form a group, and a group takes one loss_grad call
 and one momentum update over its rows. Each row computes exactly what
 the party would alone, so no output depends on the cohorts. Only
 MlpObjective's own loss_grad stacks models. For it the loop calls the
-kernel behind it, nn._loss_grad, with a plan of the cohort's nn.Workspace
-(even for a cohort of one), so a step neither re-slices the models nor
-allocates its buffers again. An objective whose loss_grad
-is anything else (a duck-typed object, a subclass that overrides it, or
-a wrapper set on the instance) trains every party in a cohort of one,
-through local_train_sgd / local_train_scaffold, with one 1-d loss_grad
-call per local step, so a tracer that overrides loss_grad sees every
-step. A model too wide for two copies to fit in COHORT_BYTES trains in
+kernel behind it, nn._loss_grad, with a plan of an nn.Workspace (even for
+a cohort of one), so a step neither re-slices the models nor allocates its
+buffers again. The loop's stacks, that workspace and the plans live in one
+CohortBuffers that run_experiment makes once per run, sized for the run's
+largest cohort, so a group views and plans its rows once per run rather
+than once per round; each cohort overwrites the rows it uses before it
+reads them, so no value depends on earlier cohorts. An objective whose
+loss_grad is anything else (a duck-typed object, a subclass that
+overrides it, or a wrapper set on the instance) trains every party in a
+cohort of one, through local_train_sgd / local_train_scaffold, with one
+1-d loss_grad call per local step, so a tracer that overrides loss_grad
+sees every step. A model too wide for two copies to fit in COHORT_BYTES trains in
 cohorts of one as well.
 """
 
@@ -216,14 +220,18 @@ _MLP_LOSS_GRAD = MlpObjective.loss_grad
 COHORT_BYTES = 160 * 1024
 
 
+def _sample_size(n_parties: int, fraction: float) -> int:
+    """How many parties sample_parties picks each round."""
+    return max(1, min(int(round(fraction * n_parties)), n_parties))
+
+
 def sample_parties(
     n_parties: int, fraction: float, round_idx: int, master_seed: int
 ) -> list[int]:
     """Uniform without-replacement sample of round(fraction * N) party ids, sorted."""
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
-    size = int(round(fraction * n_parties))
-    size = max(1, min(size, n_parties))
+    size = _sample_size(n_parties, fraction)
     if size == n_parties:
         return list(range(n_parties))
     generator = rng.stream(master_seed, rng.TAG_SAMPLING, round_idx)
@@ -275,7 +283,44 @@ def _scaffold_refresh(update, w_t, server_control, c_i, view, cfg, objective):
     return replace(update, delta_control=zero, diverged=True), c_i
 
 
-def _cohort_sgd(w_t, views, cfg, round_idx, objective, server_control=None, c_is=None):
+class CohortBuffers:
+    """The local trainer's state, reused by every cohort of one run.
+
+    It holds (rows, n) parameter, spare and velocity stacks, scaffold's
+    corrections and corrected gradients, the nn.Workspace of an objective
+    that stacks, and steps: per (parity, rows, batch size), a group's views
+    of these stacks and its loss_grad plan, made the first time that group
+    steps and kept for the run. A cohort of P <= rows parties uses the
+    leading P rows and overwrites each value it reads before reading it (the
+    parameters with w_t, the velocity with zeros, the corrections with
+    c - c_i), so nothing carries over from one cohort to the next. Every
+    cached view points into these arrays and no other, so it stays valid.
+    """
+
+    def __init__(self, objective, n_coords: int, rows: int, batch_size: int, scaffold: bool):
+        shape = (rows, n_coords)
+        self.params, self.spare, self.velocity = (np.empty(shape) for _ in range(3))
+        self.corrections = np.empty(shape) if scaffold else None
+        self.corrected = np.empty(shape) if scaffold else None
+        self.layers = objective.layers if _stacks(objective) else None
+        self.work = None if self.layers is None else Workspace(self.layers, rows, batch_size)
+        self.batch_size = batch_size
+        self.steps = {}
+
+    def fits(self, objective, n_coords: int, rows: int, batch_size: int, scaffold: bool) -> bool:
+        """Whether a cohort of rows parties with this shape may use them."""
+        layers = objective.layers if _stacks(objective) else None
+        return (
+            layers == self.layers
+            and rows <= len(self.params)
+            and n_coords == self.params.shape[1]
+            and batch_size <= self.batch_size
+            and scaffold == (self.corrections is not None)
+        )
+
+
+def _cohort_sgd(w_t, views, cfg, round_idx, objective, server_control=None, c_is=None,
+                *, buffers=None):
     """Local epochs of minibatch SGD with momentum for a cohort of parties.
 
     Row p of each (P, n) buffer is views[p]'s model; all views share one
@@ -300,34 +345,39 @@ def _cohort_sgd(w_t, views, cfg, round_idx, objective, server_control=None, c_is
     so checking those two catches every non-finite step. A party with no
     rows takes no step and hands back w_t with tau 1.
 
-    The buffers are allocated per call, so no two cohorts share state: the
-    parameters, the velocity (updated in place), a spare parameter stack
-    that every step writes, and scaffold's corrected gradients. Only finite
-    rows are kept, so the parameter and spare stacks swap whole. When the
-    objective stacks, the call also owns an nn.Workspace and calls
-    nn._loss_grad, which is what MlpObjective.loss_grad runs, with a plan
-    of it: the views of a run of rows, per parameter stack and batch size,
-    are made the first time that group steps and kept for the round.
+    The loop's state lives in buffers, a CohortBuffers that run_experiment
+    makes once per run, or a fresh one sized for this cohort when it is
+    None: the parameters, the velocity (updated in place), a spare
+    parameter stack that every step writes, and scaffold's corrected
+    gradients. Only finite rows are kept, so the parameter and spare stacks
+    swap whole. When the objective stacks, the loop calls nn._loss_grad,
+    which is what MlpObjective.loss_grad runs, with a plan of the buffers'
+    nn.Workspace: the views of a run of rows, per parameter stack and batch
+    size, are made the first time that group steps and kept for the run.
     """
-    corrections = corrected = None
-    if c_is is not None:
+    n_rows, scaffold = len(views), c_is is not None
+    if scaffold:
         for c_i in c_is:
             if c_i is None or server_control is None:
                 raise ProtocolError("scaffold training requires both control variates")
             if c_i.shape != w_t.shape or server_control.shape != w_t.shape:
                 raise ProtocolError("control variate shapes do not match the model")
+    if buffers is None:
+        buffers = CohortBuffers(objective, w_t.size, n_rows, cfg.batch_size, scaffold)
+    elif not buffers.fits(objective, w_t.size, n_rows, cfg.batch_size, scaffold):
+        raise ProtocolError("the cohort buffers were made for another objective or shape")
+    params, spare, velocity = buffers.params, buffers.spare, buffers.velocity
+    corrections, corrected, work = buffers.corrections, buffers.corrected, buffers.work
+    params[:n_rows] = w_t
+    velocity[:n_rows] = 0.0
+    if scaffold:
         with _flagged_numerics():
             # Round-constant corrections; computing each difference once keeps
             # the zero-control case exactly equal to plain SGD. Row p is
             # exactly c - c_is[p].
-            corrections = server_control - np.stack(c_is)
-        corrected = np.empty_like(corrections)
-    n_rows = len(views)
-    params = np.tile(w_t, (n_rows, 1))
-    spare = np.empty_like(params)
-    velocity = np.zeros_like(params)
+            for row, c_i in enumerate(c_is):
+                np.subtract(server_control, c_i, out=corrections[row])
     loss_grad = objective.loss_grad
-    work = Workspace(objective.layers, n_rows, cfg.batch_size) if _stacks(objective) else None
     source, labels = views[0].source, views[0].source_labels
     lr, momentum = cfg.local_lr, cfg.momentum
     prox_mu = cfg.mu or 0.0
@@ -337,8 +387,9 @@ def _cohort_sgd(w_t, views, cfg, round_idx, objective, server_control=None, c_is
     losses = [[] for _ in views]
     results = [None] * n_rows
     # Per (parity, rows, batch size): the group's views of the buffers and
-    # its loss_grad plan. parity flips when params and spare swap.
-    steps = {}
+    # its loss_grad plan. parity flips when params and spare swap, and each
+    # cohort starts at 0 with params the buffers' own parameter stack.
+    steps = buffers.steps
     parity = 0
 
     def leave(row, diverged):
@@ -432,14 +483,17 @@ def local_train_sgd(
     cfg: FedRunConfig,
     round_idx: int,
     objective,
+    *,
+    buffers: CohortBuffers | None = None,
 ) -> LocalUpdate:
     """Local epochs of minibatch SGD with momentum; velocity starts at zero.
 
     A cfg.mu > 0 adds the proximal pull toward this round's global model
     (the anchor stays w_t for the whole round); a mu of 0 or None is
-    bit-identical to plain training.
+    bit-identical to plain training. buffers is the run's CohortBuffers, or
+    None for fresh ones; see _cohort_sgd.
     """
-    return _cohort_sgd(w_t, [view], cfg, round_idx, objective)[0][0]
+    return _cohort_sgd(w_t, [view], cfg, round_idx, objective, buffers=buffers)[0][0]
 
 
 def local_train_scaffold(
@@ -450,6 +504,8 @@ def local_train_scaffold(
     cfg: FedRunConfig,
     round_idx: int,
     objective,
+    *,
+    buffers: CohortBuffers | None = None,
 ) -> tuple[LocalUpdate, np.ndarray]:
     """Control-variate-corrected local training.
 
@@ -459,9 +515,11 @@ def local_train_scaffold(
     c_i - c + (w_t - w_final) / (tau * lr) (option "ii"). Returns the update
     (carrying delta_control = c* - c_i) and the new c_i, both read-only. If
     c* or c* - c_i is non-finite, the party is flagged diverged, keeps its
-    c_i and reports a zero delta_control.
+    c_i and reports a zero delta_control. buffers is as in local_train_sgd.
     """
-    return _cohort_sgd(w_t, [view], cfg, round_idx, objective, server_control, [c_i])[0]
+    return _cohort_sgd(
+        w_t, [view], cfg, round_idx, objective, server_control, [c_i], buffers=buffers
+    )[0]
 
 
 def _sorted_updates(updates) -> list[LocalUpdate]:
@@ -541,12 +599,17 @@ def _stacks(objective) -> bool:
     return getattr(method, "__func__", None) is _MLP_LOSS_GRAD
 
 
+def _cohort_cap(n_coords: int, stacks: bool) -> int:
+    """The most parties one cohort may hold; see _cohorts."""
+    return max(1, COHORT_BYTES // (BYTES_PER_COORD * n_coords)) if stacks else 1
+
+
 def _cohorts(party_ids, views, n_coords: int, stacks: bool) -> list[list[int]]:
     """The ascending party ids split into cohorts: consecutive runs whose
     (P, n_coords) float64 stack fits in COHORT_BYTES and whose views share
     one training matrix. A party too large to share, and every party when
     the objective does not stack, forms a cohort of one."""
-    size = max(1, COHORT_BYTES // (BYTES_PER_COORD * n_coords)) if stacks else 1
+    size = _cohort_cap(n_coords, stacks)
     cohorts = []
     for party_id in party_ids:
         view = views[party_id]
@@ -559,22 +622,24 @@ def _cohorts(party_ids, views, n_coords: int, stacks: bool) -> list[list[int]]:
     return cohorts
 
 
-def _train_cohort(state, views, cfg, round_idx, objective, controls):
+def _train_cohort(state, views, cfg, round_idx, objective, controls, *, buffers):
     """Train one cohort; returns, in cohort order, each party's update and
     its new c_i (None unless scaffold). A cohort of one goes through the
     module attributes local_train_sgd or local_train_scaffold, so a wrapper
-    set on them sees every party that trains alone."""
+    set on them sees every party that trains alone. Every cohort trains on
+    buffers."""
     w_t, c = state.params, state.control
     scaffold = cfg.algorithm == "scaffold"
     if len(views) == 1:
         view = views[0]
         if scaffold:
             return [local_train_scaffold(
-                w_t, c, controls[view.party_id], view, cfg, round_idx, objective
+                w_t, c, controls[view.party_id], view, cfg, round_idx, objective,
+                buffers=buffers,
             )]
-        return [(local_train_sgd(w_t, view, cfg, round_idx, objective), None)]
+        return [(local_train_sgd(w_t, view, cfg, round_idx, objective, buffers=buffers), None)]
     c_is = [controls[view.party_id] for view in views] if scaffold else None
-    return _cohort_sgd(w_t, views, cfg, round_idx, objective, c, c_is)
+    return _cohort_sgd(w_t, views, cfg, round_idx, objective, c, c_is, buffers=buffers)
 
 
 def run_round(
@@ -583,6 +648,8 @@ def run_round(
     cfg: FedRunConfig,
     round_idx: int,
     objective,
+    *,
+    buffers: CohortBuffers | None = None,
 ) -> tuple[GlobalState, list[LocalUpdate], int]:
     """One full round: sample, train the sampled parties, aggregate.
 
@@ -593,7 +660,9 @@ def run_round(
     arguments: a sampled scaffold party's new control replaces its entry in
     the new state's client_controls. If the new model or the new server
     control has a non-finite entry, the round returns the given state marked
-    diverged; its traffic still counts.
+    diverged; its traffic still counts. Every cohort trains on buffers,
+    the run's CohortBuffers, or when it is None on fresh ones sized for
+    this round's largest cohort.
     """
     selected = sample_parties(
         cfg.n_parties, cfg.sample_fraction, round_idx, cfg.master_seed
@@ -601,9 +670,14 @@ def run_round(
     n_bytes = round_bytes(len(selected), len(state.params), cfg.algorithm)
     scaffold = cfg.algorithm == "scaffold"
     updates, client_controls = [], list(state.client_controls or [None] * cfg.n_parties)
-    for cohort in _cohorts(selected, views, len(state.params), _stacks(objective)):
+    cohorts = _cohorts(selected, views, len(state.params), _stacks(objective))
+    if buffers is None:
+        buffers = CohortBuffers(objective, len(state.params), max(map(len, cohorts)),
+                                cfg.batch_size, scaffold)
+    for cohort in cohorts:
         for update, new_control in _train_cohort(
-            state, [views[p] for p in cohort], cfg, round_idx, objective, client_controls
+            state, [views[p] for p in cohort], cfg, round_idx, objective, client_controls,
+            buffers=buffers,
         ):
             updates.append(update)
             if scaffold:
@@ -675,13 +749,20 @@ def run_experiment(
     control = _read_only(np.zeros_like(params)) if cfg.algorithm == "scaffold" else None
     client_controls = None if control is None else (control,) * cfg.n_parties
     state = GlobalState(params, control, client_controls)
+    # The local trainer's state, sized for the run's largest cohort; it dies
+    # with the run, so a sweep holds one run's buffers at a time.
+    rows = min(_cohort_cap(len(params), _stacks(objective)),
+               _sample_size(cfg.n_parties, cfg.sample_fraction))
+    buffers = CohortBuffers(objective, len(params), rows, cfg.batch_size, control is not None)
 
     records = [
         RoundRecord(0, objective.accuracy(state.params, ds_test), None, 0, 0, False)
     ]
     for round_idx in range(cfg.rounds):
         started = time.perf_counter()
-        state, updates, n_bytes = run_round(state, views, cfg, round_idx, objective)
+        state, updates, n_bytes = run_round(
+            state, views, cfg, round_idx, objective, buffers=buffers
+        )
         # Diverging parties can leave a huge but finite model whose
         # logits overflow; argmax still yields an accuracy.
         with _flagged_numerics():

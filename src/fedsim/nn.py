@@ -28,11 +28,11 @@ second copy of backprop. momentum_update is elementwise, so it takes either
 shape too.
 
 At these model sizes a call's cost is numpy's per-call overhead, not the
-arithmetic. So a training cohort keeps a Workspace, whose plans hold every
-view and buffer a call shape needs: on the fcube net (3-32-16-8-2, fedprox)
-a planned call makes 53 numpy calls, and a call without a plan first lays
-out about 43 views and arrays. Short class rows are reduced as column
-folds, and the labels are picked through one flat index.
+arithmetic. So local training keeps one Workspace per run, whose plans hold
+every view and buffer a call shape needs: on the fcube net (3-32-16-8-2,
+fedprox) a planned call makes 53 numpy calls, and a call without a plan
+first lays out about 43 views and arrays. Short class rows are reduced as
+column folds, and the labels are picked through one flat index.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ _FOLD_BELOW = 8
 
 
 class Workspace:
-    """Buffers that the _loss_grad calls of one training cohort reuse.
+    """Buffers that the _loss_grad calls of one training run reuse.
 
     Sized for up to `rows` models and batches of up to `batch` samples.
     plan(w, m) views them for one call on w; the buffer views of each call

@@ -21,17 +21,18 @@ from fedsim.nn import MlpArch
 
 INSTRUMENT_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "instrument.py"
 
-# A fedavg and a fedprox cell at local epochs 1 and 2, one trial, uneven
-# party sizes; no round diverges. The traced run trains each party alone with
-# one loss_grad call per step, the untraced run stacks all three parties on
-# a workspace plan, so the two are compared through the proximal term too.
+# A fedavg, a fedprox and a scaffold cell at local epochs 1 and 2, one
+# trial, uneven party sizes; no round diverges. The traced run trains each
+# party alone with one loss_grad call per step, the untraced run stacks all
+# three parties on a workspace plan in buffers reused across rounds, so the
+# two are compared through the proximal term and scaffold's corrections too.
 CONFIG = {
     "dataset": {"type": "blobs", "n_classes": 3, "n_per_class": 40, "dim": 4,
                 "spread": 0.2, "seed": 9},
     "partition": {"type": "quantity_dirichlet", "beta": 1.0},
     "arch": {"hidden": [8]},
-    "fed": {"algorithms": ["fedavg", "fedprox"], "rounds": 3, "parties": 3, "batch_size": 16,
-            "lr": 0.05, "seed": 5},
+    "fed": {"algorithms": ["fedavg", "fedprox", "scaffold"], "rounds": 3, "parties": 3,
+            "batch_size": 16, "lr": 0.05, "seed": 5},
     "sweeps": {"local_epochs": [1, 2]},
 }
 SPANS = (
@@ -84,7 +85,7 @@ def test_traced_run_matches_untraced_and_counts_its_work(tmp_path):
     records = [json.loads(line) for line in plain[0].splitlines()]
     assert not any(record["diverged"] for record in records)
     runs = {(r["algorithm"], r["mu"], r["local_epochs"], r["trial"]) for r in records}
-    assert spans.counts["harness.cells"] == len(runs) == 4
+    assert spans.counts["harness.cells"] == len(runs) == 6
     assert spans.counts["engine.bytes"] == sum(record["bytes"] for record in records)
     for name in SPANS:
         assert spans.seconds[name], name

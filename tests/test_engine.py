@@ -117,6 +117,31 @@ class TestLocalTrainSgd:
         assert update.final_params[0] == pytest.approx(0.3, abs=1e-12)
         assert update.tau == 1
 
+    def test_buffers_that_do_not_fit_are_refused(self):
+        # Cached views of another shape or objective would train on the
+        # wrong rows or layers, so such buffers are refused, not reused.
+        arch = MlpArch((2, 3, 2))
+        objective = MlpObjective(arch)
+        n = arch.n_params()
+        assert MlpArch((2, 4, 1)).n_params() == n  # same size, other layers
+        w_t = objective.init_params(5)
+        view = PartyView(0, np.arange(4), np.zeros((4, 2)), np.zeros(4, dtype=int))
+        cfg = self._cfg()
+        for buffers in (
+            engine.CohortBuffers(objective, n, 1, 2, False),  # batches too large
+            engine.CohortBuffers(objective, n, 1, 4, True),  # made for scaffold
+            engine.CohortBuffers(QuadraticObjective(0.0), n, 1, 4, False),  # no workspace
+            engine.CohortBuffers(MlpObjective(MlpArch((2, 4, 1))), n, 1, 4, False),
+        ):
+            with pytest.raises(ProtocolError, match="buffers"):
+                local_train_sgd(w_t, view, cfg, 0, objective, buffers=buffers)
+        fits = engine.CohortBuffers(objective, n, 1, 4, False)
+        update = local_train_sgd(w_t, view, cfg, 0, objective, buffers=fits)
+        fresh = local_train_sgd(w_t, view, cfg, 0, objective)
+        assert update.final_params.tobytes() == fresh.final_params.tobytes()
+        with pytest.raises(ProtocolError, match="buffers"):
+            engine._cohort_sgd(w_t, [view, view], cfg, 0, objective, buffers=fits)
+
     def test_tau_counts_epochs_times_batches(self):
         arch = MlpArch((2, 2))
         objective = MlpObjective(arch)
@@ -902,9 +927,9 @@ class TestLockstep:
         # benchmark wraps to time its engine.local_train spans.
         trained = []
 
-        def counting(w_t, view, *args):
+        def counting(w_t, view, *args, **kwargs):
             trained.append(view.party_id)
-            return local_train_sgd(w_t, view, *args)
+            return local_train_sgd(w_t, view, *args, **kwargs)
 
         monkeypatch.setattr(engine, "local_train_sgd", counting)
         arch = MlpArch((784, 200, 10))
@@ -1018,11 +1043,11 @@ class TestRunExperiment:
         alive, rounds = [], []
         real_run_round = engine.run_round
 
-        def tracking_run_round(state, views, cfg, round_idx, objective):
+        def tracking_run_round(state, views, cfg, round_idx, objective, **kwargs):
             gc.collect()
             assert not [ref for ref in alive if ref() is not None]
             new_state, updates, n_bytes = real_run_round(
-                state, views, cfg, round_idx, objective
+                state, views, cfg, round_idx, objective, **kwargs
             )
             for update in updates:
                 alive.append(weakref.ref(update.final_params))
@@ -1036,6 +1061,34 @@ class TestRunExperiment:
         )
         assert rounds == [0, 1, 2]
         assert len(alive) == 3 * 4
+
+    def test_buffers_live_for_one_run(self, monkeypatch):
+        # Every round of a run trains on one CohortBuffers, sized for the
+        # run's largest cohort (2 of 4 parties sampled), and it is freed,
+        # without waiting for the cycle collector, when run_experiment
+        # returns: a sweep holds one run's buffers at a time. A second run
+        # on the same objective gets its own and the same records.
+        train, test = self._fcube()
+        arch = MlpArch((3, 4, 2))
+        objective = MlpObjective(arch)
+        cfg = self._cfg(algorithm="scaffold", sample_fraction=0.5)
+        real_run_round = engine.run_round
+        refs = []
+
+        def tracking_run_round(*args, buffers, **kwargs):
+            assert not refs or refs[0]() is buffers
+            assert buffers.params.shape == (2, arch.n_params())
+            refs.append(weakref.ref(buffers))
+            return real_run_round(*args, buffers=buffers, **kwargs)
+
+        monkeypatch.setattr(engine, "run_round", tracking_run_round)
+        runs = []
+        for _ in range(2):
+            records = run_experiment(train, test, PartitionSpec("iid"), arch, cfg, objective)
+            assert len(refs) == cfg.rounds and refs[0]() is None
+            refs.clear()
+            runs.append([replace(record, wall_ms=0) for record in records])
+        assert runs[0] == runs[1]
 
     def test_record_count_and_fields(self):
         train, test = self._fcube()

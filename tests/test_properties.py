@@ -300,3 +300,81 @@ class TestLockstepTraining:
                     assert new_state.client_controls[view.party_id].tobytes() == (
                         refreshed.tobytes())
 
+
+
+@st.composite
+def reuse_cases(draw):
+    """Three rounds of 2-6 parties with ragged sizes on one shared training
+    matrix, each round sampling a fraction of them, so cohorts and the rows
+    parties take change from round to round: random layer widths, batch
+    size, epochs, momentum, algorithm, cohort cap (in parties) and trainer
+    (stacking or not). At a learning rate of 1e300 a party that takes a
+    second step overflows and leaves its cohort mid-round, with non-finite
+    values left in its rows."""
+    widths = [draw(st.integers(1, 5))]
+    widths += draw(st.lists(st.integers(1, 8), max_size=2))
+    widths.append(draw(st.integers(1, 12)))
+    sizes = draw(st.lists(st.integers(1, 20), min_size=2, max_size=6))
+    algorithm, c_option = draw(st.sampled_from([
+        ("fedavg", "ii"), ("fedprox", "ii"), ("fednova", "ii"),
+        ("scaffold", "i"), ("scaffold", "ii"),
+    ]))
+    cfg = FedRunConfig(
+        algorithm=algorithm, rounds=3, n_parties=len(sizes),
+        sample_fraction=draw(st.sampled_from([0.5, 0.75, 1.0])),
+        local_epochs=draw(st.integers(1, 3)), batch_size=draw(st.integers(1, 8)),
+        local_lr=draw(st.sampled_from([0.05, 1e300])),
+        momentum=draw(st.sampled_from([0.0, 0.9])), prox_mu=0.1,
+        scaffold_c_option=c_option, master_seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    cap, stacks = draw(st.integers(1, 6)), draw(st.booleans())
+    return MlpArch(tuple(widths)), sizes, cfg, cap, stacks, draw(st.integers(0, 2**31 - 1))
+
+
+class TestRunBuffers:
+    @given(reuse_cases())
+    def test_shared_buffers_match_fresh_ones_bitwise(self, case):
+        # run_experiment trains every round of a run on one CohortBuffers;
+        # each round must come out as it does on buffers of its own.
+        arch, sizes, cfg, cap, stacks, seed = case
+        generator = np.random.default_rng(seed)
+        source = generator.standard_normal((sum(sizes), arch.in_dim))
+        labels = generator.integers(0, arch.out_dim, sum(sizes))
+        source.setflags(write=False)
+        bounds = np.cumsum([0, *sizes])
+        order = generator.permutation(sum(sizes))
+        views = [PartyView(p, order[lo:hi], source, labels)
+                 for p, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+        objective = MlpObjective(arch) if stacks else Alone(arch)
+        n_coords = arch.n_params()
+        state = GlobalState(objective.init_params(seed))
+        if cfg.algorithm == "scaffold":
+            state = GlobalState(
+                state.params, 0.01 * generator.standard_normal(n_coords),
+                tuple(0.01 * generator.standard_normal(n_coords) for _ in sizes))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "COHORT_BYTES", cap * engine.BYTES_PER_COORD * n_coords)
+            rows = min(engine._cohort_cap(n_coords, stacks),
+                       engine._sample_size(cfg.n_parties, cfg.sample_fraction))
+            buffers = engine.CohortBuffers(
+                objective, n_coords, rows, cfg.batch_size, state.control is not None)
+            shared = fresh = state
+            for round_idx in range(cfg.rounds):
+                shared, shared_updates, _ = run_round(
+                    shared, views, cfg, round_idx, objective, buffers=buffers)
+                fresh, fresh_updates, _ = run_round(fresh, views, cfg, round_idx, objective)
+                assert len(shared_updates) == len(fresh_updates)
+                for got, want in zip(shared_updates, fresh_updates):
+                    assert (got.party_id, got.tau, got.n_samples, got.diverged) == (
+                        want.party_id, want.tau, want.n_samples, want.diverged)
+                    assert np.float64(got.train_loss).tobytes() == (
+                        np.float64(want.train_loss).tobytes())
+                    assert got.final_params.tobytes() == want.final_params.tobytes()
+                    assert np.asarray(got.delta_control).tobytes() == (
+                        np.asarray(want.delta_control).tobytes())
+                assert shared.diverged == fresh.diverged
+                assert shared.params.tobytes() == fresh.params.tobytes()
+                assert np.asarray(shared.control).tobytes() == (
+                    np.asarray(fresh.control).tobytes())
+                assert [np.asarray(c).tobytes() for c in shared.client_controls or ()] == [
+                    np.asarray(c).tobytes() for c in fresh.client_controls or ()]
