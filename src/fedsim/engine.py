@@ -19,25 +19,26 @@ back its LocalUpdate (and, for scaffold, its refreshed c_i). A round's
 sampled parties train in cohorts of 1 to P parties, runs of consecutive
 ids in ascending order whose (P, n) float64 model stack fits in
 COHORT_BYTES. Each party's minibatches come from one generator,
-_batches, that draws each epoch's permutation from the party's stream;
-a party leaves its cohort when the generator runs out or a step goes
-non-finite. At each lockstep iteration the parties whose next batches
-have the same size form a group, and a group takes one loss_grad call
-and one momentum update over its rows. Each row computes exactly what
-the party would alone, so no output depends on the cohorts. Only
-MlpObjective's own loss_grad stacks models. For it the loop calls the
-kernel behind it, nn._loss_grad, with a plan of an nn.Workspace (even for
-a cohort of one), so a step neither re-slices the models nor allocates its
-buffers again. The loop's stacks, that workspace and the plans live in one
-CohortBuffers that run_experiment makes once per run, sized for the run's
-largest cohort, so a group views and plans its rows once per run rather
-than once per round; each cohort overwrites the rows it uses before it
-reads them, so no value depends on earlier cohorts. An objective whose
-loss_grad is anything else (a duck-typed object, a subclass that
-overrides it, or a wrapper set on the instance) trains every party in a
-cohort of one, through local_train_sgd / local_train_scaffold, with one
-1-d loss_grad call per local step, so a tracer that overrides loss_grad
-sees every step. A model too wide for two copies to fit in COHORT_BYTES trains in
+_batches, that draws each epoch's permutation from the party's stream; a
+party leaves its cohort when the generator runs out or a step goes
+non-finite. At each lockstep iteration every run of consecutive active
+rows whose next batches have the same size forms a group: rows lo:hi of
+the cohort's stacks, stepped in place by one loss_grad call and one
+momentum update and never gathered into a copy (a lone row steps on its
+1-d views). Each row computes exactly what the party would alone, so no
+output depends on the cohorts. Only MlpObjective's own loss_grad stacks
+models. For it the loop calls the kernel behind it, nn._loss_grad, with
+a plan of an nn.Workspace (even for a cohort of one), so a step neither
+re-slices the models nor allocates its buffers again. The loop's stacks,
+that workspace and the plans live in one CohortBuffers that
+run_experiment makes once per run, sized for the run's largest cohort;
+each cohort overwrites the rows it uses before it reads them, so no
+value depends on earlier cohorts. An objective whose loss_grad is
+anything else (a duck-typed object, a subclass that overrides it, or a
+wrapper set on the instance) trains every party in a cohort of one,
+through local_train_sgd / local_train_scaffold, with one 1-d loss_grad
+call per local step, so a tracer that overrides loss_grad sees every
+step. A model too wide for two copies to fit in COHORT_BYTES trains in
 cohorts of one as well.
 """
 
@@ -288,7 +289,7 @@ class CohortBuffers:
 
     It holds (rows, n) parameter, spare and velocity stacks, scaffold's
     corrections and corrected gradients, the nn.Workspace of an objective
-    that stacks, and steps: per (parity, rows, batch size), a group's views
+    that stacks, and steps: per (parity, lo, hi, batch size), a group's views
     of these stacks and its loss_grad plan, made the first time that group
     steps and kept for the run. A cohort of P <= rows parties uses the
     leading P rows and overwrites each value it reads before reading it (the
@@ -325,11 +326,11 @@ def _cohort_sgd(w_t, views, cfg, round_idx, objective, server_control=None, c_is
 
     Row p of each (P, n) buffer is views[p]'s model; all views share one
     training matrix. Each iteration moves every active party to the next
-    batch of its _batches generator. A group of one calls loss_grad on its
+    batch of its _batches generator; each run of consecutive active rows
+    whose batches have the same size is a group, rows lo:hi of every
+    buffer, never a gathered copy. A group of one calls loss_grad on its
     row's 1-d views, so an objective that cannot stack only ever sees one
-    model; a larger group calls it on a (k, n) stack, and a group that is
-    not a contiguous run of rows works on gathered copies and scatters them
-    back.
+    model; a larger group calls it on the (k, n) stack params[lo:hi].
 
     w_t is the round's global model; it is never written to, and neither
     are the views' arrays nor the gradients the objective returns. A cfg
@@ -352,7 +353,7 @@ def _cohort_sgd(w_t, views, cfg, round_idx, objective, server_control=None, c_is
     gradients. Only finite rows are kept, so the parameter and spare stacks
     swap whole. When the objective stacks, the loop calls nn._loss_grad,
     which is what MlpObjective.loss_grad runs, with a plan of the buffers'
-    nn.Workspace: the views of a run of rows, per parameter stack and batch
+    nn.Workspace: the views of rows lo:hi, per parameter stack and batch
     size, are made the first time that group steps and kept for the run.
     """
     n_rows, scaffold = len(views), c_is is not None
@@ -386,9 +387,9 @@ def _cohort_sgd(w_t, views, cfg, round_idx, objective, server_control=None, c_is
     batches = [None] * n_rows
     losses = [[] for _ in views]
     results = [None] * n_rows
-    # Per (parity, rows, batch size): the group's views of the buffers and
-    # its loss_grad plan. parity flips when params and spare swap, and each
-    # cohort starts at 0 with params the buffers' own parameter stack.
+    # Per (parity, lo, hi, batch size): the views of rows lo:hi of the
+    # buffers and their loss_grad plan. parity flips when params and spare
+    # swap, and each cohort starts at 0 with params the buffers' own stack.
     steps = buffers.steps
     parity = 0
 
@@ -405,45 +406,33 @@ def _cohort_sgd(w_t, views, cfg, round_idx, objective, server_control=None, c_is
         results[row] = (update, None) if c_is is None else _scaffold_refresh(
             update, w_t, server_control, c_is[row], view, cfg, objective)
 
-    def group_views(rows, m):
-        w = params[rows]
-        return (
-            w, velocity[rows], spare[rows],
-            None if work is None else work.plan(w, m),
-            None if corrections is None else corrections[rows],
-            None if corrected is None else corrected[rows],
-        )
-
     active = list(range(n_rows))
     with _flagged_numerics():
         while active:
-            groups = {}
+            groups = []  # [lo, hi, m]: a run of rows whose batches hold m samples
             for row in active:
                 batch = batches[row] = next(streams[row], None)
                 if batch is None:
                     leave(row, False)
+                elif groups and groups[-1][1] == row and groups[-1][2] == batch.shape[0]:
+                    groups[-1][1] += 1
                 else:
-                    groups.setdefault(batch.shape[0], []).append(row)
+                    groups.append([row, row + 1, batch.shape[0]])
             kept = []
-            for m, members in groups.items():
-                single = len(members) == 1
-                if single:  # one model: the row's 1-d views
-                    rows = key = members[0]
-                    picked = batches[rows]
-                else:
-                    lo, hi = members[0], members[-1] + 1
-                    contiguous = hi - lo == len(members)
-                    rows = slice(lo, hi) if contiguous else members
-                    key = (lo, hi) if contiguous else None
-                    picked = np.concatenate([batches[row] for row in members])
-                    picked = picked.reshape(len(members), -1)
-                if key is None:  # gathered copies, written back below
-                    step = group_views(rows, m)
-                else:
-                    step = steps.get((parity, key, m))
-                    if step is None:
-                        step = steps[parity, key, m] = group_views(rows, m)
+            for lo, hi, m in groups:
+                single = hi - lo == 1
+                step = steps.get((parity, lo, hi, m))
+                if step is None:
+                    rows = lo if single else slice(lo, hi)  # a lone row steps on 1-d views
+                    w = params[rows]
+                    step = steps[parity, lo, hi, m] = (
+                        w, velocity[rows], spare[rows],
+                        None if work is None else work.plan(w, m),
+                        None if corrections is None else corrections[rows],
+                        None if corrected is None else corrected[rows],
+                    )
                 w, v, out, plan, correction, corrected_rows = step
+                picked = batches[lo] if single else np.concatenate(batches[lo:hi]).reshape(-1, m)
                 try:
                     if plan is None:
                         loss, grad = loss_grad(w, source[picked], labels[picked], prox_mu, anchor)
@@ -451,20 +440,17 @@ def _cohort_sgd(w_t, views, cfg, round_idx, objective, server_control=None, c_is
                         loss, grad = _loss_grad(objective.layers, w, source[picked],
                                                 labels[picked], prox_mu, anchor, plan)
                 except NumericError:
-                    for row in members:
+                    for row in range(lo, hi):
                         leave(row, True)
                     continue
                 if correction is not None:
                     grad = np.add(grad, correction, out=corrected_rows)
                 momentum_update(w, grad, v, lr, momentum, out)
-                if key is None:
-                    velocity[rows], spare[rows] = v, out
                 if single:
-                    ok = math.isfinite(loss) and np.isfinite(out).all()
-                    outcomes = ((rows, loss, ok),)
+                    outcomes = ((lo, loss, math.isfinite(loss) and np.isfinite(out).all()),)
                 else:
                     finite = np.isfinite(loss) & np.isfinite(out).all(axis=1)
-                    outcomes = zip(members, loss.tolist(), finite.tolist())
+                    outcomes = zip(range(lo, hi), loss.tolist(), finite.tolist())
                 for row, row_loss, ok in outcomes:
                     if ok:
                         losses[row].append(row_loss)
@@ -473,7 +459,7 @@ def _cohort_sgd(w_t, views, cfg, round_idx, objective, server_control=None, c_is
                         leave(row, True)
             params, spare = spare, params
             parity ^= 1
-            active = sorted(kept)
+            active = kept
     return results
 
 
@@ -626,8 +612,8 @@ def _train_cohort(state, views, cfg, round_idx, objective, controls, *, buffers)
     """Train one cohort; returns, in cohort order, each party's update and
     its new c_i (None unless scaffold). A cohort of one goes through the
     module attributes local_train_sgd or local_train_scaffold, so a wrapper
-    set on them sees every party that trains alone. Every cohort trains on
-    buffers."""
+    set on them sees every party that trains alone. buffers is as in
+    _cohort_sgd."""
     w_t, c = state.params, state.control
     scaffold = cfg.algorithm == "scaffold"
     if len(views) == 1:
@@ -661,8 +647,7 @@ def run_round(
     the new state's client_controls. If the new model or the new server
     control has a non-finite entry, the round returns the given state marked
     diverged; its traffic still counts. Every cohort trains on buffers,
-    the run's CohortBuffers, or when it is None on fresh ones sized for
-    this round's largest cohort.
+    the run's CohortBuffers, or when it is None on fresh ones of its own.
     """
     selected = sample_parties(
         cfg.n_parties, cfg.sample_fraction, round_idx, cfg.master_seed
@@ -670,11 +655,7 @@ def run_round(
     n_bytes = round_bytes(len(selected), len(state.params), cfg.algorithm)
     scaffold = cfg.algorithm == "scaffold"
     updates, client_controls = [], list(state.client_controls or [None] * cfg.n_parties)
-    cohorts = _cohorts(selected, views, len(state.params), _stacks(objective))
-    if buffers is None:
-        buffers = CohortBuffers(objective, len(state.params), max(map(len, cohorts)),
-                                cfg.batch_size, scaffold)
-    for cohort in cohorts:
+    for cohort in _cohorts(selected, views, len(state.params), _stacks(objective)):
         for update, new_control in _train_cohort(
             state, [views[p] for p in cohort], cfg, round_idx, objective, client_controls,
             buffers=buffers,

@@ -35,3 +35,7 @@ class ProtocolError(FedsimError):
 
 class ReportError(FedsimError):
     """Results are missing or unusable for report generation."""
+
+
+class OutputError(FedsimError):
+    """An output directory or file cannot be made or written."""

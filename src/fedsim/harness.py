@@ -9,6 +9,7 @@ byte from (config, seed).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from .datasets import (
     split_train_test,
 )
 from .engine import ALGORITHMS, partition_seed, run_experiment
-from .errors import ConfigError, ReportError
+from .errors import ConfigError, OutputError, ReportError
 from .nn import MlpArch, backward, finite_diff_grad, init_mlp, layer_slices
 from .partition import build_views, export_partition, export_stats_csv, partition_stats
 
@@ -81,6 +82,16 @@ def build_dataset(config: ExperimentConfig) -> tuple[LabeledDataset, LabeledData
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Raise an OSError of the block, which makes or writes path or files
+    in it, as an OutputError that names the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from None
+
+
 def _trial_seed(master_seed: int, trial: int) -> int:
     """Master seed of one trial's runs; partition and run both derive from it."""
     return rng.derive_seed(master_seed, rng.TAG_TRIAL, trial)
@@ -91,7 +102,8 @@ def cmd_partition(config: ExperimentConfig, out_dir) -> dict:
 
     The partition is the one trial 0 of `cmd_run` trains on.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     train, _ = build_dataset(config)
     pmap, _ = build_views(
         train,
@@ -102,8 +114,9 @@ def cmd_partition(config: ExperimentConfig, out_dir) -> dict:
     stats = partition_stats(pmap, train)
     partition_path = os.path.join(out_dir, "partition.txt")
     stats_path = os.path.join(out_dir, "partition_stats.csv")
-    export_partition(pmap, train.n, partition_path)
-    export_stats_csv(stats, stats_path)
+    with _writing(out_dir):
+        export_partition(pmap, train.n, partition_path)
+        export_stats_csv(stats, stats_path)
     print(
         f"partitioned {train.n} samples over {pmap.n_parties} parties "
         f"({config.partition.kind}): size_cv={stats.size_cv:.4f} "
@@ -140,14 +153,15 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     Diverged runs are flagged in their records, never fatal. Each finished
     run prints one progress line to stderr.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     train, test = build_dataset(config)
     arch = MlpArch((train.n_features, *config.hidden, train.n_classes))
 
     results_path = os.path.join(out_dir, RESULTS_FILE)
     finals = {cell: [] for cell in config.cells}
     runs = [(cell, trial) for cell in config.cells for trial in range(config.trials)]
-    with open(results_path, "w", encoding="ascii") as fh:
+    with _writing(results_path), open(results_path, "w", encoding="ascii") as fh:
         for done, (cell, trial) in enumerate(runs, start=1):
             started = time.perf_counter()
             cfg = replace(cell, master_seed=_trial_seed(cell.master_seed, trial))
@@ -170,7 +184,7 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
                 fh.write(json.dumps(line) + "\n")
 
     summary_path = os.path.join(out_dir, SUMMARY_FILE)
-    with open(summary_path, "w", encoding="ascii") as fh:
+    with _writing(summary_path), open(summary_path, "w", encoding="ascii") as fh:
         fh.write("algorithm,mu,local_epochs,trials,final_accuracy_mean,final_accuracy_std\n")
         for cell, accuracies in finals.items():
             values = np.array(accuracies)
@@ -274,7 +288,7 @@ def cmd_report(results_dir) -> dict:
 
     wins = {algorithm: 0 for algorithm in algorithms}
     report_path = os.path.join(results_dir, REPORT_FILE)
-    with open(report_path, "w", encoding="ascii") as fh:
+    with _writing(report_path), open(report_path, "w", encoding="ascii") as fh:
         fh.write("source,local_epochs," + ",".join(algorithms) + ",best\n")
         for (source, epochs) in sorted(table):
             cells = table[(source, epochs)]
@@ -293,17 +307,19 @@ def cmd_report(results_dir) -> dict:
             )
 
     wins_path = os.path.join(results_dir, WINS_FILE)
-    with open(wins_path, "w", encoding="ascii") as fh:
+    with _writing(wins_path), open(wins_path, "w", encoding="ascii") as fh:
         fh.write("algorithm,wins\n")
         for algorithm in algorithms:
             fh.write(f"{algorithm},{wins[algorithm]}\n")
 
     curves_dir = os.path.join(results_dir, CURVES_DIR)
-    os.makedirs(curves_dir, exist_ok=True)
+    with _writing(curves_dir):
+        os.makedirs(curves_dir, exist_ok=True)
     for (source, epochs, algorithm, mu, trial), records in curves.items():
         mu_txt = "none" if mu is None else repr(mu)
         name = f"{source}__{algorithm}__E{epochs}__mu{mu_txt}__t{trial}.csv"
-        with open(os.path.join(curves_dir, name), "w", encoding="ascii") as fh:
+        curve_path = os.path.join(curves_dir, name)
+        with _writing(curve_path), open(curve_path, "w", encoding="ascii") as fh:
             fh.write("round,test_accuracy,mean_train_loss,bytes\n")
             for record in sorted(records, key=lambda r: r["round"]):
                 loss = record["mean_train_loss"]

@@ -7,9 +7,9 @@ control variates and gradient checks therefore treat a network as ordinary
 linear algebra. Hidden layers use ReLU, the output layer is linear (logits),
 and the loss is softmax cross-entropy. Identical inputs give bit-identical
 outputs, and no function here writes to its inputs except momentum_update,
-which updates its caller's buffers, and `_loss_grad` given a Workspace plan,
-which computes in the workspace's buffers and returns its gradient there.
-Every other function is pure.
+which updates its caller's buffers, and `_loss_grad`, which computes in the
+buffers of a Workspace and returns its gradient there. Every other function
+is pure.
 
 The public functions (forward, backward, predict_accuracy,
 finite_diff_grad) validate their inputs on every call. Local training
@@ -28,11 +28,12 @@ second copy of backprop. momentum_update is elementwise, so it takes either
 shape too.
 
 At these model sizes a call's cost is numpy's per-call overhead, not the
-arithmetic. So local training keeps one Workspace per run, whose plans hold
-every view and buffer a call shape needs: on the fcube net (3-32-16-8-2,
-fedprox) a planned call makes 53 numpy calls, and a call without a plan
-first lays out about 43 views and arrays. Short class rows are reduced as
-column folds, and the labels are picked through one flat index.
+arithmetic. So every `_loss_grad` call runs on a plan of a Workspace, which
+holds every view and buffer a call shape needs. Local training keeps one
+Workspace per run and reuses its plans: on the fcube net (3-32-16-8-2,
+fedprox) such a call makes 53 numpy calls. A call given no plan first lays
+out a one-call Workspace. Short class rows are reduced as column folds,
+and the labels are picked through one flat index.
 """
 
 from __future__ import annotations
@@ -178,7 +179,8 @@ _FOLD_BELOW = 8
 
 
 class Workspace:
-    """Buffers that the _loss_grad calls of one training run reuse.
+    """Buffers that the _loss_grad calls of one training run (or one
+    unplanned call) reuse.
 
     Sized for up to `rows` models and batches of up to `batch` samples.
     plan(w, m) views them for one call on w; the buffer views of each call
@@ -209,16 +211,14 @@ class Workspace:
 
 class _Layout:
     """The arrays of a _loss_grad call shape: one model (n,) or a (k, n)
-    stack, on batches of m samples.
+    stack, on batches of m samples, laid out in a workspace.
 
     It holds the gradient and its per-layer views, the layer outputs and
-    their transposes, the class columns the short-row folds read, and the
-    flat label index base arange(0, k*m*C, C). Taken from a workspace, it
-    also holds delta, per-sample, label index and proximal-difference
-    buffers; every array is a leading part of the workspace's, so it is
-    contiguous and laid out as a fresh array would be. Without one, the
-    outputs and the gradient are fresh arrays and the other buffers are
-    None, so the call makes temporaries for them.
+    their transposes, the delta, per-sample, label index and
+    proximal-difference buffers, the class columns the short-row folds
+    read, and the flat label index base arange(0, k*m*C, C). Every buffer
+    is a leading part of the workspace's, so it is contiguous and laid out
+    as a fresh array would be.
     """
 
     __slots__ = (
@@ -227,29 +227,23 @@ class _Layout:
         "index", "index_base", "diff",
     )
 
-    def __init__(self, layers, shape, m: int, work: Workspace | None = None):
+    def __init__(self, layers, shape, m: int, work: Workspace):
         lead = shape[:-1]  # () for one model, (k,) for a stack
         self.flip = (*range(len(lead)), len(lead) + 1, len(lead))  # swaps the last two axes
         rows = lead + (m,)
         cells = m * (shape[0] if lead else 1)
         widths = [fan_out for _, _, (_, fan_out), _ in layers]
-        if work is None:
-            self.grad = np.empty(shape)
-            self.outputs = [np.empty(rows + (width,)) for width in widths]
-            self.exp = np.empty(rows + (widths[-1],))
-            self.deltas = (None,) * len(layers)
-            self.row_max = self.norm = self.index = self.diff = None
-        else:
-            def part(buffer, *width):
-                return buffer[: cells * math.prod(width)].reshape(rows + width)
 
-            self.grad = work.grad[: math.prod(shape)].reshape(shape)
-            self.outputs = [part(buf, width) for buf, width in zip(work.outputs, widths)]
-            self.exp = part(work.exp, widths[-1])
-            self.deltas = [part(buf, width) for buf, width in zip(work.deltas, widths)]
-            self.row_max, self.norm = (part(buf) for buf in work.samples)
-            self.index = part(work.index)
-            self.diff = work.diff[: self.grad.size].reshape(shape)
+        def part(buffer, *width):
+            return buffer[: cells * math.prod(width)].reshape(rows + width)
+
+        self.grad = work.grad[: math.prod(shape)].reshape(shape)
+        self.outputs = [part(buf, width) for buf, width in zip(work.outputs, widths)]
+        self.exp = part(work.exp, widths[-1])
+        self.deltas = [part(buf, width) for buf, width in zip(work.deltas, widths)]
+        self.row_max, self.norm = (part(buf) for buf in work.samples)
+        self.index = part(work.index)
+        self.diff = work.diff[: self.grad.size].reshape(shape)
         grad = self.grad
         self.grad_weights = [grad[..., a:b].reshape(lead + s) for a, b, s, _ in layers]
         self.grad_biases = [grad[..., b:c] for _, b, _, c in layers]
@@ -305,7 +299,7 @@ def _loss_grad(layers, w, features, labels, prox_mu, anchor, plan=None):
     plan, when given, is Workspace.plan(w, m) for this very array w: the
     call then builds no view and allocates almost nothing, and the gradient
     it returns is the workspace's, overwritten by the next call. Without a
-    plan the call lays out its own over fresh arrays.
+    plan the call lays out a one-call Workspace, so its gradient is new.
 
     A stack computes each row exactly as a call on that row alone would:
     matmul runs its 2-d kernel once per stacked matrix, every reduction and
@@ -317,7 +311,7 @@ def _loss_grad(layers, w, features, labels, prox_mu, anchor, plan=None):
     """
     m = labels.shape[-1]
     if plan is None:
-        plan = _Plan(layers, w, _Layout(layers, w.shape, m))
+        plan = Workspace(layers, math.prod(w.shape[:-1]), m).plan(w, m)
     elif plan.w is not w:
         raise ShapeError("a _loss_grad plan serves only the array it was made for")
     work = plan.layout

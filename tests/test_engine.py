@@ -943,6 +943,46 @@ class TestLockstep:
         assert trained == [0, 1, 2]
         assert [u.tau for u in updates] == [1, 1, 1]
 
+    @pytest.mark.parametrize("algorithm", ["fedprox", "scaffold"])
+    def test_groups_are_contiguous_runs_of_rows(self, monkeypatch, algorithm):
+        # Parties of 4, 4, 3 and 4 rows at batch size 4: each of the two
+        # epochs is one iteration with batch sizes [4, 4, 3, 4]. Rows 0-1
+        # make one stacked call; row 3 has row 2 between it and them, so it
+        # steps alone on its own views rather than on a gathered copy.
+        arch = MlpArch((3, 8, 4, 2))
+        rng_ = np.random.default_rng(17)
+        source = rng_.standard_normal((15, arch.in_dim))
+        labels = rng_.integers(0, arch.out_dim, 15)
+        bounds = [0, 4, 8, 11, 15]
+        views = [PartyView(p, np.arange(lo, hi), source, labels)
+                 for p, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+        cfg = FedRunConfig(algorithm=algorithm, rounds=1, n_parties=4, local_epochs=2,
+                           batch_size=4, local_lr=0.05, momentum=0.9, prox_mu=0.1,
+                           master_seed=17)
+        objective = MlpObjective(arch)
+        w_t = objective.init_params(17)
+        c = 0.01 * rng_.standard_normal(len(w_t))
+        c_is = [0.01 * rng_.standard_normal(len(w_t)) for _ in views]
+        depths = []
+
+        def counting(layers, w, *args):
+            depths.append(w.shape[:-1])
+            return real_loss_grad(layers, w, *args)
+
+        real_loss_grad = engine._loss_grad
+        monkeypatch.setattr(engine, "_loss_grad", counting)
+        scaffold = algorithm == "scaffold"
+        results = engine._cohort_sgd(w_t, views, cfg, 0, objective,
+                                     c if scaffold else None, c_is if scaffold else None)
+        assert depths == [(2,), (), ()] * 2
+        for view, (update, _), c_i in zip(views, results, c_is):
+            final, tau, mean_loss, diverged = reference_local_loop(
+                w_t, view, cfg, 0, objective, prox_mu=cfg.mu or 0.0,
+                correction=c - c_i if scaffold else None)
+            assert (update.tau, update.diverged) == (tau, diverged) == (2, False)
+            assert update.train_loss == mean_loss
+            assert update.final_params.tobytes() == final.tobytes()
+
     def test_cohorts_split_at_cap_and_at_another_source(self):
         source, labels = np.zeros((8, 3)), np.zeros(8, dtype=int)
         other = source.copy()

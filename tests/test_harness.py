@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -810,6 +811,45 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: config.dataset.seed: must be >= 0, got -1\n"
         )
+
+    @pytest.mark.parametrize("command", ["run", "partition"])
+    def test_out_naming_a_file_exit_code(self, tmp_path, capsys, command):
+        # os.makedirs used to end this in a raw FileExistsError traceback.
+        config_path = write_config(tmp_path, small_run_config())
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main([command, "--config", str(config_path), "--out", str(taken)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {taken}: File exists\n"
+
+    @pytest.mark.parametrize("command, name", [
+        ("run", "results.jsonl"), ("run", "summary.csv"),
+        ("partition", "partition.txt"), ("partition", "partition_stats.csv"),
+        ("report", "report.csv"), ("report", "wins.csv"), ("report", "curves"),
+        ("report", "a curve"),
+    ])
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, command, name):
+        # A directory where an output file goes, or a file where the curves
+        # directory goes, is refused with the path, not with a traceback.
+        config_path = write_config(tmp_path, small_run_config())
+        out = tmp_path / "out"
+        if command == "report":
+            assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+            assert main(["report", "--out", str(out)]) == 0
+        blocked = sorted((out / "curves").iterdir())[0] if name == "a curve" else out / name
+        if blocked.is_dir():
+            shutil.rmtree(blocked)
+        blocked.unlink(missing_ok=True)
+        blocked.parent.mkdir(parents=True, exist_ok=True)
+        if name == "curves":
+            blocked.write_text("")
+        else:
+            blocked.mkdir()
+        capsys.readouterr()
+        extra = [] if command == "report" else ["--config", str(config_path)]
+        assert main([command, "--out", str(out), *extra]) == 2
+        # A run prints its progress lines before it writes the summary.
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            f"error: cannot write {blocked}: ")
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         config_path = write_config(tmp_path, {"dataset": {"type": "fcube"}, "bogus": 1})
