@@ -14,32 +14,44 @@ Models and control variates are flat float64 arrays (see fedsim.nn). Every
 one the engine hands out is read-only, so it can be shared without a copy
 and no party can change what the next one sees.
 
-Lockstep training: one loop, _cohort_sgd, trains every party and hands
-back its LocalUpdate (and, for scaffold, its refreshed c_i). A round's
-sampled parties train in cohorts of 1 to P parties, runs of consecutive
-ids in ascending order whose (P, n) float64 model stack fits in
-COHORT_BYTES. Each party's minibatches come from one generator,
-_batches, that draws each epoch's permutation from the party's stream; a
-party leaves its cohort when the generator runs out or a step goes
-non-finite. At each lockstep iteration every run of consecutive active
-rows whose next batches have the same size forms a group: rows lo:hi of
-the cohort's stacks, stepped in place by one loss_grad call and one
-momentum update and never gathered into a copy (a lone row steps on its
-1-d views). Each row computes exactly what the party would alone, so no
-output depends on the cohorts. Only MlpObjective's own loss_grad stacks
-models. For it the loop calls the kernel behind it, nn._loss_grad, with
-a plan of an nn.Workspace (even for a cohort of one), so a step neither
-re-slices the models nor allocates its buffers again. The loop's stacks,
-that workspace and the plans live in one CohortBuffers that
-run_experiment makes once per run, sized for the run's largest cohort;
-each cohort overwrites the rows it uses before it reads them, so no
-value depends on earlier cohorts. An objective whose loss_grad is
-anything else (a duck-typed object, a subclass that overrides it, or a
-wrapper set on the instance) trains every party in a cohort of one,
-through local_train_sgd / local_train_scaffold, with one 1-d loss_grad
-call per local step, so a tracer that overrides loss_grad sees every
-step. A model too wide for two copies to fit in COHORT_BYTES trains in
-cohorts of one as well.
+Lockstep training: one loop, _cohort_sgd, trains every row, a party
+trained for one cell, and hands back its LocalUpdate (and, for scaffold,
+its refreshed c_i). The cells of one trial differ at most in algorithm,
+prox_mu and local_epochs (lockstep_key), so they share the partition, the
+initial model, each round's party sample and each party's batches;
+run_group trains them together. It builds the views and the initial model
+once, samples the parties once per round, trains every (party, cell) row
+in cohorts, and aggregates, evaluates and records each cell on its own.
+One cell trains in cohorts of 1 to P parties, runs of consecutive ids in
+ascending order whose (P, n) float64 model stack fits in COHORT_BYTES;
+several cells train one party at a time, its rows (one per cell, up to
+the same cap) in one cohort. Each row starts from its own cell's w_t and
+pulls toward it with its own mu, adds its own scaffold correction, and
+takes its own number of epochs. Consecutive rows on one party share one
+batch generator, _batches, which draws each epoch's permutation from the
+party's stream; a row leaves its cohort when its own epochs are done or a
+step goes non-finite. At each lockstep iteration every run of consecutive
+active rows whose next batches have the same size forms a group: rows
+lo:hi of the cohort's stacks, stepped in place by one loss_grad call and
+one momentum update and never gathered into a copy (a lone row steps on
+its 1-d views, and a group on one party's batch gathers it once for all
+its rows). Each row computes exactly what the party would alone in its
+cell, so no output depends on the cohorts or on the other cells. Only
+MlpObjective's own loss_grad stacks models. For it the loop calls the
+kernel behind it, nn._loss_grad, with a plan of an nn.Workspace (even for
+a cohort of one), so a step neither re-slices the models nor allocates
+its buffers again. The loop's stacks, that workspace and the plans live
+in one CohortBuffers that run_group makes once per run, sized for the
+run's largest cohort; each cohort overwrites the rows it uses before it
+reads them, so no value depends on earlier cohorts. An objective whose
+loss_grad is anything else (a duck-typed object, a subclass that
+overrides it, or a wrapper set on the instance) trains every row in a
+cohort of one, through local_train_sgd / local_train_scaffold, with one
+1-d loss_grad call per local step, so a tracer that overrides loss_grad
+sees every step. A model too wide for two copies to fit in COHORT_BYTES
+trains in cohorts of one as well. For either, trains_in_lockstep is
+False, and the harness runs each cell alone through run_experiment and
+run_round.
 """
 
 from __future__ import annotations
@@ -47,6 +59,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,7 +188,7 @@ class MlpObjective:
     gradient. This class's own loss_grad also takes a (P, n) stack of
     models with (P, m, in) features and (P, m) labels and returns (P,)
     losses and (P, n) gradients, which is what lets the local loop train a
-    cohort of parties with one call per step. Override it and each party
+    cohort of rows with one call per step. Override it and each party
     trains in a cohort of one, so the override only ever sees one model
     and is called once per local step. loss_grad runs once per step, so
     it validates nothing: run_experiment checks the training data against
@@ -255,25 +268,37 @@ def _flagged_numerics():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _batches(view, cfg, round_idx):
+def _batches(view, cfg, round_idx, epochs):
     """The party's minibatches for the round, as row ids into view.source:
-    cfg.local_epochs epochs, each a permutation of its rows drawn from the
-    party's (seed, round, party) stream when the epoch starts, cut into
-    batches of cfg.batch_size (an epoch's last batch may be smaller)."""
+    epochs epochs, each a permutation of its rows drawn from the party's
+    (seed, round, party) stream when the epoch starts, cut into batches of
+    cfg.batch_size (an epoch's last batch may be smaller). A run with fewer
+    epochs sees a leading part of the same batches."""
     stream = rng.stream(cfg.master_seed, rng.TAG_LOCAL, round_idx, view.party_id)
     n_samples, batch_size = view.n_samples, cfg.batch_size
-    for _ in range(cfg.local_epochs):
+    for _ in range(epochs):
         order = view.rows[stream.permutation(n_samples)]
         for start in range(0, n_samples, batch_size):
             yield order[start : start + batch_size]
 
 
-def _scaffold_refresh(update, w_t, server_control, c_i, view, cfg, objective):
+class _Row(NamedTuple):
+    """One party trained for one cell: the party's view, the cell's config
+    and global model w_t, and for scaffold the pair (c, c_i)."""
+
+    view: PartyView
+    cfg: FedRunConfig
+    w_t: np.ndarray
+    controls: tuple | None = None
+
+
+def _scaffold_refresh(update, row, objective):
     """The update with its control change, and the party's new c_i; see
     local_train_scaffold."""
+    w_t, cfg, (server_control, c_i) = row.w_t, row.cfg, row.controls
     with _flagged_numerics():
         if cfg.scaffold_c_option == "i":
-            refreshed = objective.full_grad(w_t, view.features, view.labels)
+            refreshed = objective.full_grad(w_t, row.view.features, row.view.labels)
         else:
             step_scale = 1.0 / (update.tau * cfg.local_lr)
             refreshed = c_i - server_control + step_scale * (w_t - update.final_params)
@@ -288,12 +313,15 @@ class CohortBuffers:
     """The local trainer's state, reused by every cohort of one run.
 
     It holds (rows, n) parameter, spare and velocity stacks, scaffold's
-    corrections and corrected gradients, the nn.Workspace of an objective
-    that stacks, and steps: per (parity, lo, hi, batch size), a group's views
-    of these stacks and its loss_grad plan, made the first time that group
-    steps and kept for the run. A cohort of P <= rows parties uses the
-    leading P rows and overwrites each value it reads before reading it (the
-    parameters with w_t, the velocity with zeros, the corrections with
+    corrections and corrected gradients, the proximal anchors (made the
+    first time a cohort trains a row with a mu), the nn.Workspace of an
+    objective that stacks, and steps: per cohort layout (each row's mu and
+    the scaffold rows) and per (parity, lo, hi, batch size), a group's
+    views of these stacks, its proximal and correction arguments and its
+    loss_grad plan, made the first time that group steps and kept for the
+    run. A cohort of P <= rows rows uses the leading P rows and overwrites
+    each value it reads before reading it (the parameters and anchors with
+    each row's w_t, the velocity with zeros, the corrections with
     c - c_i), so nothing carries over from one cohort to the next. Every
     cached view points into these arrays and no other, so it stays valid.
     """
@@ -301,162 +329,243 @@ class CohortBuffers:
     def __init__(self, objective, n_coords: int, rows: int, batch_size: int, scaffold: bool):
         shape = (rows, n_coords)
         self.params, self.spare, self.velocity = (np.empty(shape) for _ in range(3))
-        self.corrections = np.empty(shape) if scaffold else None
-        self.corrected = np.empty(shape) if scaffold else None
         self.layers = objective.layers if _stacks(objective) else None
+        self.corrections = np.empty(shape) if scaffold else None
+        # A planned call's gradient is the workspace's, corrected in place.
+        self.corrected = np.empty(shape) if scaffold and self.layers is None else None
+        self.anchors = None
         self.work = None if self.layers is None else Workspace(self.layers, rows, batch_size)
         self.batch_size = batch_size
         self.steps = {}
 
     def fits(self, objective, n_coords: int, rows: int, batch_size: int, scaffold: bool) -> bool:
-        """Whether a cohort of rows parties with this shape may use them."""
+        """Whether a cohort of rows rows with this shape may use them."""
         layers = objective.layers if _stacks(objective) else None
         return (
             layers == self.layers
             and rows <= len(self.params)
             and n_coords == self.params.shape[1]
             and batch_size <= self.batch_size
-            and scaffold == (self.corrections is not None)
+            and (not scaffold or self.corrections is not None)
         )
 
 
-def _cohort_sgd(w_t, views, cfg, round_idx, objective, server_control=None, c_is=None,
-                *, buffers=None):
-    """Local epochs of minibatch SGD with momentum for a cohort of parties.
+def _run_of(flags) -> tuple[int, int]:
+    """(lo, hi): the rows whose flag is set, which must be consecutive;
+    (0, 0) when there are none."""
+    marked = [row for row, flag in enumerate(flags) if flag]
+    if not marked:
+        return 0, 0
+    if marked[-1] - marked[0] + 1 != len(marked):
+        raise ProtocolError("a cohort's mu rows and scaffold rows must each be consecutive")
+    return marked[0], marked[-1] + 1
 
-    Row p of each (P, n) buffer is views[p]'s model; all views share one
-    training matrix. Each iteration moves every active party to the next
-    batch of its _batches generator; each run of consecutive active rows
-    whose batches have the same size is a group, rows lo:hi of every
-    buffer, never a gathered copy. A group of one calls loss_grad on its
-    row's 1-d views, so an objective that cannot stack only ever sees one
-    model; a larger group calls it on the (k, n) stack params[lo:hi].
 
-    w_t is the round's global model; it is never written to, and neither
-    are the views' arrays nor the gradients the objective returns. A cfg
-    that trains with a mu adds the proximal pull toward w_t. Given c_is,
-    the parties train as scaffold: c - c_is[p] is added to row p's raw
-    gradients, into a buffer the loop owns, before the momentum step.
+def _cohort_sgd(rows, round_idx, objective, *, buffers=None):
+    """Local epochs of minibatch SGD with momentum for a cohort of rows.
 
-    Returns (LocalUpdate, new c_i or None) per party, in cohort order, each
+    Each row (a _Row) is one party trained for one cell: row p of each
+    (P, n) buffer starts at that cell's w_t, with zero velocity. All views
+    share one training matrix, and all rows one batch size, learning rate,
+    momentum and seed (run_group checks that its cells do). Consecutive
+    rows on one party share one _batches generator, drawn once per
+    iteration for all of them; each row takes its cfg.local_epochs epochs
+    of it and then leaves, so rows with fewer epochs leave first. Each
+    iteration, each run of consecutive active rows whose batches have the
+    same size is a group, rows lo:hi of every buffer, never a gathered
+    copy. A group of one calls loss_grad on its row's 1-d views; a larger
+    group, only when the objective stacks, calls it on the (k, n) stack
+    params[lo:hi], with the batch gathered once when all its rows are one
+    party's.
+
+    w_t is never written to, and neither are the views' arrays nor the
+    gradients an objective returns. A row whose cfg.mu is set adds the
+    proximal pull toward its own w_t, with its own mu; a scaffold row
+    (controls given) adds its own c - c_i to its raw gradients before the
+    momentum step. Rows of each kind must be consecutive, so that the
+    proximal term and the corrections apply to one run of a group's rows:
+    a row without a mu never enters the proximal branch, and no other row
+    has a zero correction added, either of which could turn a -0.0 into
+    +0.0 or 0 * inf into nan.
+
+    Returns (LocalUpdate, new c_i or None) per row, in row order, each
     final model a read-only copy. A step whose loss or new parameters are
     non-finite, or whose objective raises NumericError, is dropped, and its
-    party leaves with its last finite model and diverged set. A non-finite
+    row leaves with its last finite model and diverged set. A non-finite
     gradient always reaches the new parameters (lr > 0, finite momentum),
     so checking those two catches every non-finite step. A party with no
-    rows takes no step and hands back w_t with tau 1.
+    samples takes no step and hands back w_t with tau 1.
 
-    The loop's state lives in buffers, a CohortBuffers that run_experiment
+    The loop's state lives in buffers, a CohortBuffers that run_group
     makes once per run, or a fresh one sized for this cohort when it is
     None: the parameters, the velocity (updated in place), a spare
-    parameter stack that every step writes, and scaffold's corrected
-    gradients. Only finite rows are kept, so the parameter and spare stacks
-    swap whole. When the objective stacks, the loop calls nn._loss_grad,
-    which is what MlpObjective.loss_grad runs, with a plan of the buffers'
-    nn.Workspace: the views of rows lo:hi, per parameter stack and batch
-    size, are made the first time that group steps and kept for the run.
+    parameter stack that every step writes, the anchors and scaffold's
+    corrections. Only finite rows are kept, so the parameter and spare
+    stacks swap whole. When the objective stacks, the loop calls
+    nn._loss_grad, which is what MlpObjective.loss_grad runs, with a plan
+    of the buffers' nn.Workspace and adds the corrections into the
+    gradient it returns; an objective that does not stack gets one row at
+    a time, and its gradient is corrected into a buffer the loop owns.
     """
-    n_rows, scaffold = len(views), c_is is not None
-    if scaffold:
-        for c_i in c_is:
+    n_rows, first = len(rows), rows[0].cfg
+    for row in rows:
+        if row.controls is not None:
+            server_control, c_i = row.controls
             if c_i is None or server_control is None:
                 raise ProtocolError("scaffold training requires both control variates")
-            if c_i.shape != w_t.shape or server_control.shape != w_t.shape:
+            if c_i.shape != row.w_t.shape or server_control.shape != row.w_t.shape:
                 raise ProtocolError("control variate shapes do not match the model")
+    mus = tuple(row.cfg.mu or 0.0 for row in rows)
+    mu_lo, mu_hi = _run_of([mu > 0 for mu in mus])
+    scaffold_lo, scaffold_hi = _run_of([row.controls is not None for row in rows])
+    n_coords, batch_size = rows[0].w_t.size, first.batch_size
     if buffers is None:
-        buffers = CohortBuffers(objective, w_t.size, n_rows, cfg.batch_size, scaffold)
-    elif not buffers.fits(objective, w_t.size, n_rows, cfg.batch_size, scaffold):
+        buffers = CohortBuffers(objective, n_coords, n_rows, batch_size, scaffold_hi > 0)
+    elif not buffers.fits(objective, n_coords, n_rows, batch_size, scaffold_hi > 0):
         raise ProtocolError("the cohort buffers were made for another objective or shape")
-    params, spare, velocity = buffers.params, buffers.spare, buffers.velocity
+    if mu_hi and buffers.anchors is None:
+        buffers.anchors = np.empty_like(buffers.params)
+    params, spare, velocity, anchors = (
+        buffers.params, buffers.spare, buffers.velocity, buffers.anchors)
     corrections, corrected, work = buffers.corrections, buffers.corrected, buffers.work
-    params[:n_rows] = w_t
     velocity[:n_rows] = 0.0
-    if scaffold:
-        with _flagged_numerics():
-            # Round-constant corrections; computing each difference once keeps
-            # the zero-control case exactly equal to plain SGD. Row p is
-            # exactly c - c_is[p].
-            for row, c_i in enumerate(c_is):
-                np.subtract(server_control, c_i, out=corrections[row])
+    for r, row in enumerate(rows):
+        params[r] = row.w_t
+        if mu_lo <= r < mu_hi:
+            anchors[r] = row.w_t
+        if row.controls is not None:
+            with _flagged_numerics():
+                # Round-constant corrections; computing each difference once
+                # keeps the zero-control case exactly equal to plain SGD.
+                np.subtract(*row.controls, out=corrections[r])
+    # One generator per run of consecutive rows on one party, for the most
+    # epochs any of them takes; left[r] counts the batches row r has to go.
+    stream_of, firsts = [], []
+    for r, row in enumerate(rows):
+        if not firsts or row.view is not rows[firsts[-1]].view:
+            firsts.append(r)
+        stream_of.append(len(firsts) - 1)
+    streams = [
+        _batches(rows[lo].view, first, round_idx,
+                 max(row.cfg.local_epochs for row in rows[lo:hi]))
+        for lo, hi in zip(firsts, firsts[1:] + [n_rows])
+    ]
+    left = [row.cfg.local_epochs * -(-row.view.n_samples // batch_size) for row in rows]
     loss_grad = objective.loss_grad
-    source, labels = views[0].source, views[0].source_labels
-    lr, momentum = cfg.local_lr, cfg.momentum
-    prox_mu = cfg.mu or 0.0
-    anchor = w_t if prox_mu > 0 else None
-    streams = [_batches(view, cfg, round_idx) for view in views]
+    source, labels = rows[0].view.source, rows[0].view.source_labels
+    lr, momentum = first.local_lr, first.momentum
     batches = [None] * n_rows
-    losses = [[] for _ in views]
+    losses = [[] for _ in rows]
     results = [None] * n_rows
-    # Per (parity, lo, hi, batch size): the views of rows lo:hi of the
-    # buffers and their loss_grad plan. parity flips when params and spare
-    # swap, and each cohort starts at 0 with params the buffers' own stack.
-    steps = buffers.steps
+    # Per (parity, lo, hi, batch size): see make_step. parity flips when
+    # params and spare swap, and each cohort starts at 0 with params the
+    # buffers' own stack.
+    steps = buffers.steps.setdefault((mus, scaffold_lo, scaffold_hi), {})
     parity = 0
 
-    def leave(row, diverged):
-        view, row_losses = views[row], losses[row]
+    def make_step(lo, hi, m):
+        """The views of rows lo:hi (1-d for a lone row), their loss_grad
+        plan and proximal arguments, and the corrections of their scaffold
+        rows with the gradient rows they are added into."""
+        single = hi - lo == 1
+        at = lo if single else slice(lo, hi)
+        w = params[at]
+        plan = None if work is None else work.plan(w, m)
+        mu, anchor, prox_rows = 0.0, None, None
+        a, b = max(lo, mu_lo), min(hi, mu_hi)
+        if a < b:
+            if (a, b) == (lo, hi) and len(set(mus[lo:hi])) == 1:
+                mu, anchor = mus[lo], anchors[at]
+            else:
+                mu, anchor, prox_rows = np.array(mus[a:b]), anchors[a:b], slice(a - lo, b - lo)
+        correction = into = None
+        a, b = max(lo, scaffold_lo), min(hi, scaffold_hi)
+        if a < b:
+            correction = corrections[at if single else slice(a, b)]
+            if plan is None:
+                into = corrected[at]
+            else:
+                into = plan.layout.grad if single else plan.layout.grad[a - lo : b - lo]
+        return w, velocity[at], spare[at], plan, mu, anchor, prox_rows, correction, into
+
+    def leave(r, diverged):
+        row, row_losses = rows[r], losses[r]
         update = LocalUpdate(
-            party_id=view.party_id,
+            party_id=row.view.party_id,
             tau=max(len(row_losses), 1),
-            n_samples=view.n_samples,
+            n_samples=row.view.n_samples,
             train_loss=float(np.mean(row_losses)) if row_losses else float("nan"),
-            final_params=_read_only(params[row].copy()),
+            final_params=_read_only(params[r].copy()),
             diverged=diverged,
         )
-        results[row] = (update, None) if c_is is None else _scaffold_refresh(
-            update, w_t, server_control, c_is[row], view, cfg, objective)
+        results[r] = (update, None) if row.controls is None else _scaffold_refresh(
+            update, row, objective)
 
     active = list(range(n_rows))
     with _flagged_numerics():
         while active:
-            groups = []  # [lo, hi, m]: a run of rows whose batches hold m samples
-            for row in active:
-                batch = batches[row] = next(streams[row], None)
-                if batch is None:
-                    leave(row, False)
-                elif groups and groups[-1][1] == row and groups[-1][2] == batch.shape[0]:
-                    groups[-1][1] += 1
+            # [lo, hi, m, stream]: a run of rows whose batches hold m
+            # samples; stream is -1 once the run spans several parties.
+            groups = []
+            drawn = -1
+            for r in active:
+                if not left[r]:
+                    leave(r, False)
+                    continue
+                left[r] -= 1
+                stream = stream_of[r]
+                if stream != drawn:
+                    batch, drawn = next(streams[stream]), stream
+                batches[r] = batch
+                m = batch.shape[0]
+                group = groups[-1] if groups else None
+                if work is not None and group and group[1] == r and group[2] == m:
+                    group[1] += 1
+                    if group[3] != stream:
+                        group[3] = -1
                 else:
-                    groups.append([row, row + 1, batch.shape[0]])
+                    groups.append([r, r + 1, m, stream])
             kept = []
-            for lo, hi, m in groups:
+            for lo, hi, m, stream in groups:
                 single = hi - lo == 1
                 step = steps.get((parity, lo, hi, m))
                 if step is None:
-                    rows = lo if single else slice(lo, hi)  # a lone row steps on 1-d views
-                    w = params[rows]
-                    step = steps[parity, lo, hi, m] = (
-                        w, velocity[rows], spare[rows],
-                        None if work is None else work.plan(w, m),
-                        None if corrections is None else corrections[rows],
-                        None if corrected is None else corrected[rows],
-                    )
-                w, v, out, plan, correction, corrected_rows = step
-                picked = batches[lo] if single else np.concatenate(batches[lo:hi]).reshape(-1, m)
+                    step = steps[parity, lo, hi, m] = make_step(lo, hi, m)
+                w, v, out, plan, mu, anchor, prox_rows, correction, into = step
+                if single:
+                    x, y = source[batches[lo]], labels[batches[lo]]
+                elif stream >= 0:  # one party's batch, which every row trains on
+                    x, y = source[batches[lo]][None], labels[batches[lo]][None]
+                else:
+                    picked = np.concatenate(batches[lo:hi]).reshape(-1, m)
+                    x, y = source[picked], labels[picked]
                 try:
                     if plan is None:
-                        loss, grad = loss_grad(w, source[picked], labels[picked], prox_mu, anchor)
+                        loss, grad = loss_grad(w, x, y, mu, anchor)
                     else:
-                        loss, grad = _loss_grad(objective.layers, w, source[picked],
-                                                labels[picked], prox_mu, anchor, plan)
+                        loss, grad = _loss_grad(objective.layers, w, x, y, mu, anchor, plan,
+                                                prox_rows)
                 except NumericError:
-                    for row in range(lo, hi):
-                        leave(row, True)
+                    for r in range(lo, hi):
+                        leave(r, True)
                     continue
                 if correction is not None:
-                    grad = np.add(grad, correction, out=corrected_rows)
+                    if plan is None:
+                        grad = np.add(grad, correction, out=into)
+                    else:
+                        np.add(into, correction, out=into)
                 momentum_update(w, grad, v, lr, momentum, out)
                 if single:
                     outcomes = ((lo, loss, math.isfinite(loss) and np.isfinite(out).all()),)
                 else:
                     finite = np.isfinite(loss) & np.isfinite(out).all(axis=1)
                     outcomes = zip(range(lo, hi), loss.tolist(), finite.tolist())
-                for row, row_loss, ok in outcomes:
+                for r, row_loss, ok in outcomes:
                     if ok:
-                        losses[row].append(row_loss)
-                        kept.append(row)
+                        losses[r].append(row_loss)
+                        kept.append(r)
                     else:
-                        leave(row, True)
+                        leave(r, True)
             params, spare = spare, params
             parity ^= 1
             active = kept
@@ -479,7 +588,7 @@ def local_train_sgd(
     bit-identical to plain training. buffers is the run's CohortBuffers, or
     None for fresh ones; see _cohort_sgd.
     """
-    return _cohort_sgd(w_t, [view], cfg, round_idx, objective, buffers=buffers)[0][0]
+    return _cohort_sgd([_Row(view, cfg, w_t)], round_idx, objective, buffers=buffers)[0][0]
 
 
 def local_train_scaffold(
@@ -503,9 +612,8 @@ def local_train_scaffold(
     c* or c* - c_i is non-finite, the party is flagged diverged, keeps its
     c_i and reports a zero delta_control. buffers is as in local_train_sgd.
     """
-    return _cohort_sgd(
-        w_t, [view], cfg, round_idx, objective, server_control, [c_i], buffers=buffers
-    )[0]
+    row = _Row(view, cfg, w_t, (server_control, c_i))
+    return _cohort_sgd([row], round_idx, objective, buffers=buffers)[0]
 
 
 def _sorted_updates(updates) -> list[LocalUpdate]:
@@ -608,63 +716,54 @@ def _cohorts(party_ids, views, n_coords: int, stacks: bool) -> list[list[int]]:
     return cohorts
 
 
-def _train_cohort(state, views, cfg, round_idx, objective, controls, *, buffers):
-    """Train one cohort; returns, in cohort order, each party's update and
-    its new c_i (None unless scaffold). A cohort of one goes through the
+def _row_kind(cfg) -> int:
+    """Where a cell's rows go in a party's run of rows: plain cells first,
+    then cells with a mu, then scaffold, so each kind is consecutive."""
+    return 2 if cfg.algorithm == "scaffold" else 1 if cfg.mu else 0
+
+
+def _row_cohorts(party_ids, views, cfgs, n_coords: int, stacks: bool) -> list[list[tuple]]:
+    """The (party id, cell index) rows of a round, split into cohorts.
+
+    One cell trains in _cohorts' cohorts of consecutive parties. Several
+    cells train one party at a time: a party's rows, one per cell in
+    _row_kind order, share its batches and so step together at every
+    iteration, cut into cohorts of at most _cohort_cap rows. Rows of
+    different parties would only stack when their batch sizes happen to
+    match, at the cost of larger buffers: in a prototype on the sweep-grid
+    benchmark, cohorts of 11 rows peaked at 40.0 MB of RSS against 38.8 MB
+    for cohorts of one party's 5 rows, and ran no faster."""
+    if len(cfgs) == 1:
+        cohorts = _cohorts(party_ids, views, n_coords, stacks)
+        return [[(p, 0) for p in cohort] for cohort in cohorts]
+    order = sorted(range(len(cfgs)), key=lambda cell: _row_kind(cfgs[cell]))
+    size = _cohort_cap(n_coords, stacks)
+    return [[(p, cell) for cell in order[lo : lo + size]]
+            for p in party_ids for lo in range(0, len(order), size)]
+
+
+def _train_cohort(rows, round_idx, objective, *, buffers):
+    """Train one cohort; returns, in row order, each row's update and its
+    new c_i (None unless scaffold). A cohort of one row goes through the
     module attributes local_train_sgd or local_train_scaffold, so a wrapper
     set on them sees every party that trains alone. buffers is as in
     _cohort_sgd."""
-    w_t, c = state.params, state.control
-    scaffold = cfg.algorithm == "scaffold"
-    if len(views) == 1:
-        view = views[0]
-        if scaffold:
+    if len(rows) == 1:
+        row = rows[0]
+        if row.controls is not None:
             return [local_train_scaffold(
-                w_t, c, controls[view.party_id], view, cfg, round_idx, objective,
+                row.w_t, *row.controls, row.view, row.cfg, round_idx, objective,
                 buffers=buffers,
             )]
-        return [(local_train_sgd(w_t, view, cfg, round_idx, objective, buffers=buffers), None)]
-    c_is = [controls[view.party_id] for view in views] if scaffold else None
-    return _cohort_sgd(w_t, views, cfg, round_idx, objective, c, c_is, buffers=buffers)
+        return [(local_train_sgd(row.w_t, row.view, row.cfg, round_idx, objective,
+                                 buffers=buffers), None)]
+    return _cohort_sgd(rows, round_idx, objective, buffers=buffers)
 
 
-def run_round(
-    state: GlobalState,
-    views: list[PartyView],
-    cfg: FedRunConfig,
-    round_idx: int,
-    objective,
-    *,
-    buffers: CohortBuffers | None = None,
-) -> tuple[GlobalState, list[LocalUpdate], int]:
-    """One full round: sample, train the sampled parties, aggregate.
-
-    The sampled parties train in cohorts (see _cohorts and _train_cohort),
-    in ascending id. Each party draws from its own
-    (seed, round, party) stream, so its update depends neither on that
-    order nor on its cohort. Returns a new state and writes to none of its
-    arguments: a sampled scaffold party's new control replaces its entry in
-    the new state's client_controls. If the new model or the new server
-    control has a non-finite entry, the round returns the given state marked
-    diverged; its traffic still counts. Every cohort trains on buffers,
-    the run's CohortBuffers, or when it is None on fresh ones of its own.
-    """
-    selected = sample_parties(
-        cfg.n_parties, cfg.sample_fraction, round_idx, cfg.master_seed
-    )
-    n_bytes = round_bytes(len(selected), len(state.params), cfg.algorithm)
-    scaffold = cfg.algorithm == "scaffold"
-    updates, client_controls = [], list(state.client_controls or [None] * cfg.n_parties)
-    for cohort in _cohorts(selected, views, len(state.params), _stacks(objective)):
-        for update, new_control in _train_cohort(
-            state, [views[p] for p in cohort], cfg, round_idx, objective, client_controls,
-            buffers=buffers,
-        ):
-            updates.append(update)
-            if scaffold:
-                client_controls[update.party_id] = new_control
+def _close_round(state, updates, cfg, client_controls, n_bytes):
+    """Aggregate one cell's updates into its new state; see run_round."""
     with _flagged_numerics():
-        if scaffold:
+        if cfg.algorithm == "scaffold":
             server = aggregate_scaffold(state, updates, cfg.n_parties, cfg.server_lr)
             new_state = GlobalState(server.params, server.control, tuple(client_controls))
         else:
@@ -678,6 +777,62 @@ def run_round(
     return new_state, updates, n_bytes
 
 
+def _run_rounds(states, views, cfgs, round_idx, objective, buffers):
+    """One round of each cell of a lockstep group (see run_group), with
+    each cell's state in states: the parties are sampled once, every
+    (party, cell) row trains in _row_cohorts' cohorts, and each cell
+    aggregates its own updates as run_round does. Returns run_round's
+    triple per cell."""
+    cfg = cfgs[0]
+    selected = sample_parties(cfg.n_parties, cfg.sample_fraction, round_idx, cfg.master_seed)
+    n_coords = len(states[0].params)
+    controls = [list(state.client_controls or [None] * cfg.n_parties) for state in states]
+    updates = [[] for _ in cfgs]
+    for cohort in _row_cohorts(selected, views, cfgs, n_coords, _stacks(objective)):
+        rows = [
+            _Row(views[p], cfgs[cell], states[cell].params,
+                 (states[cell].control, controls[cell][p])
+                 if cfgs[cell].algorithm == "scaffold" else None)
+            for p, cell in cohort
+        ]
+        results = _train_cohort(rows, round_idx, objective, buffers=buffers)
+        for (p, cell), (update, new_control) in zip(cohort, results):
+            updates[cell].append(update)
+            if new_control is not None:
+                controls[cell][p] = new_control
+    return [
+        _close_round(state, cell_updates, cell_cfg, cell_controls,
+                     round_bytes(len(selected), n_coords, cell_cfg.algorithm))
+        for state, cell_updates, cell_cfg, cell_controls in zip(states, updates, cfgs, controls)
+    ]
+
+
+def run_round(
+    state: GlobalState,
+    views: list[PartyView],
+    cfg: FedRunConfig,
+    round_idx: int,
+    objective,
+    *,
+    buffers: CohortBuffers | None = None,
+) -> tuple[GlobalState, list[LocalUpdate], int]:
+    """One full round of one cell: sample, train the sampled parties,
+    aggregate. run_group trains the rounds of several cells at once
+    through the same code (_run_rounds), and of one cell through this.
+
+    The sampled parties train in cohorts (see _cohorts and _train_cohort),
+    in ascending id. Each party draws from its own
+    (seed, round, party) stream, so its update depends neither on that
+    order nor on its cohort. Returns a new state and writes to none of its
+    arguments: a sampled scaffold party's new control replaces its entry in
+    the new state's client_controls. If the new model or the new server
+    control has a non-finite entry, the round returns the given state marked
+    diverged; its traffic still counts. Every cohort trains on buffers,
+    the run's CohortBuffers, or when it is None on fresh ones of its own.
+    """
+    return _run_rounds([state], views, [cfg], round_idx, objective, buffers)[0]
+
+
 def _weighted_mean_loss(updates) -> float:
     weights = np.array([u.n_samples for u in updates], dtype=np.float64)
     losses = np.array([u.train_loss for u in updates])
@@ -689,25 +844,27 @@ def partition_seed(run_seed: int) -> int:
     return rng.derive_seed(run_seed, rng.TAG_PARTITION)
 
 
-def run_experiment(
-    ds_train: LabeledDataset,
-    ds_test: LabeledDataset,
-    partition_spec: PartitionSpec,
-    arch: MlpArch,
-    cfg: FedRunConfig,
-    objective=None,
-) -> list[RoundRecord]:
-    """Partition, initialize, run T rounds, evaluate after every round.
+def lockstep_key(cfg: FedRunConfig) -> FedRunConfig:
+    """cfg without the settings a lockstep group's cells may differ in
+    (algorithm, prox_mu and local_epochs): cells whose keys are equal can
+    train together in one run_group."""
+    return replace(cfg, algorithm=ALGORITHMS[0], prox_mu=0.0, local_epochs=1)
 
-    Returns T + 1 records; record 0 is the untrained model (no traffic, no
-    training loss). A party whose training goes non-finite contributes its
-    last finite model and flags the round, and so does a non-finite server
-    aggregate, which keeps the previous model; the run continues either way.
-    """
-    # Local training validates nothing per step, and evaluation does not bound
-    # labels by the model's outputs, so both sets' widths and labels are
-    # checked against arch here, once, before partitioning. Every round
-    # scores the model on the test set, so it may not be empty.
+
+def trains_in_lockstep(objective) -> bool:
+    """Whether run_group trains several cells at once with this objective:
+    only when it stacks and two of its models fit in one cohort. Otherwise
+    each row would train alone anyway, and cells are best run one by one."""
+    return _stacks(objective) and _cohort_cap(objective.arch.n_params(), True) > 1
+
+
+def check_datasets(ds_train: LabeledDataset, ds_test: LabeledDataset, arch: MlpArch) -> None:
+    """Raise unless both sets fit arch and the test set holds a sample.
+
+    Local training validates nothing per step, and evaluation does not
+    bound labels by the model's outputs, so both sets' widths and labels
+    are checked against arch once, before any run. Every round scores the
+    model on the test set, so it may not be empty."""
     if ds_test.n == 0:
         raise DataError("test set is empty: the model is scored on it every round")
     for name, ds in (("training", ds_train), ("test", ds_test)):
@@ -720,48 +877,106 @@ def run_experiment(
             check_labels(ds.labels, arch.out_dim)
         except DataError as exc:
             raise DataError(f"{name} set: {exc}") from None
+
+
+def run_group(
+    ds_train: LabeledDataset,
+    ds_test: LabeledDataset,
+    partition_spec: PartitionSpec,
+    arch: MlpArch,
+    cfgs,
+    objective=None,
+) -> list[list[RoundRecord]]:
+    """Run several cells of one trial in lockstep; one list of records per
+    cell, each exactly what run_experiment returns for that cell alone.
+
+    The cells' configs must have equal lockstep_key: they differ at most in
+    algorithm, prox_mu and local_epochs, so they share the partition, the
+    initial model, each round's party sample and each party's batches.
+    The partition views and the initial model are built once, and every
+    round samples the parties once and trains every (party, cell) row in
+    one cohort loop (see _run_rounds); each cell then aggregates,
+    evaluates and records its own round. A group of one cell runs each
+    round through the module attribute run_round, so a wrapper set on it
+    (the traced benchmark's) sees every round. One CohortBuffers,
+    sized for the group's largest cohort, serves every round; it dies with
+    the run, so a sweep holds one group's buffers at a time.
+
+    A record's wall_ms covers the whole group's round: training every row,
+    then aggregating and evaluating every cell.
+    """
+    cfgs = list(cfgs)
+    cfg = cfgs[0]
+    if any(lockstep_key(other) != lockstep_key(cfg) for other in cfgs):
+        raise ConfigError("cells train together only if they differ at most in "
+                          "algorithm, prox_mu and local_epochs")
+    check_datasets(ds_train, ds_test, arch)
     if objective is None:
         objective = MlpObjective(arch)
     _, views = build_views(
         ds_train, partition_spec, cfg.n_parties, partition_seed(cfg.master_seed)
     )
     params = objective.init_params(rng.derive_seed(cfg.master_seed, rng.TAG_INIT))
+    scaffold = any(cell.algorithm == "scaffold" for cell in cfgs)
     # Controls are read-only, so one zero array can start all of them.
-    control = _read_only(np.zeros_like(params)) if cfg.algorithm == "scaffold" else None
-    client_controls = None if control is None else (control,) * cfg.n_parties
-    state = GlobalState(params, control, client_controls)
-    # The local trainer's state, sized for the run's largest cohort; it dies
-    # with the run, so a sweep holds one run's buffers at a time.
-    rows = min(_cohort_cap(len(params), _stacks(objective)),
-               _sample_size(cfg.n_parties, cfg.sample_fraction))
-    buffers = CohortBuffers(objective, len(params), rows, cfg.batch_size, control is not None)
-
-    records = [
-        RoundRecord(0, objective.accuracy(state.params, ds_test), None, 0, 0, False)
+    zero = _read_only(np.zeros_like(params)) if scaffold else None
+    states = [
+        GlobalState(params, zero, (zero,) * cfg.n_parties)
+        if cell.algorithm == "scaffold" else GlobalState(params)
+        for cell in cfgs
     ]
+    rows = len(cfgs) if len(cfgs) > 1 else _sample_size(cfg.n_parties, cfg.sample_fraction)
+    rows = min(_cohort_cap(len(params), _stacks(objective)), rows)
+    buffers = CohortBuffers(objective, len(params), rows, cfg.batch_size, scaffold)
+
+    untrained = RoundRecord(0, objective.accuracy(params, ds_test), None, 0, 0, False)
+    records = [[untrained] for _ in cfgs]
     for round_idx in range(cfg.rounds):
         started = time.perf_counter()
-        state, updates, n_bytes = run_round(
-            state, views, cfg, round_idx, objective, buffers=buffers
-        )
-        # Diverging parties can leave a huge but finite model whose
-        # logits overflow; argmax still yields an accuracy.
-        with _flagged_numerics():
-            accuracy = objective.accuracy(state.params, ds_test)
-            mean_train_loss = _weighted_mean_loss(updates)
-        diverged = state.diverged or any(u.diverged for u in updates)
+        if len(cfgs) == 1:
+            outcomes = [run_round(states[0], views, cfg, round_idx, objective, buffers=buffers)]
+        else:
+            outcomes = _run_rounds(states, views, cfgs, round_idx, objective, buffers)
+        rounds = []
+        for cell, (state, updates, n_bytes) in enumerate(outcomes):
+            states[cell] = state
+            # Diverging parties can leave a huge but finite model whose
+            # logits overflow; argmax still yields an accuracy.
+            with _flagged_numerics():
+                accuracy = objective.accuracy(state.params, ds_test)
+                mean_train_loss = _weighted_mean_loss(updates)
+            diverged = state.diverged or any(u.diverged for u in updates)
+            rounds.append((accuracy, mean_train_loss, n_bytes, diverged))
         # Release this round's party models before the next round trains its
         # own, so only one round of them is alive at a time.
-        del updates
+        del outcomes, updates
         wall_ms = int((time.perf_counter() - started) * 1000)
-        records.append(
-            RoundRecord(
+        for cell_records, (accuracy, mean_train_loss, n_bytes, diverged) in zip(records, rounds):
+            cell_records.append(RoundRecord(
                 round=round_idx + 1,
                 test_accuracy=accuracy,
                 mean_train_loss=mean_train_loss,
                 bytes=n_bytes,
                 wall_ms=wall_ms,
                 diverged=diverged,
-            )
-        )
+            ))
     return records
+
+
+def run_experiment(
+    ds_train: LabeledDataset,
+    ds_test: LabeledDataset,
+    partition_spec: PartitionSpec,
+    arch: MlpArch,
+    cfg: FedRunConfig,
+    objective=None,
+) -> list[RoundRecord]:
+    """Partition, initialize, run T rounds of one cell, evaluate after
+    every round: run_group of this cell alone.
+
+    Returns T + 1 records; record 0 is the untrained model (no traffic, no
+    training loss). A party whose training goes non-finite contributes its
+    last finite model and flags the round, and so does a non-finite server
+    aggregate, which keeps the previous model; the run continues either way.
+    """
+    return run_group(ds_train, ds_test, partition_spec, arch, [cfg], objective)[0]

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import rng
+from . import engine, rng
 from .config import ExperimentConfig
 from .datasets import (
     LabeledDataset,
@@ -29,7 +29,15 @@ from .datasets import (
     read_libsvm,
     split_train_test,
 )
-from .engine import ALGORITHMS, partition_seed, run_experiment
+from .engine import (
+    ALGORITHMS,
+    check_datasets,
+    lockstep_key,
+    partition_seed,
+    run_experiment,
+    run_group,
+    trains_in_lockstep,
+)
 from .errors import ConfigError, OutputError, ReportError
 from .nn import MlpArch, backward, finite_diff_grad, init_mlp, layer_slices
 from .partition import build_views, export_partition, export_stats_csv, partition_stats
@@ -102,8 +110,6 @@ def cmd_partition(config: ExperimentConfig, out_dir) -> dict:
 
     The partition is the one trial 0 of `cmd_run` trains on.
     """
-    with _writing(out_dir):
-        os.makedirs(out_dir, exist_ok=True)
     train, _ = build_dataset(config)
     pmap, _ = build_views(
         train,
@@ -115,6 +121,7 @@ def cmd_partition(config: ExperimentConfig, out_dir) -> dict:
     partition_path = os.path.join(out_dir, "partition.txt")
     stats_path = os.path.join(out_dir, "partition_stats.csv")
     with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
         export_partition(pmap, train.n, partition_path)
         export_stats_csv(stats, stats_path)
     print(
@@ -131,18 +138,39 @@ def _json_float(value) -> float | None:
     return float(value)
 
 
-def _print_progress(done, n_runs, cell, trial, records, started) -> None:
-    """One stderr line per finished (cell, trial) run; not part of any output file."""
+def _print_progress(done, n_runs, cell, trial, records, seconds) -> None:
+    """One stderr line per finished (cell, trial) run; not part of any output
+    file. seconds is the time its lockstep group took, so the cells of one
+    group print the same time."""
     diverged = sum(record.diverged for record in records)
     mu_txt = "-" if cell.mu is None else repr(cell.mu)
     print(
         f"cell {done}/{n_runs}: {cell.algorithm} mu={mu_txt} "
         f"E={cell.local_epochs} trial={trial} "
         f"final_accuracy={records[-1].test_accuracy:.4f} "
-        f"diverged_rounds={diverged} {time.perf_counter() - started:.2f}s",
+        f"diverged_rounds={diverged} {seconds:.2f}s",
         file=sys.stderr,
         flush=True,
     )
+
+
+def _lockstep_groups(config: ExperimentConfig, together: bool) -> list[list[tuple]]:
+    """The (cell, trial) runs in the order they train, trial by trial, as
+    groups that train together: the cells of a trial whose run configs
+    have one engine.lockstep_key, or each run alone when together is
+    False."""
+    groups = []
+    for trial in range(config.trials):
+        by_key = {}
+        for cell in config.cells:
+            key = lockstep_key(_run_config(cell, trial)) if together else cell
+            by_key.setdefault(key, []).append((cell, trial))
+        groups.extend(by_key.values())
+    return groups
+
+
+def _run_config(cell, trial: int):
+    return replace(cell, master_seed=_trial_seed(cell.master_seed, trial))
 
 
 def cmd_run(config: ExperimentConfig, out_dir) -> dict:
@@ -150,25 +178,46 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
 
     Per (cell, trial) the run seed derives only from (master seed, trial),
     so algorithms see identical partitions, initial models and batch orders.
-    Diverged runs are flagged in their records, never fatal. Each finished
-    run prints one progress line to stderr.
+    That lets the cells of one trial train in lockstep: engine.run_group
+    builds the trial's partition and initial model once and steps every
+    cell's copy of a party with one kernel call, with each cell's records
+    exactly as it would have alone. When the objective cannot stack
+    (engine.trains_in_lockstep, asked of an engine.MlpObjective), each
+    (cell, trial) run goes alone through run_experiment instead. Either
+    way the records are written in cell-major order, and a record's
+    wall_ms and a progress line's seconds cover the whole group.
+
+    The dataset is built and checked against the architecture before the
+    output directory is made, so bad inputs leave nothing behind. Diverged
+    runs are flagged in their records, never fatal. Each finished run
+    prints one progress line to stderr.
     """
-    with _writing(out_dir):
-        os.makedirs(out_dir, exist_ok=True)
     train, test = build_dataset(config)
     arch = MlpArch((train.n_features, *config.hidden, train.n_classes))
+    check_datasets(train, test, arch)
+    with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
 
     results_path = os.path.join(out_dir, RESULTS_FILE)
-    finals = {cell: [] for cell in config.cells}
+    # Looked up at call time, so a replaced engine.MlpObjective decides too.
+    objective = engine.MlpObjective(arch)
+    together = trains_in_lockstep(objective)
     runs = [(cell, trial) for cell in config.cells for trial in range(config.trials)]
+    records = {}
     with _writing(results_path), open(results_path, "w", encoding="ascii") as fh:
-        for done, (cell, trial) in enumerate(runs, start=1):
+        for group in _lockstep_groups(config, together):
             started = time.perf_counter()
-            cfg = replace(cell, master_seed=_trial_seed(cell.master_seed, trial))
-            records = run_experiment(train, test, config.partition, arch, cfg)
-            finals[cell].append(records[-1].test_accuracy)
-            _print_progress(done, len(runs), cell, trial, records, started)
-            for record in records:
+            cfgs = [_run_config(cell, trial) for cell, trial in group]
+            if together:
+                outcomes = run_group(train, test, config.partition, arch, cfgs, objective)
+            else:
+                outcomes = [run_experiment(train, test, config.partition, arch, cfgs[0])]
+            seconds = time.perf_counter() - started
+            for run, cell_records in zip(group, outcomes):
+                records[run] = cell_records
+                _print_progress(len(records), len(runs), *run, cell_records, seconds)
+        for cell, trial in runs:
+            for record in records[cell, trial]:
                 line = {
                     "trial": trial,
                     "round": record.round,
@@ -186,8 +235,9 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     summary_path = os.path.join(out_dir, SUMMARY_FILE)
     with _writing(summary_path), open(summary_path, "w", encoding="ascii") as fh:
         fh.write("algorithm,mu,local_epochs,trials,final_accuracy_mean,final_accuracy_std\n")
-        for cell, accuracies in finals.items():
-            values = np.array(accuracies)
+        for cell in config.cells:
+            values = np.array([records[cell, trial][-1].test_accuracy
+                               for trial in range(config.trials)])
             std = float(values.std(ddof=1)) if values.size > 1 else 0.0
             mu_txt = "" if cell.mu is None else repr(cell.mu)
             fh.write(

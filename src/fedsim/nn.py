@@ -21,11 +21,12 @@ streams each model-sized vector through memory once per operation instead
 of allocating a fresh temporary for each.
 
 One `_loss_grad` serves one model's (n,) parameters and a (P, n) stack of P
-models alike, the stack with (P, m, in) features, and row p of a stacked
-call is bit for bit the call on row p alone. That lets the engine train
-several small parties with one call per step (see fedsim.engine) without a
-second copy of backprop. momentum_update is elementwise, so it takes either
-shape too.
+models alike, the stack with (P, m, in) features or one (1, m, in) batch
+for all of them, each row with its own proximal mu and anchor or none, and
+row p of a stacked call is bit for bit the call on row p alone. That lets
+the engine train several small parties, or one party for several cells,
+with one call per step (see fedsim.engine) without a second copy of
+backprop. momentum_update is elementwise, so it takes either shape too.
 
 At these model sizes a call's cost is numpy's per-call overhead, not the
 arithmetic. So every `_loss_grad` call runs on a plan of a Workspace, which
@@ -283,18 +284,26 @@ def _row_reduce(ufunc, rows, columns, out):
     return out
 
 
-def _loss_grad(layers, w, features, labels, prox_mu, anchor, plan=None):
+def _loss_grad(layers, w, features, labels, prox_mu, anchor, plan=None, prox_rows=None):
     """Array kernel behind backward: mean loss and flat gradient, for one
     model or for a stack of P models at once.
 
     layers comes from layer_slices. w is one model's flat float64 array and
     features an (m, in) float array with m int labels; or w is a (P, n)
     stack of models, features (P, m, in) and labels (P, m), row p of each
-    belonging to model p. anchor, when prox_mu > 0, is one flat model that
-    every row is pulled toward. Returns (float loss, (n,) gradient) or
-    ((P,) losses, (P, n) gradients). Labels must already lie in range, and
-    nothing is validated or copied here, so callers check their inputs
+    belonging to model p, or features (1, m, in) and labels (1, m), one
+    batch that every model trains on. Returns (float loss, (n,) gradient)
+    or ((P,) losses, (P, n) gradients). Labels must already lie in range,
+    and nothing is validated or copied here, so callers check their inputs
     once, not on every step. Inputs are never written to.
+
+    The proximal term (mu/2) * ||w - anchor||^2 joins the loss, and
+    mu * (w - anchor) the gradient, of every model when prox_mu > 0, with
+    anchor one flat model or one per row of the stack. prox_rows, a slice
+    of a stack's rows, limits it to those rows: prox_mu then holds one mu
+    per such row and anchor one model per such row (or one for all). A row
+    outside prox_rows never enters the proximal branch, so its gradient
+    keeps the sign of a zero and no 0 * inf turns into nan.
 
     plan, when given, is Workspace.plan(w, m) for this very array w: the
     call then builds no view and allocates almost nothing, and the gradient
@@ -305,9 +314,12 @@ def _loss_grad(layers, w, features, labels, prox_mu, anchor, plan=None):
     matmul runs its 2-d kernel once per stacked matrix, every reduction and
     fold runs along the same axis of the same row-major rows, and the
     proximal term takes one dot product per row. So row p of a stacked call
-    is bit for bit the call on (w[p], features[p], labels[p]). numpy does
-    not promise the matmul part; a property test in tests/test_properties.py
-    checks it, and another pins the kernel to an out-of-place reference.
+    is bit for bit the call on (w[p], features[p], labels[p]) (features[0]
+    and labels[0] for a shared batch) with row p's mu and anchor, or with
+    mu 0 outside prox_rows. numpy does not promise the matmul part;
+    property tests in tests/test_properties.py check it, with per-row mus
+    and shared batches too, and another pins the kernel to an out-of-place
+    reference.
     """
     m = labels.shape[-1]
     if plan is None:
@@ -351,11 +363,20 @@ def _loss_grad(layers, w, features, labels, prox_mu, anchor, plan=None):
             delta *= work.outputs[layer - 1] > 0.0
 
     grad = work.grad
-    if prox_mu > 0:
-        diff = np.subtract(w, anchor, out=work.diff)
-        loss += 0.5 * prox_mu * np.vecdot(diff, diff)
-        diff *= prox_mu
-        grad += diff
+    if prox_rows is not None or prox_mu > 0:
+        if prox_rows is None:
+            pulled, pulled_grad, diff, scale = w, grad, work.diff, prox_mu
+        else:
+            pulled, pulled_grad, diff = w[prox_rows], grad[prox_rows], work.diff[prox_rows]
+            scale = prox_mu[:, None]
+        np.subtract(pulled, anchor, out=diff)
+        pull = 0.5 * prox_mu * np.vecdot(diff, diff)
+        diff *= scale
+        pulled_grad += diff
+        if prox_rows is None:
+            loss += pull
+        else:
+            loss[prox_rows] += pull
     return (loss if w.ndim > 1 else float(loss)), grad
 
 

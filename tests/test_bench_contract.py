@@ -21,19 +21,21 @@ from fedsim.nn import MlpArch
 
 INSTRUMENT_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "instrument.py"
 
-# A fedavg, a fedprox and a scaffold cell at local epochs 1 and 2, one
-# trial, uneven party sizes; no round diverges. The traced run trains each
-# party alone with one loss_grad call per step, the untraced run stacks all
-# three parties on a workspace plan in buffers reused across rounds, so the
-# two are compared through the proximal term and scaffold's corrections too.
+# Every algorithm, fedprox at two mus, at local epochs 1 and 2: ten cells,
+# one trial, uneven party sizes; no round diverges. The traced run trains
+# each cell alone and each party alone, with one loss_grad call per step;
+# the untraced run trains the ten cells as one lockstep group, each party's
+# ten rows stacked on a workspace plan in buffers reused across rounds, so
+# the two are compared through per-row mus and anchors, scaffold's
+# corrections and rows that leave after one epoch too.
 CONFIG = {
     "dataset": {"type": "blobs", "n_classes": 3, "n_per_class": 40, "dim": 4,
                 "spread": 0.2, "seed": 9},
     "partition": {"type": "quantity_dirichlet", "beta": 1.0},
     "arch": {"hidden": [8]},
-    "fed": {"algorithms": ["fedavg", "fedprox", "scaffold"], "rounds": 3, "parties": 3,
-            "batch_size": 16, "lr": 0.05, "seed": 5},
-    "sweeps": {"local_epochs": [1, 2]},
+    "fed": {"algorithms": ["fedavg", "fedprox", "scaffold", "fednova"], "rounds": 3,
+            "parties": 3, "batch_size": 16, "lr": 0.05, "seed": 5},
+    "sweeps": {"local_epochs": [1, 2], "mu": [0.01, 0.1]},
 }
 SPANS = (
     "datasets.load", "harness.cell", "partition.build", "engine.local_train",
@@ -78,14 +80,18 @@ def test_traced_run_matches_untraced_and_counts_its_work(tmp_path):
     plain = run_outputs(tmp_path / "plain")
     assert run_outputs(tmp_path / "traced") == plain
 
-    # The untraced run holds all three parties' models in one cohort.
-    n_coords = MlpArch((4, *config.hidden, 3)).n_params()
-    assert engine.COHORT_BYTES // (engine.BYTES_PER_COORD * n_coords) >= 3
+    # The untraced run trains in lockstep, a party's ten rows in one cohort;
+    # the traced objective does not stack, so that run trains cell by cell.
+    arch = MlpArch((4, *config.hidden, 3))
+    assert engine.trains_in_lockstep(engine.MlpObjective(arch))
+    assert engine.COHORT_BYTES // (engine.BYTES_PER_COORD * arch.n_params()) >= 10
+    assert not engine.trains_in_lockstep(instrument.TimedObjective(arch, instrument.Spans()))
 
     records = [json.loads(line) for line in plain[0].splitlines()]
     assert not any(record["diverged"] for record in records)
     runs = {(r["algorithm"], r["mu"], r["local_epochs"], r["trial"]) for r in records}
-    assert spans.counts["harness.cells"] == len(runs) == 6
+    assert {algorithm for algorithm, *_ in runs} == set(engine.ALGORITHMS)
+    assert spans.counts["harness.cells"] == len(runs) == 10
     assert spans.counts["engine.bytes"] == sum(record["bytes"] for record in records)
     for name in SPANS:
         assert spans.seconds[name], name

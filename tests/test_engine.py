@@ -129,7 +129,6 @@ class TestLocalTrainSgd:
         cfg = self._cfg()
         for buffers in (
             engine.CohortBuffers(objective, n, 1, 2, False),  # batches too large
-            engine.CohortBuffers(objective, n, 1, 4, True),  # made for scaffold
             engine.CohortBuffers(QuadraticObjective(0.0), n, 1, 4, False),  # no workspace
             engine.CohortBuffers(MlpObjective(MlpArch((2, 4, 1))), n, 1, 4, False),
         ):
@@ -140,7 +139,15 @@ class TestLocalTrainSgd:
         fresh = local_train_sgd(w_t, view, cfg, 0, objective)
         assert update.final_params.tobytes() == fresh.final_params.tobytes()
         with pytest.raises(ProtocolError, match="buffers"):
-            engine._cohort_sgd(w_t, [view, view], cfg, 0, objective, buffers=fits)
+            engine._cohort_sgd([engine._Row(view, cfg, w_t)] * 2, 0, objective, buffers=fits)
+        # Scaffold rows need the corrections; buffers that hold them also
+        # serve a cohort without scaffold rows, as a lockstep group's may.
+        zero = np.zeros(n)
+        with pytest.raises(ProtocolError, match="buffers"):
+            local_train_scaffold(w_t, zero, zero, view, cfg, 0, objective, buffers=fits)
+        with_corrections = engine.CohortBuffers(objective, n, 1, 4, True)
+        update = local_train_sgd(w_t, view, cfg, 0, objective, buffers=with_corrections)
+        assert update.final_params.tobytes() == fresh.final_params.tobytes()
 
     def test_tau_counts_epochs_times_batches(self):
         arch = MlpArch((2, 2))
@@ -972,8 +979,9 @@ class TestLockstep:
         real_loss_grad = engine._loss_grad
         monkeypatch.setattr(engine, "_loss_grad", counting)
         scaffold = algorithm == "scaffold"
-        results = engine._cohort_sgd(w_t, views, cfg, 0, objective,
-                                     c if scaffold else None, c_is if scaffold else None)
+        rows = [engine._Row(view, cfg, w_t, (c, c_i) if scaffold else None)
+                for view, c_i in zip(views, c_is)]
+        results = engine._cohort_sgd(rows, 0, objective)
         assert depths == [(2,), (), ()] * 2
         for view, (update, _), c_i in zip(views, results, c_is):
             final, tau, mean_loss, diverged = reference_local_loop(
@@ -1232,6 +1240,23 @@ class TestRunExperiment:
         )
         assert len(records) == 3
         assert all(r.diverged for r in records[1:])
+
+
+class TestRunGroup:
+    def test_cells_must_differ_only_in_algorithm_mu_and_epochs(self, monkeypatch):
+        train, test = fcube_generate(64, 16, seed=1)
+        cfg = FedRunConfig(algorithm="fedavg", rounds=1, n_parties=2, local_epochs=1,
+                           batch_size=16, master_seed=0)
+        same = [replace(cfg, algorithm="fedprox", prox_mu=0.5, local_epochs=3)]
+        for other in (replace(cfg, batch_size=8), replace(cfg, master_seed=1)):
+            monkeypatch.setattr(engine, "build_views", None)  # any call would raise
+            with pytest.raises(ConfigError, match="differ at most in"):
+                engine.run_group(train, test, PartitionSpec("iid"), MlpArch((3, 2)),
+                                 [cfg, *same, other])
+            monkeypatch.undo()
+        records = engine.run_group(train, test, PartitionSpec("iid"), MlpArch((3, 2)),
+                                   [cfg, *same])
+        assert [len(cell_records) for cell_records in records] == [2, 2]
 
 
 class TestRunExperimentChecks:

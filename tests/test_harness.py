@@ -21,6 +21,7 @@ from fedsim.config import (
 from fedsim.datasets import LabeledDataset
 from fedsim.engine import FedRunConfig
 from fedsim.errors import ConfigError, ReportError
+from fedsim.nn import MlpArch
 from fedsim.harness import (
     GRADCHECK_TOLERANCE,
     build_dataset,
@@ -525,6 +526,74 @@ class TestDeterminism:
         ).read_bytes()
 
 
+class Alone(engine.MlpObjective):
+    """MlpObjective with loss_grad overridden, so it does not stack and
+    cmd_run trains each (cell, trial) run alone."""
+
+    def loss_grad(self, params, features, labels, prox_mu=0.0, prox_anchor=None):
+        return super().loss_grad(params, features, labels, prox_mu, prox_anchor)
+
+
+class TestLockstep:
+    def test_diverging_cell_matches_cells_run_alone(self, tmp_path, monkeypatch):
+        # A mu of 1e300 is far too large for lr 0.05: from a party's second
+        # step on, its proximal pull overshoots until the model overflows,
+        # so that fedprox cell diverges while its group trains on. Scaffold
+        # refreshes its controls with option "i", a full-data gradient.
+        config = parse_config(small_run_config(
+            partition={"type": "quantity_dirichlet", "beta": 1.0},
+            fed={"algorithms": list(engine.ALGORITHMS), "rounds": 3, "parties": 3,
+                 "batch_size": 8, "lr": 0.05, "scaffold_c_option": "i", "seed": 5},
+            sweeps={"mu": [0.01, 1e300], "local_epochs": [1, 2]},
+            trials=2,
+        ))
+        assert engine.trains_in_lockstep(engine.MlpObjective(MlpArch((4, 8, 3))))
+        cmd_run(config, tmp_path / "lockstep")
+        monkeypatch.setattr(engine, "MlpObjective", Alone)
+        assert not engine.trains_in_lockstep(engine.MlpObjective(MlpArch((4, 8, 3))))
+        cmd_run(config, tmp_path / "alone")
+        for name in ("results.jsonl", "summary.csv"):
+            lockstep, alone = (mask_wall((tmp_path / run / name).read_text())
+                               for run in ("lockstep", "alone"))
+            assert lockstep == alone
+        records = read_jsonl(tmp_path / "lockstep" / "results.jsonl")
+        assert len(records) == 10 * 2 * 4
+        for record in records:
+            assert record["diverged"] == (record["mu"] == 1e300 and record["round"] > 0)
+
+    def test_one_kernel_call_per_party_step_for_the_group(self, tmp_path, monkeypatch):
+        # Five cells of equal E on three parties whose sizes differ and
+        # whose batches hold all their rows: one cell alone never stacks
+        # two parties, so five cells run one by one make five times the
+        # calls that a lockstep group makes.
+        config = parse_config(small_run_config(
+            partition={"type": "quantity_dirichlet", "beta": 1.0},
+            fed={"algorithms": list(engine.ALGORITHMS), "rounds": 2, "parties": 3,
+                 "local_epochs": 2, "batch_size": 128, "lr": 0.05, "seed": 5},
+            sweeps={"mu": [0.01, 0.1]},
+        ))
+        assert len(config.cells) == 5
+        train, _ = build_dataset(config)
+        _, views = build_views(train, config.partition, 3,
+                               engine.partition_seed(config.cells[0].master_seed))
+        sizes = [view.n_samples for view in views]
+        assert len(set(sizes)) == 3 and max(sizes) <= 128
+        cell = config.cells[0]
+        party_steps = cell.rounds * cell.local_epochs * len(sizes)
+        calls = []
+        real_loss_grad = engine._loss_grad
+
+        def counting(layers, w, *args):
+            calls.append(w.shape[:-1])
+            return real_loss_grad(layers, w, *args)
+
+        monkeypatch.setattr(engine, "_loss_grad", counting)
+        cmd_run(config, tmp_path / "out")
+        assert calls == [(5,)] * party_steps
+        records = read_jsonl(tmp_path / "out" / "results.jsonl")
+        assert not any(record["diverged"] for record in records)
+
+
 class TestProgress:
     # SHA-256 of the masked results.jsonl, recorded from the code before
     # cmd_run printed progress: the progress lines must not reach the file.
@@ -544,20 +613,28 @@ class TestProgress:
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
+        # The three cells of a trial train as one lockstep group, so the
+        # lines come trial by trial, and a group's lines share its time.
         cells = [
             (algorithm, mu, trial)
-            for algorithm, mu in (("fedavg", "-"), ("fedprox", "0.01"), ("fedprox", "0.1"))
             for trial in (0, 1)
+            for algorithm, mu in (("fedavg", "-"), ("fedprox", "0.01"), ("fedprox", "0.1"))
         ]
         assert len(lines) == len(cells)
         records = read_jsonl(tmp_path / "out" / "results.jsonl")
-        finals = [r["test_accuracy"] for r in records if r["round"] == 2]
-        for i, (line, (algorithm, mu, trial), final) in enumerate(zip(lines, cells, finals)):
-            assert re.fullmatch(
+        finals = {(r["algorithm"], "-" if r["mu"] is None else repr(r["mu"]), r["trial"]):
+                  r["test_accuracy"] for r in records if r["round"] == 2}
+        seconds = []
+        for i, (line, cell) in enumerate(zip(lines, cells)):
+            algorithm, mu, trial = cell
+            match = re.fullmatch(
                 rf"cell {i + 1}/6: {algorithm} mu={re.escape(mu)} E=1 trial={trial} "
-                rf"final_accuracy={final:.4f} diverged_rounds=0 \d+\.\d\ds",
+                rf"final_accuracy={finals[cell]:.4f} diverged_rounds=0 (\d+\.\d\d)s",
                 line,
-            ), line
+            )
+            assert match, line
+            seconds.append(match[1])
+        assert seconds[0] == seconds[1] == seconds[2] and seconds[3] == seconds[4] == seconds[5]
         masked = mask_wall((tmp_path / "out" / "results.jsonl").read_text())
         assert hashlib.sha256(masked.encode("ascii")).hexdigest() == self.RESULTS_SHA256
 
@@ -785,6 +862,26 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: test features have width 6, architecture input is 4\n"
         )
+
+    @pytest.mark.parametrize("command, bad", [
+        ("run", "missing file"), ("partition", "missing file"), ("run", "test width"),
+    ])
+    def test_bad_inputs_leave_no_output_directory(self, tmp_path, capsys, command, bad):
+        # The dataset is built, and checked against the model, before --out
+        # is made; both commands used to leave an empty directory behind.
+        dataset = {"type": "idx"}
+        for side, cols in (("train", 2), ("test", 3 if bad == "test width" else 2)):
+            images, labels = tmp_path / f"{side}.idx3", tmp_path / f"{side}.idx1"
+            features = np.random.default_rng(4).uniform(size=(20, 2 * cols))
+            write_idx(LabeledDataset(features, np.arange(20) % 10, 10), images, labels, 2, cols)
+            dataset.update({f"{side}_images": str(images), f"{side}_labels": str(labels)})
+        if bad == "missing file":
+            dataset["test_images"] = str(tmp_path / "absent.idx3")
+        config_path = write_config(tmp_path, small_run_config(dataset=dataset))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "partition"])
     def test_empty_training_set_exit_code(self, tmp_path, capsys, command):

@@ -8,6 +8,7 @@ every run.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,9 @@ from hypothesis import assume, given, strategies as st  # noqa: E402
 from fedsim import engine, rng  # noqa: E402
 from fedsim.compensated import combine_updates  # noqa: E402
 from fedsim.datasets import LabeledDataset  # noqa: E402
-from fedsim.engine import FedRunConfig, GlobalState, MlpObjective, run_round  # noqa: E402
+from fedsim.engine import (  # noqa: E402
+    ALGORITHMS, FedRunConfig, GlobalState, MlpObjective, run_round,
+)
 from fedsim.nn import MlpArch, Workspace, _loss_grad, layer_slices  # noqa: E402
 from fedsim.errors import PartitionError, ShapeError  # noqa: E402
 from fedsim.partition import (  # noqa: E402
@@ -191,6 +194,53 @@ class TestLossGradKernel:
         features, labels = np.zeros((2, 4, 2)), np.zeros((2, 4), dtype=np.int64)
         with pytest.raises(ShapeError, match="plan"):
             _loss_grad(layers, w.copy(), features, labels, 0.0, None, plan)
+
+
+@st.composite
+def per_row_prox_cases(draw):
+    """Random layer widths (classes 1-12), a stack of 2-7 models on 1-64
+    samples each, and per-row mus: a run of rows with mus above 0, each
+    its own, between rows with mu 0. The batch is either one per row or
+    one (1, m, in) batch that every row trains on."""
+    widths = [draw(st.integers(1, 5))]
+    widths += draw(st.lists(st.integers(1, 8), max_size=2))
+    widths.append(draw(st.integers(1, 12)))
+    stack = draw(st.integers(2, 7))
+    lo = draw(st.integers(0, stack - 1))
+    hi = draw(st.integers(lo + 1, stack))
+    mus = [0.0] * stack
+    mus[lo:hi] = draw(st.lists(st.sampled_from([0.01, 0.1, 1.5]),
+                               min_size=hi - lo, max_size=hi - lo))
+    return (MlpArch(tuple(widths)), draw(st.integers(1, 64)), mus, (lo, hi),
+            draw(st.booleans()), draw(st.integers(0, 2**31 - 1)))
+
+
+class TestPerRowProximalKernel:
+    @given(per_row_prox_cases())
+    def test_stacked_call_matches_lone_calls_bitwise(self, case):
+        # A lockstep group's rows may be cells with different mus, or none:
+        # only rows lo:hi enter the proximal branch, each toward its own
+        # anchor, and each row must come out as its own call alone would.
+        arch, m, mus, (lo, hi), shared, seed = case
+        generator = np.random.default_rng(seed)
+        layers, n_coords, stack = layer_slices(arch), arch.n_params(), len(mus)
+        batches = 1 if shared else stack
+        anchors = generator.standard_normal((stack, n_coords))
+        w = anchors + generator.standard_normal((stack, n_coords))
+        features = 2.0 * generator.standard_normal((batches, m, arch.in_dim))
+        labels = generator.integers(0, arch.out_dim, (batches, m))
+        wants = []
+        for row, mu in enumerate(mus):
+            batch = 0 if shared else row
+            wants.append(_loss_grad(layers, w[row], features[batch], labels[batch], mu,
+                                    anchors[row] if mu > 0 else None))
+        plan = Workspace(layers, stack, m).plan(w, m)
+        for plan in (None, plan):
+            loss, grad = _loss_grad(layers, w, features, labels, np.array(mus[lo:hi]),
+                                    anchors[lo:hi], plan, slice(lo, hi))
+            for row, (want_loss, want_grad) in enumerate(wants):
+                assert np.float64(loss[row]).tobytes() == np.float64(want_loss).tobytes()
+                assert grad[row].tobytes() == want_grad.tobytes()
 
 
 @st.composite
@@ -378,3 +428,57 @@ class TestRunBuffers:
                     np.asarray(fresh.control).tobytes())
                 assert [np.asarray(c).tobytes() for c in shared.client_controls or ()] == [
                     np.asarray(c).tobytes() for c in fresh.client_controls or ()]
+
+
+@st.composite
+def group_cases(draw):
+    """A lockstep group of 2-6 cells of one trial: random algorithms, mus
+    (0 among them), local epochs and cell order, on 2-6 parties with
+    ragged sizes, random layer widths, batch size, party sampling,
+    momentum and scaffold control option. At a learning rate of 1e300 a
+    row that takes a second step overflows and leaves its cohort."""
+    widths = [draw(st.integers(1, 5))]
+    widths += draw(st.lists(st.integers(1, 8), max_size=2))
+    widths.append(draw(st.integers(2, 6)))
+    n_parties = draw(st.integers(2, 6))
+    base = FedRunConfig(
+        algorithm="fedavg", rounds=2, n_parties=n_parties,
+        sample_fraction=draw(st.sampled_from([0.5, 1.0])),
+        batch_size=draw(st.integers(1, 8)),
+        local_lr=draw(st.sampled_from([0.05, 0.05, 1e300])),
+        momentum=draw(st.sampled_from([0.0, 0.9])),
+        scaffold_c_option=draw(st.sampled_from(["i", "ii"])),
+        master_seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    cell = st.builds(
+        lambda algorithm, mu, epochs: replace(
+            base, algorithm=algorithm, prox_mu=mu, local_epochs=epochs),
+        st.sampled_from(ALGORITHMS), st.sampled_from([0.0, 0.01, 0.1]), st.integers(1, 3))
+    cells = draw(st.lists(cell, min_size=2, max_size=6))
+    return MlpArch(tuple(widths)), cells, draw(st.integers(0, 2**31 - 1))
+
+
+class TestLockstepGroups:
+    @given(group_cases())
+    def test_group_matches_each_cell_alone_bitwise(self, case):
+        # Every (party, cell) row of a round trains in one cohort loop, each
+        # from its own cell's model, with its own mu, correction and epochs;
+        # each cell's records must be what it makes alone.
+        arch, cells, seed = case
+        generator = np.random.default_rng(seed)
+        n = 6 * cells[0].n_parties
+        train = LabeledDataset(generator.standard_normal((n, arch.in_dim)),
+                               generator.integers(0, arch.out_dim, n), arch.out_dim)
+        test = LabeledDataset(generator.standard_normal((8, arch.in_dim)),
+                              generator.integers(0, arch.out_dim, 8), arch.out_dim)
+        spec = PartitionSpec("quantity_dirichlet", beta=1.0)
+        together = engine.run_group(train, test, spec, arch, cells)
+        for cfg, records in zip(cells, together):
+            alone = engine.run_experiment(train, test, spec, arch, cfg)
+            assert _masked(records) == _masked(alone)
+
+
+def _masked(records):
+    """The records without wall_ms, each loss as its bytes (nan included)."""
+    return [(r.round, r.test_accuracy, np.float64(r.mean_train_loss).tobytes(), r.bytes,
+             r.diverged) for r in records]
