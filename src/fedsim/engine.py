@@ -23,11 +23,13 @@ run_group trains them together. It builds the views and the initial model
 once, samples the parties once per round, trains every (party, cell) row
 in cohorts, and aggregates, evaluates and records each cell on its own.
 One cell trains in cohorts of 1 to P parties, runs of consecutive ids in
-ascending order whose (P, n) float64 model stack fits in COHORT_BYTES;
-several cells train one party at a time, its rows (one per cell, up to
-the same cap) in one cohort. Each row starts from its own cell's w_t and
-pulls toward it with its own mu, adds its own scaffold correction, and
-takes its own number of epochs. Consecutive rows on one party share one
+ascending order whose (P, n) float64 model stack fits in COHORT_BYTES.
+Several cells train either by party, a party's rows (one per cell, up to
+the same cap) in one cohort, or by cell, each cell in the cohorts it
+would have alone, whichever makes fewer kernel calls that round
+(_row_cohorts). Each row starts from its own cell's w_t and pulls toward
+it with its own mu, adds its own scaffold correction, and takes its own
+number of epochs. Consecutive rows on one party share one
 batch generator, _batches, which draws each epoch's permutation from the
 party's stream; a row leaves its cohort when its own epochs are done or a
 step goes non-finite. At each lockstep iteration every run of consecutive
@@ -314,16 +316,18 @@ class CohortBuffers:
 
     It holds (rows, n) parameter, spare and velocity stacks, scaffold's
     corrections and corrected gradients, the proximal anchors (made the
-    first time a cohort trains a row with a mu), the nn.Workspace of an
-    objective that stacks, and steps: per cohort layout (each row's mu and
-    the scaffold rows) and per (parity, lo, hi, batch size), a group's
-    views of these stacks, its proximal and correction arguments and its
-    loss_grad plan, made the first time that group steps and kept for the
-    run. A cohort of P <= rows rows uses the leading P rows and overwrites
-    each value it reads before reading it (the parameters and anchors with
-    each row's w_t, the velocity with zeros, the corrections with
-    c - c_i), so nothing carries over from one cohort to the next. Every
-    cached view points into these arrays and no other, so it stays valid.
+    first time a cohort's mu rows start from different models; rows of one
+    cell pull toward its w_t itself), the nn.Workspace of an objective
+    that stacks, and steps: per cohort layout (each row's mu, the scaffold
+    rows and whether the mu rows share one anchor) and per (parity, lo,
+    hi, batch size), a group's views of these stacks, its proximal and
+    correction arguments and its loss_grad plan, made the first time that
+    group steps and kept for the run. A cohort of P <= rows rows uses the
+    leading P rows and overwrites each value it reads before reading it
+    (the parameters and anchors with each row's w_t, the velocity with
+    zeros, the corrections with c - c_i), so nothing carries over from one
+    cohort to the next. Every cached view points into these arrays and no
+    other, so it stays valid.
     """
 
     def __init__(self, objective, n_coords: int, rows: int, batch_size: int, scaffold: bool):
@@ -380,7 +384,8 @@ def _cohort_sgd(rows, round_idx, objective, *, buffers=None):
 
     w_t is never written to, and neither are the views' arrays nor the
     gradients an objective returns. A row whose cfg.mu is set adds the
-    proximal pull toward its own w_t, with its own mu; a scaffold row
+    proximal pull toward its own w_t, with its own mu (when every such row
+    starts from one w_t, that array itself is the anchor); a scaffold row
     (controls given) adds its own c - c_i to its raw gradients before the
     momentum step. Rows of each kind must be consecutive, so that the
     proximal term and the corrections apply to one run of a group's rows:
@@ -399,13 +404,14 @@ def _cohort_sgd(rows, round_idx, objective, *, buffers=None):
     The loop's state lives in buffers, a CohortBuffers that run_group
     makes once per run, or a fresh one sized for this cohort when it is
     None: the parameters, the velocity (updated in place), a spare
-    parameter stack that every step writes, the anchors and scaffold's
-    corrections. Only finite rows are kept, so the parameter and spare
-    stacks swap whole. When the objective stacks, the loop calls
-    nn._loss_grad, which is what MlpObjective.loss_grad runs, with a plan
-    of the buffers' nn.Workspace and adds the corrections into the
-    gradient it returns; an objective that does not stack gets one row at
-    a time, and its gradient is corrected into a buffer the loop owns.
+    parameter stack that every step writes, the anchors of mu rows that
+    start from different models, and scaffold's corrections. Only finite
+    rows are kept, so the parameter and spare stacks swap whole. When the
+    objective stacks, the loop calls nn._loss_grad, which is what
+    MlpObjective.loss_grad runs, with a plan of the buffers' nn.Workspace
+    and adds the corrections into the gradient it returns; an objective
+    that does not stack gets one row at a time, and its gradient is
+    corrected into a buffer the loop owns.
     """
     n_rows, first = len(rows), rows[0].cfg
     for row in rows:
@@ -423,7 +429,10 @@ def _cohort_sgd(rows, round_idx, objective, *, buffers=None):
         buffers = CohortBuffers(objective, n_coords, n_rows, batch_size, scaffold_hi > 0)
     elif not buffers.fits(objective, n_coords, n_rows, batch_size, scaffold_hi > 0):
         raise ProtocolError("the cohort buffers were made for another objective or shape")
-    if mu_hi and buffers.anchors is None:
+    # Rows of one cell share its w_t, which is then their anchor as it is.
+    shared = rows[mu_lo].w_t if mu_hi and all(
+        row.w_t is rows[mu_lo].w_t for row in rows[mu_lo:mu_hi]) else None
+    if mu_hi and shared is None and buffers.anchors is None:
         buffers.anchors = np.empty_like(buffers.params)
     params, spare, velocity, anchors = (
         buffers.params, buffers.spare, buffers.velocity, buffers.anchors)
@@ -431,7 +440,7 @@ def _cohort_sgd(rows, round_idx, objective, *, buffers=None):
     velocity[:n_rows] = 0.0
     for r, row in enumerate(rows):
         params[r] = row.w_t
-        if mu_lo <= r < mu_hi:
+        if shared is None and mu_lo <= r < mu_hi:
             anchors[r] = row.w_t
         if row.controls is not None:
             with _flagged_numerics():
@@ -460,7 +469,7 @@ def _cohort_sgd(rows, round_idx, objective, *, buffers=None):
     # Per (parity, lo, hi, batch size): see make_step. parity flips when
     # params and spare swap, and each cohort starts at 0 with params the
     # buffers' own stack.
-    steps = buffers.steps.setdefault((mus, scaffold_lo, scaffold_hi), {})
+    steps = buffers.steps.setdefault((mus, scaffold_lo, scaffold_hi, shared is None), {})
     parity = 0
 
     def make_step(lo, hi, m):
@@ -474,10 +483,12 @@ def _cohort_sgd(rows, round_idx, objective, *, buffers=None):
         mu, anchor, prox_rows = 0.0, None, None
         a, b = max(lo, mu_lo), min(hi, mu_hi)
         if a < b:
+            # None stands for the shared anchor, which changes every round.
             if (a, b) == (lo, hi) and len(set(mus[lo:hi])) == 1:
-                mu, anchor = mus[lo], anchors[at]
+                mu, anchor = mus[lo], None if shared is not None else anchors[at]
             else:
-                mu, anchor, prox_rows = np.array(mus[a:b]), anchors[a:b], slice(a - lo, b - lo)
+                mu, prox_rows = np.array(mus[a:b]), slice(a - lo, b - lo)
+                anchor = None if shared is not None else anchors[a:b]
         correction = into = None
         a, b = max(lo, scaffold_lo), min(hi, scaffold_hi)
         if a < b:
@@ -532,6 +543,8 @@ def _cohort_sgd(rows, round_idx, objective, *, buffers=None):
                 if step is None:
                     step = steps[parity, lo, hi, m] = make_step(lo, hi, m)
                 w, v, out, plan, mu, anchor, prox_rows, correction, into = step
+                if anchor is None:
+                    anchor = shared
                 if single:
                     x, y = source[batches[lo]], labels[batches[lo]]
                 elif stream >= 0:  # one party's batch, which every row trains on
@@ -722,24 +735,63 @@ def _row_kind(cfg) -> int:
     return 2 if cfg.algorithm == "scaffold" else 1 if cfg.mu else 0
 
 
+def _kernel_calls(cohorts, batch_size: int) -> int:
+    """How many kernel calls _cohort_sgd makes on these cohorts, each a
+    list of (samples, epochs) rows, if no row diverges and the objective
+    stacks: at each iteration of a cohort, one per run of consecutive
+    active rows whose batches have the same size."""
+    # An empty row after each cohort ends its runs.
+    n, epochs = np.array([row for cohort in cohorts for row in (*cohort, (0, 0))]).T
+    n_batches = -(-n // batch_size)
+    steps = epochs * n_batches
+    t = np.arange(steps.max())[:, None]
+    last = t % np.maximum(n_batches, 1) == n_batches - 1
+    sizes = np.where(t < steps, np.where(last, n - (n_batches - 1) * batch_size, batch_size), 0)
+    starts = sizes > 0
+    starts[:, 1:] &= sizes[:, 1:] != sizes[:, :-1]
+    return int(starts.sum())
+
+
 def _row_cohorts(party_ids, views, cfgs, n_coords: int, stacks: bool) -> list[list[tuple]]:
     """The (party id, cell index) rows of a round, split into cohorts.
 
     One cell trains in _cohorts' cohorts of consecutive parties. Several
-    cells train one party at a time: a party's rows, one per cell in
-    _row_kind order, share its batches and so step together at every
-    iteration, cut into cohorts of at most _cohort_cap rows. Rows of
-    different parties would only stack when their batch sizes happen to
-    match, at the cost of larger buffers: in a prototype on the sweep-grid
-    benchmark, cohorts of 11 rows peaked at 40.0 MB of RSS against 38.8 MB
-    for cohorts of one party's 5 rows, and ran no faster."""
+    cells train in whichever of two layouts _kernel_calls counts fewer
+    calls for, by party on a tie:
+    - by party: one party at a time, its rows (one per cell, in _row_kind
+      order, at most _cohort_cap of them per cohort) sharing its batches,
+      so they step together at every iteration and gather each batch once;
+    - by cell: each cell's rows in _cohorts' cohorts, as it trains alone,
+      where consecutive parties whose batches have the same size step
+      together.
+    By cell wins only where the sampled parties outnumber the cells and
+    most of their batches line up, as equal party sizes (an iid or
+    fcube_pairs partition) make them. The count ignores that a by-cell
+    call gathers a batch per row: on sweep-grid's data split iid, 10
+    parties and 5 cells (1874 calls by cell, 4000 by party) ran 5-8%
+    faster by cell, 20 parties and 2 cells (800 against 4000) 28%."""
+    cohorts = _cohorts(party_ids, views, n_coords, stacks)
+    by_cell = [[(p, cell) for p in cohort] for cell in range(len(cfgs)) for cohort in cohorts]
     if len(cfgs) == 1:
-        cohorts = _cohorts(party_ids, views, n_coords, stacks)
-        return [[(p, 0) for p in cohort] for cohort in cohorts]
+        return by_cell
     order = sorted(range(len(cfgs)), key=lambda cell: _row_kind(cfgs[cell]))
-    size = _cohort_cap(n_coords, stacks)
-    return [[(p, cell) for cell in order[lo : lo + size]]
-            for p in party_ids for lo in range(0, len(order), size)]
+    size, batch_size = _cohort_cap(n_coords, stacks), cfgs[0].batch_size
+    chunks = [order[lo : lo + size] for lo in range(0, len(order), size)]
+    by_party = [[(p, cell) for cell in chunk] for p in party_ids for chunk in chunks]
+    # A party's rows share its batch sizes, so one with k batches an epoch
+    # makes k times the calls of a party with one.
+    n_batches = [-(-views[p].n_samples // batch_size) for p in party_ids]
+    party_calls = sum(n_batches) * _kernel_calls(
+        [[(batch_size, cfgs[cell].local_epochs) for cell in chunk] for chunk in chunks],
+        batch_size)
+    # Each cell makes at least one call per iteration of its largest party.
+    if sum(cfg.local_epochs for cfg in cfgs) * max(n_batches) >= party_calls:
+        return by_party
+    cell_calls = _kernel_calls(
+        [[(views[p].n_samples, cfgs[cell].local_epochs) for p, cell in cohort]
+         for cohort in by_cell],
+        batch_size)
+    return by_party if party_calls <= cell_calls else by_cell
 
 
 def _train_cohort(rows, round_idx, objective, *, buffers):
@@ -898,9 +950,10 @@ def run_group(
     one cohort loop (see _run_rounds); each cell then aggregates,
     evaluates and records its own round. A group of one cell runs each
     round through the module attribute run_round, so a wrapper set on it
-    (the traced benchmark's) sees every round. One CohortBuffers,
-    sized for the group's largest cohort, serves every round; it dies with
-    the run, so a sweep holds one group's buffers at a time.
+    (the traced benchmark's) sees every round. One CohortBuffers, sized
+    for the group's largest cohort (its cells or its sampled parties, as
+    _row_cohorts may lay a round out either way), serves every round; it
+    dies with the run, so a sweep holds one group's buffers at a time.
 
     A record's wall_ms covers the whole group's round: training every row,
     then aggregating and evaluating every cell.
@@ -925,7 +978,8 @@ def run_group(
         if cell.algorithm == "scaffold" else GlobalState(params)
         for cell in cfgs
     ]
-    rows = len(cfgs) if len(cfgs) > 1 else _sample_size(cfg.n_parties, cfg.sample_fraction)
+    # A cohort holds one cell's sampled parties or one party's cells.
+    rows = max(len(cfgs), _sample_size(cfg.n_parties, cfg.sample_fraction))
     rows = min(_cohort_cap(len(params), _stacks(objective)), rows)
     buffers = CohortBuffers(objective, len(params), rows, cfg.batch_size, scaffold)
 

@@ -155,22 +155,42 @@ def _print_progress(done, n_runs, cell, trial, records, seconds) -> None:
 
 
 def _lockstep_groups(config: ExperimentConfig, together: bool) -> list[list[tuple]]:
-    """The (cell, trial) runs in the order they train, trial by trial, as
-    groups that train together: the cells of a trial whose run configs
-    have one engine.lockstep_key, or each run alone when together is
-    False."""
+    """The (cell, trial) runs in the order they train, as groups that train
+    together: trial by trial, the cells of a trial whose run configs have
+    one engine.lockstep_key; or, when together is False, each run alone
+    in cell-major order."""
+    if not together:
+        return [[(cell, trial)] for cell in config.cells for trial in range(config.trials)]
     groups = []
     for trial in range(config.trials):
         by_key = {}
         for cell in config.cells:
-            key = lockstep_key(_run_config(cell, trial)) if together else cell
-            by_key.setdefault(key, []).append((cell, trial))
+            by_key.setdefault(lockstep_key(_run_config(cell, trial)), []).append((cell, trial))
         groups.extend(by_key.values())
     return groups
 
 
 def _run_config(cell, trial: int):
     return replace(cell, master_seed=_trial_seed(cell.master_seed, trial))
+
+
+def _record_lines(cell, trial: int, records) -> str:
+    """The results.jsonl lines of one (cell, trial) run."""
+    return "".join(
+        json.dumps({
+            "trial": trial,
+            "round": record.round,
+            "algorithm": cell.algorithm,
+            "mu": cell.mu,
+            "local_epochs": cell.local_epochs,
+            "test_accuracy": record.test_accuracy,
+            "mean_train_loss": _json_float(record.mean_train_loss),
+            "bytes": record.bytes,
+            "wall_ms": record.wall_ms,
+            "diverged": record.diverged,
+        }) + "\n"
+        for record in records
+    )
 
 
 def cmd_run(config: ExperimentConfig, out_dir) -> dict:
@@ -183,14 +203,18 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     cell's copy of a party with one kernel call, with each cell's records
     exactly as it would have alone. When the objective cannot stack
     (engine.trains_in_lockstep, asked of an engine.MlpObjective), each
-    (cell, trial) run goes alone through run_experiment instead. Either
-    way the records are written in cell-major order, and a record's
-    wall_ms and a progress line's seconds cover the whole group.
+    (cell, trial) run goes alone through run_experiment instead, in
+    cell-major order. A record's wall_ms and a progress line's seconds
+    cover the whole group.
 
     The dataset is built and checked against the architecture before the
-    output directory is made, so bad inputs leave nothing behind. Diverged
-    runs are flagged in their records, never fatal. Each finished run
-    prints one progress line to stderr.
+    output directory is made, so bad inputs leave nothing behind. Each
+    group's records are appended to results.jsonl as soon as it finishes
+    (the file is made then), so a sweep that stops part way keeps the
+    records of every run that finished. Once all have, the file is
+    rewritten in cell-major order if lockstep trained them in another.
+    Diverged runs are flagged in their records, never fatal. Each finished
+    run prints one progress line to stderr.
     """
     train, test = build_dataset(config)
     arch = MlpArch((train.n_features, *config.hidden, train.n_classes))
@@ -203,41 +227,42 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     objective = engine.MlpObjective(arch)
     together = trains_in_lockstep(objective)
     runs = [(cell, trial) for cell in config.cells for trial in range(config.trials)]
-    records = {}
-    with _writing(results_path), open(results_path, "w", encoding="ascii") as fh:
-        for group in _lockstep_groups(config, together):
-            started = time.perf_counter()
-            cfgs = [_run_config(cell, trial) for cell, trial in group]
-            if together:
-                outcomes = run_group(train, test, config.partition, arch, cfgs, objective)
-            else:
-                outcomes = [run_experiment(train, test, config.partition, arch, cfgs[0])]
-            seconds = time.perf_counter() - started
-            for run, cell_records in zip(group, outcomes):
-                records[run] = cell_records
-                _print_progress(len(records), len(runs), *run, cell_records, seconds)
-        for cell, trial in runs:
-            for record in records[cell, trial]:
-                line = {
-                    "trial": trial,
-                    "round": record.round,
-                    "algorithm": cell.algorithm,
-                    "mu": cell.mu,
-                    "local_epochs": cell.local_epochs,
-                    "test_accuracy": record.test_accuracy,
-                    "mean_train_loss": _json_float(record.mean_train_loss),
-                    "bytes": record.bytes,
-                    "wall_ms": record.wall_ms,
-                    "diverged": record.diverged,
-                }
-                fh.write(json.dumps(line) + "\n")
+    # Where each finished run's lines sit in results.jsonl: (offset, length).
+    spans, finals = {}, {}
+    for group in _lockstep_groups(config, together):
+        started = time.perf_counter()
+        cfgs = [_run_config(cell, trial) for cell, trial in group]
+        if together:
+            outcomes = run_group(train, test, config.partition, arch, cfgs, objective)
+        else:
+            outcomes = [run_experiment(train, test, config.partition, arch, cfgs[0])]
+        seconds = time.perf_counter() - started
+        for run, records in zip(group, outcomes):
+            finals[run] = records[-1].test_accuracy
+            _print_progress(len(finals), len(runs), *run, records, seconds)
+        with _writing(results_path), open(results_path, "ab" if spans else "wb") as fh:
+            for run, records in zip(group, outcomes):
+                text = _record_lines(*run, records).encode("ascii")
+                spans[run] = (fh.tell(), len(text))
+                fh.write(text)
+        # The records are on disk; the next group need not hold them.
+        del outcomes
+    if list(spans) != runs:
+        with _writing(results_path), open(results_path, "rb") as fh:
+            written = fh.read()
+        staged = results_path + ".tmp"
+        with _writing(staged), open(staged, "wb") as fh:
+            for run in runs:
+                offset, length = spans[run]
+                fh.write(written[offset : offset + length])
+        with _writing(results_path):
+            os.replace(staged, results_path)
 
     summary_path = os.path.join(out_dir, SUMMARY_FILE)
     with _writing(summary_path), open(summary_path, "w", encoding="ascii") as fh:
         fh.write("algorithm,mu,local_epochs,trials,final_accuracy_mean,final_accuracy_std\n")
         for cell in config.cells:
-            values = np.array([records[cell, trial][-1].test_accuracy
-                               for trial in range(config.trials)])
+            values = np.array([finals[cell, trial] for trial in range(config.trials)])
             std = float(values.std(ddof=1)) if values.size > 1 else 0.0
             mu_txt = "" if cell.mu is None else repr(cell.mu)
             fh.write(

@@ -149,6 +149,29 @@ class TestLocalTrainSgd:
         update = local_train_sgd(w_t, view, cfg, 0, objective, buffers=with_corrections)
         assert update.final_params.tobytes() == fresh.final_params.tobytes()
 
+    def test_rows_of_one_model_pull_toward_it_without_an_anchor_stack(self):
+        # Rows that start from one w_t, as one cell's always do, take it as
+        # their anchor; only rows that start from different models copy
+        # theirs into the buffers' anchors. Either way each row trains as
+        # it would alone.
+        arch = MlpArch((2, 3, 2))
+        objective = MlpObjective(arch)
+        generator = np.random.default_rng(3)
+        source, labels = generator.normal(size=(8, 2)), generator.integers(0, 2, 8)
+        views = [PartyView(p, np.arange(4 * p, 4 * p + 4), source, labels) for p in range(2)]
+        cfg = self._cfg(algorithm="fedprox", prox_mu=0.5, local_epochs=2, batch_size=3)
+        w_t = objective.init_params(5)
+        other = 0.5 * w_t
+        buffers = engine.CohortBuffers(objective, arch.n_params(), 2, 3, False)
+        for starts, grows in (((w_t, w_t), False), ((w_t, other), True)):
+            rows = [engine._Row(view, cfg, start) for view, start in zip(views, starts)]
+            got = engine._cohort_sgd(rows, 0, objective, buffers=buffers)
+            assert (buffers.anchors is not None) == grows
+            for (update, _), view, start in zip(got, views, starts):
+                alone = local_train_sgd(start, view, cfg, 0, objective)
+                assert update.final_params.tobytes() == alone.final_params.tobytes()
+                assert update.train_loss == alone.train_loss
+
     def test_tau_counts_epochs_times_batches(self):
         arch = MlpArch((2, 2))
         objective = MlpObjective(arch)

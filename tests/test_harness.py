@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedsim import engine
+from fedsim import engine, harness
 from fedsim.cli import main
 from fedsim.config import (
     DATASET_OPTIONS,
@@ -444,6 +444,42 @@ class TestCmdRun:
         # trials * settings * (rounds + 1)
         assert len(records) == 2 * 2 * 3
 
+    def test_a_failed_trial_keeps_the_records_of_finished_runs(self, tmp_path, monkeypatch):
+        # The cells of a trial train as one group. Trial 0's group finishes,
+        # then the sweep is interrupted as trial 1's group starts: trial 0's
+        # records stay on disk, in the order they trained, and no summary is
+        # written. An interrupt before any group finishes leaves no results
+        # file at all.
+        config = parse_config(small_run_config(
+            fed={"algorithms": ["fedavg", "fedprox", "scaffold"], "rounds": 2, "parties": 3,
+                 "local_epochs": 1, "batch_size": 16, "lr": 0.05, "seed": 5},
+            sweeps={"mu": [0.01, 0.1]},
+            trials=3,
+        ))
+        cmd_run(config, tmp_path / "whole")
+        whole = mask_wall((tmp_path / "whole" / "results.jsonl").read_text()).splitlines()
+        real_run_group = harness.run_group
+        for fail_at in (1, 0):
+            started = []
+
+            def failing(*args):
+                if len(started) == fail_at:
+                    raise KeyboardInterrupt
+                started.append(args)
+                return real_run_group(*args)
+
+            monkeypatch.setattr(harness, "run_group", failing)
+            out = tmp_path / f"stopped{fail_at}"
+            with pytest.raises(KeyboardInterrupt):
+                cmd_run(config, out)
+            assert not (out / "summary.csv").exists()
+            if fail_at == 0:
+                assert list(out.iterdir()) == []
+                continue
+            kept = mask_wall((out / "results.jsonl").read_text()).splitlines()
+            assert kept == [line for line in whole if json.loads(line)["trial"] == 0]
+            assert len(kept) == 4 * 3
+
     def test_summary_mean_and_sample_std(self, tmp_path):
         config = parse_config(small_run_config(trials=3))
         cmd_run(config, tmp_path / "out")
@@ -592,6 +628,38 @@ class TestLockstep:
         assert calls == [(5,)] * party_steps
         records = read_jsonl(tmp_path / "out" / "results.jsonl")
         assert not any(record["diverged"] for record in records)
+
+    def test_equal_parties_that_outnumber_the_cells_train_cell_by_cell(
+            self, tmp_path, monkeypatch):
+        # Six iid parties of 15 samples, batches of 8: every party's batches
+        # hold 8 then 7 samples, so each cell steps all six parties in one
+        # call, two calls per epoch, as it does alone. One party at a time
+        # would take six calls of two rows each.
+        config = parse_config(small_run_config(
+            fed={"algorithms": ["fedavg", "fedprox"], "rounds": 2, "parties": 6,
+                 "local_epochs": 2, "batch_size": 8, "lr": 0.05, "seed": 5},
+        ))
+        cell = config.cells[0]
+        train, _ = build_dataset(config)
+        _, views = build_views(train, config.partition, 6,
+                               engine.partition_seed(cell.master_seed))
+        assert [view.n_samples for view in views] == [15] * 6
+        calls = []
+        real_loss_grad = engine._loss_grad
+
+        def counting(layers, w, *args):
+            calls.append(w.shape[:-1])
+            return real_loss_grad(layers, w, *args)
+
+        monkeypatch.setattr(engine, "_loss_grad", counting)
+        cmd_run(config, tmp_path / "lockstep")
+        assert calls == [(6,)] * (2 * cell.rounds * cell.local_epochs * 2)
+        monkeypatch.setattr(engine, "MlpObjective", Alone)
+        cmd_run(config, tmp_path / "alone")
+        for name in ("results.jsonl", "summary.csv"):
+            lockstep, alone = (mask_wall((tmp_path / run / name).read_text())
+                               for run in ("lockstep", "alone"))
+            assert lockstep == alone
 
 
 class TestProgress:

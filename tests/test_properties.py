@@ -30,6 +30,7 @@ from fedsim.partition import (  # noqa: E402
     PartitionSpec,
     PartyView,
     build_partition,
+    build_views,
     check_partition,
 )
 
@@ -458,24 +459,65 @@ def group_cases(draw):
     return MlpArch(tuple(widths)), cells, draw(st.integers(0, 2**31 - 1))
 
 
+def _group_data(arch, cells, seed, kind):
+    """Train and test sets for a group case, and its partition spec: iid
+    parties have equal sizes, quantity_dirichlet ones ragged sizes."""
+    generator = np.random.default_rng(seed)
+    n = 6 * cells[0].n_parties
+    train = LabeledDataset(generator.standard_normal((n, arch.in_dim)),
+                           generator.integers(0, arch.out_dim, n), arch.out_dim)
+    test = LabeledDataset(generator.standard_normal((8, arch.in_dim)),
+                          generator.integers(0, arch.out_dim, 8), arch.out_dim)
+    return train, test, PartitionSpec(kind, beta=1.0)
+
+
 class TestLockstepGroups:
-    @given(group_cases())
-    def test_group_matches_each_cell_alone_bitwise(self, case):
+    @given(group_cases(), st.sampled_from(["iid", "quantity_dirichlet"]))
+    def test_group_matches_each_cell_alone_bitwise(self, case, kind):
         # Every (party, cell) row of a round trains in one cohort loop, each
         # from its own cell's model, with its own mu, correction and epochs;
-        # each cell's records must be what it makes alone.
+        # each cell's records must be what it makes alone, whether the
+        # rows train by party or by cell.
         arch, cells, seed = case
-        generator = np.random.default_rng(seed)
-        n = 6 * cells[0].n_parties
-        train = LabeledDataset(generator.standard_normal((n, arch.in_dim)),
-                               generator.integers(0, arch.out_dim, n), arch.out_dim)
-        test = LabeledDataset(generator.standard_normal((8, arch.in_dim)),
-                              generator.integers(0, arch.out_dim, 8), arch.out_dim)
-        spec = PartitionSpec("quantity_dirichlet", beta=1.0)
+        train, test, spec = _group_data(arch, cells, seed, kind)
         together = engine.run_group(train, test, spec, arch, cells)
         for cfg, records in zip(cells, together):
             alone = engine.run_experiment(train, test, spec, arch, cfg)
             assert _masked(records) == _masked(alone)
+
+    @given(group_cases(), st.sampled_from(["iid", "quantity_dirichlet"]))
+    def test_kernel_calls_counts_the_calls_of_each_cohort(self, case, kind):
+        # _row_cohorts picks its layout by _kernel_calls' count, which must
+        # be what the cohort loop makes when no row diverges. (Option "i"
+        # would add one full-data gradient call per scaffold row, in either
+        # layout.)
+        arch, cells, seed = case
+        cells = [replace(cell, local_lr=0.05, scaffold_c_option="ii") for cell in cells]
+        train, _, spec = _group_data(arch, cells, seed, kind)
+        _, views = build_views(train, spec, cells[0].n_parties, seed)
+        objective = MlpObjective(arch)
+        w_t = objective.init_params(seed)
+        zero = np.zeros_like(w_t)
+        selected = engine.sample_parties(cells[0].n_parties, cells[0].sample_fraction, 0, seed)
+        calls = []
+        real_loss_grad = engine._loss_grad
+
+        def counting(*args):
+            calls.append(None)
+            return real_loss_grad(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_loss_grad", counting)
+            for cohort in engine._row_cohorts(selected, views, cells, w_t.size, True):
+                rows = [engine._Row(views[p], cells[c], w_t,
+                                    (zero, zero) if cells[c].algorithm == "scaffold" else None)
+                        for p, c in cohort]
+                calls.clear()
+                results = engine._cohort_sgd(rows, 0, objective)
+                assert not any(update.diverged for update, _ in results)
+                assert len(calls) == engine._kernel_calls(
+                    [[(row.view.n_samples, row.cfg.local_epochs) for row in rows]],
+                    cells[0].batch_size)
 
 
 def _masked(records):
