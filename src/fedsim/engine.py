@@ -14,46 +14,48 @@ Models and control variates are flat float64 arrays (see fedsim.nn). Every
 one the engine hands out is read-only, so it can be shared without a copy
 and no party can change what the next one sees.
 
-Lockstep training: one loop, _cohort_sgd, trains every row, a party
-trained for one cell, and hands back its LocalUpdate (and, for scaffold,
-its refreshed c_i). The cells of one trial differ at most in algorithm,
-prox_mu and local_epochs (lockstep_key), so they share the partition, the
-initial model, each round's party sample and each party's batches;
-run_group trains them together. It builds the views and the initial model
-once, samples the parties once per round, trains every (party, cell) row
-in cohorts, and aggregates, evaluates and records each cell on its own.
-One cell trains in cohorts of 1 to P parties, runs of consecutive ids in
-ascending order whose (P, n) float64 model stack fits in COHORT_BYTES.
-Several cells train either by party, a party's rows (one per cell, up to
-the same cap) in one cohort, or by cell, each cell in the cohorts it
-would have alone, whichever makes fewer kernel calls that round
-(_row_cohorts). Each row starts from its own cell's w_t and pulls toward
-it with its own mu, adds its own scaffold correction, and takes its own
-number of epochs. Consecutive rows on one party share one
+Lockstep training: one loop, LocalTrainer.train, trains every row, a
+party trained for one cell, and hands back its LocalUpdate (and, for
+scaffold, its refreshed c_i). The cells of one trial differ at most in
+algorithm, prox_mu and local_epochs (lockstep_key), so they share the
+partition, the initial model, each round's party sample and each party's
+batches; run_group trains them together. It builds the views and the
+initial model once, samples the parties once per round, trains every
+(party, cell) row in cohorts, and aggregates, evaluates and records each
+cell on its own. One cell trains in cohorts of 1 to P parties, runs of
+consecutive ids in ascending order whose (P, n) float64 model stack fits
+in COHORT_BYTES. Several cells train either by party, a party's rows
+(one per cell, up to the same cap) in one cohort, or by cell, each cell
+in the cohorts it would have alone, whichever makes fewer kernel calls
+that round (_row_cohorts). Each row starts from its own cell's w_t and
+pulls toward it with its own mu, adds its own scaffold correction, and
+takes its own number of epochs. Consecutive rows on one party share one
 batch generator, _batches, which draws each epoch's permutation from the
-party's stream; a row leaves its cohort when its own epochs are done or a
-step goes non-finite. At each lockstep iteration every run of consecutive
-active rows whose next batches have the same size forms a group: rows
-lo:hi of the cohort's stacks, stepped in place by one loss_grad call and
-one momentum update and never gathered into a copy (a lone row steps on
-its 1-d views, and a group on one party's batch gathers it once for all
-its rows). Each row computes exactly what the party would alone in its
-cell, so no output depends on the cohorts or on the other cells. Only
-MlpObjective's own loss_grad stacks models. For it the loop calls the
-kernel behind it, nn._loss_grad, with a plan of an nn.Workspace (even for
-a cohort of one), so a step neither re-slices the models nor allocates
-its buffers again. The loop's stacks, that workspace and the plans live
-in one CohortBuffers that run_group makes once per run, sized for the
-run's largest cohort; each cohort overwrites the rows it uses before it
-reads them, so no value depends on earlier cohorts. An objective whose
-loss_grad is anything else (a duck-typed object, a subclass that
-overrides it, or a wrapper set on the instance) trains every row in a
-cohort of one, through local_train_sgd / local_train_scaffold, with one
-1-d loss_grad call per local step, so a tracer that overrides loss_grad
-sees every step. A model too wide for two copies to fit in COHORT_BYTES
-trains in cohorts of one as well. For either, trains_in_lockstep is
-False, and the harness runs each cell alone through run_experiment and
-run_round.
+party's stream; a row leaves its cohort when its own epochs are done or
+a step goes non-finite. At each lockstep iteration every run of
+consecutive active rows whose next batches have the same size forms a
+group: rows lo:hi of the cohort's stacks, stepped in place by one
+loss_grad call and one momentum update and never gathered into a copy (a
+lone row steps on its 1-d views, and a group on one party's batch
+gathers it once for all its rows). Each row computes exactly what the
+party would alone in its cell, so no output depends on the cohorts or on
+the other cells. Only MlpObjective's own loss_grad stacks models. For it
+the loop calls the kernel behind it, nn._loss_grad, with a plan of an
+nn.Workspace (even for a cohort of one), so a step neither re-slices the
+models nor allocates its buffers again. run_group makes one LocalTrainer
+per run, sized for the run's largest cohort: it holds the objective, the
+loop's stacks, that workspace and the plans, which are the run's only
+cache of them. Each cohort overwrites the rows it uses before it reads
+them, so no value depends on earlier cohorts. A call given no trainer
+makes one of its own, and a trainer made for another objective is
+refused. An objective whose loss_grad is anything else (a duck-typed
+object, a subclass that overrides it, or a wrapper set on the instance)
+trains every row in a cohort of one, through local_train_sgd /
+local_train_scaffold, with one 1-d loss_grad call per local step, so a
+tracer that overrides loss_grad sees every step. A model too wide for
+two copies to fit in COHORT_BYTES trains in cohorts of one as well. For
+either, trains_in_lockstep is False, and the harness runs each cell
+alone through run_experiment and run_round.
 """
 
 from __future__ import annotations
@@ -193,9 +195,9 @@ class MlpObjective:
     cohort of rows with one call per step. Override it and each party
     trains in a cohort of one, so the override only ever sees one model
     and is called once per local step. loss_grad runs once per step, so
-    it validates nothing: run_experiment checks the training data against
-    the architecture once, and the local loop checks the loss and the new
-    parameters for finiteness.
+    it validates nothing: check_datasets, which run_group and the CLI's
+    run call, checks both data sets against the architecture once, and
+    the local loop checks the loss and the new parameters for finiteness.
     """
 
     def __init__(self, arch: MlpArch):
@@ -311,47 +313,257 @@ def _scaffold_refresh(update, row, objective):
     return replace(update, delta_control=zero, diverged=True), c_i
 
 
-class CohortBuffers:
-    """The local trainer's state, reused by every cohort of one run.
+class LocalTrainer:
+    """The local trainer of one run: local epochs of minibatch SGD with
+    momentum for each cohort of rows the run trains (see train).
 
-    It holds (rows, n) parameter, spare and velocity stacks, scaffold's
-    corrections and corrected gradients, the proximal anchors (made the
-    first time a cohort's mu rows start from different models; rows of one
-    cell pull toward its w_t itself), the nn.Workspace of an objective
-    that stacks, and steps: per cohort layout (each row's mu, the scaffold
-    rows and whether the mu rows share one anchor) and per (parity, lo,
-    hi, batch size), a group's views of these stacks, its proximal and
-    correction arguments and its loss_grad plan, made the first time that
-    group steps and kept for the run. A cohort of P <= rows rows uses the
-    leading P rows and overwrites each value it reads before reading it
-    (the parameters and anchors with each row's w_t, the velocity with
-    zeros, the corrections with c - c_i), so nothing carries over from one
-    cohort to the next. Every cached view points into these arrays and no
-    other, so it stays valid.
+    run_group makes one per run, sized for the run's largest cohort. It
+    holds its objective, (rows, n) parameter, spare and velocity stacks,
+    the proximal anchors (made the first time a cohort's mu rows start from
+    different models; rows of one cell pull toward its w_t itself),
+    scaffold's corrections (made the first time a cohort has scaffold
+    rows), the nn.Workspace of an objective that stacks, and steps: per
+    cohort layout (each row's mu, the scaffold rows and whether the mu rows
+    share one anchor) and per (parity, lo, hi, batch size), a group's views
+    of these stacks, its proximal and correction arguments and its
+    loss_grad plan, made the first time that group steps and kept for the
+    run. A cohort of P <= rows rows uses the leading P rows and overwrites
+    each value it reads before reading it (the parameters and anchors with
+    each row's w_t, the velocity with zeros, the corrections with c - c_i),
+    so nothing carries over from one cohort to the next. Every cached view
+    points into these arrays and no other, so it stays valid.
     """
 
-    def __init__(self, objective, n_coords: int, rows: int, batch_size: int, scaffold: bool):
-        shape = (rows, n_coords)
-        self.params, self.spare, self.velocity = (np.empty(shape) for _ in range(3))
-        self.layers = objective.layers if _stacks(objective) else None
-        self.corrections = np.empty(shape) if scaffold else None
-        # A planned call's gradient is the workspace's, corrected in place.
-        self.corrected = np.empty(shape) if scaffold and self.layers is None else None
-        self.anchors = None
-        self.work = None if self.layers is None else Workspace(self.layers, rows, batch_size)
-        self.batch_size = batch_size
+    def __init__(self, objective, n_coords: int, rows: int, batch_size: int):
+        self.objective = objective
+        self.params, self.spare, self.velocity = (np.empty((rows, n_coords)) for _ in range(3))
+        self.anchors = self.corrections = None
+        self.work = Workspace(objective.layers, rows, batch_size) if _stacks(objective) else None
         self.steps = {}
 
-    def fits(self, objective, n_coords: int, rows: int, batch_size: int, scaffold: bool) -> bool:
-        """Whether a cohort of rows rows with this shape may use them."""
-        layers = objective.layers if _stacks(objective) else None
-        return (
-            layers == self.layers
-            and rows <= len(self.params)
-            and n_coords == self.params.shape[1]
-            and batch_size <= self.batch_size
-            and (not scaffold or self.corrections is not None)
-        )
+    def train(self, rows, round_idx):
+        """Train a cohort of rows for the round; returns (LocalUpdate, new
+        c_i or None) per row, in row order, each final model a read-only
+        copy.
+
+        Each row (a _Row) is one party trained for one cell: row p of each
+        (P, n) stack starts at that cell's w_t, with zero velocity. All
+        views share one training matrix, and all rows one batch size,
+        learning rate, momentum and seed (run_group checks that its cells
+        do). Consecutive rows on one party share one _batches generator,
+        drawn once per iteration for all of them; each row takes its
+        cfg.local_epochs epochs of it and then leaves, so rows with fewer
+        epochs leave first. Each iteration, each run of consecutive active
+        rows whose batches have the same size is a group, rows lo:hi of
+        every stack, never a gathered copy. A group of one calls loss_grad
+        on its row's 1-d views; a larger group, only when the objective
+        stacks, calls it on the (k, n) stack params[lo:hi], with the batch
+        gathered once when all its rows are one party's.
+
+        w_t is never written to, and neither are the views' arrays nor the
+        gradients an objective returns. A row whose cfg.mu is set adds the
+        proximal pull toward its own w_t, with its own mu (when every such
+        row starts from one w_t, that array itself is the anchor); a
+        scaffold row (controls given) adds its own c - c_i to its raw
+        gradients before the momentum step. Rows of each kind must be
+        consecutive, so that the proximal term and the corrections apply to
+        one run of a group's rows: a row without a mu never enters the
+        proximal branch, and no other row has a zero correction added,
+        either of which could turn a -0.0 into +0.0 or 0 * inf into nan.
+
+        A step whose loss or new parameters are non-finite, or whose
+        objective raises NumericError, is dropped, and its row leaves with
+        its last finite model and diverged set. A non-finite gradient
+        always reaches the new parameters (lr > 0, finite momentum), so
+        checking those two catches every non-finite step. A party with no
+        samples takes no step and hands back w_t with tau 1. Only finite
+        rows are kept, so the parameter and spare stacks swap whole. When
+        the objective stacks, the loop calls nn._loss_grad, which is what
+        MlpObjective.loss_grad runs, with a plan of the trainer's
+        nn.Workspace and adds the corrections into the gradient it returns;
+        an objective that does not stack gets one row at a time, and its
+        gradient is corrected out of place (the same ufunc, so the same
+        bits).
+        """
+        n_rows, first, objective = len(rows), rows[0].cfg, self.objective
+        for row in rows:
+            if row.controls is not None:
+                server_control, c_i = row.controls
+                if c_i is None or server_control is None:
+                    raise ProtocolError("scaffold training requires both control variates")
+                if c_i.shape != row.w_t.shape or server_control.shape != row.w_t.shape:
+                    raise ProtocolError("control variate shapes do not match the model")
+        mus = tuple(row.cfg.mu or 0.0 for row in rows)
+        mu_lo, mu_hi = _run_of([mu > 0 for mu in mus])
+        scaffold_lo, scaffold_hi = _run_of([row.controls is not None for row in rows])
+        # Rows of one cell share its w_t, which is then their anchor as it is.
+        shared = rows[mu_lo].w_t if mu_hi and all(
+            row.w_t is rows[mu_lo].w_t for row in rows[mu_lo:mu_hi]) else None
+        if mu_hi and shared is None and self.anchors is None:
+            self.anchors = np.empty_like(self.params)
+        if scaffold_hi and self.corrections is None:
+            self.corrections = np.empty_like(self.params)
+        params, spare, velocity, anchors = self.params, self.spare, self.velocity, self.anchors
+        corrections, work = self.corrections, self.work
+        velocity[:n_rows] = 0.0
+        for r, row in enumerate(rows):
+            params[r] = row.w_t
+            if shared is None and mu_lo <= r < mu_hi:
+                anchors[r] = row.w_t
+            if row.controls is not None:
+                with _flagged_numerics():
+                    # Round-constant corrections; computing each difference
+                    # once keeps the zero-control case exactly equal to
+                    # plain SGD.
+                    np.subtract(*row.controls, out=corrections[r])
+        # One generator per run of consecutive rows on one party, for the
+        # most epochs any of them takes; left[r] counts the batches row r
+        # has to go.
+        stream_of, firsts = [], []
+        for r, row in enumerate(rows):
+            if not firsts or row.view is not rows[firsts[-1]].view:
+                firsts.append(r)
+            stream_of.append(len(firsts) - 1)
+        batch_size = first.batch_size
+        streams = [
+            _batches(rows[lo].view, first, round_idx,
+                     max(row.cfg.local_epochs for row in rows[lo:hi]))
+            for lo, hi in zip(firsts, firsts[1:] + [n_rows])
+        ]
+        left = [row.cfg.local_epochs * -(-row.view.n_samples // batch_size) for row in rows]
+        loss_grad = objective.loss_grad
+        source, labels = rows[0].view.source, rows[0].view.source_labels
+        lr, momentum = first.local_lr, first.momentum
+        batches = [None] * n_rows
+        losses = [[] for _ in rows]
+        results = [None] * n_rows
+        # Per (parity, lo, hi, batch size): see make_step. parity flips when
+        # params and spare swap, and each cohort starts at 0 with params the
+        # trainer's own stack.
+        steps = self.steps.setdefault((mus, scaffold_lo, scaffold_hi, shared is None), {})
+        parity = 0
+
+        def make_step(lo, hi, m):
+            """The views of rows lo:hi (1-d for a lone row), their loss_grad
+            plan and proximal arguments, and the corrections of their
+            scaffold rows with the planned gradient rows they are added
+            into."""
+            single = hi - lo == 1
+            at = lo if single else slice(lo, hi)
+            w = params[at]
+            plan = None if work is None else work.plan(w, m)
+            mu, anchor, prox_rows = 0.0, None, None
+            a, b = max(lo, mu_lo), min(hi, mu_hi)
+            if a < b:
+                # None stands for the shared anchor, which changes every round.
+                if (a, b) == (lo, hi) and len(set(mus[lo:hi])) == 1:
+                    mu, anchor = mus[lo], None if shared is not None else anchors[at]
+                else:
+                    mu, prox_rows = np.array(mus[a:b]), slice(a - lo, b - lo)
+                    anchor = None if shared is not None else anchors[a:b]
+            correction = into = None
+            a, b = max(lo, scaffold_lo), min(hi, scaffold_hi)
+            if a < b:
+                correction = corrections[at if single else slice(a, b)]
+                if plan is not None:
+                    into = plan.grad if single else plan.grad[a - lo : b - lo]
+            return w, velocity[at], spare[at], plan, mu, anchor, prox_rows, correction, into
+
+        def leave(r, diverged):
+            row, row_losses = rows[r], losses[r]
+            update = LocalUpdate(
+                party_id=row.view.party_id,
+                tau=max(len(row_losses), 1),
+                n_samples=row.view.n_samples,
+                train_loss=float(np.mean(row_losses)) if row_losses else float("nan"),
+                final_params=_read_only(params[r].copy()),
+                diverged=diverged,
+            )
+            results[r] = (update, None) if row.controls is None else _scaffold_refresh(
+                update, row, objective)
+
+        active = list(range(n_rows))
+        with _flagged_numerics():
+            while active:
+                # [lo, hi, m, stream]: a run of rows whose batches hold m
+                # samples; stream is -1 once the run spans several parties.
+                groups = []
+                drawn = -1
+                for r in active:
+                    if not left[r]:
+                        leave(r, False)
+                        continue
+                    left[r] -= 1
+                    stream = stream_of[r]
+                    if stream != drawn:
+                        batch, drawn = next(streams[stream]), stream
+                    batches[r] = batch
+                    m = batch.shape[0]
+                    group = groups[-1] if groups else None
+                    if work is not None and group and group[1] == r and group[2] == m:
+                        group[1] += 1
+                        if group[3] != stream:
+                            group[3] = -1
+                    else:
+                        groups.append([r, r + 1, m, stream])
+                kept = []
+                for lo, hi, m, stream in groups:
+                    single = hi - lo == 1
+                    step = steps.get((parity, lo, hi, m))
+                    if step is None:
+                        step = steps[parity, lo, hi, m] = make_step(lo, hi, m)
+                    w, v, out, plan, mu, anchor, prox_rows, correction, into = step
+                    if anchor is None:
+                        anchor = shared
+                    if single:
+                        x, y = source[batches[lo]], labels[batches[lo]]
+                    elif stream >= 0:  # one party's batch, which every row trains on
+                        x, y = source[batches[lo]][None], labels[batches[lo]][None]
+                    else:
+                        picked = np.concatenate(batches[lo:hi]).reshape(-1, m)
+                        x, y = source[picked], labels[picked]
+                    try:
+                        if plan is None:
+                            loss, grad = loss_grad(w, x, y, mu, anchor)
+                        else:
+                            loss, grad = _loss_grad(work.layers, w, x, y, mu, anchor, plan,
+                                                    prox_rows)
+                    except NumericError:
+                        for r in range(lo, hi):
+                            leave(r, True)
+                        continue
+                    if correction is not None:
+                        if plan is None:
+                            grad = grad + correction
+                        else:
+                            into += correction
+                    momentum_update(w, grad, v, lr, momentum, out)
+                    if single:
+                        outcomes = ((lo, loss, math.isfinite(loss) and np.isfinite(out).all()),)
+                    else:
+                        finite = np.isfinite(loss) & np.isfinite(out).all(axis=1)
+                        outcomes = zip(range(lo, hi), loss.tolist(), finite.tolist())
+                    for r, row_loss, ok in outcomes:
+                        if ok:
+                            losses[r].append(row_loss)
+                            kept.append(r)
+                        else:
+                            leave(r, True)
+                params, spare = spare, params
+                parity ^= 1
+                active = kept
+        return results
+
+
+def _trainer_for(objective, trainer, rows: int, n_coords: int, batch_size: int):
+    """trainer, or when it is None a new LocalTrainer for rows rows. A
+    trainer keeps views and plans made for its own objective, so one made
+    for another is refused."""
+    if trainer is None:
+        return LocalTrainer(objective, n_coords, rows, batch_size)
+    if trainer.objective is not objective:
+        raise ProtocolError("the local trainer was made for another objective")
+    return trainer
 
 
 def _run_of(flags) -> tuple[int, int]:
@@ -365,226 +577,6 @@ def _run_of(flags) -> tuple[int, int]:
     return marked[0], marked[-1] + 1
 
 
-def _cohort_sgd(rows, round_idx, objective, *, buffers=None):
-    """Local epochs of minibatch SGD with momentum for a cohort of rows.
-
-    Each row (a _Row) is one party trained for one cell: row p of each
-    (P, n) buffer starts at that cell's w_t, with zero velocity. All views
-    share one training matrix, and all rows one batch size, learning rate,
-    momentum and seed (run_group checks that its cells do). Consecutive
-    rows on one party share one _batches generator, drawn once per
-    iteration for all of them; each row takes its cfg.local_epochs epochs
-    of it and then leaves, so rows with fewer epochs leave first. Each
-    iteration, each run of consecutive active rows whose batches have the
-    same size is a group, rows lo:hi of every buffer, never a gathered
-    copy. A group of one calls loss_grad on its row's 1-d views; a larger
-    group, only when the objective stacks, calls it on the (k, n) stack
-    params[lo:hi], with the batch gathered once when all its rows are one
-    party's.
-
-    w_t is never written to, and neither are the views' arrays nor the
-    gradients an objective returns. A row whose cfg.mu is set adds the
-    proximal pull toward its own w_t, with its own mu (when every such row
-    starts from one w_t, that array itself is the anchor); a scaffold row
-    (controls given) adds its own c - c_i to its raw gradients before the
-    momentum step. Rows of each kind must be consecutive, so that the
-    proximal term and the corrections apply to one run of a group's rows:
-    a row without a mu never enters the proximal branch, and no other row
-    has a zero correction added, either of which could turn a -0.0 into
-    +0.0 or 0 * inf into nan.
-
-    Returns (LocalUpdate, new c_i or None) per row, in row order, each
-    final model a read-only copy. A step whose loss or new parameters are
-    non-finite, or whose objective raises NumericError, is dropped, and its
-    row leaves with its last finite model and diverged set. A non-finite
-    gradient always reaches the new parameters (lr > 0, finite momentum),
-    so checking those two catches every non-finite step. A party with no
-    samples takes no step and hands back w_t with tau 1.
-
-    The loop's state lives in buffers, a CohortBuffers that run_group
-    makes once per run, or a fresh one sized for this cohort when it is
-    None: the parameters, the velocity (updated in place), a spare
-    parameter stack that every step writes, the anchors of mu rows that
-    start from different models, and scaffold's corrections. Only finite
-    rows are kept, so the parameter and spare stacks swap whole. When the
-    objective stacks, the loop calls nn._loss_grad, which is what
-    MlpObjective.loss_grad runs, with a plan of the buffers' nn.Workspace
-    and adds the corrections into the gradient it returns; an objective
-    that does not stack gets one row at a time, and its gradient is
-    corrected into a buffer the loop owns.
-    """
-    n_rows, first = len(rows), rows[0].cfg
-    for row in rows:
-        if row.controls is not None:
-            server_control, c_i = row.controls
-            if c_i is None or server_control is None:
-                raise ProtocolError("scaffold training requires both control variates")
-            if c_i.shape != row.w_t.shape or server_control.shape != row.w_t.shape:
-                raise ProtocolError("control variate shapes do not match the model")
-    mus = tuple(row.cfg.mu or 0.0 for row in rows)
-    mu_lo, mu_hi = _run_of([mu > 0 for mu in mus])
-    scaffold_lo, scaffold_hi = _run_of([row.controls is not None for row in rows])
-    n_coords, batch_size = rows[0].w_t.size, first.batch_size
-    if buffers is None:
-        buffers = CohortBuffers(objective, n_coords, n_rows, batch_size, scaffold_hi > 0)
-    elif not buffers.fits(objective, n_coords, n_rows, batch_size, scaffold_hi > 0):
-        raise ProtocolError("the cohort buffers were made for another objective or shape")
-    # Rows of one cell share its w_t, which is then their anchor as it is.
-    shared = rows[mu_lo].w_t if mu_hi and all(
-        row.w_t is rows[mu_lo].w_t for row in rows[mu_lo:mu_hi]) else None
-    if mu_hi and shared is None and buffers.anchors is None:
-        buffers.anchors = np.empty_like(buffers.params)
-    params, spare, velocity, anchors = (
-        buffers.params, buffers.spare, buffers.velocity, buffers.anchors)
-    corrections, corrected, work = buffers.corrections, buffers.corrected, buffers.work
-    velocity[:n_rows] = 0.0
-    for r, row in enumerate(rows):
-        params[r] = row.w_t
-        if shared is None and mu_lo <= r < mu_hi:
-            anchors[r] = row.w_t
-        if row.controls is not None:
-            with _flagged_numerics():
-                # Round-constant corrections; computing each difference once
-                # keeps the zero-control case exactly equal to plain SGD.
-                np.subtract(*row.controls, out=corrections[r])
-    # One generator per run of consecutive rows on one party, for the most
-    # epochs any of them takes; left[r] counts the batches row r has to go.
-    stream_of, firsts = [], []
-    for r, row in enumerate(rows):
-        if not firsts or row.view is not rows[firsts[-1]].view:
-            firsts.append(r)
-        stream_of.append(len(firsts) - 1)
-    streams = [
-        _batches(rows[lo].view, first, round_idx,
-                 max(row.cfg.local_epochs for row in rows[lo:hi]))
-        for lo, hi in zip(firsts, firsts[1:] + [n_rows])
-    ]
-    left = [row.cfg.local_epochs * -(-row.view.n_samples // batch_size) for row in rows]
-    loss_grad = objective.loss_grad
-    source, labels = rows[0].view.source, rows[0].view.source_labels
-    lr, momentum = first.local_lr, first.momentum
-    batches = [None] * n_rows
-    losses = [[] for _ in rows]
-    results = [None] * n_rows
-    # Per (parity, lo, hi, batch size): see make_step. parity flips when
-    # params and spare swap, and each cohort starts at 0 with params the
-    # buffers' own stack.
-    steps = buffers.steps.setdefault((mus, scaffold_lo, scaffold_hi, shared is None), {})
-    parity = 0
-
-    def make_step(lo, hi, m):
-        """The views of rows lo:hi (1-d for a lone row), their loss_grad
-        plan and proximal arguments, and the corrections of their scaffold
-        rows with the gradient rows they are added into."""
-        single = hi - lo == 1
-        at = lo if single else slice(lo, hi)
-        w = params[at]
-        plan = None if work is None else work.plan(w, m)
-        mu, anchor, prox_rows = 0.0, None, None
-        a, b = max(lo, mu_lo), min(hi, mu_hi)
-        if a < b:
-            # None stands for the shared anchor, which changes every round.
-            if (a, b) == (lo, hi) and len(set(mus[lo:hi])) == 1:
-                mu, anchor = mus[lo], None if shared is not None else anchors[at]
-            else:
-                mu, prox_rows = np.array(mus[a:b]), slice(a - lo, b - lo)
-                anchor = None if shared is not None else anchors[a:b]
-        correction = into = None
-        a, b = max(lo, scaffold_lo), min(hi, scaffold_hi)
-        if a < b:
-            correction = corrections[at if single else slice(a, b)]
-            if plan is None:
-                into = corrected[at]
-            else:
-                into = plan.layout.grad if single else plan.layout.grad[a - lo : b - lo]
-        return w, velocity[at], spare[at], plan, mu, anchor, prox_rows, correction, into
-
-    def leave(r, diverged):
-        row, row_losses = rows[r], losses[r]
-        update = LocalUpdate(
-            party_id=row.view.party_id,
-            tau=max(len(row_losses), 1),
-            n_samples=row.view.n_samples,
-            train_loss=float(np.mean(row_losses)) if row_losses else float("nan"),
-            final_params=_read_only(params[r].copy()),
-            diverged=diverged,
-        )
-        results[r] = (update, None) if row.controls is None else _scaffold_refresh(
-            update, row, objective)
-
-    active = list(range(n_rows))
-    with _flagged_numerics():
-        while active:
-            # [lo, hi, m, stream]: a run of rows whose batches hold m
-            # samples; stream is -1 once the run spans several parties.
-            groups = []
-            drawn = -1
-            for r in active:
-                if not left[r]:
-                    leave(r, False)
-                    continue
-                left[r] -= 1
-                stream = stream_of[r]
-                if stream != drawn:
-                    batch, drawn = next(streams[stream]), stream
-                batches[r] = batch
-                m = batch.shape[0]
-                group = groups[-1] if groups else None
-                if work is not None and group and group[1] == r and group[2] == m:
-                    group[1] += 1
-                    if group[3] != stream:
-                        group[3] = -1
-                else:
-                    groups.append([r, r + 1, m, stream])
-            kept = []
-            for lo, hi, m, stream in groups:
-                single = hi - lo == 1
-                step = steps.get((parity, lo, hi, m))
-                if step is None:
-                    step = steps[parity, lo, hi, m] = make_step(lo, hi, m)
-                w, v, out, plan, mu, anchor, prox_rows, correction, into = step
-                if anchor is None:
-                    anchor = shared
-                if single:
-                    x, y = source[batches[lo]], labels[batches[lo]]
-                elif stream >= 0:  # one party's batch, which every row trains on
-                    x, y = source[batches[lo]][None], labels[batches[lo]][None]
-                else:
-                    picked = np.concatenate(batches[lo:hi]).reshape(-1, m)
-                    x, y = source[picked], labels[picked]
-                try:
-                    if plan is None:
-                        loss, grad = loss_grad(w, x, y, mu, anchor)
-                    else:
-                        loss, grad = _loss_grad(objective.layers, w, x, y, mu, anchor, plan,
-                                                prox_rows)
-                except NumericError:
-                    for r in range(lo, hi):
-                        leave(r, True)
-                    continue
-                if correction is not None:
-                    if plan is None:
-                        grad = np.add(grad, correction, out=into)
-                    else:
-                        np.add(into, correction, out=into)
-                momentum_update(w, grad, v, lr, momentum, out)
-                if single:
-                    outcomes = ((lo, loss, math.isfinite(loss) and np.isfinite(out).all()),)
-                else:
-                    finite = np.isfinite(loss) & np.isfinite(out).all(axis=1)
-                    outcomes = zip(range(lo, hi), loss.tolist(), finite.tolist())
-                for r, row_loss, ok in outcomes:
-                    if ok:
-                        losses[r].append(row_loss)
-                        kept.append(r)
-                    else:
-                        leave(r, True)
-            params, spare = spare, params
-            parity ^= 1
-            active = kept
-    return results
-
-
 def local_train_sgd(
     w_t: np.ndarray,
     view: PartyView,
@@ -592,16 +584,17 @@ def local_train_sgd(
     round_idx: int,
     objective,
     *,
-    buffers: CohortBuffers | None = None,
+    trainer: LocalTrainer | None = None,
 ) -> LocalUpdate:
     """Local epochs of minibatch SGD with momentum; velocity starts at zero.
 
     A cfg.mu > 0 adds the proximal pull toward this round's global model
     (the anchor stays w_t for the whole round); a mu of 0 or None is
-    bit-identical to plain training. buffers is the run's CohortBuffers, or
-    None for fresh ones; see _cohort_sgd.
+    bit-identical to plain training. trainer is the run's LocalTrainer, or
+    None for a new one; see LocalTrainer.train.
     """
-    return _cohort_sgd([_Row(view, cfg, w_t)], round_idx, objective, buffers=buffers)[0][0]
+    trainer = _trainer_for(objective, trainer, 1, w_t.size, cfg.batch_size)
+    return trainer.train([_Row(view, cfg, w_t)], round_idx)[0][0]
 
 
 def local_train_scaffold(
@@ -613,7 +606,7 @@ def local_train_scaffold(
     round_idx: int,
     objective,
     *,
-    buffers: CohortBuffers | None = None,
+    trainer: LocalTrainer | None = None,
 ) -> tuple[LocalUpdate, np.ndarray]:
     """Control-variate-corrected local training.
 
@@ -623,10 +616,10 @@ def local_train_scaffold(
     c_i - c + (w_t - w_final) / (tau * lr) (option "ii"). Returns the update
     (carrying delta_control = c* - c_i) and the new c_i, both read-only. If
     c* or c* - c_i is non-finite, the party is flagged diverged, keeps its
-    c_i and reports a zero delta_control. buffers is as in local_train_sgd.
+    c_i and reports a zero delta_control. trainer is as in local_train_sgd.
     """
-    row = _Row(view, cfg, w_t, (server_control, c_i))
-    return _cohort_sgd([row], round_idx, objective, buffers=buffers)[0]
+    trainer = _trainer_for(objective, trainer, 1, w_t.size, cfg.batch_size)
+    return trainer.train([_Row(view, cfg, w_t, (server_control, c_i))], round_idx)[0]
 
 
 def _sorted_updates(updates) -> list[LocalUpdate]:
@@ -736,7 +729,7 @@ def _row_kind(cfg) -> int:
 
 
 def _kernel_calls(cohorts, batch_size: int) -> int:
-    """How many kernel calls _cohort_sgd makes on these cohorts, each a
+    """How many kernel calls LocalTrainer.train makes on these cohorts, each a
     list of (samples, epochs) rows, if no row diverges and the objective
     stacks: at each iteration of a cohort, one per run of consecutive
     active rows whose batches have the same size."""
@@ -794,22 +787,22 @@ def _row_cohorts(party_ids, views, cfgs, n_coords: int, stacks: bool) -> list[li
     return by_party if party_calls <= cell_calls else by_cell
 
 
-def _train_cohort(rows, round_idx, objective, *, buffers):
-    """Train one cohort; returns, in row order, each row's update and its
-    new c_i (None unless scaffold). A cohort of one row goes through the
-    module attributes local_train_sgd or local_train_scaffold, so a wrapper
-    set on them sees every party that trains alone. buffers is as in
-    _cohort_sgd."""
+def _train_cohort(rows, round_idx, objective, trainer):
+    """Train one cohort on trainer (made for objective); returns, in row
+    order, each row's update and its new c_i (None unless scaffold). A
+    cohort of one row goes through the module attributes local_train_sgd
+    or local_train_scaffold, so a wrapper set on them sees every party
+    that trains alone."""
     if len(rows) == 1:
         row = rows[0]
         if row.controls is not None:
             return [local_train_scaffold(
                 row.w_t, *row.controls, row.view, row.cfg, round_idx, objective,
-                buffers=buffers,
+                trainer=trainer,
             )]
         return [(local_train_sgd(row.w_t, row.view, row.cfg, round_idx, objective,
-                                 buffers=buffers), None)]
-    return _cohort_sgd(rows, round_idx, objective, buffers=buffers)
+                                 trainer=trainer), None)]
+    return trainer.train(rows, round_idx)
 
 
 def _close_round(state, updates, cfg, client_controls, n_bytes):
@@ -829,25 +822,28 @@ def _close_round(state, updates, cfg, client_controls, n_bytes):
     return new_state, updates, n_bytes
 
 
-def _run_rounds(states, views, cfgs, round_idx, objective, buffers):
+def _run_rounds(states, views, cfgs, round_idx, objective, trainer):
     """One round of each cell of a lockstep group (see run_group), with
     each cell's state in states: the parties are sampled once, every
-    (party, cell) row trains in _row_cohorts' cohorts, and each cell
-    aggregates its own updates as run_round does. Returns run_round's
-    triple per cell."""
+    (party, cell) row trains in _row_cohorts' cohorts on trainer (or when
+    it is None on a new LocalTrainer for the round's largest cohort), and
+    each cell aggregates its own updates as run_round does. Returns
+    run_round's triple per cell."""
     cfg = cfgs[0]
     selected = sample_parties(cfg.n_parties, cfg.sample_fraction, round_idx, cfg.master_seed)
     n_coords = len(states[0].params)
     controls = [list(state.client_controls or [None] * cfg.n_parties) for state in states]
     updates = [[] for _ in cfgs]
-    for cohort in _row_cohorts(selected, views, cfgs, n_coords, _stacks(objective)):
+    cohorts = _row_cohorts(selected, views, cfgs, n_coords, _stacks(objective))
+    trainer = _trainer_for(objective, trainer, max(map(len, cohorts)), n_coords, cfg.batch_size)
+    for cohort in cohorts:
         rows = [
             _Row(views[p], cfgs[cell], states[cell].params,
                  (states[cell].control, controls[cell][p])
                  if cfgs[cell].algorithm == "scaffold" else None)
             for p, cell in cohort
         ]
-        results = _train_cohort(rows, round_idx, objective, buffers=buffers)
+        results = _train_cohort(rows, round_idx, objective, trainer)
         for (p, cell), (update, new_control) in zip(cohort, results):
             updates[cell].append(update)
             if new_control is not None:
@@ -866,7 +862,7 @@ def run_round(
     round_idx: int,
     objective,
     *,
-    buffers: CohortBuffers | None = None,
+    trainer: LocalTrainer | None = None,
 ) -> tuple[GlobalState, list[LocalUpdate], int]:
     """One full round of one cell: sample, train the sampled parties,
     aggregate. run_group trains the rounds of several cells at once
@@ -879,10 +875,10 @@ def run_round(
     arguments: a sampled scaffold party's new control replaces its entry in
     the new state's client_controls. If the new model or the new server
     control has a non-finite entry, the round returns the given state marked
-    diverged; its traffic still counts. Every cohort trains on buffers,
-    the run's CohortBuffers, or when it is None on fresh ones of its own.
+    diverged; its traffic still counts. Every cohort trains on trainer,
+    the run's LocalTrainer, or when it is None on a new one of the round's.
     """
-    return _run_rounds([state], views, [cfg], round_idx, objective, buffers)[0]
+    return _run_rounds([state], views, [cfg], round_idx, objective, trainer)[0]
 
 
 def _weighted_mean_loss(updates) -> float:
@@ -911,12 +907,15 @@ def trains_in_lockstep(objective) -> bool:
 
 
 def check_datasets(ds_train: LabeledDataset, ds_test: LabeledDataset, arch: MlpArch) -> None:
-    """Raise unless both sets fit arch and the test set holds a sample.
+    """Raise unless both sets fit arch and each holds a sample.
 
     Local training validates nothing per step, and evaluation does not
     bound labels by the model's outputs, so both sets' widths and labels
-    are checked against arch once, before any run. Every round scores the
-    model on the test set, so it may not be empty."""
+    are checked against arch once, before any run. The parties share the
+    training set and every round scores the model on the test set, so
+    neither may be empty."""
+    if ds_train.n == 0:
+        raise DataError("training set is empty: there are no samples to partition")
     if ds_test.n == 0:
         raise DataError("test set is empty: the model is scored on it every round")
     for name, ds in (("training", ds_train), ("test", ds_test)):
@@ -950,10 +949,10 @@ def run_group(
     one cohort loop (see _run_rounds); each cell then aggregates,
     evaluates and records its own round. A group of one cell runs each
     round through the module attribute run_round, so a wrapper set on it
-    (the traced benchmark's) sees every round. One CohortBuffers, sized
+    (the traced benchmark's) sees every round. One LocalTrainer, sized
     for the group's largest cohort (its cells or its sampled parties, as
-    _row_cohorts may lay a round out either way), serves every round; it
-    dies with the run, so a sweep holds one group's buffers at a time.
+    _row_cohorts may lay a round out either way), trains every round; it
+    dies with the run, so a sweep holds one group's trainer at a time.
 
     A record's wall_ms covers the whole group's round: training every row,
     then aggregating and evaluating every cell.
@@ -981,16 +980,16 @@ def run_group(
     # A cohort holds one cell's sampled parties or one party's cells.
     rows = max(len(cfgs), _sample_size(cfg.n_parties, cfg.sample_fraction))
     rows = min(_cohort_cap(len(params), _stacks(objective)), rows)
-    buffers = CohortBuffers(objective, len(params), rows, cfg.batch_size, scaffold)
+    trainer = LocalTrainer(objective, len(params), rows, cfg.batch_size)
 
     untrained = RoundRecord(0, objective.accuracy(params, ds_test), None, 0, 0, False)
     records = [[untrained] for _ in cfgs]
     for round_idx in range(cfg.rounds):
         started = time.perf_counter()
         if len(cfgs) == 1:
-            outcomes = [run_round(states[0], views, cfg, round_idx, objective, buffers=buffers)]
+            outcomes = [run_round(states[0], views, cfg, round_idx, objective, trainer=trainer)]
         else:
-            outcomes = _run_rounds(states, views, cfgs, round_idx, objective, buffers)
+            outcomes = _run_rounds(states, views, cfgs, round_idx, objective, trainer)
         rounds = []
         for cell, (state, updates, n_bytes) in enumerate(outcomes):
             states[cell] = state

@@ -208,21 +208,32 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     cover the whole group.
 
     The dataset is built and checked against the architecture before the
-    output directory is made, so bad inputs leave nothing behind. Each
-    group's records are appended to results.jsonl as soon as it finishes
-    (the file is made then), so a sweep that stops part way keeps the
-    records of every run that finished. Once all have, the file is
-    rewritten in cell-major order if lockstep trained them in another.
-    Diverged runs are flagged in their records, never fatal. Each finished
-    run prints one progress line to stderr.
+    output directory is made, so a dataset that cannot be trained on (a
+    missing file, an empty training or test set, a width or label that does
+    not fit the model) leaves nothing behind. A partition that cannot be
+    built (too few classes for labels_per_party, a min_size no draw meets)
+    only shows when a group builds its views, after --out exists. Any
+    results.jsonl or summary.csv already in --out is removed before the
+    first group trains, so a sweep that fails leaves no earlier sweep's
+    files beside its own. Each group's records are appended to
+    results.jsonl as soon as it finishes (the file is made then), so a
+    sweep that stops part way keeps the records of every run that
+    finished. Once all have, the file is rewritten in cell-major order if
+    lockstep trained them in another. Diverged runs are flagged in their
+    records, never fatal. Each finished run prints one progress line to
+    stderr.
     """
     train, test = build_dataset(config)
     arch = MlpArch((train.n_features, *config.hidden, train.n_classes))
     check_datasets(train, test, arch)
+    results_path = os.path.join(out_dir, RESULTS_FILE)
+    summary_path = os.path.join(out_dir, SUMMARY_FILE)
     with _writing(out_dir):
         os.makedirs(out_dir, exist_ok=True)
+    for stale in (results_path, summary_path):
+        with _writing(stale), contextlib.suppress(FileNotFoundError):
+            os.remove(stale)
 
-    results_path = os.path.join(out_dir, RESULTS_FILE)
     # Looked up at call time, so a replaced engine.MlpObjective decides too.
     objective = engine.MlpObjective(arch)
     together = trains_in_lockstep(objective)
@@ -258,7 +269,6 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
         with _writing(results_path):
             os.replace(staged, results_path)
 
-    summary_path = os.path.join(out_dir, SUMMARY_FILE)
     with _writing(summary_path), open(summary_path, "w", encoding="ascii") as fh:
         fh.write("algorithm,mu,local_epochs,trials,final_accuracy_mean,final_accuracy_std\n")
         for cell in config.cells:

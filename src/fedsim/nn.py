@@ -184,9 +184,11 @@ class Workspace:
     unplanned call) reuse.
 
     Sized for up to `rows` models and batches of up to `batch` samples.
-    plan(w, m) views them for one call on w; the buffer views of each call
-    shape are laid out once and kept. Calls that share a workspace run one
-    at a time, and each call's gradient is overwritten by the next call's.
+    plan(w, m) lays out views of them for one call shape on w; it keeps
+    nothing, so a caller that calls on one shape again keeps the plan (the
+    engine's LocalTrainer does, for a whole run). Calls that share a
+    workspace run one at a time, and each call's gradient is overwritten by
+    the next call's.
     """
 
     def __init__(self, layers, rows: int, batch: int):
@@ -200,77 +202,64 @@ class Workspace:
         self.index = np.empty(cells, dtype=np.int64)
         self.grad = np.empty(rows * n)
         self.diff = np.empty(rows * n)
-        self.layouts = {}
 
     def plan(self, w, m: int) -> _Plan:
         """The views of a _loss_grad call on w with m samples per model."""
-        layout = self.layouts.get((w.shape, m))
-        if layout is None:
-            layout = self.layouts[w.shape, m] = _Layout(self.layers, w.shape, m, self)
-        return _Plan(self.layers, w, layout)
+        return _Plan(w, m, self)
 
 
-class _Layout:
-    """The arrays of a _loss_grad call shape: one model (n,) or a (k, n)
-    stack, on batches of m samples, laid out in a workspace.
+class _Plan:
+    """The arrays of one _loss_grad call on the model array w, one model
+    (n,) or a (k, n) stack, with batches of m samples, laid out in a
+    workspace.
 
-    It holds the gradient and its per-layer views, the layer outputs and
-    their transposes, the delta, per-sample, label index and
-    proximal-difference buffers, the class columns the short-row folds
-    read, and the flat label index base arange(0, k*m*C, C). Every buffer
-    is a leading part of the workspace's, so it is contiguous and laid out
-    as a fresh array would be.
+    It holds w's layer weight views, their transposes and its bias views;
+    the gradient and its per-layer views; the layer outputs and their
+    transposes; the delta, per-sample, label index and proximal-difference
+    buffers; the class columns the short-row folds read; and the flat label
+    index base arange(0, k*m*C, C). Every buffer is a leading part of the
+    workspace's, so it is contiguous and laid out as a fresh array would
+    be.
     """
 
     __slots__ = (
-        "flip", "grad", "grad_weights", "grad_biases", "outputs", "inputs_t", "logits",
-        "exp", "logit_columns", "exp_columns", "deltas", "row_max", "norm",
-        "index", "index_base", "diff",
+        "w", "weights", "weights_t", "biases", "flip", "grad", "grad_weights",
+        "grad_biases", "outputs", "inputs_t", "logits", "exp", "logit_columns",
+        "exp_columns", "deltas", "row_max", "norm", "index", "index_base", "diff",
     )
 
-    def __init__(self, layers, shape, m: int, work: Workspace):
-        lead = shape[:-1]  # () for one model, (k,) for a stack
-        self.flip = (*range(len(lead)), len(lead) + 1, len(lead))  # swaps the last two axes
+    def __init__(self, w, m: int, work: Workspace):
+        layers, lead = work.layers, w.shape[:-1]  # lead: () for one model, (k,) for a stack
+        self.flip = flip = (*range(len(lead)), len(lead) + 1, len(lead))  # swaps the last two axes
         rows = lead + (m,)
-        cells = m * (shape[0] if lead else 1)
+        cells = m * (lead[0] if lead else 1)
         widths = [fan_out for _, _, (_, fan_out), _ in layers]
 
         def part(buffer, *width):
             return buffer[: cells * math.prod(width)].reshape(rows + width)
 
-        self.grad = work.grad[: math.prod(shape)].reshape(shape)
+        self.w = w
+        self.weights = [w[..., a:b].reshape(lead + s) for a, b, s, _ in layers]
+        # The first layer passes no delta back, so its transpose is never read.
+        self.weights_t = [None] + [weight.transpose(flip) for weight in self.weights[1:]]
+        self.biases = [w[..., None, b:c] for _, b, _, c in layers]
+        self.grad = grad = work.grad[: w.size].reshape(w.shape)
         self.outputs = [part(buf, width) for buf, width in zip(work.outputs, widths)]
         self.exp = part(work.exp, widths[-1])
         self.deltas = [part(buf, width) for buf, width in zip(work.deltas, widths)]
         self.row_max, self.norm = (part(buf) for buf in work.samples)
         self.index = part(work.index)
-        self.diff = work.diff[: self.grad.size].reshape(shape)
-        grad = self.grad
+        self.diff = work.diff[: w.size].reshape(w.shape)
         self.grad_weights = [grad[..., a:b].reshape(lead + s) for a, b, s, _ in layers]
         self.grad_biases = [grad[..., b:c] for _, b, _, c in layers]
         # Layer l's input is layer l-1's output; the features come per call.
-        self.inputs_t = [None] + [out.transpose(self.flip) for out in self.outputs[:-1]]
+        self.inputs_t = [None] + [out.transpose(flip) for out in self.outputs[:-1]]
         classes = widths[-1]
         self.logits = self.outputs[-1].reshape(-1)
         fold = 1 < classes < _FOLD_BELOW
         self.logit_columns = [self.outputs[-1][..., j] for j in range(classes)] if fold else None
         self.exp_columns = [self.exp[..., j] for j in range(classes)] if fold else None
         self.index_base = np.arange(0, cells * classes, classes).reshape(rows)
-
-
-class _Plan:
-    """A _Layout together with the layer weight and bias views of the one
-    model array w that a _loss_grad call trains."""
-
-    __slots__ = ("w", "weights", "weights_t", "biases", "layout")
-
-    def __init__(self, layers, w, layout: _Layout):
-        lead, flip = w.shape[:-1], layout.flip
-        self.w, self.layout = w, layout
-        self.weights = [w[..., a:b].reshape(lead + s) for a, b, s, _ in layers]
-        # The first layer passes no delta back, so its transpose is never read.
-        self.weights_t = [None] + [weight.transpose(flip) for weight in self.weights[1:]]
-        self.biases = [w[..., None, b:c] for _, b, _, c in layers]
 
 
 def _row_reduce(ufunc, rows, columns, out):
@@ -326,13 +315,12 @@ def _loss_grad(layers, w, features, labels, prox_mu, anchor, plan=None, prox_row
         plan = Workspace(layers, math.prod(w.shape[:-1]), m).plan(w, m)
     elif plan.w is not w:
         raise ShapeError("a _loss_grad plan serves only the array it was made for")
-    work = plan.layout
     # Each value below is computed exactly as the out-of-place expression
     # would; the buffers only save allocations.
     a = features
     last = len(layers) - 1
     for layer in range(last + 1):
-        a = np.matmul(a, plan.weights[layer], out=work.outputs[layer])
+        a = np.matmul(a, plan.weights[layer], out=plan.outputs[layer])
         a += plan.biases[layer]
         if layer < last:
             # max(z, 0) > 0 exactly where z > 0, so the layer outputs double
@@ -340,34 +328,34 @@ def _loss_grad(layers, w, features, labels, prox_mu, anchor, plan=None, prox_row
             np.maximum(a, 0.0, out=a)
 
     # Log-softmax of the logits a, computed once for the loss and its gradient.
-    a -= _row_reduce(np.maximum, a, work.logit_columns, work.row_max)[..., None]
-    exp = np.exp(a, out=work.exp)
-    log_norm = _row_reduce(np.add, exp, work.exp_columns, work.norm)
+    a -= _row_reduce(np.maximum, a, plan.logit_columns, plan.row_max)[..., None]
+    exp = np.exp(a, out=plan.exp)
+    log_norm = _row_reduce(np.add, exp, plan.exp_columns, plan.norm)
     np.log(log_norm, out=log_norm)
     # Every sample's label as one index into the flat logits, so one gather
     # picks, and one scatter marks, the labels whatever the stack depth.
-    index = np.add(work.index_base, labels, out=work.index)
-    picked = work.logits[index]
+    index = np.add(plan.index_base, labels, out=plan.index)
+    picked = plan.logits[index]
     loss = np.add.reduce(np.subtract(log_norm, picked, out=picked), axis=-1) / m
     a -= log_norm[..., None]
     delta = np.exp(a, out=a)
-    work.logits[index] -= 1.0
+    plan.logits[index] -= 1.0
     delta /= m
 
     for layer in range(last, -1, -1):
-        inputs_t = work.inputs_t[layer] if layer else features.transpose(work.flip)
-        np.matmul(inputs_t, delta, out=work.grad_weights[layer])
-        np.add.reduce(delta, axis=-2, out=work.grad_biases[layer])
+        inputs_t = plan.inputs_t[layer] if layer else features.transpose(plan.flip)
+        np.matmul(inputs_t, delta, out=plan.grad_weights[layer])
+        np.add.reduce(delta, axis=-2, out=plan.grad_biases[layer])
         if layer > 0:
-            delta = np.matmul(delta, plan.weights_t[layer], out=work.deltas[layer - 1])
-            delta *= work.outputs[layer - 1] > 0.0
+            delta = np.matmul(delta, plan.weights_t[layer], out=plan.deltas[layer - 1])
+            delta *= plan.outputs[layer - 1] > 0.0
 
-    grad = work.grad
+    grad = plan.grad
     if prox_rows is not None or prox_mu > 0:
         if prox_rows is None:
-            pulled, pulled_grad, diff, scale = w, grad, work.diff, prox_mu
+            pulled, pulled_grad, diff, scale = w, grad, plan.diff, prox_mu
         else:
-            pulled, pulled_grad, diff = w[prox_rows], grad[prox_rows], work.diff[prox_rows]
+            pulled, pulled_grad, diff = w[prox_rows], grad[prox_rows], plan.diff[prox_rows]
             scale = prox_mu[:, None]
         np.subtract(pulled, anchor, out=diff)
         pull = 0.5 * prox_mu * np.vecdot(diff, diff)

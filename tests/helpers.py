@@ -7,7 +7,7 @@ import numpy as np
 from fedsim import rng
 from fedsim.compensated import two_diff, two_prod, two_sum
 from fedsim.datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
-from fedsim.engine import LocalUpdate
+from fedsim.engine import LocalTrainer, LocalUpdate
 
 
 def write_idx(ds, images_path, labels_path, rows: int, cols: int):
@@ -33,6 +33,13 @@ def make_update(w_t, party_id, delta, tau, n_samples, delta_control=None):
         final_params=w_t - delta,
         delta_control=delta_control,
     )
+
+
+def train_cohort(rows, objective, round_idx=0):
+    """(LocalUpdate, new c_i or None) per engine._Row, trained as one
+    cohort on a new LocalTrainer sized for these rows."""
+    trainer = LocalTrainer(objective, rows[0].w_t.size, len(rows), rows[0].cfg.batch_size)
+    return trainer.train(rows, round_idx)
 
 
 def combine_updates_unblocked(base, coeffs, residual_targets, scale):

@@ -26,7 +26,7 @@ from fedsim.errors import ConfigError, DataError, NumericError, ProtocolError, S
 from fedsim.nn import MlpArch, backward
 from fedsim.partition import PartitionSpec, PartyView, build_views
 from fedsim import engine, rng
-from helpers import make_update, reference_local_loop
+from helpers import make_update, reference_local_loop, train_cohort
 
 
 def flat(*values):
@@ -117,42 +117,58 @@ class TestLocalTrainSgd:
         assert update.final_params[0] == pytest.approx(0.3, abs=1e-12)
         assert update.tau == 1
 
-    def test_buffers_that_do_not_fit_are_refused(self):
-        # Cached views of another shape or objective would train on the
-        # wrong rows or layers, so such buffers are refused, not reused.
+    def test_a_trainer_made_for_another_objective_is_refused(self):
+        # A trainer keeps views and plans laid out for its own objective,
+        # so every call that is handed one refuses it for another objective,
+        # even an equal one or one whose models have the same size.
         arch = MlpArch((2, 3, 2))
         objective = MlpObjective(arch)
         n = arch.n_params()
-        assert MlpArch((2, 4, 1)).n_params() == n  # same size, other layers
+        assert MlpArch((2, 4, 1)).n_params() == n
         w_t = objective.init_params(5)
         view = PartyView(0, np.arange(4), np.zeros((4, 2)), np.zeros(4, dtype=int))
-        cfg = self._cfg()
-        for buffers in (
-            engine.CohortBuffers(objective, n, 1, 2, False),  # batches too large
-            engine.CohortBuffers(QuadraticObjective(0.0), n, 1, 4, False),  # no workspace
-            engine.CohortBuffers(MlpObjective(MlpArch((2, 4, 1))), n, 1, 4, False),
-        ):
-            with pytest.raises(ProtocolError, match="buffers"):
-                local_train_sgd(w_t, view, cfg, 0, objective, buffers=buffers)
-        fits = engine.CohortBuffers(objective, n, 1, 4, False)
-        update = local_train_sgd(w_t, view, cfg, 0, objective, buffers=fits)
-        fresh = local_train_sgd(w_t, view, cfg, 0, objective)
-        assert update.final_params.tobytes() == fresh.final_params.tobytes()
-        with pytest.raises(ProtocolError, match="buffers"):
-            engine._cohort_sgd([engine._Row(view, cfg, w_t)] * 2, 0, objective, buffers=fits)
-        # Scaffold rows need the corrections; buffers that hold them also
-        # serve a cohort without scaffold rows, as a lockstep group's may.
-        zero = np.zeros(n)
-        with pytest.raises(ProtocolError, match="buffers"):
-            local_train_scaffold(w_t, zero, zero, view, cfg, 0, objective, buffers=fits)
-        with_corrections = engine.CohortBuffers(objective, n, 1, 4, True)
-        update = local_train_sgd(w_t, view, cfg, 0, objective, buffers=with_corrections)
-        assert update.final_params.tobytes() == fresh.final_params.tobytes()
+        cfg, zero = self._cfg(), np.zeros(n)
+        for other in (MlpObjective(arch), MlpObjective(MlpArch((2, 4, 1))),
+                      QuadraticObjective(0.0)):
+            trainer = engine.LocalTrainer(other, n, 1, 4)
+            with pytest.raises(ProtocolError, match="another objective"):
+                local_train_sgd(w_t, view, cfg, 0, objective, trainer=trainer)
+            with pytest.raises(ProtocolError, match="another objective"):
+                local_train_scaffold(w_t, zero, zero, view, cfg, 0, objective, trainer=trainer)
+            with pytest.raises(ProtocolError, match="another objective"):
+                run_round(GlobalState(w_t), [view], cfg, 0, objective, trainer=trainer)
+
+    def test_a_reused_trainer_trains_as_a_fresh_one(self):
+        # One trainer serves plain, proximal and scaffold parties in turn
+        # (making its corrections when the first scaffold party comes), and
+        # each comes out bit for bit as on a trainer of its own.
+        arch = MlpArch((2, 3, 2))
+        objective = MlpObjective(arch)
+        generator = np.random.default_rng(8)
+        w_t = objective.init_params(5)
+        view = PartyView(0, np.arange(6), generator.normal(size=(6, 2)),
+                         generator.integers(0, 2, 6))
+        c, c_i = 0.01 * generator.normal(size=(2, arch.n_params()))
+        trainer = engine.LocalTrainer(objective, arch.n_params(), 2, 4)
+        for algorithm in ("fedavg", "scaffold", "fedprox", "fedavg", "scaffold"):
+            cfg = self._cfg(algorithm=algorithm, prox_mu=0.1, local_epochs=2, momentum=0.9)
+            if algorithm == "scaffold":
+                (got, got_c), (want, want_c) = (
+                    local_train_scaffold(w_t, c, c_i, view, cfg, 0, objective, trainer=used)
+                    for used in (trainer, None))
+                assert got_c.tobytes() == want_c.tobytes()
+                assert got.delta_control.tobytes() == want.delta_control.tobytes()
+            else:
+                got, want = (local_train_sgd(w_t, view, cfg, 0, objective, trainer=used)
+                             for used in (trainer, None))
+            assert got.final_params.tobytes() == want.final_params.tobytes()
+            assert (got.tau, got.train_loss) == (want.tau, want.train_loss)
+        assert trainer.corrections is not None
 
     def test_rows_of_one_model_pull_toward_it_without_an_anchor_stack(self):
         # Rows that start from one w_t, as one cell's always do, take it as
         # their anchor; only rows that start from different models copy
-        # theirs into the buffers' anchors. Either way each row trains as
+        # theirs into the trainer's anchors. Either way each row trains as
         # it would alone.
         arch = MlpArch((2, 3, 2))
         objective = MlpObjective(arch)
@@ -162,11 +178,11 @@ class TestLocalTrainSgd:
         cfg = self._cfg(algorithm="fedprox", prox_mu=0.5, local_epochs=2, batch_size=3)
         w_t = objective.init_params(5)
         other = 0.5 * w_t
-        buffers = engine.CohortBuffers(objective, arch.n_params(), 2, 3, False)
+        trainer = engine.LocalTrainer(objective, arch.n_params(), 2, 3)
         for starts, grows in (((w_t, w_t), False), ((w_t, other), True)):
             rows = [engine._Row(view, cfg, start) for view, start in zip(views, starts)]
-            got = engine._cohort_sgd(rows, 0, objective, buffers=buffers)
-            assert (buffers.anchors is not None) == grows
+            got = trainer.train(rows, 0)
+            assert (trainer.anchors is not None) == grows
             for (update, _), view, start in zip(got, views, starts):
                 alone = local_train_sgd(start, view, cfg, 0, objective)
                 assert update.final_params.tobytes() == alone.final_params.tobytes()
@@ -946,7 +962,7 @@ class TestLockstep:
 
     def test_wide_model_trains_in_cohorts_of_one(self, monkeypatch):
         # A 784-200-10 model is 1.2 MiB, so even two of them exceed the cap:
-        # wide runs keep one party's buffers at a time.
+        # wide runs keep one party's stacks at a time.
         wide = MlpArch((784, 200, 10)).n_params()
         assert 2 * wide * 8 > engine.COHORT_BYTES
         source, labels = np.zeros((10, 784)), np.zeros(10, dtype=int)
@@ -1004,7 +1020,7 @@ class TestLockstep:
         scaffold = algorithm == "scaffold"
         rows = [engine._Row(view, cfg, w_t, (c, c_i) if scaffold else None)
                 for view, c_i in zip(views, c_is)]
-        results = engine._cohort_sgd(rows, 0, objective)
+        results = train_cohort(rows, objective)
         assert depths == [(2,), (), ()] * 2
         for view, (update, _), c_i in zip(views, results, c_is):
             final, tau, mean_loss, diverged = reference_local_loop(
@@ -1133,11 +1149,11 @@ class TestRunExperiment:
         assert rounds == [0, 1, 2]
         assert len(alive) == 3 * 4
 
-    def test_buffers_live_for_one_run(self, monkeypatch):
-        # Every round of a run trains on one CohortBuffers, sized for the
+    def test_trainer_lives_for_one_run(self, monkeypatch):
+        # Every round of a run trains on one LocalTrainer, sized for the
         # run's largest cohort (2 of 4 parties sampled), and it is freed,
         # without waiting for the cycle collector, when run_experiment
-        # returns: a sweep holds one run's buffers at a time. A second run
+        # returns: a sweep holds one run's trainer at a time. A second run
         # on the same objective gets its own and the same records.
         train, test = self._fcube()
         arch = MlpArch((3, 4, 2))
@@ -1146,11 +1162,12 @@ class TestRunExperiment:
         real_run_round = engine.run_round
         refs = []
 
-        def tracking_run_round(*args, buffers, **kwargs):
-            assert not refs or refs[0]() is buffers
-            assert buffers.params.shape == (2, arch.n_params())
-            refs.append(weakref.ref(buffers))
-            return real_run_round(*args, buffers=buffers, **kwargs)
+        def tracking_run_round(*args, trainer, **kwargs):
+            assert not refs or refs[0]() is trainer
+            assert trainer.objective is objective
+            assert trainer.params.shape == (2, arch.n_params())
+            refs.append(weakref.ref(trainer))
+            return real_run_round(*args, trainer=trainer, **kwargs)
 
         monkeypatch.setattr(engine, "run_round", tracking_run_round)
         runs = []

@@ -20,7 +20,7 @@ from fedsim.config import (
 )
 from fedsim.datasets import LabeledDataset
 from fedsim.engine import FedRunConfig
-from fedsim.errors import ConfigError, ReportError
+from fedsim.errors import ConfigError, PartitionError, ReportError
 from fedsim.nn import MlpArch
 from fedsim.harness import (
     GRADCHECK_TOLERANCE,
@@ -933,15 +933,18 @@ class TestCli:
 
     @pytest.mark.parametrize("command, bad", [
         ("run", "missing file"), ("partition", "missing file"), ("run", "test width"),
+        ("run", "empty training set"), ("partition", "empty training set"),
     ])
     def test_bad_inputs_leave_no_output_directory(self, tmp_path, capsys, command, bad):
         # The dataset is built, and checked against the model, before --out
-        # is made; both commands used to leave an empty directory behind.
+        # is made; both commands used to leave an empty directory behind,
+        # and run still did for a training file of 0 images.
         dataset = {"type": "idx"}
         for side, cols in (("train", 2), ("test", 3 if bad == "test width" else 2)):
             images, labels = tmp_path / f"{side}.idx3", tmp_path / f"{side}.idx1"
-            features = np.random.default_rng(4).uniform(size=(20, 2 * cols))
-            write_idx(LabeledDataset(features, np.arange(20) % 10, 10), images, labels, 2, cols)
+            n = 0 if side == "train" and bad == "empty training set" else 20
+            features = np.random.default_rng(4).uniform(size=(n, 2 * cols))
+            write_idx(LabeledDataset(features, np.arange(n) % 10, 10), images, labels, 2, cols)
             dataset.update({f"{side}_images": str(images), f"{side}_labels": str(labels)})
         if bad == "missing file":
             dataset["test_images"] = str(tmp_path / "absent.idx3")
@@ -950,6 +953,40 @@ class TestCli:
         assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("fails", ["first group", "later trial"])
+    def test_a_failed_sweep_leaves_no_earlier_outputs(self, tmp_path, capsys, monkeypatch,
+                                                       fails):
+        # An earlier sweep's results.jsonl and summary.csv in --out are
+        # removed before the first group trains, so report cannot read them
+        # as this sweep's. Here the first group's partition cannot give 5
+        # labels per party from 3 classes, or the second trial's fails.
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("results.jsonl", "summary.csv"):
+            (out / name).write_text("from an earlier sweep\n")
+        partition = {"type": "label_quantity", "labels_per_party": 5}
+        if fails == "later trial":
+            partition = {"type": "iid"}
+            real_run_group = harness.run_group
+            started = []
+
+            def failing(*args):
+                started.append(args)
+                if len(started) == 2:
+                    raise PartitionError("cannot partition trial 1")
+                return real_run_group(*args)
+
+            monkeypatch.setattr(harness, "run_group", failing)
+        config_path = write_config(tmp_path, small_run_config(partition=partition, trials=2))
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+        assert not (out / "summary.csv").exists()
+        if fails == "first group":
+            assert list(out.iterdir()) == []
+        else:
+            kept = read_jsonl(out / "results.jsonl")
+            assert [(r["trial"], r["round"]) for r in kept] == [(0, 0), (0, 1), (0, 2)]
 
     @pytest.mark.parametrize("command", ["run", "partition"])
     def test_empty_training_set_exit_code(self, tmp_path, capsys, command):

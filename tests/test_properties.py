@@ -34,7 +34,7 @@ from fedsim.partition import (  # noqa: E402
     check_partition,
 )
 
-from helpers import reference_local_loop, reference_loss_grad  # noqa: E402
+from helpers import reference_local_loop, reference_loss_grad, train_cohort  # noqa: E402
 
 # Magnitudes stay well inside the normal range, where the error-free
 # transforms are exact; the engine's models live there too.
@@ -325,12 +325,12 @@ class TestLockstepTraining:
 
         # The whole round stacks in one cohort; an objective that overrides
         # loss_grad trains every party in a cohort of one.
-        for trainer, n_cohorts in ((objective, 1), (Alone(arch), len(sizes))):
+        for trained_by, n_cohorts in ((objective, 1), (Alone(arch), len(sizes))):
             cohorts = engine._cohorts(
-                range(len(sizes)), views, n_coords, engine._stacks(trainer))
+                range(len(sizes)), views, n_coords, engine._stacks(trained_by))
             assert len(cohorts) == n_cohorts
             new_state, updates, _ = run_round(
-                GlobalState(w_t, c, controls), views, cfg, 0, trainer
+                GlobalState(w_t, c, controls), views, cfg, 0, trained_by
             )
             assert [u.party_id for u in updates] == list(range(len(sizes)))
             for update, view, reference in zip(updates, views, references):
@@ -382,11 +382,11 @@ def reuse_cases(draw):
     return MlpArch(tuple(widths)), sizes, cfg, cap, stacks, draw(st.integers(0, 2**31 - 1))
 
 
-class TestRunBuffers:
+class TestRunTrainer:
     @given(reuse_cases())
-    def test_shared_buffers_match_fresh_ones_bitwise(self, case):
-        # run_experiment trains every round of a run on one CohortBuffers;
-        # each round must come out as it does on buffers of its own.
+    def test_shared_trainer_matches_fresh_ones_bitwise(self, case):
+        # run_experiment trains every round of a run on one LocalTrainer;
+        # each round must come out as it does on a trainer of its own.
         arch, sizes, cfg, cap, stacks, seed = case
         generator = np.random.default_rng(seed)
         source = generator.standard_normal((sum(sizes), arch.in_dim))
@@ -407,12 +407,11 @@ class TestRunBuffers:
             patch.setattr(engine, "COHORT_BYTES", cap * engine.BYTES_PER_COORD * n_coords)
             rows = min(engine._cohort_cap(n_coords, stacks),
                        engine._sample_size(cfg.n_parties, cfg.sample_fraction))
-            buffers = engine.CohortBuffers(
-                objective, n_coords, rows, cfg.batch_size, state.control is not None)
+            trainer = engine.LocalTrainer(objective, n_coords, rows, cfg.batch_size)
             shared = fresh = state
             for round_idx in range(cfg.rounds):
                 shared, shared_updates, _ = run_round(
-                    shared, views, cfg, round_idx, objective, buffers=buffers)
+                    shared, views, cfg, round_idx, objective, trainer=trainer)
                 fresh, fresh_updates, _ = run_round(fresh, views, cfg, round_idx, objective)
                 assert len(shared_updates) == len(fresh_updates)
                 for got, want in zip(shared_updates, fresh_updates):
@@ -429,6 +428,80 @@ class TestRunBuffers:
                     np.asarray(fresh.control).tobytes())
                 assert [np.asarray(c).tobytes() for c in shared.client_controls or ()] == [
                     np.asarray(c).tobytes() for c in fresh.client_controls or ()]
+
+
+@st.composite
+def trainer_sequences(draw):
+    """One LocalTrainer of 1-6 rows and a sequence of 2-5 cohorts for it.
+    A cohort has 1 to that many rows, each one of 4 parties (0-12 samples)
+    trained as a plain, a proximal (with its own mu, 0 among them) or a
+    scaffold row, with its own epochs; its rows start either all from one
+    shared model or each from its own. Random layer widths, batch size,
+    momentum, scaffold option and objective (stacking or not); at a
+    learning rate of 1e300 a row that takes a second step overflows."""
+    widths = [draw(st.integers(1, 5))]
+    widths += draw(st.lists(st.integers(1, 8), max_size=2))
+    widths.append(draw(st.integers(1, 6)))
+    size = draw(st.integers(1, 6))
+    base = FedRunConfig(
+        algorithm="fedavg", n_parties=4, batch_size=draw(st.integers(1, 8)),
+        local_lr=draw(st.sampled_from([0.05, 0.05, 1e300])),
+        momentum=draw(st.sampled_from([0.0, 0.9])),
+        scaffold_c_option=draw(st.sampled_from(["i", "ii"])),
+        master_seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    row = st.tuples(
+        st.integers(0, base.n_parties - 1),
+        st.sampled_from([("fedavg", 0.0), ("fednova", 0.0), ("fedprox", 0.0),
+                         ("fedprox", 0.01), ("fedprox", 0.1), ("scaffold", 0.0)]),
+        st.integers(1, 3))
+    cohorts = draw(st.lists(
+        st.tuples(st.lists(row, min_size=1, max_size=size), st.booleans()),
+        min_size=2, max_size=5))
+    return (MlpArch(tuple(widths)), size, base, cohorts, draw(st.booleans()),
+            draw(st.integers(0, 2**31 - 1)))
+
+
+class TestLocalTrainerReuse:
+    @given(trainer_sequences())
+    def test_each_cohort_matches_a_fresh_trainer_bitwise(self, case):
+        # A run's trainer serves its cohorts one after another: it makes
+        # its corrections and anchors when a cohort first needs them and
+        # keeps its plans per cohort layout. Each cohort must come out as
+        # on a trainer of its own, sized for just its rows.
+        arch, size, base, cohorts, stacks, seed = case
+        generator = np.random.default_rng(seed)
+        bounds = np.cumsum([0, *generator.integers(0, 13, base.n_parties)])
+        source = generator.standard_normal((bounds[-1], arch.in_dim))
+        labels = generator.integers(0, arch.out_dim, bounds[-1])
+        source.setflags(write=False)
+        views = [PartyView(p, np.arange(lo, hi), source, labels)
+                 for p, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+        objective = MlpObjective(arch) if stacks else Alone(arch)
+        n_coords = arch.n_params()
+        w_t = objective.init_params(seed)
+        trainer = engine.LocalTrainer(objective, n_coords, size, base.batch_size)
+        for round_idx, (specs, shared) in enumerate(cohorts):
+            rows = []
+            for party, (algorithm, mu), epochs in specs:
+                cfg = replace(base, algorithm=algorithm, prox_mu=mu, local_epochs=epochs)
+                start = w_t if shared else w_t + 0.1 * generator.standard_normal(n_coords)
+                controls = None
+                if algorithm == "scaffold":
+                    controls = tuple(0.01 * generator.standard_normal((2, n_coords)))
+                rows.append(engine._Row(views[party], cfg, start, controls))
+            rows.sort(key=lambda row: engine._row_kind(row.cfg))
+            got = trainer.train(rows, round_idx)
+            want = train_cohort(rows, objective, round_idx)
+            for (update, c_i), (fresh, fresh_c_i) in zip(got, want, strict=True):
+                assert (update.party_id, update.tau, update.n_samples, update.diverged) == (
+                    fresh.party_id, fresh.tau, fresh.n_samples, fresh.diverged)
+                assert np.float64(update.train_loss).tobytes() == (
+                    np.float64(fresh.train_loss).tobytes())
+                assert update.final_params.tobytes() == fresh.final_params.tobytes()
+                assert np.asarray(update.delta_control).tobytes() == (
+                    np.asarray(fresh.delta_control).tobytes())
+                assert np.asarray(c_i).tobytes() == np.asarray(fresh_c_i).tobytes()
 
 
 @st.composite
@@ -513,7 +586,7 @@ class TestLockstepGroups:
                                     (zero, zero) if cells[c].algorithm == "scaffold" else None)
                         for p, c in cohort]
                 calls.clear()
-                results = engine._cohort_sgd(rows, 0, objective)
+                results = train_cohort(rows, objective)
                 assert not any(update.diverged for update, _ in results)
                 assert len(calls) == engine._kernel_calls(
                     [[(row.view.n_samples, row.cfg.local_epochs) for row in rows]],
