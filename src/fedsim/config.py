@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from .engine import ALGORITHMS, FedRunConfig
 from .errors import ConfigError
-from .partition import PartitionSpec
+from .partition import PARTITION_KINDS, PartitionSpec
 
 # Each "fed" key besides "algorithms": the FedRunConfig field it sets and its
 # type. An absent key leaves the field's own default.
@@ -32,16 +32,22 @@ FED_FIELDS = {
     "seed": ("master_seed", int),
 }
 
+# The "fed" keys that only one algorithm's cells read, with that algorithm:
+# a config that sets one but trains no such cell is refused.
+FED_ALGORITHM_KEYS = {"prox_mu": "fedprox", "scaffold_c_option": "scaffold"}
+
 # Datasets whose conventional party count or learning rate replaces
 # FedRunConfig's default.
 PARTIES_BY_DATASET_KIND = {"fcube": 4}
 LR_BY_DATASET_NAME = {"rcv1": 0.1}
 
-# Each "partition" key besides "type", with its type. Keys are PartitionSpec
-# field names; an absent key leaves the field's own default.
-PARTITION_OPTIONS = {
-    "labels_per_party": int, "beta": float, "min_size": int, "noise_sigma": float,
-}
+# Each "partition" key besides "type": its type and the partition kinds that
+# read it. Keys are PartitionSpec field names; an absent key leaves the
+# field's own default, and a key set for a kind that does not read it is
+# refused.
+_DIRICHLET = ("label_dirichlet", "quantity_dirichlet")
+PARTITION_OPTIONS = {"labels_per_party": (int, ("label_quantity",)), "beta": (float, _DIRICHLET),
+                     "min_size": (int, _DIRICHLET), "noise_sigma": (float, PARTITION_KINDS)}
 
 REQUIRED = object()  # marks a dataset option that has no default
 _TEST_FRACTION = 0.2
@@ -201,16 +207,22 @@ def _parse_label_map(obj: dict, n_classes: int, path: str) -> dict[int, int]:
 
 
 def _parse_partition(obj, path: str) -> PartitionSpec:
-    options = _section(obj, {"type": str, **PARTITION_OPTIONS}, path)
+    types = {key: kinds for key, (kinds, _) in PARTITION_OPTIONS.items()}
+    options = _section(obj, {"type": str, **types}, path)
     kind = options.pop("type", "iid")
     if "beta" in options and options["beta"] <= 0:
         raise ConfigError(f"{path}.beta: must be > 0, got {options['beta']}")
     if "noise_sigma" in options and options["noise_sigma"] < 0:
         raise ConfigError(f"{path}.noise_sigma: must be >= 0, got {options['noise_sigma']}")
     try:
-        return PartitionSpec(kind, **options)
+        spec = PartitionSpec(kind, **options)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    for key in options:
+        if kind not in PARTITION_OPTIONS[key][1]:
+            readers = " and ".join(PARTITION_OPTIONS[key][1])
+            raise ConfigError(f"{path}.{key}: not read by {kind} partitions, only by {readers}")
+    return spec
 
 
 def _parse_fed(obj, dataset: DatasetSpec, path: str) -> tuple[list, FedRunConfig]:
@@ -223,6 +235,10 @@ def _parse_fed(obj, dataset: DatasetSpec, path: str) -> tuple[list, FedRunConfig
         if algorithm not in ALGORITHMS:
             raise ConfigError(f"{path}.algorithms: unknown algorithm {algorithm!r}")
     _reject_duplicates(algorithms, f"{path}.algorithms")
+    for key, reader in FED_ALGORITHM_KEYS.items():
+        if key in given and reader not in algorithms:
+            raise ConfigError(f"{path}.{key}: only {reader} reads it, and "
+                              f"{path}.algorithms {algorithms} has no {reader}")
     fields = {}
     if dataset.kind in PARTIES_BY_DATASET_KIND:
         fields["n_parties"] = PARTIES_BY_DATASET_KIND[dataset.kind]

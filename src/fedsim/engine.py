@@ -22,27 +22,32 @@ partition, the initial model, each round's party sample and each party's
 batches; run_group trains them together. It builds the views and the
 initial model once, samples the parties once per round, trains every
 (party, cell) row in cohorts, and aggregates, evaluates and records each
-cell on its own. One cell trains in cohorts of 1 to P parties, runs of
-consecutive ids in ascending order whose (P, n) float64 model stack fits
-in COHORT_BYTES. Several cells train either by party, a party's rows
-(one per cell, up to the same cap) in one cohort, or by cell, each cell
-in the cohorts it would have alone, whichever makes fewer kernel calls
-that round (_row_cohorts). Each row starts from its own cell's w_t and
-pulls toward it with its own mu, adds its own scaffold correction, and
-takes its own number of epochs. Consecutive rows on one party share one
-batch generator, _batches, which draws each epoch's permutation from the
-party's stream; a row leaves its cohort when its own epochs are done or
-a step goes non-finite. At each lockstep iteration every run of
-consecutive active rows whose next batches have the same size forms a
-group: rows lo:hi of the cohort's stacks, stepped in place by one
-loss_grad call and one momentum update and never gathered into a copy (a
-lone row steps on its 1-d views, and a group on one party's batch
-gathers it once for all its rows). Each row computes exactly what the
-party would alone in its cell, so no output depends on the cohorts or on
-the other cells. Only MlpObjective's own loss_grad stacks models. For it
-the loop calls the kernel behind it, nn._loss_grad, with a plan of an
-nn.Workspace (even for a cohort of one), so a step neither re-slices the
-models nor allocates its buffers again. run_group makes one LocalTrainer
+cell on its own. All rows of a cohort train on one training pair, the
+run's (their views share one source and one source_labels), with the
+step settings of the first row (batch size, learning rate, momentum and
+seed); LocalTrainer.train checks both once per cohort and refuses a
+cohort off either with ProtocolError. One cell trains in cohorts of 1 to
+P parties: the sampled ids, ascending, cut into chunks whose (P, n)
+float64 model stack fits in COHORT_BYTES. Several cells train either by
+party, a party's rows (one per cell, up to the same cap) in one cohort,
+or by cell, each cell in the cohorts it would have alone, whichever
+makes fewer kernel calls that round (_row_cohorts). Each row starts from
+its own cell's w_t and pulls toward a copy of it with its own mu, adds
+its own scaffold correction, and takes its own number of epochs.
+Consecutive rows on one party share one batch generator, _batches, which
+draws each epoch's permutation from the party's stream; a row leaves its
+cohort when its own epochs are done or a step goes non-finite. At each
+lockstep iteration every run of consecutive active rows whose next
+batches have the same size forms a group: rows lo:hi of the cohort's
+stacks, stepped in place by one loss_grad call and one momentum update
+and never gathered into a copy (a lone row steps on its 1-d views, and a
+group on one party's batch gathers it once for all its rows). Each row
+computes exactly what the party would alone in its cell, so no output
+depends on the cohorts or on the other cells. Only MlpObjective's own
+loss_grad stacks models. For it the loop calls the kernel behind it,
+nn._loss_grad, with a plan of an nn.Workspace (even for a cohort of
+one), so a step neither re-slices the models nor allocates its buffers
+again. run_group makes one LocalTrainer
 per run, sized for the run's largest cohort: it holds the objective, the
 loop's stacks, that workspace and the plans, which are the run's only
 cache of them. Each cohort overwrites the rows it uses before it reads
@@ -54,8 +59,8 @@ trains every row in a cohort of one, through local_train_sgd /
 local_train_scaffold, with one 1-d loss_grad call per local step, so a
 tracer that overrides loss_grad sees every step. A model too wide for
 two copies to fit in COHORT_BYTES trains in cohorts of one as well. For
-either, trains_in_lockstep is False, and the harness runs each cell
-alone through run_experiment and run_round.
+either, trains_in_lockstep is False, and the harness runs each (cell,
+trial) run alone through run_experiment and run_round.
 """
 
 from __future__ import annotations
@@ -319,19 +324,18 @@ class LocalTrainer:
 
     run_group makes one per run, sized for the run's largest cohort. It
     holds its objective, (rows, n) parameter, spare and velocity stacks,
-    the proximal anchors (made the first time a cohort's mu rows start from
-    different models; rows of one cell pull toward its w_t itself),
+    the proximal anchors (made the first time a cohort has mu rows),
     scaffold's corrections (made the first time a cohort has scaffold
     rows), the nn.Workspace of an objective that stacks, and steps: per
-    cohort layout (each row's mu, the scaffold rows and whether the mu rows
-    share one anchor) and per (parity, lo, hi, batch size), a group's views
-    of these stacks, its proximal and correction arguments and its
-    loss_grad plan, made the first time that group steps and kept for the
-    run. A cohort of P <= rows rows uses the leading P rows and overwrites
-    each value it reads before reading it (the parameters and anchors with
-    each row's w_t, the velocity with zeros, the corrections with c - c_i),
-    so nothing carries over from one cohort to the next. Every cached view
-    points into these arrays and no other, so it stays valid.
+    cohort layout (each row's mu and the scaffold rows) and per (parity,
+    lo, hi, batch size), a group's views of these stacks, its proximal and
+    correction arguments and its loss_grad plan, made the first time that
+    group steps and kept for the run. A cohort of P <= rows rows uses the
+    leading P rows and overwrites each value it reads before reading it
+    (the parameters and anchors with each row's w_t, the velocity with
+    zeros, the corrections with c - c_i), so nothing carries over from one
+    cohort to the next. Every cached view points into these arrays and no
+    other, so it stays valid.
     """
 
     def __init__(self, objective, n_coords: int, rows: int, batch_size: int):
@@ -347,29 +351,32 @@ class LocalTrainer:
         copy.
 
         Each row (a _Row) is one party trained for one cell: row p of each
-        (P, n) stack starts at that cell's w_t, with zero velocity. All
-        views share one training matrix, and all rows one batch size,
-        learning rate, momentum and seed (run_group checks that its cells
-        do). Consecutive rows on one party share one _batches generator,
-        drawn once per iteration for all of them; each row takes its
-        cfg.local_epochs epochs of it and then leaves, so rows with fewer
-        epochs leave first. Each iteration, each run of consecutive active
-        rows whose batches have the same size is a group, rows lo:hi of
-        every stack, never a gathered copy. A group of one calls loss_grad
-        on its row's 1-d views; a larger group, only when the objective
-        stacks, calls it on the (k, n) stack params[lo:hi], with the batch
-        gathered once when all its rows are one party's.
+        (P, n) stack starts at that cell's w_t, with zero velocity. Every
+        row trains on rows[0]'s training pair and step settings, so a
+        cohort is refused with ProtocolError, before any step, if a view
+        does not share rows[0].view's source and source_labels or a cfg
+        differs from rows[0].cfg in batch size, learning rate, momentum or
+        master seed. Rows may differ in algorithm, mu, epochs, w_t and
+        controls. Consecutive rows on one party share one _batches
+        generator, drawn once per iteration for all of them; each row takes
+        its cfg.local_epochs epochs of it and then leaves, so rows with
+        fewer epochs leave first. Each iteration, each run of consecutive
+        active rows whose batches have the same size is a group, rows lo:hi
+        of every stack, never a gathered copy. A group of one calls
+        loss_grad on its row's 1-d views; a larger group, only when the
+        objective stacks, calls it on the (k, n) stack params[lo:hi], with
+        the batch gathered once when all its rows are one party's.
 
         w_t is never written to, and neither are the views' arrays nor the
         gradients an objective returns. A row whose cfg.mu is set adds the
-        proximal pull toward its own w_t, with its own mu (when every such
-        row starts from one w_t, that array itself is the anchor); a
-        scaffold row (controls given) adds its own c - c_i to its raw
-        gradients before the momentum step. Rows of each kind must be
-        consecutive, so that the proximal term and the corrections apply to
-        one run of a group's rows: a row without a mu never enters the
-        proximal branch, and no other row has a zero correction added,
-        either of which could turn a -0.0 into +0.0 or 0 * inf into nan.
+        proximal pull, with its own mu, toward its own row of the anchors,
+        a copy of its w_t; a scaffold row (controls given) adds its own
+        c - c_i to its raw gradients before the momentum step. Rows of each
+        kind must be consecutive, so that the proximal term and the
+        corrections apply to one run of a group's rows: a row without a mu
+        never enters the proximal branch, and no other row has a zero
+        correction added, either of which could turn a -0.0 into +0.0 or
+        0 * inf into nan.
 
         A step whose loss or new parameters are non-finite, or whose
         objective raises NumericError, is dropped, and its row leaves with
@@ -386,7 +393,14 @@ class LocalTrainer:
         bits).
         """
         n_rows, first, objective = len(rows), rows[0].cfg, self.objective
+        source, labels = rows[0].view.source, rows[0].view.source_labels
+        settings = (first.batch_size, first.local_lr, first.momentum, first.master_seed)
         for row in rows:
+            if row.view.source is not source or row.view.source_labels is not labels:
+                raise ProtocolError("a cohort's views must share one training pair")
+            cfg = row.cfg
+            if (cfg.batch_size, cfg.local_lr, cfg.momentum, cfg.master_seed) != settings:
+                raise ProtocolError("a cohort's rows must share batch size, lr, momentum and seed")
             if row.controls is not None:
                 server_control, c_i = row.controls
                 if c_i is None or server_control is None:
@@ -396,10 +410,7 @@ class LocalTrainer:
         mus = tuple(row.cfg.mu or 0.0 for row in rows)
         mu_lo, mu_hi = _run_of([mu > 0 for mu in mus])
         scaffold_lo, scaffold_hi = _run_of([row.controls is not None for row in rows])
-        # Rows of one cell share its w_t, which is then their anchor as it is.
-        shared = rows[mu_lo].w_t if mu_hi and all(
-            row.w_t is rows[mu_lo].w_t for row in rows[mu_lo:mu_hi]) else None
-        if mu_hi and shared is None and self.anchors is None:
+        if mu_hi and self.anchors is None:
             self.anchors = np.empty_like(self.params)
         if scaffold_hi and self.corrections is None:
             self.corrections = np.empty_like(self.params)
@@ -408,7 +419,7 @@ class LocalTrainer:
         velocity[:n_rows] = 0.0
         for r, row in enumerate(rows):
             params[r] = row.w_t
-            if shared is None and mu_lo <= r < mu_hi:
+            if mu_lo <= r < mu_hi:
                 anchors[r] = row.w_t
             if row.controls is not None:
                 with _flagged_numerics():
@@ -432,7 +443,6 @@ class LocalTrainer:
         ]
         left = [row.cfg.local_epochs * -(-row.view.n_samples // batch_size) for row in rows]
         loss_grad = objective.loss_grad
-        source, labels = rows[0].view.source, rows[0].view.source_labels
         lr, momentum = first.local_lr, first.momentum
         batches = [None] * n_rows
         losses = [[] for _ in rows]
@@ -440,7 +450,7 @@ class LocalTrainer:
         # Per (parity, lo, hi, batch size): see make_step. parity flips when
         # params and spare swap, and each cohort starts at 0 with params the
         # trainer's own stack.
-        steps = self.steps.setdefault((mus, scaffold_lo, scaffold_hi, shared is None), {})
+        steps = self.steps.setdefault((mus, scaffold_lo, scaffold_hi), {})
         parity = 0
 
         def make_step(lo, hi, m):
@@ -455,12 +465,10 @@ class LocalTrainer:
             mu, anchor, prox_rows = 0.0, None, None
             a, b = max(lo, mu_lo), min(hi, mu_hi)
             if a < b:
-                # None stands for the shared anchor, which changes every round.
                 if (a, b) == (lo, hi) and len(set(mus[lo:hi])) == 1:
-                    mu, anchor = mus[lo], None if shared is not None else anchors[at]
+                    mu, anchor = mus[lo], anchors[at]
                 else:
-                    mu, prox_rows = np.array(mus[a:b]), slice(a - lo, b - lo)
-                    anchor = None if shared is not None else anchors[a:b]
+                    mu, anchor, prox_rows = np.array(mus[a:b]), anchors[a:b], slice(a - lo, b - lo)
             correction = into = None
             a, b = max(lo, scaffold_lo), min(hi, scaffold_hi)
             if a < b:
@@ -513,8 +521,6 @@ class LocalTrainer:
                     if step is None:
                         step = steps[parity, lo, hi, m] = make_step(lo, hi, m)
                     w, v, out, plan, mu, anchor, prox_rows, correction, into = step
-                    if anchor is None:
-                        anchor = shared
                     if single:
                         x, y = source[batches[lo]], labels[batches[lo]]
                     elif stream >= 0:  # one party's batch, which every row trains on
@@ -700,26 +706,10 @@ def _stacks(objective) -> bool:
 
 
 def _cohort_cap(n_coords: int, stacks: bool) -> int:
-    """The most parties one cohort may hold; see _cohorts."""
+    """The most rows one cohort may hold: as many (1, n_coords) float64
+    models as fit in COHORT_BYTES, at least one, and one when the objective
+    does not stack."""
     return max(1, COHORT_BYTES // (BYTES_PER_COORD * n_coords)) if stacks else 1
-
-
-def _cohorts(party_ids, views, n_coords: int, stacks: bool) -> list[list[int]]:
-    """The ascending party ids split into cohorts: consecutive runs whose
-    (P, n_coords) float64 stack fits in COHORT_BYTES and whose views share
-    one training matrix. A party too large to share, and every party when
-    the objective does not stack, forms a cohort of one."""
-    size = _cohort_cap(n_coords, stacks)
-    cohorts = []
-    for party_id in party_ids:
-        view = views[party_id]
-        if cohorts and len(cohorts[-1]) < size:
-            first = views[cohorts[-1][0]]
-            if view.source is first.source and view.source_labels is first.source_labels:
-                cohorts[-1].append(party_id)
-                continue
-        cohorts.append([party_id])
-    return cohorts
 
 
 def _row_kind(cfg) -> int:
@@ -748,34 +738,38 @@ def _kernel_calls(cohorts, batch_size: int) -> int:
 def _row_cohorts(party_ids, views, cfgs, n_coords: int, stacks: bool) -> list[list[tuple]]:
     """The (party id, cell index) rows of a round, split into cohorts.
 
-    One cell trains in _cohorts' cohorts of consecutive parties. Several
-    cells train in whichever of two layouts _kernel_calls counts fewer
-    calls for, by party on a tie:
+    One cell trains in cohorts of consecutive sampled parties: the
+    ascending ids cut into chunks of at most _cohort_cap, so a party too
+    large to share, and every party when the objective does not stack,
+    trains in a cohort of one. Several cells train in whichever of two
+    layouts _kernel_calls counts fewer calls for, by party on a tie:
     - by party: one party at a time, its rows (one per cell, in _row_kind
       order, at most _cohort_cap of them per cohort) sharing its batches,
       so they step together at every iteration and gather each batch once;
-    - by cell: each cell's rows in _cohorts' cohorts, as it trains alone,
-      where consecutive parties whose batches have the same size step
-      together.
+    - by cell: each cell's rows in the chunks it trains in alone, where
+      consecutive parties whose batches have the same size step together.
     By cell wins only where the sampled parties outnumber the cells and
     most of their batches line up, as equal party sizes (an iid or
     fcube_pairs partition) make them. The count ignores that a by-cell
     call gathers a batch per row: on sweep-grid's data split iid, 10
     parties and 5 cells (1874 calls by cell, 4000 by party) ran 5-8%
     faster by cell, 20 parties and 2 cells (800 against 4000) 28%."""
-    cohorts = _cohorts(party_ids, views, n_coords, stacks)
-    by_cell = [[(p, cell) for p in cohort] for cell in range(len(cfgs)) for cohort in cohorts]
+    size, batch_size = _cohort_cap(n_coords, stacks), cfgs[0].batch_size
+
+    def chunks(items):
+        return [items[lo : lo + size] for lo in range(0, len(items), size)]
+
+    by_cell = [[(p, cell) for p in chunk] for cell in range(len(cfgs))
+               for chunk in chunks(party_ids)]
     if len(cfgs) == 1:
         return by_cell
-    order = sorted(range(len(cfgs)), key=lambda cell: _row_kind(cfgs[cell]))
-    size, batch_size = _cohort_cap(n_coords, stacks), cfgs[0].batch_size
-    chunks = [order[lo : lo + size] for lo in range(0, len(order), size)]
-    by_party = [[(p, cell) for cell in chunk] for p in party_ids for chunk in chunks]
+    cells = chunks(sorted(range(len(cfgs)), key=lambda cell: _row_kind(cfgs[cell])))
+    by_party = [[(p, cell) for cell in chunk] for p in party_ids for chunk in cells]
     # A party's rows share its batch sizes, so one with k batches an epoch
     # makes k times the calls of a party with one.
     n_batches = [-(-views[p].n_samples // batch_size) for p in party_ids]
     party_calls = sum(n_batches) * _kernel_calls(
-        [[(batch_size, cfgs[cell].local_epochs) for cell in chunk] for chunk in chunks],
+        [[(batch_size, cfgs[cell].local_epochs) for cell in chunk] for chunk in cells],
         batch_size)
     # Each cell makes at least one call per iteration of its largest party.
     if sum(cfg.local_epochs for cfg in cfgs) * max(n_batches) >= party_calls:
@@ -868,10 +862,10 @@ def run_round(
     aggregate. run_group trains the rounds of several cells at once
     through the same code (_run_rounds), and of one cell through this.
 
-    The sampled parties train in cohorts (see _cohorts and _train_cohort),
-    in ascending id. Each party draws from its own
-    (seed, round, party) stream, so its update depends neither on that
-    order nor on its cohort. Returns a new state and writes to none of its
+    The sampled parties train in cohorts (see _row_cohorts and
+    _train_cohort), in ascending id. Each party draws from its own (seed,
+    round, party) stream, so its update depends neither on that order nor
+    on its cohort. Returns a new state and writes to none of its
     arguments: a sampled scaffold party's new control replaces its entry in
     the new state's client_controls. If the new model or the new server
     control has a non-finite entry, the round returns the given state marked

@@ -32,7 +32,6 @@ from .datasets import (
 from .engine import (
     ALGORITHMS,
     check_datasets,
-    lockstep_key,
     partition_seed,
     run_experiment,
     run_group,
@@ -155,19 +154,14 @@ def _print_progress(done, n_runs, cell, trial, records, seconds) -> None:
 
 
 def _lockstep_groups(config: ExperimentConfig, together: bool) -> list[list[tuple]]:
-    """The (cell, trial) runs in the order they train, as groups that train
-    together: trial by trial, the cells of a trial whose run configs have
-    one engine.lockstep_key; or, when together is False, each run alone
-    in cell-major order."""
-    if not together:
-        return [[(cell, trial)] for cell in config.cells for trial in range(config.trials)]
-    groups = []
-    for trial in range(config.trials):
-        by_key = {}
-        for cell in config.cells:
-            by_key.setdefault(lockstep_key(_run_config(cell, trial)), []).append((cell, trial))
-        groups.extend(by_key.values())
-    return groups
+    """The (cell, trial) runs in the order they train, trial by trial, as
+    groups that train together: each trial's cells as one group, or when
+    together is False each run alone. A config's cells differ only in
+    algorithm, local epochs and mu, so a trial's cells can always share
+    one engine.run_group."""
+    runs = [(cell, trial) for trial in range(config.trials) for cell in config.cells]
+    size = len(config.cells) if together else 1
+    return [runs[lo : lo + size] for lo in range(0, len(runs), size)]
 
 
 def _run_config(cell, trial: int):
@@ -201,11 +195,12 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     That lets the cells of one trial train in lockstep: engine.run_group
     builds the trial's partition and initial model once and steps every
     cell's copy of a party with one kernel call, with each cell's records
-    exactly as it would have alone. When the objective cannot stack
-    (engine.trains_in_lockstep, asked of an engine.MlpObjective), each
-    (cell, trial) run goes alone through run_experiment instead, in
-    cell-major order. A record's wall_ms and a progress line's seconds
-    cover the whole group.
+    exactly as it would have alone. Each trial's cells form one group, so
+    every cohort shares the trial's one training pair and step settings.
+    When the objective cannot stack (engine.trains_in_lockstep, asked of an
+    engine.MlpObjective), each (cell, trial) run goes alone through
+    run_experiment instead, in the same trial-major order. A record's
+    wall_ms and a progress line's seconds cover the whole group.
 
     The dataset is built and checked against the architecture before the
     output directory is made, so a dataset that cannot be trained on (a
@@ -219,7 +214,7 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     results.jsonl as soon as it finishes (the file is made then), so a
     sweep that stops part way keeps the records of every run that
     finished. Once all have, the file is rewritten in cell-major order if
-    lockstep trained them in another. Diverged runs are flagged in their
+    they trained in another. Diverged runs are flagged in their
     records, never fatal. Each finished run prints one progress line to
     stderr.
     """

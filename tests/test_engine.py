@@ -165,11 +165,10 @@ class TestLocalTrainSgd:
             assert (got.tau, got.train_loss) == (want.tau, want.train_loss)
         assert trainer.corrections is not None
 
-    def test_rows_of_one_model_pull_toward_it_without_an_anchor_stack(self):
-        # Rows that start from one w_t, as one cell's always do, take it as
-        # their anchor; only rows that start from different models copy
-        # theirs into the trainer's anchors. Either way each row trains as
-        # it would alone.
+    def test_rows_pull_toward_their_own_models(self):
+        # Each mu row copies its w_t into its row of the trainer's anchors,
+        # whether the rows start from one model, as one cell's do, or from
+        # different ones; either way each row trains as it would alone.
         arch = MlpArch((2, 3, 2))
         objective = MlpObjective(arch)
         generator = np.random.default_rng(3)
@@ -179,14 +178,69 @@ class TestLocalTrainSgd:
         w_t = objective.init_params(5)
         other = 0.5 * w_t
         trainer = engine.LocalTrainer(objective, arch.n_params(), 2, 3)
-        for starts, grows in (((w_t, w_t), False), ((w_t, other), True)):
+        for starts in ((w_t, w_t), (w_t, other)):
             rows = [engine._Row(view, cfg, start) for view, start in zip(views, starts)]
             got = trainer.train(rows, 0)
-            assert (trainer.anchors is not None) == grows
             for (update, _), view, start in zip(got, views, starts):
                 alone = local_train_sgd(start, view, cfg, 0, objective)
                 assert update.final_params.tobytes() == alone.final_params.tobytes()
                 assert update.train_loss == alone.train_loss
+
+    @pytest.mark.parametrize("off", ["source", "labels", "batch_size", "lr", "momentum", "seed"])
+    def test_a_cohort_off_its_training_pair_or_step_settings_is_refused(self, off):
+        # Every row trains on rows[0]'s training matrix, labels and step
+        # settings, so a row that has its own would silently train on
+        # another's; the cohort is refused before any step.
+        arch = MlpArch((2, 3, 2))
+        objective = MlpObjective(arch)
+        generator = np.random.default_rng(4)
+        source, labels = generator.normal(size=(8, 2)), generator.integers(0, 2, 8)
+        cfg = self._cfg(local_epochs=2, batch_size=3, local_lr=0.01, momentum=0.5)
+        second_source = source.copy() if off == "source" else source
+        second_labels = labels.copy() if off == "labels" else labels
+        second_cfg = {
+            "batch_size": replace(cfg, batch_size=4), "lr": replace(cfg, local_lr=0.5),
+            "momentum": replace(cfg, momentum=0.9), "seed": replace(cfg, master_seed=1),
+        }.get(off, cfg)
+        w_t = objective.init_params(5)
+        rows = [engine._Row(PartyView(0, np.arange(4), source, labels), cfg, w_t),
+                engine._Row(PartyView(1, np.arange(4, 8), second_source, second_labels),
+                            second_cfg, w_t)]
+        trainer = engine.LocalTrainer(objective, arch.n_params(), 2, 4)
+        match = "training pair" if off in ("source", "labels") else "batch size, lr, momentum"
+        with pytest.raises(ProtocolError, match=match):
+            trainer.train(rows, 0)
+
+    def test_a_cohort_may_mix_algorithm_mu_epochs_models_and_controls(self):
+        # What the rows of one cohort may differ in: each still trains
+        # bit for bit as it would alone.
+        arch = MlpArch((2, 3, 2))
+        objective = MlpObjective(arch)
+        generator = np.random.default_rng(6)
+        source, labels = generator.normal(size=(12, 2)), generator.integers(0, 2, 12)
+        views = [PartyView(p, np.arange(4 * p, 4 * p + 4), source, labels) for p in range(3)]
+        cfg = self._cfg(n_parties=3, batch_size=3, local_lr=0.05, momentum=0.9)
+        w_t = objective.init_params(5)
+        controls = tuple(0.01 * generator.normal(size=(2, arch.n_params())))
+        rows = [
+            engine._Row(views[0], replace(cfg, algorithm="fednova"), w_t),
+            engine._Row(views[1], replace(cfg, algorithm="fedprox", prox_mu=0.5,
+                                          local_epochs=2), 0.5 * w_t),
+            engine._Row(views[2], replace(cfg, algorithm="scaffold", local_epochs=3),
+                        -w_t, controls),
+        ]
+        got = engine.LocalTrainer(objective, arch.n_params(), 3, 3).train(rows, 0)
+        assert [update.tau for update, _ in got] == [2, 4, 6]
+        for (update, c_i), row in zip(got, rows):
+            if row.controls is None:
+                alone, alone_c_i = local_train_sgd(
+                    row.w_t, row.view, row.cfg, 0, objective), None
+            else:
+                alone, alone_c_i = local_train_scaffold(
+                    row.w_t, *row.controls, row.view, row.cfg, 0, objective)
+            assert update.final_params.tobytes() == alone.final_params.tobytes()
+            assert update.train_loss == alone.train_loss
+            assert np.asarray(c_i).tobytes() == np.asarray(alone_c_i).tobytes()
 
     def test_tau_counts_epochs_times_batches(self):
         arch = MlpArch((2, 2))
@@ -967,7 +1021,9 @@ class TestLockstep:
         assert 2 * wide * 8 > engine.COHORT_BYTES
         source, labels = np.zeros((10, 784)), np.zeros(10, dtype=int)
         views = [PartyView(p, [p], source, labels) for p in range(10)]
-        assert engine._cohorts(range(10), views, wide, True) == [[p] for p in range(10)]
+        cfg = FedRunConfig(algorithm="fedavg", n_parties=10)
+        assert engine._row_cohorts(range(10), views, [cfg], wide, True) == [
+            [(p, 0)] for p in range(10)]
 
         # Each party trains alone through the module attribute the traced
         # benchmark wraps to time its engine.local_train spans.
@@ -1030,14 +1086,17 @@ class TestLockstep:
             assert update.train_loss == mean_loss
             assert update.final_params.tobytes() == final.tobytes()
 
-    def test_cohorts_split_at_cap_and_at_another_source(self):
+    def test_one_cells_cohorts_split_at_the_cap(self):
         source, labels = np.zeros((8, 3)), np.zeros(8, dtype=int)
-        other = source.copy()
-        views = [PartyView(p, [p], other if p == 5 else source, labels) for p in range(8)]
+        views = [PartyView(p, [p], source, labels) for p in range(8)]
+        cfg = FedRunConfig(algorithm="fedavg", n_parties=8)
         per_party = engine.COHORT_BYTES // 8 // 3  # three parties fit
-        assert engine._cohorts(range(8), views, per_party, True) == [
-            [0, 1, 2], [3, 4], [5], [6, 7]]
-        assert engine._cohorts([1, 4, 6], views, per_party, False) == [[1], [4], [6]]
+        assert engine._row_cohorts(range(8), views, [cfg], per_party, True) == [
+            [(0, 0), (1, 0), (2, 0)], [(3, 0), (4, 0), (5, 0)], [(6, 0), (7, 0)]]
+        assert engine._row_cohorts([1, 4, 6, 7], views, [cfg], per_party, True) == [
+            [(1, 0), (4, 0), (6, 0)], [(7, 0)]]
+        assert engine._row_cohorts([1, 4, 6], views, [cfg], per_party, False) == [
+            [(1, 0)], [(4, 0)], [(6, 0)]]
 
 
 class TestZeroRowParty:
@@ -1084,7 +1143,8 @@ class TestZeroRowParty:
     def test_in_stacked_cohort(self, algorithm):
         views, cfg, w_t, c, c_is = self._setup(algorithm)
         objective = MlpObjective(self.ARCH)
-        assert engine._cohorts(range(3), views, len(w_t), True) == [[0, 1, 2]]
+        assert engine._row_cohorts(range(3), views, [cfg], len(w_t), True) == [
+            [(0, 0), (1, 0), (2, 0)]]
         state = GlobalState(w_t, c, c_is) if algorithm == "scaffold" else GlobalState(w_t)
         _, updates, _ = run_round(state, views, cfg, 0, objective)
         self._check(updates[1], w_t)

@@ -158,6 +158,46 @@ class TestLoadConfig:
             parse_config(small_run_config(**overrides))
 
     @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"partition": {"type": "iid", "beta": 0.5}},
+             r"partition\.beta: not read by iid partitions, "
+             r"only by label_dirichlet and quantity_dirichlet$"),
+            ({"partition": {"type": "iid", "labels_per_party": 3}},
+             r"partition\.labels_per_party: not read by iid partitions, "
+             r"only by label_quantity$"),
+            ({"partition": {"type": "by_group", "min_size": 50}},
+             r"partition\.min_size: not read by by_group partitions"),
+            ({"partition": {"type": "label_quantity", "labels_per_party": 2, "beta": 0.5}},
+             r"partition\.beta: not read by label_quantity partitions"),
+            ({"partition": {"type": "label_dirichlet", "beta": 0.5, "labels_per_party": 2}},
+             r"partition\.labels_per_party: not read by label_dirichlet partitions"),
+            ({"fed": {"algorithms": ["fedavg", "scaffold"], "prox_mu": 0.1}},
+             r"fed\.prox_mu: only fedprox reads it, and "
+             r"config\.fed\.algorithms \['fedavg', 'scaffold'\] has no fedprox$"),
+            ({"fed": {"algorithms": ["fedprox", "fednova"], "scaffold_c_option": "i"}},
+             r"fed\.scaffold_c_option: only scaffold reads it"),
+        ],
+        ids=["iid-beta", "iid-labels_per_party", "by_group-min_size", "label_quantity-beta",
+             "label_dirichlet-labels_per_party", "prox_mu", "scaffold_c_option"],
+    )
+    def test_option_no_run_reads_rejected(self, overrides, message):
+        # Such an option would be accepted and silently change nothing.
+        with pytest.raises(ConfigError, match=rf"^config\.{message}"):
+            parse_config(small_run_config(**overrides))
+
+    @pytest.mark.parametrize("kind", [
+        "iid", "label_quantity", "label_dirichlet", "quantity_dirichlet", "by_group",
+        "fcube_pairs"])
+    def test_options_accepted_for_the_kinds_that_read_them(self, kind):
+        options = {"label_quantity": {"labels_per_party": 2},
+                   "label_dirichlet": {"beta": 0.5, "min_size": 2},
+                   "quantity_dirichlet": {"beta": 0.5, "min_size": 2}}.get(kind, {})
+        partition = {"type": kind, "noise_sigma": 0.1, **options}
+        config = parse_config(small_run_config(partition=partition))
+        assert config.partition == PartitionSpec(kind, **{**options, "noise_sigma": 0.1})
+
+    @pytest.mark.parametrize(
         "dataset, key",
         [
             ({**BLOBS_SMALL, "n_per_class": "ten"}, "n_per_class"),
@@ -705,6 +745,35 @@ class TestProgress:
         assert seconds[0] == seconds[1] == seconds[2] and seconds[3] == seconds[4] == seconds[5]
         masked = mask_wall((tmp_path / "out" / "results.jsonl").read_text())
         assert hashlib.sha256(masked.encode("ascii")).hexdigest() == self.RESULTS_SHA256
+
+    def test_runs_trained_one_by_one_go_trial_by_trial_and_write_lockstep_files(
+            self, tmp_path, capsys, monkeypatch):
+        # An objective that overrides loss_grad, as the traced benchmark's
+        # does, trains each run alone, in the trial-major order lockstep
+        # trains in; results.jsonl is then rewritten into cell-major order.
+        config = parse_config(small_run_config(
+            fed={"algorithms": ["fedavg", "fedprox", "scaffold"], "rounds": 2, "parties": 3,
+                 "local_epochs": 1, "batch_size": 16, "lr": 0.05, "seed": 5},
+            trials=2,
+        ))
+        progress = {}
+        for run in ("lockstep", "alone"):
+            if run == "alone":
+                monkeypatch.setattr(engine, "MlpObjective", Alone)
+            cmd_run(config, tmp_path / run)
+            progress[run] = [re.match(r"cell \d+/6: (\S+) mu=\S+ E=1 trial=(\d)", line).groups()
+                             for line in capsys.readouterr().err.splitlines()]
+        assert progress["alone"] == progress["lockstep"] == [
+            (algorithm, trial) for trial in "01" for algorithm in ("fedavg", "fedprox", "scaffold")]
+        lockstep, alone = (mask_wall((tmp_path / run / "results.jsonl").read_text())
+                           for run in ("lockstep", "alone"))
+        assert alone == lockstep
+        records = read_jsonl(tmp_path / "alone" / "results.jsonl")
+        assert [(r["algorithm"], r["trial"]) for r in records if r["round"] == 0] == [
+            (algorithm, trial) for algorithm in ("fedavg", "fedprox", "scaffold")
+            for trial in (0, 1)]
+        assert (tmp_path / "alone" / "summary.csv").read_bytes() == (
+            tmp_path / "lockstep" / "summary.csv").read_bytes()
 
 
 class TestCmdReport:

@@ -326,8 +326,8 @@ class TestLockstepTraining:
         # The whole round stacks in one cohort; an objective that overrides
         # loss_grad trains every party in a cohort of one.
         for trained_by, n_cohorts in ((objective, 1), (Alone(arch), len(sizes))):
-            cohorts = engine._cohorts(
-                range(len(sizes)), views, n_coords, engine._stacks(trained_by))
+            cohorts = engine._row_cohorts(
+                range(len(sizes)), views, [cfg], n_coords, engine._stacks(trained_by))
             assert len(cohorts) == n_cohorts
             new_state, updates, _ = run_round(
                 GlobalState(w_t, c, controls), views, cfg, 0, trained_by
