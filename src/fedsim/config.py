@@ -36,6 +36,9 @@ FED_FIELDS = {
 # a config that sets one but trains no such cell is refused.
 FED_ALGORITHM_KEYS = {"prox_mu": "fedprox", "scaffold_c_option": "scaffold"}
 
+# Each sweep list and the "fed" key whose value it replaces in every cell.
+SWEPT_FED_KEYS = {"mu": "prox_mu", "local_epochs": "local_epochs"}
+
 # Datasets whose conventional party count or learning rate replaces
 # FedRunConfig's default.
 PARTIES_BY_DATASET_KIND = {"fcube": 4}
@@ -274,6 +277,14 @@ def parse_config(raw: dict, source: str = "config") -> ExperimentConfig:
     epoch_sweep = _sweep(
         sweeps.get("local_epochs", [fed.local_epochs]), int, 1, f"{source}.sweeps.local_epochs"
     )
+    # A sweep replaces its fed key in every cell, so a run that sets both
+    # would not read the fed one.
+    for sweep_key, fed_key in SWEPT_FED_KEYS.items():
+        if sweep_key in sweeps and fed_key in top.get("fed", {}):
+            raise ConfigError(
+                f"{source}.fed.{fed_key}: {source}.sweeps.{sweep_key} replaces it in every "
+                f"cell; set one of the two"
+            )
     # Cell order: algorithm, then local epochs, then mu where a cell trains
     # with one.
     cells = []

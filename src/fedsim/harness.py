@@ -4,7 +4,9 @@ Commands: materialize a partition (text + stats CSV), run a sweep of
 federation experiments (JSONL records + summary CSV), render a comparison
 report over saved results, and self-check gradients against finite
 differences. Everything except wall-clock fields is reproducible byte for
-byte from (config, seed).
+byte from (config, seed), whatever number of jobs a sweep trains its
+trials in: cmd_run forks workers (fedsim.workers) only to train trials at
+once, and writes every output line itself, in the order one process would.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import math
 import os
 import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -164,6 +167,13 @@ def _lockstep_groups(config: ExperimentConfig, together: bool) -> list[list[tupl
     return [runs[lo : lo + size] for lo in range(0, len(runs), size)]
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: cmd_run's default jobs."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_config(cell, trial: int):
     return replace(cell, master_seed=_trial_seed(cell.master_seed, trial))
 
@@ -187,7 +197,7 @@ def _record_lines(cell, trial: int, records) -> str:
     )
 
 
-def cmd_run(config: ExperimentConfig, out_dir) -> dict:
+def cmd_run(config: ExperimentConfig, out_dir, jobs: int | None = None) -> dict:
     """Run the config's cells x trials; write JSONL records and a summary CSV.
 
     Per (cell, trial) the run seed derives only from (master seed, trial),
@@ -202,6 +212,22 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     run_experiment instead, in the same trial-major order. A record's
     wall_ms and a progress line's seconds cover the whole group.
 
+    The groups (or lone runs) are independent, so up to jobs of them train
+    at once, one in this process and the others in worker processes forked
+    from it; jobs defaults to the CPUs this process may use and is capped
+    at the number of groups. A worker shares the datasets copy-on-write
+    and sends back only its group's records and seconds. Every record and
+    progress line is written here, in the order jobs=1 trains in, so the
+    output files are byte for byte the same for any jobs. Only fedsim's
+    own stacking MlpObjective is trained in workers: a replaced
+    engine.MlpObjective, such as the traced benchmark's, may keep counts
+    in this process. With one, where os.fork does not exist, or when
+    called off the main thread (which alone can field a Ctrl-C), every
+    group trains here, one after another. An exception a worker raises,
+    KeyboardInterrupt included, is raised here with its type and message
+    once every group before it is written; before cmd_run returns or
+    raises, every worker has ended and been reaped.
+
     The dataset is built and checked against the architecture before the
     output directory is made, so a dataset that cannot be trained on (a
     missing file, an empty training or test set, a width or label that does
@@ -211,13 +237,15 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     results.jsonl or summary.csv already in --out is removed before the
     first group trains, so a sweep that fails leaves no earlier sweep's
     files beside its own. Each group's records are appended to
-    results.jsonl as soon as it finishes (the file is made then), so a
-    sweep that stops part way keeps the records of every run that
-    finished. Once all have, the file is rewritten in cell-major order if
-    they trained in another. Diverged runs are flagged in their
-    records, never fatal. Each finished run prints one progress line to
-    stderr.
+    results.jsonl as soon as it and every group before it have finished
+    (the file is made then), so a sweep that stops part way keeps the
+    records of every run that finished. Once all have, the file is
+    rewritten in cell-major order if they trained in another. Diverged
+    runs are flagged in their records, never fatal. Each finished run
+    prints one progress line to stderr.
     """
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     train, test = build_dataset(config)
     arch = MlpArch((train.n_features, *config.hidden, train.n_classes))
     check_datasets(train, test, arch)
@@ -232,27 +260,44 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     # Looked up at call time, so a replaced engine.MlpObjective decides too.
     objective = engine.MlpObjective(arch)
     together = trains_in_lockstep(objective)
-    runs = [(cell, trial) for cell in config.cells for trial in range(config.trials)]
-    # Where each finished run's lines sit in results.jsonl: (offset, length).
-    spans, finals = {}, {}
-    for group in _lockstep_groups(config, together):
+    groups = _lockstep_groups(config, together)
+    if (not engine._stacks(objective) or not hasattr(os, "fork")
+            or threading.current_thread() is not threading.main_thread()):
+        jobs = 1
+    jobs = min(_usable_cpus() if jobs is None else jobs, len(groups))
+
+    def train_group(group):
         started = time.perf_counter()
         cfgs = [_run_config(cell, trial) for cell, trial in group]
         if together:
             outcomes = run_group(train, test, config.partition, arch, cfgs, objective)
         else:
             outcomes = [run_experiment(train, test, config.partition, arch, cfgs[0])]
-        seconds = time.perf_counter() - started
-        for run, records in zip(group, outcomes):
-            finals[run] = records[-1].test_accuracy
-            _print_progress(len(finals), len(runs), *run, records, seconds)
-        with _writing(results_path), open(results_path, "ab" if spans else "wb") as fh:
+        return outcomes, time.perf_counter() - started
+
+    runs = [(cell, trial) for cell in config.cells for trial in range(config.trials)]
+    # Where each finished run's lines sit in results.jsonl: (offset, length).
+    spans, finals = {}, {}
+    if jobs == 1:
+        trained = (train_group(group) for group in groups)
+    else:
+        # Imported here: its modules would add to the start-up of every
+        # run, and most runs never fork.
+        from .workers import train_in_order
+
+        trained = train_in_order(train_group, groups, jobs)
+    with contextlib.closing(trained):
+        for group, (outcomes, seconds) in zip(groups, trained):
             for run, records in zip(group, outcomes):
-                text = _record_lines(*run, records).encode("ascii")
-                spans[run] = (fh.tell(), len(text))
-                fh.write(text)
-        # The records are on disk; the next group need not hold them.
-        del outcomes
+                finals[run] = records[-1].test_accuracy
+                _print_progress(len(finals), len(runs), *run, records, seconds)
+            with _writing(results_path), open(results_path, "ab" if spans else "wb") as fh:
+                for run, records in zip(group, outcomes):
+                    text = _record_lines(*run, records).encode("ascii")
+                    spans[run] = (fh.tell(), len(text))
+                    fh.write(text)
+            # The records are on disk; the next group need not hold them.
+            del outcomes
     if list(spans) != runs:
         with _writing(results_path), open(results_path, "rb") as fh:
             written = fh.read()

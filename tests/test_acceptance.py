@@ -313,22 +313,28 @@ def test_criterion_7_run_determinism(tmp_path):
     # The same grid without fedavg: scaffold's cells must not depend on
     # which cells ran before them.
     alone = parse_config({**raw, "fed": {**raw["fed"], "algorithms": ["scaffold"]}})
-    cmd_run(config, tmp_path / "a")
-    cmd_run(config, tmp_path / "b")
+    # The rerun trains its two trials at once, the second in a forked
+    # worker: the files must not depend on the number of jobs either.
+    cmd_run(config, tmp_path / "a", jobs=1)
+    cmd_run(config, tmp_path / "b", jobs=2)
     cmd_run(alone, tmp_path / "c")
     a = _mask_wall((tmp_path / "a" / "results.jsonl").read_text())
     b = _mask_wall((tmp_path / "b" / "results.jsonl").read_text())
+    same_summary = (tmp_path / "a" / "summary.csv").read_bytes() == (
+        tmp_path / "b" / "summary.csv").read_bytes()
     c = _mask_wall((tmp_path / "c" / "results.jsonl").read_text())
     elapsed = time.perf_counter() - started
     lines = a.splitlines()
     scaffold_lines = [line for line in lines if json.loads(line)["algorithm"] == "scaffold"]
     # trials x settings x (rounds + 1) = 2 x 2 x 4
     cell_independent = scaffold_lines == c.splitlines() and len(scaffold_lines) == 2 * 4
-    ok = a == b and cell_independent and len(lines) == 2 * 2 * 4 and elapsed < 300.0
+    ok = (a == b and same_summary and cell_independent and len(lines) == 2 * 2 * 4
+          and elapsed < 300.0)
     report(
         7,
         ok,
-        f"rerun identical={a == b}, cell independent={cell_independent}, "
+        f"rerun identical (jobs 1 vs 2)={a == b and same_summary}, "
+        f"cell independent={cell_independent}, "
         f"{len(lines)} records, {elapsed:.0f}s (< 300s)",
     )
 

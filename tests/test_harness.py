@@ -1,7 +1,11 @@
 import hashlib
 import json
+import multiprocessing
+import os
 import re
 import shutil
+import signal
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -112,9 +116,9 @@ class TestLoadConfig:
         assert [cell.prox_mu for cell in config.cells] == [0.001, 0.01, 0.1, 1.0]
 
     def test_epoch_sweep_accepted(self):
-        config = parse_config(
-            small_run_config(sweeps={"local_epochs": [10, 20, 40, 80]})
-        )
+        config = parse_config(small_run_config(
+            fed={"algorithms": ["fedavg"]}, sweeps={"local_epochs": [10, 20, 40, 80]}
+        ))
         assert [cell.local_epochs for cell in config.cells] == [10, 20, 40, 80]
 
     def test_negative_beta_rejected_with_key_path(self):
@@ -185,6 +189,23 @@ class TestLoadConfig:
         # Such an option would be accepted and silently change nothing.
         with pytest.raises(ConfigError, match=rf"^config\.{message}"):
             parse_config(small_run_config(**overrides))
+
+    @pytest.mark.parametrize("sweep_key, fed_key, fed_value, swept", [
+        ("mu", "prox_mu", 0.5, [0.1]),
+        ("local_epochs", "local_epochs", 3, [7]),
+    ])
+    def test_fed_key_beside_its_sweep_rejected(self, sweep_key, fed_key, fed_value, swept):
+        # The sweep replaces the fed key in every cell, so the fed value was
+        # accepted and silently never read.
+        raw = {"dataset": {"type": "fcube"},
+               "fed": {"algorithms": ["fedprox"], fed_key: fed_value},
+               "sweeps": {sweep_key: swept}}
+        with pytest.raises(ConfigError, match=(
+                rf"^config\.fed\.{fed_key}: config\.sweeps\.{sweep_key} replaces it in every "
+                rf"cell; set one of the two$")):
+            parse_config(raw)
+        del raw["fed"][fed_key]
+        assert [getattr(cell, fed_key) for cell in parse_config(raw).cells] == swept
 
     @pytest.mark.parametrize("kind", [
         "iid", "label_quantity", "label_dirichlet", "quantity_dirichlet", "by_group",
@@ -371,13 +392,13 @@ class TestSettings:
     def test_mu_sweep_only_applies_to_fedprox(self):
         config = parse_config(
             small_run_config(
-                fed={"algorithms": ["fedavg", "fedprox"], "prox_mu": 0.5},
+                fed={"algorithms": ["fedavg", "fedprox"]},
                 sweeps={"mu": [0.01, 0.1]},
             )
         )
         labels = [(c.algorithm, c.mu, c.prox_mu) for c in config.cells]
         assert labels == [
-            ("fedavg", None, 0.5), ("fedprox", 0.01, 0.01), ("fedprox", 0.1, 0.1),
+            ("fedavg", None, 0.01), ("fedprox", 0.01, 0.01), ("fedprox", 0.1, 0.1),
         ]
 
     def test_epoch_sweep_applies_to_all(self):
@@ -466,6 +487,43 @@ class TestCmdPartition:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def assert_no_child_process():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_trial(config, trial, error):
+    """A harness.run_group that raises error(message) for trial's group.
+    It is keyed on the group's run seed, so it fires in a forked worker too."""
+    seed = harness._trial_seed(config.fed.master_seed, trial)
+    real_run_group = harness.run_group
+
+    def failing(*args):
+        if args[4][0].master_seed == seed:
+            raise error(f"trial {trial} stopped")
+        return real_run_group(*args)
+
+    return failing
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs for more than a minute rather than let it hang;
+    a forked worker does not inherit the alarm."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran for more than 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 def read_jsonl(path):
     return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
 
@@ -510,8 +568,10 @@ class TestCmdRun:
 
             monkeypatch.setattr(harness, "run_group", failing)
             out = tmp_path / f"stopped{fail_at}"
+            # started counts calls in this process, so every group must
+            # train here: a forked worker's calls would not reach it.
             with pytest.raises(KeyboardInterrupt):
-                cmd_run(config, out)
+                cmd_run(config, out, jobs=1)
             assert not (out / "summary.csv").exists()
             if fail_at == 0:
                 assert list(out.iterdir()) == []
@@ -519,6 +579,73 @@ class TestCmdRun:
             kept = mask_wall((out / "results.jsonl").read_text()).splitlines()
             assert kept == [line for line in whole if json.loads(line)["trial"] == 0]
             assert len(kept) == 4 * 3
+
+    @needs_fork
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, PartitionError])
+    def test_a_trial_that_fails_in_a_worker_keeps_the_records_of_finished_runs(
+            self, tmp_path, deadline, monkeypatch, error):
+        # The sweep above with two jobs: trial 0 trains in this process and
+        # trial 1 in a worker, where its failure arrives with its type and
+        # message once trial 0's records are written; the worker still
+        # training, if any, is stopped and reaped. A failure in trial 0
+        # leaves no results file at all.
+        config = parse_config(small_run_config(
+            fed={"algorithms": ["fedavg", "fedprox", "scaffold"], "rounds": 2, "parties": 3,
+                 "local_epochs": 1, "batch_size": 16, "lr": 0.05, "seed": 5},
+            sweeps={"mu": [0.01, 0.1]},
+            trials=3,
+        ))
+        cmd_run(config, tmp_path / "whole", jobs=1)
+        whole = mask_wall((tmp_path / "whole" / "results.jsonl").read_text()).splitlines()
+        for trial in (1, 0):
+            monkeypatch.setattr(harness, "run_group", fail_trial(config, trial, error))
+            out = tmp_path / f"stopped{trial}"
+            with pytest.raises(error, match=f"^trial {trial} stopped$"):
+                cmd_run(config, out, jobs=2)
+            assert_no_child_process()
+            assert not (out / "summary.csv").exists()
+            if trial == 0:
+                assert list(out.iterdir()) == []
+                continue
+            kept = mask_wall((out / "results.jsonl").read_text()).splitlines()
+            assert kept == [line for line in whole if json.loads(line)["trial"] == 0]
+            assert len(kept) == 4 * 3
+
+    @needs_fork
+    def test_a_worker_ignores_sigint_and_the_caller_stops_its_workers_on_one(
+            self, tmp_path, deadline, monkeypatch):
+        # A Ctrl-C goes to the whole process group. A worker ignores it, so
+        # the sweep it lands in writes what a quiet sweep writes; the caller
+        # raises KeyboardInterrupt and stops and reaps its workers first.
+        config = parse_config(small_run_config(
+            fed={"algorithms": ["fedavg", "fedprox"], "rounds": 2, "parties": 3,
+                 "local_epochs": 1, "batch_size": 16, "lr": 0.05, "seed": 5},
+            trials=3,
+        ))
+        cmd_run(config, tmp_path / "quiet", jobs=1)
+        caller = os.getpid()
+        real_run_group = harness.run_group
+        for target in ("worker", "caller"):
+
+            def interrupting(*args):
+                if (os.getpid() == caller) == (target == "caller"):
+                    (tmp_path / f"{target}-{os.getpid()}").touch()
+                    os.kill(os.getpid(), signal.SIGINT)
+                return real_run_group(*args)
+
+            monkeypatch.setattr(harness, "run_group", interrupting)
+            out = tmp_path / target
+            if target == "worker":
+                cmd_run(config, out, jobs=3)
+                assert len(list(tmp_path.glob("worker-*"))) == 2
+                for name in ("results.jsonl", "summary.csv"):
+                    assert mask_wall((out / name).read_text()) == mask_wall(
+                        (tmp_path / "quiet" / name).read_text())
+            else:
+                with pytest.raises(KeyboardInterrupt):
+                    cmd_run(config, out, jobs=3)
+                assert not (out / "summary.csv").exists()
+            assert_no_child_process()
 
     def test_summary_mean_and_sample_std(self, tmp_path):
         config = parse_config(small_run_config(trials=3))
@@ -585,6 +712,84 @@ def mask_wall(text):
 
 
 class TestDeterminism:
+    @needs_fork
+    def test_jobs_1_and_n_write_the_same_files(self, tmp_path, deadline, capsys, monkeypatch):
+        # Three trials with feature noise, 3 of 5 parties sampled per round
+        # and a scaffold cell that diverges: one job, two, and more jobs than
+        # trials write byte-identical files and the same progress lines, up
+        # to their seconds, trial by trial. A worker trains each trial that
+        # this process does not, and none is left when cmd_run returns.
+        config = parse_config({
+            "dataset": {"type": "blobs", "n_classes": 10, "n_per_class": 30, "dim": 32,
+                        "spread": 0.3, "seed": 3},
+            "partition": {"type": "quantity_dirichlet", "beta": 0.5, "noise_sigma": 0.1},
+            "arch": {"hidden": [32, 16, 8]},
+            "fed": {"algorithms": ["fedavg", "fedprox", "scaffold"], "rounds": 10,
+                    "parties": 5, "sample_fraction": 0.6, "local_epochs": 5,
+                    "batch_size": 64, "lr": 0.3, "seed": 1},
+            "sweeps": {"mu": [0.01, 0.1]},
+            "trials": 3,
+        })
+        real_run_group = harness.run_group
+
+        def recording(*args):
+            (tmp_path / f"pid-{os.getpid()}").touch()
+            return real_run_group(*args)
+
+        monkeypatch.setattr(harness, "run_group", recording)
+        outputs, processes = {}, {}
+        for jobs in (1, 2, 5):
+            out = tmp_path / f"jobs{jobs}"
+            cmd_run(config, out, jobs=jobs)
+            assert_no_child_process()
+            progress = [re.sub(r" \d+\.\d\ds$", "", line)
+                        for line in capsys.readouterr().err.splitlines()]
+            outputs[jobs] = (mask_wall((out / "results.jsonl").read_text()),
+                             (out / "summary.csv").read_bytes(), progress)
+            pids = list(tmp_path.glob("pid-*"))
+            processes[jobs] = len(pids)
+            for pid in pids:
+                pid.unlink()
+        assert outputs[2] == outputs[1] and outputs[5] == outputs[1]
+        assert processes == {1: 1, 2: 2, 5: 3}
+        progress = outputs[1][2]
+        assert [int(re.search(r"trial=(\d)", line)[1]) for line in progress] == [
+            trial for trial in range(3) for _ in config.cells]
+        records = read_jsonl(tmp_path / "jobs1" / "results.jsonl")
+        diverged = {record["algorithm"] for record in records if record["diverged"]}
+        assert diverged == {"scaffold"}
+
+    @pytest.mark.parametrize("why", ["objective replaced", "no os.fork", "off the main thread"])
+    def test_every_group_trains_in_the_caller_when_it_cannot_fork(
+            self, tmp_path, monkeypatch, why):
+        # jobs=2 asks for a worker, but an objective that does not stack may
+        # keep its counts here, a platform may lack os.fork, and only the
+        # main thread can field the SIGINT that stops the workers.
+        config = parse_config(small_run_config(trials=2))
+        cmd_run(config, tmp_path / "jobs1", jobs=1)
+        real_run_group, real_run_experiment = harness.run_group, harness.run_experiment
+        pids = []
+        monkeypatch.setattr(harness, "run_group",
+                            lambda *args: pids.append(os.getpid()) or real_run_group(*args))
+        monkeypatch.setattr(harness, "run_experiment",
+                            lambda *args: pids.append(os.getpid()) or real_run_experiment(*args))
+        if why == "objective replaced":
+            monkeypatch.setattr(engine, "MlpObjective", Alone)
+        elif why == "no os.fork":
+            monkeypatch.delattr(os, "fork", raising=False)
+        out = tmp_path / "jobs2"
+        if why == "off the main thread":
+            thread = threading.Thread(target=cmd_run, args=(config, out), kwargs={"jobs": 2})
+            thread.start()
+            thread.join(60)
+            assert not thread.is_alive()
+        else:
+            cmd_run(config, out, jobs=2)
+        assert pids == [os.getpid()] * 2
+        for name in ("results.jsonl", "summary.csv"):
+            assert mask_wall((out / name).read_text()) == mask_wall(
+                (tmp_path / "jobs1" / name).read_text())
+
     def test_rerun_byte_identical(self, tmp_path):
         config = parse_config(
             small_run_config(
@@ -941,7 +1146,7 @@ class TestCli:
         # On a sweep, --seed reaches every cell: the run equals the same
         # config with that seed written in.
         fed = {"algorithms": ["fedavg", "fedprox", "scaffold"], "rounds": 2, "parties": 3,
-               "local_epochs": 1, "batch_size": 16, "lr": 0.05}
+               "batch_size": 16, "lr": 0.05}
         sweeps = {"mu": [0.01, 0.1], "local_epochs": [1, 2]}
         outputs = []
         for name, seed, argv in [("flag", 1, ["--seed", "5"]), ("written", 5, [])]:
@@ -1048,7 +1253,8 @@ class TestCli:
 
             monkeypatch.setattr(harness, "run_group", failing)
         config_path = write_config(tmp_path, small_run_config(partition=partition, trials=2))
-        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+        # started counts calls in this process: --jobs 1 keeps every group here.
+        assert main(["run", "--config", str(config_path), "--out", str(out), "--jobs", "1"]) == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
         assert not (out / "summary.csv").exists()
         if fails == "first group":
@@ -1056,6 +1262,48 @@ class TestCli:
         else:
             kept = read_jsonl(out / "results.jsonl")
             assert [(r["trial"], r["round"]) for r in kept] == [(0, 0), (0, 1), (0, 2)]
+
+    @needs_fork
+    @pytest.mark.parametrize("error", [PartitionError, KeyboardInterrupt])
+    def test_a_sweep_failed_in_a_worker_leaves_no_earlier_outputs(
+            self, tmp_path, deadline, capsys, monkeypatch, error):
+        # The later-trial case above with two jobs: trial 1 fails in a
+        # worker. A FedsimError ends the command with exit code 2 and its
+        # message; an interrupt reaches the caller of main.
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("results.jsonl", "summary.csv"):
+            (out / name).write_text("from an earlier sweep\n")
+        raw = small_run_config(trials=2)
+        monkeypatch.setattr(harness, "run_group", fail_trial(parse_config(raw), 1, error))
+        argv = ["run", "--config", str(write_config(tmp_path, raw)), "--out", str(out),
+                "--jobs", "2"]
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt, match="^trial 1 stopped$"):
+                main(argv)
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr().err.splitlines()[-1] == "error: trial 1 stopped"
+        assert_no_child_process()
+        assert not (out / "summary.csv").exists()
+        kept = read_jsonl(out / "results.jsonl")
+        assert [(r["trial"], r["round"]) for r in kept] == [(0, 0), (0, 1), (0, 2)]
+
+    @pytest.mark.parametrize("value, cause", [
+        ("0", "must be >= 1, got 0"), ("-2", "must be >= 1, got -2"),
+        ("two", "expected an integer, got 'two'"),
+    ])
+    def test_jobs_below_one_refused(self, tmp_path, capsys, value, cause):
+        config_path = write_config(tmp_path, small_run_config())
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", str(config_path), "--out", str(tmp_path / "o"),
+                  "--jobs", value])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: argument --jobs: {cause}")
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(ConfigError, match="^jobs must be >= 1, got 0$"):
+            cmd_run(parse_config(small_run_config()), tmp_path / "o", jobs=0)
 
     @pytest.mark.parametrize("command", ["run", "partition"])
     def test_empty_training_set_exit_code(self, tmp_path, capsys, command):
