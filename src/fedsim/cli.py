@@ -23,16 +23,6 @@ def _add_config_args(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
 
 
-def _jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
-    return jobs
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedsim",
@@ -45,10 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the configured experiments")
     _add_config_args(p_run)
-    p_run.add_argument(
-        "--jobs", type=_jobs, default=None,
-        help="trials to train at once in forked processes (default: the usable CPUs)",
-    )
 
     p_report = sub.add_parser("report", help="summarize saved results")
     p_report.add_argument(
@@ -80,7 +66,7 @@ def main(argv=None) -> int:
             harness.cmd_partition(config, out_dir)
             return 0
         if args.command == "run":
-            harness.cmd_run(config, out_dir, jobs=args.jobs)
+            harness.cmd_run(config, out_dir)
             return 0
         raise AssertionError(f"unhandled command {args.command}")
     except FedsimError as exc:

@@ -4,9 +4,10 @@ Commands: materialize a partition (text + stats CSV), run a sweep of
 federation experiments (JSONL records + summary CSV), render a comparison
 report over saved results, and self-check gradients against finite
 differences. Everything except wall-clock fields is reproducible byte for
-byte from (config, seed), whatever number of jobs a sweep trains its
-trials in: cmd_run forks workers (fedsim.workers) only to train trials at
-once, and writes every output line itself, in the order one process would.
+byte from (config, seed), whatever number of processes a sweep trains
+its trials in: cmd_run forks workers (fedsim.workers) only to train trials
+at once, and writes every output line itself, in the order one process
+would.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .engine import (
 from .errors import ConfigError, OutputError, ReportError
 from .nn import MlpArch, backward, finite_diff_grad, init_mlp, layer_slices
 from .partition import build_views, export_partition, export_stats_csv, partition_stats
+from .workers import train_in_order
 
 RESULTS_FILE = "results.jsonl"
 SUMMARY_FILE = "summary.csv"
@@ -168,7 +170,8 @@ def _lockstep_groups(config: ExperimentConfig, together: bool) -> list[list[tupl
 
 
 def _usable_cpus() -> int:
-    """The number of CPUs this process may run on: cmd_run's default jobs."""
+    """The number of CPUs this process may run on: how many groups cmd_run
+    trains at once, at most."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -197,7 +200,7 @@ def _record_lines(cell, trial: int, records) -> str:
     )
 
 
-def cmd_run(config: ExperimentConfig, out_dir, jobs: int | None = None) -> dict:
+def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     """Run the config's cells x trials; write JSONL records and a summary CSV.
 
     Per (cell, trial) the run seed derives only from (master seed, trial),
@@ -212,21 +215,24 @@ def cmd_run(config: ExperimentConfig, out_dir, jobs: int | None = None) -> dict:
     run_experiment instead, in the same trial-major order. A record's
     wall_ms and a progress line's seconds cover the whole group.
 
-    The groups (or lone runs) are independent, so up to jobs of them train
-    at once, one in this process and the others in worker processes forked
-    from it; jobs defaults to the CPUs this process may use and is capped
-    at the number of groups. A worker shares the datasets copy-on-write
+    The groups (or lone runs) are independent, so as many of them as this
+    process may use CPUs (_usable_cpus) train at once, one in this process
+    and the others in worker processes forked from it
+    (workers.train_in_order). A worker shares the datasets copy-on-write
     and sends back only its group's records and seconds. Every record and
-    progress line is written here, in the order jobs=1 trains in, so the
-    output files are byte for byte the same for any jobs. Only fedsim's
-    own stacking MlpObjective is trained in workers: a replaced
-    engine.MlpObjective, such as the traced benchmark's, may keep counts
-    in this process. With one, where os.fork does not exist, or when
-    called off the main thread (which alone can field a Ctrl-C), every
-    group trains here, one after another. An exception a worker raises,
+    progress line is written here, in the order one process trains in, so
+    the output files are byte for byte the same however many train at
+    once. Only fedsim's own stacking MlpObjective is trained in workers: a
+    replaced engine.MlpObjective, such as the traced benchmark's, may keep
+    counts in this process. With any other objective, one group or one
+    usable CPU, where os.fork does not exist, or when called off the main
+    thread (where Python raises no KeyboardInterrupt), nothing forks and
+    every group trains here, one after another. To train fewer groups at
+    once, restrict the CPUs (taskset -c 0). An exception a worker raises,
     KeyboardInterrupt included, is raised here with its type and message
     once every group before it is written; before cmd_run returns or
-    raises, every worker has ended and been reaped.
+    raises, every worker has ended and been reaped, and a worker whose
+    caller is killed exits too.
 
     The dataset is built and checked against the architecture before the
     output directory is made, so a dataset that cannot be trained on (a
@@ -244,8 +250,6 @@ def cmd_run(config: ExperimentConfig, out_dir, jobs: int | None = None) -> dict:
     runs are flagged in their records, never fatal. Each finished run
     prints one progress line to stderr.
     """
-    if jobs is not None and jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     train, test = build_dataset(config)
     arch = MlpArch((train.n_features, *config.hidden, train.n_classes))
     check_datasets(train, test, arch)
@@ -261,10 +265,10 @@ def cmd_run(config: ExperimentConfig, out_dir, jobs: int | None = None) -> dict:
     objective = engine.MlpObjective(arch)
     together = trains_in_lockstep(objective)
     groups = _lockstep_groups(config, together)
+    jobs = min(_usable_cpus(), len(groups))
     if (not engine._stacks(objective) or not hasattr(os, "fork")
             or threading.current_thread() is not threading.main_thread()):
         jobs = 1
-    jobs = min(_usable_cpus() if jobs is None else jobs, len(groups))
 
     def train_group(group):
         started = time.perf_counter()
@@ -278,14 +282,7 @@ def cmd_run(config: ExperimentConfig, out_dir, jobs: int | None = None) -> dict:
     runs = [(cell, trial) for cell in config.cells for trial in range(config.trials)]
     # Where each finished run's lines sit in results.jsonl: (offset, length).
     spans, finals = {}, {}
-    if jobs == 1:
-        trained = (train_group(group) for group in groups)
-    else:
-        # Imported here: its modules would add to the start-up of every
-        # run, and most runs never fork.
-        from .workers import train_in_order
-
-        trained = train_in_order(train_group, groups, jobs)
+    trained = train_in_order(train_group, groups, jobs)
     with contextlib.closing(trained):
         for group, (outcomes, seconds) in zip(groups, trained):
             for run, records in zip(group, outcomes):

@@ -5,8 +5,11 @@ harness.cmd_run trains a sweep's trials at once with train_in_order. A
 worker is forked, so it shares the caller's memory (the datasets above
 all) copy-on-write, and it sends back only its pickled result. A worker
 that fails sends its exception instead, which the caller raises in its
-unit's turn; whichever way train_in_order stops, no worker outlives it.
-Fork needs os.fork, and the SIGINT handling below needs the main thread.
+unit's turn. No worker outlives its caller: however train_in_order stops,
+it first kills and reaps every worker, and a worker whose caller ended
+without unwinding (killed by SIGKILL or SIGTERM, say) exits as soon as
+the caller is gone. Fork needs os.fork, and a Ctrl-C stops the workers
+only when train_in_order runs on the main thread, where Python raises it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import os
 import pickle
 import select
 import signal
-import traceback
+import threading
 
 
 def _outcome(train_unit, unit) -> bytes:
@@ -26,10 +29,20 @@ def _outcome(train_unit, unit) -> bytes:
     try:
         return pickle.dumps((True, train_unit(unit), None))
     except BaseException as exc:
+        # Imported here: only a failing worker needs it.
+        import traceback
+
         return pickle.dumps((False, exc, "".join(traceback.format_exception(exc))))
 
 
-def _start(workers: dict, index: int, train_unit, unit) -> None:
+def _exit_when_closed(fd: int) -> None:
+    """End this worker once no process holds the write end of fd's pipe.
+    Nothing writes to it, so the read returns only then."""
+    os.read(fd, 1)
+    os._exit(1)
+
+
+def _start(workers: dict, index: int, train_unit, unit, lifeline: tuple[int, int]) -> None:
     """Fork a worker that trains unit and writes its _outcome to a pipe;
     workers[index] becomes (pid, the pipe's read end).
 
@@ -38,18 +51,26 @@ def _start(workers: dict, index: int, train_unit, unit) -> None:
     receive or rebuild the datasets. It ends with os._exit, so it flushes
     none of the stdio buffers it inherits and runs none of the caller's
     cleanup. It ignores SIGINT, so a Ctrl-C reaches only this process.
-    Until the worker is in workers, a SIGINT is only noted, then handed to
-    the previous handler, so an interrupt cannot leave a worker that the
-    caller does not know to stop. Call it from the main thread."""
+    SIGINT is blocked here from before the fork until the worker is in
+    workers, so one that comes in between reaches whatever handler is in
+    place, SIG_DFL too, only once the caller knows the worker to stop.
+    The worker closes its copy of the lifeline pipe's write end, which
+    only this process then holds, and exits when the pipe reads as
+    closed: once this process has ended, however it ended. Call it from
+    the main thread."""
     read_end, write_end = os.pipe()
-    noted = []
-    previous = signal.signal(signal.SIGINT, lambda signum, frame: noted.append(frame))
     try:
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         pid = os.fork()
         if pid == 0:
             status = 1
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+                os.close(lifeline[1])
+                watch = threading.Thread(target=_exit_when_closed, args=(lifeline[0],))
+                watch.daemon = True
+                watch.start()
                 with os.fdopen(write_end, "wb") as fh:
                     fh.write(_outcome(train_unit, unit))
                 status = 0
@@ -61,9 +82,7 @@ def _start(workers: dict, index: int, train_unit, unit) -> None:
         raise
     finally:
         os.close(write_end)
-        signal.signal(signal.SIGINT, previous)
-    if noted and callable(previous):
-        previous(signal.SIGINT, noted[0])
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
 
 
 def _reap(pid: int, read_end: int) -> tuple[bool, object]:
@@ -83,15 +102,19 @@ def _reap(pid: int, read_end: int) -> tuple[bool, object]:
 
 
 def train_in_order(train_unit, units: list, jobs: int):
-    """Yield train_unit(unit) for each unit, in order, with up to jobs > 1
+    """Yield train_unit(unit) for each unit, in order, with up to jobs
     units training at once: this process trains one and forked workers
-    (_start) the others. A unit that finishes early waits for the
+    (_start) the others. With jobs=1 nothing forks: every unit trains
+    here, one after another. A unit that finishes early waits for the
     units before it, and an exception a unit raised, in a worker too, is
     raised when its turn comes, so every unit before it has been yielded.
     However this generator stops, it first kills and reaps every worker
     still running."""
     # workers: unit index -> (pid, read end); done: unit index -> (ok, value).
     workers, done, assigned = {}, {}, 0
+    # Its write end stays open in this process alone, for as long as
+    # workers may run (_start).
+    lifeline = os.pipe() if jobs > 1 else ()
     try:
         for index in range(len(units)):
             while index not in done:
@@ -109,7 +132,7 @@ def train_in_order(train_unit, units: list, jobs: int):
                     break
                 mine, assigned = assigned, assigned + 1
                 while len(workers) < jobs - 1 and assigned < len(units):
-                    _start(workers, assigned, train_unit, units[assigned])
+                    _start(workers, assigned, train_unit, units[assigned], lifeline)
                     assigned += 1
                 try:
                     done[mine] = (True, train_unit(units[mine]))
@@ -128,3 +151,5 @@ def train_in_order(train_unit, units: list, jobs: int):
                 os.close(read_end)
             with contextlib.suppress(OSError):
                 os.waitpid(pid, 0)
+        for fd in lifeline:
+            os.close(fd)

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from fedsim import rng
+from fedsim import harness, rng
 from fedsim.config import parse_config
 from fedsim.datasets import LabeledDataset, blobs_generate, fcube_generate, split_train_test
 from fedsim.engine import (
@@ -298,7 +298,7 @@ def _mask_wall(text):
     return re.sub(r'"wall_ms": \d+', '"wall_ms": 0', text)
 
 
-def test_criterion_7_run_determinism(tmp_path):
+def test_criterion_7_run_determinism(tmp_path, monkeypatch):
     started = time.perf_counter()
     raw = {
         "dataset": {"type": "blobs", "n_classes": 5, "n_per_class": 80,
@@ -314,9 +314,11 @@ def test_criterion_7_run_determinism(tmp_path):
     # which cells ran before them.
     alone = parse_config({**raw, "fed": {**raw["fed"], "algorithms": ["scaffold"]}})
     # The rerun trains its two trials at once, the second in a forked
-    # worker: the files must not depend on the number of jobs either.
-    cmd_run(config, tmp_path / "a", jobs=1)
-    cmd_run(config, tmp_path / "b", jobs=2)
+    # worker: the files must not depend on the number of processes either.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    cmd_run(config, tmp_path / "a")
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    cmd_run(config, tmp_path / "b")
     cmd_run(alone, tmp_path / "c")
     a = _mask_wall((tmp_path / "a" / "results.jsonl").read_text())
     b = _mask_wall((tmp_path / "b" / "results.jsonl").read_text())
@@ -333,7 +335,7 @@ def test_criterion_7_run_determinism(tmp_path):
     report(
         7,
         ok,
-        f"rerun identical (jobs 1 vs 2)={a == b and same_summary}, "
+        f"rerun identical (1 vs 2 processes)={a == b and same_summary}, "
         f"cell independent={cell_independent}, "
         f"{len(lines)} records, {elapsed:.0f}s (< 300s)",
     )

@@ -510,6 +510,11 @@ def fail_trial(config, trial, error):
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
 
 
+def use_cpus(monkeypatch, n):
+    """Let cmd_run train up to n groups at once, n - 1 of them in workers."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: n)
+
+
 @pytest.fixture
 def deadline():
     """Fail a test that runs for more than a minute rather than let it hang;
@@ -554,6 +559,9 @@ class TestCmdRun:
             sweeps={"mu": [0.01, 0.1]},
             trials=3,
         ))
+        # started counts calls in this process, so every group must train
+        # here: a forked worker's calls would not reach it.
+        use_cpus(monkeypatch, 1)
         cmd_run(config, tmp_path / "whole")
         whole = mask_wall((tmp_path / "whole" / "results.jsonl").read_text()).splitlines()
         real_run_group = harness.run_group
@@ -568,10 +576,8 @@ class TestCmdRun:
 
             monkeypatch.setattr(harness, "run_group", failing)
             out = tmp_path / f"stopped{fail_at}"
-            # started counts calls in this process, so every group must
-            # train here: a forked worker's calls would not reach it.
             with pytest.raises(KeyboardInterrupt):
-                cmd_run(config, out, jobs=1)
+                cmd_run(config, out)
             assert not (out / "summary.csv").exists()
             if fail_at == 0:
                 assert list(out.iterdir()) == []
@@ -584,7 +590,7 @@ class TestCmdRun:
     @pytest.mark.parametrize("error", [KeyboardInterrupt, PartitionError])
     def test_a_trial_that_fails_in_a_worker_keeps_the_records_of_finished_runs(
             self, tmp_path, deadline, monkeypatch, error):
-        # The sweep above with two jobs: trial 0 trains in this process and
+        # The sweep above on two CPUs: trial 0 trains in this process and
         # trial 1 in a worker, where its failure arrives with its type and
         # message once trial 0's records are written; the worker still
         # training, if any, is stopped and reaped. A failure in trial 0
@@ -595,13 +601,14 @@ class TestCmdRun:
             sweeps={"mu": [0.01, 0.1]},
             trials=3,
         ))
-        cmd_run(config, tmp_path / "whole", jobs=1)
+        use_cpus(monkeypatch, 2)
+        cmd_run(config, tmp_path / "whole")
         whole = mask_wall((tmp_path / "whole" / "results.jsonl").read_text()).splitlines()
         for trial in (1, 0):
             monkeypatch.setattr(harness, "run_group", fail_trial(config, trial, error))
             out = tmp_path / f"stopped{trial}"
             with pytest.raises(error, match=f"^trial {trial} stopped$"):
-                cmd_run(config, out, jobs=2)
+                cmd_run(config, out)
             assert_no_child_process()
             assert not (out / "summary.csv").exists()
             if trial == 0:
@@ -622,7 +629,8 @@ class TestCmdRun:
                  "local_epochs": 1, "batch_size": 16, "lr": 0.05, "seed": 5},
             trials=3,
         ))
-        cmd_run(config, tmp_path / "quiet", jobs=1)
+        use_cpus(monkeypatch, 3)
+        cmd_run(config, tmp_path / "quiet")
         caller = os.getpid()
         real_run_group = harness.run_group
         for target in ("worker", "caller"):
@@ -636,14 +644,14 @@ class TestCmdRun:
             monkeypatch.setattr(harness, "run_group", interrupting)
             out = tmp_path / target
             if target == "worker":
-                cmd_run(config, out, jobs=3)
+                cmd_run(config, out)
                 assert len(list(tmp_path.glob("worker-*"))) == 2
                 for name in ("results.jsonl", "summary.csv"):
                     assert mask_wall((out / name).read_text()) == mask_wall(
                         (tmp_path / "quiet" / name).read_text())
             else:
                 with pytest.raises(KeyboardInterrupt):
-                    cmd_run(config, out, jobs=3)
+                    cmd_run(config, out)
                 assert not (out / "summary.csv").exists()
             assert_no_child_process()
 
@@ -713,9 +721,10 @@ def mask_wall(text):
 
 class TestDeterminism:
     @needs_fork
-    def test_jobs_1_and_n_write_the_same_files(self, tmp_path, deadline, capsys, monkeypatch):
+    def test_any_number_of_cpus_writes_the_same_files(self, tmp_path, deadline, capsys,
+                                                      monkeypatch):
         # Three trials with feature noise, 3 of 5 parties sampled per round
-        # and a scaffold cell that diverges: one job, two, and more jobs than
+        # and a scaffold cell that diverges: one CPU, two, and more CPUs than
         # trials write byte-identical files and the same progress lines, up
         # to their seconds, trial by trial. A worker trains each trial that
         # this process does not, and none is left when cmd_run returns.
@@ -738,16 +747,17 @@ class TestDeterminism:
 
         monkeypatch.setattr(harness, "run_group", recording)
         outputs, processes = {}, {}
-        for jobs in (1, 2, 5):
-            out = tmp_path / f"jobs{jobs}"
-            cmd_run(config, out, jobs=jobs)
+        for cpus in (1, 2, 5):
+            use_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            cmd_run(config, out)
             assert_no_child_process()
             progress = [re.sub(r" \d+\.\d\ds$", "", line)
                         for line in capsys.readouterr().err.splitlines()]
-            outputs[jobs] = (mask_wall((out / "results.jsonl").read_text()),
+            outputs[cpus] = (mask_wall((out / "results.jsonl").read_text()),
                              (out / "summary.csv").read_bytes(), progress)
             pids = list(tmp_path.glob("pid-*"))
-            processes[jobs] = len(pids)
+            processes[cpus] = len(pids)
             for pid in pids:
                 pid.unlink()
         assert outputs[2] == outputs[1] and outputs[5] == outputs[1]
@@ -755,18 +765,21 @@ class TestDeterminism:
         progress = outputs[1][2]
         assert [int(re.search(r"trial=(\d)", line)[1]) for line in progress] == [
             trial for trial in range(3) for _ in config.cells]
-        records = read_jsonl(tmp_path / "jobs1" / "results.jsonl")
+        records = read_jsonl(tmp_path / "cpus1" / "results.jsonl")
         diverged = {record["algorithm"] for record in records if record["diverged"]}
         assert diverged == {"scaffold"}
 
     @pytest.mark.parametrize("why", ["objective replaced", "no os.fork", "off the main thread"])
     def test_every_group_trains_in_the_caller_when_it_cannot_fork(
             self, tmp_path, monkeypatch, why):
-        # jobs=2 asks for a worker, but an objective that does not stack may
-        # keep its counts here, a platform may lack os.fork, and only the
-        # main thread can field the SIGINT that stops the workers.
+        # Two CPUs would train trial 1 in a worker, but an objective that
+        # does not stack may keep its counts here, a platform may lack
+        # os.fork, and only on the main thread does a Ctrl-C raise the
+        # KeyboardInterrupt that stops the workers.
         config = parse_config(small_run_config(trials=2))
-        cmd_run(config, tmp_path / "jobs1", jobs=1)
+        use_cpus(monkeypatch, 1)
+        cmd_run(config, tmp_path / "cpus1")
+        use_cpus(monkeypatch, 2)
         real_run_group, real_run_experiment = harness.run_group, harness.run_experiment
         pids = []
         monkeypatch.setattr(harness, "run_group",
@@ -777,18 +790,18 @@ class TestDeterminism:
             monkeypatch.setattr(engine, "MlpObjective", Alone)
         elif why == "no os.fork":
             monkeypatch.delattr(os, "fork", raising=False)
-        out = tmp_path / "jobs2"
+        out = tmp_path / "cpus2"
         if why == "off the main thread":
-            thread = threading.Thread(target=cmd_run, args=(config, out), kwargs={"jobs": 2})
+            thread = threading.Thread(target=cmd_run, args=(config, out))
             thread.start()
             thread.join(60)
             assert not thread.is_alive()
         else:
-            cmd_run(config, out, jobs=2)
+            cmd_run(config, out)
         assert pids == [os.getpid()] * 2
         for name in ("results.jsonl", "summary.csv"):
             assert mask_wall((out / name).read_text()) == mask_wall(
-                (tmp_path / "jobs1" / name).read_text())
+                (tmp_path / "cpus1" / name).read_text())
 
     def test_rerun_byte_identical(self, tmp_path):
         config = parse_config(
@@ -1253,8 +1266,9 @@ class TestCli:
 
             monkeypatch.setattr(harness, "run_group", failing)
         config_path = write_config(tmp_path, small_run_config(partition=partition, trials=2))
-        # started counts calls in this process: --jobs 1 keeps every group here.
-        assert main(["run", "--config", str(config_path), "--out", str(out), "--jobs", "1"]) == 2
+        # started counts calls in this process: one CPU keeps every group here.
+        use_cpus(monkeypatch, 1)
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
         assert not (out / "summary.csv").exists()
         if fails == "first group":
@@ -1267,7 +1281,7 @@ class TestCli:
     @pytest.mark.parametrize("error", [PartitionError, KeyboardInterrupt])
     def test_a_sweep_failed_in_a_worker_leaves_no_earlier_outputs(
             self, tmp_path, deadline, capsys, monkeypatch, error):
-        # The later-trial case above with two jobs: trial 1 fails in a
+        # The later-trial case above on two CPUs: trial 1 fails in a
         # worker. A FedsimError ends the command with exit code 2 and its
         # message; an interrupt reaches the caller of main.
         out = tmp_path / "out"
@@ -1276,8 +1290,8 @@ class TestCli:
             (out / name).write_text("from an earlier sweep\n")
         raw = small_run_config(trials=2)
         monkeypatch.setattr(harness, "run_group", fail_trial(parse_config(raw), 1, error))
-        argv = ["run", "--config", str(write_config(tmp_path, raw)), "--out", str(out),
-                "--jobs", "2"]
+        use_cpus(monkeypatch, 2)
+        argv = ["run", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]
         if error is KeyboardInterrupt:
             with pytest.raises(KeyboardInterrupt, match="^trial 1 stopped$"):
                 main(argv)
@@ -1288,22 +1302,6 @@ class TestCli:
         assert not (out / "summary.csv").exists()
         kept = read_jsonl(out / "results.jsonl")
         assert [(r["trial"], r["round"]) for r in kept] == [(0, 0), (0, 1), (0, 2)]
-
-    @pytest.mark.parametrize("value, cause", [
-        ("0", "must be >= 1, got 0"), ("-2", "must be >= 1, got -2"),
-        ("two", "expected an integer, got 'two'"),
-    ])
-    def test_jobs_below_one_refused(self, tmp_path, capsys, value, cause):
-        config_path = write_config(tmp_path, small_run_config())
-        with pytest.raises(SystemExit) as exit_info:
-            main(["run", "--config", str(config_path), "--out", str(tmp_path / "o"),
-                  "--jobs", value])
-        assert exit_info.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1].endswith(
-            f"error: argument --jobs: {cause}")
-        assert not (tmp_path / "o").exists()
-        with pytest.raises(ConfigError, match="^jobs must be >= 1, got 0$"):
-            cmd_run(parse_config(small_run_config()), tmp_path / "o", jobs=0)
 
     @pytest.mark.parametrize("command", ["run", "partition"])
     def test_empty_training_set_exit_code(self, tmp_path, capsys, command):
