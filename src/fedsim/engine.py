@@ -61,18 +61,38 @@ tracer that overrides loss_grad sees every step. A model too wide for
 two copies to fit in COHORT_BYTES trains in cohorts of one as well. For
 either, trains_in_lockstep is False, and the harness runs each (cell,
 trial) run alone through run_experiment and run_round.
+
+Shards: the rows of one round train independently from the round's
+global models, so run_group, given shards > 1, trains each round's
+cohorts in up to that many processes. It forks the shard workers once
+(fedsim.workers.serving), after the views, the initial model and the
+trainer exist, so they share them copy-on-write. Each round the cohorts
+are cut into contiguous runs balanced by samples x epochs; this process
+trains the first while each worker trains one other and writes the
+models it hands back into shared memory (_Shards). Aggregation stays
+here, over the updates in cohort order, so no output bit depends on the
+shard count. Only fedsim's own stacking MlpObjective shards, on the main
+thread, where os.fork exists, and only when a round can have two
+cohorts; library callers get one process unless they ask for more.
 """
 
 from __future__ import annotations
 
+import bisect
+import contextlib
+import functools
+import itertools
 import math
+import mmap
+import os
+import threading
 import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from . import rng
+from . import rng, workers
 from .compensated import combine_updates
 from .datasets import LabeledDataset
 from .errors import ConfigError, DataError, NumericError, ProtocolError, ShapeError
@@ -799,6 +819,121 @@ def _train_cohort(rows, round_idx, objective, trainer):
     return trainer.train(rows, round_idx)
 
 
+def _train_cohorts(cohorts, views, cfgs, w_ts, server_controls, controls, round_idx,
+                   objective, trainer) -> list[tuple]:
+    """Train (party, cell) cohorts, each row from its cell's w_t and, for
+    scaffold, its cell's c and the party's c_i in controls[cell][p];
+    returns (update, new c_i or None) per row, in row order."""
+    results = []
+    for cohort in cohorts:
+        rows = [
+            _Row(views[p], cfgs[cell], w_ts[cell],
+                 (server_controls[cell], controls[cell][p])
+                 if cfgs[cell].algorithm == "scaffold" else None)
+            for p, cell in cohort
+        ]
+        results += _train_cohort(rows, round_idx, objective, trainer)
+    return results
+
+
+def _shard_bounds(weights, shards: int) -> list[int]:
+    """Where to cut a round's cohorts, weighing weights, into shards
+    non-empty contiguous runs (shards <= len(weights)): run j is
+    cohorts[bounds[j]:bounds[j + 1]]. Cut j falls at the prefix sum nearest
+    j/shards of the total, which for two shards is the most even cut."""
+    prefix = list(itertools.accumulate(weights, initial=0))
+    total, count = prefix[-1], len(weights)
+    bounds = [0]
+    for j in range(1, shards):
+        target = total * j / shards
+        cut = bisect.bisect_left(prefix, target)
+        if cut > 0 and target - prefix[cut - 1] <= prefix[cut] - target:
+            cut -= 1
+        bounds.append(min(max(cut, bounds[-1] + 1), count - (shards - j)))
+    return bounds + [count]
+
+
+def _shared_rows(rows: int, n_coords: int) -> np.ndarray:
+    """A (rows, n_coords) float64 array in an anonymous MAP_SHARED mapping:
+    a process forked after it is made writes to the same pages, and a page
+    costs memory only once it is written."""
+    buffer = mmap.mmap(-1, rows * n_coords * BYTES_PER_COORD)
+    return np.frombuffer(buffer, dtype=np.float64).reshape(rows, n_coords)
+
+
+class _Shards:
+    """The shard workers of one run_group and their shared slots.
+
+    Each round, _run_rounds cuts its cohorts into contiguous runs balanced
+    by samples x epochs (_shard_bounds), trains the first itself and sends
+    each other run to one worker: the round, the run's (party, cell) ids,
+    and the w_t, c and c_i its rows start from. The worker trains the run
+    on its own copy of the group's LocalTrainer and writes every
+    model-sized array it hands back (a row's final model, and for scaffold
+    its control change and new c_i) into its slots: rows of one MAP_SHARED
+    buffer, mapped before the fork, that the caller reads in place. Its
+    reply carries only tau, n, loss, the diverged flag and the first slot
+    of each row. The slots are rewritten the next round, so a new c_i,
+    which outlives the round, is copied out; the updates live only until
+    the round is aggregated.
+    """
+
+    def __init__(self, pool, slots, views, cfgs):
+        self.pool, self.slots, self.views, self.cfgs = pool, slots, views, cfgs
+
+    def split(self, cohorts):
+        """The round's cohorts as at most 1 + len(pool) contiguous runs."""
+        views, cfgs = self.views, self.cfgs
+        weights = [sum(views[p].n_samples * cfgs[cell].local_epochs for p, cell in cohort)
+                   for cohort in cohorts]
+        bounds = _shard_bounds(weights, min(len(cohorts), 1 + len(self.pool)))
+        return [cohorts[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    def send(self, round_idx, runs, w_ts, server_controls, controls) -> None:
+        """Send each run, with the inputs of its rows, to its worker."""
+        for worker, run in zip(self.pool, runs):
+            cells = {cell for cohort in run for _, cell in cohort}
+            scaffold = {cell for cell in cells if server_controls[cell] is not None}
+            worker.ask((
+                round_idx, run, {cell: w_ts[cell] for cell in cells},
+                {cell: server_controls[cell] for cell in scaffold},
+                {cell: {p: controls[cell][p] for cohort in run for p, c in cohort if c == cell}
+                 for cell in scaffold},
+            ))
+
+    def collect(self, runs) -> list[tuple]:
+        """Each run's (update, new c_i or None) per row, in row order."""
+        results = []
+        for worker, slots, run in zip(self.pool, self.slots, runs):
+            rows = (row for cohort in run for row in cohort)
+            for (p, cell), (tau, n_samples, loss, diverged, at) in zip(rows, worker.answer()):
+                final = _read_only(slots[at])
+                if self.cfgs[cell].algorithm != "scaffold":
+                    results.append((LocalUpdate(p, tau, n_samples, loss, final,
+                                                diverged=diverged), None))
+                    continue
+                update = LocalUpdate(p, tau, n_samples, loss, final, _read_only(slots[at + 1]),
+                                     diverged)
+                results.append((update, _read_only(slots[at + 2].copy())))
+        return results
+
+    @staticmethod
+    def serve(slots, views, cfgs, objective, trainer, request):
+        """Train one run in a worker; the handler behind send and collect."""
+        round_idx, run, w_ts, server_controls, controls = request
+        results = _train_cohorts(run, views, cfgs, w_ts, server_controls, controls, round_idx,
+                                 objective, trainer)
+        replies, at = [], 0
+        for update, new_control in results:
+            replies.append((update.tau, update.n_samples, update.train_loss, update.diverged, at))
+            slots[at] = update.final_params
+            at += 1
+            if new_control is not None:
+                slots[at], slots[at + 1] = update.delta_control, new_control
+                at += 2
+        return replies
+
+
 def _close_round(state, updates, cfg, client_controls, n_bytes):
     """Aggregate one cell's updates into its new state; see run_round."""
     with _flagged_numerics():
@@ -816,13 +951,15 @@ def _close_round(state, updates, cfg, client_controls, n_bytes):
     return new_state, updates, n_bytes
 
 
-def _run_rounds(states, views, cfgs, round_idx, objective, trainer):
+def _run_rounds(states, views, cfgs, round_idx, objective, trainer, shards=None):
     """One round of each cell of a lockstep group (see run_group), with
     each cell's state in states: the parties are sampled once, every
     (party, cell) row trains in _row_cohorts' cohorts on trainer (or when
     it is None on a new LocalTrainer for the round's largest cohort), and
-    each cell aggregates its own updates as run_round does. Returns
-    run_round's triple per cell."""
+    each cell aggregates its own updates, in cohort order, as run_round
+    does. With shards (a _Shards), the cohorts are cut into contiguous
+    runs: this process trains the first while the shard workers train the
+    others. Returns run_round's triple per cell."""
     cfg = cfgs[0]
     selected = sample_parties(cfg.n_parties, cfg.sample_fraction, round_idx, cfg.master_seed)
     n_coords = len(states[0].params)
@@ -830,18 +967,20 @@ def _run_rounds(states, views, cfgs, round_idx, objective, trainer):
     updates = [[] for _ in cfgs]
     cohorts = _row_cohorts(selected, views, cfgs, n_coords, _stacks(objective))
     trainer = _trainer_for(objective, trainer, max(map(len, cohorts)), n_coords, cfg.batch_size)
-    for cohort in cohorts:
-        rows = [
-            _Row(views[p], cfgs[cell], states[cell].params,
-                 (states[cell].control, controls[cell][p])
-                 if cfgs[cell].algorithm == "scaffold" else None)
-            for p, cell in cohort
-        ]
-        results = _train_cohort(rows, round_idx, objective, trainer)
-        for (p, cell), (update, new_control) in zip(cohort, results):
-            updates[cell].append(update)
-            if new_control is not None:
-                controls[cell][p] = new_control
+    w_ts = [state.params for state in states]
+    server_controls = [state.control for state in states]
+    runs = [cohorts] if shards is None else shards.split(cohorts)
+    if len(runs) > 1:
+        shards.send(round_idx, runs[1:], w_ts, server_controls, controls)
+    results = _train_cohorts(runs[0], views, cfgs, w_ts, server_controls, controls, round_idx,
+                             objective, trainer)
+    if len(runs) > 1:
+        results += shards.collect(runs[1:])
+    rows = (row for cohort in cohorts for row in cohort)
+    for (p, cell), (update, new_control) in zip(rows, results):
+        updates[cell].append(update)
+        if new_control is not None:
+            controls[cell][p] = new_control
     return [
         _close_round(state, cell_updates, cell_cfg, cell_controls,
                      round_bytes(len(selected), n_coords, cell_cfg.algorithm))
@@ -857,6 +996,7 @@ def run_round(
     objective,
     *,
     trainer: LocalTrainer | None = None,
+    shards: _Shards | None = None,
 ) -> tuple[GlobalState, list[LocalUpdate], int]:
     """One full round of one cell: sample, train the sampled parties,
     aggregate. run_group trains the rounds of several cells at once
@@ -870,9 +1010,10 @@ def run_round(
     the new state's client_controls. If the new model or the new server
     control has a non-finite entry, the round returns the given state marked
     diverged; its traffic still counts. Every cohort trains on trainer,
-    the run's LocalTrainer, or when it is None on a new one of the round's.
+    the run's LocalTrainer, or when it is None on a new one of the round's;
+    run_group's shards, if given, train all but the first run of them.
     """
-    return _run_rounds([state], views, [cfg], round_idx, objective, trainer)[0]
+    return _run_rounds([state], views, [cfg], round_idx, objective, trainer, shards)[0]
 
 
 def _weighted_mean_loss(updates) -> float:
@@ -924,6 +1065,44 @@ def check_datasets(ds_train: LabeledDataset, ds_test: LabeledDataset, arch: MlpA
             raise DataError(f"{name} set: {exc}") from None
 
 
+def _most_cohorts(sampled: int, n_cells: int, cap: int) -> int:
+    """The most cohorts _row_cohorts can lay a round out in."""
+    by_cell = n_cells * -(-sampled // cap)
+    return by_cell if n_cells == 1 else max(by_cell, sampled * -(-n_cells // cap))
+
+
+@contextlib.contextmanager
+def _shard_workers(shards: int, views, cfgs, objective, trainer, n_coords: int):
+    """A _Shards of up to shards - 1 forked workers for run_group, or None
+    where a round is best trained here alone: fewer than two shards, an
+    objective other than fedsim's own stacking MlpObjective (a replaced
+    one may keep counts in this process), no os.fork, a call off the main
+    thread (where Python raises no KeyboardInterrupt to stop the workers),
+    or rounds that cannot have two cohorts (such as fcube-prox's, one
+    stacked cohort of 4 rows, whose split would cost more CPU than it
+    saves). The workers are forked once, here, so they share the views,
+    the initial model and trainer copy-on-write; they are killed and
+    reaped when the block ends, however it ends."""
+    cfg = cfgs[0]
+    sampled = _sample_size(cfg.n_parties, cfg.sample_fraction)
+    count = 1
+    if (shards > 1 and _stacks(objective) and hasattr(os, "fork")
+            and threading.current_thread() is threading.main_thread()):
+        count = min(shards, _most_cohorts(sampled, len(cfgs), _cohort_cap(n_coords, True)))
+    if count < 2:
+        yield None
+        return
+    n_scaffold = sum(cell.algorithm == "scaffold" for cell in cfgs)
+    # Room for what a worker given every row of a round hands back: a
+    # model per row, and two more per scaffold row.
+    slots = [_shared_rows(sampled * (len(cfgs) + 2 * n_scaffold), n_coords)
+             for _ in range(count - 1)]
+    handlers = [functools.partial(_Shards.serve, buffer, views, cfgs, objective, trainer)
+                for buffer in slots]
+    with workers.serving(handlers) as pool:
+        yield _Shards(pool, slots, views, cfgs)
+
+
 def run_group(
     ds_train: LabeledDataset,
     ds_test: LabeledDataset,
@@ -931,6 +1110,7 @@ def run_group(
     arch: MlpArch,
     cfgs,
     objective=None,
+    shards: int = 1,
 ) -> list[list[RoundRecord]]:
     """Run several cells of one trial in lockstep; one list of records per
     cell, each exactly what run_experiment returns for that cell alone.
@@ -950,6 +1130,12 @@ def run_group(
 
     A record's wall_ms covers the whole group's round: training every row,
     then aggregating and evaluating every cell.
+
+    shards is how many processes may train a round's cohorts: with more
+    than one, _shard_workers forks up to shards - 1 workers, which train
+    all but the first contiguous run of each round's cohorts (see _Shards)
+    and are killed and reaped before run_group returns or raises. The
+    records do not depend on it. The default, 1, forks nothing.
     """
     cfgs = list(cfgs)
     cfg = cfgs[0]
@@ -976,37 +1162,44 @@ def run_group(
     rows = min(_cohort_cap(len(params), _stacks(objective)), rows)
     trainer = LocalTrainer(objective, len(params), rows, cfg.batch_size)
 
-    untrained = RoundRecord(0, objective.accuracy(params, ds_test), None, 0, 0, False)
-    records = [[untrained] for _ in cfgs]
-    for round_idx in range(cfg.rounds):
-        started = time.perf_counter()
-        if len(cfgs) == 1:
-            outcomes = [run_round(states[0], views, cfg, round_idx, objective, trainer=trainer)]
-        else:
-            outcomes = _run_rounds(states, views, cfgs, round_idx, objective, trainer)
-        rounds = []
-        for cell, (state, updates, n_bytes) in enumerate(outcomes):
-            states[cell] = state
-            # Diverging parties can leave a huge but finite model whose
-            # logits overflow; argmax still yields an accuracy.
-            with _flagged_numerics():
-                accuracy = objective.accuracy(state.params, ds_test)
-                mean_train_loss = _weighted_mean_loss(updates)
-            diverged = state.diverged or any(u.diverged for u in updates)
-            rounds.append((accuracy, mean_train_loss, n_bytes, diverged))
-        # Release this round's party models before the next round trains its
-        # own, so only one round of them is alive at a time.
-        del outcomes, updates
-        wall_ms = int((time.perf_counter() - started) * 1000)
-        for cell_records, (accuracy, mean_train_loss, n_bytes, diverged) in zip(records, rounds):
-            cell_records.append(RoundRecord(
-                round=round_idx + 1,
-                test_accuracy=accuracy,
-                mean_train_loss=mean_train_loss,
-                bytes=n_bytes,
-                wall_ms=wall_ms,
-                diverged=diverged,
-            ))
+    # The shard workers fork before the round-0 score, which may be this
+    # process's first BLAS call: OpenBLAS lays out a new buffer (several
+    # MB of a wide model's pages) in a process that forks after it used
+    # one, and keeps the old.
+    with _shard_workers(shards, views, cfgs, objective, trainer, len(params)) as pool:
+        untrained = RoundRecord(0, objective.accuracy(params, ds_test), None, 0, 0, False)
+        records = [[untrained] for _ in cfgs]
+        for round_idx in range(cfg.rounds):
+            started = time.perf_counter()
+            if len(cfgs) == 1:
+                outcomes = [run_round(states[0], views, cfg, round_idx, objective,
+                                      trainer=trainer, shards=pool)]
+            else:
+                outcomes = _run_rounds(states, views, cfgs, round_idx, objective, trainer, pool)
+            rounds = []
+            for cell, (state, updates, n_bytes) in enumerate(outcomes):
+                states[cell] = state
+                # Diverging parties can leave a huge but finite model whose
+                # logits overflow; argmax still yields an accuracy.
+                with _flagged_numerics():
+                    accuracy = objective.accuracy(state.params, ds_test)
+                    mean_train_loss = _weighted_mean_loss(updates)
+                diverged = state.diverged or any(u.diverged for u in updates)
+                rounds.append((accuracy, mean_train_loss, n_bytes, diverged))
+            # Release this round's party models before the next round trains
+            # its own, so only one round of them is alive at a time.
+            del outcomes, updates
+            wall_ms = int((time.perf_counter() - started) * 1000)
+            for cell_records, (accuracy, mean_train_loss, n_bytes, diverged) in zip(
+                    records, rounds):
+                cell_records.append(RoundRecord(
+                    round=round_idx + 1,
+                    test_accuracy=accuracy,
+                    mean_train_loss=mean_train_loss,
+                    bytes=n_bytes,
+                    wall_ms=wall_ms,
+                    diverged=diverged,
+                ))
     return records
 
 
@@ -1017,6 +1210,7 @@ def run_experiment(
     arch: MlpArch,
     cfg: FedRunConfig,
     objective=None,
+    shards: int = 1,
 ) -> list[RoundRecord]:
     """Partition, initialize, run T rounds of one cell, evaluate after
     every round: run_group of this cell alone.
@@ -1026,4 +1220,4 @@ def run_experiment(
     last finite model and flags the round, and so does a non-finite server
     aggregate, which keeps the previous model; the run continues either way.
     """
-    return run_group(ds_train, ds_test, partition_spec, arch, [cfg], objective)[0]
+    return run_group(ds_train, ds_test, partition_spec, arch, [cfg], objective, shards)[0]

@@ -4,10 +4,12 @@ Commands: materialize a partition (text + stats CSV), run a sweep of
 federation experiments (JSONL records + summary CSV), render a comparison
 report over saved results, and self-check gradients against finite
 differences. Everything except wall-clock fields is reproducible byte for
-byte from (config, seed), whatever number of processes a sweep trains
-its trials in: cmd_run forks workers (fedsim.workers) only to train trials
-at once, and writes every output line itself, in the order one process
-would.
+byte from (config, seed) and the BLAS thread count (one unless the user
+sets one; see fedsim.BLAS_THREADS), whatever number of processes a sweep
+trains in: cmd_run forks workers (fedsim.workers) to train trials at
+once and, where CPUs are left over, to shard each round's cohorts
+(engine.run_group), and writes every output line itself, in the order one
+process would.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import engine, rng
+from . import BLAS_THREADS, engine, rng
 from .config import ExperimentConfig
 from .datasets import (
     LabeledDataset,
@@ -170,8 +172,8 @@ def _lockstep_groups(config: ExperimentConfig, together: bool) -> list[list[tupl
 
 
 def _usable_cpus() -> int:
-    """The number of CPUs this process may run on: how many groups cmd_run
-    trains at once, at most."""
+    """The number of CPUs this process may run on: how many processes
+    cmd_run trains in at once, at most."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -222,17 +224,24 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     and sends back only its group's records and seconds. Every record and
     progress line is written here, in the order one process trains in, so
     the output files are byte for byte the same however many train at
-    once. Only fedsim's own stacking MlpObjective is trained in workers: a
-    replaced engine.MlpObjective, such as the traced benchmark's, may keep
-    counts in this process. With any other objective, one group or one
-    usable CPU, where os.fork does not exist, or when called off the main
-    thread (where Python raises no KeyboardInterrupt), nothing forks and
-    every group trains here, one after another. To train fewer groups at
-    once, restrict the CPUs (taskset -c 0). An exception a worker raises,
-    KeyboardInterrupt included, is raised here with its type and message
-    once every group before it is written; before cmd_run returns or
-    raises, every worker has ended and been reaped, and a worker whose
-    caller is killed exits too.
+    once. Each group gets the CPUs left over, usable CPUs // groups at once
+    // fedsim.BLAS_THREADS, as shards: engine.run_group trains each
+    round's cohorts in that many processes, this one and forked shard
+    workers, when a round can have two cohorts (a one-trial wide run such
+    as the benchmark's wide-idx, not fcube-prox's one stacked cohort), so
+    that shards times BLAS threads never exceeds the CPUs. There is no
+    knob for either count. Only fedsim's own stacking MlpObjective is
+    trained in workers: a replaced engine.MlpObjective, such as the traced
+    benchmark's, may keep counts in this process. With any other
+    objective, one usable CPU, where os.fork does not exist, or when
+    called off the main thread (where Python raises no KeyboardInterrupt),
+    nothing forks and every group trains here, one after another. To use
+    fewer processes, restrict the CPUs (taskset -c 0): BLAS runs at one
+    thread unless the user sets a count, so the CPUs change no output
+    bit. An exception a worker raises, KeyboardInterrupt included, is
+    raised here with its type and message once every group before it is
+    written; before cmd_run returns or raises, every worker has ended and
+    been reaped, and a worker whose caller is killed exits too.
 
     The dataset is built and checked against the architecture before the
     output directory is made, so a dataset that cannot be trained on (a
@@ -265,18 +274,21 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     objective = engine.MlpObjective(arch)
     together = trains_in_lockstep(objective)
     groups = _lockstep_groups(config, together)
-    jobs = min(_usable_cpus(), len(groups))
+    cpus = _usable_cpus()
+    jobs = min(cpus, len(groups))
     if (not engine._stacks(objective) or not hasattr(os, "fork")
             or threading.current_thread() is not threading.main_thread()):
         jobs = 1
+    shards = max(1, cpus // jobs // BLAS_THREADS)
 
     def train_group(group):
         started = time.perf_counter()
         cfgs = [_run_config(cell, trial) for cell, trial in group]
         if together:
-            outcomes = run_group(train, test, config.partition, arch, cfgs, objective)
+            outcomes = run_group(train, test, config.partition, arch, cfgs, objective, shards)
         else:
-            outcomes = [run_experiment(train, test, config.partition, arch, cfgs[0])]
+            outcomes = [run_experiment(train, test, config.partition, arch, cfgs[0], None,
+                                       shards)]
         return outcomes, time.perf_counter() - started
 
     runs = [(cell, trial) for cell in config.cells for trial in range(config.trials)]

@@ -882,6 +882,9 @@ class TestLockstep:
             return real_loss_grad(layers, w, *args)
 
         monkeypatch.setattr(engine, "_loss_grad", counting)
+        # calls counts calls in this process, so every cohort must train
+        # here: a shard worker's calls would not reach it.
+        use_cpus(monkeypatch, 1)
         cmd_run(config, tmp_path / "out")
         assert calls == [(5,)] * party_steps
         records = read_jsonl(tmp_path / "out" / "results.jsonl")
@@ -910,6 +913,8 @@ class TestLockstep:
             return real_loss_grad(layers, w, *args)
 
         monkeypatch.setattr(engine, "_loss_grad", counting)
+        # As above, every cohort must train in this process.
+        use_cpus(monkeypatch, 1)
         cmd_run(config, tmp_path / "lockstep")
         assert calls == [(6,)] * (2 * cell.rounds * cell.local_epochs * 2)
         monkeypatch.setattr(engine, "MlpObjective", Alone)

@@ -1,5 +1,6 @@
-"""No worker of workers.train_in_order outlives its caller, however the
-caller ends.
+"""No worker of workers.train_in_order or workers.serving outlives its
+caller, however the caller ends, and a serving worker's failure reaches
+its caller.
 
 Each test runs a caller in its own Python process, so it can be killed or
 let SIGINT take its default action. Every process of the caller's tree
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import fedsim
+from fedsim import workers
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
 
@@ -65,6 +67,50 @@ def test_workers_exit_when_their_caller_is_killed(how):
     caller.send_signal(how)
     finish(caller, pids)
     assert caller.returncode == -how
+
+
+@pytest.mark.parametrize("how", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
+def test_shard_workers_exit_when_their_caller_is_killed(how):
+    # Two persistent workers each take a request and train it while the
+    # caller waits for their answers; the caller is killed without
+    # unwinding, so its serving block cannot stop them.
+    caller = start_caller("""
+with workers.serving([train, train]) as pool:
+    for unit, worker in enumerate(pool):
+        worker.ask(unit)
+    for worker in pool:
+        worker.answer()
+""")
+    lines = [caller.stdout.readline().split() for _ in range(2)]
+    pids = [int(pid) for _, pid in lines]
+    assert sorted(unit for unit, _ in lines) == ["0", "1"]
+    caller.send_signal(how)
+    finish(caller, pids)
+    assert caller.returncode == -how
+
+
+def fail_on(request):
+    if request == "fail":
+        raise ValueError("the shard stopped")
+    return request, os.getpid()
+
+
+def test_a_shard_workers_exception_reaches_its_caller_and_none_is_left():
+    # The worker answers each request until one fails: that request's
+    # exception is raised here with its type, its message and the
+    # worker's traceback, and the worker is reaped when the block ends.
+    with workers.serving([fail_on]) as pool:
+        (worker,) = pool
+        worker.ask("first")
+        assert worker.answer() == ("first", worker.pid)
+        worker.ask("fail")
+        with pytest.raises(ValueError, match="^the shard stopped$") as raised:
+            worker.answer()
+        assert "in a worker process" in str(raised.value.__cause__)
+        worker.ask("again")
+        assert worker.answer() == ("again", worker.pid)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_default_sigint_in_the_fork_window_ends_the_caller_and_its_worker():
