@@ -67,13 +67,15 @@ global models, so run_group, given shards > 1, trains each round's
 cohorts in up to that many processes. It forks the shard workers once
 (fedsim.workers.serving), after the views, the initial model and the
 trainer exist, so they share them copy-on-write. Each round the cohorts
-are cut into contiguous runs balanced by samples x epochs; this process
-trains the first while each worker trains one other and writes the
-models it hands back into shared memory (_Shards). Aggregation stays
-here, over the updates in cohort order, so no output bit depends on the
-shard count. Only fedsim's own stacking MlpObjective shards, on the main
-thread, where os.fork exists, and only when a round can have two
-cohorts; library callers get one process unless they ask for more.
+are cut into contiguous runs balanced by samples x epochs, and
+fedsim.workers.in_order hands them out, the first to this process and
+each other to a worker; whoever trains a row writes the models it hands
+back into shared memory at the row's position in the round (_Shards).
+Aggregation stays here, over the updates in cohort order, so no output
+bit depends on the shard count. Only fedsim's own stacking MlpObjective
+shards, and only where fedsim.workers.can_fork holds and a round can
+have two cohorts; library callers get one process unless they ask for
+more.
 """
 
 from __future__ import annotations
@@ -84,8 +86,6 @@ import functools
 import itertools
 import math
 import mmap
-import os
-import threading
 import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -862,76 +862,75 @@ def _shared_rows(rows: int, n_coords: int) -> np.ndarray:
 
 
 class _Shards:
-    """The shard workers of one run_group and their shared slots.
+    """The shard workers of one run_group and the shared rows they write.
 
-    Each round, _run_rounds cuts its cohorts into contiguous runs balanced
-    by samples x epochs (_shard_bounds), trains the first itself and sends
-    each other run to one worker: the round, the run's (party, cell) ids,
-    and the w_t, c and c_i its rows start from. The worker trains the run
-    on its own copy of the group's LocalTrainer and writes every
-    model-sized array it hands back (a row's final model, and for scaffold
-    its control change and new c_i) into its slots: rows of one MAP_SHARED
-    buffer, mapped before the fork, that the caller reads in place. Its
-    reply carries only tau, n, loss, the diverged flag and the first slot
-    of each row. The slots are rewritten the next round, so a new c_i,
+    Each round, train cuts the round's cohorts into contiguous runs
+    balanced by samples x epochs (_shard_bounds) and hands them to serve,
+    here for the first run and on a worker for each other
+    (workers.in_order): the round, the run's (party, cell) ids, its first
+    row's position in the round, and the w_t, c and c_i its rows start
+    from. Whoever trains a run trains it on its copy of the group's
+    LocalTrainer and writes every model-sized array a row hands back into
+    shared, rows of one MAP_SHARED buffer mapped before the fork, at the
+    row's position in the round: its final model in shared[0], and for
+    scaffold its control change in shared[1] and its new c_i in
+    shared[2]. The reply carries only each row's tau, n, loss and
+    diverged flag. The rows are rewritten the next round, so a new c_i,
     which outlives the round, is copied out; the updates live only until
     the round is aggregated.
     """
 
-    def __init__(self, pool, slots, views, cfgs):
-        self.pool, self.slots, self.views, self.cfgs = pool, slots, views, cfgs
+    def __init__(self, pool, serve, shared, views, cfgs):
+        self.pool, self.serve, self.shared = pool, serve, shared
+        self.views, self.cfgs = views, cfgs
 
-    def split(self, cohorts):
-        """The round's cohorts as at most 1 + len(pool) contiguous runs."""
+    def train(self, round_idx, cohorts, w_ts, server_controls, controls) -> list[tuple]:
+        """(update, new c_i or None) per row of the round's cohorts, in row
+        order, as _train_cohorts returns them."""
         views, cfgs = self.views, self.cfgs
         weights = [sum(views[p].n_samples * cfgs[cell].local_epochs for p, cell in cohort)
                    for cohort in cohorts]
         bounds = _shard_bounds(weights, min(len(cohorts), 1 + len(self.pool)))
-        return [cohorts[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-    def send(self, round_idx, runs, w_ts, server_controls, controls) -> None:
-        """Send each run, with the inputs of its rows, to its worker."""
-        for worker, run in zip(self.pool, runs):
+        firsts = list(itertools.accumulate(map(len, cohorts), initial=0))
+        requests = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            run = cohorts[lo:hi]
             cells = {cell for cohort in run for _, cell in cohort}
             scaffold = {cell for cell in cells if server_controls[cell] is not None}
-            worker.ask((
-                round_idx, run, {cell: w_ts[cell] for cell in cells},
+            requests.append((
+                round_idx, run, firsts[lo], {cell: w_ts[cell] for cell in cells},
                 {cell: server_controls[cell] for cell in scaffold},
                 {cell: {p: controls[cell][p] for cohort in run for p, c in cohort if c == cell}
                  for cell in scaffold},
             ))
-
-    def collect(self, runs) -> list[tuple]:
-        """Each run's (update, new c_i or None) per row, in row order."""
+        replies = [reply for run in workers.in_order(self.pool, self.serve, requests)
+                   for reply in run]
         results = []
-        for worker, slots, run in zip(self.pool, self.slots, runs):
-            rows = (row for cohort in run for row in cohort)
-            for (p, cell), (tau, n_samples, loss, diverged, at) in zip(rows, worker.answer()):
-                final = _read_only(slots[at])
-                if self.cfgs[cell].algorithm != "scaffold":
-                    results.append((LocalUpdate(p, tau, n_samples, loss, final,
-                                                diverged=diverged), None))
-                    continue
-                update = LocalUpdate(p, tau, n_samples, loss, final, _read_only(slots[at + 1]),
-                                     diverged)
-                results.append((update, _read_only(slots[at + 2].copy())))
+        rows = (row for cohort in cohorts for row in cohort)
+        for at, ((p, cell), (tau, n_samples, loss, diverged)) in enumerate(zip(rows, replies)):
+            final = _read_only(self.shared[0, at])
+            if cfgs[cell].algorithm != "scaffold":
+                results.append((LocalUpdate(p, tau, n_samples, loss, final, diverged=diverged),
+                                None))
+                continue
+            update = LocalUpdate(p, tau, n_samples, loss, final,
+                                 _read_only(self.shared[1, at]), diverged)
+            results.append((update, _read_only(self.shared[2, at].copy())))
         return results
 
     @staticmethod
-    def serve(slots, views, cfgs, objective, trainer, request):
-        """Train one run in a worker; the handler behind send and collect."""
-        round_idx, run, w_ts, server_controls, controls = request
+    def serve(shared, views, cfgs, objective, trainer, request):
+        """Train one run of a round's cohorts, here or in a worker, and
+        write its rows into shared; train's handler."""
+        round_idx, run, first, w_ts, server_controls, controls = request
         results = _train_cohorts(run, views, cfgs, w_ts, server_controls, controls, round_idx,
                                  objective, trainer)
-        replies, at = [], 0
-        for update, new_control in results:
-            replies.append((update.tau, update.n_samples, update.train_loss, update.diverged, at))
-            slots[at] = update.final_params
-            at += 1
+        for at, (update, new_control) in enumerate(results, first):
+            shared[0, at] = update.final_params
             if new_control is not None:
-                slots[at], slots[at + 1] = update.delta_control, new_control
-                at += 2
-        return replies
+                shared[1, at], shared[2, at] = update.delta_control, new_control
+        return [(update.tau, update.n_samples, update.train_loss, update.diverged)
+                for update, _ in results]
 
 
 def _close_round(state, updates, cfg, client_controls, n_bytes):
@@ -969,13 +968,11 @@ def _run_rounds(states, views, cfgs, round_idx, objective, trainer, shards=None)
     trainer = _trainer_for(objective, trainer, max(map(len, cohorts)), n_coords, cfg.batch_size)
     w_ts = [state.params for state in states]
     server_controls = [state.control for state in states]
-    runs = [cohorts] if shards is None else shards.split(cohorts)
-    if len(runs) > 1:
-        shards.send(round_idx, runs[1:], w_ts, server_controls, controls)
-    results = _train_cohorts(runs[0], views, cfgs, w_ts, server_controls, controls, round_idx,
-                             objective, trainer)
-    if len(runs) > 1:
-        results += shards.collect(runs[1:])
+    if shards is None:
+        results = _train_cohorts(cohorts, views, cfgs, w_ts, server_controls, controls,
+                                 round_idx, objective, trainer)
+    else:
+        results = shards.train(round_idx, cohorts, w_ts, server_controls, controls)
     rows = (row for cohort in cohorts for row in cohort)
     for (p, cell), (update, new_control) in zip(rows, results):
         updates[cell].append(update)
@@ -1076,9 +1073,8 @@ def _shard_workers(shards: int, views, cfgs, objective, trainer, n_coords: int):
     """A _Shards of up to shards - 1 forked workers for run_group, or None
     where a round is best trained here alone: fewer than two shards, an
     objective other than fedsim's own stacking MlpObjective (a replaced
-    one may keep counts in this process), no os.fork, a call off the main
-    thread (where Python raises no KeyboardInterrupt to stop the workers),
-    or rounds that cannot have two cohorts (such as fcube-prox's, one
+    one may keep counts in this process), where workers.can_fork does not
+    hold, or rounds that cannot have two cohorts (such as fcube-prox's, one
     stacked cohort of 4 rows, whose split would cost more CPU than it
     saves). The workers are forked once, here, so they share the views,
     the initial model and trainer copy-on-write; they are killed and
@@ -1086,21 +1082,18 @@ def _shard_workers(shards: int, views, cfgs, objective, trainer, n_coords: int):
     cfg = cfgs[0]
     sampled = _sample_size(cfg.n_parties, cfg.sample_fraction)
     count = 1
-    if (shards > 1 and _stacks(objective) and hasattr(os, "fork")
-            and threading.current_thread() is threading.main_thread()):
+    if shards > 1 and _stacks(objective) and workers.can_fork():
         count = min(shards, _most_cohorts(sampled, len(cfgs), _cohort_cap(n_coords, True)))
     if count < 2:
         yield None
         return
-    n_scaffold = sum(cell.algorithm == "scaffold" for cell in cfgs)
-    # Room for what a worker given every row of a round hands back: a
-    # model per row, and two more per scaffold row.
-    slots = [_shared_rows(sampled * (len(cfgs) + 2 * n_scaffold), n_coords)
-             for _ in range(count - 1)]
-    handlers = [functools.partial(_Shards.serve, buffer, views, cfgs, objective, trainer)
-                for buffer in slots]
-    with workers.serving(handlers) as pool:
-        yield _Shards(pool, slots, views, cfgs)
+    # A row of a round at its position, for each model-sized array a row
+    # hands back: its final model, and for scaffold two more.
+    kinds = 3 if any(cell.algorithm == "scaffold" for cell in cfgs) else 1
+    shared = _shared_rows(kinds * sampled * len(cfgs), n_coords).reshape(kinds, -1, n_coords)
+    serve = functools.partial(_Shards.serve, shared, views, cfgs, objective, trainer)
+    with workers.serving([serve] * (count - 1)) as pool:
+        yield _Shards(pool, serve, shared, views, cfgs)
 
 
 def run_group(

@@ -6,10 +6,11 @@ report over saved results, and self-check gradients against finite
 differences. Everything except wall-clock fields is reproducible byte for
 byte from (config, seed) and the BLAS thread count (one unless the user
 sets one; see fedsim.BLAS_THREADS), whatever number of processes a sweep
-trains in: cmd_run forks workers (fedsim.workers) to train trials at
-once and, where CPUs are left over, to shard each round's cohorts
-(engine.run_group), and writes every output line itself, in the order one
-process would.
+trains in: cmd_run trains trials at once and, where CPUs are left over,
+engine.run_group shards each round's cohorts, both on persistent forked
+workers that fedsim.workers.in_order hands the next unit of work
+whenever they are free. cmd_run writes every output line itself, in the
+order one process would.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import math
 import os
 import sys
-import threading
 import time
 from dataclasses import replace
 
@@ -46,7 +46,7 @@ from .engine import (
 from .errors import ConfigError, OutputError, ReportError
 from .nn import MlpArch, backward, finite_diff_grad, init_mlp, layer_slices
 from .partition import build_views, export_partition, export_stats_csv, partition_stats
-from .workers import train_in_order
+from .workers import can_fork, train_in_order
 
 RESULTS_FILE = "results.jsonl"
 SUMMARY_FILE = "summary.csv"
@@ -218,9 +218,10 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     wall_ms and a progress line's seconds cover the whole group.
 
     The groups (or lone runs) are independent, so as many of them as this
-    process may use CPUs (_usable_cpus) train at once, one in this process
-    and the others in worker processes forked from it
-    (workers.train_in_order). A worker shares the datasets copy-on-write
+    process may use CPUs (_usable_cpus) train at once
+    (workers.train_in_order): this process and the worker processes it
+    forks once, one per further group at once, each take the next group
+    whenever they are free. A worker shares the datasets copy-on-write
     and sends back only its group's records and seconds. Every record and
     progress line is written here, in the order one process trains in, so
     the output files are byte for byte the same however many train at
@@ -233,12 +234,12 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     knob for either count. Only fedsim's own stacking MlpObjective is
     trained in workers: a replaced engine.MlpObjective, such as the traced
     benchmark's, may keep counts in this process. With any other
-    objective, one usable CPU, where os.fork does not exist, or when
-    called off the main thread (where Python raises no KeyboardInterrupt),
-    nothing forks and every group trains here, one after another. To use
-    fewer processes, restrict the CPUs (taskset -c 0): BLAS runs at one
-    thread unless the user sets a count, so the CPUs change no output
-    bit. An exception a worker raises, KeyboardInterrupt included, is
+    objective, one usable CPU, or where workers.can_fork does not hold
+    (no os.fork, or off the main thread, where Python raises no
+    KeyboardInterrupt), nothing forks and every group trains here, one
+    after another. To use fewer processes, restrict the CPUs (taskset -c
+    0): BLAS runs at one thread unless the user sets a count, so the CPUs
+    change no output bit. An exception a worker raises, KeyboardInterrupt included, is
     raised here with its type and message once every group before it is
     written; before cmd_run returns or raises, every worker has ended and
     been reaped, and a worker whose caller is killed exits too.
@@ -275,10 +276,7 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     together = trains_in_lockstep(objective)
     groups = _lockstep_groups(config, together)
     cpus = _usable_cpus()
-    jobs = min(cpus, len(groups))
-    if (not engine._stacks(objective) or not hasattr(os, "fork")
-            or threading.current_thread() is not threading.main_thread()):
-        jobs = 1
+    jobs = min(cpus, len(groups)) if engine._stacks(objective) and can_fork() else 1
     shards = max(1, cpus // jobs // BLAS_THREADS)
 
     def train_group(group):

@@ -1,26 +1,25 @@
-"""Train work in worker processes forked from the caller, and hand the
-results back.
+"""Train work in persistent worker processes forked from the caller, and
+hand the results back.
 
-Two kinds of worker share one fork primitive (_fork). harness.cmd_run
-trains a sweep's trials at once with train_in_order, whose workers each
-train one unit and exit. engine.run_group shards each round's cohorts
-over persistent workers (serving), each answering one request per round
-until the caller stops it. A worker is forked, so it shares the caller's
-memory (the datasets above all) copy-on-write. Requests and replies are
-pickled, one length-prefixed message each, through a pair of pipes; a
-request that fails sends its exception instead, which the caller raises.
-No worker outlives its caller: however train_in_order or a serving block
-ends, it first kills and reaps every worker it started, and a worker whose
-caller ended without unwinding (killed by SIGKILL or SIGTERM, say) exits
-as soon as the caller is gone. Fork needs os.fork, and a Ctrl-C stops the
-workers only when the caller runs on the main thread, where Python raises
-it.
+One kind of worker serves both of fedsim's parallel layers. serving forks
+one per handler; each answers every request with its handler until the
+caller stops it. in_order hands a list of requests out to the caller and
+a pool of such workers, and yields the answers in order. harness.cmd_run
+trains a sweep's trials at once (train_in_order: serving plus in_order),
+and engine.run_group trains each round's cohort runs on shard workers it
+forks once per run. A worker is forked, so it shares the caller's memory
+(the datasets above all) copy-on-write. Requests and replies are pickled,
+one length-prefixed message each, through a pair of pipes; a request that
+fails sends its exception instead, which the caller raises. No worker
+outlives its caller: however a serving block ends, it first kills and
+reaps every worker it started, and a worker whose caller ended without
+unwinding (killed by SIGKILL or SIGTERM, say) exits as soon as the caller
+is gone. Workers are forked only where can_fork holds.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import os
 import pickle
 import select
@@ -35,6 +34,13 @@ _held_lifelines: set[int] = set()
 
 # A message is its payload's length in this many bytes, then the payload.
 _LENGTH_BYTES = 8
+
+
+def can_fork() -> bool:
+    """Whether this process may fork workers: os.fork exists and this is
+    the main thread, the one where Python raises the KeyboardInterrupt
+    that stops them."""
+    return hasattr(os, "fork") and threading.current_thread() is threading.main_thread()
 
 
 def _write_message(fd: int, payload: bytes) -> None:
@@ -105,7 +111,7 @@ class Worker:
         self.reaped = False
 
     def ask(self, request) -> None:
-        """Send the worker a request; answer reads the reply."""
+        """Send the worker a request; receive reads the reply."""
         _write_message(self.requests, pickle.dumps(request))
 
     def receive(self) -> tuple[bool, object]:
@@ -124,32 +130,23 @@ class Worker:
             value.__cause__ = RuntimeError(f"in a worker process:\n{trace}")
         return ok, value
 
-    def answer(self):
-        """The reply to the last request; raises what the request raised."""
-        ok, value = self.receive()
-        if not ok:
-            raise value
-        return value
-
-    def stop(self, kill: bool = True) -> None:
-        """Close the pipes and reap the worker, killed first unless kill is
-        False (a worker that has sent its one reply and is exiting)."""
+    def stop(self) -> None:
+        """Close the pipes, then kill and reap the worker."""
         for fd in (self.requests, self.replies):
             with contextlib.suppress(OSError):
                 os.close(fd)
         if self.reaped:
             return
-        if kill:
-            with contextlib.suppress(OSError):
-                os.kill(self.pid, signal.SIGKILL)
+        with contextlib.suppress(OSError):
+            os.kill(self.pid, signal.SIGKILL)
         with contextlib.suppress(OSError):
             os.waitpid(self.pid, 0)
         self.reaped = True
 
 
-def _fork(serve, lifeline: int, adopt) -> None:
-    """Fork a worker that runs serve(requests, replies) on the read end of
-    its request pipe and the write end of its reply pipe, then exits;
+def _fork(handle, lifeline: int, adopt) -> None:
+    """Fork a worker that answers each request on its request pipe with
+    handle's _outcome on its reply pipe until that pipe closes, then exits;
     adopt(its Worker) runs here before any signal can stop this process.
 
     The worker shares this process's memory copy-on-write: it is forked,
@@ -162,7 +159,7 @@ def _fork(serve, lifeline: int, adopt) -> None:
     SIG_DFL too, only once the caller knows the worker to stop. The
     worker closes its copies of every lifeline write end this process
     holds, and exits when lifeline's pipe reads as closed: once this
-    process has ended, however it ended. Call it from the main thread."""
+    process has ended, however it ended. Call it where can_fork holds."""
     request_read, request_write = os.pipe()
     reply_read, reply_write = os.pipe()
     try:
@@ -181,7 +178,8 @@ def _fork(serve, lifeline: int, adopt) -> None:
                 watch = threading.Thread(target=_exit_when_closed, args=(lifeline,))
                 watch.daemon = True
                 watch.start()
-                serve(request_read, reply_write)
+                while (payload := _read_message(request_read)) is not None:
+                    _write_message(reply_write, _outcome(handle, pickle.loads(payload)))
                 status = 0
             finally:
                 os._exit(status)
@@ -196,86 +194,77 @@ def _fork(serve, lifeline: int, adopt) -> None:
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
 
 
-def _stop_all(workers) -> None:
-    # An interrupt may have come part way through a reply.
-    for worker in workers:
-        worker.stop()
-
-
-def train_in_order(train_unit, units: list, jobs: int):
-    """Yield train_unit(unit) for each unit, in order, with up to jobs
-    units training at once: this process trains one and forked workers
-    (_fork) the others, each one unit. With jobs=1 nothing forks: every
-    unit trains here, one after another. A unit that finishes early waits
-    for the units before it, and an exception a unit raised, in a worker
-    too, is raised when its turn comes, so every unit before it has been
-    yielded. However this generator stops, it first kills and reaps every
-    worker still running."""
-    # workers: unit index -> Worker; done: unit index -> (ok, value).
-    workers, done, assigned = {}, {}, 0
-
-    def reap(index):
-        worker = workers.pop(index)
-        done[index] = worker.receive()
-        worker.stop(kill=False)
-
-    with _lifeline() if jobs > 1 else contextlib.nullcontext() as lifeline:
-        try:
-            for index in range(len(units)):
-                while index not in done:
-                    # A worker replies only once its unit has trained, so a
-                    # readable pipe's reply is read in full at once.
-                    ready, _, _ = select.select(
-                        [worker.replies for worker in workers.values()], [], [], 0)
-                    for finished in [i for i, w in workers.items() if w.replies in ready]:
-                        reap(finished)
-                    if index in done:
-                        break
-                    if assigned == len(units):
-                        reap(index)
-                        break
-                    mine, assigned = assigned, assigned + 1
-                    while len(workers) < jobs - 1 and assigned < len(units):
-                        _fork(functools.partial(_serve_once, train_unit, units[assigned]),
-                              lifeline, functools.partial(workers.__setitem__, assigned))
-                        assigned += 1
-                    try:
-                        done[mine] = (True, train_unit(units[mine]))
-                    except Exception as exc:
-                        done[mine] = (False, exc)
-                ok, value = done.pop(index)
-                if not ok:
-                    raise value
-                yield value
-        finally:
-            _stop_all(workers.values())
-
-
-def _serve_once(handle, request, requests: int, replies: int) -> None:
-    """Answer the one request given at the fork with handle's _outcome."""
-    _write_message(replies, _outcome(handle, request))
-
-
-def _serve_requests(handle, requests: int, replies: int) -> None:
-    """Answer each request with handle's _outcome until the request pipe
-    closes."""
-    while (payload := _read_message(requests)) is not None:
-        _write_message(replies, _outcome(handle, pickle.loads(payload)))
-
-
 @contextlib.contextmanager
 def serving(handlers):
-    """Fork one persistent worker per handler, each answering every request
-    (Worker.ask, Worker.answer) with handler(request); yields the Workers
-    in handler order. A handler's exception, KeyboardInterrupt included,
-    is raised by answer with its type and message. However the block ends,
-    every worker is killed and reaped first. Call it from the main thread,
-    where os.fork exists."""
+    """Fork one persistent worker per handler (_fork), each answering every
+    request it is asked with handler(request); yields the Workers, a pool
+    for in_order, in handler order. However the block ends, every worker
+    is killed and reaped first. Call it where can_fork holds."""
     pool = []
     with _lifeline() as lifeline:
         try:
             for handle in handlers:
-                _fork(functools.partial(_serve_requests, handle), lifeline, pool.append)
+                _fork(handle, lifeline, pool.append)
             yield pool
         finally:
-            _stop_all(pool)
+            # An interrupt may have come part way through a reply.
+            for worker in pool:
+                worker.stop()
+
+
+def in_order(pool, handle, requests):
+    """Yield handle(request) for each of the requests, a list, in order:
+    whenever this process is free it takes the next request not yet
+    handed out and handles it itself, after handing each idle worker of
+    pool (from serving, whose handlers match handle) the one after. So a
+    worker holds one request at a time, and with an empty pool every
+    request is handled here, one after another. A request that finishes
+    early waits for the ones before it. An exception a request raised, in
+    a worker too (where KeyboardInterrupt is caught as well), is raised
+    with its type and message when its turn comes, so every answer before
+    it has been yielded. A worker may still hold a request when this
+    generator stops early; the serving block that made it stops it."""
+    # busy: request index -> the Worker answering it; done: index -> (ok, value).
+    idle, busy, done, sent = list(pool), {}, {}, 0
+
+    def collect(index):
+        worker = busy.pop(index)
+        done[index] = worker.receive()
+        if not worker.reaped:
+            idle.append(worker)
+
+    for index in range(len(requests)):
+        while index not in done:
+            # A worker replies only once its request is answered, so a
+            # readable pipe's reply is read in full at once.
+            ready, _, _ = select.select([worker.replies for worker in busy.values()], [], [], 0)
+            for finished in [i for i, worker in busy.items() if worker.replies in ready]:
+                collect(finished)
+            if index in done:
+                break
+            if sent == len(requests):
+                collect(index)
+                break
+            mine, sent = sent, sent + 1
+            while idle and sent < len(requests):
+                busy[sent] = idle.pop()
+                busy[sent].ask(requests[sent])
+                sent += 1
+            try:
+                done[mine] = (True, handle(requests[mine]))
+            except Exception as exc:
+                done[mine] = (False, exc)
+        ok, value = done.pop(index)
+        if not ok:
+            raise value
+        yield value
+
+
+def train_in_order(train_unit, units: list, jobs: int):
+    """Yield train_unit(unit) for each unit, in order, with up to jobs
+    units training at once: this process and jobs - 1 workers forked once
+    (serving), each handed the next unit whenever it is free (in_order).
+    With jobs=1 nothing forks. However this generator stops, it first
+    kills and reaps every worker it forked."""
+    with serving([train_unit] * (jobs - 1)) as pool:
+        yield from in_order(pool, train_unit, units)

@@ -1,10 +1,16 @@
-"""Shared builders, writers and out-of-place reference forms for the tests."""
+"""Shared builders, writers, fork tooling and out-of-place reference forms
+for the tests."""
 
+import multiprocessing
+import os
+import re
+import signal
 import struct
 
 import numpy as np
+import pytest
 
-from fedsim import rng
+from fedsim import harness, rng
 from fedsim.compensated import two_diff, two_prod, two_sum
 from fedsim.datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from fedsim.engine import LocalTrainer, LocalUpdate
@@ -21,6 +27,55 @@ def write_idx(ds, images_path, labels_path, rows: int, cols: int):
     with open(labels_path, "wb") as fh:
         fh.write(struct.pack(">II", IDX_LABELS_MAGIC, ds.n))
         fh.write(ds.labels.astype(np.uint8).tobytes())
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+
+
+def use_cpus(monkeypatch, n):
+    """Let cmd_run use n CPUs: up to n groups at once, n - 1 of them in
+    workers, and a lone group's rounds in up to n shards."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: n)
+
+
+def mask_wall(text):
+    return re.sub(r'"wall_ms": \d+', '"wall_ms": 0', text)
+
+
+def assert_no_child_process():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs for more than a minute rather than let it hang;
+    a forked worker does not inherit the alarm."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran for more than 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def count_forks(tmp_path, monkeypatch):
+    """Patch os.fork to log the pid of each caller, in this process and in
+    the workers it forks; returns the log's path."""
+    log = tmp_path / "forks"
+    log.write_text("")
+    real_fork = os.fork
+
+    def logging_fork():
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", logging_fork)
+    return log
 
 
 def make_update(w_t, party_id, delta, tau, n_samples, delta_control=None):

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import multiprocessing
 import os
 import re
 import shutil
@@ -36,7 +35,14 @@ from fedsim.harness import (
 )
 from fedsim.partition import PartitionSpec, build_views, export_partition
 
-from helpers import write_idx
+from helpers import (
+    assert_no_child_process,
+    deadline,  # noqa: F401 (a fixture)
+    mask_wall,
+    needs_fork,
+    use_cpus,
+    write_idx,
+)
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -487,12 +493,6 @@ class TestCmdPartition:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def assert_no_child_process():
-    assert multiprocessing.active_children() == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def fail_trial(config, trial, error):
     """A harness.run_group that raises error(message) for trial's group.
     It is keyed on the group's run seed, so it fires in a forked worker too."""
@@ -505,28 +505,6 @@ def fail_trial(config, trial, error):
         return real_run_group(*args)
 
     return failing
-
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
-
-
-def use_cpus(monkeypatch, n):
-    """Let cmd_run train up to n groups at once, n - 1 of them in workers."""
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: n)
-
-
-@pytest.fixture
-def deadline():
-    """Fail a test that runs for more than a minute rather than let it hang;
-    a forked worker does not inherit the alarm."""
-    def expire(signum, frame):
-        raise TimeoutError("the test ran for more than 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 def read_jsonl(path):
@@ -713,10 +691,6 @@ class TestServerOverflow:
         progress = capsys.readouterr().err.splitlines()
         assert len(progress) == 2
         assert all(" diverged_rounds=2 " in line for line in progress)
-
-
-def mask_wall(text):
-    return re.sub(r'"wall_ms": \d+', '"wall_ms": 0', text)
 
 
 class TestDeterminism:

@@ -22,10 +22,16 @@ import fedsim
 from fedsim import engine, harness
 from fedsim.config import parse_config
 from fedsim.harness import cmd_run
+from helpers import (
+    assert_no_child_process,
+    count_forks,
+    deadline,  # noqa: F401 (a fixture)
+    mask_wall,
+    needs_fork,
+    use_cpus,
+)
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
 
 # A 64-200-10 model (15,010 coordinates) is above the cohort cap, so every
 # party trains in a cohort of its own and each cell alone (one group per
@@ -65,19 +71,6 @@ SHARDED = {
 }
 
 
-def mask_wall(text):
-    return re.sub(r'"wall_ms": \d+', '"wall_ms": 0', text)
-
-
-def use_cpus(monkeypatch, n):
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: n)
-
-
-def assert_no_child_process():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def outputs(out, err):
     progress = [re.sub(r" \d+\.\d\ds$", "", line) for line in err.splitlines()]
     return (mask_wall((out / "results.jsonl").read_text()),
@@ -86,19 +79,15 @@ def outputs(out, err):
 
 @needs_fork
 @pytest.mark.parametrize("name", list(SHARDED))
-def test_the_shard_count_does_not_change_the_output(tmp_path, capsys, monkeypatch, name):
+def test_the_shard_count_does_not_change_the_output(tmp_path, deadline, capsys, monkeypatch,
+                                                    name):
     # One, two and three CPUs train each round in one, two and three
     # shards: byte-identical files and the same progress lines, with a
-    # shard worker for each shard past the first, and none left after.
+    # shard worker forked here for each shard past the first, and none
+    # left after.
     config = parse_config(SHARDED[name])
     monkeypatch.setattr(harness, "BLAS_THREADS", 1)
-    real_serve = engine._Shards.serve
-
-    def recording(*args):
-        (tmp_path / f"pid-{os.getpid()}").touch()
-        return real_serve(*args)
-
-    monkeypatch.setattr(engine._Shards, "serve", staticmethod(recording))
+    log = count_forks(tmp_path, monkeypatch)
     seen, workers = {}, {}
     for cpus in (1, 2, 3):
         use_cpus(monkeypatch, cpus)
@@ -106,10 +95,10 @@ def test_the_shard_count_does_not_change_the_output(tmp_path, capsys, monkeypatc
         cmd_run(config, out)
         assert_no_child_process()
         seen[cpus] = outputs(out, capsys.readouterr().err)
-        pids = list(tmp_path.glob("pid-*"))
-        workers[cpus] = len(pids)
-        for pid in pids:
-            pid.unlink()
+        forks = log.read_text().split()
+        assert set(forks) <= {str(os.getpid())}
+        workers[cpus] = len(forks)
+        log.write_text("")
     assert seen[2] == seen[1] and seen[3] == seen[1]
     assert workers == {1: 0, 2: 1, 3: 2}
     records = [json.loads(line) for line in seen[1][0].splitlines()]
@@ -117,19 +106,13 @@ def test_the_shard_count_does_not_change_the_output(tmp_path, capsys, monkeypatc
 
 
 @needs_fork
-def test_trial_workers_shard_their_rounds_too(tmp_path, capsys, monkeypatch):
+def test_trial_workers_shard_their_rounds_too(tmp_path, deadline, capsys, monkeypatch):
     # Two trials on four CPUs: this process trains one trial and a trial
     # worker the other, and each forks one shard worker of its own; the
     # files are those of one CPU.
     config = parse_config({**with_fed(WIDE, algorithms=["scaffold"]), "trials": 2})
     monkeypatch.setattr(harness, "BLAS_THREADS", 1)
-    real_serve = engine._Shards.serve
-
-    def recording(*args):
-        (tmp_path / f"pid-{os.getpid()}").touch()
-        return real_serve(*args)
-
-    monkeypatch.setattr(engine._Shards, "serve", staticmethod(recording))
+    log = count_forks(tmp_path, monkeypatch)
     seen = {}
     for cpus in (1, 4):
         use_cpus(monkeypatch, cpus)
@@ -137,23 +120,11 @@ def test_trial_workers_shard_their_rounds_too(tmp_path, capsys, monkeypatch):
         assert_no_child_process()
         seen[cpus] = outputs(tmp_path / f"cpus{cpus}", capsys.readouterr().err)
     assert seen[4] == seen[1]
-    assert len(list(tmp_path.glob("pid-*"))) == 2
-
-
-def count_forks(tmp_path, monkeypatch):
-    """Patch os.fork to log each call, in this process and in the workers
-    it forks; returns the log's path."""
-    log = tmp_path / "forks"
-    log.write_text("")
-    real_fork = os.fork
-
-    def logging_fork():
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", logging_fork)
-    return log
+    # This process forks the trial worker and its own shard worker, and the
+    # trial worker the other: all but the trial worker are shard workers.
+    forks = log.read_text().split()
+    assert forks.count(str(os.getpid())) == 2
+    assert len(forks) - 1 == 2
 
 
 class Replaced(engine.MlpObjective):
@@ -166,7 +137,7 @@ class Replaced(engine.MlpObjective):
 @needs_fork
 @pytest.mark.parametrize("shape", [
     "fcube-prox", "sweep-grid", "objective replaced", "off the main thread", "sharded"])
-def test_paths_that_gain_nothing_fork_no_shard_worker(tmp_path, monkeypatch, shape):
+def test_paths_that_gain_nothing_fork_no_shard_worker(tmp_path, deadline, monkeypatch, shape):
     # On two CPUs: fcube-prox's round is one stacked cohort; sweep-grid's
     # two trials already fill both CPUs (one trial worker, which forks
     # nothing itself); a replaced objective keeps its counts here; and off
@@ -215,7 +186,7 @@ def test_paths_that_gain_nothing_fork_no_shard_worker(tmp_path, monkeypatch, sha
 
 
 @needs_fork
-def test_an_error_in_a_shard_reaches_the_caller(tmp_path, monkeypatch):
+def test_an_error_in_a_shard_reaches_the_caller(tmp_path, deadline, monkeypatch):
     # A shard worker's exception is raised here with its type and message,
     # and the worker is reaped before cmd_run ends.
     config = parse_config(WIDE)

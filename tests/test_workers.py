@@ -1,23 +1,26 @@
-"""No worker of workers.train_in_order or workers.serving outlives its
-caller, however the caller ends, and a serving worker's failure reaches
-its caller.
+"""No worker of workers.serving outlives its caller, however the caller
+ends; workers.in_order hands each request to whichever of the caller and
+its workers is free, yields the answers in order, and raises a worker's
+failure in the caller.
 
-Each test runs a caller in its own Python process, so it can be killed or
-let SIGINT take its default action. Every process of the caller's tree
-writes to the same stdout pipe, so the pipe reads to its end only once the
-caller and all its workers have ended.
+A test that kills its caller, or lets SIGINT take its default action,
+runs the caller in its own Python process. Every process of the caller's
+tree writes to the same stdout pipe, so the pipe reads to its end only
+once the caller and all its workers have ended.
 """
 
 import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import fedsim
 from fedsim import workers
+from helpers import assert_no_child_process, count_forks, deadline  # noqa: F401 (a fixture)
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
 
@@ -71,19 +74,20 @@ def test_workers_exit_when_their_caller_is_killed(how):
 
 @pytest.mark.parametrize("how", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
 def test_shard_workers_exit_when_their_caller_is_killed(how):
-    # Two persistent workers each take a request and train it while the
-    # caller waits for their answers; the caller is killed without
-    # unwinding, so its serving block cannot stop them.
+    # Two persistent workers answer a first round of requests at once, then
+    # train the second round's while the caller trains its own; the caller
+    # is killed without unwinding, so its serving block cannot stop them.
     caller = start_caller("""
-with workers.serving([train, train]) as pool:
-    for unit, worker in enumerate(pool):
-        worker.ask(unit)
-    for worker in pool:
-        worker.answer()
+def train_round(unit):
+    return unit if unit < 3 else train(unit)
+
+with workers.serving([train_round, train_round]) as pool:
+    assert list(workers.in_order(pool, train_round, [0, 1, 2])) == [0, 1, 2]
+    list(workers.in_order(pool, train_round, [3, 4, 5]))
 """)
-    lines = [caller.stdout.readline().split() for _ in range(2)]
+    lines = [caller.stdout.readline().split() for _ in range(3)]
     pids = [int(pid) for _, pid in lines]
-    assert sorted(unit for unit, _ in lines) == ["0", "1"]
+    assert sorted(unit for unit, _ in lines) == ["3", "4", "5"]
     caller.send_signal(how)
     finish(caller, pids)
     assert caller.returncode == -how
@@ -95,22 +99,66 @@ def fail_on(request):
     return request, os.getpid()
 
 
-def test_a_shard_workers_exception_reaches_its_caller_and_none_is_left():
-    # The worker answers each request until one fails: that request's
-    # exception is raised here with its type, its message and the
-    # worker's traceback, and the worker is reaped when the block ends.
+def test_a_shard_workers_exception_reaches_its_caller_and_none_is_left(deadline):
+    # The caller takes the first request of each call and the worker the
+    # second. The worker's failure is raised here with its type, its
+    # message and the worker's traceback once the answer before it is
+    # yielded; the worker answers the next call, and is reaped when the
+    # block ends.
     with workers.serving([fail_on]) as pool:
         (worker,) = pool
-        worker.ask("first")
-        assert worker.answer() == ("first", worker.pid)
-        worker.ask("fail")
+        answers = workers.in_order(pool, fail_on, ["first", "fail"])
+        assert next(answers) == ("first", os.getpid())
         with pytest.raises(ValueError, match="^the shard stopped$") as raised:
-            worker.answer()
+            next(answers)
         assert "in a worker process" in str(raised.value.__cause__)
-        worker.ask("again")
-        assert worker.answer() == ("again", worker.pid)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        assert list(workers.in_order(pool, fail_on, ["mine", "again"])) == [
+            ("mine", os.getpid()), ("again", worker.pid)]
+    assert_no_child_process()
+
+
+def test_units_train_on_workers_forked_once(tmp_path, deadline, monkeypatch):
+    # Six units on two jobs, the first slow in this process: the one worker
+    # forked at the start trains every unit that this process does not.
+    log = count_forks(tmp_path, monkeypatch)
+
+    def train(unit):
+        if unit == 0:
+            time.sleep(0.5)
+        return unit, os.getpid()
+
+    trained = list(workers.train_in_order(train, list(range(6)), 2))
+    assert [unit for unit, _ in trained] == list(range(6))
+    assert trained[0][1] == os.getpid()
+    assert log.read_text().split() == [str(os.getpid())]
+    assert_no_child_process()
+
+
+def test_a_free_caller_takes_the_next_unit_while_a_worker_is_busy(tmp_path, deadline):
+    # The worker's unit 1 waits for the file that unit 3 writes. The
+    # caller, free after unit 0, takes units 2 and 3 while the worker waits;
+    # a fixed split that gave unit 3 to the worker would never end.
+    written = tmp_path / "unit-3"
+
+    def train(unit):
+        while unit == 1 and not written.exists():
+            time.sleep(0.01)
+        if unit == 3:
+            written.touch()
+        return os.getpid()
+
+    pids = list(workers.train_in_order(train, list(range(4)), 2))
+    assert pids[0] == pids[2] == pids[3] == os.getpid() != pids[1]
+    assert_no_child_process()
+
+
+def test_messages_larger_than_a_pipe_buffer_arrive_in_order(deadline):
+    # 1 MiB requests and 2 MiB replies, far above a pipe's 64 KiB buffer,
+    # on three jobs.
+    requests = [bytes([unit]) * (1 << 20) for unit in range(6)]
+    replies = list(workers.train_in_order(lambda request: request * 2, requests, 3))
+    assert replies == [request * 2 for request in requests]
+    assert_no_child_process()
 
 
 def test_a_default_sigint_in_the_fork_window_ends_the_caller_and_its_worker():
