@@ -17,9 +17,10 @@ import json
 import math
 from dataclasses import dataclass, replace
 
+from .datasets import GROUPED_DATASET_KINDS
 from .engine import ALGORITHMS, FedRunConfig
 from .errors import ConfigError
-from .partition import PARTITION_KINDS, PartitionSpec
+from .partition import FCUBE_PAIRS_PARTIES, GROUP_PARTITION_KINDS, PARTITION_KINDS, PartitionSpec
 
 # Each "fed" key besides "algorithms": the FedRunConfig field it sets and its
 # type. An absent key leaves the field's own default.
@@ -269,6 +270,18 @@ def parse_config(raw: dict, source: str = "config") -> ExperimentConfig:
         raise ConfigError(f"{source}.arch.hidden: entries must be integers >= 1")
 
     algorithms, fed = _parse_fed(top.get("fed", {}), dataset, f"{source}.fed")
+    # Refused here, before any run makes --out, rather than by the partition.
+    if partition.kind in GROUP_PARTITION_KINDS and dataset.kind not in GROUPED_DATASET_KINDS:
+        raise ConfigError(
+            f"{source}.partition.type: {partition.kind} partitions deal out group ids, which "
+            f"only {' and '.join(GROUPED_DATASET_KINDS)} datasets carry, and "
+            f"{source}.dataset.type is {dataset.kind}"
+        )
+    if partition.kind == "fcube_pairs" and fed.n_parties != FCUBE_PAIRS_PARTIES:
+        raise ConfigError(
+            f"{source}.fed.parties: fcube_pairs partitions deal to {FCUBE_PAIRS_PARTIES} "
+            f"parties, got {fed.n_parties}"
+        )
 
     sweeps = _section(
         top.get("sweeps", {}), {"mu": list, "local_epochs": list}, f"{source}.sweeps"

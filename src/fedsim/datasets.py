@@ -19,6 +19,10 @@ from .rng import stream
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
+# The dataset kinds whose builders tag each training sample with a group id
+# (LabeledDataset.group_ids): only fcube_generate does, with octant codes.
+GROUPED_DATASET_KINDS = ("fcube",)
+
 # Samples this close to the x1 = 0 plane are resampled: their label would be
 # ambiguous.
 _CUBE_PLANE_EPS = 1e-9

@@ -65,17 +65,17 @@ trial) run alone through run_experiment and run_round.
 Shards: the rows of one round train independently from the round's
 global models, so run_group, given shards > 1, trains each round's
 cohorts in up to that many processes. It forks the shard workers once
-(fedsim.workers.serving), after the views, the initial model and the
-trainer exist, so they share them copy-on-write. Each round the cohorts
-are cut into contiguous runs balanced by samples x epochs, and
-fedsim.workers.in_order hands them out, the first to this process and
-each other to a worker; whoever trains a row writes the models it hands
-back into shared memory at the row's position in the round (_Shards).
-Aggregation stays here, over the updates in cohort order, so no output
-bit depends on the shard count. Only fedsim's own stacking MlpObjective
-shards, and only where fedsim.workers.can_fork holds and a round can
-have two cohorts; library callers get one process unless they ask for
-more.
+(fedsim.workers.serving, each serving _serve_run), after the views, the
+initial model and the trainer exist, so they share them copy-on-write.
+Each round _train_shards cuts the cohorts into contiguous runs balanced
+by samples x epochs, and the serving block's dispatch hands them out, the
+first to this process and each other to a worker; whoever trains a row
+writes the models it hands back into shared memory at the row's position
+in the round. Aggregation stays here, over the updates in cohort order,
+so no output bit depends on the shard count. Only an objective that
+trains_in_workers shards (fedsim's own stacking MlpObjective, where
+fedsim.workers.can_fork holds), and only where a round can have two
+cohorts; library callers get one process unless they ask for more.
 """
 
 from __future__ import annotations
@@ -861,76 +861,65 @@ def _shared_rows(rows: int, n_coords: int) -> np.ndarray:
     return np.frombuffer(buffer, dtype=np.float64).reshape(rows, n_coords)
 
 
-class _Shards:
-    """The shard workers of one run_group and the shared rows they write.
+def _train_shards(dispatch, shards: int, shared, views, cfgs, round_idx, cohorts, w_ts,
+                  server_controls, controls) -> list[tuple]:
+    """(update, new c_i or None) per row of the round's cohorts, in row
+    order, as _train_cohorts returns them, trained in up to shards
+    processes: this one and the workers of dispatch, the dispatcher that
+    _shard_workers' serving block yields.
 
-    Each round, train cuts the round's cohorts into contiguous runs
-    balanced by samples x epochs (_shard_bounds) and hands them to serve,
-    here for the first run and on a worker for each other
-    (workers.in_order): the round, the run's (party, cell) ids, its first
-    row's position in the round, and the w_t, c and c_i its rows start
-    from. Whoever trains a run trains it on its copy of the group's
-    LocalTrainer and writes every model-sized array a row hands back into
-    shared, rows of one MAP_SHARED buffer mapped before the fork, at the
-    row's position in the round: its final model in shared[0], and for
+    The cohorts are cut into contiguous runs balanced by samples x epochs
+    (_shard_bounds) and dispatch hands each to _serve_run, here or on a
+    worker: the round, the run's (party, cell) ids, its first row's
+    position in the round, and the w_t, c and c_i its rows start from.
+    Whoever trains a run writes every model-sized array a row hands back
+    into shared, rows of one MAP_SHARED buffer mapped before the fork, at
+    the row's position in the round: its final model in shared[0], and for
     scaffold its control change in shared[1] and its new c_i in
     shared[2]. The reply carries only each row's tau, n, loss and
     diverged flag. The rows are rewritten the next round, so a new c_i,
     which outlives the round, is copied out; the updates live only until
-    the round is aggregated.
-    """
+    the round is aggregated."""
+    weights = [sum(views[p].n_samples * cfgs[cell].local_epochs for p, cell in cohort)
+               for cohort in cohorts]
+    bounds = _shard_bounds(weights, min(len(cohorts), shards))
+    firsts = list(itertools.accumulate(map(len, cohorts), initial=0))
+    requests = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        run = cohorts[lo:hi]
+        cells = {cell for cohort in run for _, cell in cohort}
+        scaffold = {cell for cell in cells if server_controls[cell] is not None}
+        requests.append((
+            round_idx, run, firsts[lo], {cell: w_ts[cell] for cell in cells},
+            {cell: server_controls[cell] for cell in scaffold},
+            {cell: {p: controls[cell][p] for cohort in run for p, c in cohort if c == cell}
+             for cell in scaffold},
+        ))
+    replies = [reply for run in dispatch(requests) for reply in run]
+    results = []
+    rows = (row for cohort in cohorts for row in cohort)
+    for at, ((p, cell), (tau, n_samples, loss, diverged)) in enumerate(zip(rows, replies)):
+        final = _read_only(shared[0, at])
+        if cfgs[cell].algorithm != "scaffold":
+            results.append((LocalUpdate(p, tau, n_samples, loss, final, diverged=diverged), None))
+            continue
+        update = LocalUpdate(p, tau, n_samples, loss, final, _read_only(shared[1, at]), diverged)
+        results.append((update, _read_only(shared[2, at].copy())))
+    return results
 
-    def __init__(self, pool, serve, shared, views, cfgs):
-        self.pool, self.serve, self.shared = pool, serve, shared
-        self.views, self.cfgs = views, cfgs
 
-    def train(self, round_idx, cohorts, w_ts, server_controls, controls) -> list[tuple]:
-        """(update, new c_i or None) per row of the round's cohorts, in row
-        order, as _train_cohorts returns them."""
-        views, cfgs = self.views, self.cfgs
-        weights = [sum(views[p].n_samples * cfgs[cell].local_epochs for p, cell in cohort)
-                   for cohort in cohorts]
-        bounds = _shard_bounds(weights, min(len(cohorts), 1 + len(self.pool)))
-        firsts = list(itertools.accumulate(map(len, cohorts), initial=0))
-        requests = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            run = cohorts[lo:hi]
-            cells = {cell for cohort in run for _, cell in cohort}
-            scaffold = {cell for cell in cells if server_controls[cell] is not None}
-            requests.append((
-                round_idx, run, firsts[lo], {cell: w_ts[cell] for cell in cells},
-                {cell: server_controls[cell] for cell in scaffold},
-                {cell: {p: controls[cell][p] for cohort in run for p, c in cohort if c == cell}
-                 for cell in scaffold},
-            ))
-        replies = [reply for run in workers.in_order(self.pool, self.serve, requests)
-                   for reply in run]
-        results = []
-        rows = (row for cohort in cohorts for row in cohort)
-        for at, ((p, cell), (tau, n_samples, loss, diverged)) in enumerate(zip(rows, replies)):
-            final = _read_only(self.shared[0, at])
-            if cfgs[cell].algorithm != "scaffold":
-                results.append((LocalUpdate(p, tau, n_samples, loss, final, diverged=diverged),
-                                None))
-                continue
-            update = LocalUpdate(p, tau, n_samples, loss, final,
-                                 _read_only(self.shared[1, at]), diverged)
-            results.append((update, _read_only(self.shared[2, at].copy())))
-        return results
-
-    @staticmethod
-    def serve(shared, views, cfgs, objective, trainer, request):
-        """Train one run of a round's cohorts, here or in a worker, and
-        write its rows into shared; train's handler."""
-        round_idx, run, first, w_ts, server_controls, controls = request
-        results = _train_cohorts(run, views, cfgs, w_ts, server_controls, controls, round_idx,
-                                 objective, trainer)
-        for at, (update, new_control) in enumerate(results, first):
-            shared[0, at] = update.final_params
-            if new_control is not None:
-                shared[1, at], shared[2, at] = update.delta_control, new_control
-        return [(update.tau, update.n_samples, update.train_loss, update.diverged)
-                for update, _ in results]
+def _serve_run(shared, views, cfgs, objective, trainer, request):
+    """Train one run of a round's cohorts, here or in a worker, and write
+    its rows into shared; _train_shards' handler."""
+    round_idx, run, first, w_ts, server_controls, controls = request
+    results = _train_cohorts(run, views, cfgs, w_ts, server_controls, controls, round_idx,
+                             objective, trainer)
+    for at, (update, new_control) in enumerate(results, first):
+        shared[0, at] = update.final_params
+        if new_control is not None:
+            shared[1, at], shared[2, at] = update.delta_control, new_control
+    return [(update.tau, update.n_samples, update.train_loss, update.diverged)
+            for update, _ in results]
 
 
 def _close_round(state, updates, cfg, client_controls, n_bytes):
@@ -956,9 +945,9 @@ def _run_rounds(states, views, cfgs, round_idx, objective, trainer, shards=None)
     (party, cell) row trains in _row_cohorts' cohorts on trainer (or when
     it is None on a new LocalTrainer for the round's largest cohort), and
     each cell aggregates its own updates, in cohort order, as run_round
-    does. With shards (a _Shards), the cohorts are cut into contiguous
-    runs: this process trains the first while the shard workers train the
-    others. Returns run_round's triple per cell."""
+    does. With shards (_shard_workers' _train_shards), the cohorts are cut
+    into contiguous runs: this process trains the first while the shard
+    workers train the others. Returns run_round's triple per cell."""
     cfg = cfgs[0]
     selected = sample_parties(cfg.n_parties, cfg.sample_fraction, round_idx, cfg.master_seed)
     n_coords = len(states[0].params)
@@ -972,7 +961,7 @@ def _run_rounds(states, views, cfgs, round_idx, objective, trainer, shards=None)
         results = _train_cohorts(cohorts, views, cfgs, w_ts, server_controls, controls,
                                  round_idx, objective, trainer)
     else:
-        results = shards.train(round_idx, cohorts, w_ts, server_controls, controls)
+        results = shards(round_idx, cohorts, w_ts, server_controls, controls)
     rows = (row for cohort in cohorts for row in cohort)
     for (p, cell), (update, new_control) in zip(rows, results):
         updates[cell].append(update)
@@ -993,7 +982,7 @@ def run_round(
     objective,
     *,
     trainer: LocalTrainer | None = None,
-    shards: _Shards | None = None,
+    shards=None,
 ) -> tuple[GlobalState, list[LocalUpdate], int]:
     """One full round of one cell: sample, train the sampled parties,
     aggregate. run_group trains the rounds of several cells at once
@@ -1008,7 +997,8 @@ def run_round(
     control has a non-finite entry, the round returns the given state marked
     diverged; its traffic still counts. Every cohort trains on trainer,
     the run's LocalTrainer, or when it is None on a new one of the round's;
-    run_group's shards, if given, train all but the first run of them.
+    shards, run_group's _train_shards if given, trains all but the first
+    contiguous run of them on shard workers.
     """
     return _run_rounds([state], views, [cfg], round_idx, objective, trainer, shards)[0]
 
@@ -1029,6 +1019,15 @@ def lockstep_key(cfg: FedRunConfig) -> FedRunConfig:
     (algorithm, prox_mu and local_epochs): cells whose keys are equal can
     train together in one run_group."""
     return replace(cfg, algorithm=ALGORITHMS[0], prox_mu=0.0, local_epochs=1)
+
+
+def trains_in_workers(objective) -> bool:
+    """Whether objective may train in forked workers, cmd_run's trial
+    workers or run_group's shard workers: only fedsim's own stacking
+    MlpObjective (a replaced one may keep counts in this process), and only
+    where workers.can_fork holds (os.fork exists and this is the main
+    thread, where a KeyboardInterrupt can stop them)."""
+    return _stacks(objective) and workers.can_fork()
 
 
 def trains_in_lockstep(objective) -> bool:
@@ -1070,19 +1069,19 @@ def _most_cohorts(sampled: int, n_cells: int, cap: int) -> int:
 
 @contextlib.contextmanager
 def _shard_workers(shards: int, views, cfgs, objective, trainer, n_coords: int):
-    """A _Shards of up to shards - 1 forked workers for run_group, or None
-    where a round is best trained here alone: fewer than two shards, an
-    objective other than fedsim's own stacking MlpObjective (a replaced
-    one may keep counts in this process), where workers.can_fork does not
-    hold, or rounds that cannot have two cohorts (such as fcube-prox's, one
-    stacked cohort of 4 rows, whose split would cost more CPU than it
-    saves). The workers are forked once, here, so they share the views,
-    the initial model and trainer copy-on-write; they are killed and
-    reaped when the block ends, however it ends."""
+    """_train_shards, bound to up to shards - 1 forked workers and the
+    shared rows they write, for run_group; or None where a round is best
+    trained here alone: fewer than two shards, an objective that may not
+    train in workers (trains_in_workers), or rounds that cannot have two
+    cohorts (such as fcube-prox's, one stacked cohort of 4 rows, whose
+    split would cost more CPU than it saves). The workers are forked once,
+    here (workers.serving with _serve_run), so they share the views, the
+    initial model and trainer copy-on-write; they are killed and reaped
+    when the block ends, however it ends."""
     cfg = cfgs[0]
     sampled = _sample_size(cfg.n_parties, cfg.sample_fraction)
     count = 1
-    if shards > 1 and _stacks(objective) and workers.can_fork():
+    if shards > 1 and trains_in_workers(objective):
         count = min(shards, _most_cohorts(sampled, len(cfgs), _cohort_cap(n_coords, True)))
     if count < 2:
         yield None
@@ -1091,9 +1090,9 @@ def _shard_workers(shards: int, views, cfgs, objective, trainer, n_coords: int):
     # hands back: its final model, and for scaffold two more.
     kinds = 3 if any(cell.algorithm == "scaffold" for cell in cfgs) else 1
     shared = _shared_rows(kinds * sampled * len(cfgs), n_coords).reshape(kinds, -1, n_coords)
-    serve = functools.partial(_Shards.serve, shared, views, cfgs, objective, trainer)
-    with workers.serving([serve] * (count - 1)) as pool:
-        yield _Shards(pool, serve, shared, views, cfgs)
+    serve = functools.partial(_serve_run, shared, views, cfgs, objective, trainer)
+    with workers.serving(serve, count - 1) as dispatch:
+        yield functools.partial(_train_shards, dispatch, count, shared, views, cfgs)
 
 
 def run_group(
@@ -1126,7 +1125,8 @@ def run_group(
 
     shards is how many processes may train a round's cohorts: with more
     than one, _shard_workers forks up to shards - 1 workers, which train
-    all but the first contiguous run of each round's cohorts (see _Shards)
+    all but the first contiguous run of each round's cohorts (see
+    _train_shards)
     and are killed and reaped before run_group returns or raises. The
     records do not depend on it. The default, 1, forks nothing.
     """
@@ -1159,16 +1159,16 @@ def run_group(
     # process's first BLAS call: OpenBLAS lays out a new buffer (several
     # MB of a wide model's pages) in a process that forks after it used
     # one, and keeps the old.
-    with _shard_workers(shards, views, cfgs, objective, trainer, len(params)) as pool:
+    with _shard_workers(shards, views, cfgs, objective, trainer, len(params)) as sharded:
         untrained = RoundRecord(0, objective.accuracy(params, ds_test), None, 0, 0, False)
         records = [[untrained] for _ in cfgs]
         for round_idx in range(cfg.rounds):
             started = time.perf_counter()
             if len(cfgs) == 1:
                 outcomes = [run_round(states[0], views, cfg, round_idx, objective,
-                                      trainer=trainer, shards=pool)]
+                                      trainer=trainer, shards=sharded)]
             else:
-                outcomes = _run_rounds(states, views, cfgs, round_idx, objective, trainer, pool)
+                outcomes = _run_rounds(states, views, cfgs, round_idx, objective, trainer, sharded)
             rounds = []
             for cell, (state, updates, n_bytes) in enumerate(outcomes):
                 states[cell] = state

@@ -8,9 +8,9 @@ byte from (config, seed) and the BLAS thread count (one unless the user
 sets one; see fedsim.BLAS_THREADS), whatever number of processes a sweep
 trains in: cmd_run trains trials at once and, where CPUs are left over,
 engine.run_group shards each round's cohorts, both on persistent forked
-workers that fedsim.workers.in_order hands the next unit of work
-whenever they are free. cmd_run writes every output line itself, in the
-order one process would.
+workers (fedsim.workers.serving) whose dispatch hands the caller or a
+worker the next unit of work whenever it is free. cmd_run writes every
+output line itself, in the order one process would.
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ from .engine import (
     run_experiment,
     run_group,
     trains_in_lockstep,
+    trains_in_workers,
 )
 from .errors import ConfigError, OutputError, ReportError
 from .nn import MlpArch, backward, finite_diff_grad, init_mlp, layer_slices
 from .partition import build_views, export_partition, export_stats_csv, partition_stats
-from .workers import can_fork, train_in_order
+from .workers import serving
 
 RESULTS_FILE = "results.jsonl"
 SUMMARY_FILE = "summary.csv"
@@ -218,31 +219,32 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     wall_ms and a progress line's seconds cover the whole group.
 
     The groups (or lone runs) are independent, so as many of them as this
-    process may use CPUs (_usable_cpus) train at once
-    (workers.train_in_order): this process and the worker processes it
-    forks once, one per further group at once, each take the next group
-    whenever they are free. A worker shares the datasets copy-on-write
-    and sends back only its group's records and seconds. Every record and
+    process may use CPUs (_usable_cpus) train at once: this process and the
+    worker processes it forks once (workers.serving), one per further group
+    at once, each take the next group from the serving block's dispatch
+    whenever they are free. A worker shares the datasets copy-on-write and
+    sends back only its group's records and seconds. Every record and
     progress line is written here, in the order one process trains in, so
-    the output files are byte for byte the same however many train at
-    once. Each group gets the CPUs left over, usable CPUs // groups at once
-    // fedsim.BLAS_THREADS, as shards: engine.run_group trains each
-    round's cohorts in that many processes, this one and forked shard
-    workers, when a round can have two cohorts (a one-trial wide run such
-    as the benchmark's wide-idx, not fcube-prox's one stacked cohort), so
-    that shards times BLAS threads never exceeds the CPUs. There is no
-    knob for either count. Only fedsim's own stacking MlpObjective is
-    trained in workers: a replaced engine.MlpObjective, such as the traced
-    benchmark's, may keep counts in this process. With any other
-    objective, one usable CPU, or where workers.can_fork does not hold
-    (no os.fork, or off the main thread, where Python raises no
-    KeyboardInterrupt), nothing forks and every group trains here, one
-    after another. To use fewer processes, restrict the CPUs (taskset -c
-    0): BLAS runs at one thread unless the user sets a count, so the CPUs
-    change no output bit. An exception a worker raises, KeyboardInterrupt included, is
-    raised here with its type and message once every group before it is
-    written; before cmd_run returns or raises, every worker has ended and
-    been reaped, and a worker whose caller is killed exits too.
+    the output files are byte for byte the same however many train at once.
+    Each group gets the CPUs left over, usable CPUs // groups at once //
+    fedsim.BLAS_THREADS, as shards: engine.run_group trains each round's
+    cohorts in that many processes, this one and forked shard workers, when
+    a round can have two cohorts (a one-trial wide run such as the
+    benchmark's wide-idx, not fcube-prox's one stacked cohort), so that
+    shards times BLAS threads never exceeds the CPUs. There is no knob for
+    either count. Only an objective that engine.trains_in_workers is trained
+    in workers: fedsim's own stacking MlpObjective, where workers.can_fork
+    holds. A replaced engine.MlpObjective, such as the traced benchmark's,
+    may keep counts in this process, and off the main thread Python raises
+    no KeyboardInterrupt. With any other objective, one usable CPU, no
+    os.fork or off the main thread, nothing forks and every group trains
+    here, one after another. To use fewer processes, restrict the CPUs
+    (taskset -c 0): BLAS runs at one thread unless the user sets a count, so
+    the CPUs change no output bit. An exception a worker raises,
+    KeyboardInterrupt included, is raised here with its type and message
+    once every group before it is written; before cmd_run returns or raises,
+    every worker has ended and been reaped, and a worker whose caller is
+    killed exits too.
 
     The dataset is built and checked against the architecture before the
     output directory is made, so a dataset that cannot be trained on (a
@@ -252,13 +254,15 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     only shows when a group builds its views, after --out exists. Any
     results.jsonl or summary.csv already in --out is removed before the
     first group trains, so a sweep that fails leaves no earlier sweep's
-    files beside its own. Each group's records are appended to
-    results.jsonl as soon as it and every group before it have finished
-    (the file is made then), so a sweep that stops part way keeps the
-    records of every run that finished. Once all have, the file is
-    rewritten in cell-major order if they trained in another. Diverged
-    runs are flagged in their records, never fatal. Each finished run
-    prints one progress line to stderr.
+    files beside its own. Each group's records are appended to results.jsonl
+    as soon as it and every group before it have finished (the file is made
+    then), so a sweep that stops part way keeps the records of every run
+    that finished. Where the runs train in another order than cell-major
+    (more than one cell and trial), their lines stay in memory too, and once
+    every run has finished, results.jsonl is rewritten from them in
+    cell-major order (staged, then renamed over it). Diverged runs are
+    flagged in their records, never fatal. Each finished run prints one
+    progress line to stderr.
     """
     train, test = build_dataset(config)
     arch = MlpArch((train.n_features, *config.hidden, train.n_classes))
@@ -276,7 +280,7 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
     together = trains_in_lockstep(objective)
     groups = _lockstep_groups(config, together)
     cpus = _usable_cpus()
-    jobs = min(cpus, len(groups)) if engine._stacks(objective) and can_fork() else 1
+    jobs = min(cpus, len(groups)) if trains_in_workers(objective) else 1
     shards = max(1, cpus // jobs // BLAS_THREADS)
 
     def train_group(group):
@@ -285,34 +289,28 @@ def cmd_run(config: ExperimentConfig, out_dir) -> dict:
         if together:
             outcomes = run_group(train, test, config.partition, arch, cfgs, objective, shards)
         else:
-            outcomes = [run_experiment(train, test, config.partition, arch, cfgs[0], None,
-                                       shards)]
+            outcomes = [run_experiment(train, test, config.partition, arch, cfgs[0], None, shards)]
         return outcomes, time.perf_counter() - started
 
     runs = [(cell, trial) for cell in config.cells for trial in range(config.trials)]
-    # Where each finished run's lines sit in results.jsonl: (offset, length).
-    spans, finals = {}, {}
-    trained = train_in_order(train_group, groups, jobs)
-    with contextlib.closing(trained):
-        for group, (outcomes, seconds) in zip(groups, trained):
+    # Each finished run's results.jsonl lines, kept for a cell-major rewrite
+    # only where the runs train in another order, and its final accuracy.
+    regroup = [run for group in groups for run in group] != runs
+    lines, finals = {}, {}
+    with serving(train_group, jobs - 1) as dispatch:
+        for group, (outcomes, seconds) in zip(groups, dispatch(groups)):
             for run, records in zip(group, outcomes):
+                lines[run] = _record_lines(*run, records).encode("ascii")
                 finals[run] = records[-1].test_accuracy
                 _print_progress(len(finals), len(runs), *run, records, seconds)
-            with _writing(results_path), open(results_path, "ab" if spans else "wb") as fh:
-                for run, records in zip(group, outcomes):
-                    text = _record_lines(*run, records).encode("ascii")
-                    spans[run] = (fh.tell(), len(text))
-                    fh.write(text)
-            # The records are on disk; the next group need not hold them.
+            with _writing(results_path), open(results_path, "ab") as fh:
+                fh.writelines(lines[run] if regroup else lines.pop(run) for run in group)
+            # The records are in lines; the next group need not hold them.
             del outcomes
-    if list(spans) != runs:
-        with _writing(results_path), open(results_path, "rb") as fh:
-            written = fh.read()
+    if regroup:
         staged = results_path + ".tmp"
         with _writing(staged), open(staged, "wb") as fh:
-            for run in runs:
-                offset, length = spans[run]
-                fh.write(written[offset : offset + length])
+            fh.writelines(lines[run] for run in runs)
         with _writing(results_path):
             os.replace(staged, results_path)
 

@@ -33,6 +33,10 @@ PARTITION_KINDS = (
     "by_group",
     "fcube_pairs",
 )
+# The kinds that deal out the samples' group ids (LabeledDataset.group_ids).
+GROUP_PARTITION_KINDS = ("by_group", "fcube_pairs")
+# fcube_pairs deals the cube's four antipodal octant pairs to this many parties.
+FCUBE_PAIRS_PARTIES = 4
 
 _MAX_DIRICHLET_RETRIES = 100
 
@@ -349,7 +353,7 @@ def build_partition(
     if spec.kind == "by_group":
         return partition_by_group(ds, n_parties, seed)
     if spec.kind == "fcube_pairs":
-        if n_parties != 4:
+        if n_parties != FCUBE_PAIRS_PARTIES:
             raise ConfigError(f"fcube_pairs is a 4-party strategy, got {n_parties}")
         return partition_fcube_pairs(ds)
     raise ConfigError(f"unknown partition kind {spec.kind!r}")

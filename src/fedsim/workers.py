@@ -1,25 +1,26 @@
 """Train work in persistent worker processes forked from the caller, and
 hand the results back.
 
-One kind of worker serves both of fedsim's parallel layers. serving forks
-one per handler; each answers every request with its handler until the
-caller stops it. in_order hands a list of requests out to the caller and
-a pool of such workers, and yields the answers in order. harness.cmd_run
-trains a sweep's trials at once (train_in_order: serving plus in_order),
-and engine.run_group trains each round's cohort runs on shard workers it
-forks once per run. A worker is forked, so it shares the caller's memory
-(the datasets above all) copy-on-write. Requests and replies are pickled,
-one length-prefixed message each, through a pair of pipes; a request that
-fails sends its exception instead, which the caller raises. No worker
-outlives its caller: however a serving block ends, it first kills and
-reaps every worker it started, and a worker whose caller ended without
-unwinding (killed by SIGKILL or SIGTERM, say) exits as soon as the caller
-is gone. Workers are forked only where can_fork holds.
+One kind of worker serves both of fedsim's parallel layers. serving(handle,
+count) forks count workers that answer every request with handle, and
+yields dispatch(requests): it hands the requests out to the caller and the
+workers, whichever is free, and yields handle's answers in order.
+harness.cmd_run dispatches a sweep's trials, and engine.run_group each
+round's cohort runs on shard workers it forks once per run. A worker is
+forked, so it shares the caller's memory (the datasets above all)
+copy-on-write. Requests and replies are pickled, one length-prefixed
+message each, through a pair of pipes; a request that fails sends its
+exception instead, which the caller raises. No worker outlives its caller:
+however a serving block ends, it first kills and reaps every worker it
+started, and a worker whose caller ended without unwinding (killed by
+SIGKILL or SIGTERM, say) exits as soon as the caller is gone. Workers are
+forked only where can_fork holds.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import pickle
 import select
@@ -110,10 +111,6 @@ class Worker:
         self.pid, self.requests, self.replies = pid, requests, replies
         self.reaped = False
 
-    def ask(self, request) -> None:
-        """Send the worker a request; receive reads the reply."""
-        _write_message(self.requests, pickle.dumps(request))
-
     def receive(self) -> tuple[bool, object]:
         """(True, the next reply) or (False, the exception its request
         raised, with the worker's traceback as its cause). A worker that
@@ -195,35 +192,37 @@ def _fork(handle, lifeline: int, adopt) -> None:
 
 
 @contextlib.contextmanager
-def serving(handlers):
-    """Fork one persistent worker per handler (_fork), each answering every
-    request it is asked with handler(request); yields the Workers, a pool
-    for in_order, in handler order. However the block ends, every worker
-    is killed and reaped first. Call it where can_fork holds."""
+def serving(handle, count: int):
+    """Fork count persistent workers (_fork), each answering every request
+    it is asked with handle(request), and yield dispatch(requests), which
+    yields handle(request) for each of the requests, a list, in order
+    (_in_order). With count 0 nothing forks, and dispatch handles every
+    request here. However the block ends, every worker is killed and
+    reaped first. Fork workers only where can_fork holds."""
     pool = []
     with _lifeline() as lifeline:
         try:
-            for handle in handlers:
+            for _ in range(count):
                 _fork(handle, lifeline, pool.append)
-            yield pool
+            yield functools.partial(_in_order, pool, handle)
         finally:
             # An interrupt may have come part way through a reply.
             for worker in pool:
                 worker.stop()
 
 
-def in_order(pool, handle, requests):
+def _in_order(pool, handle, requests):
     """Yield handle(request) for each of the requests, a list, in order:
     whenever this process is free it takes the next request not yet
     handed out and handles it itself, after handing each idle worker of
-    pool (from serving, whose handlers match handle) the one after. So a
-    worker holds one request at a time, and with an empty pool every
-    request is handled here, one after another. A request that finishes
-    early waits for the ones before it. An exception a request raised, in
-    a worker too (where KeyboardInterrupt is caught as well), is raised
-    with its type and message when its turn comes, so every answer before
-    it has been yielded. A worker may still hold a request when this
-    generator stops early; the serving block that made it stops it."""
+    pool (serving's, whose handler is handle) the one after. So a worker
+    holds one request at a time, and with an empty pool every request is
+    handled here, one after another. A request that finishes early waits
+    for the ones before it. An exception a request raised, in a worker too
+    (where KeyboardInterrupt is caught as well), is raised with its type
+    and message when its turn comes, so every answer before it has been
+    yielded. A worker may still hold a request when this generator stops
+    early; the serving block that made it stops it."""
     # busy: request index -> the Worker answering it; done: index -> (ok, value).
     idle, busy, done, sent = list(pool), {}, {}, 0
 
@@ -236,10 +235,12 @@ def in_order(pool, handle, requests):
     for index in range(len(requests)):
         while index not in done:
             # A worker replies only once its request is answered, so a
-            # readable pipe's reply is read in full at once.
-            ready, _, _ = select.select([worker.replies for worker in busy.values()], [], [], 0)
-            for finished in [i for i, worker in busy.items() if worker.replies in ready]:
-                collect(finished)
+            # readable pipe's reply is read in full at once. select is not
+            # called on no pipes, which Windows refuses.
+            if busy:
+                ready, _, _ = select.select([w.replies for w in busy.values()], [], [], 0)
+                for finished in [i for i, worker in busy.items() if worker.replies in ready]:
+                    collect(finished)
             if index in done:
                 break
             if sent == len(requests):
@@ -248,7 +249,7 @@ def in_order(pool, handle, requests):
             mine, sent = sent, sent + 1
             while idle and sent < len(requests):
                 busy[sent] = idle.pop()
-                busy[sent].ask(requests[sent])
+                _write_message(busy[sent].requests, pickle.dumps(requests[sent]))
                 sent += 1
             try:
                 done[mine] = (True, handle(requests[mine]))
@@ -258,13 +259,3 @@ def in_order(pool, handle, requests):
         if not ok:
             raise value
         yield value
-
-
-def train_in_order(train_unit, units: list, jobs: int):
-    """Yield train_unit(unit) for each unit, in order, with up to jobs
-    units training at once: this process and jobs - 1 workers forked once
-    (serving), each handed the next unit whenever it is free (in_order).
-    With jobs=1 nothing forks. However this generator stops, it first
-    kills and reaps every worker it forked."""
-    with serving([train_unit] * (jobs - 1)) as pool:
-        yield from in_order(pool, train_unit, units)

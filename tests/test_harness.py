@@ -187,9 +187,20 @@ class TestLoadConfig:
              r"config\.fed\.algorithms \['fedavg', 'scaffold'\] has no fedprox$"),
             ({"fed": {"algorithms": ["fedprox", "fednova"], "scaffold_c_option": "i"}},
              r"fed\.scaffold_c_option: only scaffold reads it"),
+            ({"partition": {"type": "by_group"}},
+             r"partition\.type: by_group partitions deal out group ids, which only fcube "
+             r"datasets carry, and config\.dataset\.type is blobs$"),
+            ({"partition": {"type": "fcube_pairs"}, "dataset": IDX_OPTIONS},
+             r"partition\.type: fcube_pairs partitions deal out group ids, which only fcube "
+             r"datasets carry, and config\.dataset\.type is idx$"),
+            ({"partition": {"type": "by_group"}, "dataset": LIBSVM_OPTIONS},
+             r"partition\.type: by_group partitions deal out group ids, .* is libsvm$"),
+            ({"partition": {"type": "fcube_pairs"}, "dataset": {"type": "fcube"}},
+             r"fed\.parties: fcube_pairs partitions deal to 4 parties, got 3$"),
         ],
         ids=["iid-beta", "iid-labels_per_party", "by_group-min_size", "label_quantity-beta",
-             "label_dirichlet-labels_per_party", "prox_mu", "scaffold_c_option"],
+             "label_dirichlet-labels_per_party", "prox_mu", "scaffold_c_option",
+             "by_group-blobs", "fcube_pairs-idx", "by_group-libsvm", "fcube_pairs-3-parties"],
     )
     def test_option_no_run_reads_rejected(self, overrides, message):
         # Such an option would be accepted and silently change nothing.
@@ -221,7 +232,12 @@ class TestLoadConfig:
                    "label_dirichlet": {"beta": 0.5, "min_size": 2},
                    "quantity_dirichlet": {"beta": 0.5, "min_size": 2}}.get(kind, {})
         partition = {"type": kind, "noise_sigma": 0.1, **options}
-        config = parse_config(small_run_config(partition=partition))
+        raw = small_run_config(partition=partition)
+        if kind in ("by_group", "fcube_pairs"):
+            # Only fcube's samples carry the group ids these deal out, to
+            # fcube_pairs' 4 parties.
+            raw.update(dataset={"type": "fcube"}, fed={**raw["fed"], "parties": 4})
+        config = parse_config(raw)
         assert config.partition == PartitionSpec(kind, **{**options, "noise_sigma": 0.1})
 
     @pytest.mark.parametrize(
@@ -730,6 +746,9 @@ class TestDeterminism:
                         for line in capsys.readouterr().err.splitlines()]
             outputs[cpus] = (mask_wall((out / "results.jsonl").read_text()),
                              (out / "summary.csv").read_bytes(), progress)
+            # The cell-major results.jsonl was staged and renamed: no .tmp is left.
+            assert sorted(path.name for path in out.iterdir()) == [
+                "results.jsonl", "summary.csv"]
             pids = list(tmp_path.glob("pid-*"))
             processes[cpus] = len(pids)
             for pid in pids:
@@ -1346,6 +1365,16 @@ class TestCli:
         # A run prints its progress lines before it writes the summary.
         assert capsys.readouterr().err.splitlines()[-1].startswith(
             f"error: cannot write {blocked}: ")
+
+    def test_group_partition_without_group_ids_exit_code(self, tmp_path, capsys):
+        # A blobs dataset carries no group ids: the config is refused before
+        # --out is made, with the key that is at fault.
+        raw = small_run_config(partition={"type": "fcube_pairs"})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: config.partition.type: ")
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         config_path = write_config(tmp_path, {"dataset": {"type": "fcube"}, "bogus": 1})

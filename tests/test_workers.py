@@ -1,7 +1,7 @@
 """No worker of workers.serving outlives its caller, however the caller
-ends; workers.in_order hands each request to whichever of the caller and
-its workers is free, yields the answers in order, and raises a worker's
-failure in the caller.
+ends; the dispatch it yields hands each request to whichever of the caller
+and its workers is free, yields the answers in order, and raises a
+worker's failure in the caller.
 
 A test that kills its caller, or lets SIGINT take its default action,
 runs the caller in its own Python process. Every process of the caller's
@@ -10,6 +10,7 @@ once the caller and all its workers have ended.
 """
 
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -63,7 +64,10 @@ def finish(caller, pids):
 def test_workers_exit_when_their_caller_is_killed(how):
     # The caller trains unit 0 and two workers units 1 and 2; the caller
     # is killed without unwinding, so it cannot stop them itself.
-    caller = start_caller("list(workers.train_in_order(train, [0, 1, 2], 3))\n")
+    caller = start_caller("""
+with workers.serving(train, 2) as dispatch:
+    list(dispatch([0, 1, 2]))
+""")
     lines = [caller.stdout.readline().split() for _ in range(3)]
     pids = [int(pid) for _, pid in lines]
     assert sorted(unit for unit, _ in lines) == ["0", "1", "2"]
@@ -81,9 +85,9 @@ def test_shard_workers_exit_when_their_caller_is_killed(how):
 def train_round(unit):
     return unit if unit < 3 else train(unit)
 
-with workers.serving([train_round, train_round]) as pool:
-    assert list(workers.in_order(pool, train_round, [0, 1, 2])) == [0, 1, 2]
-    list(workers.in_order(pool, train_round, [3, 4, 5]))
+with workers.serving(train_round, 2) as dispatch:
+    assert list(dispatch([0, 1, 2])) == [0, 1, 2]
+    list(dispatch([3, 4, 5]))
 """)
     lines = [caller.stdout.readline().split() for _ in range(3)]
     pids = [int(pid) for _, pid in lines]
@@ -100,20 +104,46 @@ def fail_on(request):
 
 
 def test_a_shard_workers_exception_reaches_its_caller_and_none_is_left(deadline):
-    # The caller takes the first request of each call and the worker the
-    # second. The worker's failure is raised here with its type, its
+    # The caller takes the first request of each call and the one worker
+    # the second. The worker's failure is raised here with its type, its
     # message and the worker's traceback once the answer before it is
-    # yielded; the worker answers the next call, and is reaped when the
-    # block ends.
-    with workers.serving([fail_on]) as pool:
-        (worker,) = pool
-        answers = workers.in_order(pool, fail_on, ["first", "fail"])
+    # yielded; the same worker answers the next call, and is reaped when
+    # the block ends.
+    with workers.serving(fail_on, 1) as dispatch:
+        (_, mine), (_, worker) = dispatch(["mine", "theirs"])
+        assert mine == os.getpid() != worker
+        answers = dispatch(["first", "fail"])
         assert next(answers) == ("first", os.getpid())
         with pytest.raises(ValueError, match="^the shard stopped$") as raised:
             next(answers)
         assert "in a worker process" in str(raised.value.__cause__)
-        assert list(workers.in_order(pool, fail_on, ["mine", "again"])) == [
-            ("mine", os.getpid()), ("again", worker.pid)]
+        assert list(dispatch(["mine", "again"])) == [("mine", os.getpid()), ("again", worker)]
+    assert_no_child_process()
+
+
+def test_no_workers_fork_nothing_and_answer_here_in_order(tmp_path, monkeypatch):
+    # With a count of 0 every request is handled in this process, one after
+    # another; a failing one raises its exception at its turn, after the
+    # answers before it and before any request after it is handled.
+    log = count_forks(tmp_path, monkeypatch)
+    # With no worker there is no pipe to wait on (and Windows, which has no
+    # os.fork, refuses a select on none).
+    monkeypatch.setattr(select, "select", None)
+    handled = []
+
+    def handle(request):
+        handled.append(request)
+        return fail_on(request)
+
+    with workers.serving(handle, 0) as dispatch:
+        assert list(dispatch(["a", "b", "c"])) == [(r, os.getpid()) for r in "abc"]
+        answers = dispatch(["first", "fail", "never"])
+        assert next(answers) == ("first", os.getpid())
+        with pytest.raises(ValueError, match="^the shard stopped$") as raised:
+            next(answers)
+        assert raised.value.__cause__ is None
+    assert handled == ["a", "b", "c", "first", "fail"]
+    assert log.read_text() == ""
     assert_no_child_process()
 
 
@@ -127,7 +157,8 @@ def test_units_train_on_workers_forked_once(tmp_path, deadline, monkeypatch):
             time.sleep(0.5)
         return unit, os.getpid()
 
-    trained = list(workers.train_in_order(train, list(range(6)), 2))
+    with workers.serving(train, 1) as dispatch:
+        trained = list(dispatch(list(range(6))))
     assert [unit for unit, _ in trained] == list(range(6))
     assert trained[0][1] == os.getpid()
     assert log.read_text().split() == [str(os.getpid())]
@@ -147,7 +178,8 @@ def test_a_free_caller_takes_the_next_unit_while_a_worker_is_busy(tmp_path, dead
             written.touch()
         return os.getpid()
 
-    pids = list(workers.train_in_order(train, list(range(4)), 2))
+    with workers.serving(train, 1) as dispatch:
+        pids = list(dispatch(list(range(4))))
     assert pids[0] == pids[2] == pids[3] == os.getpid() != pids[1]
     assert_no_child_process()
 
@@ -156,7 +188,8 @@ def test_messages_larger_than_a_pipe_buffer_arrive_in_order(deadline):
     # 1 MiB requests and 2 MiB replies, far above a pipe's 64 KiB buffer,
     # on three jobs.
     requests = [bytes([unit]) * (1 << 20) for unit in range(6)]
-    replies = list(workers.train_in_order(lambda request: request * 2, requests, 3))
+    with workers.serving(lambda request: request * 2, 2) as dispatch:
+        replies = list(dispatch(requests))
     assert replies == [request * 2 for request in requests]
     assert_no_child_process()
 
@@ -174,7 +207,8 @@ def interrupted_fork():
     return fork()
 
 os.fork = interrupted_fork
-list(workers.train_in_order(train, [0, 1], 2))
+with workers.serving(train, 1) as dispatch:
+    list(dispatch([0, 1]))
 """)
     out = finish(caller, [])
     assert caller.returncode == -signal.SIGINT
