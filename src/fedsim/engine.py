@@ -67,11 +67,14 @@ global models, so run_group, given shards > 1, trains each round's
 cohorts in up to that many processes. It forks the shard workers once
 (fedsim.workers.serving, each serving _serve_run), after the views, the
 initial model and the trainer exist, so they share them copy-on-write.
-Each round _train_shards cuts the cohorts into contiguous runs balanced
-by samples x epochs, and the serving block's dispatch hands them out, the
-first to this process and each other to a worker; whoever trains a row
-writes the models it hands back into shared memory at the row's position
-in the round. Aggregation stays here, over the updates in cohort order,
+_run_rounds describes each row once, as a (party, cell, w_t, controls)
+tuple in its cohort, and the same tuples feed both paths: _train_cohorts
+makes each row's _Row from its tuple, and each round _train_shards cuts
+the cohorts into contiguous runs balanced by samples x epochs, which the
+serving block's dispatch hands out as (round, rows, first row's
+position), the first run to this process and each other to a worker.
+Whoever trains a row writes the models it hands back into shared memory
+at the row's position in the round. Aggregation stays here, over the updates in cohort order,
 so no output bit depends on the shard count. Only an objective that
 trains_in_workers shards (fedsim's own stacking MlpObjective, where
 fedsim.workers.can_fork holds), and only where a round can have two
@@ -362,6 +365,7 @@ class LocalTrainer:
         self.objective = objective
         self.params, self.spare, self.velocity = (np.empty((rows, n_coords)) for _ in range(3))
         self.anchors = self.corrections = None
+        self.batch_size = batch_size
         self.work = Workspace(objective.layers, rows, batch_size) if _stacks(objective) else None
         self.steps = {}
 
@@ -376,8 +380,10 @@ class LocalTrainer:
         cohort is refused with ProtocolError, before any step, if a view
         does not share rows[0].view's source and source_labels or a cfg
         differs from rows[0].cfg in batch size, learning rate, momentum or
-        master seed. Rows may differ in algorithm, mu, epochs, w_t and
-        controls. Consecutive rows on one party share one _batches
+        master seed. A cohort beyond the trainer's size is refused the
+        same way: more rows than its stacks hold, a w_t of another length
+        than the n_coords it was made for, or a batch size above its own.
+        Rows may differ in algorithm, mu, epochs, w_t and controls. Consecutive rows on one party share one _batches
         generator, drawn once per iteration for all of them; each row takes
         its cfg.local_epochs epochs of it and then leaves, so rows with
         fewer epochs leave first. Each iteration, each run of consecutive
@@ -413,9 +419,16 @@ class LocalTrainer:
         bits).
         """
         n_rows, first, objective = len(rows), rows[0].cfg, self.objective
+        if n_rows > len(self.params) or first.batch_size > self.batch_size:
+            raise ProtocolError(f"the local trainer holds at most {len(self.params)} rows with "
+                                f"batches of at most {self.batch_size} samples, got {n_rows} "
+                                f"rows at batch size {first.batch_size}")
         source, labels = rows[0].view.source, rows[0].view.source_labels
         settings = (first.batch_size, first.local_lr, first.momentum, first.master_seed)
         for row in rows:
+            if row.w_t.shape != self.params.shape[1:]:
+                raise ProtocolError(f"the local trainer holds models of {self.params.shape[1]} "
+                                    f"coordinates, got {row.w_t.size}")
             if row.view.source is not source or row.view.source_labels is not labels:
                 raise ProtocolError("a cohort's views must share one training pair")
             cfg = row.cfg
@@ -801,38 +814,25 @@ def _row_cohorts(party_ids, views, cfgs, n_coords: int, stacks: bool) -> list[li
     return by_party if party_calls <= cell_calls else by_cell
 
 
-def _train_cohort(rows, round_idx, objective, trainer):
-    """Train one cohort on trainer (made for objective); returns, in row
-    order, each row's update and its new c_i (None unless scaffold). A
-    cohort of one row goes through the module attributes local_train_sgd
-    or local_train_scaffold, so a wrapper set on them sees every party
-    that trains alone."""
-    if len(rows) == 1:
-        row = rows[0]
-        if row.controls is not None:
-            return [local_train_scaffold(
-                row.w_t, *row.controls, row.view, row.cfg, round_idx, objective,
-                trainer=trainer,
-            )]
-        return [(local_train_sgd(row.w_t, row.view, row.cfg, round_idx, objective,
-                                 trainer=trainer), None)]
-    return trainer.train(rows, round_idx)
-
-
-def _train_cohorts(cohorts, views, cfgs, w_ts, server_controls, controls, round_idx,
-                   objective, trainer) -> list[tuple]:
-    """Train (party, cell) cohorts, each row from its cell's w_t and, for
-    scaffold, its cell's c and the party's c_i in controls[cell][p];
-    returns (update, new c_i or None) per row, in row order."""
+def _train_cohorts(cohorts, views, cfgs, round_idx, objective, trainer) -> list[tuple]:
+    """Train cohorts of (party, cell, w_t, controls) rows on trainer (made
+    for objective), each row from its w_t and, for scaffold, its controls
+    (c, c_i); returns (update, new c_i or None) per row, in row order."""
     results = []
     for cohort in cohorts:
-        rows = [
-            _Row(views[p], cfgs[cell], w_ts[cell],
-                 (server_controls[cell], controls[cell][p])
-                 if cfgs[cell].algorithm == "scaffold" else None)
-            for p, cell in cohort
-        ]
-        results += _train_cohort(rows, round_idx, objective, trainer)
+        if len(cohort) > 1:
+            results += trainer.train([_Row(views[p], cfgs[cell], w_t, controls)
+                                      for p, cell, w_t, controls in cohort], round_idx)
+            continue
+        # A cohort of one goes through the module attributes, so a wrapper
+        # set on them (the traced benchmark's) sees every party that trains
+        # alone.
+        (p, cell, w_t, controls), = cohort
+        args = (views[p], cfgs[cell], round_idx, objective)
+        if controls is None:
+            results.append((local_train_sgd(w_t, *args, trainer=trainer), None))
+        else:
+            results.append(local_train_scaffold(w_t, *controls, *args, trainer=trainer))
     return results
 
 
@@ -861,59 +861,48 @@ def _shared_rows(rows: int, n_coords: int) -> np.ndarray:
     return np.frombuffer(buffer, dtype=np.float64).reshape(rows, n_coords)
 
 
-def _train_shards(dispatch, shards: int, shared, views, cfgs, round_idx, cohorts, w_ts,
-                  server_controls, controls) -> list[tuple]:
-    """(update, new c_i or None) per row of the round's cohorts, in row
-    order, as _train_cohorts returns them, trained in up to shards
-    processes: this one and the workers of dispatch, the dispatcher that
-    _shard_workers' serving block yields.
+def _train_shards(dispatch, shards: int, shared, views, cfgs, round_idx, cohorts) -> list[tuple]:
+    """(update, new c_i or None) per row of the round's cohorts of (party,
+    cell, w_t, controls) rows, in row order, as _train_cohorts returns
+    them, trained in up to shards processes: this one and the workers of
+    dispatch, the dispatcher that _shard_workers' serving block yields.
 
     The cohorts are cut into contiguous runs balanced by samples x epochs
     (_shard_bounds) and dispatch hands each to _serve_run, here or on a
-    worker: the round, the run's (party, cell) ids, its first row's
-    position in the round, and the w_t, c and c_i its rows start from.
-    Whoever trains a run writes every model-sized array a row hands back
-    into shared, rows of one MAP_SHARED buffer mapped before the fork, at
-    the row's position in the round: its final model in shared[0], and for
-    scaffold its control change in shared[1] and its new c_i in
-    shared[2]. The reply carries only each row's tau, n, loss and
-    diverged flag. The rows are rewritten the next round, so a new c_i,
-    which outlives the round, is copied out; the updates live only until
-    the round is aggregated."""
-    weights = [sum(views[p].n_samples * cfgs[cell].local_epochs for p, cell in cohort)
+    worker, as (round, the run's cohorts, its first row's position in the
+    round); pickle stores an array that several rows share once, so a
+    request carries each w_t and c once. Whoever trains a run writes every
+    model-sized array a row hands back into shared, rows of one MAP_SHARED
+    buffer mapped before the fork, at the row's position in the round: its
+    final model in shared[0], and for scaffold its control change in
+    shared[1] and its new c_i in shared[2]. The reply carries only each
+    row's tau, n, loss and diverged flag. The rows are rewritten the next
+    round, so a new c_i, which outlives the round, is copied out; the
+    updates live only until the round is aggregated."""
+    weights = [sum(views[p].n_samples * cfgs[cell].local_epochs for p, cell, _, _ in cohort)
                for cohort in cohorts]
     bounds = _shard_bounds(weights, min(len(cohorts), shards))
     firsts = list(itertools.accumulate(map(len, cohorts), initial=0))
-    requests = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        run = cohorts[lo:hi]
-        cells = {cell for cohort in run for _, cell in cohort}
-        scaffold = {cell for cell in cells if server_controls[cell] is not None}
-        requests.append((
-            round_idx, run, firsts[lo], {cell: w_ts[cell] for cell in cells},
-            {cell: server_controls[cell] for cell in scaffold},
-            {cell: {p: controls[cell][p] for cohort in run for p, c in cohort if c == cell}
-             for cell in scaffold},
-        ))
+    requests = [(round_idx, cohorts[lo:hi], firsts[lo]) for lo, hi in zip(bounds, bounds[1:])]
     replies = [reply for run in dispatch(requests) for reply in run]
     results = []
     rows = (row for cohort in cohorts for row in cohort)
-    for at, ((p, cell), (tau, n_samples, loss, diverged)) in enumerate(zip(rows, replies)):
+    for at, ((p, _, _, controls), (tau, n, loss, diverged)) in enumerate(zip(rows, replies)):
         final = _read_only(shared[0, at])
-        if cfgs[cell].algorithm != "scaffold":
-            results.append((LocalUpdate(p, tau, n_samples, loss, final, diverged=diverged), None))
-            continue
-        update = LocalUpdate(p, tau, n_samples, loss, final, _read_only(shared[1, at]), diverged)
-        results.append((update, _read_only(shared[2, at].copy())))
+        if controls is None:
+            results.append((LocalUpdate(p, tau, n, loss, final, diverged=diverged), None))
+        else:
+            update = LocalUpdate(p, tau, n, loss, final, _read_only(shared[1, at]), diverged)
+            results.append((update, _read_only(shared[2, at].copy())))
     return results
 
 
 def _serve_run(shared, views, cfgs, objective, trainer, request):
-    """Train one run of a round's cohorts, here or in a worker, and write
-    its rows into shared; _train_shards' handler."""
-    round_idx, run, first, w_ts, server_controls, controls = request
-    results = _train_cohorts(run, views, cfgs, w_ts, server_controls, controls, round_idx,
-                             objective, trainer)
+    """Train one run of a round's cohorts, a (round, cohorts, first row's
+    position) request, here or in a worker, and write its rows into
+    shared; _train_shards' handler."""
+    round_idx, run, first = request
+    results = _train_cohorts(run, views, cfgs, round_idx, objective, trainer)
     for at, (update, new_control) in enumerate(results, first):
         shared[0, at] = update.final_params
         if new_control is not None:
@@ -941,29 +930,30 @@ def _close_round(state, updates, cfg, client_controls, n_bytes):
 
 def _run_rounds(states, views, cfgs, round_idx, objective, trainer, shards=None):
     """One round of each cell of a lockstep group (see run_group), with
-    each cell's state in states: the parties are sampled once, every
-    (party, cell) row trains in _row_cohorts' cohorts on trainer (or when
-    it is None on a new LocalTrainer for the round's largest cohort), and
-    each cell aggregates its own updates, in cohort order, as run_round
-    does. With shards (_shard_workers' _train_shards), the cohorts are cut
-    into contiguous runs: this process trains the first while the shard
-    workers train the others. Returns run_round's triple per cell."""
+    each cell's state in states: the parties are sampled once, each
+    (party, cell) row of _row_cohorts' cohorts becomes one (party, cell,
+    w_t, controls) tuple, with its cell's w_t and, for scaffold, controls
+    (c, c_i) (None otherwise), and every row trains on trainer (or when it
+    is None on a new LocalTrainer for the round's largest cohort); each
+    cell aggregates its own updates, in cohort order, as run_round does.
+    With shards (_shard_workers' _train_shards), the cohorts are cut into
+    contiguous runs: this process trains the first while the shard workers
+    train the others. Returns run_round's triple per cell."""
     cfg = cfgs[0]
     selected = sample_parties(cfg.n_parties, cfg.sample_fraction, round_idx, cfg.master_seed)
     n_coords = len(states[0].params)
     controls = [list(state.client_controls or [None] * cfg.n_parties) for state in states]
     updates = [[] for _ in cfgs]
-    cohorts = _row_cohorts(selected, views, cfgs, n_coords, _stacks(objective))
+    cohorts = [[(p, cell, states[cell].params, (states[cell].control, controls[cell][p])
+                 if cfgs[cell].algorithm == "scaffold" else None) for p, cell in cohort]
+               for cohort in _row_cohorts(selected, views, cfgs, n_coords, _stacks(objective))]
     trainer = _trainer_for(objective, trainer, max(map(len, cohorts)), n_coords, cfg.batch_size)
-    w_ts = [state.params for state in states]
-    server_controls = [state.control for state in states]
     if shards is None:
-        results = _train_cohorts(cohorts, views, cfgs, w_ts, server_controls, controls,
-                                 round_idx, objective, trainer)
+        results = _train_cohorts(cohorts, views, cfgs, round_idx, objective, trainer)
     else:
-        results = shards(round_idx, cohorts, w_ts, server_controls, controls)
+        results = shards(round_idx, cohorts)
     rows = (row for cohort in cohorts for row in cohort)
-    for (p, cell), (update, new_control) in zip(rows, results):
+    for (p, cell, _, _), (update, new_control) in zip(rows, results):
         updates[cell].append(update)
         if new_control is not None:
             controls[cell][p] = new_control
@@ -988,15 +978,16 @@ def run_round(
     aggregate. run_group trains the rounds of several cells at once
     through the same code (_run_rounds), and of one cell through this.
 
-    The sampled parties train in cohorts (see _row_cohorts and
-    _train_cohort), in ascending id. Each party draws from its own (seed,
+    The sampled parties train, in ascending id, in cohorts of (party,
+    cell, w_t, controls) rows (see _row_cohorts and _train_cohorts). Each party draws from its own (seed,
     round, party) stream, so its update depends neither on that order nor
     on its cohort. Returns a new state and writes to none of its
     arguments: a sampled scaffold party's new control replaces its entry in
     the new state's client_controls. If the new model or the new server
     control has a non-finite entry, the round returns the given state marked
     diverged; its traffic still counts. Every cohort trains on trainer,
-    the run's LocalTrainer, or when it is None on a new one of the round's;
+    the run's LocalTrainer, or when it is None on a new one of the round's
+    (a trainer too small for a cohort is refused with ProtocolError);
     shards, run_group's _train_shards if given, trains all but the first
     contiguous run of them on shard workers.
     """
@@ -1131,6 +1122,8 @@ def run_group(
     records do not depend on it. The default, 1, forks nothing.
     """
     cfgs = list(cfgs)
+    if not cfgs:
+        raise ConfigError("a group needs at least one cell")
     cfg = cfgs[0]
     if any(lockstep_key(other) != lockstep_key(cfg) for other in cfgs):
         raise ConfigError("cells train together only if they differ at most in "

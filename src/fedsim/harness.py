@@ -45,7 +45,7 @@ from .engine import (
     trains_in_workers,
 )
 from .errors import ConfigError, OutputError, ReportError
-from .nn import MlpArch, backward, finite_diff_grad, init_mlp, layer_slices
+from .nn import MlpArch, backward, finite_diff_grad, init_mlp
 from .partition import build_views, export_partition, export_stats_csv, partition_stats
 from .workers import serving
 
@@ -474,17 +474,9 @@ def cmd_report(results_dir) -> dict:
     return {"report": report_path, "wins": wins_path, "curves_dir": curves_dir}
 
 
-def gradient_check(
-    n_cases: int = GRADCHECK_CASES,
-    seed: int = GRADCHECK_SEED,
-    sign_flip_layer: int | None = None,
-) -> float:
+def gradient_check(n_cases: int = GRADCHECK_CASES, seed: int = GRADCHECK_SEED) -> float:
     """Max mixed absolute/relative error between backprop and central
-    finite differences over random small nets.
-
-    sign_flip_layer negates one layer's weight gradient before comparison;
-    it exists so tests can prove the check catches a broken gradient.
-    """
+    finite differences over random small nets."""
     if n_cases < 1:
         raise ConfigError(f"gradcheck needs at least 1 case, got {n_cases}")
     if seed < 0:
@@ -503,9 +495,6 @@ def gradient_check(
         labels = generator.integers(0, arch.out_dim, size=m)
         _, analytic = backward(params, arch, features, labels)
         numeric = finite_diff_grad(params, arch, features, labels, GRADCHECK_STEP)
-        if sign_flip_layer is not None:
-            start, stop, _, _ = layer_slices(arch)[sign_flip_layer]
-            analytic[start:stop] *= -1.0
         gap = np.abs(analytic - numeric)
         scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
         worst = max(worst, float((gap / scale).max()))

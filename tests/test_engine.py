@@ -138,6 +138,33 @@ class TestLocalTrainSgd:
             with pytest.raises(ProtocolError, match="another objective"):
                 run_round(GlobalState(w_t), [view], cfg, 0, objective, trainer=trainer)
 
+    @pytest.mark.parametrize("rows, extra_coords, batch_size, limit", [
+        (1, 0, 16, "at most 1 rows"),
+        (4, 1, 16, r"models of \d+ coordinates"),
+        (4, 0, 8, "batches of at most 8 samples"),
+    ])
+    def test_a_trainer_too_small_for_its_cohort_is_refused(self, rows, extra_coords,
+                                                            batch_size, limit):
+        # A trainer holds stacks of a fixed number of rows, coordinates and
+        # batch samples; a cohort beyond any of them is refused before any
+        # step, naming the limit, instead of failing inside numpy.
+        arch = MlpArch((3, 4, 2))
+        objective = MlpObjective(arch)
+        train, _ = fcube_generate(128, 16, seed=1)
+        cfg = self._cfg(n_parties=4, batch_size=16)
+        _, views = build_views(train, PartitionSpec("iid"), 4, 0)
+        w_t = objective.init_params(5)
+        zero = np.zeros_like(w_t)
+        trainer = engine.LocalTrainer(objective, arch.n_params() + extra_coords, rows, batch_size)
+        with pytest.raises(ProtocolError, match=limit):
+            run_round(GlobalState(w_t), views, cfg, 0, objective, trainer=trainer)
+        if rows > 1:  # a party alone is a cohort of one row
+            with pytest.raises(ProtocolError, match=limit):
+                local_train_sgd(w_t, views[0], cfg, 0, objective, trainer=trainer)
+            with pytest.raises(ProtocolError, match=limit):
+                local_train_scaffold(w_t, zero, zero, views[0], cfg, 0, objective,
+                                     trainer=trainer)
+
     def test_a_reused_trainer_trains_as_a_fresh_one(self):
         # One trainer serves plain, proximal and scaffold parties in turn
         # (making its corrections when the first scaffold party comes), and
@@ -1357,6 +1384,11 @@ class TestRunGroup:
         records = engine.run_group(train, test, PartitionSpec("iid"), MlpArch((3, 2)),
                                    [cfg, *same])
         assert [len(cell_records) for cell_records in records] == [2, 2]
+
+    def test_a_group_with_no_cells_is_refused(self):
+        train, test = fcube_generate(64, 16, seed=1)
+        with pytest.raises(ConfigError, match="at least one cell"):
+            engine.run_group(train, test, PartitionSpec("iid"), MlpArch((3, 2)), [])
 
 
 class TestRunExperimentChecks:

@@ -24,7 +24,7 @@ from fedsim.config import (
 from fedsim.datasets import LabeledDataset
 from fedsim.engine import FedRunConfig
 from fedsim.errors import ConfigError, PartitionError, ReportError
-from fedsim.nn import MlpArch
+from fedsim.nn import MlpArch, layer_slices
 from fedsim.harness import (
     GRADCHECK_TOLERANCE,
     build_dataset,
@@ -1120,8 +1120,19 @@ class TestGradcheck:
         worst = gradient_check(n_cases=25, seed=3)
         assert worst < GRADCHECK_TOLERANCE
 
-    def test_sign_flip_sabotage_detected(self):
-        worst = gradient_check(n_cases=5, seed=3, sign_flip_layer=0)
+    def test_sign_flip_sabotage_detected(self, monkeypatch):
+        # Backprop with layer 0's weight gradient negated: the check must
+        # catch the broken gradient.
+        real_backward = harness.backward
+
+        def flipped(params, arch, features, labels):
+            loss, grad = real_backward(params, arch, features, labels)
+            start, stop, _, _ = layer_slices(arch)[0]
+            grad[start:stop] *= -1.0
+            return loss, grad
+
+        monkeypatch.setattr(harness, "backward", flipped)
+        worst = gradient_check(n_cases=5, seed=3)
         assert worst > GRADCHECK_TOLERANCE
 
     def test_error_value_deterministic(self):
