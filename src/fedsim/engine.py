@@ -380,9 +380,10 @@ class LocalTrainer:
         cohort is refused with ProtocolError, before any step, if a view
         does not share rows[0].view's source and source_labels or a cfg
         differs from rows[0].cfg in batch size, learning rate, momentum or
-        master seed. A cohort beyond the trainer's size is refused the
-        same way: more rows than its stacks hold, a w_t of another length
-        than the n_coords it was made for, or a batch size above its own.
+        master seed. An empty cohort, or one beyond the trainer's size, is
+        refused the same way: more rows than its stacks hold, a w_t of
+        another length than the n_coords it was made for, or a batch size
+        above its own.
         Rows may differ in algorithm, mu, epochs, w_t and controls. Consecutive rows on one party share one _batches
         generator, drawn once per iteration for all of them; each row takes
         its cfg.local_epochs epochs of it and then leaves, so rows with
@@ -418,6 +419,8 @@ class LocalTrainer:
         gradient is corrected out of place (the same ufunc, so the same
         bits).
         """
+        if not rows:
+            raise ProtocolError("a cohort needs at least one row")
         n_rows, first, objective = len(rows), rows[0].cfg, self.objective
         if n_rows > len(self.params) or first.batch_size > self.batch_size:
             raise ProtocolError(f"the local trainer holds at most {len(self.params)} rows with "
@@ -662,8 +665,12 @@ def local_train_scaffold(
 
 
 def _sorted_updates(updates) -> list[LocalUpdate]:
+    """updates in ascending party order; refused with ProtocolError if there
+    are none or their n_samples sum to 0, as no weight can be formed."""
     if not updates:
         raise ProtocolError("no local updates to aggregate")
+    if sum(u.n_samples for u in updates) == 0:
+        raise ProtocolError("the local updates hold no samples to weight by")
     return sorted(updates, key=lambda u: u.party_id)
 
 
@@ -987,10 +994,14 @@ def run_round(
     control has a non-finite entry, the round returns the given state marked
     diverged; its traffic still counts. Every cohort trains on trainer,
     the run's LocalTrainer, or when it is None on a new one of the round's
-    (a trainer too small for a cohort is refused with ProtocolError);
+    (a trainer too small for a cohort is refused with ProtocolError, and
+    so are views other than one per party, cfg.n_parties of them);
     shards, run_group's _train_shards if given, trains all but the first
     contiguous run of them on shard workers.
     """
+    if len(views) != cfg.n_parties:
+        raise ProtocolError(f"a round of {cfg.n_parties} parties needs as many views, "
+                            f"got {len(views)}")
     return _run_rounds([state], views, [cfg], round_idx, objective, trainer, shards)[0]
 
 

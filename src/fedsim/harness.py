@@ -367,80 +367,72 @@ def _read_records(path) -> list[dict]:
     return records
 
 
-def _load_results(results_dir) -> list[tuple[str, dict]]:
+def _load_results(results_dir):
+    """Yield (source, record) for every record of every .jsonl file, in name
+    order. A file's source is its stem, which must be printable ASCII with no
+    comma or double quote: it becomes a report.csv field and part of each of
+    its curves' file names."""
     try:
         names = sorted(
             name for name in os.listdir(results_dir) if name.endswith(".jsonl")
         )
     except OSError as exc:
         raise ReportError(f"cannot list {results_dir}: {exc}") from None
-    rows = []
     for name in names:
-        records = _read_records(os.path.join(results_dir, name))
-        rows.extend((name[: -len(".jsonl")], record) for record in records)
-    if not rows:
-        raise ReportError(f"no .jsonl results under {results_dir}")
-    return rows
+        path, source = os.path.join(results_dir, name), name[: -len(".jsonl")]
+        if not (source.isascii() and source.isprintable()) or {",", '"'} & set(source):
+            raise ReportError(f"{path}: file name must be printable ASCII, no comma or quote")
+        yield from ((source, record) for record in _read_records(path))
 
 
 def cmd_report(results_dir) -> dict:
     """Pivot saved results into algorithms x settings with a wins tally.
 
     Rows are (source file, local epochs); each cell is the mean final
-    accuracy over trials, maximized over mu where a mu sweep exists. The
-    best algorithm(s) per row are marked and counted.
+    accuracy over trials, maximized over mu where a mu sweep exists. A run's
+    final accuracy is that of the first record of its highest round. The
+    best algorithm(s) per row are marked and counted. report.csv, wins.csv
+    and the printed table are all written from one list of rows.
     """
-    rows = _load_results(results_dir)
-
-    # Final accuracy per (source, epochs, algorithm, mu, trial): keep the
-    # record with the highest round number.
-    finals: dict[tuple, tuple[int, float]] = {}
+    # Every record of each (source, epochs, algorithm, mu, trial) run.
     curves: dict[tuple, list] = {}
-    for source, record in rows:
+    for source, record in _load_results(results_dir):
         key = (
             source, record["local_epochs"], record["algorithm"], record["mu"],
             record["trial"],
         )
-        best = finals.get(key)
-        if best is None or record["round"] > best[0]:
-            finals[key] = (record["round"], record["test_accuracy"])
         curves.setdefault(key, []).append(record)
+    if not curves:
+        raise ReportError(f"no .jsonl results under {results_dir}")
+    algorithms = sorted({algorithm for _, _, algorithm, _, _ in curves})
 
-    # Mean over trials, then best over mu.
-    by_cell: dict[tuple, dict[float | None, list[float]]] = {}
-    algorithms = sorted({record["algorithm"] for _, record in rows})
-    for (source, epochs, algorithm, mu, _trial), (_round, acc) in finals.items():
-        by_cell.setdefault((source, epochs, algorithm), {}).setdefault(mu, []).append(acc)
-    table: dict[tuple, dict[str, float]] = {}
-    for (source, epochs, algorithm), by_mu in by_cell.items():
-        best = max(float(np.mean(accs)) for accs in by_mu.values())
-        table.setdefault((source, epochs), {})[algorithm] = best
+    # Mean over trials, then best over mu; then each setting's winners.
+    by_setting: dict[tuple, dict[str, dict]] = {}
+    for (source, epochs, algorithm, mu, _trial), records in curves.items():
+        final = max(records, key=lambda r: r["round"])["test_accuracy"]
+        by_algorithm = by_setting.setdefault((source, epochs), {})
+        by_algorithm.setdefault(algorithm, {}).setdefault(mu, []).append(final)
+    rows = []
+    for setting in sorted(by_setting):
+        cells = {
+            algorithm: max(float(np.mean(accs)) for accs in by_mu.values())
+            for algorithm, by_mu in by_setting[setting].items()
+        }
+        best = max(cells.values())
+        rows.append((setting, cells, [a for a in algorithms if cells.get(a) == best]))
+    wins = {a: sum(a in winners for _, _, winners in rows) for a in algorithms}
 
-    wins = {algorithm: 0 for algorithm in algorithms}
     report_path = os.path.join(results_dir, REPORT_FILE)
     with _writing(report_path), open(report_path, "w", encoding="ascii") as fh:
         fh.write("source,local_epochs," + ",".join(algorithms) + ",best\n")
-        for (source, epochs) in sorted(table):
-            cells = table[(source, epochs)]
-            best_value = max(cells.values())
-            winners = [a for a in algorithms if cells.get(a) == best_value]
-            for winner in winners:
-                wins[winner] += 1
-            fh.write(
-                f"{source},{epochs},"
-                + ",".join(
-                    repr(cells[a]) if a in cells else "" for a in algorithms
-                )
-                + ","
-                + ";".join(winners)
-                + "\n"
-            )
+        for (source, epochs), cells, winners in rows:
+            fields = [repr(cells[a]) if a in cells else "" for a in algorithms]
+            fh.write(",".join([source, str(epochs), *fields, ";".join(winners)]) + "\n")
 
     wins_path = os.path.join(results_dir, WINS_FILE)
     with _writing(wins_path), open(wins_path, "w", encoding="ascii") as fh:
         fh.write("algorithm,wins\n")
-        for algorithm in algorithms:
-            fh.write(f"{algorithm},{wins[algorithm]}\n")
+        fh.writelines(f"{algorithm},{wins[algorithm]}\n" for algorithm in algorithms)
 
     curves_dir = os.path.join(results_dir, CURVES_DIR)
     with _writing(curves_dir):
@@ -459,17 +451,11 @@ def cmd_report(results_dir) -> dict:
                 )
 
     print(f"{'source':<24}{'E':>4}  " + "  ".join(f"{a:>10}" for a in algorithms))
-    for (source, epochs) in sorted(table):
-        cells = table[(source, epochs)]
-        best_value = max(cells.values())
-        line = f"{source:<24}{epochs:>4}  "
-        for algorithm in algorithms:
-            if algorithm in cells:
-                mark = "*" if cells[algorithm] == best_value else " "
-                line += f"  {cells[algorithm]:>9.4f}{mark}"
-            else:
-                line += "           "
-        print(line)
+    for (source, epochs), cells, winners in rows:
+        print(f"{source:<24}{epochs:>4}  " + "".join(
+            f"  {cells[a]:>9.4f}{'*' if a in winners else ' '}" if a in cells else " " * 11
+            for a in algorithms
+        ))
     print("wins: " + ", ".join(f"{a}={wins[a]}" for a in algorithms))
     return {"report": report_path, "wins": wins_path, "curves_dir": curves_dir}
 

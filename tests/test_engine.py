@@ -165,6 +165,12 @@ class TestLocalTrainSgd:
                 local_train_scaffold(w_t, zero, zero, views[0], cfg, 0, objective,
                                      trainer=trainer)
 
+    def test_an_empty_cohort_is_refused(self):
+        objective = MlpObjective(MlpArch((3, 4, 2)))
+        trainer = engine.LocalTrainer(objective, objective.arch.n_params(), 2, 16)
+        with pytest.raises(ProtocolError, match="a cohort needs at least one row"):
+            trainer.train([], 0)
+
     def test_a_reused_trainer_trains_as_a_fresh_one(self):
         # One trainer serves plain, proximal and scaffold parties in turn
         # (making its corrections when the first scaffold party comes), and
@@ -732,6 +738,13 @@ class TestAggregateWeighted:
         with pytest.raises(ProtocolError):
             aggregate_weighted(flat(1.0), [], 1.0)
 
+    def test_updates_without_samples_rejected(self):
+        # Weights are n_i / n; n = 0 used to raise ZeroDivisionError.
+        w_t = flat(1.0)
+        updates = [make_update(w_t, i, flat(0.5), 1, 0) for i in range(2)]
+        with pytest.raises(ProtocolError, match="no samples to weight by"):
+            aggregate_weighted(w_t, updates, 1.0)
+
     def test_order_independence_of_input_list(self):
         rng_ = np.random.default_rng(10)
         w_t = rng_.normal(size=8)
@@ -790,6 +803,12 @@ class TestAggregateFednova:
         with pytest.raises(ProtocolError):
             aggregate_fednova(w_t, [update], 1.0)
 
+    def test_updates_without_samples_rejected(self):
+        w_t = flat(1.0)
+        updates = [make_update(w_t, i, flat(0.5), 3, 0) for i in range(2)]
+        with pytest.raises(ProtocolError, match="no samples to weight by"):
+            aggregate_fednova(w_t, updates, 1.0)
+
 
 class TestAggregateScaffold:
     def _state(self, w, c):
@@ -826,6 +845,12 @@ class TestAggregateScaffold:
         with pytest.raises(ProtocolError):
             aggregate_scaffold(self._state(w, flat(0.0)), [update], 2, 1.0)
 
+    def test_updates_without_samples_rejected(self):
+        w = flat(0.0)
+        update = make_update(w, 0, flat(0.0), 1, 0, delta_control=flat(1.0))
+        with pytest.raises(ProtocolError, match="no samples to weight by"):
+            aggregate_scaffold(self._state(w, flat(0.0)), [update], 2, 1.0)
+
 
 class TestRunRound:
     def _setup(self, algorithm, n_parties=4, seed=0):
@@ -853,6 +878,14 @@ class TestRunRound:
         _, _, scaffold_bytes = run_round(state2, views2, cfg2, 0, objective2)
         assert scaffold_bytes == 2 * plain_bytes
         assert plain_bytes == 2 * 4 * 8 * len(state.params)
+
+    @pytest.mark.parametrize("n_views", [3, 5])
+    def test_one_view_per_party_required(self, n_views):
+        # Fewer views used to raise IndexError; more were ignored.
+        state, views, cfg, objective = self._setup("fedavg")
+        views = (views * 2)[:n_views]
+        with pytest.raises(ProtocolError, match=f"4 parties needs as many views, got {n_views}"):
+            run_round(state, views, cfg, 0, objective)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_party_order_independence(self, algorithm):

@@ -15,6 +15,10 @@ The dataset pins hash what `build_dataset` returns for each dataset kind
 (features, labels, class count and group ids of train and test); they were
 recorded before fcube_generate lost its spec object and read_idx came to
 check both headers through one reader.
+
+The report pin hashes everything `cmd_report` writes and prints for a
+hand-built results directory; it was recorded before cmd_report came to
+build each setting's cells and winners once for all three tables.
 """
 
 import hashlib
@@ -26,7 +30,7 @@ import pytest
 
 from fedsim.config import parse_config
 from fedsim.datasets import LabeledDataset
-from fedsim.harness import build_dataset, cmd_run
+from fedsim.harness import build_dataset, cmd_report, cmd_run
 
 from helpers import write_idx
 
@@ -81,6 +85,7 @@ DATASET_PINS = {
     "idx": "5512f699a85a54f3c0efbf929858ebeb45b72e3d30d773b24ed5cc8654219dbc",
     "libsvm": "d5304fa3f5de1f4cfc2d36bd97f56963b7306ceaef197f97f0f40a5ef4a85f73",
 }
+REPORT_PIN = "60468697f4ce25d7598b4bcd2af257ffe06368d62189ef4b1299c5ee2b2fc76d"
 
 
 def masked_results(raw, out_dir):
@@ -157,3 +162,49 @@ def test_build_dataset_pinned(tmp_path, kind):
         for array in (ds.features, ds.labels, ds.group_ids):
             digest.update(b"-" if array is None else array.tobytes())
     assert digest.hexdigest() == DATASET_PINS[kind]
+
+
+def _report_fixture(out_dir):
+    """Three results files: "mixed" with every algorithm and varied
+    accuracies, "noscaf" without scaffold, and "ties" where every algorithm
+    ends at the same accuracy. Each holds E in {1, 5}, fedprox at three mus
+    and three trials of rounds 0-3, in shuffled line order, with some null
+    losses; one mixed run repeats its last round with another accuracy."""
+    generator = np.random.default_rng(41)
+    runs = [("fedavg", None), ("fednova", None), ("scaffold", None)]
+    runs += [("fedprox", mu) for mu in (0.001, 0.01, 0.1)]
+    for source in ("mixed", "noscaf", "ties"):
+        lines = []
+        for algorithm, mu in runs:
+            if source == "noscaf" and algorithm == "scaffold":
+                continue
+            for epochs in (1, 5):
+                for trial in range(3):
+                    for round_idx in range(4):
+                        if source == "ties" and round_idx == 3:
+                            accuracy = (0.5, 0.625, 0.75)[trial]
+                        else:
+                            accuracy = float(generator.uniform(0.1, 0.9))
+                        loss = None if generator.uniform() < 0.2 else float(generator.uniform())
+                        lines.append({
+                            "trial": trial, "round": round_idx, "algorithm": algorithm,
+                            "mu": mu, "local_epochs": epochs, "test_accuracy": accuracy,
+                            "mean_train_loss": loss, "bytes": 64 * round_idx,
+                            "wall_ms": 3, "diverged": False,
+                        })
+        if source == "mixed":
+            lines.append(dict(lines[3], test_accuracy=0.99))
+        order = generator.permutation(len(lines))
+        with open(out_dir / f"{source}.jsonl", "w", encoding="ascii") as fh:
+            fh.writelines(json.dumps(lines[i]) + "\n" for i in order)
+
+
+def test_report_outputs_pinned(tmp_path, capsys):
+    _report_fixture(tmp_path)
+    cmd_report(tmp_path)
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.rglob("*.csv")):
+        digest.update(f"{path.relative_to(tmp_path).as_posix()}|".encode("ascii"))
+        digest.update(path.read_bytes())
+    digest.update(capsys.readouterr().out.encode("ascii"))
+    assert digest.hexdigest() == REPORT_PIN

@@ -1114,6 +1114,44 @@ class TestCmdReport:
         with pytest.raises(ReportError):
             cmd_report(empty)
 
+    # A stem is a report.csv field and part of each curve's file name.
+    @pytest.mark.parametrize("stem", ["caf\u00e9", "a,b", 'say"hi', "two\nlines"])
+    def test_unusable_file_name_refused(self, tmp_path, capsys, stem):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "good.jsonl").write_text(json.dumps(self.RECORD) + "\n")
+        path = out / f"{stem}.jsonl"
+        path.write_text(json.dumps(self.RECORD) + "\n")
+        assert main(["report", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert sorted(p.name for p in out.iterdir()) == sorted(["good.jsonl", path.name])
+
+    def test_report_matches_summary(self, tmp_path):
+        # Each report.csv cell is the best over mu of the per-cell means that
+        # summary.csv gives for that algorithm and E.
+        config = parse_config(small_run_config(
+            fed={"algorithms": ["fedavg", "fedprox", "scaffold"], "rounds": 2, "parties": 3,
+                 "batch_size": 16, "lr": 0.05, "seed": 5},
+            sweeps={"mu": [0.001, 0.1], "local_epochs": [1, 2]},
+            trials=3,
+        ))
+        out = tmp_path / "out"
+        cmd_run(config, out)
+        cmd_report(out)
+        best = {}
+        for line in (out / "summary.csv").read_text().splitlines()[1:]:
+            algorithm, _mu, epochs, _trials, mean, _std = line.split(",")
+            key = (algorithm, epochs)
+            best[key] = max(best.get(key, float("-inf")), float(mean))
+        header, *rows = (out / "report.csv").read_text().splitlines()
+        algorithms = header.split(",")[2:-1]
+        assert algorithms == ["fedavg", "fedprox", "scaffold"]
+        assert [row.split(",")[:2] for row in rows] == [["results", "1"], ["results", "2"]]
+        for row in rows:
+            _source, epochs, *cells, _winners = row.split(",")
+            assert cells == [repr(best[algorithm, epochs]) for algorithm in algorithms]
+
 
 class TestGradcheck:
     def test_fresh_build_passes(self):
