@@ -47,13 +47,15 @@ depends on the cohorts or on the other cells. Only MlpObjective's own
 loss_grad stacks models. For it the loop calls the kernel behind it,
 nn._loss_grad, with a plan of an nn.Workspace (even for a cohort of
 one), so a step neither re-slices the models nor allocates its buffers
-again. run_group makes one LocalTrainer
-per run, sized for the run's largest cohort: it holds the objective, the
-loop's stacks, that workspace and the plans, which are the run's only
-cache of them. Each cohort overwrites the rows it uses before it reads
-them, so no value depends on earlier cohorts. A call given no trainer
-makes one of its own, and a trainer made for another objective is
-refused. An objective whose loss_grad is anything else (a duck-typed
+again. run_group makes one LocalTrainer per run, and no caller sizes it:
+before each cohort it grows its stacks and workspace to the cohort's
+rows, model length and the largest batch a row can draw (at most each
+party's size, so a batch size above every party trains full-batch). It
+holds the objective, the loop's stacks, that workspace and the plans,
+which are the run's only cache of them. Each cohort overwrites the rows
+it uses before it reads them, so no value depends on earlier cohorts. A
+call given no trainer makes one of its own, and a trainer made for
+another objective is refused. An objective whose loss_grad is anything else (a duck-typed
 object, a subclass that overrides it, or a wrapper set on the instance)
 trains every row in a cohort of one, through local_train_sgd /
 local_train_scaffold, with one 1-d loss_grad call per local step, so a
@@ -345,29 +347,48 @@ class LocalTrainer:
     """The local trainer of one run: local epochs of minibatch SGD with
     momentum for each cohort of rows the run trains (see train).
 
-    run_group makes one per run, sized for the run's largest cohort. It
-    holds its objective, (rows, n) parameter, spare and velocity stacks,
-    the proximal anchors (made the first time a cohort has mu rows),
-    scaffold's corrections (made the first time a cohort has scaffold
-    rows), the nn.Workspace of an objective that stacks, and steps: per
-    cohort layout (each row's mu and the scaffold rows) and per (parity,
-    lo, hi, batch size), a group's views of these stacks, its proximal and
-    correction arguments and its loss_grad plan, made the first time that
-    group steps and kept for the run. A cohort of P <= rows rows uses the
-    leading P rows and overwrites each value it reads before reading it
-    (the parameters and anchors with each row's w_t, the velocity with
-    zeros, the corrections with c - c_i), so nothing carries over from one
-    cohort to the next. Every cached view points into these arrays and no
-    other, so it stays valid.
+    LocalTrainer(objective) holds no rows until it trains: train fits it
+    to each cohort (_fit), so it holds the most rows, the model length and
+    the largest batch its cohorts have needed, and no caller sizes it.
+    run_group makes one per run. It holds its objective, (rows, n)
+    parameter, spare and velocity stacks, the proximal anchors (made the
+    first time a cohort has mu rows), scaffold's corrections (made the
+    first time a cohort has scaffold rows), the nn.Workspace of an
+    objective that stacks, and steps: per cohort layout (each row's mu and
+    the scaffold rows) and per (parity, lo, hi, batch size), a group's
+    views of these stacks, its proximal and correction arguments and its
+    loss_grad plan, made the first time that group steps and kept until
+    the trainer grows, which makes new stacks and drops steps, anchors and
+    corrections. A cohort of P rows uses the leading P rows and
+    overwrites each value it reads before reading it (the parameters and
+    anchors with each row's w_t, the velocity with zeros, the corrections
+    with c - c_i), so nothing carries over from one cohort to the next.
+    Every cached view points into these arrays and no other, so it stays
+    valid.
     """
 
-    def __init__(self, objective, n_coords: int, rows: int, batch_size: int):
+    def __init__(self, objective):
         self.objective = objective
-        self.params, self.spare, self.velocity = (np.empty((rows, n_coords)) for _ in range(3))
-        self.anchors = self.corrections = None
-        self.batch_size = batch_size
-        self.work = Workspace(objective.layers, rows, batch_size) if _stacks(objective) else None
+        self.params = self.spare = self.velocity = np.empty((0, 0))
+        self.anchors = self.corrections = self.work = None
+        self.stacks = _stacks(objective)
+        self.batch = 0
         self.steps = {}
+
+    def _fit(self, rows):
+        """Grow the stacks and the workspace, where rows need more rows,
+        another model length or a larger batch than they hold; the batch a
+        row can draw is min(batch size, its samples), at least 1. New
+        buffers drop steps, anchors and corrections, whose views point
+        into the old ones."""
+        size = (max(len(rows), len(self.params)), rows[0].w_t.size)
+        batch = max(self.batch, 1, *(min(rows[0].cfg.batch_size, row.view.n_samples)
+                                     for row in rows))
+        if (size, batch) != (self.params.shape, self.batch):
+            self.params, self.spare, self.velocity = (np.empty(size) for _ in range(3))
+            self.anchors = self.corrections = None
+            self.batch, self.steps = batch, {}
+            self.work = Workspace(self.objective.layers, size[0], batch) if self.stacks else None
 
     def train(self, rows, round_idx):
         """Train a cohort of rows for the round; returns (LocalUpdate, new
@@ -380,19 +401,18 @@ class LocalTrainer:
         cohort is refused with ProtocolError, before any step, if a view
         does not share rows[0].view's source and source_labels or a cfg
         differs from rows[0].cfg in batch size, learning rate, momentum or
-        master seed. An empty cohort, or one beyond the trainer's size, is
-        refused the same way: more rows than its stacks hold, a w_t of
-        another length than the n_coords it was made for, or a batch size
-        above its own.
-        Rows may differ in algorithm, mu, epochs, w_t and controls. Consecutive rows on one party share one _batches
-        generator, drawn once per iteration for all of them; each row takes
-        its cfg.local_epochs epochs of it and then leaves, so rows with
-        fewer epochs leave first. Each iteration, each run of consecutive
-        active rows whose batches have the same size is a group, rows lo:hi
-        of every stack, never a gathered copy. A group of one calls
+        master seed. An empty cohort is refused the same way, and so is a
+        w_t that is not 1-d of rows[0].w_t's length, as the rows stack.
+        Then the trainer fits itself to the cohort (_fit). Rows may differ in
+        algorithm, mu, epochs, w_t and controls. Consecutive rows on one party
+        share one _batches generator, drawn once per iteration for all of them;
+        each row takes its cfg.local_epochs epochs of it and then leaves, so
+        rows with fewer epochs leave first. Each iteration, each run of
+        consecutive active rows whose batches have the same size is a group,
+        rows lo:hi of every stack, never a gathered copy. A group of one calls
         loss_grad on its row's 1-d views; a larger group, only when the
-        objective stacks, calls it on the (k, n) stack params[lo:hi], with
-        the batch gathered once when all its rows are one party's.
+        objective stacks, calls it on the (k, n) stack params[lo:hi], with the
+        batch gathered once when all its rows are one party's.
 
         w_t is never written to, and neither are the views' arrays nor the
         gradients an objective returns. A row whose cfg.mu is set adds the
@@ -422,16 +442,11 @@ class LocalTrainer:
         if not rows:
             raise ProtocolError("a cohort needs at least one row")
         n_rows, first, objective = len(rows), rows[0].cfg, self.objective
-        if n_rows > len(self.params) or first.batch_size > self.batch_size:
-            raise ProtocolError(f"the local trainer holds at most {len(self.params)} rows with "
-                                f"batches of at most {self.batch_size} samples, got {n_rows} "
-                                f"rows at batch size {first.batch_size}")
         source, labels = rows[0].view.source, rows[0].view.source_labels
         settings = (first.batch_size, first.local_lr, first.momentum, first.master_seed)
         for row in rows:
-            if row.w_t.shape != self.params.shape[1:]:
-                raise ProtocolError(f"the local trainer holds models of {self.params.shape[1]} "
-                                    f"coordinates, got {row.w_t.size}")
+            if row.w_t.ndim != 1 or row.w_t.shape != rows[0].w_t.shape:
+                raise ProtocolError(f"cohort models must be 1-d of one length, got {row.w_t.shape}")
             if row.view.source is not source or row.view.source_labels is not labels:
                 raise ProtocolError("a cohort's views must share one training pair")
             cfg = row.cfg
@@ -443,6 +458,7 @@ class LocalTrainer:
                     raise ProtocolError("scaffold training requires both control variates")
                 if c_i.shape != row.w_t.shape or server_control.shape != row.w_t.shape:
                     raise ProtocolError("control variate shapes do not match the model")
+        self._fit(rows)
         mus = tuple(row.cfg.mu or 0.0 for row in rows)
         mu_lo, mu_hi = _run_of([mu > 0 for mu in mus])
         scaffold_lo, scaffold_hi = _run_of([row.controls is not None for row in rows])
@@ -471,13 +487,12 @@ class LocalTrainer:
             if not firsts or row.view is not rows[firsts[-1]].view:
                 firsts.append(r)
             stream_of.append(len(firsts) - 1)
-        batch_size = first.batch_size
         streams = [
             _batches(rows[lo].view, first, round_idx,
                      max(row.cfg.local_epochs for row in rows[lo:hi]))
             for lo, hi in zip(firsts, firsts[1:] + [n_rows])
         ]
-        left = [row.cfg.local_epochs * -(-row.view.n_samples // batch_size) for row in rows]
+        left = [row.cfg.local_epochs * -(-row.view.n_samples // first.batch_size) for row in rows]
         loss_grad = objective.loss_grad
         lr, momentum = first.local_lr, first.momentum
         batches = [None] * n_rows
@@ -597,12 +612,11 @@ class LocalTrainer:
         return results
 
 
-def _trainer_for(objective, trainer, rows: int, n_coords: int, batch_size: int):
-    """trainer, or when it is None a new LocalTrainer for rows rows. A
-    trainer keeps views and plans made for its own objective, so one made
-    for another is refused."""
-    if trainer is None:
-        return LocalTrainer(objective, n_coords, rows, batch_size)
+def _trainer_for(objective, trainer):
+    """trainer, or when it is None a new LocalTrainer. A trainer keeps views
+    and plans made for its own objective, so one made for another is
+    refused."""
+    trainer = LocalTrainer(objective) if trainer is None else trainer
     if trainer.objective is not objective:
         raise ProtocolError("the local trainer was made for another objective")
     return trainer
@@ -635,8 +649,7 @@ def local_train_sgd(
     bit-identical to plain training. trainer is the run's LocalTrainer, or
     None for a new one; see LocalTrainer.train.
     """
-    trainer = _trainer_for(objective, trainer, 1, w_t.size, cfg.batch_size)
-    return trainer.train([_Row(view, cfg, w_t)], round_idx)[0][0]
+    return _trainer_for(objective, trainer).train([_Row(view, cfg, w_t)], round_idx)[0][0]
 
 
 def local_train_scaffold(
@@ -660,7 +673,7 @@ def local_train_scaffold(
     c* or c* - c_i is non-finite, the party is flagged diverged, keeps its
     c_i and reports a zero delta_control. trainer is as in local_train_sgd.
     """
-    trainer = _trainer_for(objective, trainer, 1, w_t.size, cfg.batch_size)
+    trainer = _trainer_for(objective, trainer)
     return trainer.train([_Row(view, cfg, w_t, (server_control, c_i))], round_idx)[0]
 
 
@@ -885,7 +898,11 @@ def _train_shards(dispatch, shards: int, shared, views, cfgs, round_idx, cohorts
     shared[1] and its new c_i in shared[2]. The reply carries only each
     row's tau, n, loss and diverged flag. The rows are rewritten the next
     round, so a new c_i, which outlives the round, is copied out; the
-    updates live only until the round is aggregated."""
+    updates live only until the round is aggregated. The shared rows are
+    there for speed: pickling each model back in the reply instead made
+    wide-idx's median run_s 2.46 s against 2.22 s (+11%, slower in 6 of 6
+    alternating pairs of 10-s perfbench runs, seeds 2711-2716, on a 2-core
+    VM), with cpu_s up 10%."""
     weights = [sum(views[p].n_samples * cfgs[cell].local_epochs for p, cell, _, _ in cohort)
                for cohort in cohorts]
     bounds = _shard_bounds(weights, min(len(cohorts), shards))
@@ -941,8 +958,8 @@ def _run_rounds(states, views, cfgs, round_idx, objective, trainer, shards=None)
     (party, cell) row of _row_cohorts' cohorts becomes one (party, cell,
     w_t, controls) tuple, with its cell's w_t and, for scaffold, controls
     (c, c_i) (None otherwise), and every row trains on trainer (or when it
-    is None on a new LocalTrainer for the round's largest cohort); each
-    cell aggregates its own updates, in cohort order, as run_round does.
+    is None on a new LocalTrainer); each cell aggregates its own updates,
+    in cohort order, as run_round does.
     With shards (_shard_workers' _train_shards), the cohorts are cut into
     contiguous runs: this process trains the first while the shard workers
     train the others. Returns run_round's triple per cell."""
@@ -954,7 +971,7 @@ def _run_rounds(states, views, cfgs, round_idx, objective, trainer, shards=None)
     cohorts = [[(p, cell, states[cell].params, (states[cell].control, controls[cell][p])
                  if cfgs[cell].algorithm == "scaffold" else None) for p, cell in cohort]
                for cohort in _row_cohorts(selected, views, cfgs, n_coords, _stacks(objective))]
-    trainer = _trainer_for(objective, trainer, max(map(len, cohorts)), n_coords, cfg.batch_size)
+    trainer = _trainer_for(objective, trainer)
     if shards is None:
         results = _train_cohorts(cohorts, views, cfgs, round_idx, objective, trainer)
     else:
@@ -985,17 +1002,17 @@ def run_round(
     aggregate. run_group trains the rounds of several cells at once
     through the same code (_run_rounds), and of one cell through this.
 
-    The sampled parties train, in ascending id, in cohorts of (party,
-    cell, w_t, controls) rows (see _row_cohorts and _train_cohorts). Each party draws from its own (seed,
-    round, party) stream, so its update depends neither on that order nor
-    on its cohort. Returns a new state and writes to none of its
-    arguments: a sampled scaffold party's new control replaces its entry in
-    the new state's client_controls. If the new model or the new server
-    control has a non-finite entry, the round returns the given state marked
-    diverged; its traffic still counts. Every cohort trains on trainer,
-    the run's LocalTrainer, or when it is None on a new one of the round's
-    (a trainer too small for a cohort is refused with ProtocolError, and
-    so are views other than one per party, cfg.n_parties of them);
+    The sampled parties train, in ascending id, in cohorts of (party, cell,
+    w_t, controls) rows (see _row_cohorts and _train_cohorts). Each party
+    draws from its own (seed, round, party) stream, so its update depends
+    neither on that order nor on its cohort. Returns a new state and writes
+    to none of its arguments: a sampled scaffold party's new control
+    replaces its entry in the new state's client_controls. If the new model
+    or the new server control has a non-finite entry, the round returns the
+    given state marked diverged; its traffic still counts. Every cohort
+    trains on trainer, the run's LocalTrainer, or when it is None on a new
+    one (a trainer made for another objective is refused with ProtocolError,
+    and so are views other than one per party, cfg.n_parties of them);
     shards, run_group's _train_shards if given, trains all but the first
     contiguous run of them on shard workers.
     """
@@ -1117,10 +1134,11 @@ def run_group(
     one cohort loop (see _run_rounds); each cell then aggregates,
     evaluates and records its own round. A group of one cell runs each
     round through the module attribute run_round, so a wrapper set on it
-    (the traced benchmark's) sees every round. One LocalTrainer, sized
-    for the group's largest cohort (its cells or its sampled parties, as
-    _row_cohorts may lay a round out either way), trains every round; it
-    dies with the run, so a sweep holds one group's trainer at a time.
+    (the traced benchmark's) sees every round. One LocalTrainer, which
+    fits itself to each cohort it trains (its cells or its sampled
+    parties, as _row_cohorts may lay a round out either way), trains every
+    round; it dies with the run, so a sweep holds one group's trainer at
+    a time.
 
     A record's wall_ms covers the whole group's round: training every row,
     then aggregating and evaluating every cell.
@@ -1154,10 +1172,7 @@ def run_group(
         if cell.algorithm == "scaffold" else GlobalState(params)
         for cell in cfgs
     ]
-    # A cohort holds one cell's sampled parties or one party's cells.
-    rows = max(len(cfgs), _sample_size(cfg.n_parties, cfg.sample_fraction))
-    rows = min(_cohort_cap(len(params), _stacks(objective)), rows)
-    trainer = LocalTrainer(objective, len(params), rows, cfg.batch_size)
+    trainer = LocalTrainer(objective)
 
     # The shard workers fork before the round-0 score, which may be this
     # process's first BLAS call: OpenBLAS lays out a new buffer (several

@@ -19,6 +19,7 @@ import contextlib
 import json
 import math
 import os
+import shutil
 import sys
 import time
 from dataclasses import replace
@@ -434,21 +435,34 @@ def cmd_report(results_dir) -> dict:
         fh.write("algorithm,wins\n")
         fh.writelines(f"{algorithm},{wins[algorithm]}\n" for algorithm in algorithms)
 
+    # The curves are written into a staging directory that then replaces
+    # curves/ whole, so no curve of an earlier report outlives it; a report
+    # that fails before the swap leaves the old curves/ as it was, and no
+    # staging directory.
     curves_dir = os.path.join(results_dir, CURVES_DIR)
-    with _writing(curves_dir):
-        os.makedirs(curves_dir, exist_ok=True)
-    for (source, epochs, algorithm, mu, trial), records in curves.items():
-        mu_txt = "none" if mu is None else repr(mu)
-        name = f"{source}__{algorithm}__E{epochs}__mu{mu_txt}__t{trial}.csv"
-        curve_path = os.path.join(curves_dir, name)
-        with _writing(curve_path), open(curve_path, "w", encoding="ascii") as fh:
-            fh.write("round,test_accuracy,mean_train_loss,bytes\n")
-            for record in sorted(records, key=lambda r: r["round"]):
-                loss = record["mean_train_loss"]
-                fh.write(
-                    f"{record['round']},{record['test_accuracy']!r},"
-                    f"{'' if loss is None else repr(loss)},{record['bytes']}\n"
-                )
+    staging = os.path.join(results_dir, f".{CURVES_DIR}.new")
+    shutil.rmtree(staging, ignore_errors=True)  # left by a report that was killed
+    try:
+        with _writing(staging):
+            os.mkdir(staging)
+        for (source, epochs, algorithm, mu, trial), records in curves.items():
+            mu_txt = "none" if mu is None else repr(mu)
+            name = f"{source}__{algorithm}__E{epochs}__mu{mu_txt}__t{trial}.csv"
+            curve_path = os.path.join(staging, name)
+            with _writing(curve_path), open(curve_path, "w", encoding="ascii") as fh:
+                fh.write("round,test_accuracy,mean_train_loss,bytes\n")
+                for record in sorted(records, key=lambda r: r["round"]):
+                    loss = record["mean_train_loss"]
+                    fh.write(
+                        f"{record['round']},{record['test_accuracy']!r},"
+                        f"{'' if loss is None else repr(loss)},{record['bytes']}\n"
+                    )
+        with _writing(curves_dir):
+            if os.path.lexists(curves_dir):
+                shutil.rmtree(curves_dir)
+            os.rename(staging, curves_dir)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
     print(f"{'source':<24}{'E':>4}  " + "  ".join(f"{a:>10}" for a in algorithms))
     for (source, epochs), cells, winners in rows:

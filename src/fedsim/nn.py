@@ -186,9 +186,9 @@ class Workspace:
     Sized for up to `rows` models and batches of up to `batch` samples.
     plan(w, m) lays out views of them for one call shape on w; it keeps
     nothing, so a caller that calls on one shape again keeps the plan (the
-    engine's LocalTrainer does, for a whole run). Calls that share a
-    workspace run one at a time, and each call's gradient is overwritten by
-    the next call's.
+    engine's LocalTrainer does, until it grows into a larger workspace).
+    Calls that share a workspace run one at a time, and each call's
+    gradient is overwritten by the next call's.
     """
 
     def __init__(self, layers, rows: int, batch: int):

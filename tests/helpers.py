@@ -92,9 +92,8 @@ def make_update(w_t, party_id, delta, tau, n_samples, delta_control=None):
 
 def train_cohort(rows, objective, round_idx=0):
     """(LocalUpdate, new c_i or None) per engine._Row, trained as one
-    cohort on a new LocalTrainer sized for these rows."""
-    trainer = LocalTrainer(objective, rows[0].w_t.size, len(rows), rows[0].cfg.batch_size)
-    return trainer.train(rows, round_idx)
+    cohort on a new LocalTrainer."""
+    return LocalTrainer(objective).train(rows, round_idx)
 
 
 def combine_updates_unblocked(base, coeffs, residual_targets, scale):

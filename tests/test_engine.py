@@ -19,6 +19,7 @@ from fedsim.engine import (
     local_train_sgd,
     round_bytes,
     run_experiment,
+    run_group,
     run_round,
     sample_parties,
 )
@@ -26,7 +27,14 @@ from fedsim.errors import ConfigError, DataError, NumericError, ProtocolError, S
 from fedsim.nn import MlpArch, backward
 from fedsim.partition import PartitionSpec, PartyView, build_views
 from fedsim import engine, rng
-from helpers import make_update, reference_local_loop, train_cohort
+from helpers import (
+    assert_no_child_process,
+    deadline,  # noqa: F401 (a fixture)
+    make_update,
+    needs_fork,
+    reference_local_loop,
+    train_cohort,
+)
 
 
 def flat(*values):
@@ -58,6 +66,27 @@ class QuadraticObjective:
 
     def accuracy(self, params, dataset):
         return 0.0
+
+
+class CenterObjective:
+    """Loss |w - x|^2 / 2 on a model of any length, with x the mean of the
+    batch's features. It does not stack, so one trainer can serve it
+    models of several lengths."""
+
+    def init_params(self, seed):
+        return np.random.default_rng(seed).normal(size=4)
+
+    def loss_grad(self, params, features, labels, prox_mu=0.0, prox_anchor=None):
+        grad = params - features.mean()
+        loss = 0.5 * float(grad @ grad)
+        if prox_mu > 0:
+            diff = params - prox_anchor
+            loss += 0.5 * prox_mu * float(diff @ diff)
+            grad = grad + prox_mu * diff
+        return loss, grad
+
+    def full_grad(self, params, features, labels):
+        return self.loss_grad(params, features, labels)[1]
 
 
 def one_sample_view(party_id=0):
@@ -130,7 +159,7 @@ class TestLocalTrainSgd:
         cfg, zero = self._cfg(), np.zeros(n)
         for other in (MlpObjective(arch), MlpObjective(MlpArch((2, 4, 1))),
                       QuadraticObjective(0.0)):
-            trainer = engine.LocalTrainer(other, n, 1, 4)
+            trainer = engine.LocalTrainer(other)
             with pytest.raises(ProtocolError, match="another objective"):
                 local_train_sgd(w_t, view, cfg, 0, objective, trainer=trainer)
             with pytest.raises(ProtocolError, match="another objective"):
@@ -138,36 +167,9 @@ class TestLocalTrainSgd:
             with pytest.raises(ProtocolError, match="another objective"):
                 run_round(GlobalState(w_t), [view], cfg, 0, objective, trainer=trainer)
 
-    @pytest.mark.parametrize("rows, extra_coords, batch_size, limit", [
-        (1, 0, 16, "at most 1 rows"),
-        (4, 1, 16, r"models of \d+ coordinates"),
-        (4, 0, 8, "batches of at most 8 samples"),
-    ])
-    def test_a_trainer_too_small_for_its_cohort_is_refused(self, rows, extra_coords,
-                                                            batch_size, limit):
-        # A trainer holds stacks of a fixed number of rows, coordinates and
-        # batch samples; a cohort beyond any of them is refused before any
-        # step, naming the limit, instead of failing inside numpy.
-        arch = MlpArch((3, 4, 2))
-        objective = MlpObjective(arch)
-        train, _ = fcube_generate(128, 16, seed=1)
-        cfg = self._cfg(n_parties=4, batch_size=16)
-        _, views = build_views(train, PartitionSpec("iid"), 4, 0)
-        w_t = objective.init_params(5)
-        zero = np.zeros_like(w_t)
-        trainer = engine.LocalTrainer(objective, arch.n_params() + extra_coords, rows, batch_size)
-        with pytest.raises(ProtocolError, match=limit):
-            run_round(GlobalState(w_t), views, cfg, 0, objective, trainer=trainer)
-        if rows > 1:  # a party alone is a cohort of one row
-            with pytest.raises(ProtocolError, match=limit):
-                local_train_sgd(w_t, views[0], cfg, 0, objective, trainer=trainer)
-            with pytest.raises(ProtocolError, match=limit):
-                local_train_scaffold(w_t, zero, zero, views[0], cfg, 0, objective,
-                                     trainer=trainer)
-
     def test_an_empty_cohort_is_refused(self):
         objective = MlpObjective(MlpArch((3, 4, 2)))
-        trainer = engine.LocalTrainer(objective, objective.arch.n_params(), 2, 16)
+        trainer = engine.LocalTrainer(objective)
         with pytest.raises(ProtocolError, match="a cohort needs at least one row"):
             trainer.train([], 0)
 
@@ -182,7 +184,7 @@ class TestLocalTrainSgd:
         view = PartyView(0, np.arange(6), generator.normal(size=(6, 2)),
                          generator.integers(0, 2, 6))
         c, c_i = 0.01 * generator.normal(size=(2, arch.n_params()))
-        trainer = engine.LocalTrainer(objective, arch.n_params(), 2, 4)
+        trainer = engine.LocalTrainer(objective)
         for algorithm in ("fedavg", "scaffold", "fedprox", "fedavg", "scaffold"):
             cfg = self._cfg(algorithm=algorithm, prox_mu=0.1, local_epochs=2, momentum=0.9)
             if algorithm == "scaffold":
@@ -198,6 +200,55 @@ class TestLocalTrainSgd:
             assert (got.tau, got.train_loss) == (want.tau, want.train_loss)
         assert trainer.corrections is not None
 
+    @pytest.mark.parametrize("stacks", [True, False])
+    def test_a_trainer_grows_to_fit_each_cohort(self, stacks):
+        # A trainer holds no rows until its first cohort, and grows its
+        # stacks and workspace when a cohort needs more rows, a larger batch
+        # (the largest a row can draw: its batch size, or all of a smaller
+        # party) or another model length; a smaller cohort keeps them.
+        # Growing drops the anchors, corrections and cached steps that point
+        # into the old stacks, so every cohort's updates are bit for bit
+        # those of a fresh trainer.
+        generator = np.random.default_rng(12)
+        source, labels = generator.normal(size=(18, 2)), generator.integers(0, 2, 18)
+        views = [PartyView(p, np.arange(6 * p, 6 * p + 6), source, labels) for p in range(3)]
+        objective = MlpObjective(MlpArch((2, 3, 2))) if stacks else CenterObjective()
+        w_t = objective.init_params(5)
+        longer = np.append(w_t, generator.normal(size=3))
+        cohorts = [  # (batch size, model, the rows' algorithms, rows held, batch held)
+            (2, w_t, ["fedavg"], 1, 2),
+            (2, w_t, ["fedavg", "fedprox", "scaffold"], 3, 2),
+            (4, w_t, ["fedprox", "scaffold"], 3, 4),
+            (2**31 - 1, w_t, ["fedavg", "fedprox", "scaffold"], 3, 6),
+            (3, w_t, ["scaffold"], 3, 6),
+        ]
+        if not stacks:
+            cohorts.append((4, longer, ["fedprox", "scaffold"], 3, 6))
+        trainer = engine.LocalTrainer(objective)
+        assert trainer.params.shape == (0, 0)
+        for round_idx, (batch_size, start, algorithms, rows_held, batch_held) in enumerate(
+                cohorts):
+            rows = []
+            for view, algorithm in zip(views, algorithms):
+                cfg = self._cfg(algorithm=algorithm, prox_mu=0.1, batch_size=batch_size,
+                                momentum=0.9, local_epochs=2)
+                controls = None
+                if algorithm == "scaffold":
+                    controls = tuple(0.01 * generator.normal(size=(2, start.size)))
+                rows.append(engine._Row(view, cfg, start, controls))
+            got = trainer.train(rows, round_idx)
+            assert trainer.params.shape == (rows_held, start.size)
+            assert trainer.batch == batch_held
+            for (update, c_i), (fresh, fresh_c_i) in zip(
+                    got, train_cohort(rows, objective, round_idx), strict=True):
+                assert (update.tau, update.diverged) == (fresh.tau, fresh.diverged)
+                assert np.float64(update.train_loss).tobytes() == (
+                    np.float64(fresh.train_loss).tobytes())
+                assert update.final_params.tobytes() == fresh.final_params.tobytes()
+                assert np.asarray(update.delta_control).tobytes() == (
+                    np.asarray(fresh.delta_control).tobytes())
+                assert np.asarray(c_i).tobytes() == np.asarray(fresh_c_i).tobytes()
+
     def test_rows_pull_toward_their_own_models(self):
         # Each mu row copies its w_t into its row of the trainer's anchors,
         # whether the rows start from one model, as one cell's do, or from
@@ -210,7 +261,7 @@ class TestLocalTrainSgd:
         cfg = self._cfg(algorithm="fedprox", prox_mu=0.5, local_epochs=2, batch_size=3)
         w_t = objective.init_params(5)
         other = 0.5 * w_t
-        trainer = engine.LocalTrainer(objective, arch.n_params(), 2, 3)
+        trainer = engine.LocalTrainer(objective)
         for starts in ((w_t, w_t), (w_t, other)):
             rows = [engine._Row(view, cfg, start) for view, start in zip(views, starts)]
             got = trainer.train(rows, 0)
@@ -219,11 +270,13 @@ class TestLocalTrainSgd:
                 assert update.final_params.tobytes() == alone.final_params.tobytes()
                 assert update.train_loss == alone.train_loss
 
-    @pytest.mark.parametrize("off", ["source", "labels", "batch_size", "lr", "momentum", "seed"])
+    @pytest.mark.parametrize("off", ["source", "labels", "batch_size", "lr", "momentum", "seed",
+                                     "shorter", "longer", "2-d"])
     def test_a_cohort_off_its_training_pair_or_step_settings_is_refused(self, off):
         # Every row trains on rows[0]'s training matrix, labels and step
         # settings, so a row that has its own would silently train on
-        # another's; the cohort is refused before any step.
+        # another's; and the rows stack, so every w_t must be 1-d with
+        # rows[0]'s length. The cohort is refused before any step.
         arch = MlpArch((2, 3, 2))
         objective = MlpObjective(arch)
         generator = np.random.default_rng(4)
@@ -236,11 +289,14 @@ class TestLocalTrainSgd:
             "momentum": replace(cfg, momentum=0.9), "seed": replace(cfg, master_seed=1),
         }.get(off, cfg)
         w_t = objective.init_params(5)
+        second_w_t = {"shorter": w_t[:-1], "longer": np.append(w_t, 0.0),
+                      "2-d": w_t[None]}.get(off, w_t)
         rows = [engine._Row(PartyView(0, np.arange(4), source, labels), cfg, w_t),
                 engine._Row(PartyView(1, np.arange(4, 8), second_source, second_labels),
-                            second_cfg, w_t)]
-        trainer = engine.LocalTrainer(objective, arch.n_params(), 2, 4)
-        match = "training pair" if off in ("source", "labels") else "batch size, lr, momentum"
+                            second_cfg, second_w_t)]
+        trainer = engine.LocalTrainer(objective)
+        match = ("training pair" if off in ("source", "labels") else
+                 "1-d of one length" if second_w_t is not w_t else "batch size, lr, momentum")
         with pytest.raises(ProtocolError, match=match):
             trainer.train(rows, 0)
 
@@ -262,7 +318,7 @@ class TestLocalTrainSgd:
             engine._Row(views[2], replace(cfg, algorithm="scaffold", local_epochs=3),
                         -w_t, controls),
         ]
-        got = engine.LocalTrainer(objective, arch.n_params(), 3, 3).train(rows, 0)
+        got = engine.LocalTrainer(objective).train(rows, 0)
         assert [update.tau for update, _ in got] == [2, 4, 6]
         for (update, c_i), row in zip(got, rows):
             if row.controls is None:
@@ -989,6 +1045,35 @@ class TestRunRound:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
+    @needs_fork
+    def test_sharded_scaffold_round_arrays_are_read_only(self, deadline, monkeypatch):
+        # The same holds on the shard path, where a shard worker's rows
+        # come back through shared memory: a one-cell scaffold run whose
+        # four parties each train in a cohort of their own, on two shards.
+        arch = MlpArch((3, 8, 2))
+        monkeypatch.setattr(engine, "COHORT_BYTES", engine.BYTES_PER_COORD * arch.n_params())
+        train, test = fcube_generate(80, 20, seed=1)
+        cfg = FedRunConfig(algorithm="scaffold", rounds=2, n_parties=4, local_epochs=1,
+                           batch_size=8, local_lr=0.05, master_seed=3)
+        real_run_round = engine.run_round
+        handed_out = []
+
+        def checking_run_round(*args, shards, **kwargs):
+            assert shards is not None
+            new, updates, n_bytes = real_run_round(*args, shards=shards, **kwargs)
+            handed_out.extend([new.params, new.control, *new.client_controls])
+            handed_out.extend(u.final_params for u in updates)
+            handed_out.extend(u.delta_control for u in updates)
+            return new, updates, n_bytes
+
+        monkeypatch.setattr(engine, "run_round", checking_run_round)
+        run_group(train, test, PartitionSpec("iid"), arch, [cfg], shards=2)
+        assert_no_child_process()
+        assert len(handed_out) == cfg.rounds * (2 + 4 + 2 * 4)
+        for array in handed_out:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
     def test_full_participation_update_count(self):
         state, views, cfg, objective = self._setup("fedavg", n_parties=5)
         _, updates, _ = run_round(state, views, cfg, 0, objective)
@@ -1270,11 +1355,12 @@ class TestRunExperiment:
         assert len(alive) == 3 * 4
 
     def test_trainer_lives_for_one_run(self, monkeypatch):
-        # Every round of a run trains on one LocalTrainer, sized for the
-        # run's largest cohort (2 of 4 parties sampled), and it is freed,
-        # without waiting for the cycle collector, when run_experiment
-        # returns: a sweep holds one run's trainer at a time. A second run
-        # on the same objective gets its own and the same records.
+        # Every round of a run trains on one LocalTrainer, which fits
+        # itself to the run's largest cohort (2 of 4 parties sampled) in its
+        # first round, and it is freed, without waiting for the cycle
+        # collector, when run_experiment returns: a sweep holds one run's
+        # trainer at a time. A second run on the same objective gets its
+        # own and the same records.
         train, test = self._fcube()
         arch = MlpArch((3, 4, 2))
         objective = MlpObjective(arch)
@@ -1285,9 +1371,10 @@ class TestRunExperiment:
         def tracking_run_round(*args, trainer, **kwargs):
             assert not refs or refs[0]() is trainer
             assert trainer.objective is objective
-            assert trainer.params.shape == (2, arch.n_params())
             refs.append(weakref.ref(trainer))
-            return real_run_round(*args, trainer=trainer, **kwargs)
+            outcome = real_run_round(*args, trainer=trainer, **kwargs)
+            assert trainer.params.shape == (2, arch.n_params())
+            return outcome
 
         monkeypatch.setattr(engine, "run_round", tracking_run_round)
         runs = []

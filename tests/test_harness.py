@@ -649,6 +649,31 @@ class TestCmdRun:
                 assert not (out / "summary.csv").exists()
             assert_no_child_process()
 
+    def test_a_batch_above_every_party_trains_full_batch(self, tmp_path, monkeypatch):
+        # A batch size above every party's size trains each party on one
+        # full batch, as a batch of the largest party's size does: the local
+        # trainer sizes its buffers from the parties, not from the config.
+        raw = small_run_config(
+            partition={"type": "quantity_dirichlet", "beta": 1.0},
+            fed={"algorithms": list(engine.ALGORITHMS), "rounds": 2, "parties": 3,
+                 "local_epochs": 2, "batch_size": 2**31 - 1, "lr": 0.05, "seed": 5})
+        largest = []
+
+        def recording_build_views(*args):
+            pmap, views = build_views(*args)
+            largest.append(max(view.n_samples for view in views))
+            return pmap, views
+
+        monkeypatch.setattr(engine, "build_views", recording_build_views)
+        use_cpus(monkeypatch, 1)
+        cmd_run(parse_config(raw), tmp_path / "huge")
+        raw["fed"]["batch_size"] = largest[0]
+        cmd_run(parse_config(raw), tmp_path / "largest")
+        assert largest == [largest[0]] * 2
+        for name in ("results.jsonl", "summary.csv"):
+            huge, full = ((tmp_path / run / name).read_text() for run in ("huge", "largest"))
+            assert mask_wall(huge) == mask_wall(full)
+
     def test_summary_mean_and_sample_std(self, tmp_path):
         config = parse_config(small_run_config(trials=3))
         cmd_run(config, tmp_path / "out")
@@ -1028,6 +1053,25 @@ class TestCmdReport:
         )
         assert wins == {"fedavg": "1", "fednova": "1"}
 
+    def test_report_rebuilds_curves_whole(self, tmp_path):
+        # report owns curves/: a second report, after b.jsonl is deleted,
+        # leaves only a's curves beside a report.csv that lists only a.
+        config = parse_config(small_run_config())
+        out = tmp_path / "out"
+        cmd_run(config, out)
+        (out / "results.jsonl").rename(out / "a.jsonl")
+        shutil.copy(out / "a.jsonl", out / "b.jsonl")
+        cmd_report(out)
+        assert sorted(path.name for path in (out / "curves").iterdir()) == [
+            "a__fedavg__E1__munone__t0.csv", "b__fedavg__E1__munone__t0.csv"]
+        (out / "b.jsonl").unlink()
+        cmd_report(out)
+        assert sorted(path.name for path in (out / "curves").iterdir()) == [
+            "a__fedavg__E1__munone__t0.csv"]
+        assert [line.split(",")[0] for line in
+                (out / "report.csv").read_text().splitlines()[1:]] == ["a"]
+        assert not (out / ".curves.new").exists()
+
     def test_curves_have_t_plus_one_rows(self, tmp_path):
         config = parse_config(small_run_config())
         cmd_run(config, tmp_path / "out")
@@ -1389,7 +1433,6 @@ class TestCli:
         ("run", "results.jsonl"), ("run", "summary.csv"),
         ("partition", "partition.txt"), ("partition", "partition_stats.csv"),
         ("report", "report.csv"), ("report", "wins.csv"), ("report", "curves"),
-        ("report", "a curve"),
     ])
     def test_unwritable_output_exit_code(self, tmp_path, capsys, command, name):
         # A directory where an output file goes, or a file where the curves
@@ -1399,7 +1442,7 @@ class TestCli:
         if command == "report":
             assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
             assert main(["report", "--out", str(out)]) == 0
-        blocked = sorted((out / "curves").iterdir())[0] if name == "a curve" else out / name
+        blocked = out / name
         if blocked.is_dir():
             shutil.rmtree(blocked)
         blocked.unlink(missing_ok=True)
@@ -1414,6 +1457,25 @@ class TestCli:
         # A run prints its progress lines before it writes the summary.
         assert capsys.readouterr().err.splitlines()[-1].startswith(
             f"error: cannot write {blocked}: ")
+
+    def test_unwritable_curve_exit_code(self, tmp_path, capsys):
+        # A curve whose file name is too long to make is refused with its
+        # path, and the report leaves the earlier curves/ as it was and no
+        # staging directory behind.
+        config_path = write_config(tmp_path, small_run_config())
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        assert main(["report", "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in (out / "curves").iterdir()}
+        (out / "results.jsonl").rename(out / f"{'a' * 240}.jsonl")
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith(f"error: cannot write {out}{os.sep}")
+        assert f"{'a' * 240}__fedavg__E1__munone__t0.csv: " in error
+        assert {path.name: path.read_bytes() for path in (out / "curves").iterdir()} == before
+        assert sorted(path.name for path in out.iterdir()) == [
+            "a" * 240 + ".jsonl", "curves", "report.csv", "summary.csv", "wins.csv"]
 
     def test_group_partition_without_group_ids_exit_code(self, tmp_path, capsys):
         # A blobs dataset carries no group ids: the config is refused before

@@ -405,9 +405,7 @@ class TestRunTrainer:
                 tuple(0.01 * generator.standard_normal(n_coords) for _ in sizes))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "COHORT_BYTES", cap * engine.BYTES_PER_COORD * n_coords)
-            rows = min(engine._cohort_cap(n_coords, stacks),
-                       engine._sample_size(cfg.n_parties, cfg.sample_fraction))
-            trainer = engine.LocalTrainer(objective, n_coords, rows, cfg.batch_size)
+            trainer = engine.LocalTrainer(objective)
             shared = fresh = state
             for round_idx in range(cfg.rounds):
                 shared, shared_updates, _ = run_round(
@@ -432,8 +430,8 @@ class TestRunTrainer:
 
 @st.composite
 def trainer_sequences(draw):
-    """One LocalTrainer of 1-6 rows and a sequence of 2-5 cohorts for it.
-    A cohort has 1 to that many rows, each one of 4 parties (0-12 samples)
+    """A sequence of 2-5 cohorts for one LocalTrainer. A cohort has 1 to
+    size (1-6) rows, each one of 4 parties (0-12 samples)
     trained as a plain, a proximal (with its own mu, 0 among them) or a
     scaffold row, with its own epochs; its rows start either all from one
     shared model or each from its own. Random layer widths, batch size,
@@ -465,10 +463,11 @@ def trainer_sequences(draw):
 class TestLocalTrainerReuse:
     @given(trainer_sequences())
     def test_each_cohort_matches_a_fresh_trainer_bitwise(self, case):
-        # A run's trainer serves its cohorts one after another: it makes
-        # its corrections and anchors when a cohort first needs them and
-        # keeps its plans per cohort layout. Each cohort must come out as
-        # on a trainer of its own, sized for just its rows.
+        # A run's trainer serves its cohorts one after another: it grows
+        # when a cohort needs more rows or a larger batch, makes its
+        # corrections and anchors when a cohort first needs them and keeps
+        # its plans per cohort layout. Each cohort must come out as on a
+        # trainer of its own.
         arch, size, base, cohorts, stacks, seed = case
         generator = np.random.default_rng(seed)
         bounds = np.cumsum([0, *generator.integers(0, 13, base.n_parties)])
@@ -480,7 +479,7 @@ class TestLocalTrainerReuse:
         objective = MlpObjective(arch) if stacks else Alone(arch)
         n_coords = arch.n_params()
         w_t = objective.init_params(seed)
-        trainer = engine.LocalTrainer(objective, n_coords, size, base.batch_size)
+        trainer = engine.LocalTrainer(objective)
         for round_idx, (specs, shared) in enumerate(cohorts):
             rows = []
             for party, (algorithm, mu), epochs in specs:
